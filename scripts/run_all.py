@@ -38,13 +38,12 @@ def main() -> int:
     rows = []
     failed = 0
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc["out_dir"] = str(Path(args.root) / path.stem)
-        config = ExperimentConfig.from_json(doc)
         try:
+            with open(path, "r", encoding="utf-8") as fh:
+                config = ExperimentConfig.from_json(json.load(fh))
+            config.out_dir = str(Path(args.root) / path.stem)
             report = run_experiment(config)
-        except ExperimentError as exc:
+        except (OSError, json.JSONDecodeError, ExperimentError) as exc:
             rows.append((path.stem, f"ERROR {exc}", 0.0))
             failed += 1
             continue

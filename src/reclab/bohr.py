@@ -18,8 +18,6 @@ equidistributing at the scale being sampled.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -144,9 +142,6 @@ class BohrHammingBall:
                     return False
         return True
 
-    def contains_square(self, n: int) -> bool:
-        return self.contains(n * n)
-
 
 class EnumerationResult(NamedTuple):
     elems: list[int]
@@ -159,55 +154,25 @@ class DensityReport(NamedTuple):
     gap: float
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get("LAB_THREADS", "1") or "1")
-    return max(1, workers)
-
-
-def _scan(bh: BohrHammingBall, lo: int, hi: int, square: bool) -> list[int]:
+def _scan(bh: BohrHammingBall, n_max: int, square: bool) -> list[int]:
     if square:
-        return [n for n in range(lo, hi) if bh.contains(n * n)]
-    return [n for n in range(lo, hi) if bh.contains(n)]
+        return [n for n in range(1, n_max + 1) if bh.contains(n * n)]
+    return [n for n in range(1, n_max + 1) if bh.contains(n)]
 
 
-def _partitioned_scan(
-    bh: BohrHammingBall, n_max: int, square: bool, workers: int | None
-) -> list[int]:
-    w = min(_resolve_workers(workers), n_max)
-    if w <= 1:
-        return _scan(bh, 1, n_max + 1, square)
-    # contiguous ascending chunks, so concatenation reproduces the
-    # sequential order exactly
-    bounds = [1 + (n_max * i) // w for i in range(w + 1)]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        parts = pool.map(
-            lambda span: _scan(bh, span[0], span[1], square),
-            zip(bounds, bounds[1:]),
-        )
-        merged: list[int] = []
-        for part in parts:
-            merged.extend(part)
-    return merged
-
-
-def set_enumerate(
-    bh: BohrHammingBall, n_max: int, workers: int | None = None
-) -> EnumerationResult:
+def set_enumerate(bh: BohrHammingBall, n_max: int) -> EnumerationResult:
     """All n in [1, n_max] with n*beta in the ball, plus their density."""
     if n_max < 1:
         raise ValueError("enumeration horizon must be at least 1")
-    elems = _partitioned_scan(bh, n_max, square=False, workers=workers)
+    elems = _scan(bh, n_max, square=False)
     return EnumerationResult(elems, Fraction(len(elems), n_max))
 
 
-def sqrt_set_enumerate(
-    bh: BohrHammingBall, n_max: int, workers: int | None = None
-) -> EnumerationResult:
+def sqrt_set_enumerate(bh: BohrHammingBall, n_max: int) -> EnumerationResult:
     """All n in [1, n_max] with n^2*beta in the ball, plus their density."""
     if n_max < 1:
         raise ValueError("enumeration horizon must be at least 1")
-    elems = _partitioned_scan(bh, n_max, square=True, workers=workers)
+    elems = _scan(bh, n_max, square=True)
     return EnumerationResult(elems, Fraction(len(elems), n_max))
 
 
@@ -230,9 +195,7 @@ def square_set(elems: Iterable[int]) -> list[int]:
     return sorted({s * s for s in elems})
 
 
-def density_vs_measure(
-    bh: BohrHammingBall, n_max: int, workers: int | None = None
-) -> DensityReport:
+def density_vs_measure(bh: BohrHammingBall, n_max: int) -> DensityReport:
     """Empirical square-root-set density against the exact ball measure.
 
     Purely diagnostic: equidistribution makes the two agree in the
@@ -249,7 +212,7 @@ def density_vs_measure(
         raise ValueError(
             f"horizon {n_max} too close to denominator {bh.freq.q}; need n_max <= q/100"
         )
-    _, density = sqrt_set_enumerate(bh, n_max, workers=workers)
+    _, density = sqrt_set_enumerate(bh, n_max)
     measure = bh.ball.measure()
     return DensityReport(density, measure, float(abs(density - measure)))
 

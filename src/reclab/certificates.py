@@ -29,14 +29,13 @@ import base64
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bohr import BohrHammingBall, Frequency, _resolve_workers, set_enumerate
+from .bohr import BohrHammingBall, Frequency, set_enumerate
 from .torus import ApproxHammingBall, TorusPoint, as_fraction, fraction_str
 
 __all__ = [
@@ -206,29 +205,16 @@ def _scan_shifts(bits: int, shifts: Sequence[int], k: int):
     return None
 
 
-def verify_certificate(cert: Certificate, workers: int | None = None) -> Verification:
+def verify_certificate(cert: Certificate) -> Verification:
     """Check the density and progression-emptiness conditions exactly.
 
     Shifts are scanned in increasing order and the first violation is
-    reported.  With several workers the shift list is cut into
-    contiguous chunks; the earliest violating chunk wins, so the
-    outcome is independent of the worker count.
+    reported.
     """
     size = cert.bits.bit_count()
     density = Fraction(size, cert.horizon)
     density_ok = size >= cert.density_claim * cert.horizon
-    shifts = cert.shifts
-    w = min(_resolve_workers(workers), len(shifts)) if shifts else 1
-    if w <= 1:
-        found = _scan_shifts(cert.bits, shifts, cert.k)
-    else:
-        bounds = [(len(shifts) * i) // w for i in range(w + 1)]
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            parts = pool.map(
-                lambda span: _scan_shifts(cert.bits, shifts[span[0] : span[1]], cert.k),
-                zip(bounds, bounds[1:]),
-            )
-            found = next((p for p in parts if p is not None), None)
+    found = _scan_shifts(cert.bits, cert.shifts, cert.k)
     violating, start = found if found is not None else (None, None)
     ok = density_ok and violating is None
     return Verification(
@@ -538,11 +524,7 @@ def band_return_bitset(witness: BandWitness, beta, n_max: int) -> int:
 
 
 def rotation_certificate(
-    witness: BandWitness,
-    ball: ApproxHammingBall,
-    beta,
-    n_max: int,
-    workers: int | None = None,
+    witness: BandWitness, ball: ApproxHammingBall, beta, n_max: int
 ) -> Certificate:
     """Certificate from the orbit of beta through a band set.
 
@@ -558,7 +540,7 @@ def rotation_certificate(
     if freq.dim != witness.r or ball.dim != witness.r:
         raise ValueError("witness, ball, and frequency dimensions must agree")
     bits = band_return_bitset(witness, freq, n_max)
-    returns = set_enumerate(BohrHammingBall(freq, ball), n_max, workers=workers)
+    returns = set_enumerate(BohrHammingBall(freq, ball), n_max)
     cert = Certificate(
         horizon=n_max,
         bits=bits,
@@ -574,7 +556,7 @@ def rotation_certificate(
             "disjoint": band_ball_disjoint(witness, ball),
         },
     )
-    check = verify_certificate(cert, workers=workers)
+    check = verify_certificate(cert)
     if not check:
         raise RuntimeError(f"internal: rotation certificate failed its check: {check!r}")
     return cert
@@ -610,12 +592,7 @@ def _factors_provenance(factors) -> dict:
     }
 
 
-def combine_certificates(
-    c1: Certificate,
-    c2: Certificate,
-    m: int,
-    workers: int | None = None,
-) -> Certificate:
+def combine_certificates(c1: Certificate, c2: Certificate, m: int) -> Certificate:
     """Merge two k=1 certificates into one for S1 union m*S2.
 
     The merged density claim is 2 * d1 * d2.  When both inputs carry
@@ -637,7 +614,7 @@ def combine_certificates(
     for name, cert in (("first", c1), ("second", c2)):
         if cert.k != 1:
             raise ValueError(f"{name} certificate has k={cert.k}, need k=1")
-        if not verify_certificate(cert, workers=workers):
+        if not verify_certificate(cert):
             raise ValueError(f"{name} certificate does not verify; refuse to combine")
     n_max = min(c1.horizon, c2.horizon)
     kept = sorted(s for s in c1.shifts if s <= n_max)
@@ -683,7 +660,7 @@ def combine_certificates(
             density_claim=claim,
             provenance={**prov, "candidate": label, "m": m},
         )
-        check = verify_certificate(cert, workers=workers)
+        check = verify_certificate(cert)
         if check:
             return cert
         failures.append((label, check))
@@ -694,12 +671,7 @@ def combine_certificates(
     )
 
 
-def search_min_m(
-    c1: Certificate,
-    c2: Certificate,
-    m_max: int,
-    workers: int | None = None,
-) -> tuple[int, Certificate]:
+def search_min_m(c1: Certificate, c2: Certificate, m_max: int) -> tuple[int, Certificate]:
     """Smallest dilation factor in [1, m_max] that combines, with proof.
 
     Linear scan; on exhaustion the raised error lists every attempted
@@ -710,7 +682,7 @@ def search_min_m(
     attempts = []
     for m in range(1, m_max + 1):
         try:
-            return m, combine_certificates(c1, c2, m, workers=workers)
+            return m, combine_certificates(c1, c2, m)
         except CertificateRejected as exc:
             attempts.append((m, str(exc)))
     raise SearchExhausted(
@@ -719,11 +691,7 @@ def search_min_m(
     )
 
 
-def square_certificate(
-    cert: Certificate,
-    bits: int | None = None,
-    workers: int | None = None,
-) -> Certificate:
+def square_certificate(cert: Certificate, bits: int | None = None) -> Certificate:
     """Rewrite the shift set through s -> s*s and re-verify.
 
     The base set defaults to the input certificate's; a caller may
@@ -740,7 +708,7 @@ def square_certificate(
         density_claim=cert.density_claim,
         provenance={"kind": "square", "parent": dict(cert.provenance)},
     )
-    check = verify_certificate(out, workers=workers)
+    check = verify_certificate(out)
     if not check:
         raise CertificateRejected(
             "base set does not certify the squared shifts",
@@ -797,13 +765,12 @@ def certificate_from_json(data: dict) -> Certificate:
 
 
 def save_certificate(cert: Certificate, path) -> None:
-    """Write atomically: compose to a sibling temp file, then rename."""
-    target = os.fspath(path)
-    tmp = target + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(certificate_to_json(cert), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, target)
+    """Write atomically through the shared report writer."""
+    # imported here: experiments imports this module
+    from .experiments import write_atomic
+
+    text = json.dumps(certificate_to_json(cert), indent=2, sort_keys=True) + "\n"
+    write_atomic(os.fspath(path), text)
 
 
 def load_certificate(path) -> Certificate:

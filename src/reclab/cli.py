@@ -43,7 +43,6 @@ from .experiments import (
     ExperimentError,
     REFUTED,
     list_experiments,
-    resolve_workers,
     run_experiment,
     write_atomic,
 )
@@ -71,11 +70,6 @@ def _emit(text: str, out: str | None) -> None:
         write_atomic(out, text)
     else:
         sys.stdout.write(text)
-
-
-def _workers_arg(value: int | None) -> int | None:
-    cfg = ExperimentConfig(experiment="-", workers=value)
-    return resolve_workers(cfg)
 
 
 # ---- lab ----
@@ -134,7 +128,6 @@ def main_bohr(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--N", type=int, required=True, help="enumeration horizon")
     p.add_argument("--sqrt", action="store_true", help="enumerate square-root returns")
     p.add_argument("--center", type=_rational, nargs="+", help="ball center, default 0")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", help="write JSON here instead of stdout")
     args = parser.parse_args(argv)
 
@@ -146,7 +139,7 @@ def main_bohr(argv: Sequence[str] | None = None) -> int:
     ball = ApproxHammingBall(TorusPoint.of(center), args.k, args.eps)
     bh = BohrHammingBall(Frequency(TorusPoint.of(args.freq), generating=True), ball)
     scan = sqrt_set_enumerate if args.sqrt else set_enumerate
-    result = scan(bh, args.N, workers=_workers_arg(args.workers))
+    result = scan(bh, args.N)
     doc = set_to_json(result.elems, args.N)
     doc["density"] = fraction_str(result.density)
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -194,7 +187,6 @@ def main_weyl(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--ell", type=int, default=1, help="scale factor inside the weight")
     p.add_argument("--N", type=int, required=True, help="average horizon")
     p.add_argument("--f", required=True, help="trig polynomial file (JSON)")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", help="write the CSV here instead of stdout")
     args = parser.parse_args(argv)
 
@@ -219,7 +211,6 @@ def main_weyl(argv: Sequence[str] | None = None) -> int:
         beta=TorusPoint.of(args.freq_beta),
         ell=args.ell,
         n_max=args.N,
-        workers=_workers_arg(args.workers),
     )
     _emit(trace.to_csv(), args.out)
     return 0
@@ -299,7 +290,6 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", help="re-check a certificate file exactly")
     p_verify.add_argument("cert", help="certificate JSON path")
-    p_verify.add_argument("--workers", type=int, default=None)
 
     p_build = sub.add_parser("build", help="rotation certificate from a band witness")
     p_build.add_argument("--k", type=int, required=True, help="ball deviation budget")
@@ -310,33 +300,28 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
     )
     p_build.add_argument("--N", type=int, required=True, help="certificate horizon")
     p_build.add_argument("--out", required=True, help="where to save the certificate")
-    p_build.add_argument("--workers", type=int, default=None)
 
     p_comb = sub.add_parser("combine", help="merge two certificates at a fixed dilation")
     p_comb.add_argument("first")
     p_comb.add_argument("second")
     p_comb.add_argument("--m", type=int, required=True)
     p_comb.add_argument("--out", required=True)
-    p_comb.add_argument("--workers", type=int, default=None)
 
     p_search = sub.add_parser("search-m", help="smallest dilation that merges")
     p_search.add_argument("first")
     p_search.add_argument("second")
     p_search.add_argument("--m-max", type=int, required=True)
     p_search.add_argument("--out", required=True)
-    p_search.add_argument("--workers", type=int, default=None)
 
     p_square = sub.add_parser("square", help="rewrite shifts through s -> s^2")
     p_square.add_argument("cert")
     p_square.add_argument("--out", required=True)
-    p_square.add_argument("--workers", type=int, default=None)
 
     args = parser.parse_args(argv)
-    workers = _workers_arg(getattr(args, "workers", None))
 
     try:
         if args.verb == "verify":
-            v = verify_certificate(load_certificate(args.cert), workers=workers)
+            v = verify_certificate(load_certificate(args.cert))
             _print_verification(v)
             return 0 if v.ok else 1
 
@@ -350,7 +335,7 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
                 )
                 return 2
             freq = Frequency(TorusPoint.of(args.freq), generating=True)
-            cert = rotation_certificate(witness, ball, freq, args.N, workers=workers)
+            cert = rotation_certificate(witness, ball, freq, args.N)
             save_certificate(cert, args.out)
             print(f"witness: r={proof['r']} t={proof['t']} a={proof['a']}")
             print(f"claim: {fraction_str(cert.density_claim)} over horizon {args.N}")
@@ -359,8 +344,7 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
 
         if args.verb == "combine":
             cert = combine_certificates(
-                load_certificate(args.first), load_certificate(args.second),
-                args.m, workers=workers,
+                load_certificate(args.first), load_certificate(args.second), args.m
             )
             save_certificate(cert, args.out)
             print(f"m: {args.m}")
@@ -369,15 +353,14 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
 
         if args.verb == "search-m":
             m, cert = search_min_m(
-                load_certificate(args.first), load_certificate(args.second),
-                args.m_max, workers=workers,
+                load_certificate(args.first), load_certificate(args.second), args.m_max
             )
             save_certificate(cert, args.out)
             print(f"m: {m}")
             print(f"claim: {fraction_str(cert.density_claim)}")
             return 0
 
-        v2 = square_certificate(load_certificate(args.cert), workers=workers)
+        v2 = square_certificate(load_certificate(args.cert))
         save_certificate(v2, args.out)
         print(f"shifts: {len(v2.shifts)}")
         return 0

@@ -91,13 +91,12 @@ class ExperimentConfig:
     params: dict[str, Any] = field(default_factory=dict)
     out_dir: str = "."
     seed: int = 0
-    workers: int | None = None
 
     @classmethod
     def from_json(cls, doc) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ExperimentError("config", "config document must be a JSON object")
-        known = {"experiment", "params", "out_dir", "seed", "workers"}
+        known = {"experiment", "params", "out_dir", "seed"}
         extra = set(doc) - known
         if extra:
             raise ExperimentError("config", f"unknown config keys: {sorted(extra)}")
@@ -110,8 +109,7 @@ class ExperimentConfig:
             experiment=str(doc["experiment"]),
             params=dict(params),
             out_dir=str(doc.get("out_dir", ".")),
-            seed=int(doc.get("seed", 0)),
-            workers=None if doc.get("workers") is None else int(doc["workers"]),
+            seed=_int(doc.get("seed", 0), "seed", lo=0),
         )
 
     def to_json(self) -> dict:
@@ -120,7 +118,6 @@ class ExperimentConfig:
             "params": self.params,
             "out_dir": self.out_dir,
             "seed": self.seed,
-            "workers": self.workers,
         }
 
 
@@ -156,11 +153,19 @@ class ExperimentReport:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see halves."""
+    """Write via a sibling temp file and rename, so readers never see halves.
+
+    The temp file is removed again if the write or the rename fails.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def persist_report(report: ExperimentReport, out_dir: str) -> str:
@@ -175,21 +180,6 @@ def persist_report(report: ExperimentReport, out_dir: str) -> str:
     path = os.path.join(out_dir, REPORT_NAME)
     write_atomic(path, json.dumps(report.to_json(), indent=2) + "\n")
     return path
-
-
-def resolve_workers(config: ExperimentConfig) -> int | None:
-    """Explicit config value first, then the LAB_THREADS environment knob."""
-    if config.workers is not None:
-        return config.workers if config.workers > 1 else None
-    env = os.environ.get("LAB_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ExperimentError("config", f"LAB_THREADS is not an integer: {env!r}")
-        if n > 1:
-            return n
-    return None
 
 
 # ---- shared config helpers ----
@@ -209,15 +199,14 @@ def _frac_list(values, where: str) -> list[Fraction]:
 
 
 def _int(value, where: str, lo: int | None = None, hi: int | None = None) -> int:
-    try:
-        n = int(value)
-    except (ValueError, TypeError):
+    # bool is an int subclass, but true/false in a config is never a count
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ExperimentError("config", f"{where}: expected an integer, got {value!r}")
-    if lo is not None and n < lo:
-        raise ExperimentError("config", f"{where}: {n} is below the minimum {lo}")
-    if hi is not None and n > hi:
-        raise ExperimentError("config", f"{where}: {n} is above the maximum {hi}")
-    return n
+    if lo is not None and value < lo:
+        raise ExperimentError("config", f"{where}: {value} is below the minimum {lo}")
+    if hi is not None and value > hi:
+        raise ExperimentError("config", f"{where}: {value} is above the maximum {hi}")
+    return value
 
 
 def _params(config: ExperimentConfig, defaults: dict[str, Any]) -> dict[str, Any]:
@@ -462,10 +451,7 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
             g, window_report = uniformize_over_joining(table, ball, joining, norm_bound=norm_bound)
         except (ValueError, ArithmeticError) as exc:
             raise ExperimentError("uniformize", f"{label}: {exc}")
-        trace = weighted_average(
-            model, values, g=g, beta=beta_pt, ell=ell, n_max=period,
-            workers=resolve_workers(config),
-        )
+        trace = weighted_average(model, values, g=g, beta=beta_pt, ell=ell, n_max=period)
         average = trace.value
         if not isinstance(average, Fraction):
             raise ExperimentError(
@@ -585,6 +571,8 @@ def _main_inequality_trig(config: ExperimentConfig, p: dict[str, Any]) -> Experi
         if r > len(named):
             raise ExperimentError("config", f"provide beta explicitly for r > {len(named)}")
         beta_raw = named[:r]
+    if not isinstance(beta_raw, list):
+        raise ExperimentError("config", f"beta must be a list, got {beta_raw!r}")
     if len(beta_raw) != r:
         raise ExperimentError("config", f"beta needs {r} entries, got {len(beta_raw)}")
     beta = [_resolve_value(s, f"beta[{i}]") for i, s in enumerate(beta_raw)]
@@ -608,10 +596,7 @@ def _main_inequality_trig(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     for i in range(battery):
         label = f"trig-{i}"
         table, norm_sq = _random_trig_table(modes, config.seed + i)
-        trace = weighted_average(
-            model, table, g=g, beta=beta_pt, ell=ell, n_max=n_max,
-            workers=resolve_workers(config),
-        )
+        trace = weighted_average(model, table, g=g, beta=beta_pt, ell=ell, n_max=n_max)
         average = complex(trace.value)
         closed = _trig_progression_form(table)
         gap = abs(average - float(mass) * closed)
@@ -738,7 +723,7 @@ def exp_sqrt_recurrence(config: ExperimentConfig) -> ExperimentReport:
 
     ball = ApproxHammingBall(TorusPoint.of(center), k, eps)
     bh = BohrHammingBall(Frequency(TorusPoint.of(coords), generating=True), ball)
-    enum = sqrt_set_enumerate(bh, n_max, workers=resolve_workers(config))
+    enum = sqrt_set_enumerate(bh, n_max)
     resolved = dict(
         p, delta=delta, freq=coords, center=center, eps=eps,
         mask_measure=measure, set_size=len(enum.elems),
@@ -753,7 +738,7 @@ def exp_sqrt_recurrence(config: ExperimentConfig) -> ExperimentReport:
             lines=[f"no square-root returns up to {n_max}; enlarge the horizon or the ball"],
         )
 
-    values = triple_integrals(model, mask, enum.elems, workers=resolve_workers(config))
+    values = triple_integrals(model, mask, enum.elems)
     for n, v in zip(enum.elems, values):
         if not isinstance(v, Fraction):
             raise ExperimentError("scan", f"intersection at n={n} is not exact: {type(v).__name__}")
@@ -857,7 +842,6 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
     freqs_raw = p["frequencies"] if p["frequencies"] is not None else _STAGE_FREQS
     if len(freqs_raw) < stages:
         raise ExperimentError("config", f"{stages} stages need {stages} frequency lists")
-    workers = resolve_workers(config)
 
     if stages == 0:
         resolved = dict(p, stages=0, delta_prime=delta_prime, eta=eta, claim_factor=claim_factor)
@@ -898,18 +882,18 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
                 f"the witness needs {witness.r}",
             )
         freq = Frequency(TorusPoint.of(coords), generating=True)
-        roots = sqrt_set_enumerate(BohrHammingBall(freq, ball), n_scan, workers=workers).elems
+        roots = sqrt_set_enumerate(BohrHammingBall(freq, ball), n_scan).elems
         if not roots:
             status = INCONCLUSIVE
             lines.append(f"stage {i}: no square-root returns up to {n_scan}; stopping here")
             break
         squares = tuple(x * x for x in roots)
 
-        base = rotation_certificate(witness, ball, freq, n_max, workers=workers)
+        base = rotation_certificate(witness, ball, freq, n_max)
         achieved = base.density_claim
         claim = achieved if i == 1 else achieved * claim_factor
         cert = replace(base, shifts=squares, density_claim=claim)
-        checked = verify_certificate(cert, workers=workers)
+        checked = verify_certificate(cert)
         if not checked.ok:
             raise ExperimentError(
                 f"stage-{i}-verify",
@@ -927,7 +911,7 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
             combined = None
             for m in range(1, m_max + 1):
                 try:
-                    combined = combine_certificates(current, cert, m * m, workers=workers)
+                    combined = combine_certificates(current, cert, m * m)
                 except CertificateRejected as exc:
                     attempts.append(f"m={m}: {exc}")
                     continue
@@ -978,7 +962,7 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
     }
 
     if current is not None and rows:
-        final = verify_certificate(current, workers=workers)
+        final = verify_certificate(current)
         if not final.ok:
             raise ExperimentError("final-verify", "the merged certificate failed verification")
         os.makedirs(config.out_dir, exist_ok=True)
@@ -1089,6 +1073,8 @@ def exp_equidistribution(config: ExperimentConfig) -> ExperimentReport:
     graded empirically against the decay tolerance.
     """
     p = _params(config, _EQUI_DEFAULTS)
+    if not isinstance(p["ladder"], list):
+        raise ExperimentError("config", f"ladder must be a list of horizons, got {p['ladder']!r}")
     ladder = sorted(set(_int(n, "ladder[]", lo=1) for n in p["ladder"]))
     if not ladder:
         raise ExperimentError("config", "ladder must list at least one horizon")

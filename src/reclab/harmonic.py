@@ -120,14 +120,6 @@ class CoefficientTable:
     def evaluate(self, x: TorusPoint) -> complex:
         return sum(v * chi.value_at(x) for chi, v in self._data.items())
 
-    def pointwise_product_coefficients(self, other: "CoefficientTable") -> "CoefficientTable":
-        """Coefficients of the product function (convolution of tables)."""
-        out = CoefficientTable(self.dim)
-        for chi, a in self._data.items():
-            for psi, b in other._data.items():
-                out[chi * psi] = out[chi * psi] + a * b
-        return out
-
     def to_json(self) -> list[dict]:
         rows = sorted(self._data.items(), key=lambda kv: kv[0].freq)
         return [
@@ -176,14 +168,6 @@ def cylinder_fourier(cyl: Cylinder, chi: Character) -> complex:
         phase = cmath.exp(-2j * cmath.pi * n * y_i)
         value *= phase * math.sin(TWO_PI * n * eta) / (TWO_PI * n * eta)
     return value
-
-
-def cylinder_coefficient_table(cyl: Cylinder, freqs: Iterable[tuple[int, ...]]) -> CoefficientTable:
-    out = CoefficientTable(cyl.dim)
-    for f in freqs:
-        chi = Character(f)
-        out[chi] = cylinder_fourier(cyl, chi)
-    return out
 
 
 # ---- top-k selection ----
@@ -308,13 +292,6 @@ class GridFunction:
         if arr.shape != (self.q,) * self.dim:
             raise ValueError(f"values must have shape {(self.q,) * self.dim}")
         self.values = arr
-
-    @classmethod
-    def from_callable(cls, dim: int, q: int, fn: Callable[..., complex]) -> "GridFunction":
-        grid = np.empty((q,) * dim, dtype=np.complex128)
-        for idx in np.ndindex(*grid.shape):
-            grid[idx] = fn(*idx)
-        return cls(dim, q, grid)
 
     @classmethod
     def random(cls, dim: int, q: int, seed: int) -> "GridFunction":

@@ -389,10 +389,6 @@ class JoiningExtraction:
     phi: SubgroupModel
     pattern: SubgroupModel
 
-    @property
-    def component_count(self) -> int:
-        return len(self.joining.weights)
-
 
 def extract_affine_joining(
     linear: Sequence[RationalLike],

@@ -18,7 +18,6 @@ All measures are exact rationals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -243,11 +242,3 @@ class ApproxHammingBall:
             k=data["k"],
             eps=as_fraction(data["eps"]),
         )
-
-
-def ball_to_json_str(ball: ApproxHammingBall) -> str:
-    return json.dumps(ball.to_json())
-
-
-def ball_from_json_str(payload: str) -> ApproxHammingBall:
-    return ApproxHammingBall.from_json(json.loads(payload))

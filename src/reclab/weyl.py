@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -595,20 +594,16 @@ def _resolve_n_max(model: Model, n_max: int | None) -> int:
     return model.period
 
 
-def triple_integrals(model: Model, f: Observable, n_values: Iterable[int], workers: int | None = None) -> list:
+def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> list:
     """The per-step integrals avg f . f o S^n . f o S^2n for each requested n.
 
     A contiguous range 1..N on the trig backend runs through the
-    closed-form series; everything else evaluates pointwise, optionally
-    on a thread pool.  Results are returned in request order, so the
-    reduction downstream is independent of the partitioning.
+    closed-form series; everything else evaluates pointwise.  Results
+    are returned in request order.
     """
     ns = [int(n) for n in n_values]
     if isinstance(model, WeylSystem) and ns == list(range(1, len(ns) + 1)) and ns:
         return list(model.correlation_series(f, len(ns)))
-    if workers and workers > 1 and len(ns) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda n: model.triple_integral(f, n), ns))
     return [model.triple_integral(f, n) for n in ns]
 
 
@@ -708,7 +703,6 @@ def weighted_average(
     ell: int = 1,
     n_max: int | None = None,
     checkpoints: Sequence[int] | None = None,
-    workers: int | None = None,
     integrals: Sequence | None = None,
 ) -> AveragesTrace:
     """The running averages (1/N) sum_{n<=N} g(n^2 l^2 beta) avg f . f o S^n . f o S^2n.
@@ -726,7 +720,7 @@ def weighted_average(
         raise ValueError("checkpoints must be inside 1..n_max and end at n_max")
     ns = list(range(1, n_max + 1))
     if integrals is None:
-        integrals = triple_integrals(model, f, ns, workers=workers)
+        integrals = triple_integrals(model, f, ns)
     elif len(integrals) != n_max:
         raise ValueError(f"expected {n_max} precomputed integrals, got {len(integrals)}")
     weights = _weight_values(g, beta, ell, ns)
@@ -757,7 +751,6 @@ def l3_average(
     f: Observable,
     n_max: int | None = None,
     checkpoints: Sequence[int] | None = None,
-    workers: int | None = None,
 ) -> AveragesTrace:
     """The unweighted correlation average, with its closed form attached.
 
@@ -766,7 +759,7 @@ def l3_average(
     rotation-model value matches the closed form exactly.
     """
     return weighted_average(
-        model, f, g=None, beta=None, ell=1, n_max=n_max, checkpoints=checkpoints, workers=workers
+        model, f, g=None, beta=None, ell=1, n_max=n_max, checkpoints=checkpoints
     )
 
 

@@ -126,15 +126,6 @@ def test_enumeration_rejects_bad_horizon():
         set_enumerate(bh, -4)
 
 
-def test_partitioned_scan_matches_sequential(monkeypatch):
-    bh = make_bh(["5/23", "7/19"], ["1/3", "1/7"], k=1, eps="1/4")
-    sequential = sqrt_set_enumerate(bh, 500, workers=1)
-    assert sqrt_set_enumerate(bh, 500, workers=4) == sequential
-    monkeypatch.setenv("LAB_THREADS", "3")
-    assert sqrt_set_enumerate(bh, 500) == sequential
-    assert set_enumerate(bh, 500, workers=5) == set_enumerate(bh, 500, workers=1)
-
-
 def test_dilate_examples():
     assert dilate({1, 2}, 3) == [3, 6]
     assert dilate_divide({3, 6, 7}, 3) == [1, 2]

@@ -1,9 +1,11 @@
 """Tests for the command-line entry points."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +58,24 @@ def test_lab_bad_experiment_id(tmp_path, capsys):
     config.write_text(json.dumps({"experiment": "nope"}))
     assert main_lab(["run", str(config)]) == 2
     assert "[config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [({"workers": 2}, "unknown config keys: ['workers']"), ({"seed": "abc"}, "seed")],
+)
+def test_lab_config_errors_are_exit_2(tmp_path, capsys, extra, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "experiment": "equidistribution",
+        "params": {"ladder": [1000]},
+        "out_dir": str(tmp_path / "out"),
+        **extra,
+    }))
+    assert main_lab(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "[config]" in err and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_lab_pipeline_error_is_exit_2(tmp_path, capsys):
@@ -237,3 +257,27 @@ def test_console_scripts_respond():
         [sys.executable, "-m", "reclab.cli"], capture_output=True, text=True,
     )
     assert result.returncode == 2  # argparse usage error: no verb given
+
+
+# ---------------------------------------------------------------------------
+# batch driver
+
+
+def test_run_all_reports_a_bad_config_and_runs_the_rest(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "run_all", Path(__file__).parents[1] / "scripts" / "run_all.py"
+    )
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    good = {"experiment": "equidistribution", "params": {"ladder": [1000]}}
+    (configs / "a_bad.json").write_text(json.dumps(dict(good, seed="abc")))
+    (configs / "b_good.json").write_text(json.dumps(good))
+    monkeypatch.setattr(run_all, "CONFIG_DIR", configs)
+    monkeypatch.setattr(sys, "argv", ["run_all.py", "--root", str(tmp_path / "runs")])
+    assert run_all.main() == 1
+    out = capsys.readouterr().out
+    assert "a_bad   ERROR [config] seed: expected an integer" in out
+    assert "b_good  PASS" in out
+    assert (tmp_path / "runs" / "b_good" / "report.json").exists()

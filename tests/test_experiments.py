@@ -18,7 +18,6 @@ from reclab.experiments import (
     _build_mask,
     _mask_measure,
     list_experiments,
-    resolve_workers,
     run_experiment,
 )
 
@@ -72,27 +71,34 @@ def test_unknown_param_rejected(tmp_path):
 
 def test_config_json_roundtrip():
     config = ExperimentConfig(
-        experiment="sqrt_recurrence", params={"N": 10}, out_dir="x", seed=3, workers=2
+        experiment="sqrt_recurrence", params={"N": 10}, out_dir="x", seed=3
     )
     assert ExperimentConfig.from_json(config.to_json()) == config
 
 
-def test_workers_param_beats_environment(monkeypatch):
-    monkeypatch.setenv("LAB_THREADS", "7")
-    assert resolve_workers(ExperimentConfig(experiment="-", workers=3)) == 3
-    assert resolve_workers(ExperimentConfig(experiment="-")) == 7
-
-
-def test_lab_threads_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("LAB_THREADS", "many")
+@pytest.mark.parametrize("seed", ["abc", "3", 2.7, True, None, -1])
+def test_seed_must_be_a_nonnegative_json_integer(seed):
     with pytest.raises(ExperimentError) as err:
-        resolve_workers(ExperimentConfig(experiment="-"))
+        ExperimentConfig.from_json({"experiment": "equidistribution", "seed": seed})
     assert err.value.stage == "config"
 
 
-def test_lab_threads_of_one_means_serial(monkeypatch):
-    monkeypatch.setenv("LAB_THREADS", "1")
-    assert resolve_workers(ExperimentConfig(experiment="-")) is None
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("main_inequality", {"battery": True}),
+        ("sqrt_recurrence", {"q": 256, "N": 2.7}),
+        ("sqrt_recurrence", {"q": 256, "N": "300"}),
+        ("equidistribution", {"ladder": "123"}),
+        ("equidistribution", {"ladder": [1000.0]}),
+        ("main_inequality", {"model": "trig", "beta": "12345", "N": 1000}),
+    ],
+)
+def test_config_params_are_not_coerced(tmp_path, experiment, params):
+    with pytest.raises(ExperimentError) as err:
+        run(tmp_path, experiment, params)
+    assert err.value.stage == "config"
+    assert not (tmp_path / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------
