@@ -4,8 +4,8 @@ A rational frequency vector beta in T^r turns integer multiplication
 into a finite rotation n -> n*beta mod 1.  The Bohr-Hamming ball
 attached to beta and an approximate Hamming ball U collects the
 integers whose multiple lands in U; the square-root set collects the
-integers whose square does.  Membership is decided with integer
-arithmetic on numerators, so every enumeration in this module is an
+integers whose square does.  Membership is decided on integer residues
+by torus.orbit_deviations, so every enumeration in this module is an
 exact statement about the rational model rather than a float
 approximation.
 
@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .torus import ApproxHammingBall, TorusPoint
+import numpy as np
+
+from .torus import ApproxHammingBall, TorusPoint, orbit_deviations, scan_blocks
 
 __all__ = [
     "CONVERGENT_DENOMINATOR_CAP",
@@ -95,33 +97,19 @@ class Frequency:
 class BohrHammingBall:
     """Integers n with n*beta inside a fixed approximate Hamming ball.
 
-    Membership reduces each coordinate to a circular distance
-    comparison between integers: with beta_i = p/q, center y_i = a/b,
-    radius eps = e/f and Q = lcm(q, b, f), the coordinate deviates
-    exactly when min(t, Q - t) >= eps*Q for t = (n*p*(Q/q) - a*(Q/b))
-    mod Q.
+    Membership is decided by torus.orbit_deviations on integer residues:
+    n*beta lies in the ball when at most k coordinates of n*beta - y sit
+    at circular distance >= eps.
     """
 
     freq: Frequency
     ball: ApproxHammingBall
-    _tables: tuple[tuple[int, int, int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.freq.dim != self.ball.dim:
             raise ValueError(
                 f"frequency dim {self.freq.dim} does not match ball dim {self.ball.dim}"
             )
-        eps = self.ball.eps
-        tables = []
-        for b, y in zip(self.freq.beta.coords, self.ball.center.coords):
-            big_q = math.lcm(b.denominator, y.denominator, eps.denominator)
-            step = (b.numerator * (big_q // b.denominator)) % big_q
-            offset = (y.numerator * (big_q // y.denominator)) % big_q
-            radius = eps.numerator * (big_q // eps.denominator)
-            tables.append((step, offset, radius, big_q))
-        object.__setattr__(self, "_tables", tuple(tables))
 
     @property
     def dim(self) -> int:
@@ -133,14 +121,11 @@ class BohrHammingBall:
 
     def contains(self, n: int) -> bool:
         """Whether n*beta lies in the ball (at most k deviating coordinates)."""
-        allowed = self.ball.k
-        for step, offset, radius, big_q in self._tables:
-            t = (n * step - offset) % big_q
-            if min(t, big_q - t) >= radius:
-                allowed -= 1
-                if allowed < 0:
-                    return False
-        return True
+        return bool(self._inside(np.asarray([n]), 1)[0])
+
+    def _inside(self, ns: np.ndarray, e: int) -> np.ndarray:
+        beta, ball = self.freq.beta, self.ball
+        return orbit_deviations(beta.coords, ball.center.coords, ball.eps, ns, e) <= ball.k
 
 
 class EnumerationResult(NamedTuple):
@@ -154,26 +139,23 @@ class DensityReport(NamedTuple):
     gap: float
 
 
-def _scan(bh: BohrHammingBall, n_max: int, square: bool) -> list[int]:
-    if square:
-        return [n for n in range(1, n_max + 1) if bh.contains(n * n)]
-    return [n for n in range(1, n_max + 1) if bh.contains(n)]
+def _enumerate(bh: BohrHammingBall, n_max: int, e: int) -> EnumerationResult:
+    if n_max < 1:
+        raise ValueError("enumeration horizon must be at least 1")
+    elems: list[int] = []
+    for ns in scan_blocks(1, n_max + 1):
+        elems.extend(ns[bh._inside(ns, e)].tolist())
+    return EnumerationResult(elems, Fraction(len(elems), n_max))
 
 
 def set_enumerate(bh: BohrHammingBall, n_max: int) -> EnumerationResult:
     """All n in [1, n_max] with n*beta in the ball, plus their density."""
-    if n_max < 1:
-        raise ValueError("enumeration horizon must be at least 1")
-    elems = _scan(bh, n_max, square=False)
-    return EnumerationResult(elems, Fraction(len(elems), n_max))
+    return _enumerate(bh, n_max, 1)
 
 
 def sqrt_set_enumerate(bh: BohrHammingBall, n_max: int) -> EnumerationResult:
     """All n in [1, n_max] with n^2*beta in the ball, plus their density."""
-    if n_max < 1:
-        raise ValueError("enumeration horizon must be at least 1")
-    elems = _scan(bh, n_max, square=True)
-    return EnumerationResult(elems, Fraction(len(elems), n_max))
+    return _enumerate(bh, n_max, 2)
 
 
 def dilate(elems: Iterable[int], m: int) -> list[int]:

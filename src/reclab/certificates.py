@@ -36,7 +36,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bohr import BohrHammingBall, Frequency, set_enumerate
-from .torus import ApproxHammingBall, TorusPoint, as_fraction, fraction_str
+from .torus import (
+    ApproxHammingBall, TorusPoint, as_fraction, fraction_str, orbit_deviations, scan_blocks
+)
 
 __all__ = [
     "BandWitness",
@@ -482,44 +484,19 @@ def _as_frequency(beta) -> Frequency:
 def band_return_bitset(witness: BandWitness, beta, n_max: int) -> int:
     """Bitset of {n in [0, n_max) : n*beta lies in E}, decided exactly.
 
-    Each coordinate reduces to integer arithmetic modulo the common
-    denominator of the coordinate and the band radius, exactly as the
-    torus membership predicate does, then the off-band counts are
-    accumulated with vectorized int64 arithmetic when that cannot
-    overflow and with plain integers otherwise.
+    Off-band counts come from torus.orbit_deviations on integer
+    residues, one block of n at a time.
     """
     freq = _as_frequency(beta)
     if freq.dim != witness.r:
         raise ValueError("witness and frequency dimensions differ")
     if n_max < 1:
         raise ValueError("horizon must be positive")
-    tables = []
-    for coord in freq.beta.coords:
-        big_q = math.lcm(coord.denominator, witness.a.denominator)
-        step = coord.numerator * (big_q // coord.denominator) % big_q
-        radius = witness.a.numerator * (big_q // witness.a.denominator)
-        tables.append((step, radius, big_q))
-    fits = all(step * (n_max - 1) < 2**63 for step, _, _ in tables)
-    if fits:
-        ns = np.arange(n_max, dtype=np.int64)
-        off = np.zeros(n_max, dtype=np.int64)
-        for step, radius, big_q in tables:
-            t_val = (ns * step) % big_q
-            off += np.minimum(t_val, big_q - t_val) >= radius
-        inside = off <= witness.t
-        packed = np.packbits(inside, bitorder="little").tobytes()
-        return int.from_bytes(packed, "little")
     bits = 0
-    for n in range(n_max):
-        off_count = 0
-        for step, radius, big_q in tables:
-            t_val = (n * step) % big_q
-            if min(t_val, big_q - t_val) >= radius:
-                off_count += 1
-                if off_count > witness.t:
-                    break
-        if off_count <= witness.t:
-            bits |= 1 << n
+    for ns in scan_blocks(0, n_max):
+        inside = orbit_deviations(freq.beta.coords, (0,) * witness.r, witness.a, ns) <= witness.t
+        packed = np.packbits(inside, bitorder="little").tobytes()
+        bits |= int.from_bytes(packed, "little") << int(ns[0])
     return bits
 
 

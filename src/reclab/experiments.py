@@ -105,10 +105,13 @@ class ExperimentConfig:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ExperimentError("config", "'params' must be an object")
+        for key in ("experiment", "out_dir"):
+            if not isinstance(doc.get(key, "."), str):
+                raise ExperimentError("config", f"'{key}' must be a string, got {doc[key]!r}")
         return cls(
-            experiment=str(doc["experiment"]),
+            experiment=doc["experiment"],
             params=dict(params),
-            out_dir=str(doc.get("out_dir", ".")),
+            out_dir=doc.get("out_dir", "."),
             seed=_int(doc.get("seed", 0), "seed", lo=0),
         )
 
@@ -312,21 +315,13 @@ def _mask_measure(mask: np.ndarray) -> Fraction:
 # ---- weighted averages against the progression form ----
 
 
-_MAIN_DEFAULTS: dict[str, Any] = {
-    "model": "grid",
-    "q": 135,
-    "alpha": "2/135",
-    "r": 5,
-    "k": 4,
-    "eps": "1/8",
-    "ell": 1,
-    "t0": "1/7",
-    "beta": None,
-    "battery": 6,
-    "n_max": None,
-    "N": 100_000,
-    "modes": 6,
-    "tolerance": "0",
+_MAIN_SHARED: dict[str, Any] = {"r": 5, "k": 4, "eps": "1/8", "ell": 1, "beta": None, "battery": 6}
+# each backend accepts only its own keys; a key of the other one is an error
+_MAIN_DEFAULTS: dict[str, dict[str, Any]] = {
+    "grid": dict(_MAIN_SHARED, model="grid", q=135, alpha="2/135", t0="1/7", n_max=None),
+    "trig": dict(
+        _MAIN_SHARED, model="trig", alpha={"convergent": "sqrt2"}, N=100_000, modes=6, tolerance="0"
+    ),
 }
 
 
@@ -352,23 +347,6 @@ def _exact_progression_form(values: np.ndarray, q: int) -> Fraction:
 def _bound_holds(gap: Fraction, k: int, norm_sq: Fraction) -> bool:
     # gap <= 2 k^(-1/2) norm_sq, squared so the comparison stays rational
     return gap * gap * k <= 4 * norm_sq * norm_sq
-
-
-def _window_mass(g, beta: TorusPoint, ell: int, n_max: int) -> Fraction:
-    """Average of the normalized window along n^2 l^2 beta, n = 1..n_max.
-
-    The window takes two values, 0 and 1/measure, so the average is the
-    hit count over n_max times 1/measure.  At a full joint period this
-    finite-scale mass is generally not 1: squares oversample quadratic
-    residues, and the comparison against the progression form has to
-    carry the factor rather than wish it away.
-    """
-    hits = 0
-    scale = ell * ell
-    for n in range(1, n_max + 1):
-        if g.normalized_value(beta.scale(n * n * scale)) != 0:
-            hits += 1
-    return Fraction(hits, n_max) / g.measure()
 
 
 def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> ExperimentReport:
@@ -458,7 +436,10 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
                 "average", f"{label}: expected an exact average, got {type(average).__name__}"
             )
         closed = _exact_progression_form(values, q)
-        mass = _window_mass(g, beta_pt, ell, period)
+        # the window is 0 or 1/measure, so its mass is the hit rate times 1/measure; at a
+        # full joint period this is generally not 1, since squares oversample quadratic
+        # residues, and the comparison has to carry the factor rather than wish it away
+        mass = Fraction(trace.metadata["window_hits"], period) / g.measure()
         gap = abs(average - mass * closed)
         ok = _bound_holds(gap, k, norm_sq)
         if not ok:
@@ -551,8 +532,7 @@ def _trig_progression_form(table: CoefficientTable) -> complex:
 
 
 def _main_inequality_trig(config: ExperimentConfig, p: dict[str, Any]) -> ExperimentReport:
-    alpha_raw = p["alpha"] if p["alpha"] != _MAIN_DEFAULTS["alpha"] else {"convergent": "sqrt2"}
-    alpha = _resolve_value(alpha_raw, "alpha")
+    alpha = _resolve_value(p["alpha"], "alpha")
     r = _int(p["r"], "r", lo=2)
     k = _int(p["k"], "k", lo=1)
     if k >= r:
@@ -591,13 +571,13 @@ def _main_inequality_trig(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     tables: dict[str, str] = {}
     lines: list[str] = []
     status = PASS
-    mass = _window_mass(g, beta_pt, ell, n_max)
 
     for i in range(battery):
         label = f"trig-{i}"
         table, norm_sq = _random_trig_table(modes, config.seed + i)
         trace = weighted_average(model, table, g=g, beta=beta_pt, ell=ell, n_max=n_max)
         average = complex(trace.value)
+        mass = Fraction(trace.metadata["window_hits"], n_max) / g.measure()
         closed = _trig_progression_form(table)
         gap = abs(average - float(mass) * closed)
         bound = bound_scale * norm_sq
@@ -647,12 +627,11 @@ def exp_main_inequality(config: ExperimentConfig) -> ExperimentReport:
     REFUTED.  The trig backend runs a finite horizon with convergent
     frequencies and reports the margin, so a shortfall is INCONCLUSIVE.
     """
-    p = _params(config, _MAIN_DEFAULTS)
-    backend = p["model"]
+    backend = config.params.get("model", "grid")
     if backend == "grid":
-        return _main_inequality_grid(config, p)
+        return _main_inequality_grid(config, _params(config, _MAIN_DEFAULTS["grid"]))
     if backend == "trig":
-        return _main_inequality_trig(config, p)
+        return _main_inequality_trig(config, _params(config, _MAIN_DEFAULTS["trig"]))
     raise ExperimentError("config", f"unknown model {backend!r}, expected 'grid' or 'trig'")
 
 
@@ -1221,7 +1200,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ExperimentError(
             "config", f"unknown experiment {config.experiment!r}; known: {known}"
         )
-    os.makedirs(config.out_dir, exist_ok=True)
     start = time.perf_counter()
     report = EXPERIMENTS[config.experiment](config)
     report.wall_clock_seconds = round(time.perf_counter() - start, 3)

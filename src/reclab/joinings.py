@@ -609,10 +609,9 @@ def grid_aligned_cylinder(
 
 def cylinder_grid_density(cyl: Cylinder, q: int) -> np.ndarray:
     """Normalized cylinder density sampled on the grid, as exact Fractions."""
-    out = np.empty((q,) * cyl.dim, dtype=object)
-    for idx in np.ndindex(*out.shape):
-        out[idx] = cyl.normalized_value(TorusPoint.of([Fraction(a, q) for a in idx]))
-    return out
+    shape = (q,) * cyl.dim
+    hits = cyl.orbit_contains([Fraction(1, q)] * cyl.dim, np.indices(shape).reshape(cyl.dim, -1).T)
+    return np.where(hits.reshape(shape), 1 / cyl.measure(), Fraction(0))
 
 
 def _phase(freq: Sequence[int], block: Sequence[int], q: int, scale: int = 1) -> int:
@@ -624,12 +623,14 @@ def _verify_star_zero(
 ) -> None:
     """Certify sum over every coset of e(scale * freq . w1 / q) g(w2) is 0."""
     q, d = joining.q, joining.d
+    grid = [Fraction(1, q)] * joining.r
+    value = 1 / cyl.measure()
+    step = np.array([scale * n % q for n in freq], dtype=np.int64)
     for j in range(len(joining.shifts)):
-        masses: dict[int, Fraction] = defaultdict(Fraction)
-        for w in joining.coset_elements(j):
-            val = cyl.normalized_value(TorusPoint.of([Fraction(a, q) for a in w[d:]]))
-            if val:
-                masses[_phase(freq, w[:d], q, scale)] += val
+        w = np.array(joining.coset_elements(j), dtype=np.int64)
+        inside = cyl.orbit_contains(grid, w[:, d:])
+        phases, counts = np.unique(w[inside, :d] @ step % q, return_counts=True)
+        masses = {t: c * value for t, c in zip(phases.tolist(), counts.tolist())}
         if not root_of_unity_sum_is_zero(masses, q):
             raise ArithmeticError(
                 f"coefficient for frequency {tuple(freq)} is not certifiably zero "

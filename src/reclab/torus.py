@@ -13,18 +13,27 @@ counts as deviating when its distance is >= eps, and cylinder membership
 is strict (< eta).  With eta = eps the union-of-cylinders identity is then
 exact, with no boundary mismatch.
 
-All measures are exact rationals.
+All measures are exact rationals.  Orbit points n^e * beta (e = 1 or 2)
+are tested in bulk by orbit_deviations, which decides the same
+predicate on integer residues; the Fraction predicates below stay as
+its oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 RationalLike = Union[Fraction, int, str]
+
+#: orbit scans over [1, N] pass this many multipliers at a time to the kernel
+SCAN_BLOCK = 1 << 16
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -153,6 +162,20 @@ class Cylinder:
                 return False
         return True
 
+    def orbit_contains(self, beta: Sequence[RationalLike], ns, e: int = 1) -> np.ndarray:
+        """contains for each point ns^e * beta (one per row of ns), exactly."""
+        if len(beta) != self.dim:
+            raise ValueError("dimension mismatch")
+        pinned = [i - 1 for i in self.index_set]
+        ns = np.asarray(ns)
+        return orbit_deviations(
+            [beta[i] for i in pinned],
+            [self.center.coords[i] for i in pinned],
+            self.eta,
+            ns if ns.ndim == 1 else ns[:, pinned],
+            e,
+        ) == 0
+
     def measure(self) -> Fraction:
         return (2 * self.eta) ** len(self.index_set)
 
@@ -242,3 +265,53 @@ class ApproxHammingBall:
             k=data["k"],
             eps=as_fraction(data["eps"]),
         )
+
+
+def scan_blocks(start: int, stop: int) -> Iterator[np.ndarray]:
+    """The multipliers start, ..., stop - 1 as int64 arrays of SCAN_BLOCK at most."""
+    for lo in range(start, stop, SCAN_BLOCK):
+        yield np.arange(lo, min(lo + SCAN_BLOCK, stop), dtype=np.int64)
+
+
+def orbit_residues(ns, e: int, num: int, modulus: int) -> np.ndarray:
+    """ns^e * num mod modulus, elementwise and exactly, for e in {1, 2}.
+
+    Residues are int64 when (modulus - 1)^2 < 2^63, so every product of
+    two residues fits; otherwise they are Python ints in an object array.
+    """
+    if e not in (1, 2):
+        raise ValueError(f"orbit exponent must be 1 or 2, got {e}")
+    if (modulus - 1) ** 2 < 2**63:
+        m = np.asarray(np.asarray(ns) % modulus, dtype=np.int64)
+    else:
+        m = np.asarray(ns, dtype=object) % modulus
+    if e == 2:
+        m = m * m % modulus
+    return m * (num % modulus) % modulus
+
+
+def orbit_deviations(
+    beta: Sequence[RationalLike],
+    center: Sequence[RationalLike],
+    eps: RationalLike,
+    ns,
+    e: int = 1,
+) -> np.ndarray:
+    """Per row of ns, how many i have ||ns_i^e * beta_i - center_i|| >= eps.
+
+    ns is 1-D (one multiplier shared by every coordinate) or 2-D (one
+    column per coordinate).  With Q the common denominator of beta_i,
+    center_i and eps, the test is min(t, Q - t) >= eps * Q on the residue
+    t of (n^e * beta_i - center_i) * Q: exactly TorusPoint.deviation_count.
+    """
+    eps, ns = as_fraction(eps), np.asarray(ns)
+    if len(center) != len(beta) or ns.ndim not in (1, 2) or ns.shape[1:] not in ((), (len(beta),)):
+        raise ValueError(f"multipliers of shape {ns.shape} do not fit {len(beta)} coordinates")
+    count = np.zeros(len(ns), dtype=np.int64)
+    for b, y, col in zip(beta, center, [ns] * len(beta) if ns.ndim == 1 else ns.T):
+        b, y = as_fraction(b), as_fraction(y)
+        big_q = math.lcm(b.denominator, y.denominator, eps.denominator)
+        t = orbit_residues(col, e, b.numerator * (big_q // b.denominator), big_q)
+        t = (t - y.numerator * (big_q // y.denominator)) % big_q
+        count += np.minimum(t, big_q - t) >= eps.numerator * (big_q // eps.denominator)
+    return count

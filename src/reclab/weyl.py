@@ -34,7 +34,7 @@ import numpy as np
 
 from .harmonic import Character, CoefficientTable, GridFunction
 from .roth import roth_form, roth_form_exact
-from .torus import Cylinder, TorusPoint, wrap_unit
+from .torus import Cylinder, TorusPoint, orbit_residues, wrap_unit
 
 __all__ = [
     "AveragesTrace",
@@ -52,10 +52,6 @@ __all__ = [
 
 Observable = Union[CoefficientTable, GridFunction, np.ndarray]
 
-# Largest modulus m with (m - 1)^2 < 2^63, the safe range for the
-# vectorized int64 phase reduction.
-_INT64_PHASE_LIMIT = 3_037_000_499
-
 
 def _unit(phase: Fraction) -> complex:
     """e(phase) for an exact rational phase."""
@@ -70,16 +66,10 @@ def _quadratic_phase_powers(a: Fraction, b: Fraction, ns: np.ndarray) -> np.ndar
     when n^2 b is astronomically larger than 1.
     """
     den = math.lcm(a.denominator, b.denominator)
-    if den == 1:
-        return np.ones(len(ns), dtype=complex)
-    pa = a.numerator * (den // a.denominator) % den
-    pb = b.numerator * (den // b.denominator) % den
-    if den <= _INT64_PHASE_LIMIT:
-        r = (ns % den).astype(np.int64)
-        ph = ((r * pa) % den + ((r * r) % den) * pb) % den
-        return np.exp(2j * np.pi * (ph.astype(np.float64) / den))
-    reduced = [((n % den) * pa + ((n % den) ** 2 % den) * pb) % den for n in ns.tolist()]
-    return np.exp(2j * np.pi * (np.array(reduced, dtype=np.float64) / den))
+    pa = a.numerator * (den // a.denominator)
+    pb = b.numerator * (den // b.denominator)
+    ph = (orbit_residues(ns, 1, pa, den) + orbit_residues(ns, 2, pb, den)) % den
+    return np.exp(2j * np.pi * (ph.astype(np.float64) / den))
 
 
 def _as_values(f: Observable) -> np.ndarray:
@@ -607,17 +597,6 @@ def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> li
     return [model.triple_integral(f, n) for n in ns]
 
 
-def _weight_values(g: Cylinder | None, beta: TorusPoint | None, ell: int, ns: Sequence[int]):
-    if g is None:
-        return None
-    if beta is None:
-        raise ValueError("a cylinder weight needs its frequency beta")
-    if beta.dim != g.dim:
-        raise ValueError(f"beta dimension {beta.dim} does not match the weight dimension {g.dim}")
-    ell = int(ell)
-    return [g.normalized_value(beta.scale(n * n * ell * ell)) for n in ns]
-
-
 def _checkpoint_averages(terms: Sequence, marks: Sequence[int]) -> list[tuple[int, object]]:
     exact = all(isinstance(t, Fraction) for t in terms)
     out = []
@@ -709,7 +688,8 @@ def weighted_average(
 
     g is a normalized cylinder window (density 1/measure on the window,
     0 off it) evaluated by exact membership; g = None means the constant
-    weight 1, which turns this into the plain correlation average.  On
+    weight 1, which turns this into the plain correlation average; with a
+    window, metadata["window_hits"] counts the n where it is nonzero.  On
     grid models n_max may be omitted to mean one full period.  The
     integrals argument lets a caller reuse a precomputed series when
     sweeping many windows over the same observable.
@@ -723,12 +703,17 @@ def weighted_average(
         integrals = triple_integrals(model, f, ns)
     elif len(integrals) != n_max:
         raise ValueError(f"expected {n_max} precomputed integrals, got {len(integrals)}")
-    weights = _weight_values(g, beta, ell, ns)
-    if weights is None:
+    if g is None:
         terms = list(integrals)
     else:
+        if beta is None:
+            raise ValueError("a cylinder weight needs its frequency beta")
+        scale = int(ell) ** 2
+        hits = g.orbit_contains([scale * b for b in beta.coords], np.arange(1, n_max + 1), 2)
+        on, off = 1 / g.measure(), Fraction(0)
         terms = []
-        for w, v in zip(weights, integrals):
+        for hit, v in zip(hits.tolist(), integrals):
+            w = on if hit else off
             if isinstance(v, Fraction):
                 terms.append(w * v)
             else:
@@ -739,6 +724,7 @@ def weighted_average(
         meta["weight_measure"] = str(g.measure())
         meta["ell"] = int(ell)
         meta["beta"] = beta.to_json()
+        meta["window_hits"] = int(hits.sum())
     return AveragesTrace(
         checkpoints=tuple(_checkpoint_averages(terms, marks)),
         closed_form=_closed_form(model, f),

@@ -96,7 +96,7 @@ def test_sqrt_set_frozen_example():
     assert density == Fraction(3, 10)
 
 
-def test_sqrt_set_matches_brute_force():
+def test_sqrt_set_matches_brute_force(monkeypatch):
     bh = make_bh(["1/6", "3/10"], ["1/4", "2/3"], k=1, eps="1/5")
     elems, _ = sqrt_set_enumerate(bh, 200)
     oracle = [
@@ -105,6 +105,10 @@ def test_sqrt_set_matches_brute_force():
         if bh.ball.contains(bh.freq.multiple(n * n))
     ]
     assert elems == oracle
+    # scans that cross block boundaries, including one-element blocks
+    for block in (1, 7, 64):
+        monkeypatch.setattr("reclab.torus.SCAN_BLOCK", block)
+        assert sqrt_set_enumerate(bh, 200).elems == oracle
 
 
 def test_sqrt_set_whole_torus_and_empty():

@@ -261,7 +261,7 @@ def test_build_band_witness_exhaustion_reports_budget():
 # orbit bitsets and rotation certificates
 
 
-def test_return_bitset_matches_pointwise_membership():
+def test_return_bitset_matches_pointwise_membership(monkeypatch):
     w = BandWitness(r=2, a=Fraction(1, 6), t=1)
     freq = Frequency.of(Fraction(2, 9), Fraction(1, 7))
     bits = band_return_bitset(w, freq, 200)
@@ -270,6 +270,10 @@ def test_return_bitset_matches_pointwise_membership():
         if w.contains(freq.multiple(n)):
             expected |= 1 << n
     assert bits == expected
+    # scans that cross block boundaries, including one-element blocks
+    for block in (1, 7, 64):
+        monkeypatch.setattr("reclab.torus.SCAN_BLOCK", block)
+        assert band_return_bitset(w, freq, 200) == expected
 
 
 def test_return_bitset_huge_denominator_fallback():

@@ -62,9 +62,25 @@ def test_lab_bad_experiment_id(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "extra, message",
-    [({"workers": 2}, "unknown config keys: ['workers']"), ({"seed": "abc"}, "seed")],
+    [
+        ({"workers": 2}, "unknown config keys: ['workers']"),
+        ({"seed": "abc"}, "seed"),
+        ({"out_dir": 7}, "'out_dir' must be a string"),
+        ({"experiment": 7}, "'experiment' must be a string"),
+        (
+            {
+                "experiment": "main_inequality",
+                "params": {
+                    "model": "trig", "alpha": "2/135", "q": 7, "t0": "1/3", "N": 1000,
+                    "battery": 1,
+                },
+            },
+            "unknown parameters: ['q', 't0']",
+        ),
+    ],
 )
-def test_lab_config_errors_are_exit_2(tmp_path, capsys, extra, message):
+def test_lab_config_errors_are_exit_2(tmp_path, monkeypatch, capsys, extra, message):
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "experiment": "equidistribution",
@@ -75,7 +91,7 @@ def test_lab_config_errors_are_exit_2(tmp_path, capsys, extra, message):
     assert main_lab(["run", str(config)]) == 2
     err = capsys.readouterr().err
     assert "[config]" in err and message in err
-    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_lab_pipeline_error_is_exit_2(tmp_path, capsys):

@@ -101,6 +101,35 @@ def test_config_params_are_not_coerced(tmp_path, experiment, params):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"model": "trig", "q": 7, "N": 1000, "battery": 1},
+        {"model": "trig", "t0": "1/3", "N": 1000, "battery": 1},
+        {"model": "trig", "n_max": 1000, "N": 1000, "battery": 1},
+        dict(INDEPENDENT, N=1000),
+        dict(INDEPENDENT, modes=3),
+        dict(INDEPENDENT, tolerance="0"),
+    ],
+)
+def test_main_inequality_rejects_the_other_backends_keys(tmp_path, params):
+    with pytest.raises(ExperimentError) as err:
+        run(tmp_path, "main_inequality", params)
+    assert err.value.stage == "config" and "unknown parameters" in str(err.value)
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_trig_alpha_is_used_as_given(tmp_path):
+    base = {"model": "trig", "N": 1000, "battery": 1, "modes": 3}
+    given_alpha = run(tmp_path / "given", "main_inequality", dict(base, alpha="2/135"))
+    default = run(tmp_path / "default", "main_inequality", base)
+    sqrt2 = run(tmp_path / "sqrt2", "main_inequality", dict(base, alpha={"convergent": "sqrt2"}))
+    assert given_alpha.config["params"]["alpha"] == "2/135"
+    assert default.config["params"]["alpha"] == "768398401/543339720"
+    assert default.tables == sqrt2.tables
+    assert given_alpha.tables["battery.csv"] != default.tables["battery.csv"]
+
+
 # ---------------------------------------------------------------------------
 # mask builders
 

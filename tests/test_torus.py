@@ -1,12 +1,22 @@
+import math
 import random
 from fractions import Fraction
 from math import comb, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint, as_fraction
+from reclab.bohr import named_convergent
+from reclab.torus import (
+    ApproxHammingBall,
+    Cylinder,
+    TorusPoint,
+    as_fraction,
+    orbit_deviations,
+    orbit_residues,
+)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=64)
 
@@ -161,6 +171,90 @@ def test_union_of_cylinders_random_grid():
     for _ in range(500):
         x = random_point(rng, 4)
         assert ball.contains(x) == any(c.contains(x) for c in cyls)
+
+
+# ---- the orbit-deviation kernel against the Fraction oracle ----
+
+
+def oracle_deviations(beta, center, eps, ns, e):
+    y = TorusPoint.of(center)
+    return [(TorusPoint.of(beta).scale(n**e) - y).deviation_count(eps) for n in ns]
+
+
+unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=720)
+# denominators up to 10^6 put Q on either side of the int64 edge
+frequencies = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+radii = st.fractions(min_value=Fraction(1, 720), max_value=Fraction(1, 2), max_denominator=720)
+# the largest modulus Q with (Q - 1)^2 < 2^63, so the last one on the int64 path
+INT64_EDGE = 3_037_000_500
+
+
+@given(
+    st.lists(frequencies, min_size=1, max_size=4),
+    st.data(),
+    radii,
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+    st.sampled_from([1, 2]),
+)
+def test_orbit_deviations_match_oracle(beta, data, eps, ns, e):
+    center = data.draw(st.lists(unit_rationals, min_size=len(beta), max_size=len(beta)))
+    got = orbit_deviations(beta, center, eps, np.array(ns, dtype=np.int64), e)
+    assert got.tolist() == oracle_deviations(beta, center, eps, ns, e)
+
+
+def test_orbit_deviations_count_the_boundary():
+    # n = 1 and n = 3 put 3n/8 - 1/4 at distance exactly eps = 1/8 from 0
+    got = orbit_deviations(["3/8"], ["1/4"], "1/8", np.arange(5), 1)
+    assert got.tolist() == [1, 1, 1, 1, 1]
+    got = orbit_deviations(["3/8"], ["1/4"], "1/4", np.arange(5), 1)
+    assert got.tolist() == [1, 0, 1, 0, 1]
+    assert got.tolist() == oracle_deviations(["3/8"], ["1/4"], "1/4", range(5), 1)
+
+
+@pytest.mark.parametrize("modulus", [INT64_EDGE - 1, INT64_EDGE, INT64_EDGE + 1])
+@pytest.mark.parametrize("e", [1, 2])
+def test_orbit_deviations_on_both_sides_of_the_int64_edge(modulus, e):
+    beta = [Fraction(modulus // 3 + 1, modulus), Fraction(1, modulus)]
+    center = [Fraction(modulus // 2, modulus), 0]
+    eps = Fraction(modulus // 5, modulus)
+    assert math.lcm(*(c.denominator for c in beta + center + [eps])) == modulus
+    ns = [1, 2, 3, 77_777, 10**9 + 7, 3 * 10**12, -(10**15), 2**62]
+    got = orbit_deviations(beta, center, eps, np.array(ns, dtype=np.int64), e)
+    assert got.tolist() == oracle_deviations(beta, center, eps, ns, e)
+    dtype = orbit_residues(np.array(ns), e, 1, modulus).dtype
+    assert dtype == (np.int64 if modulus <= INT64_EDGE else object)
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_orbit_deviations_at_the_convergent_cap(e):
+    # at the 2^62 cap with eps = 1/16, sqrt2 puts Q above 2^63 and golden just below
+    beta = [named_convergent("sqrt2", 2**62), named_convergent("golden", 2**62)]
+    moduli = [math.lcm(b.denominator, 16) for b in beta]
+    assert moduli[0] >= 2**63 > moduli[1] > INT64_EDGE
+    center = ["1/2", "1/3"]
+    ns = list(range(1, 200)) + [10**6 + 3, 2**40 - 1]
+    got = orbit_deviations(beta, center, "1/16", np.array(ns, dtype=np.int64), e)
+    assert got.tolist() == oracle_deviations(beta, center, "1/16", ns, e)
+
+
+def test_orbit_deviations_per_coordinate_multipliers():
+    # grid points w/q, one column per coordinate, against Cylinder.contains
+    q = 9
+    cyl = Cylinder(dim=2, index_set=(1, 2), center=TorusPoint.of(["2/9", "1/2"]), eta="5/18")
+    points = np.indices((q, q)).reshape(2, -1).T
+    inside = orbit_deviations([Fraction(1, q)] * 2, cyl.center.coords, cyl.eta, points) == 0
+    oracle = [cyl.contains(TorusPoint.of([Fraction(a, q) for a in w])) for w in points.tolist()]
+    assert inside.tolist() == oracle
+    assert 0 < sum(oracle) < q * q
+
+
+def test_orbit_deviations_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        orbit_deviations(["1/3", "1/5"], ["0"], "1/4", np.arange(3))
+    with pytest.raises(ValueError):
+        orbit_deviations(["1/3", "1/5"], ["0", "0"], "1/4", np.zeros((3, 3), dtype=np.int64))
+    with pytest.raises(ValueError):
+        orbit_deviations(["1/3"], ["0"], "1/4", np.arange(3), e=3)
 
 
 # ---- serialization ----
