@@ -53,7 +53,7 @@ from .joinings import (
     uniformize_over_joining,
 )
 from .roth import roth_form_exact
-from .torus import ApproxHammingBall, TorusPoint, as_fraction, fraction_str
+from .torus import ApproxHammingBall, TorusPoint, as_fraction, fraction_str, orbit_residues
 from .weyl import (
     GridWeylModel,
     RotationModel,
@@ -337,13 +337,6 @@ def _battery_grids(q: int, count: int, seed: int) -> list[tuple[str, np.ndarray]
     return out[:count]
 
 
-def _exact_progression_form(values: np.ndarray, q: int) -> Fraction:
-    """The triple form of the rotation marginal, in exact arithmetic."""
-    sums = values.sum(axis=1)
-    proj = np.array([Fraction(int(s), q) for s in sums], dtype=object)
-    return roth_form_exact(proj, proj, proj)
-
-
 def _bound_holds(gap: Fraction, k: int, norm_sq: Fraction) -> bool:
     # gap <= 2 k^(-1/2) norm_sq, squared so the comparison stays rational
     return gap * gap * k <= 4 * norm_sq * norm_sq
@@ -435,7 +428,9 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
             raise ExperimentError(
                 "average", f"{label}: expected an exact average, got {type(average).__name__}"
             )
-        closed = _exact_progression_form(values, q)
+        # the form of the rotation marginal sums / q; the form is cubic, hence q^3
+        sums = values.sum(axis=1)
+        closed = roth_form_exact(sums, sums, sums) / q**3
         # the window is 0 or 1/measure, so its mass is the hit rate times 1/measure; at a
         # full joint period this is generally not 1, since squares oversample quadratic
         # residues, and the comparison has to carry the factor rather than wish it away
@@ -1014,12 +1009,11 @@ _EQUI_CASES: list[dict[str, Any]] = [
 
 
 def _phase_masses(a_num: int, b_num: int, modulus: int) -> dict[int, Fraction]:
-    counts: dict[int, int] = {}
-    x = 0
-    for n in range(1, modulus + 1):
-        x = (x + a_num + b_num * (2 * n - 1)) % modulus
-        counts[x] = counts.get(x, 0) + 1
-    return {t: Fraction(c, modulus) for t, c in counts.items()}
+    # Keys in order of first appearance: that order fixes the bits of the float limit.
+    ns = np.arange(1, modulus + 1)
+    phases = orbit_residues(ns, 1, a_num, modulus) + orbit_residues(ns, 2, b_num, modulus)
+    values, first, counts = np.unique(phases % modulus, return_index=True, return_counts=True)
+    return {int(values[i]): Fraction(int(counts[i]), modulus) for i in np.argsort(first)}
 
 
 def _ladder_averages(

@@ -85,18 +85,26 @@ def roth_form(
 
 
 def roth_form_exact(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Fraction:
-    """The progression form for exact rational arrays, no floats anywhere."""
+    """The progression form for integer or rational arrays, no floats anywhere.
+
+    The shifts s are summed on the arrays scaled to Python integers; one
+    Fraction is built at the end.
+    """
     if not (a0.shape == a1.shape == a2.shape):
         raise ValueError("shape mismatch")
-    q = a0.shape[0]
-    dim = a0.ndim
-    total = Fraction(0)
-    for x in np.ndindex(*a0.shape):
-        for s in np.ndindex(*a0.shape):
-            y = tuple((a + b) % q for a, b in zip(x, s))
-            z = tuple((a + 2 * b) % q for a, b in zip(x, s))
-            total += a0[x] * a1[y] * a2[z]
-    return total / Fraction(q ** (2 * dim))
+    (i0, d0), (i1, d1), (i2, d2) = (_integer_scaled(a) for a in (a0, a1, a2))
+    total = 0
+    for s in np.ndindex(*a0.shape):
+        total += int((i0 * _roll_to(i1, s) * _roll_to(i2, [2 * a for a in s])).sum())
+    return Fraction(total, d0 * d1 * d2 * a0.size**2)
+
+
+def _integer_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(integers, den) with integers / den == values, as Python ints in an object array."""
+    fracs = [Fraction(v) for v in values.astype(object).flat]
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    return np.array(ints, dtype=object).reshape(values.shape), den
 
 
 # ---- quotient projections ----

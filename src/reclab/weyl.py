@@ -380,16 +380,15 @@ class GridWeylModel:
         if values.shape != self.phase_space_shape:
             raise ValueError(f"values must have shape {self.phase_space_shape}")
         d, q = self.d, self.q
+        # n and C(n, 2) are reduced in Python ints, so no index term exceeds 3 q^2.
         n = int(n)
         binom = (n * (n - 1) // 2) % q
-        xshift = tuple(-(n * a) % q for a in self.alpha)
-        shifted = np.roll(values, shift=xshift, axis=tuple(range(d)))
-        out = np.empty_like(values)
-        yaxes = tuple(range(d))
-        for x in np.ndindex(*(q,) * d):
-            yshift = tuple(-((n * xi + binom * a) % q) for xi, a in zip(x, self.alpha))
-            out[x] = np.roll(shifted[x], shift=yshift, axis=yaxes)
-        return out
+        n %= q
+        axes = [np.arange(q).reshape((q,) + (1,) * (2 * d - 1 - ax)) for ax in range(2 * d)]
+        xs, ys = axes[:d], axes[d:]
+        rows = [(x + n * a) % q for x, a in zip(xs, self.alpha)]
+        cols = [(y + n * x + binom * a) % q for x, y, a in zip(xs, ys, self.alpha)]
+        return values[tuple(rows + cols)]
 
     def triple_integral(self, f: Observable, n: int):
         """avg f . (f o S^n) . (f o S^2n), exact on integer/object grids."""
@@ -642,10 +641,8 @@ def _closed_form(model: Model, f: Observable):
         proj = values
     else:
         proj = kronecker_projection(values, model.d)
-    if _is_exact_dtype(np.asarray(proj)):
-        proj = np.asarray(proj)
-        if proj.dtype != object:
-            proj = proj.astype(object)
+    proj = np.asarray(proj)
+    if _is_exact_dtype(proj):
         return roth_form_exact(proj, proj, proj)
     grid = GridFunction(proj.ndim, proj.shape[0], np.asarray(proj, dtype=complex))
     value = roth_form(grid, grid, grid, method="direct")
@@ -710,14 +707,13 @@ def weighted_average(
             raise ValueError("a cylinder weight needs its frequency beta")
         scale = int(ell) ** 2
         hits = g.orbit_contains([scale * b for b in beta.coords], np.arange(1, n_max + 1), 2)
-        on, off = 1 / g.measure(), Fraction(0)
-        terms = []
-        for hit, v in zip(hits.tolist(), integrals):
-            w = on if hit else off
-            if isinstance(v, Fraction):
-                terms.append(w * v)
-            else:
-                terms.append(complex(v) * float(w))
+        on = 1 / g.measure()
+        pairs = zip(hits.tolist(), integrals)
+        if all(isinstance(v, Fraction) for v in integrals):
+            terms = [on * v if hit else Fraction(0) for hit, v in pairs]
+        else:
+            on_f = float(on)
+            terms = [complex(v) * (on_f if hit else 0.0) for hit, v in pairs]
     meta = _model_metadata(model)
     meta["n_max"] = n_max
     if g is not None:

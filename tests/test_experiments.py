@@ -17,6 +17,7 @@ from reclab.experiments import (
     PASS,
     _build_mask,
     _mask_measure,
+    _phase_masses,
     list_experiments,
     run_experiment,
 )
@@ -340,6 +341,28 @@ def test_equidistribution_battery(tmp_path):
     assert "0.577350" in periodic_line  # |limit| = 1/sqrt(3)
     exact_zero_line = next(l for l in report.lines if l.startswith("half-alternating"))
     assert "vanishes" in exact_zero_line
+
+
+def phase_masses_by_steps(a_num, b_num, modulus):
+    """Phase masses stepping x_n = x_{n-1} + a + b (2n - 1): the oracle."""
+    counts = {}
+    x = 0
+    for n in range(1, modulus + 1):
+        x = (x + a_num + b_num * (2 * n - 1)) % modulus
+        counts[x] = counts.get(x, 0) + 1
+    return {t: Fraction(c, modulus) for t, c in counts.items()}
+
+
+@given(
+    a_num=st.integers(-(10**12), 10**12),
+    b_num=st.integers(-(10**12), 10**12),
+    modulus=st.integers(1, 600),
+)
+def test_phase_masses_match_the_stepped_orbit(a_num, b_num, modulus):
+    # same keys, masses and key order: the order fixes the float limit's bits
+    masses = _phase_masses(a_num, b_num, modulus)
+    assert list(masses.items()) == list(phase_masses_by_steps(a_num, b_num, modulus).items())
+    assert all(type(t) is int for t in masses)
 
 
 def test_equidistribution_loose_tolerance_is_inconclusive(tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reclab.harmonic import GridFunction
@@ -92,6 +92,52 @@ def test_exact_form_matches_float():
     exact = roth_form_exact(*arrs)
     floats = [GridFunction(1, 7, a.astype(complex)) for a in arrs]
     assert abs(float(exact) - roth_form(*floats).real) < 1e-12
+
+
+def roth_form_by_definition(a0, a1, a2):
+    """The exact progression form as the q^{2d} double sum: the oracle."""
+    q = a0.shape[0]
+    total = Fraction(0)
+    for x in np.ndindex(*a0.shape):
+        for s in np.ndindex(*a0.shape):
+            y = tuple((a + b) % q for a, b in zip(x, s))
+            z = tuple((a + 2 * b) % q for a, b in zip(x, s))
+            total += a0[x] * a1[y] * a2[z]
+    return total / Fraction(q ** (2 * a0.ndim))
+
+
+def exact_array(rng, shape, kind, den):
+    vals = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        if kind == "zeros":
+            vals[idx] = 0
+        elif kind in ("integers", "int64"):
+            vals[idx] = rng.randint(-9, 9)
+        else:
+            vals[idx] = Fraction(rng.randint(-9, 9), rng.randint(1, den))
+    return vals.astype(np.int64) if kind == "int64" else vals
+
+
+@given(
+    dim=st.integers(1, 2),
+    q=st.integers(1, 6),
+    kinds=st.lists(
+        st.sampled_from(["fractions", "integers", "int64", "zeros"]), min_size=3, max_size=3
+    ),
+    dens=st.lists(st.sampled_from([1, 2, 6, 35, 10**30]), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=2, q=4, kinds=["fractions"] * 3, dens=[2, 35, 10**30], seed=0)
+@example(dim=1, q=6, kinds=["integers", "fractions", "zeros"], dens=[1, 6, 1], seed=1)
+@example(dim=1, q=5, kinds=["int64", "fractions", "integers"], dens=[1, 35, 1], seed=3)
+@example(dim=2, q=3, kinds=["integers"] * 3, dens=[1, 1, 1], seed=2)
+@settings(max_examples=60)
+def test_exact_form_matches_the_double_sum(dim, q, kinds, dens, seed):
+    rng = random.Random(seed)
+    arrs = [exact_array(rng, (q,) * dim, kind, den) for kind, den in zip(kinds, dens)]
+    value = roth_form_exact(*arrs)
+    assert isinstance(value, Fraction)
+    assert value == roth_form_by_definition(*arrs)
 
 
 # ---- projections ----

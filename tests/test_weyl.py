@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reclab.harmonic import Character, CoefficientTable, GridFunction
@@ -193,6 +193,48 @@ def test_weyl_grid_pullback_is_the_orbit_substitution(seed):
             xx = (x + n * model.alpha[0]) % q
             yy = (y + n * x + binom * model.alpha[0]) % q
             assert out[x, y] == values[xx, yy]
+
+
+def pullback_by_slice_rolls(model, values, n):
+    """The skew-product pullback as one np.roll per x-slice: the gather's oracle."""
+    d, q = model.d, model.q
+    n = int(n)
+    binom = (n * (n - 1) // 2) % q
+    xshift = tuple(-(n * a) % q for a in model.alpha)
+    shifted = np.roll(values, shift=xshift, axis=tuple(range(d)))
+    out = np.empty_like(values)
+    yaxes = tuple(range(d))
+    for x in np.ndindex(*(q,) * d):
+        yshift = tuple(-((n * xi + binom * a) % q) for xi, a in zip(x, model.alpha))
+        out[x] = np.roll(shifted[x], shift=yshift, axis=yaxes)
+    return out
+
+
+@given(
+    q=st.integers(1, 6),
+    alpha=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=2),
+    n=st.one_of(
+        st.integers(-60, 60), st.integers(2**63, 2**90), st.integers(-(2**90), -(2**63))
+    ),
+    exact=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(q=6, alpha=[5, 2], n=2**63 + 7, exact=True, seed=0)
+@example(q=4, alpha=[3, 1], n=-9, exact=False, seed=1)
+@example(q=6, alpha=[3], n=-(2**64) - 1, exact=True, seed=2)
+@settings(max_examples=80)
+def test_weyl_grid_pullback_gather_matches_slice_rolls(q, alpha, n, exact, seed):
+    rng = random.Random(seed)
+    model = GridWeylModel(q, tuple(alpha))
+    shape = model.phase_space_shape
+    if exact:
+        values = exact_grid(rng, shape, span=7) - Fraction(1, 3)
+    else:
+        values = np.array([rng.randint(-5, 5) for _ in range(q ** len(shape))]).reshape(shape)
+    out = model.pullback_values(values, n)
+    expected = pullback_by_slice_rolls(model, values, n)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert np.array_equal(out, expected)
 
 
 def test_triple_integrals_driver_routes_agree():
