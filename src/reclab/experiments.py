@@ -69,8 +69,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 REPORT_NAME = "report.json"
 
-#: joint-period ceiling for the exact grid pipeline
+#: longest horizon a main_inequality run walks: the grid's joint period or the trig N
 PERIOD_CAP = 2_000_000
+#: most cells (q^d) of a phase space a pipeline allocates
+PHASE_CAP = 2**22
 #: largest phase modulus the equidistribution pipeline classifies exactly
 EXACT_MODULUS_CAP = 250_000
 
@@ -94,26 +96,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ExperimentError("config", "config document must be a JSON object")
-        known = {"experiment", "params", "out_dir", "seed"}
-        extra = set(doc) - known
-        if extra:
-            raise ExperimentError("config", f"unknown config keys: {sorted(extra)}")
-        if "experiment" not in doc:
-            raise ExperimentError("config", "config needs an 'experiment' id")
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
-            raise ExperimentError("config", "'params' must be an object")
-        for key in ("experiment", "out_dir"):
-            if not isinstance(doc.get(key, "."), str):
-                raise ExperimentError("config", f"'{key}' must be a string, got {doc[key]!r}")
-        return cls(
-            experiment=doc["experiment"],
-            params=dict(params),
-            out_dir=doc.get("out_dir", "."),
-            seed=_int(doc.get("seed", 0), "seed", lo=0),
-        )
+        return cls(**_parse(doc, _SCHEMA["config"], noun="config keys"))
 
     def to_json(self) -> dict:
         return {
@@ -185,59 +168,222 @@ def persist_report(report: ExperimentReport, out_dir: str) -> str:
     return path
 
 
-# ---- shared config helpers ----
+# ---- the config schema ----
 
 
-def _frac(value, where: str) -> Fraction:
-    try:
-        return as_fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError, ArithmeticError) as exc:
-        raise ExperimentError("config", f"{where}: not a rational: {value!r} ({exc})")
+_REQUIRED = object()
 
 
-def _frac_list(values, where: str) -> list[Fraction]:
-    if not isinstance(values, (list, tuple)):
-        raise ExperimentError("config", f"{where}: expected a list of rationals")
-    return [_frac(v, f"{where}[{i}]") for i, v in enumerate(values)]
+@dataclass(frozen=True)
+class Param:
+    """One config entry: its name, JSON kind, default (in JSON form) and bounds.
+
+    Kinds: ``"int"`` is a JSON integer; ``"rational"`` a string such as
+    ``"1/8"`` or an integer; ``"value"`` a rational or a
+    ``{"convergent", "q_cap"}`` entry; ``"string"`` any string, or one of
+    the strings in ``of``; ``"object"`` a JSON object its pipeline parses;
+    ``"table"`` an object parsed by the table ``_SCHEMA[of]``; ``"list"`` a
+    nonempty JSON list of the entry ``of``.  ``bounds`` is an interval such as
+    ``"[1, 64]"`` or ``"(0, 1/2)"`` whose upper end may be ``inf``; a bound
+    miss raises with ``stage``.  A ``None`` default means the pipeline
+    derives the value from the other entries.
+    """
+
+    name: str
+    kind: str
+    default: Any = _REQUIRED
+    bounds: str = ""
+    of: Any = None
+    stage: str = "config"
 
 
-def _int(value, where: str, lo: int | None = None, hi: int | None = None) -> int:
-    # bool is an int subclass, but true/false in a config is never a count
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ExperimentError("config", f"{where}: expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ExperimentError("config", f"{where}: {value} is below the minimum {lo}")
-    if hi is not None and value > hi:
-        raise ExperimentError("config", f"{where}: {value} is above the maximum {hi}")
+_RATIONAL = Param("", "rational")
+_VALUE = Param("", "value")
+
+_STAGE_FREQS: list[list[str]] = [
+    ["3/64", "5/81"],
+    ["2/23", "3/29"],
+    ["4/41", "7/43"],
+]
+
+_EQUI_CASES: list[dict[str, Any]] = [
+    {"label": "trivial", "alpha": 0, "beta": {"convergent": "sqrt2"}, "m": 0},
+    {"label": "golden-linear", "alpha": {"convergent": "golden"}, "beta": 0, "m": 1},
+    {"label": "sqrt2-quadratic", "alpha": 0, "beta": {"convergent": "sqrt2"}, "m": 1},
+    {"label": "third-periodic", "alpha": 0, "beta": "1/3", "m": 1},
+    {"label": "half-alternating", "alpha": 0, "beta": "1/2", "m": 1},
+]
+
+_MAIN_MODEL = Param("model", "string", "grid", of=("grid", "trig"))
+_MAIN_SHARED = (
+    _MAIN_MODEL,
+    Param("r", "int", 5, "[2, inf)"),
+    Param("k", "int", 4, "[1, inf)"),
+    Param("eps", "rational", "1/8", "(0, 1/2)"),
+    Param("ell", "int", 1, "[1, inf)"),
+)
+
+#: one table per config document; each main_inequality backend has its own
+_SCHEMA: dict[str, tuple[Param, ...]] = {
+    "config": (
+        Param("experiment", "string"),
+        Param("params", "object", {}),
+        Param("out_dir", "string", "."),
+        Param("seed", "int", 0, "[0, inf)"),
+    ),
+    "main_inequality (grid)": _MAIN_SHARED + (
+        Param("q", "int", 135, f"[3, {math.isqrt(PHASE_CAP)}]"),
+        Param("alpha", "rational", "2/135"),
+        Param("t0", "rational", "1/7"),
+        Param("beta", "list", None, of=_RATIONAL),
+        Param("battery", "int", 6, "[1, 64]"),
+        Param("n_max", "int", None, f"[1, {PERIOD_CAP}]"),
+    ),
+    "main_inequality (trig)": _MAIN_SHARED + (
+        Param("alpha", "value", {"convergent": "sqrt2"}),
+        Param("beta", "list", None, of=_VALUE),
+        Param("battery", "int", 6, "[1, 16]"),
+        Param("N", "int", 100_000, f"[1000, {PERIOD_CAP}]"),
+        Param("modes", "int", 6, "[1, 40]"),
+        Param("tolerance", "rational", "0", "[0, inf)"),
+    ),
+    "sqrt_recurrence": (
+        Param("model", "string", "rotation", of=("rotation", "weyl")),
+        Param("q", "int", 2048, "[2, inf)"),
+        Param("step", "list", [1], of=Param("", "int")),
+        Param("delta", "rational", "3/10", "(0, 1)"),
+        Param("mask", "table", {"kind": "interval", "density": "2/5"}, of="mask"),
+        Param("freq", "list", ["3/64", "5/81"], of=_RATIONAL),
+        Param("center", "list", None, of=_RATIONAL),
+        Param("k", "int", 1, "[0, inf)"),
+        Param("eps", "rational", "1/16", "(0, 1/2]"),
+        Param("N", "int", 2000, "[1, 1000000]"),
+    ),
+    "theorem_stage": (
+        Param("stages", "int", 3, "[0, 3]"),
+        Param("delta_prime", "rational", "1/1000", "(0, 1/2)", stage="precondition"),
+        Param("eta", "rational", "1/8", "(0, 1/2)"),
+        Param("k", "int", 1, "[1, inf)"),
+        Param("N", "int", 120_000, "[100, 10000000]"),
+        Param("m_max", "int", 12, "[1, 64]"),
+        Param("claim_factor", "rational", "9/20", "(0, 1]"),
+        Param("frequencies", "list", _STAGE_FREQS, of=Param("", "list", of=_RATIONAL)),
+        Param("contrast_q", "int", 729, f"[0, {PHASE_CAP}]"),
+        Param("contrast_density", "rational", "2/5", "(0, 1]"),
+    ),
+    "equidistribution": (
+        Param("cases", "list", _EQUI_CASES, of=Param("", "table", of="case")),
+        Param("ladder", "list", [1000, 10_000, 100_000, 1_000_000],
+              of=Param("", "int", bounds="[1, 10000000]")),
+        Param("tolerance", "rational", "1/50", "(0, 1]"),
+    ),
+    "mask": (
+        Param("kind", "string", of=("full", "interval", "random")),
+        Param("density", "rational", "2/5", "(0, 1]"),
+    ),
+    "case": (
+        Param("label", "string", None),
+        Param("alpha", "value", 0),
+        Param("beta", "value", 0),
+        Param("m", "int", 1, "[0, inf)"),
+    ),
+    "convergent": (
+        Param("convergent", "string", of=("sqrt2", "sqrt3", "golden")),
+        Param("q_cap", "int", 10**9, "[2, inf)"),
+    ),
+}
+
+
+def _parse(doc, table: tuple[Param, ...], where: str = "", noun: str = "parameters") -> dict:
+    """``doc`` checked against ``table``: unknown keys rejected, defaults filled, values parsed."""
+    if not isinstance(doc, dict):
+        what = f"'{where}'" if where else "config document"
+        raise ExperimentError("config", f"{what} must be a JSON object, got {doc!r}")
+    extra = set(doc) - {param.name for param in table}
+    if extra:
+        raise ExperimentError("config", f"unknown {noun}: {sorted(extra)}")
+    out = {}
+    for param in table:
+        path = f"{where}.{param.name}" if where else param.name
+        raw = doc.get(param.name, param.default)
+        if raw is _REQUIRED:
+            raise ExperimentError("config", f"'{path}' is required")
+        derived = raw is None and param.default is None
+        out[param.name] = None if derived else _parse_value(raw, param, path)
+    return out
+
+
+def _parse_value(raw, param: Param, path: str):
+    kind = param.kind
+    if kind == "list":
+        if not isinstance(raw, list) or not raw:
+            raise ExperimentError("config", f"{path}: expected a nonempty list, got {raw!r}")
+        return [_parse_value(v, param.of, f"{path}[{i}]") for i, v in enumerate(raw)]
+    if kind == "table" or (kind == "value" and isinstance(raw, dict)):
+        table = _SCHEMA[param.of if kind == "table" else "convergent"]
+        parsed = _parse(raw, table, path, f"{path} keys")
+        if kind == "table":
+            return parsed
+        value = named_convergent(parsed["convergent"], parsed["q_cap"])
+    elif kind == "object":
+        if not isinstance(raw, dict):
+            raise ExperimentError("config", f"'{path}' must be a JSON object, got {raw!r}")
+        return dict(raw)
+    elif kind == "string":
+        if not isinstance(raw, str) or (param.of and raw not in param.of):
+            expected = f"one of {list(param.of)}" if param.of else "a string"
+            raise ExperimentError("config", f"'{path}' must be {expected}, got {raw!r}")
+        return raw
+    elif kind == "int":
+        # bool is an int subclass, but true/false in a config is never a count
+        if not isinstance(raw, int) or isinstance(raw, bool):
+            raise ExperimentError("config", f"{path}: expected an integer, got {raw!r}")
+        value = raw
+    else:
+        try:
+            value = as_fraction(raw)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ExperimentError("config", f"{path}: not a rational: {raw!r} ({exc})")
+    if param.bounds:
+        low, high = (end.strip() for end in param.bounds[1:-1].split(","))
+        above = value > Fraction(low) if param.bounds[0] == "(" else value >= Fraction(low)
+        below = high == "inf" or (
+            value < Fraction(high) if param.bounds[-1] == ")" else value <= Fraction(high)
+        )
+        if not (above and below):
+            raise ExperimentError(
+                param.stage, f"{path}: {_json_safe(value)} is outside {param.bounds}"
+            )
     return value
 
 
-def _params(config: ExperimentConfig, defaults: dict[str, Any]) -> dict[str, Any]:
-    extra = set(config.params) - set(defaults)
-    if extra:
-        raise ExperimentError("config", f"unknown parameters: {sorted(extra)}")
-    merged = dict(defaults)
-    merged.update(config.params)
-    return merged
+def _parse_params(config: ExperimentConfig) -> dict[str, Any]:
+    """The params of ``config``, parsed by its experiment's table."""
+    name = config.experiment
+    if name == "main_inequality":
+        model = _parse_value(config.params.get("model", "grid"), _MAIN_MODEL, "model")
+        name = f"main_inequality ({model})"
+    return _parse(config.params, _SCHEMA[name])
+
+
+def _need_k_below_r(k: int, r: int) -> None:
+    if k >= r:
+        raise ExperimentError("config", f"need k < r, got k={k} and r={r}")
 
 
 def _json_safe(value):
     if isinstance(value, Fraction):
         return fraction_str(value)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_json_safe(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+        return {k: _json_safe(v) for k, v in value.items()}
     return value
 
 
-def _echo(config: ExperimentConfig, resolved: dict[str, Any]) -> dict:
+def _echo(config: ExperimentConfig, params: dict[str, Any]) -> dict:
     doc = config.to_json()
-    doc["params"] = _json_safe(resolved)
+    doc["params"] = _json_safe(params)
     return doc
 
 
@@ -252,23 +398,6 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     out = [",".join(header)]
     out.extend(",".join(cell(v) for v in row) for row in rows)
     return "\n".join(out) + "\n"
-
-
-def _resolve_value(raw, where: str) -> Fraction:
-    """A rational given directly or as a named continued-fraction convergent."""
-    if isinstance(raw, dict):
-        extra = set(raw) - {"convergent", "q_cap"}
-        if extra:
-            raise ExperimentError("config", f"{where}: unknown keys {sorted(extra)}")
-        name = raw.get("convergent")
-        if not isinstance(name, str):
-            raise ExperimentError("config", f"{where}: convergent entry needs a name")
-        q_cap = _int(raw.get("q_cap", 10**9), f"{where}.q_cap", lo=2)
-        try:
-            return named_convergent(name, q_cap)
-        except ValueError as exc:
-            raise ExperimentError("config", f"{where}: {exc}")
-    return _frac(raw, where)
 
 
 def _interval_mask(shape: tuple[int, ...], density: Fraction) -> np.ndarray:
@@ -289,23 +418,13 @@ def _random_mask(shape: tuple[int, ...], density: Fraction, seed: int) -> np.nda
     return flat.reshape(shape)
 
 
-def _build_mask(shape: tuple[int, ...], raw, seed: int) -> np.ndarray:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ExperimentError("config", "mask must be an object with a 'kind'")
-    extra = set(raw) - {"kind", "density"}
-    if extra:
-        raise ExperimentError("config", f"mask: unknown keys {sorted(extra)}")
-    kind = raw["kind"]
-    if kind == "full":
+def _build_mask(shape: tuple[int, ...], mask: dict[str, Any], seed: int) -> np.ndarray:
+    """The 0/1 grid of a parsed ``mask`` entry."""
+    if mask["kind"] == "full":
         return np.ones(shape, dtype=np.int64)
-    density = _frac(raw.get("density", "2/5"), "mask.density")
-    if not 0 < density <= 1:
-        raise ExperimentError("config", f"mask density must be in (0, 1], got {density}")
-    if kind == "interval":
-        return _interval_mask(shape, density)
-    if kind == "random":
-        return _random_mask(shape, density, seed)
-    raise ExperimentError("config", f"unknown mask kind {kind!r}")
+    if mask["kind"] == "interval":
+        return _interval_mask(shape, mask["density"])
+    return _random_mask(shape, mask["density"], seed)
 
 
 def _mask_measure(mask: np.ndarray) -> Fraction:
@@ -313,16 +432,6 @@ def _mask_measure(mask: np.ndarray) -> Fraction:
 
 
 # ---- weighted averages against the progression form ----
-
-
-_MAIN_SHARED: dict[str, Any] = {"r": 5, "k": 4, "eps": "1/8", "ell": 1, "beta": None, "battery": 6}
-# each backend accepts only its own keys; a key of the other one is an error
-_MAIN_DEFAULTS: dict[str, dict[str, Any]] = {
-    "grid": dict(_MAIN_SHARED, model="grid", q=135, alpha="2/135", t0="1/7", n_max=None),
-    "trig": dict(
-        _MAIN_SHARED, model="trig", alpha={"convergent": "sqrt2"}, N=100_000, modes=6, tolerance="0"
-    ),
-}
 
 
 def _battery_grids(q: int, count: int, seed: int) -> list[tuple[str, np.ndarray]]:
@@ -343,36 +452,22 @@ def _bound_holds(gap: Fraction, k: int, norm_sq: Fraction) -> bool:
 
 
 def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> ExperimentReport:
-    q = _int(p["q"], "q", lo=3)
+    q, alpha, t0, r, k, eps, ell = (p[key] for key in ("q", "alpha", "t0", "r", "k", "eps", "ell"))
     if q % 2 == 0:
         raise ExperimentError("config", f"grid size {q} must be odd so offsets can halve")
-    alpha = _frac(p["alpha"], "alpha")
     if alpha.denominator != q or math.gcd(alpha.numerator, q) != 1:
         raise ExperimentError(
             "config", f"alpha {fraction_str(alpha)} must generate the size-{q} grid"
         )
-    r = _int(p["r"], "r", lo=2)
-    k = _int(p["k"], "k", lo=1)
-    if k >= r:
-        raise ExperimentError("config", f"need k < r, got k={k} and r={r}")
-    eps = _frac(p["eps"], "eps")
-    if not 0 < eps < Fraction(1, 2):
-        raise ExperimentError("config", "eps must lie in (0, 1/2)")
-    ell = _int(p["ell"], "ell", lo=1)
-    t0 = _frac(p["t0"], "t0")
+    _need_k_below_r(k, r)
     if math.gcd(t0.denominator, q) != 1:
         raise ExperimentError(
             "config",
             f"t0 {fraction_str(t0)} must have order coprime to the grid size {q}",
         )
-    beta = (
-        [Fraction(i, 7) for i in range(1, r + 1)]
-        if p["beta"] is None
-        else _frac_list(p["beta"], "beta")
-    )
+    beta = [Fraction(i, 7) for i in range(1, r + 1)] if p["beta"] is None else p["beta"]
     if len(beta) != r:
         raise ExperimentError("config", f"beta needs {r} coordinates, got {len(beta)}")
-    battery = _int(p["battery"], "battery", lo=1, hi=64)
 
     weight_dir = [b * ell * ell for b in beta]
     modulus = math.lcm(q, t0.denominator, *(w.denominator for w in weight_dir))
@@ -380,6 +475,10 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
         raise ExperimentError(
             "config", f"common phase denominator {modulus} is even; offsets cannot halve"
         )
+    model = GridWeylModel(q, (alpha.numerator,))
+    period = p["n_max"] or math.lcm(model.period, *(w.denominator for w in weight_dir))
+    if period > PERIOD_CAP:
+        raise ExperimentError("config", f"joint period {period} exceeds the cap {PERIOD_CAP}")
 
     try:
         extraction = extract_affine_joining(
@@ -393,16 +492,9 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     joining = extraction.group_joining
 
     ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * r), k, eps)
-    model = GridWeylModel(q, (alpha.numerator,))
-    period = math.lcm(model.period, *(w.denominator for w in weight_dir))
-    if p["n_max"] is not None:
-        period = _int(p["n_max"], "n_max", lo=1)
-    if period > PERIOD_CAP:
-        raise ExperimentError("config", f"joint period {period} exceeds the cap {PERIOD_CAP}")
     beta_pt = TorusPoint.of(beta)
     bound_scale = 2.0 / math.sqrt(k)
 
-    resolved = dict(p, alpha=alpha, eps=eps, t0=t0, beta=beta, n_max=period)
     rows: list[list] = []
     tables: dict[str, str] = {}
     lines: list[str] = []
@@ -414,7 +506,7 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
         "ball_measure": fraction_str(ball.measure()),
     }
 
-    for label, values in _battery_grids(q, battery, config.seed):
+    for label, values in _battery_grids(q, p["battery"], config.seed):
         norm_sq = Fraction(int((values.astype(object) ** 2).sum()), q * q)
         table = GridFunction(2, q, values.astype(np.complex128)).spectrum_table(tol=1e-12)
         norm_bound = math.sqrt(float(norm_sq)) if norm_sq else 1.0
@@ -486,7 +578,7 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     return ExperimentReport(
         experiment="main_inequality",
         status=status,
-        config=_echo(config, resolved),
+        config=_echo(config, p),
         metrics=metrics,
         lines=lines,
         tables=tables,
@@ -511,57 +603,33 @@ def _random_trig_table(modes: int, seed: int) -> tuple[CoefficientTable, float]:
     return table, norm_sq
 
 
-def _trig_progression_form(table: CoefficientTable) -> complex:
-    """Triple form of the x-marginal: sum of m(a) m(b) m(-a-b)."""
-    marginal: dict[int, complex] = {}
-    for chi, c in table:
-        if chi.freq[1] == 0:
-            marginal[chi.freq[0]] = marginal.get(chi.freq[0], 0j) + c
-    total = 0j
-    for a, ca in marginal.items():
-        for b, cb in marginal.items():
-            cc = marginal.get(-a - b)
-            if cc is not None:
-                total += ca * cb * cc
-    return total
+#: the trig backend's beta when the config gives none: the first r of these
+_TRIG_BETA = _parse_value(
+    [{"convergent": "sqrt3"}, {"convergent": "golden"}, "1/7", "2/11", "3/13"],
+    Param("beta", "list", of=_VALUE),
+    "beta",
+)
 
 
 def _main_inequality_trig(config: ExperimentConfig, p: dict[str, Any]) -> ExperimentReport:
-    alpha = _resolve_value(p["alpha"], "alpha")
-    r = _int(p["r"], "r", lo=2)
-    k = _int(p["k"], "k", lo=1)
-    if k >= r:
-        raise ExperimentError("config", f"need k < r, got k={k} and r={r}")
-    eps = _frac(p["eps"], "eps")
-    if not 0 < eps < Fraction(1, 2):
-        raise ExperimentError("config", "eps must lie in (0, 1/2)")
-    ell = _int(p["ell"], "ell", lo=1)
-    n_max = _int(p["N"], "N", lo=1000)
-    modes = _int(p["modes"], "modes", lo=1, hi=40)
-    battery = _int(p["battery"], "battery", lo=1, hi=16)
-    tolerance = float(_frac(p["tolerance"], "tolerance"))
-    beta_raw = p["beta"]
-    if beta_raw is None:
-        named = [{"convergent": "sqrt3"}, {"convergent": "golden"}, "1/7", "2/11", "3/13"]
-        if r > len(named):
-            raise ExperimentError("config", f"provide beta explicitly for r > {len(named)}")
-        beta_raw = named[:r]
-    if not isinstance(beta_raw, list):
-        raise ExperimentError("config", f"beta must be a list, got {beta_raw!r}")
-    if len(beta_raw) != r:
-        raise ExperimentError("config", f"beta needs {r} entries, got {len(beta_raw)}")
-    beta = [_resolve_value(s, f"beta[{i}]") for i, s in enumerate(beta_raw)]
+    r, k, n_max, battery = p["r"], p["k"], p["N"], p["battery"]
+    _need_k_below_r(k, r)
+    if p["beta"] is None and r > len(_TRIG_BETA):
+        raise ExperimentError("config", f"provide beta explicitly for r > {len(_TRIG_BETA)}")
+    beta = _TRIG_BETA[:r] if p["beta"] is None else p["beta"]
+    if len(beta) != r:
+        raise ExperimentError("config", f"beta needs {r} entries, got {len(beta)}")
+    tolerance = float(p["tolerance"])
 
     # At convergent scale there is no finite joining to extract, and the
     # product joining needs no pinning: every window subordinate to the
     # ball already annihilates across an independent fiber.
-    ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * r), k, eps)
+    ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * r), k, p["eps"])
     g = annihilating_cylinder(ball, [])
-    model = WeylSystem(TorusPoint.of([alpha]))
+    model = WeylSystem(TorusPoint.of([p["alpha"]]))
     beta_pt = TorusPoint.of(beta)
     bound_scale = 2.0 / math.sqrt(k)
 
-    resolved = dict(p, alpha=alpha, beta=beta, eps=eps, N=n_max)
     rows: list[list] = []
     tables: dict[str, str] = {}
     lines: list[str] = []
@@ -569,11 +637,12 @@ def _main_inequality_trig(config: ExperimentConfig, p: dict[str, Any]) -> Experi
 
     for i in range(battery):
         label = f"trig-{i}"
-        table, norm_sq = _random_trig_table(modes, config.seed + i)
-        trace = weighted_average(model, table, g=g, beta=beta_pt, ell=ell, n_max=n_max)
+        table, norm_sq = _random_trig_table(p["modes"], config.seed + i)
+        trace = weighted_average(model, table, g=g, beta=beta_pt, ell=p["ell"], n_max=n_max)
         average = complex(trace.value)
         mass = Fraction(trace.metadata["window_hits"], n_max) / g.measure()
-        closed = _trig_progression_form(table)
+        # the 3-AP form of the x-marginal, sum over nu of h(nu)^2 h(-2 nu)
+        closed = trace.closed_form
         gap = abs(average - float(mass) * closed)
         bound = bound_scale * norm_sq
         margin = bound - gap
@@ -607,7 +676,7 @@ def _main_inequality_trig(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     return ExperimentReport(
         experiment="main_inequality",
         status=status,
-        config=_echo(config, resolved),
+        config=_echo(config, p),
         metrics=metrics,
         lines=lines,
         tables=tables,
@@ -622,29 +691,12 @@ def exp_main_inequality(config: ExperimentConfig) -> ExperimentReport:
     REFUTED.  The trig backend runs a finite horizon with convergent
     frequencies and reports the margin, so a shortfall is INCONCLUSIVE.
     """
-    backend = config.params.get("model", "grid")
-    if backend == "grid":
-        return _main_inequality_grid(config, _params(config, _MAIN_DEFAULTS["grid"]))
-    if backend == "trig":
-        return _main_inequality_trig(config, _params(config, _MAIN_DEFAULTS["trig"]))
-    raise ExperimentError("config", f"unknown model {backend!r}, expected 'grid' or 'trig'")
+    p = _parse_params(config)
+    backend = _main_inequality_grid if p["model"] == "grid" else _main_inequality_trig
+    return backend(config, p)
 
 
 # ---- recurrence along square-root return times ----
-
-
-_SQRT_DEFAULTS: dict[str, Any] = {
-    "model": "rotation",
-    "q": 2048,
-    "step": None,
-    "delta": "3/10",
-    "mask": {"kind": "interval", "density": "2/5"},
-    "freq": ["3/64", "5/81"],
-    "center": None,
-    "k": 1,
-    "eps": "1/16",
-    "N": 2000,
-}
 
 
 def exp_sqrt_recurrence(config: ExperimentConfig) -> ExperimentReport:
@@ -656,26 +708,21 @@ def exp_sqrt_recurrence(config: ExperimentConfig) -> ExperimentReport:
     enumeration or an all-zero scan is INCONCLUSIVE: at a finite
     horizon, absence of returns is not evidence of nonrecurrence.
     """
-    p = _params(config, _SQRT_DEFAULTS)
-    kind = p["model"]
-    q = _int(p["q"], "q", lo=2)
-    step_raw = p["step"] if p["step"] is not None else [1]
-    if not isinstance(step_raw, (list, tuple)) or not step_raw:
-        raise ExperimentError("config", "step must be a nonempty integer list")
-    step = tuple(_int(s, f"step[{i}]") for i, s in enumerate(step_raw))
-    if kind == "rotation":
-        model: RotationModel | GridWeylModel = RotationModel(q, step)
-        shape: tuple[int, ...] = (q,) * len(step)
-    elif kind == "weyl":
-        model = GridWeylModel(q, step)
-        shape = (q,) * (2 * len(step))
-    else:
-        raise ExperimentError("config", f"unknown model {kind!r}, expected 'rotation' or 'weyl'")
+    p = _parse_params(config)
+    q, step, coords, delta = p["q"], tuple(p["step"]), p["freq"], p["delta"]
+    dims = len(step) * (2 if p["model"] == "weyl" else 1)
+    if q**dims > PHASE_CAP:
+        raise ExperimentError(
+            "config", f"phase space of {q}^{dims} cells exceeds the cap {PHASE_CAP}"
+        )
+    r = len(coords)
+    center = [Fraction(0)] * r if p["center"] is None else p["center"]
+    if len(center) != r:
+        raise ExperimentError("config", f"center needs {r} coordinates, got {len(center)}")
+    _need_k_below_r(p["k"], r)
 
-    delta = _frac(p["delta"], "delta")
-    if not 0 < delta < 1:
-        raise ExperimentError("config", f"delta must be in (0, 1), got {fraction_str(delta)}")
-    mask = _build_mask(shape, p["mask"], config.seed)
+    model = (GridWeylModel if p["model"] == "weyl" else RotationModel)(q, step)
+    mask = _build_mask((q,) * dims, p["mask"], config.seed)
     measure = _mask_measure(mask)
     if measure <= delta:
         raise ExperimentError(
@@ -684,30 +731,16 @@ def exp_sqrt_recurrence(config: ExperimentConfig) -> ExperimentReport:
             f"{fraction_str(delta)}; the positivity claim assumes it does",
         )
 
-    coords = _frac_list(p["freq"], "freq")
-    r = len(coords)
-    center = [Fraction(0)] * r if p["center"] is None else _frac_list(p["center"], "center")
-    if len(center) != r:
-        raise ExperimentError("config", f"center needs {r} coordinates, got {len(center)}")
-    k = _int(p["k"], "k", lo=0)
-    if k >= r:
-        raise ExperimentError("config", f"need k < r, got k={k} and r={r}")
-    eps = _frac(p["eps"], "eps")
-    n_max = _int(p["N"], "N", lo=1)
-
-    ball = ApproxHammingBall(TorusPoint.of(center), k, eps)
+    n_max = p["N"]
+    ball = ApproxHammingBall(TorusPoint.of(center), p["k"], p["eps"])
     bh = BohrHammingBall(Frequency(TorusPoint.of(coords), generating=True), ball)
     enum = sqrt_set_enumerate(bh, n_max)
-    resolved = dict(
-        p, delta=delta, freq=coords, center=center, eps=eps,
-        mask_measure=measure, set_size=len(enum.elems),
-    )
 
     if not enum.elems:
         return ExperimentReport(
             experiment="sqrt_recurrence",
             status=INCONCLUSIVE,
-            config=_echo(config, resolved),
+            config=_echo(config, p),
             metrics={"set_size": 0, "horizon": n_max, "mask_measure": fraction_str(measure)},
             lines=[f"no square-root returns up to {n_max}; enlarge the horizon or the ball"],
         )
@@ -756,7 +789,7 @@ def exp_sqrt_recurrence(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         experiment="sqrt_recurrence",
         status=status,
-        config=_echo(config, resolved),
+        config=_echo(config, p),
         metrics=metrics,
         lines=lines,
         tables={"sqrt_recurrence.csv": _csv(["n", "intersection", "float", "positive"], rows)},
@@ -764,27 +797,6 @@ def exp_sqrt_recurrence(config: ExperimentConfig) -> ExperimentReport:
 
 
 # ---- staged nonrecurrence certificates for squared shift sets ----
-
-
-_STAGE_DEFAULTS: dict[str, Any] = {
-    "stages": 3,
-    "delta_prime": "1/1000",
-    "eta": "1/8",
-    "k": 1,
-    "N": 120_000,
-    "m_max": 12,
-    "claim_factor": "9/20",
-    "frequencies": None,
-    "contrast_q": 729,
-    "contrast_density": "2/5",
-}
-
-_STAGE_FREQS: list[list[str]] = [
-    ["3/64", "5/81"],
-    ["2/23", "3/29"],
-    ["4/41", "7/43"],
-]
-_MAX_STAGES = 3
 
 
 def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
@@ -798,45 +810,32 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
     claim keeps a fluctuation cushion.  Every certificate is re-checked
     from its bitset before it is trusted, and the final one is saved.
     """
-    p = _params(config, _STAGE_DEFAULTS)
-    stages = _int(p["stages"], "stages", lo=0, hi=_MAX_STAGES)
-    delta_prime = _frac(p["delta_prime"], "delta_prime")
-    if not 0 < delta_prime < Fraction(1, 2):
-        raise ExperimentError(
-            "precondition",
-            f"delta_prime must be in (0, 1/2), got {fraction_str(delta_prime)}",
-        )
-    eta = _frac(p["eta"], "eta")
-    k = _int(p["k"], "k", lo=1)
-    n_max = _int(p["N"], "N", lo=100)
-    m_max = _int(p["m_max"], "m_max", lo=1, hi=64)
-    claim_factor = _frac(p["claim_factor"], "claim_factor")
-    if not 0 < claim_factor <= 1:
-        raise ExperimentError("config", "claim_factor must be in (0, 1]")
-    freqs_raw = p["frequencies"] if p["frequencies"] is not None else _STAGE_FREQS
-    if len(freqs_raw) < stages:
+    p = _parse_params(config)
+    stages, delta_prime, k, n_max = p["stages"], p["delta_prime"], p["k"], p["N"]
+    if len(p["frequencies"]) < stages:
         raise ExperimentError("config", f"{stages} stages need {stages} frequency lists")
 
     if stages == 0:
-        resolved = dict(p, stages=0, delta_prime=delta_prime, eta=eta, claim_factor=claim_factor)
         return ExperimentReport(
             experiment="theorem_stage",
             status=INCONCLUSIVE,
-            config=_echo(config, resolved),
+            config=_echo(config, p),
             metrics={"stages_requested": 0, "stages_completed": 0},
             lines=["no stages requested; nothing was certified"],
         )
 
     try:
-        witness, ball, proof = build_band_witness(k, eta, seed=config.seed or 7)
+        witness, ball, proof = build_band_witness(k, p["eta"], seed=config.seed or 7)
     except (SearchExhausted, ValueError) as exc:
         raise ExperimentError("band-witness", str(exc))
+    for i, coords in enumerate(p["frequencies"][:stages]):
+        if len(coords) != witness.r:
+            raise ExperimentError(
+                "config",
+                f"frequencies[{i}] has {len(coords)} coordinates; the witness needs {witness.r}",
+            )
 
     n_scan = math.isqrt(n_max)
-    resolved = dict(
-        p, stages=stages, delta_prime=delta_prime, eta=eta,
-        claim_factor=claim_factor, witness=proof,
-    )
     lines = [
         f"band witness r={proof['r']} t={proof['t']} a={proof['a']} "
         f"(measure {proof['measure']}), ball eps={proof['eps']} k={k}"
@@ -848,14 +847,7 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
     shift_base: set[int] = set()
 
     for i in range(1, stages + 1):
-        coords = _frac_list(freqs_raw[i - 1], f"frequencies[{i - 1}]")
-        if len(coords) != witness.r:
-            raise ExperimentError(
-                "config",
-                f"frequencies[{i - 1}] has {len(coords)} coordinates; "
-                f"the witness needs {witness.r}",
-            )
-        freq = Frequency(TorusPoint.of(coords), generating=True)
+        freq = Frequency(TorusPoint.of(p["frequencies"][i - 1]), generating=True)
         roots = sqrt_set_enumerate(BohrHammingBall(freq, ball), n_scan).elems
         if not roots:
             status = INCONCLUSIVE
@@ -865,7 +857,7 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
 
         base = rotation_certificate(witness, ball, freq, n_max)
         achieved = base.density_claim
-        claim = achieved if i == 1 else achieved * claim_factor
+        claim = achieved if i == 1 else achieved * p["claim_factor"]
         cert = replace(base, shifts=squares, density_claim=claim)
         checked = verify_certificate(cert)
         if not checked.ok:
@@ -883,7 +875,7 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
         else:
             attempts: list[str] = []
             combined = None
-            for m in range(1, m_max + 1):
+            for m in range(1, p["m_max"] + 1):
                 try:
                     combined = combine_certificates(current, cert, m * m)
                 except CertificateRejected as exc:
@@ -894,7 +886,7 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
             if combined is None:
                 raise ExperimentError(
                     f"stage-{i}-combine",
-                    f"no dilation in 1..{m_max} merged; " + "; ".join(attempts[-3:]),
+                    f"no dilation in 1..{p['m_max']} merged; " + "; ".join(attempts[-3:]),
                 )
             current = combined
             shift_base |= {m_used * x for x in roots if (m_used * x) ** 2 <= n_max}
@@ -964,10 +956,10 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
             f"final certificate: {len(current.shifts)} squared shifts over horizon {n_max}, "
             f"claim {fraction_str(current.density_claim)}, verified size {final.size}"
         )
-        contrast_q = _int(p["contrast_q"], "contrast_q", lo=0)
+        contrast_q = p["contrast_q"]
         if contrast_q:
             contrast = RotationModel(contrast_q, (1,))
-            cmask = _interval_mask((contrast_q,), _frac(p["contrast_density"], "contrast_density"))
+            cmask = _interval_mask((contrast_q,), p["contrast_density"])
             steps = sorted(shift_base)
             best_n, best = max_triple_intersection(contrast, cmask, steps, max(steps))
             metrics["contrast_best_n"] = best_n
@@ -982,7 +974,7 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         experiment="theorem_stage",
         status=status,
-        config=_echo(config, resolved),
+        config=_echo(config, p),
         metrics=metrics,
         lines=lines,
         artifacts=artifacts,
@@ -991,21 +983,6 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
 
 
 # ---- character averages along quadratic orbits ----
-
-
-_EQUI_DEFAULTS: dict[str, Any] = {
-    "cases": None,
-    "ladder": [1000, 10_000, 100_000, 1_000_000],
-    "tolerance": "1/50",
-}
-
-_EQUI_CASES: list[dict[str, Any]] = [
-    {"label": "trivial", "alpha": 0, "beta": {"convergent": "sqrt2"}, "m": 0},
-    {"label": "golden-linear", "alpha": {"convergent": "golden"}, "beta": 0, "m": 1},
-    {"label": "sqrt2-quadratic", "alpha": 0, "beta": {"convergent": "sqrt2"}, "m": 1},
-    {"label": "third-periodic", "alpha": 0, "beta": "1/3", "m": 1},
-    {"label": "half-alternating", "alpha": 0, "beta": "1/2", "m": 1},
-]
 
 
 def _phase_masses(a_num: int, b_num: int, modulus: int) -> dict[int, Fraction]:
@@ -1045,33 +1022,18 @@ def exp_equidistribution(config: ExperimentConfig) -> ExperimentReport:
     are expected findings, not failures.  Convergent stand-ins are
     graded empirically against the decay tolerance.
     """
-    p = _params(config, _EQUI_DEFAULTS)
-    if not isinstance(p["ladder"], list):
-        raise ExperimentError("config", f"ladder must be a list of horizons, got {p['ladder']!r}")
-    ladder = sorted(set(_int(n, "ladder[]", lo=1) for n in p["ladder"]))
-    if not ladder:
-        raise ExperimentError("config", "ladder must list at least one horizon")
-    tolerance = _frac(p["tolerance"], "tolerance")
-    cases_raw = p["cases"] if p["cases"] is not None else _EQUI_CASES
+    p = _parse_params(config)
+    ladder = sorted(set(p["ladder"]))
+    tolerance = p["tolerance"]
 
     rows: list[list] = []
     case_metrics: list[dict] = []
     lines: list[str] = []
     status = PASS
-    resolved_cases = []
 
-    for idx, case in enumerate(cases_raw):
-        if not isinstance(case, dict):
-            raise ExperimentError("config", f"cases[{idx}] must be an object")
-        extra = set(case) - {"label", "alpha", "beta", "m"}
-        if extra:
-            raise ExperimentError("config", f"cases[{idx}]: unknown keys {sorted(extra)}")
-        label = str(case.get("label", f"case-{idx}"))
-        m = _int(case.get("m", 1), f"cases[{idx}].m", lo=0)
-        alpha = _resolve_value(case.get("alpha", 0), f"cases[{idx}].alpha")
-        beta = _resolve_value(case.get("beta", 0), f"cases[{idx}].beta")
-        resolved_cases.append({"label": label, "alpha": alpha, "beta": beta, "m": m})
-
+    for idx, case in enumerate(p["cases"]):
+        label = f"case-{idx}" if case["label"] is None else case["label"]
+        m, alpha, beta = case["m"], case["alpha"], case["beta"]
         info: dict[str, Any] = {
             "label": label, "m": m,
             "alpha": fraction_str(alpha), "beta": fraction_str(beta),
@@ -1160,7 +1122,7 @@ def exp_equidistribution(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         experiment="equidistribution",
         status=status,
-        config=_echo(config, dict(p, cases=resolved_cases, tolerance=tolerance)),
+        config=_echo(config, p),
         metrics=metrics,
         lines=lines,
         tables={"equidistribution.csv": _csv(["label", "m", "N", "abs_average"], rows)},

@@ -99,13 +99,16 @@ def _mean_of_product(arrays: Sequence[np.ndarray]):
             if a.dtype == object:
                 lifted = None
                 break
-            m = int(np.abs(a).max()) if a.size else 0
+            # max |a| without an abs() temporary, and exact even for the int64 minimum
+            m = max(int(a.max()), -int(a.min())) if a.size else 0
             bound *= max(m, 1)
-            lifted.append(a.astype(np.int64))
+            lifted.append(a.astype(np.int64, copy=False))
         if lifted is not None and bound < 2**62:
-            prod = lifted[0]
+            # one product buffer per call: fresh grid-sized temporaries on every n
+            # make glibc trim and re-fault the heap top, which can double a grid run
+            prod = lifted[0].copy()
             for a in lifted[1:]:
-                prod = prod * a
+                prod *= a
             return Fraction(int(prod.sum()), size)
         prod = arrays[0].astype(object)
         for a in arrays[1:]:
@@ -387,7 +390,10 @@ class GridWeylModel:
         axes = [np.arange(q).reshape((q,) + (1,) * (2 * d - 1 - ax)) for ax in range(2 * d)]
         xs, ys = axes[:d], axes[d:]
         rows = [(x + n * a) % q for x, a in zip(xs, self.alpha)]
-        cols = [(y + n * x + binom * a) % q for x, y, a in zip(xs, ys, self.alpha)]
+        # reduce the (q, 1) term first, so only one (q, q) temporary is built per axis
+        cols = [
+            np.remainder((n * x + binom * a) % q + y, q) for x, y, a in zip(xs, ys, self.alpha)
+        ]
         return values[tuple(rows + cols)]
 
     def triple_integral(self, f: Observable, n: int):

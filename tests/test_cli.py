@@ -77,6 +77,31 @@ def test_lab_bad_experiment_id(tmp_path, capsys):
             },
             "unknown parameters: ['q', 't0']",
         ),
+        (
+            {"experiment": "theorem_stage", "params": {"frequencies": 5}},
+            "frequencies: expected a nonempty list, got 5",
+        ),
+        (
+            {"experiment": "theorem_stage", "params": {"contrast_q": "abc"}},
+            "contrast_q: expected an integer, got 'abc'",
+        ),
+        (
+            {"experiment": "theorem_stage", "params": {"contrast_density": "-3"}},
+            "contrast_density: -3/1 is outside (0, 1]",
+        ),
+        (
+            {"experiment": "sqrt_recurrence", "params": {"eps": "3"}},
+            "eps: 3/1 is outside (0, 1/2]",
+        ),
+        ({"params": {"cases": 5}}, "cases: expected a nonempty list, got 5"),
+        ({"params": {"cases": [{"label": 5}]}}, "'cases[0].label' must be a string, got 5"),
+        (
+            {
+                "experiment": "sqrt_recurrence",
+                "params": {"model": "weyl", "q": 2048, "step": [1, 1, 1]},
+            },
+            "phase space of 2048^6 cells exceeds the cap 4194304",
+        ),
     ],
 )
 def test_lab_config_errors_are_exit_2(tmp_path, monkeypatch, capsys, extra, message):

@@ -3,8 +3,11 @@
 import csv
 import json
 import os
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,12 +18,19 @@ from reclab.experiments import (
     ExperimentError,
     INCONCLUSIVE,
     PASS,
+    _REQUIRED,
+    _SCHEMA,
     _build_mask,
     _mask_measure,
+    _parse_params,
     _phase_masses,
+    _random_trig_table,
     list_experiments,
     run_experiment,
 )
+from reclab.weyl import kronecker_projection, trig_progression_form
+
+REPO = Path(__file__).parents[1]
 
 
 def run(tmp_path, experiment, params, seed=0, **kw):
@@ -93,13 +103,65 @@ def test_seed_must_be_a_nonnegative_json_integer(seed):
         ("equidistribution", {"ladder": "123"}),
         ("equidistribution", {"ladder": [1000.0]}),
         ("main_inequality", {"model": "trig", "beta": "12345", "N": 1000}),
+        ("theorem_stage", {"frequencies": 5}),
+        ("theorem_stage", {"contrast_q": "abc"}),
+        ("theorem_stage", {"contrast_density": "-3"}),
+        ("sqrt_recurrence", {"eps": "3"}),
+        ("equidistribution", {"cases": 5}),
+        ("equidistribution", {"cases": [{"label": 5}]}),
+        ("sqrt_recurrence", {"model": "weyl", "q": 2048, "step": [1, 1, 1]}),
+        ("equidistribution", {"ladder": []}),
+        ("sqrt_recurrence", {"q": 2049, "step": [1, 1]}),
     ],
 )
 def test_config_params_are_not_coerced(tmp_path, experiment, params):
     with pytest.raises(ExperimentError) as err:
         run(tmp_path, experiment, params)
     assert err.value.stage == "config"
-    assert not (tmp_path / "report.json").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted((REPO / "scripts" / "configs").glob("*.json")), ids=lambda path: path.stem
+)
+def test_example_configs_match_their_schema(path):
+    # parsing only, so a config that drifts from its table fails without a run
+    with open(path, encoding="utf-8") as fh:
+        config = ExperimentConfig.from_json(json.load(fh))
+    assert config.experiment in EXPERIMENTS
+    _parse_params(config)
+
+
+def _readme_type(param) -> str:
+    if param.kind == "list":
+        return "list of " + _readme_type(param.of)
+    if param.kind == "table":
+        return f"`{param.of}` object"
+    if param.kind == "string" and param.of:
+        return "one of " + ", ".join(f"`{choice}`" for choice in param.of)
+    return {"value": "rational or convergent"}.get(param.kind, param.kind)
+
+
+def _readme_row(param) -> str:
+    bounds = param.bounds or (param.of.bounds if param.kind == "list" else "")
+    if param.default is _REQUIRED:
+        default = "required"
+    elif param.default is None:
+        default = "derived"
+    else:
+        text = json.dumps(param.default)
+        default = f"`{text}`" if len(text) <= 40 else "see below"
+    return f"| `{param.name}` | {_readme_type(param)} | {bounds or '-'} | {default} |"
+
+
+@pytest.mark.parametrize("name", sorted(_SCHEMA))
+def test_readme_lists_every_schema_entry(name):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    sections = re.split(r"^#### ", readme, flags=re.M)
+    section = next((s for s in sections if s.startswith(f"{name}\n")), None)
+    assert section is not None, f"README has no '#### {name}' section"
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert rows == [_readme_row(param) for param in _SCHEMA[name]]
 
 
 @pytest.mark.parametrize(
@@ -206,6 +268,29 @@ def test_grid_requires_odd_modulus(tmp_path):
     assert err.value.stage == "config"
 
 
+def test_trig_battery_uses_the_three_term_progression_form(tmp_path):
+    run(tmp_path, "main_inequality", {"model": "trig", "N": 1000, "battery": 1}, seed=4)
+    closed = float(battery_rows(tmp_path)["trig-0"]["closed_form"])
+    h = kronecker_projection(_random_trig_table(6, 4)[0], 1)
+    assert closed == trig_progression_form(h).real
+    # avg over x, s in Z_32 of h(x) h(x+s) h(x+2s): with |nu| <= 3 nothing aliases
+    xs = np.arange(32) / 32
+    values = sum(c * np.exp(2j * np.pi * chi.freq[0] * xs) for chi, c in h)
+    direct = np.mean([values * np.roll(values, -s) * np.roll(values, -2 * s) for s in range(32)])
+    assert closed == pytest.approx(direct.real, abs=1e-12)
+    assert abs(direct.imag) < 1e-12
+
+
+def test_trig_table_26_clears_its_bound_at_1e5(tmp_path):
+    params = {
+        "model": "trig", "r": 5, "k": 4, "eps": "1/8", "battery": 1,
+        "N": 100_000, "modes": 6, "tolerance": "1/100",
+    }
+    report = run(tmp_path, "main_inequality", params, seed=26)
+    assert report.status == PASS
+    assert report.metrics["worst_margin"] > 1
+
+
 def test_trig_backend_reports_margins(tmp_path):
     params = {
         "model": "trig", "r": 3, "k": 2, "eps": "1/8",
@@ -258,6 +343,12 @@ def test_sqrt_recurrence_refuses_small_masks(tmp_path):
     with pytest.raises(ExperimentError) as err:
         run(tmp_path, "sqrt_recurrence", params)
     assert err.value.stage == "precondition"
+
+
+def test_sqrt_recurrence_runs_at_the_phase_space_cap(tmp_path):
+    # 2048^2 = PHASE_CAP cells exactly; 2049^2 is rejected by the config tests
+    report = run(tmp_path, "sqrt_recurrence", {"q": 2048, "step": [1, 1], "N": 1})
+    assert report.status == PASS
 
 
 def test_sqrt_recurrence_empty_scan_is_inconclusive(tmp_path):

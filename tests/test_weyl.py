@@ -268,6 +268,13 @@ def test_rotation_pullback_is_plain_shift():
     assert [out[x] for x in range(7)] == [values[(x + 6) % 7] for x in range(7)]
 
 
+def test_integer_triple_integral_is_exact_at_the_int64_minimum():
+    # abs() of the int64 minimum wraps, so the entry bound must not come from it
+    low = int(np.iinfo(np.int64).min)
+    values = np.array([low, 1], dtype=np.int64)
+    assert RotationModel(2, (1,)).triple_integral(values, 1) == Fraction(low * low + low, 2)
+
+
 def test_weyl_grid_period_values():
     assert GridWeylModel(7, (1,)).period == 7
     assert GridWeylModel(6, (1,)).period == 12
