@@ -15,12 +15,13 @@ together with an approximate Hamming ball U around the all-halves
 point; when 2a + eps <= 1/2 and r > 2t + k, a point of E plus a point
 of U always has more than t coordinates pushed out of the band, so E
 and E + U are disjoint and B = {n : n*beta in E} avoids every return
-time of beta to U.  The combination route merges two certificates into
-one for S1 union m*S2, preferring the product of their band rotations
-when that ancestry is recorded.  The square route rewrites S through
-s -> s*s.  None of the constructions is trusted: every certificate
-emitted by this module has passed verify_certificate, and a failed
-candidate surfaces as a typed rejection rather than a bad object.
+time of beta to U; the caller names the shifts to certify.  The
+combination route merges two certificates into one for S1 union m*S2,
+preferring the product of their band rotations when that ancestry is
+recorded.  The square route rewrites S through s -> s*s.  None of the
+constructions is trusted: every certificate emitted by this module has
+passed verify_certificate, and a failed candidate surfaces as a typed
+rejection rather than a bad object.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bohr import BohrHammingBall, Frequency, set_enumerate
+from .bohr import Frequency
 from .torus import (
     ApproxHammingBall, TorusPoint, as_fraction, fraction_str, orbit_deviations, scan_blocks
 )
@@ -70,10 +71,11 @@ _WORD_BITS = 64
 class CertificateRejected(Exception):
     """A constructed candidate failed re-verification.
 
-    Raised by the combination and square operations when no candidate
-    base set passes the checks at the requested parameters.  Carries
-    the dilation factor (when one is in play) and the per-candidate
-    diagnostics, so a search loop can report why each attempt died.
+    Raised by the rotation, combination and square operations when no
+    candidate base set passes the checks at the requested parameters.
+    Carries the dilation factor (when one is in play) and the
+    per-candidate diagnostics, so a search loop can report why each
+    attempt died.
     """
 
     def __init__(self, message: str, diagnostics=None, m: int | None = None):
@@ -501,27 +503,26 @@ def band_return_bitset(witness: BandWitness, beta, n_max: int) -> int:
 
 
 def rotation_certificate(
-    witness: BandWitness, ball: ApproxHammingBall, beta, n_max: int
+    witness: BandWitness, ball: ApproxHammingBall, beta, n_max: int, shifts: Sequence[int]
 ) -> Certificate:
     """Certificate from the orbit of beta through a band set.
 
-    B collects the n in [0, n_max) with n*beta in E; S collects the
-    return times of beta to the ball over [1, n_max]; k = 1.  The
-    density claim is the achieved |B| / n_max, and the target measure
-    m(E) is kept in the provenance for comparison.  When the band and
-    ball satisfy the disjointness counting argument the verification
-    cannot fail, so a failure here means the construction itself is
-    broken and is raised as an internal error with the diagnostics.
+    B collects the n in [0, n_max) with n*beta in E; S is the given
+    shift set; k = 1.  The density claim is the achieved |B| / n_max,
+    and the target measure m(E) is kept in the provenance for
+    comparison.  When the band and ball satisfy the disjointness
+    counting argument, every return time of beta to the ball passes;
+    any shift that fails surfaces as a typed rejection carrying the
+    verification, never as a certificate.
     """
     freq = _as_frequency(beta)
     if freq.dim != witness.r or ball.dim != witness.r:
         raise ValueError("witness, ball, and frequency dimensions must agree")
     bits = band_return_bitset(witness, freq, n_max)
-    returns = set_enumerate(BohrHammingBall(freq, ball), n_max)
     cert = Certificate(
         horizon=n_max,
         bits=bits,
-        shifts=tuple(returns.elems),
+        shifts=tuple(shifts),
         k=1,
         density_claim=Fraction(bits.bit_count(), n_max),
         provenance={
@@ -535,7 +536,10 @@ def rotation_certificate(
     )
     check = verify_certificate(cert)
     if not check:
-        raise RuntimeError(f"internal: rotation certificate failed its check: {check!r}")
+        raise CertificateRejected(
+            f"band set does not avoid shift {check.violating_shift}",
+            diagnostics=[("rotation", check)],
+        )
     return cert
 
 

@@ -43,6 +43,7 @@ from .experiments import (
     ExperimentError,
     REFUTED,
     list_experiments,
+    parse_entry,
     run_experiment,
     write_atomic,
 )
@@ -326,6 +327,8 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
             return 0 if v.ok else 1
 
         if args.verb == "build":
+            # the full-return-set check grows as N^2: bound N before any work
+            parse_entry("theorem_stage", "N", args.N, "--N")
             witness, ball, proof = build_band_witness(args.k, args.eta)
             if len(args.freq) != witness.r:
                 print(
@@ -335,7 +338,8 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
                 )
                 return 2
             freq = Frequency(TorusPoint.of(args.freq), generating=True)
-            cert = rotation_certificate(witness, ball, freq, args.N)
+            returns = set_enumerate(BohrHammingBall(freq, ball), args.N).elems
+            cert = rotation_certificate(witness, ball, freq, args.N, returns)
             save_certificate(cert, args.out)
             print(f"witness: r={proof['r']} t={proof['t']} a={proof['a']}")
             print(f"claim: {fraction_str(cert.density_claim)} over horizon {args.N}")
@@ -367,7 +371,7 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
     except (CertificateRejected, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (ExperimentError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,6 +38,7 @@ from .bohr import BohrHammingBall, Frequency, named_convergent, set_to_json, sqr
 from .certificates import (
     CertificateRejected,
     SearchExhausted,
+    Verification,
     build_band_witness,
     combine_certificates,
     rotation_certificate,
@@ -68,6 +69,7 @@ REFUTED = "REFUTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 REPORT_NAME = "report.json"
+TIMINGS_NAME = "timings.json"
 
 #: longest horizon a main_inequality run walks: the grid's joint period or the trig N
 PERIOD_CAP = 2_000_000
@@ -113,6 +115,8 @@ class ExperimentReport:
 
     ``tables`` maps CSV file names to their text; ``persist_report``
     writes them next to report.json and lists them in ``artifacts``.
+    ``wall_clock_seconds`` goes to timings.json, never into the report,
+    so one config and seed reproduce report.json byte for byte.
     Every asserted inequality appears in ``metrics`` with its measured
     margin, so a report can be audited without rerunning anything.
     """
@@ -134,7 +138,6 @@ class ExperimentReport:
             "metrics": self.metrics,
             "lines": self.lines,
             "artifacts": self.artifacts,
-            "wall_clock_seconds": self.wall_clock_seconds,
         }
 
 
@@ -155,7 +158,7 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def persist_report(report: ExperimentReport, out_dir: str) -> str:
-    """Write report.json and every CSV table into out_dir; returns report path."""
+    """Write report.json, every CSV table and timings.json into out_dir; returns report path."""
     os.makedirs(out_dir, exist_ok=True)
     for name in sorted(report.tables):
         write_atomic(os.path.join(out_dir, name), report.tables[name])
@@ -165,6 +168,8 @@ def persist_report(report: ExperimentReport, out_dir: str) -> str:
         report.artifacts.insert(0, REPORT_NAME)
     path = os.path.join(out_dir, REPORT_NAME)
     write_atomic(path, json.dumps(report.to_json(), indent=2) + "\n")
+    timings = {"wall_clock_seconds": report.wall_clock_seconds}
+    write_atomic(os.path.join(out_dir, TIMINGS_NAME), json.dumps(timings, indent=2) + "\n")
     return path
 
 
@@ -355,6 +360,16 @@ def _parse_value(raw, param: Param, path: str):
                 param.stage, f"{path}: {_json_safe(value)} is outside {param.bounds}"
             )
     return value
+
+
+def parse_entry(table: str, name: str, raw, path: str):
+    """``raw`` parsed and bounds-checked as entry ``name`` of ``_SCHEMA[table]``.
+
+    Lets a command-line flag share its config key's bounds; a miss
+    raises ExperimentError naming ``path``.
+    """
+    (param,) = (param for param in _SCHEMA[table] if param.name == name)
+    return _parse_value(raw, param, path)
 
 
 def _parse_params(config: ExperimentConfig) -> dict[str, Any]:
@@ -799,6 +814,13 @@ def exp_sqrt_recurrence(config: ExperimentConfig) -> ExperimentReport:
 # ---- staged nonrecurrence certificates for squared shift sets ----
 
 
+def _verify_failure(check: Verification) -> str:
+    return (
+        f"certificate failed: density {fraction_str(check.density)} "
+        f"(needs {fraction_str(check.required)}), violating shift {check.violating_shift}"
+    )
+
+
 def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
     """Grow a shift set whose squares are certified nonreturning.
 
@@ -855,18 +877,16 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
             break
         squares = tuple(x * x for x in roots)
 
-        base = rotation_certificate(witness, ball, freq, n_max)
+        try:
+            base = rotation_certificate(witness, ball, freq, n_max, squares)
+        except CertificateRejected as exc:
+            raise ExperimentError(f"stage-{i}-verify", _verify_failure(exc.diagnostics[0][1]))
         achieved = base.density_claim
         claim = achieved if i == 1 else achieved * p["claim_factor"]
-        cert = replace(base, shifts=squares, density_claim=claim)
+        cert = replace(base, density_claim=claim)
         checked = verify_certificate(cert)
         if not checked.ok:
-            raise ExperimentError(
-                f"stage-{i}-verify",
-                f"certificate failed: density {fraction_str(checked.density)} "
-                f"(needs {fraction_str(checked.required)}), "
-                f"violating shift {checked.violating_shift}",
-            )
+            raise ExperimentError(f"stage-{i}-verify", _verify_failure(checked))
 
         if current is None:
             current = cert

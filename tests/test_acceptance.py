@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reclab.bohr import BohrHammingBall, Frequency, sqrt_set_enumerate
+from reclab.bohr import BohrHammingBall, Frequency, set_enumerate, sqrt_set_enumerate
 from reclab.certificates import (
     Certificate,
     CertificateRejected,
@@ -274,7 +274,8 @@ def test_certificate_suite():
     freq = Frequency(
         TorusPoint.of([Fraction(3, 64), Fraction(5, 81)]), generating=True
     )
-    cert = rotation_certificate(witness, ball, freq, 100_000)
+    shifts = set_enumerate(BohrHammingBall(freq, ball), 100_000).elems
+    cert = rotation_certificate(witness, ball, freq, 100_000, shifts)
     verdict = verify_certificate(cert)
     assert verdict.ok
     assert verdict.violating_shift is None

@@ -4,12 +4,13 @@ import base64
 import json
 import math
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from reclab.bohr import Frequency
+from reclab.bohr import BohrHammingBall, Frequency, set_enumerate
 from reclab.certificates import (
     BandWitness,
     Certificate,
@@ -30,7 +31,7 @@ from reclab.certificates import (
     square_certificate,
     verify_certificate,
 )
-from reclab.torus import ApproxHammingBall, TorusPoint
+from reclab.torus import ApproxHammingBall, TorusPoint, fraction_str
 
 
 def evens_certificate(extra=(), shifts=(1,), claim=Fraction(49, 100)):
@@ -50,6 +51,11 @@ def brute_first_violation(members, shifts, k):
 
 def half_center(r):
     return TorusPoint.of([Fraction(1, 2)] * r)
+
+
+def returns(freq, ball, n_max):
+    """Every return time of freq to the ball over [1, n_max]."""
+    return set_enumerate(BohrHammingBall(freq, ball), n_max).elems
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +304,8 @@ def test_return_bitset_validation():
 def test_rotation_toy_full_enumeration():
     w = BandWitness(r=1, a=Fraction(1, 8), t=0)
     ball = ApproxHammingBall(center=half_center(1), k=0, eps=Fraction(1, 4))
-    cert = rotation_certificate(w, ball, Frequency.of(Fraction(1, 16)), 64)
+    freq = Frequency.of(Fraction(1, 16))
+    cert = rotation_certificate(w, ball, freq, 64, returns(freq, ball, 64))
     beta = Fraction(1, 16)
     expected_b = [
         n for n in range(64) if min(n * beta % 1, 1 - n * beta % 1) < Fraction(1, 8)
@@ -322,19 +329,24 @@ def test_rotation_degenerate_torus_needs_empty_returns():
     whole = BandWitness(r=1, a=Fraction(1, 8), t=1)
     tiny = ApproxHammingBall(center=half_center(1), k=0, eps=Fraction(1, 16))
     # 1/5 never returns to the narrow window around 1/2
-    cert = rotation_certificate(whole, tiny, Frequency.of(Fraction(1, 5)), 40)
+    fifth = Frequency.of(Fraction(1, 5))
+    cert = rotation_certificate(whole, tiny, fifth, 40, returns(fifth, tiny, 40))
     assert cert.shifts == ()
     assert cert.density == 1
     assert verify_certificate(cert).ok
     # 1/2 returns on every odd multiple, and B is the whole window
-    with pytest.raises(RuntimeError):
-        rotation_certificate(whole, tiny, Frequency.of(Fraction(1, 2)), 40)
+    half = Frequency.of(Fraction(1, 2))
+    with pytest.raises(CertificateRejected) as err:
+        rotation_certificate(whole, tiny, half, 40, returns(half, tiny, 40))
+    (label, check), = err.value.diagnostics
+    assert label == "rotation" and check.violating_shift == 1 and check.witness_start == 0
 
 
 def test_rotation_horizon_below_first_return():
     w = BandWitness(r=1, a=Fraction(1, 8), t=0)
     ball = ApproxHammingBall(center=half_center(1), k=0, eps=Fraction(1, 4))
-    cert = rotation_certificate(w, ball, Frequency.of(Fraction(1, 16)), 4)
+    freq = Frequency.of(Fraction(1, 16))
+    cert = rotation_certificate(w, ball, freq, 4, returns(freq, ball, 4))
     assert cert.shifts == ()
     assert cert.members() == [0, 1]
 
@@ -343,7 +355,67 @@ def test_rotation_dimension_mismatch():
     w = BandWitness(r=2, a=Fraction(1, 8), t=0)
     ball = ApproxHammingBall(center=half_center(2), k=1, eps=Fraction(1, 8))
     with pytest.raises(ValueError):
-        rotation_certificate(w, ball, Frequency.of(Fraction(1, 16)), 10)
+        rotation_certificate(w, ball, Frequency.of(Fraction(1, 16)), 10, ())
+
+
+#: band/ball pairs that meet the counting argument, so every return time verifies
+DISJOINT_PAIRS = (
+    (BandWitness(r=1, a=Fraction(1, 8), t=0),
+     ApproxHammingBall(center=half_center(1), k=0, eps=Fraction(1, 4))),
+    (BandWitness(r=2, a=Fraction(3, 16), t=0),
+     ApproxHammingBall(center=half_center(2), k=1, eps=Fraction(1, 16))),
+    (BandWitness(r=3, a=Fraction(1, 8), t=0),
+     ApproxHammingBall(center=half_center(3), k=2, eps=Fraction(1, 4))),
+)
+
+
+def pointwise_rotation(w, ball, freq, n_max):
+    """The rotation certificate whose S is every return over [1, n_max], point by point."""
+    bits = sum(1 << n for n in range(n_max) if w.contains(freq.multiple(n)))
+    shifts = [n for n in range(1, n_max + 1) if ball.contains(freq.multiple(n))]
+    provenance = {
+        "kind": "rotation",
+        "beta": freq.beta.to_json(),
+        "witness": w.to_json(),
+        "ball": ball.to_json(),
+        "target_density": fraction_str(w.measure()),
+        "disjoint": True,
+    }
+    return Certificate(n_max, bits, shifts, 1, Fraction(bits.bit_count(), n_max), provenance)
+
+
+@given(
+    pair=st.sampled_from(DISJOINT_PAIRS),
+    coords=st.lists(
+        st.tuples(st.integers(0, 96), st.integers(1, 97)), min_size=3, max_size=3
+    ),
+    n_max=st.integers(min_value=1, max_value=150),
+)
+def test_rotation_certificate_certifies_the_given_shifts(pair, coords, n_max):
+    w, ball = pair
+    assert band_ball_disjoint(w, ball)
+    freq = Frequency.of(*(Fraction(a, b) for a, b in coords[: w.r]))
+    expected = pointwise_rotation(w, ball, freq, n_max)
+    cert = rotation_certificate(w, ball, freq, n_max, returns(freq, ball, n_max))
+    assert cert == expected  # bits, shifts, claim and provenance
+    squares = [
+        x * x for x in range(1, math.isqrt(n_max) + 1) if ball.contains(freq.multiple(x * x))
+    ]
+    assert rotation_certificate(w, ball, freq, n_max, squares) == replace(
+        expected, shifts=squares
+    )
+
+
+def test_rotation_rejects_a_shift_outside_the_return_set():
+    w, ball = DISJOINT_PAIRS[0]
+    freq = Frequency.of(Fraction(1, 16))
+    # 16*beta = 0 is no return, and B holds both 0 and 16
+    with pytest.raises(CertificateRejected) as err:
+        rotation_certificate(w, ball, freq, 64, returns(freq, ball, 64) + [16])
+    (label, check), = err.value.diagnostics
+    assert label == "rotation"
+    assert (check.violating_shift, check.witness_start) == (16, 0)
+    assert check.density_ok
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +473,10 @@ def test_combine_preconditions():
 
 def build_rotation_pair(horizon=3000):
     witness, ball, _ = build_band_witness(1, Fraction(1, 100), samples=2_000)
-    c1 = rotation_certificate(
-        witness, ball, Frequency.of(Fraction(3, 64), Fraction(5, 81)), horizon
-    )
-    c2 = rotation_certificate(
-        witness, ball, Frequency.of(Fraction(7, 125), Fraction(4, 49)), horizon
-    )
+    f1 = Frequency.of(Fraction(3, 64), Fraction(5, 81))
+    f2 = Frequency.of(Fraction(7, 125), Fraction(4, 49))
+    c1 = rotation_certificate(witness, ball, f1, horizon, returns(f1, ball, horizon))
+    c2 = rotation_certificate(witness, ball, f2, horizon, returns(f2, ball, horizon))
     # halve the claims so the product witness has density to spare
     modest1 = Certificate(c1.horizon, c1.bits, c1.shifts, 1, c1.density_claim / 2, c1.provenance)
     modest2 = Certificate(c2.horizon, c2.bits, c2.shifts, 1, c2.density_claim / 2, c2.provenance)
@@ -508,7 +578,8 @@ def test_square_with_caller_base_set():
 def toy_certificate(horizon=60):
     w = BandWitness(r=1, a=Fraction(1, 8), t=0)
     ball = ApproxHammingBall(center=half_center(1), k=0, eps=Fraction(1, 4))
-    return rotation_certificate(w, ball, Frequency.of(Fraction(1, 16)), horizon)
+    freq = Frequency.of(Fraction(1, 16))
+    return rotation_certificate(w, ball, freq, horizon, returns(freq, ball, horizon))
 
 
 def test_json_roundtrip_is_bit_exact(tmp_path):

@@ -285,6 +285,20 @@ def test_cert_build_arity_mismatch(tmp_path, capsys):
     assert "frequency coordinates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "99", "10000001"])
+def test_cert_build_horizon_outside_the_stage_bounds_is_exit_2(tmp_path, monkeypatch, capsys, n):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the witness was built for an out-of-range horizon")
+
+    monkeypatch.setattr("reclab.cli.build_band_witness", unreachable)
+    out = tmp_path / "x.json"
+    args = ["build", "--k", "1", "--eta", "1/8", "--freq", "3/64", "5/81",
+            "--N", n, "--out", str(out)]
+    assert main_cert(args) == 2
+    assert f"--N: {n} is outside [100, 10000000]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cert_missing_file_is_exit_2(tmp_path, capsys):
     assert main_cert(["verify", str(tmp_path / "ghost.json")]) == 2
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reclab import bohr, experiments
 from reclab.certificates import load_certificate, verify_certificate
 from reclab.experiments import (
     EXPERIMENTS,
@@ -394,6 +395,36 @@ def test_theorem_stage_single_stage_certificate(tmp_path):
     assert Fraction(report.metrics["final_claim"]) == cert.density_claim
 
 
+def test_theorem_stage_enumerates_no_whole_return_set(tmp_path, monkeypatch):
+    # both enumerators share bohr._enumerate; e = 1 is a whole return set
+    scan = bohr._enumerate
+
+    def square_roots_only(bh, n_max, e):
+        assert e == 2, f"theorem_stage enumerated a whole return set up to {n_max}"
+        return scan(bh, n_max, e)
+
+    monkeypatch.setattr(bohr, "_enumerate", square_roots_only)
+    report = run(tmp_path, "theorem_stage", {"stages": 2, "N": 30000})
+    assert report.status == PASS
+    assert report.metrics["stages_completed"] == 2
+
+
+def test_theorem_stage_failing_shift_is_a_typed_stage_error(tmp_path, monkeypatch):
+    scan = experiments.sqrt_set_enumerate
+
+    def with_a_period(bh, n_max):
+        # 72^2 * (3/64, 5/81) = 0 mod 1, so B and B - 72^2 share 0
+        found = scan(bh, n_max)
+        return found._replace(elems=sorted(found.elems + [72]))
+
+    monkeypatch.setattr(experiments, "sqrt_set_enumerate", with_a_period)
+    with pytest.raises(ExperimentError) as err:
+        run(tmp_path, "theorem_stage", {"stages": 1, "delta_prime": "1/10", "N": 30000})
+    assert err.value.stage == "stage-1-verify"
+    assert "violating shift 5184" in str(err.value)
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_theorem_stage_high_target_is_inconclusive(tmp_path):
     params = {"stages": 1, "delta_prime": "2/5", "N": 30000, "m_max": 8}
     report = run(tmp_path, "theorem_stage", params)
@@ -482,7 +513,11 @@ def test_report_files_are_written_and_clean(tmp_path):
     assert doc["status"] == report.status
     assert doc["lines"] == report.lines
     assert "tables" not in doc
-    assert doc["wall_clock_seconds"] >= 0
+    assert "wall_clock_seconds" not in doc
+    with open(tmp_path / "timings.json") as fh:
+        timings = json.load(fh)
+    assert timings["wall_clock_seconds"] == report.wall_clock_seconds >= 0
+    assert "timings.json" not in report.artifacts
 
     with open(tmp_path / "equidistribution.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -504,6 +539,17 @@ def test_same_config_and_seed_reproduce_the_csv(tmp_path):
     c = run(tmp_path / "c", "equidistribution", {"ladder": [2000]})
     d = run(tmp_path / "d", "equidistribution", {"ladder": [2000]})
     assert c.tables == d.tables
+
+
+def test_rerun_into_one_out_dir_reproduces_report_json(tmp_path):
+    with open(REPO / "scripts" / "configs" / "theorem_stage_quick.json") as fh:
+        config = ExperimentConfig.from_json(json.load(fh))
+    config.out_dir = str(tmp_path)
+    names = ("report.json", "certificate.json", "shift_base.json", "theorem_stage.csv")
+    run_experiment(config)
+    first = {name: (tmp_path / name).read_bytes() for name in names}
+    run_experiment(config)
+    assert {name: (tmp_path / name).read_bytes() for name in names} == first
 
 
 def test_seed_changes_the_random_mask(tmp_path):
