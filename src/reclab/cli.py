@@ -41,6 +41,8 @@ from .certificates import (
 from .experiments import (
     ExperimentConfig,
     ExperimentError,
+    PERIOD_CAP,
+    PHASE_CAP,
     REFUTED,
     list_experiments,
     parse_entry,
@@ -137,6 +139,12 @@ def main_bohr(argv: Sequence[str] | None = None) -> int:
     center = args.center if args.center is not None else [Fraction(0)] * args.r
     if len(center) != args.r:
         parser.error(f"expected {args.r} center coordinates, got {len(center)}")
+    try:
+        # the scan allocates O(N): bound N by sqrt_recurrence's N before any work
+        parse_entry("sqrt_recurrence", "N", args.N, "--N")
+    except ExperimentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ball = ApproxHammingBall(TorusPoint.of(center), args.k, args.eps)
     bh = BohrHammingBall(Frequency(TorusPoint.of(args.freq), generating=True), ball)
     scan = sqrt_set_enumerate if args.sqrt else set_enumerate
@@ -197,6 +205,8 @@ def main_weyl(argv: Sequence[str] | None = None) -> int:
         parser.error(f"expected {args.r} beta coordinates, got {len(args.freq_beta)}")
     if not 0 <= args.k < args.r:
         parser.error(f"need 0 <= k < r, got k={args.k}, r={args.r}")
+    if not 1 <= args.N <= PERIOD_CAP:
+        parser.error(f"--N: {args.N} is outside [1, {PERIOD_CAP}]")
     try:
         table = _load_table(args.f, 2 * args.d)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -237,6 +247,9 @@ def main_roth(argv: Sequence[str] | None = None) -> int:
         parser.error(f"q must be odd and at least 3, got {args.q}")
     if args.d < 1:
         parser.error("d must be at least 1")
+    # q >= 3 makes q^d > PHASE_CAP for every d past its bit length, so q^d stays small
+    if args.d >= PHASE_CAP.bit_length() or args.q**args.d > PHASE_CAP:
+        parser.error(f"q^d = {args.q}^{args.d} cells exceed the cap {PHASE_CAP}")
     # project onto the quotient by the last coordinate axis; for d = 1
     # that is the full grid and the projection is the plain mean
     axis = [0] * args.d

@@ -39,11 +39,9 @@ from .torus import Cylinder, TorusPoint, orbit_residues, wrap_unit
 __all__ = [
     "AveragesTrace",
     "GridWeylModel",
-    "ObservablePair",
     "RotationModel",
     "WeylSystem",
     "kronecker_projection",
-    "l3_average",
     "max_triple_intersection",
     "trig_progression_form",
     "triple_integrals",
@@ -339,18 +337,6 @@ class GridWeylModel:
             raise ValueError("alpha must have dimension >= 1")
         object.__setattr__(self, "alpha", alpha)
 
-    @classmethod
-    def from_system(cls, system: WeylSystem, q: int | None = None) -> "GridWeylModel":
-        """The grid model of a system whose rotation part lives on Z_q^d."""
-        dens = [c.denominator for c in system.alpha.coords]
-        q = math.lcm(*dens) if q is None else int(q)
-        res = []
-        for c in system.alpha.coords:
-            if (c * q).denominator != 1:
-                raise ValueError(f"rotation coordinate {c} does not live on a Z_{q} grid")
-            res.append(int(c * q) % q)
-        return cls(q, tuple(res))
-
     @property
     def d(self) -> int:
         return len(self.alpha)
@@ -408,45 +394,6 @@ Model = Union[WeylSystem, RotationModel, GridWeylModel]
 
 
 # ---- observables ----
-
-
-@dataclass(frozen=True)
-class ObservablePair:
-    """An observable f with an optional cylinder weight window g.
-
-    The weight is evaluated along the arithmetic sequence n^2 l^2 beta
-    by the averaging drivers; this type only bundles and sanity-checks
-    the pair.
-    """
-
-    f: Observable
-    weight: Cylinder | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.f, (CoefficientTable, GridFunction, np.ndarray)):
-            raise TypeError("f must be a CoefficientTable, GridFunction, or ndarray")
-
-    def assert_unit_range(self) -> None:
-        """Check 0 <= f <= 1 pointwise; only grid-backed observables qualify.
-
-        Trig polynomials would need global optimization to verify a
-        range, so they are rejected rather than half-checked.
-        """
-        if isinstance(self.f, CoefficientTable):
-            raise TypeError("range check needs a grid-backed observable")
-        values = _as_values(self.f)
-        if values.dtype == object:
-            flat = values.ravel()
-            if any(v < 0 or v > 1 for v in flat):
-                raise ValueError("observable leaves [0, 1]")
-            return
-        arr = np.asarray(values)
-        if np.iscomplexobj(arr):
-            if np.abs(arr.imag).max() > 1e-12:
-                raise ValueError("observable is not real")
-            arr = arr.real
-        if arr.min() < -1e-12 or arr.max() > 1 + 1e-12:
-            raise ValueError("observable leaves [0, 1]")
 
 
 def kronecker_projection(f: Observable, d: int | None = None) -> Observable:
@@ -595,11 +542,31 @@ def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> li
     A contiguous range 1..N on the trig backend runs through the
     closed-form series; everything else evaluates pointwise.  Results
     are returned in request order.
+
+    On the grid models S^P is the identity for P = model.period, so the
+    integral depends only on r = n mod P, and the gathered arrays are
+    the same as at n; substituting x -> S^2n x also shows I(n) = I(-n).
+    Each distinct key is evaluated once: min(r, P - r) for exact
+    observables, r alone for float ones, whose sum the reflection would
+    reorder.
     """
     ns = [int(n) for n in n_values]
-    if isinstance(model, WeylSystem) and ns == list(range(1, len(ns) + 1)) and ns:
-        return list(model.correlation_series(f, len(ns)))
-    return [model.triple_integral(f, n) for n in ns]
+    if isinstance(model, WeylSystem):
+        if ns and ns == list(range(1, len(ns) + 1)):
+            return list(model.correlation_series(f, len(ns)))
+        return [model.triple_integral(f, n) for n in ns]
+    period = model.period
+    reflect = _is_exact_dtype(_as_values(f))
+    by_key: dict[int, object] = {}
+    out = []
+    for n in ns:
+        key = n % period
+        if reflect:
+            key = min(key, period - key)
+        if key not in by_key:
+            by_key[key] = model.triple_integral(f, key)
+        out.append(by_key[key])
+    return out
 
 
 def _checkpoint_averages(terms: Sequence, marks: Sequence[int]) -> list[tuple[int, object]]:
@@ -734,23 +701,6 @@ def weighted_average(
     )
 
 
-def l3_average(
-    model: Model,
-    f: Observable,
-    n_max: int | None = None,
-    checkpoints: Sequence[int] | None = None,
-) -> AveragesTrace:
-    """The unweighted correlation average, with its closed form attached.
-
-    Equivalent to weighted_average with the constant weight; on a grid
-    model with generating rotation part and n_max one full period, the
-    rotation-model value matches the closed form exactly.
-    """
-    return weighted_average(
-        model, f, g=None, beta=None, ell=1, n_max=n_max, checkpoints=checkpoints
-    )
-
-
 def max_triple_intersection(
     model: Union[RotationModel, GridWeylModel],
     mask: Observable,
@@ -771,9 +721,6 @@ def max_triple_intersection(
     candidates = sorted({int(n) for n in steps if 0 <= int(n) <= int(n_max)})
     if not candidates:
         raise ValueError("no admissible powers: steps has nothing in [0, n_max]")
-    best_n, best_value = None, None
-    for n in candidates:
-        value = model.triple_integral(values, n)
-        if best_value is None or value > best_value:
-            best_n, best_value = n, value
-    return best_n, best_value
+    integrals = triple_integrals(model, values, candidates)
+    best = max(range(len(candidates)), key=integrals.__getitem__)  # first maximum on ties
+    return candidates[best], integrals[best]

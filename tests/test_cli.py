@@ -12,6 +12,7 @@ import pytest
 from reclab.bohr import BohrHammingBall, Frequency, sqrt_set_enumerate
 from reclab.certificates import Certificate, save_certificate
 from reclab.cli import main_bohr, main_cert, main_lab, main_roth, main_weyl
+from reclab.experiments import PERIOD_CAP, PHASE_CAP
 from reclab.torus import ApproxHammingBall, TorusPoint
 
 
@@ -165,6 +166,25 @@ def test_bohr_enum_arity_mismatch():
     assert err.value.code == 2
 
 
+def unreachable(*args, **kwargs):
+    raise AssertionError("work started for an out-of-range size")
+
+
+@pytest.mark.parametrize("sqrt", [[], ["--sqrt"]])
+@pytest.mark.parametrize("n", ["0", "1000001"])
+def test_bohr_enum_horizon_outside_the_sqrt_recurrence_bounds_is_exit_2(
+    tmp_path, monkeypatch, capsys, n, sqrt
+):
+    monkeypatch.setattr("reclab.cli.set_enumerate", unreachable)
+    monkeypatch.setattr("reclab.cli.sqrt_set_enumerate", unreachable)
+    out = tmp_path / "set.json"
+    args = ["enum", "--r", "1", "--k", "0", "--eps", "1/8",
+            "--freq", "1/7", "--N", n, "--out", str(out)] + sqrt
+    assert main_bohr(args) == 2
+    assert f"--N: {n} is outside [1, 1000000]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # weyl
 
@@ -201,6 +221,17 @@ def test_weyl_avg_bad_poly_file(tmp_path, capsys):
     assert "freq must have 2 integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [0, PERIOD_CAP + 1])
+def test_weyl_avg_horizon_above_the_period_cap_is_exit_2(tmp_path, monkeypatch, capsys, n):
+    monkeypatch.setattr("reclab.cli.weighted_average", unreachable)
+    args = ["avg", "--d", "1", "--alpha", "1/7", "--freq-beta", "1/5",
+            "--r", "1", "--k", "0", "--eta", "1/8", "--N", str(n), "--f", poly_file(tmp_path)]
+    with pytest.raises(SystemExit) as err:
+        main_weyl(args)
+    assert err.value.code == 2
+    assert f"--N: {n} is outside [1, {PERIOD_CAP}]" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # roth
 
@@ -224,6 +255,18 @@ def test_roth_check_rejects_even_q():
     with pytest.raises(SystemExit) as err:
         main_roth(["check", "--q", "4", "--d", "1"])
     assert err.value.code == 2
+
+
+# 2049^2 and 3^14 are the first odd-q grids past the cap; 10^18 would never finish q^d
+@pytest.mark.parametrize("q, d", [(2049, 2), (3, 14), (3, 10**18)])
+def test_roth_check_phase_space_above_the_cap_is_exit_2(monkeypatch, capsys, q, d):
+    assert q ** min(d, 14) > PHASE_CAP
+    monkeypatch.setattr("reclab.cli.SubgroupModel", None)
+    monkeypatch.setattr("reclab.cli.quotient_gap_bound", unreachable)
+    with pytest.raises(SystemExit) as err:
+        main_roth(["check", "--q", str(q), "--d", str(d)])
+    assert err.value.code == 2
+    assert f"q^d = {q}^{d} cells exceed the cap {PHASE_CAP}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,16 @@ from reclab.torus import Cylinder, TorusPoint
 from reclab.weyl import (
     AveragesTrace,
     GridWeylModel,
-    ObservablePair,
     RotationModel,
     WeylSystem,
     kronecker_projection,
-    l3_average,
     max_triple_intersection,
     trig_progression_form,
     triple_integrals,
     weighted_average,
 )
+
+from oracles import ObservablePair, grid_model_from_system, l3_average, triple_integrals_per_n
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
@@ -167,7 +167,7 @@ def test_grid_and_trig_integrals_agree_without_aliasing():
     table[Character((-1, 0))] = 0.2 + 0.1j
     table[Character((2, 0))] = 0.05j
     table[Character((-2, 0))] = -0.05j
-    model = GridWeylModel.from_system(system)
+    model = grid_model_from_system(system)
     values = np.array(
         [
             [table.evaluate(TorusPoint.of([Fraction(i, 7), Fraction(j, 7)])) for j in range(7)]
@@ -248,6 +248,102 @@ def test_triple_integrals_driver_routes_agree():
     assert max(abs(a - system.triple_integral(table, n)) for a, n in zip(reordered, [4, 2, 9])) < 1e-12
 
 
+# ---- one evaluation per distinct grid integral ----
+
+GRID_DTYPES = ("int64", "bool", "fraction", "float", "complex")
+
+
+def grid_observable(rng, shape, dtype):
+    size = int(np.prod(shape))
+    if dtype == "int64":
+        flat = np.array([rng.randint(-9, 9) for _ in range(size)], dtype=np.int64)
+    elif dtype == "bool":
+        flat = np.array([rng.random() < 0.5 for _ in range(size)], dtype=bool)
+    elif dtype == "fraction":
+        flat = np.array([Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(size)],
+                        dtype=object)
+    elif dtype == "float":
+        flat = np.array([rng.uniform(-1, 1) for _ in range(size)])
+    else:
+        flat = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(size)])
+    return flat.reshape(shape)
+
+
+@st.composite
+def grid_models(draw):
+    kind = draw(st.sampled_from(["odd", "even", "rotation"]))
+    if kind == "rotation":
+        q = draw(st.sampled_from([4, 6, 8, 9]))
+        step = draw(st.integers(0, q - 1).filter(lambda s: np.gcd(s, q) > 1))
+        model = RotationModel(q, (step,))
+        assert not model.is_generating
+        return model
+    d = draw(st.integers(1, 2))
+    q = draw(st.sampled_from([1, 3, 5] if kind == "odd" else [2, 4, 6]))
+    alpha = draw(st.lists(st.integers(-20, 20), min_size=d, max_size=d))
+    if kind == "even":
+        alpha[0] = 2 * alpha[0] + 1
+    model = GridWeylModel(q, tuple(alpha))
+    assert model.period == (q if kind == "odd" else 2 * q)
+    return model
+
+
+@given(
+    model=grid_models(),
+    dtype=st.sampled_from(GRID_DTYPES),
+    ns=st.lists(
+        st.one_of(
+            st.integers(-40, 40), st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63))
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(model=GridWeylModel(5, (2,)), dtype="float", ns=[1, 2, 3, 4], seed=0)
+@example(model=GridWeylModel(3, (1, 2)), dtype="complex", ns=[2, -1, 2**64 + 1], seed=1)
+@example(model=GridWeylModel(4, (1,)), dtype="int64", ns=[1, 5, 9, 2**63 + 1], seed=2)
+@example(model=RotationModel(6, (2,)), dtype="fraction", ns=[5, -1, 2, 0], seed=3)
+@settings(max_examples=80)
+def test_triple_integrals_match_the_per_n_oracle_exactly(model, dtype, ns, seed):
+    # repeats, n = 0 and an unsorted order on top of the drawn n
+    rng = random.Random(seed)
+    ns = ns + ns[: len(ns) // 2] + [0]
+    rng.shuffle(ns)
+    f = grid_observable(rng, model.phase_space_shape, dtype)
+    got = triple_integrals(model, f, ns)
+    want = triple_integrals_per_n(model, f, ns)
+    assert got == want
+    # repr pins the type and, for floats, every bit
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+@pytest.mark.parametrize("dtype", GRID_DTYPES)
+@pytest.mark.parametrize(
+    "model",
+    [GridWeylModel(5, (2,)), GridWeylModel(6, (1,)), GridWeylModel(3, (1, 2)),
+     RotationModel(9, (3,)), RotationModel(7, (3,))],
+    ids=["weyl-5", "weyl-6-period-12", "weyl-3-d2", "rotation-9-step-3", "rotation-7"],
+)
+def test_triple_integrals_evaluate_each_distinct_key_once(monkeypatch, model, dtype):
+    period = model.period
+    f = grid_observable(random.Random(period), model.phase_space_shape, dtype)
+    ns = range(1, 3 * period + 1)
+    want = triple_integrals_per_n(model, f, ns)
+    calls = []
+    evaluate = type(model).triple_integral
+
+    def counted(self, values, n):
+        calls.append(n)
+        return evaluate(self, values, n)
+
+    monkeypatch.setattr(type(model), "triple_integral", counted)
+    assert triple_integrals(model, f, ns) == want
+    exact = dtype in ("int64", "bool", "fraction")
+    assert len(calls) <= (period // 2 + 1 if exact else period)
+    assert len(set(calls)) == len(calls)
+
+
 # ---- finite models ----
 
 
@@ -301,10 +397,10 @@ def test_weyl_grid_period_is_the_order_of_the_map(seed):
 
 def test_grid_model_from_system():
     system = WeylSystem(TorusPoint.of([Fraction(2, 7), Fraction(3, 7)]))
-    model = GridWeylModel.from_system(system)
+    model = grid_model_from_system(system)
     assert (model.q, model.alpha) == (7, (2, 3))
     with pytest.raises(ValueError):
-        GridWeylModel.from_system(system, q=5)
+        grid_model_from_system(system, q=5)
 
 
 # ---- the projection onto the first coordinate ----
