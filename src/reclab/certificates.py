@@ -56,7 +56,6 @@ __all__ = [
     "load_certificate",
     "rotation_certificate",
     "sample_band_disjointness",
-    "sample_band_measure",
     "save_certificate",
     "search_min_m",
     "square_certificate",
@@ -376,39 +375,24 @@ def build_band_witness(
 # Monte Carlo probes (float prefilter, exact confirmation)
 
 
+# rows drawn per rejection block of sample_band_disjointness
+PROBE_BLOCK = 65_536
+
+
 def _exact_point(row: np.ndarray) -> TorusPoint:
     # floats are dyadic rationals, so this conversion is lossless
     return TorusPoint.of([Fraction(float(v)) for v in row])
 
 
-def sample_band_measure(
-    witness: BandWitness, samples: int = 1_000_000, seed: int = 2026
-) -> Fraction:
-    """Empirical frequency of E under uniform sampling.
+def _off_band_counts(x: np.ndarray, a: float) -> np.ndarray:
+    """Per row of x in [0, 1), the coordinates at float distance >= a from 0.
 
-    Rows are classified with float comparisons; any row with a
-    coordinate within 1e-9 of the band edge is reclassified exactly,
-    so the returned count is free of float boundary artifacts.
+    x >= a together with 1 - x >= a is exactly min(x, 1 - x) >= a; the
+    row count is a small-integer matmul against ones, which beats a
+    short-axis sum.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    a_f = float(witness.a)
-    hits = 0
-    remaining = samples
-    chunk_rows = max(1, 4_000_000 // witness.r)
-    while remaining:
-        n = min(remaining, chunk_rows)
-        remaining -= n
-        x = rng.random((n, witness.r))
-        dist = np.minimum(x, 1.0 - x)
-        w = (dist >= a_f).sum(axis=1)
-        near_edge = (np.abs(dist - a_f) < 1e-9).any(axis=1)
-        hits += int(((w <= witness.t) & ~near_edge).sum())
-        for i in np.flatnonzero(near_edge):
-            if witness.contains(_exact_point(x[i])):
-                hits += 1
-    return Fraction(hits, samples)
+    off = (x >= a) & (1.0 - x >= a)
+    return off.view(np.uint8) @ np.ones(x.shape[1], dtype=np.min_scalar_type(x.shape[1]))
 
 
 def sample_band_disjointness(
@@ -425,7 +409,10 @@ def sample_band_disjointness(
     by construction (not uniformly, but a falsification probe only
     needs coverage).  Suspect sums are flagged with a slack of 1e-9
     and every flagged pair is re-verified in exact arithmetic before
-    it may count as a violation.
+    it may count as a violation.  Rejection rows are drawn and decided
+    PROBE_BLOCK rows at a time, so memory stays bounded while the
+    generator stream, the kept rows and the count are those of one
+    draw of every row.
     """
     if ball.dim != witness.r:
         raise ValueError("witness and ball dimensions differ")
@@ -444,9 +431,13 @@ def sample_band_disjointness(
             raise RuntimeError("band acceptance rate too low for sampling")
         want = samples - produced
         draw = min(chunk_rows, int(want / max(accept, 1e-6) * 1.25) + 64)
-        x = rng.random((draw, r))
-        wx = (np.minimum(x, 1.0 - x) >= a_f).sum(axis=1)
-        x = x[wx <= witness.t][:want]
+        # consecutive row blocks read the generator's stream in the same
+        # order as one draw of all the rows, so the same rows are kept
+        kept = []
+        for rows in range(0, draw, PROBE_BLOCK):
+            x = rng.random((min(PROBE_BLOCK, draw - rows), r))
+            kept.append(x[_off_band_counts(x, a_f) <= witness.t])
+        x = np.concatenate(kept)[:want]
         n = len(x)
         if n == 0:
             continue
@@ -457,8 +448,7 @@ def sample_band_disjointness(
             u[np.arange(n)[:, None], order] = rng.random((n, ball.k))
         total = x + u
         total -= total >= 1.0
-        dist = np.minimum(total, 1.0 - total)
-        w_sum = (dist >= a_f + 1e-9).sum(axis=1)
+        w_sum = _off_band_counts(total, a_f + 1e-9)
         for i in np.flatnonzero(w_sum <= witness.t):
             xp = _exact_point(x[i])
             up = _exact_point(u[i])
@@ -585,6 +575,15 @@ def combine_certificates(c1: Certificate, c2: Certificate, m: int) -> Certificat
     re-verified; if none passes, the typed rejection carries the
     diagnostics rather than returning a broken certificate.
 
+    The product candidate reuses bitsets it already holds.  A
+    certificate of rotation or rotation-product ancestry, as
+    rotation_certificate and this function build it, holds in its bits
+    the AND of its factors' band return bitsets over its horizon.  So
+    the candidate starts from c1's bits, ANDs in c2's bits when m = 1,
+    and rebuilds only the divided factors beta / m when m > 1.  A
+    certificate whose bits break this invariant yields a different
+    candidate, never an unsound one: it is verified like the others.
+
     A dilation whose surviving shifts are all already in S1 is
     rejected as vacuous: the merge would certify nothing beyond c1.
     An empty dilation (every m*s beyond the horizon) is allowed and
@@ -615,11 +614,13 @@ def combine_certificates(c1: Certificate, c2: Certificate, m: int) -> Certificat
         divided = [
             (w, TorusPoint.of([c / m for c in beta.coords])) for w, beta in f2
         ]
-        factors = f1 + divided
-        bits = mask
-        for w, beta in factors:
-            bits &= band_return_bitset(w, Frequency(beta), n_max)
-        candidates.append(("product-rotation", bits, _factors_provenance(factors)))
+        bits = c1.bits & mask
+        if m == 1:
+            bits &= c2.bits
+        else:
+            for w, beta in divided:
+                bits &= band_return_bitset(w, Frequency(beta), n_max)
+        candidates.append(("product-rotation", bits, _factors_provenance(f1 + divided)))
     base_prov = {
         "kind": "combined",
         "m": m,

@@ -57,6 +57,9 @@ from .weyl import WeylSystem, weighted_average
 
 _NAMED = ("sqrt2", "sqrt3", "golden")
 
+# most trials one `roth check` runs
+ROTH_TRIALS_CAP = 10_000
+
 
 def _rational(text: str) -> Fraction:
     """A fraction string, or a named convergent such as sqrt2."""
@@ -238,7 +241,9 @@ def main_roth(argv: Sequence[str] | None = None) -> int:
     p = sub.add_parser("check", help="random trials of the projection gap bound")
     p.add_argument("--q", type=int, required=True, help="odd grid size")
     p.add_argument("--d", type=int, required=True, help="grid dimension")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument(
+        "--trials", type=int, default=50, help=f"number of trials, 1 to {ROTH_TRIALS_CAP}"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the CSV here instead of stdout")
     args = parser.parse_args(argv)
@@ -247,6 +252,8 @@ def main_roth(argv: Sequence[str] | None = None) -> int:
         parser.error(f"q must be odd and at least 3, got {args.q}")
     if args.d < 1:
         parser.error("d must be at least 1")
+    if not 1 <= args.trials <= ROTH_TRIALS_CAP:
+        parser.error(f"--trials: {args.trials} is outside [1, {ROTH_TRIALS_CAP}]")
     # q >= 3 makes q^d > PHASE_CAP for every d past its bit length, so q^d stays small
     if args.d >= PHASE_CAP.bit_length() or args.q**args.d > PHASE_CAP:
         parser.error(f"q^d = {args.q}^{args.d} cells exceed the cap {PHASE_CAP}")

@@ -205,11 +205,12 @@ class Param:
 _RATIONAL = Param("", "rational")
 _VALUE = Param("", "value")
 
-_STAGE_FREQS: list[list[str]] = [
-    ["3/64", "5/81"],
-    ["2/23", "3/29"],
-    ["4/41", "7/43"],
-]
+# theorem_stage's frequency lists for a two-coordinate witness (k = 1)
+_STAGE_FREQS = (
+    (Fraction(3, 64), Fraction(5, 81)),
+    (Fraction(2, 23), Fraction(3, 29)),
+    (Fraction(4, 41), Fraction(7, 43)),
+)
 
 _EQUI_CASES: list[dict[str, Any]] = [
     {"label": "trivial", "alpha": 0, "beta": {"convergent": "sqrt2"}, "m": 0},
@@ -272,7 +273,7 @@ _SCHEMA: dict[str, tuple[Param, ...]] = {
         Param("N", "int", 120_000, "[100, 10000000]"),
         Param("m_max", "int", 12, "[1, 64]"),
         Param("claim_factor", "rational", "9/20", "(0, 1]"),
-        Param("frequencies", "list", _STAGE_FREQS, of=Param("", "list", of=_RATIONAL)),
+        Param("frequencies", "list", None, of=Param("", "list", of=_RATIONAL)),
         Param("contrast_q", "int", 729, f"[0, {PHASE_CAP}]"),
         Param("contrast_density", "rational", "2/5", "(0, 1]"),
     ),
@@ -821,6 +822,24 @@ def _verify_failure(check: Verification) -> str:
     )
 
 
+def _stage_frequencies(r: int) -> list[list[Fraction]]:
+    """theorem_stage's default frequency lists for a witness of dimension r.
+
+    Stage i keeps the i-th list of _STAGE_FREQS and appends r - 2
+    coordinates (p - 1) / (2p), for the primes p from 47 up dealt to the
+    three stages in turn.  Such a coordinate lies 1/(2p) below 1/2, so
+    small odd n can reach the ball around the all-halves point.
+    """
+    lists = [list(coords) for coords in _STAGE_FREQS]
+    p = 43
+    for j in range(3 * (r - 2)):
+        p += 2
+        while any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+            p += 2
+        lists[j % 3].append(Fraction(p - 1, 2 * p))
+    return lists
+
+
 def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
     """Grow a shift set whose squares are certified nonreturning.
 
@@ -834,7 +853,7 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
     """
     p = _parse_params(config)
     stages, delta_prime, k, n_max = p["stages"], p["delta_prime"], p["k"], p["N"]
-    if len(p["frequencies"]) < stages:
+    if p["frequencies"] is not None and len(p["frequencies"]) < stages:
         raise ExperimentError("config", f"{stages} stages need {stages} frequency lists")
 
     if stages == 0:
@@ -850,6 +869,9 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
         witness, ball, proof = build_band_witness(k, p["eta"], seed=config.seed or 7)
     except (SearchExhausted, ValueError) as exc:
         raise ExperimentError("band-witness", str(exc))
+    if p["frequencies"] is None:
+        # echoed as the lists the run used
+        p["frequencies"] = _stage_frequencies(witness.r)
     for i, coords in enumerate(p["frequencies"][:stages]):
         if len(coords) != witness.r:
             raise ExperimentError(

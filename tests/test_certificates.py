@@ -7,9 +7,11 @@ import os
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reclab import certificates
 from reclab.bohr import BohrHammingBall, Frequency, set_enumerate
 from reclab.certificates import (
     BandWitness,
@@ -25,13 +27,14 @@ from reclab.certificates import (
     load_certificate,
     rotation_certificate,
     sample_band_disjointness,
-    sample_band_measure,
     save_certificate,
     search_min_m,
     square_certificate,
     verify_certificate,
 )
 from reclab.torus import ApproxHammingBall, TorusPoint, fraction_str
+
+from oracles import product_bits_from_factors, sample_band_disjointness_one_draw, sample_band_measure
 
 
 def evens_certificate(extra=(), shifts=(1,), claim=Fraction(49, 100)):
@@ -219,6 +222,43 @@ def test_disjointness_probe_detects_overlap():
     ball = ApproxHammingBall(center=half_center(2), k=0, eps=Fraction(1, 4))
     assert not band_ball_disjoint(w, ball)
     assert sample_band_disjointness(w, ball, samples=500, seed=3) == 500
+
+
+@given(
+    r=st.integers(1, 8),
+    data=st.data(),
+    a=st.sampled_from([Fraction(1, 8), Fraction(3, 16), Fraction(1, 4), Fraction(3, 8)]),
+    eps=st.sampled_from([Fraction(1, 64), Fraction(1, 16), Fraction(1, 4)]),
+    samples=st.integers(1, 1500),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([37, 1000, certificates.PROBE_BLOCK]),
+)
+def test_blocked_probe_matches_the_one_draw_oracle(r, data, a, eps, samples, seed, block):
+    t = data.draw(st.integers(0, r), label="t")
+    k = data.draw(st.integers(0, min(2, r - 1)), label="k")
+    # keep the rejection draws small; the oracle holds every row at once
+    while BandWitness(r=r, a=a, t=t).measure() < Fraction(1, 50):
+        t += 1
+    w = BandWitness(r=r, a=a, t=t)
+    ball = ApproxHammingBall(center=half_center(r), k=k, eps=eps)
+    expected = sample_band_disjointness_one_draw(w, ball, samples=samples, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certificates, "PROBE_BLOCK", block)
+        assert sample_band_disjointness(w, ball, samples=samples, seed=seed) == expected
+    if t == r:
+        # E is the whole torus, so every sampled sum lands back in it
+        assert expected == samples
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 300])
+@pytest.mark.parametrize("a", [0.1875, 0.25 + 1e-9, 0.5])
+def test_off_band_counts_match_the_min_distance_count(r, a):
+    # rows at, just inside and just outside both band edges, and r past uint8
+    edges = [a, 1.0 - a, np.nextafter(a, 0), np.nextafter(a, 1), np.nextafter(1.0 - a, 1), 0.0]
+    rng = np.random.default_rng(r)
+    x = np.concatenate([rng.choice(edges, size=(64, r)), rng.random((64, r))])
+    expected = (np.minimum(x, 1.0 - x) >= a).sum(axis=1)
+    assert (certificates._off_band_counts(x, a) == expected).all()
 
 
 def test_measure_probe_within_three_sigma():
@@ -503,6 +543,47 @@ def test_combine_uses_product_rotation_witness():
     )
     assert chained.provenance["candidate"] == "product-rotation"
     assert verify_certificate(chained).ok
+
+
+def product_inputs(kind, tmp_path):
+    """(c1, c2, m) for a product merge; roundtrip cases reload from disk."""
+    c1, c2 = build_rotation_pair()
+    if kind == "m=1":
+        return c1, c2, 1
+    if kind == "m>1":
+        return c1, c2, 2
+    product = combine_certificates(c1, c2, 2)
+    second = replace(c1, density_claim=c1.density_claim / 4)
+    if kind == "chained":
+        return product, second, 3
+    for name, cert in (("product", product), ("second", second)):
+        save_certificate(cert, tmp_path / f"{name}.json")
+    return load_certificate(tmp_path / "product.json"), load_certificate(tmp_path / "second.json"), 3
+
+
+@pytest.mark.parametrize("kind", ["m=1", "m>1", "chained", "roundtrip"])
+def test_product_rotation_bits_are_the_and_of_fresh_factor_bitsets(tmp_path, kind):
+    c1, c2, m = product_inputs(kind, tmp_path)
+    assert c1.bits == product_bits_from_factors(c1)
+    combined = combine_certificates(c1, c2, m)
+    assert combined.provenance["candidate"] == "product-rotation"
+    assert combined.bits == product_bits_from_factors(combined)
+
+
+def test_combine_builds_only_the_divided_factor_bitsets(monkeypatch):
+    c1, c2 = build_rotation_pair()
+    built = []
+    bitset = certificates.band_return_bitset
+
+    def counted(witness, beta, n_max):
+        built.append(beta)
+        return bitset(witness, beta, n_max)
+
+    monkeypatch.setattr(certificates, "band_return_bitset", counted)
+    combine_certificates(c1, c2, 1)
+    assert built == []
+    product = combine_certificates(c1, c2, 2)
+    assert [f.beta for f in built] == [TorusPoint.from_json(product.provenance["factors"][1]["beta"])]
 
 
 def test_search_min_m_finds_three():

@@ -11,7 +11,7 @@ import pytest
 
 from reclab.bohr import BohrHammingBall, Frequency, sqrt_set_enumerate
 from reclab.certificates import Certificate, save_certificate
-from reclab.cli import main_bohr, main_cert, main_lab, main_roth, main_weyl
+from reclab.cli import ROTH_TRIALS_CAP, main_bohr, main_cert, main_lab, main_roth, main_weyl
 from reclab.experiments import PERIOD_CAP, PHASE_CAP
 from reclab.torus import ApproxHammingBall, TorusPoint
 
@@ -267,6 +267,24 @@ def test_roth_check_phase_space_above_the_cap_is_exit_2(monkeypatch, capsys, q, 
         main_roth(["check", "--q", str(q), "--d", str(d)])
     assert err.value.code == 2
     assert f"q^d = {q}^{d} cells exceed the cap {PHASE_CAP}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", [0, -1, ROTH_TRIALS_CAP + 1])
+def test_roth_check_trials_outside_the_bounds_is_exit_2(monkeypatch, capsys, trials):
+    monkeypatch.setattr("reclab.cli.SubgroupModel", None)
+    monkeypatch.setattr("reclab.cli.quotient_gap_bound", unreachable)
+    with pytest.raises(SystemExit) as err:
+        main_roth(["check", "--q", "3", "--d", "1", "--trials", str(trials)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--trials: {trials} is outside [1, {ROTH_TRIALS_CAP}]" in captured.err
+    assert captured.out == ""
+
+
+def test_roth_check_help_states_the_trials_cap(capsys):
+    with pytest.raises(SystemExit):
+        main_roth(["check", "--help"])
+    assert f"1 to {ROTH_TRIALS_CAP}" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

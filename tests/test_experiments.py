@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from reclab import bohr, experiments
+from reclab import bohr, certificates, experiments
 from reclab.certificates import load_certificate, verify_certificate
 from reclab.experiments import (
     EXPERIMENTS,
@@ -29,6 +29,7 @@ from reclab.experiments import (
     list_experiments,
     run_experiment,
 )
+from reclab.torus import fraction_str
 from reclab.weyl import kronecker_projection, trig_progression_form
 
 REPO = Path(__file__).parents[1]
@@ -423,6 +424,60 @@ def test_theorem_stage_failing_shift_is_a_typed_stage_error(tmp_path, monkeypatc
     assert err.value.stage == "stage-1-verify"
     assert "violating shift 5184" in str(err.value)
     assert not (tmp_path / "report.json").exists()
+
+
+def count_bitsets(monkeypatch) -> list:
+    built = []
+    bitset = certificates.band_return_bitset
+
+    def counted(witness, beta, n_max):
+        built.append(beta)
+        return bitset(witness, beta, n_max)
+
+    monkeypatch.setattr(certificates, "band_return_bitset", counted)
+    return built
+
+
+def stage_rows(tmp_path) -> list[dict]:
+    with open(tmp_path / "theorem_stage.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("stages", [2, 3])
+def test_theorem_stage_builds_one_bitset_per_stage(tmp_path, monkeypatch, stages):
+    built = count_bitsets(monkeypatch)
+    report = run(tmp_path, "theorem_stage", {"stages": stages, "N": 30000})
+    assert report.status == PASS
+    assert [row["m"] for row in stage_rows(tmp_path)] == ["1"] * stages
+    assert len(built) == stages
+
+
+def test_theorem_stage_default_frequencies_follow_the_witness(tmp_path, monkeypatch):
+    # the k = 1 lists are the two-coordinate table, unchanged
+    assert experiments._stage_frequencies(2) == [
+        [Fraction(3, 64), Fraction(5, 81)],
+        [Fraction(2, 23), Fraction(3, 29)],
+        [Fraction(4, 41), Fraction(7, 43)],
+    ]
+    quick = run(tmp_path / "k1", "theorem_stage", {"stages": 1, "N": 1000})
+    assert quick.config["params"]["frequencies"] == [
+        ["3/64", "5/81"], ["2/23", "3/29"], ["4/41", "7/43"]
+    ]
+    # wider witnesses append (p - 1) / (2p), primes from 47 dealt in turn
+    assert experiments._stage_frequencies(5)[0] == [
+        Fraction(3, 64), Fraction(5, 81), Fraction(23, 47), Fraction(30, 61), Fraction(36, 73)
+    ]
+    built = count_bitsets(monkeypatch)
+    out = tmp_path / "k2"
+    report = run(out, "theorem_stage", {"stages": 3, "k": 2, "N": 1000})
+    assert report.status in (PASS, INCONCLUSIVE)
+    assert report.metrics["witness"]["r"] == 5
+    assert report.config["params"]["frequencies"] == [
+        [fraction_str(c) for c in coords] for coords in experiments._stage_frequencies(5)
+    ]
+    # one bitset per stage, plus the divided second factor of each merge at m > 1
+    rows = stage_rows(out)
+    assert len(built) == len(rows) + sum(row["m"] != "1" for row in rows)
 
 
 def test_theorem_stage_high_target_is_inconclusive(tmp_path):
