@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -44,6 +45,7 @@ from .experiments import (
     PERIOD_CAP,
     PHASE_CAP,
     REFUTED,
+    TRIG_MODES_CAP,
     list_experiments,
     parse_entry,
     run_experiment,
@@ -59,6 +61,9 @@ _NAMED = ("sqrt2", "sqrt3", "golden")
 
 # most trials one `roth check` runs
 ROTH_TRIALS_CAP = 10_000
+# most entries of a `weyl avg` polynomial file: the largest main_inequality
+# trig table, a constant term and TRIG_MODES_CAP conjugate pairs
+WEYL_TABLE_CAP = 1 + 2 * TRIG_MODES_CAP
 
 
 def _rational(text: str) -> Fraction:
@@ -161,20 +166,45 @@ def main_bohr(argv: Sequence[str] | None = None) -> int:
 # ---- weyl ----
 
 
+def _is_json_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_json_number(v) -> bool:
+    return (_is_json_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
 def _load_table(path: str, dim: int) -> CoefficientTable:
-    """Trig polynomial file: {"entries": [{"freq": [...], "coef": [re, im]}]}."""
+    """Trig polynomial file: {"entries": [{"freq": [...], "coef": [re, im]}]}.
+
+    Each entry is an object with dim JSON integers in freq and, optionally
+    (default [1, 0]), two finite JSON numbers in coef; entries with the same
+    freq add up.  At most WEYL_TABLE_CAP entries.  Any violation is a
+    ValueError naming the entry.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    entries = doc.get("entries")
+    if not isinstance(doc, dict) or set(doc) != {"entries"}:
+        raise ValueError("polynomial file must be an object with exactly the key 'entries'")
+    entries = doc["entries"]
     if not isinstance(entries, list):
         raise ValueError("polynomial file needs an 'entries' list")
+    if len(entries) > WEYL_TABLE_CAP:
+        raise ValueError(f"{len(entries)} entries exceed the cap {WEYL_TABLE_CAP}")
     table = CoefficientTable(dim)
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"entries[{i}]: must be an object with 'freq' and 'coef'")
+        unknown = sorted(set(entry) - {"freq", "coef"})
+        if unknown:
+            raise ValueError(f"entries[{i}]: unknown keys {unknown}")
         freq = entry.get("freq")
         coef = entry.get("coef", [1.0, 0.0])
-        if not isinstance(freq, list) or len(freq) != dim:
+        if not isinstance(freq, list) or len(freq) != dim or not all(map(_is_json_int, freq)):
             raise ValueError(f"entries[{i}]: freq must have {dim} integers")
-        table[Character(tuple(int(n) for n in freq))] += complex(coef[0], coef[1])
+        if not isinstance(coef, list) or len(coef) != 2 or not all(map(_is_json_number, coef)):
+            raise ValueError(f"entries[{i}]: coef must be two finite numbers [re, im]")
+        table[Character(tuple(freq))] += complex(coef[0], coef[1])
     return table
 
 
@@ -198,7 +228,10 @@ def main_weyl(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--eta", type=_rational, required=True, help="window half-width")
     p.add_argument("--ell", type=int, default=1, help="scale factor inside the weight")
     p.add_argument("--N", type=int, required=True, help="average horizon")
-    p.add_argument("--f", required=True, help="trig polynomial file (JSON)")
+    p.add_argument(
+        "--f", required=True,
+        help=f"trig polynomial file (JSON), at most {WEYL_TABLE_CAP} entries",
+    )
     p.add_argument("--out", help="write the CSV here instead of stdout")
     args = parser.parse_args(argv)
 

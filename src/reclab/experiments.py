@@ -75,6 +75,8 @@ TIMINGS_NAME = "timings.json"
 PERIOD_CAP = 2_000_000
 #: most cells (q^d) of a phase space a pipeline allocates
 PHASE_CAP = 2**22
+#: most random modes (conjugate pairs) of a trig main_inequality observable
+TRIG_MODES_CAP = 40
 #: largest phase modulus the equidistribution pipeline classifies exactly
 EXACT_MODULUS_CAP = 250_000
 
@@ -250,7 +252,7 @@ _SCHEMA: dict[str, tuple[Param, ...]] = {
         Param("beta", "list", None, of=_VALUE),
         Param("battery", "int", 6, "[1, 16]"),
         Param("N", "int", 100_000, f"[1000, {PERIOD_CAP}]"),
-        Param("modes", "int", 6, "[1, 40]"),
+        Param("modes", "int", 6, f"[1, {TRIG_MODES_CAP}]"),
         Param("tolerance", "rational", "0", "[0, inf)"),
     ),
     "sqrt_recurrence": (

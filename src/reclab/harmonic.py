@@ -17,7 +17,9 @@ a closed form: coordinates outside the pinned set integrate a full
 character (zero unless that frequency vanishes), pinned ones contribute
 e(-n_i y_i) sin(2 pi n_i eta) / (2 pi n_i eta).  This makes certain
 coefficients vanish *structurally*, i.e. by the integer support pattern
-alone, and those zeros are asserted without floating point.
+alone, and those zeros are asserted without floating point.  Only the
+zero pattern is library code; the sinc values, the convolution and the
+Plancherel gap are computed by the tests' oracles.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .torus import ApproxHammingBall, Cylinder, TorusPoint, as_fraction, wrap_unit
-
-TWO_PI = 2 * math.pi
-
 
 @dataclass(frozen=True)
 class Character:
@@ -117,9 +116,6 @@ class CoefficientTable:
             out[chi] = chi.value_at(s) * v
         return out
 
-    def evaluate(self, x: TorusPoint) -> complex:
-        return sum(v * chi.value_at(x) for chi, v in self._data.items())
-
     def to_json(self) -> list[dict]:
         rows = sorted(self._data.items(), key=lambda kv: kv[0].freq)
         return [
@@ -148,26 +144,6 @@ def cylinder_coefficient_is_structural_zero(cyl: Cylinder, chi: Character) -> bo
         raise ValueError("dimension mismatch")
     pinned = set(cyl.index_set)
     return any(n != 0 and (i + 1) not in pinned for i, n in enumerate(chi.freq))
-
-
-def cylinder_fourier(cyl: Cylinder, chi: Character) -> complex:
-    """Fourier coefficient of the normalized cylinder indicator.
-
-    Exactness note: structural zeros are exact; everything else is a
-    product of sinc factors evaluated in double precision.
-    """
-    if cylinder_coefficient_is_structural_zero(cyl, chi):
-        return 0j
-    value = 1 + 0j
-    eta = float(cyl.eta)
-    pinned = set(cyl.index_set)
-    for i, n in enumerate(chi.freq):
-        if n == 0 or (i + 1) not in pinned:
-            continue
-        y_i = float(cyl.center.coords[i])
-        phase = cmath.exp(-2j * cmath.pi * n * y_i)
-        value *= phase * math.sin(TWO_PI * n * eta) / (TWO_PI * n * eta)
-    return value
 
 
 # ---- top-k selection ----
@@ -242,35 +218,6 @@ def annihilating_cylinder(
     return cyl
 
 
-def uniformizing_cylinder(
-    ball: ApproxHammingBall,
-    table: CoefficientTable,
-    norm_bound: float = 1.0,
-    restrict: Callable[[Character], bool] | None = None,
-) -> tuple[Cylinder, dict]:
-    """Box whose density convolution flattens the k largest coefficients.
-
-    Selection runs over nontrivial characters only (the trivial one is
-    preserved: the box density has mean coefficient 1).  Off the selected
-    set, |fhat . ghat| <= |fhat| < norm_bound / sqrt(k).
-    """
-
-    def keep(chi: Character) -> bool:
-        if chi.trivial:
-            return False
-        return restrict is None or restrict(chi)
-
-    chosen, residual = top_k_characters(table, ball.k, norm_bound, restrict=keep)
-    cyl = annihilating_cylinder(ball, chosen)
-    report = {
-        "selected": [list(c.freq) for c in chosen],
-        "residual": residual,
-        "bound": norm_bound / math.sqrt(ball.k),
-        "sharper_bound": norm_bound / math.sqrt(1 + ball.k),
-    }
-    return cyl, report
-
-
 # ---- grid functions ----
 
 GRID_MAGIC = b"GRIDFN01"
@@ -340,16 +287,6 @@ class GridFunction:
             return GridFunction(self.dim, self.q, out)
         return GridFunction(self.dim, self.q, np.fft.ifftn(self.values) * self.size())
 
-    def convolve(self, other: "GridFunction") -> "GridFunction":
-        """Normalized convolution (f * g)(x) = q^(-d) sum_t f(t) g(x - t)."""
-        if (other.dim, other.q) != (self.dim, self.q):
-            raise ValueError("grid mismatch")
-        fh = np.fft.fftn(self.values)
-        gh = np.fft.fftn(other.values)
-        return GridFunction(
-            self.dim, self.q, np.fft.ifftn(fh * gh) / self.size()
-        )
-
     def translate(self, shift: Sequence[int]) -> "GridFunction":
         if len(shift) != self.dim:
             raise ValueError("shift dimension mismatch")
@@ -400,10 +337,3 @@ def centered_residue(n: int, q: int) -> int:
     """Representative of n mod q in (-q/2, q/2]."""
     m = n % q
     return m - q if 2 * m > q else m
-
-
-def grid_plancherel_gap(f: GridFunction) -> float:
-    """|sum |fhat|^2 - q^(-d) sum |f|^2|, should be ~machine epsilon."""
-    hat = f.dft()
-    lhs = float(np.sum(np.abs(hat.values) ** 2))
-    return abs(lhs - f.norm_sq())

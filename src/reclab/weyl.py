@@ -216,52 +216,64 @@ class WeylSystem:
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         entries = [(chi.freq[:d], chi.freq[d:], coef) for chi, coef in table]
+        by_mu: dict[tuple[int, ...], list] = {}
+        for entry in entries:
+            by_mu.setdefault(entry[1], []).append(entry)
         ns = np.arange(1, n_max + 1, dtype=np.int64)
         out = np.zeros(n_max, dtype=complex)
         alpha = self.alpha.coords
         for nu0, mu0, c0 in entries:
             for nu1, mu1, c1 in entries:
-                for nu2, mu2, c2 in entries:
-                    if any(a + b + c for a, b, c in zip(mu0, mu1, mu2)):
-                        continue
+                # the y-frequencies must cancel: only mu_2 = -(mu_0 + mu_1) can match
+                partners = by_mu.get(tuple(-(a + b) for a, b in zip(mu0, mu1)), ())
+                for nu2, mu2, c2 in partners:
                     base = tuple(a + b + c for a, b, c in zip(nu0, nu1, nu2))
                     drift = tuple(b + 2 * c for b, c in zip(mu1, mu2))
-                    coef = c0 * c1 * c2
-                    lin = sum(
-                        ((b + 2 * c) * a for b, c, a in zip(nu1, nu2, alpha)),
-                        Fraction(0),
-                    ) - sum(
-                        ((Fraction(b, 2) + c) * a for b, c, a in zip(mu1, mu2, alpha)),
-                        Fraction(0),
-                    )
-                    quad = sum(
-                        ((Fraction(b, 2) + 2 * c) * a for b, c, a in zip(mu1, mu2, alpha)),
-                        Fraction(0),
-                    )
                     if not any(drift):
                         if any(base):
                             continue
-                        out += coef * _quadratic_phase_powers(lin, quad, ns)
+                        lin, quad = _series_phases(nu1, nu2, mu1, mu2, alpha)
+                        out += c0 * c1 * c2 * _quadratic_phase_powers(lin, quad, ns)
                         continue
-                    hit = None
-                    for bs, dr in zip(base, drift):
-                        if dr == 0:
-                            if bs != 0:
-                                hit = 0
-                                break
-                            continue
-                        if bs % dr:
-                            hit = 0
-                            break
-                        cand = -(bs // dr)
-                        if hit is None:
-                            hit = cand
-                        elif hit != cand:
-                            hit = 0
-                            break
+                    hit = _drift_hit(base, drift)
                     if hit and 1 <= hit <= n_max:
-                        out[hit - 1] += coef * _unit(hit * lin + hit * hit * quad)
+                        lin, quad = _series_phases(nu1, nu2, mu1, mu2, alpha)
+                        out[hit - 1] += c0 * c1 * c2 * _unit(hit * lin + hit * hit * quad)
         return out
+
+
+def _series_phases(nu1, nu2, mu1, mu2, alpha) -> tuple[Fraction, Fraction]:
+    """The exact phase a n + b n^2 of one matching triple, as (a, b)."""
+    lin = sum(
+        ((b + 2 * c) * a for b, c, a in zip(nu1, nu2, alpha)),
+        Fraction(0),
+    ) - sum(
+        ((Fraction(b, 2) + c) * a for b, c, a in zip(mu1, mu2, alpha)),
+        Fraction(0),
+    )
+    quad = sum(
+        ((Fraction(b, 2) + 2 * c) * a for b, c, a in zip(mu1, mu2, alpha)),
+        Fraction(0),
+    )
+    return lin, quad
+
+
+def _drift_hit(base: tuple[int, ...], drift: tuple[int, ...]) -> int:
+    """The one n with base + n drift = 0, or 0 when there is none."""
+    hit = None
+    for bs, dr in zip(base, drift):
+        if dr == 0:
+            if bs != 0:
+                return 0
+            continue
+        if bs % dr:
+            return 0
+        cand = -(bs // dr)
+        if hit is None:
+            hit = cand
+        elif hit != cand:
+            return 0
+    return hit or 0
 
 
 # ---- finite grid models ----
@@ -536,12 +548,20 @@ def _resolve_n_max(model: Model, n_max: int | None) -> int:
     return model.period
 
 
-def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> list:
+def _is_leading_range(ns: Sequence[int]) -> bool:
+    """Whether ns is exactly 1, 2, ..., len(ns), with at least one entry."""
+    if isinstance(ns, range):
+        return len(ns) > 0 and ns == range(1, len(ns) + 1)
+    return bool(ns) and ns == list(range(1, len(ns) + 1))
+
+
+def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> Sequence:
     """The per-step integrals avg f . f o S^n . f o S^2n for each requested n.
 
-    A contiguous range 1..N on the trig backend runs through the
-    closed-form series; everything else evaluates pointwise.  Results
-    are returned in request order.
+    A contiguous run 1..N on the trig backend, as a range or as a list,
+    comes back as the complex ndarray of the closed-form series;
+    everything else is a list evaluated pointwise.  Results are in
+    request order.
 
     On the grid models S^P is the identity for P = model.period, so the
     integral depends only on r = n mod P, and the gathered arrays are
@@ -550,10 +570,10 @@ def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> li
     observables, r alone for float ones, whose sum the reflection would
     reorder.
     """
-    ns = [int(n) for n in n_values]
+    ns = n_values if isinstance(n_values, range) else [int(n) for n in n_values]
     if isinstance(model, WeylSystem):
-        if ns and ns == list(range(1, len(ns) + 1)):
-            return list(model.correlation_series(f, len(ns)))
+        if _is_leading_range(ns):
+            return model.correlation_series(f, len(ns))
         return [model.triple_integral(f, n) for n in ns]
     period = model.period
     reflect = _is_exact_dtype(_as_values(f))
@@ -569,23 +589,33 @@ def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> li
     return out
 
 
-def _checkpoint_averages(terms: Sequence, marks: Sequence[int]) -> list[tuple[int, object]]:
-    exact = all(isinstance(t, Fraction) for t in terms)
+def _checkpoint_averages(
+    terms: Sequence[Fraction], marks: Sequence[int]
+) -> list[tuple[int, Fraction]]:
+    acc = Fraction(0)
+    prev = 0
     out = []
-    if exact:
-        acc = Fraction(0)
-        prev = 0
-        for mark in marks:
-            acc += sum(terms[prev:mark], Fraction(0))
-            prev = mark
-            out.append((mark, acc / mark))
-        return out
+    for mark in marks:
+        acc += sum(terms[prev:mark], Fraction(0))
+        prev = mark
+        out.append((mark, acc / mark))
+    return out
+
+
+def _float_checkpoint_averages(
+    re: np.ndarray, im: np.ndarray, marks: Sequence[int]
+) -> list[tuple[int, object]]:
+    """Running means of re + i im, each correctly rounded by fsum.
+
+    The accumulator enters every fsum, so each checkpoint is the
+    correctly rounded sum of all terms so far, whatever the chunking.
+    """
     acc_re, acc_im = 0.0, 0.0
     prev = 0
+    out = []
     for mark in marks:
-        chunk = [complex(t) for t in terms[prev:mark]]
-        acc_re = math.fsum([acc_re] + [t.real for t in chunk])
-        acc_im = math.fsum([acc_im] + [t.imag for t in chunk])
+        acc_re = math.fsum([acc_re] + re[prev:mark].tolist())
+        acc_im = math.fsum([acc_im] + im[prev:mark].tolist())
         prev = mark
         if abs(acc_im) <= 1e-9 * max(1.0, abs(acc_re)):
             out.append((mark, acc_re / mark))
@@ -668,25 +698,32 @@ def weighted_average(
     marks = sorted({int(m) for m in checkpoints}) if checkpoints else _default_checkpoints(n_max)
     if not marks or marks[0] < 1 or marks[-1] != n_max:
         raise ValueError("checkpoints must be inside 1..n_max and end at n_max")
-    ns = list(range(1, n_max + 1))
     if integrals is None:
-        integrals = triple_integrals(model, f, ns)
+        integrals = triple_integrals(model, f, range(1, n_max + 1))
     elif len(integrals) != n_max:
         raise ValueError(f"expected {n_max} precomputed integrals, got {len(integrals)}")
-    if g is None:
-        terms = list(integrals)
-    else:
+    hits = None
+    if g is not None:
         if beta is None:
             raise ValueError("a cylinder weight needs its frequency beta")
         scale = int(ell) ** 2
         hits = g.orbit_contains([scale * b for b in beta.coords], np.arange(1, n_max + 1), 2)
         on = 1 / g.measure()
-        pairs = zip(hits.tolist(), integrals)
-        if all(isinstance(v, Fraction) for v in integrals):
-            terms = [on * v if hit else Fraction(0) for hit, v in pairs]
+    if all(isinstance(v, Fraction) for v in integrals):
+        if hits is None:
+            terms = list(integrals)
         else:
-            on_f = float(on)
-            terms = [complex(v) * (on_f if hit else 0.0) for hit, v in pairs]
+            terms = [on * v if hit else Fraction(0) for hit, v in zip(hits.tolist(), integrals)]
+        points = _checkpoint_averages(terms, marks)
+    else:
+        # float64 parts of each term; they differ from complex(v) * w only in
+        # the sign of a zero, which no fsum starting from +0.0 can see
+        series = np.asarray(integrals, dtype=np.complex128)
+        re, im = series.real, series.imag
+        if hits is not None:
+            w = np.where(hits, float(on), 0.0)
+            re, im = re * w, im * w
+        points = _float_checkpoint_averages(re, im, marks)
     meta = _model_metadata(model)
     meta["n_max"] = n_max
     if g is not None:
@@ -695,7 +732,7 @@ def weighted_average(
         meta["beta"] = beta.to_json()
         meta["window_hits"] = int(hits.sum())
     return AveragesTrace(
-        checkpoints=tuple(_checkpoint_averages(terms, marks)),
+        checkpoints=tuple(points),
         closed_form=_closed_form(model, f),
         metadata=meta,
     )

@@ -3,7 +3,13 @@
 The per-n loop that ``weyl.triple_integrals`` replaced on the grid
 models, and the weyl helpers nothing in the library uses: the grid model
 of a rational system, the unweighted average, and the observable range
-check.  For the certificates: the one-draw band-disjointness probe that
+check.  The float path of ``weyl.weighted_average`` one Python complex
+term at a time, and the O(support^3) triple loop that
+``WeylSystem.correlation_series`` replaced with a y-frequency index.
+For harmonic: the sinc closed form of a cylinder coefficient, the
+uniformizing cylinder, grid convolution, the Plancherel gap and
+pointwise evaluation of a trig polynomial.  For the certificates: the
+one-draw band-disjointness probe that
 ``certificates.sample_band_disjointness`` replaced with row blocks, the
 band-measure probe, and the product bitset rebuilt from a certificate's
 recorded factors.
@@ -11,18 +17,27 @@ recorded factors.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from reclab import weyl
 from reclab.bohr import Frequency
 from reclab.certificates import BandWitness, Certificate, band_return_bitset
-from reclab.harmonic import CoefficientTable, GridFunction
-from reclab.torus import ApproxHammingBall, TorusPoint
-from reclab.weyl import GridWeylModel, WeylSystem, weighted_average
+from reclab.harmonic import (
+    Character,
+    CoefficientTable,
+    GridFunction,
+    annihilating_cylinder,
+    cylinder_coefficient_is_structural_zero,
+    top_k_characters,
+)
+from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint
+from reclab.weyl import AveragesTrace, GridWeylModel, WeylSystem, weighted_average
 
 
 def triple_integrals_per_n(model, f, n_values: Iterable[int]) -> list:
@@ -82,6 +97,198 @@ class ObservablePair:
             arr = arr.real
         if arr.min() < -1e-12 or arr.max() > 1 + 1e-12:
             raise ValueError("observable leaves [0, 1]")
+
+
+def correlation_series_triple_loop(
+    system: WeylSystem, table: CoefficientTable, n_max: int
+) -> np.ndarray:
+    """``WeylSystem.correlation_series`` over every triple of table entries.
+
+    The phases of a triple are computed before it is known to contribute;
+    the triples that do are added in the same order as the indexed loop.
+    """
+    d = system.dim
+    entries = [(chi.freq[:d], chi.freq[d:], coef) for chi, coef in table]
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    out = np.zeros(n_max, dtype=complex)
+    alpha = system.alpha.coords
+    for nu0, mu0, c0 in entries:
+        for nu1, mu1, c1 in entries:
+            for nu2, mu2, c2 in entries:
+                if any(a + b + c for a, b, c in zip(mu0, mu1, mu2)):
+                    continue
+                base = tuple(a + b + c for a, b, c in zip(nu0, nu1, nu2))
+                drift = tuple(b + 2 * c for b, c in zip(mu1, mu2))
+                coef = c0 * c1 * c2
+                lin = sum(
+                    ((b + 2 * c) * a for b, c, a in zip(nu1, nu2, alpha)),
+                    Fraction(0),
+                ) - sum(
+                    ((Fraction(b, 2) + c) * a for b, c, a in zip(mu1, mu2, alpha)),
+                    Fraction(0),
+                )
+                quad = sum(
+                    ((Fraction(b, 2) + 2 * c) * a for b, c, a in zip(mu1, mu2, alpha)),
+                    Fraction(0),
+                )
+                if not any(drift):
+                    if any(base):
+                        continue
+                    out += coef * weyl._quadratic_phase_powers(lin, quad, ns)
+                    continue
+                hit = None
+                for bs, dr in zip(base, drift):
+                    if dr == 0:
+                        if bs != 0:
+                            hit = 0
+                            break
+                        continue
+                    if bs % dr:
+                        hit = 0
+                        break
+                    cand = -(bs // dr)
+                    if hit is None:
+                        hit = cand
+                    elif hit != cand:
+                        hit = 0
+                        break
+                if hit and 1 <= hit <= n_max:
+                    out[hit - 1] += coef * weyl._unit(hit * lin + hit * hit * quad)
+    return out
+
+
+def float_checkpoint_averages_per_term(terms: Sequence, marks: Sequence[int]) -> list:
+    """Running means of the terms, each converted with complex() before fsum."""
+    acc_re, acc_im = 0.0, 0.0
+    prev = 0
+    out = []
+    for mark in marks:
+        chunk = [complex(t) for t in terms[prev:mark]]
+        acc_re = math.fsum([acc_re] + [t.real for t in chunk])
+        acc_im = math.fsum([acc_im] + [t.imag for t in chunk])
+        prev = mark
+        if abs(acc_im) <= 1e-9 * max(1.0, abs(acc_re)):
+            out.append((mark, acc_re / mark))
+        else:
+            out.append((mark, complex(acc_re, acc_im) / mark))
+    return out
+
+
+def weighted_average_per_term(
+    model,
+    f,
+    g: Cylinder | None = None,
+    beta: TorusPoint | None = None,
+    ell: int = 1,
+    n_max: int | None = None,
+    checkpoints: Sequence[int] | None = None,
+    integrals: Sequence | None = None,
+) -> AveragesTrace:
+    """The float path of ``weyl.weighted_average``, one term complex(v) * w per n."""
+    n_max = weyl._resolve_n_max(model, n_max)
+    marks = weyl._default_checkpoints(n_max)
+    if checkpoints:
+        marks = sorted({int(m) for m in checkpoints})
+    if integrals is None:
+        if isinstance(model, WeylSystem):
+            integrals = list(model.correlation_series(f, n_max))
+        else:
+            integrals = triple_integrals_per_n(model, f, range(1, n_max + 1))
+    assert not all(isinstance(v, Fraction) for v in integrals), "exact integrals"
+    meta = weyl._model_metadata(model)
+    meta["n_max"] = n_max
+    if g is None:
+        terms = list(integrals)
+    else:
+        hits = g.orbit_contains(
+            [int(ell) ** 2 * b for b in beta.coords], np.arange(1, n_max + 1), 2
+        )
+        on_f = float(1 / g.measure())
+        terms = [complex(v) * (on_f if hit else 0.0) for hit, v in zip(hits.tolist(), integrals)]
+        meta["weight_measure"] = str(g.measure())
+        meta["ell"] = int(ell)
+        meta["beta"] = beta.to_json()
+        meta["window_hits"] = int(hits.sum())
+    return AveragesTrace(
+        checkpoints=tuple(float_checkpoint_averages_per_term(terms, marks)),
+        closed_form=weyl._closed_form(model, f),
+        metadata=meta,
+    )
+
+
+# ---------------------------------------------------------------------------
+# harmonic
+
+
+def evaluate_table(table: CoefficientTable, x: TorusPoint) -> complex:
+    """The trig polynomial at x, summed term by term."""
+    return sum(v * chi.value_at(x) for chi, v in table)
+
+
+def cylinder_fourier(cyl: Cylinder, chi: Character) -> complex:
+    """Fourier coefficient of the normalized cylinder indicator.
+
+    Exactness note: structural zeros are exact; everything else is a
+    product of sinc factors evaluated in double precision.
+    """
+    if cylinder_coefficient_is_structural_zero(cyl, chi):
+        return 0j
+    value = 1 + 0j
+    eta = float(cyl.eta)
+    pinned = set(cyl.index_set)
+    two_pi = 2 * math.pi
+    for i, n in enumerate(chi.freq):
+        if n == 0 or (i + 1) not in pinned:
+            continue
+        y_i = float(cyl.center.coords[i])
+        phase = cmath.exp(-2j * cmath.pi * n * y_i)
+        value *= phase * math.sin(two_pi * n * eta) / (two_pi * n * eta)
+    return value
+
+
+def uniformizing_cylinder(
+    ball: ApproxHammingBall,
+    table: CoefficientTable,
+    norm_bound: float = 1.0,
+    restrict: Callable[[Character], bool] | None = None,
+) -> tuple[Cylinder, dict]:
+    """Box whose density convolution flattens the k largest coefficients.
+
+    Selection runs over nontrivial characters only (the trivial one is
+    preserved: the box density has mean coefficient 1).  Off the selected
+    set, |fhat . ghat| <= |fhat| < norm_bound / sqrt(k).
+    """
+
+    def keep(chi: Character) -> bool:
+        if chi.trivial:
+            return False
+        return restrict is None or restrict(chi)
+
+    chosen, residual = top_k_characters(table, ball.k, norm_bound, restrict=keep)
+    cyl = annihilating_cylinder(ball, chosen)
+    report = {
+        "selected": [list(c.freq) for c in chosen],
+        "residual": residual,
+        "bound": norm_bound / math.sqrt(ball.k),
+        "sharper_bound": norm_bound / math.sqrt(1 + ball.k),
+    }
+    return cyl, report
+
+
+def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
+    """Normalized convolution (f * g)(x) = q^(-d) sum_t f(t) g(x - t)."""
+    if (g.dim, g.q) != (f.dim, f.q):
+        raise ValueError("grid mismatch")
+    fh = np.fft.fftn(f.values)
+    gh = np.fft.fftn(g.values)
+    return GridFunction(f.dim, f.q, np.fft.ifftn(fh * gh) / f.size())
+
+
+def grid_plancherel_gap(f: GridFunction) -> float:
+    """|sum |fhat|^2 - q^(-d) sum |f|^2|, should be ~machine epsilon."""
+    hat = f.dft()
+    lhs = float(np.sum(np.abs(hat.values) ** 2))
+    return abs(lhs - f.norm_sq())
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,16 @@ import pytest
 
 from reclab.bohr import BohrHammingBall, Frequency, sqrt_set_enumerate
 from reclab.certificates import Certificate, save_certificate
-from reclab.cli import ROTH_TRIALS_CAP, main_bohr, main_cert, main_lab, main_roth, main_weyl
-from reclab.experiments import PERIOD_CAP, PHASE_CAP
+from reclab.cli import (
+    ROTH_TRIALS_CAP,
+    WEYL_TABLE_CAP,
+    main_bohr,
+    main_cert,
+    main_lab,
+    main_roth,
+    main_weyl,
+)
+from reclab.experiments import PERIOD_CAP, PHASE_CAP, TRIG_MODES_CAP
 from reclab.torus import ApproxHammingBall, TorusPoint
 
 
@@ -219,6 +227,70 @@ def test_weyl_avg_bad_poly_file(tmp_path, capsys):
             "--r", "1", "--k", "0", "--eta", "1/8", "--N", "100", "--f", str(bad)]
     assert main_weyl(args) == 2
     assert "freq must have 2 integers" in capsys.readouterr().err
+
+
+WEYL_SMALL = ["avg", "--d", "1", "--alpha", "1/7", "--freq-beta", "1/5",
+              "--r", "1", "--k", "0", "--eta", "1/8", "--N", "50"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"entries": [1]}', "entries[0]: must be an object"),
+        ('{"entries": [{"freq": [1, 0], "coef": 5}]}', "entries[0]: coef must be two"),
+        ('{"entries": [{"freq": [1, 0], "coef": ["x", 0]}]}', "entries[0]: coef must be two"),
+        ('{"entries": [{"freq": [1, 0], "coef": [1.0]}]}', "entries[0]: coef must be two"),
+        ('{"entries": [{"freq": [1, 0], "coef": [true, 0]}]}', "entries[0]: coef must be two"),
+        ('{"entries": [{"freq": [1, 0], "coef": [NaN, 0]}]}', "entries[0]: coef must be two"),
+        ('{"entries": [{"freq": [0, 0]}, {"freq": [1.5, 0]}]}', "entries[1]: freq must have 2"),
+        ('{"entries": [{"freq": [1.0, 0]}]}', "entries[0]: freq must have 2"),
+        ('{"entries": [{"freq": [true, 0]}]}', "entries[0]: freq must have 2"),
+        ('{"entries": [{"freq": [1, 0], "coeff": [1, 0]}]}', "entries[0]: unknown keys"),
+        ('[{"freq": [1, 0]}]', "exactly the key 'entries'"),
+        ('{"entries": [], "extra": 1}', "exactly the key 'entries'"),
+        ('{"entries": {"freq": [1, 0]}}', "needs an 'entries' list"),
+    ],
+    ids=[
+        "entry-not-object", "coef-scalar", "coef-string", "coef-short", "coef-bool",
+        "coef-nan", "freq-float", "freq-integral-float", "freq-bool", "unknown-key",
+        "doc-not-object", "doc-extra-key", "entries-not-list",
+    ],
+)
+def test_weyl_avg_malformed_poly_file_is_exit_2(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.setattr("reclab.cli.weighted_average", unreachable)
+    bad = tmp_path / "f.json"
+    bad.write_text(text)
+    assert main_weyl(WEYL_SMALL + ["--f", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_weyl_avg_poly_file_entry_cap(tmp_path, monkeypatch, capsys):
+    # the cap is the largest main_inequality trig table: 1 + 2 * TRIG_MODES_CAP
+    assert WEYL_TABLE_CAP == 1 + 2 * TRIG_MODES_CAP == 81
+    entries = [{"freq": [i, 1], "coef": [0.01, 0]} for i in range(WEYL_TABLE_CAP)]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"entries": entries}))
+    assert main_weyl(WEYL_SMALL + ["--f", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("N,value,closed_form,gap\n")
+    monkeypatch.setattr("reclab.cli.weighted_average", unreachable)
+    path.write_text(json.dumps({"entries": entries + [{"freq": [0, 0]}]}))
+    assert main_weyl(WEYL_SMALL + ["--f", str(path)]) == 2
+    assert f"82 entries exceed the cap {WEYL_TABLE_CAP}" in capsys.readouterr().err
+
+
+def test_weyl_avg_poly_file_defaults_and_sums(tmp_path, capsys):
+    # a missing coef is 1, repeated frequencies add up, integer coefs are numbers
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"entries": [
+        {"freq": [0, 0]}, {"freq": [1, 0], "coef": [1, 0]}, {"freq": [1, 0], "coef": [-1, 0]},
+    ]}))
+    assert main_weyl(WEYL_SMALL + ["--f", str(path)]) == 0
+    summed = capsys.readouterr().out
+    path.write_text(json.dumps({"entries": [{"freq": [0, 0], "coef": [1.0, 0.0]}]}))
+    assert main_weyl(WEYL_SMALL + ["--f", str(path)]) == 0
+    assert capsys.readouterr().out == summed
 
 
 @pytest.mark.parametrize("n", [0, PERIOD_CAP + 1])

@@ -31,6 +31,8 @@ from reclab.joinings import (
 from reclab.lattice import SubgroupModel
 from reclab.torus import ApproxHammingBall, TorusPoint
 
+from oracles import evaluate_table
+
 
 def frac(a, b=1):
     return Fraction(a, b)
@@ -450,7 +452,7 @@ def test_uniformize_kills_selected_modes_exactly():
     f = np.zeros((q, q), dtype=complex)
     for x in range(q):
         for y in range(q):
-            f[x, y] = table.evaluate(TorusPoint.of([frac(x, q), frac(y, q)]))
+            f[x, y] = evaluate_table(table, TorusPoint.of([frac(x, q), frac(y, q)]))
     g = np.zeros((q, q, q))
     for idx in np.ndindex(q, q, q):
         g[idx] = float(cyl.normalized_value(TorusPoint.of([frac(a, q) for a in idx])))

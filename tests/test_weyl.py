@@ -22,7 +22,15 @@ from reclab.weyl import (
     weighted_average,
 )
 
-from oracles import ObservablePair, grid_model_from_system, l3_average, triple_integrals_per_n
+from oracles import (
+    ObservablePair,
+    correlation_series_triple_loop,
+    evaluate_table,
+    grid_model_from_system,
+    l3_average,
+    triple_integrals_per_n,
+    weighted_average_per_term,
+)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
@@ -170,7 +178,8 @@ def test_grid_and_trig_integrals_agree_without_aliasing():
     model = grid_model_from_system(system)
     values = np.array(
         [
-            [table.evaluate(TorusPoint.of([Fraction(i, 7), Fraction(j, 7)])) for j in range(7)]
+            [evaluate_table(table, TorusPoint.of([Fraction(i, 7), Fraction(j, 7)]))
+             for j in range(7)]
             for i in range(7)
         ]
     )
@@ -246,6 +255,126 @@ def test_triple_integrals_driver_routes_agree():
     assert max(abs(a - b) for a, b in zip(fast, slow)) < 1e-10
     reordered = triple_integrals(system, table, [4, 2, 9])
     assert max(abs(a - system.triple_integral(table, n)) for a, n in zip(reordered, [4, 2, 9])) < 1e-12
+
+
+def random_table(rng, d, span, size):
+    """A table on T^d x T^d with complex coefficients and no symmetry."""
+    table = CoefficientTable(2 * d)
+    for _ in range(size):
+        freq = tuple(rng.randint(-span, span) for _ in range(2 * d))
+        table[Character(freq)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return table
+
+
+def drift_hits(table, d):
+    """Every n at which a nonzero-drift family of matching triples is active."""
+    entries = [(chi.freq[:d], chi.freq[d:]) for chi, _ in table]
+    hits = []
+    for nu0, mu0 in entries:
+        for nu1, mu1 in entries:
+            for nu2, mu2 in entries:
+                if any(a + b + c for a, b, c in zip(mu0, mu1, mu2)):
+                    continue
+                drift = [b + 2 * c for b, c in zip(mu1, mu2)]
+                base = [a + b + c for a, b, c in zip(nu0, nu1, nu2)]
+                ns = {Fraction(-bs, dr) for bs, dr in zip(base, drift) if dr}
+                if any(drift) and len(ns) == 1 and all(
+                    bs + n * dr == 0 for n in ns for bs, dr in zip(base, drift)
+                ):
+                    n = ns.pop()
+                    if n.denominator == 1:
+                        hits.append(int(n))
+    return hits
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(
+    d=st.integers(1, 2),
+    den=st.sampled_from([2, 5, 12, 97, 999999937]),
+    size=st.integers(1, 9),
+    n_max=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_correlation_series_matches_the_triple_loop_bit_for_bit(d, den, size, n_max, seed):
+    rng = random.Random(seed)
+    system = WeylSystem(TorusPoint.of([Fraction(rng.randrange(den), den) for _ in range(d)]))
+    table = random_table(rng, d, 6, size)
+    got = system.correlation_series(table, n_max)
+    assert_same_bits(got, correlation_series_triple_loop(system, table, n_max))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_correlation_series_drift_families_inside_and_outside_the_horizon(d):
+    # families active at n = 2..40 and at n <= 0; every n_max from 1 to 60
+    # puts some of them inside 1..n_max and others outside it
+    rng = random.Random(d)
+    alpha = TorusPoint.of([Fraction(3, 7), Fraction(5, 11)][:d])
+    system = WeylSystem(alpha)
+    table = CoefficientTable(2 * d)
+    zero = (0,) * d
+    table[Character(zero + zero)] = 0.5
+    for a in (2, 9, 17, 40, -3):
+        nu = (a,) + (0,) * (d - 1)
+        mu = (1,) + (0,) * (d - 1)
+        table[Character(nu + mu)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        table[Character(nu + tuple(-m for m in mu))] = complex(rng.uniform(-1, 1), 0.25)
+    if d == 2:
+        # drift (-1, -1) with bases (5, 7) and (6, 6): the coordinates disagree
+        # on n in the first family and agree on n = 6 in the second
+        table[Character((5, 3, 1, 1))] = 0.3j
+        table[Character((0, 4, -1, -1))] = 0.2
+        table[Character((1, 3, -1, -1))] = -0.1j
+    hits = drift_hits(table, d)
+    assert min(hits) <= 0 and max(hits) >= 60
+    assert len({n for n in hits if 1 <= n <= 60}) >= 10
+    for n_max in range(1, 61):
+        got = system.correlation_series(table, n_max)
+        assert_same_bits(got, correlation_series_triple_loop(system, table, n_max))
+
+
+class CallCounter:
+    def __init__(self, monkeypatch, cls, name):
+        self.calls = 0
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+
+def test_weighted_average_on_a_system_runs_one_series(monkeypatch):
+    rng = random.Random(8)
+    system = WeylSystem(TorusPoint.of([Fraction(2, 9)]))
+    table = hermitian_table(rng, 2, [(1, 0), (0, 1), (1, -2)])
+    g = Cylinder(1, (1,), TorusPoint.zero(1), Fraction(1, 4))
+    series = CallCounter(monkeypatch, WeylSystem, "correlation_series")
+    scalar = CallCounter(monkeypatch, WeylSystem, "triple_integral")
+    weighted_average(system, table, g=g, beta=TorusPoint.of([Fraction(1, 7)]), n_max=300)
+    assert (series.calls, scalar.calls) == (1, 0)
+
+
+def test_triple_integrals_routes_a_leading_range_or_list_to_the_series(monkeypatch):
+    rng = random.Random(9)
+    system = WeylSystem(TorusPoint.of([Fraction(4, 13)]))
+    table = hermitian_table(rng, 2, [(1, 0), (0, 1), (2, -1)])
+    want = system.correlation_series(table, 40)
+    series = CallCounter(monkeypatch, WeylSystem, "correlation_series")
+    scalar = CallCounter(monkeypatch, WeylSystem, "triple_integral")
+    assert_same_bits(triple_integrals(system, table, range(1, 41)), want)
+    assert_same_bits(triple_integrals(system, table, list(range(1, 41))), want)
+    assert (series.calls, scalar.calls) == (2, 0)
+    for ns in ([1, 2, 4], [2, 3], range(2, 10), range(1, 10, 2), [3, 2, 1]):
+        assert len(triple_integrals(system, table, ns)) == len(ns)
+    assert series.calls == 2
+    assert scalar.calls == 3 + 2 + 8 + 5 + 3
+    assert triple_integrals(system, table, range(1, 1)) == []
 
 
 # ---- one evaluation per distinct grid integral ----
@@ -601,6 +730,94 @@ def test_full_period_weighted_average_brute_force():
                 corr += f[x, y] * f[x1, y1] * f[x2, y2]
         total += weight * corr / (q * q)
     assert trace.value == total / q
+
+
+FLOAT_DTYPES = ("float", "complex")
+
+
+@st.composite
+def float_averaging_cases(draw):
+    """A model, a float observable and the n_max of one weighted_average call."""
+    kind = draw(st.sampled_from(["system", "rotation", "grid"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    if kind == "system":
+        den = draw(st.sampled_from([3, 7, 16, 999999937]))
+        model = WeylSystem(TorusPoint.of([Fraction(rng.randrange(1, den), den)]))
+        if draw(st.booleans()):
+            f = hermitian_table(rng, 2, [(1, 0), (0, 1), (1, -2), (2, 1)])
+        else:
+            f = random_table(rng, 1, 3, draw(st.integers(1, 6)))
+        n_max = draw(st.integers(1, 400))
+    else:
+        if kind == "rotation":
+            d = draw(st.integers(1, 2))
+            q = draw(st.integers(2, 9))
+            model = RotationModel(q, tuple(rng.randrange(q) for _ in range(d)))
+        else:
+            q = draw(st.integers(2, 6))
+            model = GridWeylModel(q, (rng.randrange(q),))
+        f = grid_observable(rng, model.phase_space_shape, draw(st.sampled_from(FLOAT_DTYPES)))
+        n_max = draw(st.integers(1, 3 * model.period))
+    return model, f, n_max
+
+
+WINDOWS = {
+    "none": (None, None),
+    # weight 25/9, which no float32 holds exactly
+    "window": (
+        Cylinder(2, (1, 2), TorusPoint.of([Fraction(1, 3), Fraction(0)]), Fraction(3, 10)),
+        TorusPoint.of([Fraction(3, 17), Fraction(355, 113)]),
+    ),
+    "all-on": (
+        Cylinder(1, (), TorusPoint.zero(1), Fraction(1, 4)),
+        TorusPoint.of([Fraction(1, 3)]),
+    ),
+    "all-off": (
+        Cylinder(1, (1,), TorusPoint.of([Fraction(1, 2)]), Fraction(1, 8)),
+        TorusPoint.of([Fraction(0)]),
+    ),
+}
+
+
+def csv_or_error(trace):
+    # to_csv writes real values only; a complex trace fails the same way on both paths
+    try:
+        return trace.to_csv()
+    except TypeError as exc:
+        return repr(exc)
+
+
+@given(
+    case=float_averaging_cases(),
+    window=st.sampled_from(sorted(WINDOWS)),
+    ell=st.integers(1, 3),
+    given_integrals=st.booleans(),
+    marks=st.lists(st.integers(1, 1200), max_size=6),
+)
+@settings(max_examples=120, deadline=None)
+def test_float_weighted_average_matches_the_per_term_oracle(
+    case, window, ell, given_integrals, marks
+):
+    model, f, n_max = case
+    g, beta = WINDOWS[window]
+    checkpoints = [m for m in marks if m < n_max] + [n_max] if marks else None
+    integrals = None
+    if given_integrals:
+        integrals = [complex(v) for v in triple_integrals(model, f, range(1, n_max + 1))]
+    kwargs = dict(g=g, beta=beta, ell=ell, n_max=n_max, checkpoints=checkpoints,
+                  integrals=integrals)
+    got = weighted_average(model, f, **kwargs)
+    want = weighted_average_per_term(model, f, **kwargs)
+    # repr pins every bit, the type (float or complex) and the sign of zero
+    assert [repr(pt) for pt in got.checkpoints] == [repr(pt) for pt in want.checkpoints]
+    assert repr(got.closed_form) == repr(want.closed_form)
+    assert csv_or_error(got) == csv_or_error(want)
+    assert got.metadata == want.metadata
+    if window == "all-off":
+        assert got.metadata["window_hits"] == 0 and got.value == 0.0
+    if window == "all-on":
+        assert got.metadata["window_hits"] == n_max
 
 
 def test_weight_plumbing_errors():
