@@ -21,7 +21,9 @@ preferring the product of their band rotations when that ancestry is
 recorded.  The square route rewrites S through s -> s*s.  None of the
 constructions is trusted: every certificate emitted by this module has
 passed verify_certificate, and a failed candidate surfaces as a typed
-rejection rather than a bad object.
+rejection rather than a bad object.  Each certificate is checked once,
+where it is made or loaded: the constructions verify what they emit,
+not their inputs, so a certificate read from a file is verified first.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ _WORD_BITS = 64
 
 
 class CertificateRejected(Exception):
-    """A constructed candidate failed re-verification.
+    """A constructed candidate failed verification.
 
     Raised by the rotation, combination and square operations when no
     candidate base set passes the checks at the requested parameters.
@@ -566,14 +568,15 @@ def _factors_provenance(factors) -> dict:
 def combine_certificates(c1: Certificate, c2: Certificate, m: int) -> Certificate:
     """Merge two k=1 certificates into one for S1 union m*S2.
 
-    The merged density claim is 2 * d1 * d2.  When both inputs carry
+    The merged density claim is 2 * d1 * d2, rejected when above 1.
+    When both inputs carry
     band-rotation ancestry the principled candidate is the product
     witness: the second factor's frequencies are divided by m, so a
     shift m*s moves them by s*beta2 exactly and the band argument
     applies coordinate-block by coordinate-block.  Plain intersections
     and the parent sets are tried as fallbacks.  Every candidate is
-    re-verified; if none passes, the typed rejection carries the
-    diagnostics rather than returning a broken certificate.
+    verified, and the output is sound whatever the inputs hold; if none
+    passes, the typed rejection carries the diagnostics.
 
     The product candidate reuses bitsets it already holds.  A
     certificate of rotation or rotation-product ancestry, as
@@ -594,8 +597,6 @@ def combine_certificates(c1: Certificate, c2: Certificate, m: int) -> Certificat
     for name, cert in (("first", c1), ("second", c2)):
         if cert.k != 1:
             raise ValueError(f"{name} certificate has k={cert.k}, need k=1")
-        if not verify_certificate(cert):
-            raise ValueError(f"{name} certificate does not verify; refuse to combine")
     n_max = min(c1.horizon, c2.horizon)
     kept = sorted(s for s in c1.shifts if s <= n_max)
     dilated = sorted(m * s for s in c2.shifts if m * s <= n_max)
@@ -606,6 +607,8 @@ def combine_certificates(c1: Certificate, c2: Certificate, m: int) -> Certificat
         )
     shifts = tuple(sorted(set(kept) | set(dilated)))
     claim = 2 * c1.density_claim * c2.density_claim
+    if claim > 1:
+        raise CertificateRejected(f"merged claim {fraction_str(claim)} exceeds 1", m=m)
     mask = (1 << n_max) - 1
     candidates: list[tuple[str, int, dict]] = []
     f1 = _rotation_factors(c1.provenance)
@@ -673,18 +676,17 @@ def search_min_m(c1: Certificate, c2: Certificate, m_max: int) -> tuple[int, Cer
     )
 
 
-def square_certificate(cert: Certificate, bits: int | None = None) -> Certificate:
-    """Rewrite the shift set through s -> s*s and re-verify.
+def square_certificate(cert: Certificate) -> Certificate:
+    """Rewrite the shift set through s -> s*s and verify the result.
 
-    The base set defaults to the input certificate's; a caller may
-    supply a different bitset over the same horizon.  Shifts whose
-    square exceeds the horizon stay in the set (their condition is
-    vacuously true over a finite window).
+    The base set is the input certificate's.  Shifts whose square
+    exceeds the horizon stay in the set (their condition is vacuously
+    true over a finite window).
     """
     squared = tuple(sorted({s * s for s in cert.shifts}))
     out = Certificate(
         horizon=cert.horizon,
-        bits=cert.bits if bits is None else bits,
+        bits=cert.bits,
         shifts=squared,
         k=cert.k,
         density_claim=cert.density_claim,

@@ -28,6 +28,7 @@ from .bohr import (
     sqrt_set_enumerate,
 )
 from .certificates import (
+    Certificate,
     CertificateRejected,
     SearchExhausted,
     build_band_witness,
@@ -336,6 +337,14 @@ def _print_verification(v) -> None:
         print(f"violating shift: {v.violating_shift} at start {v.witness_start}")
 
 
+def _load_verified(path: str, verb: str) -> Certificate:
+    """A certificate file, verified once before an operation builds on it."""
+    cert = load_certificate(path)
+    if not verify_certificate(cert):
+        raise ValueError(f"{path} does not verify; refuse to {verb}")
+    return cert
+
+
 def main_cert(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="cert", description="Build, merge, and verify nonreturn certificates."
@@ -400,24 +409,22 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
             return 0
 
         if args.verb == "combine":
-            cert = combine_certificates(
-                load_certificate(args.first), load_certificate(args.second), args.m
-            )
+            c1, c2 = (_load_verified(path, "combine") for path in (args.first, args.second))
+            cert = combine_certificates(c1, c2, args.m)
             save_certificate(cert, args.out)
             print(f"m: {args.m}")
             print(f"claim: {fraction_str(cert.density_claim)}")
             return 0
 
         if args.verb == "search-m":
-            m, cert = search_min_m(
-                load_certificate(args.first), load_certificate(args.second), args.m_max
-            )
+            c1, c2 = (_load_verified(path, "combine") for path in (args.first, args.second))
+            m, cert = search_min_m(c1, c2, args.m_max)
             save_certificate(cert, args.out)
             print(f"m: {m}")
             print(f"claim: {fraction_str(cert.density_claim)}")
             return 0
 
-        v2 = square_certificate(load_certificate(args.cert))
+        v2 = square_certificate(_load_verified(args.cert, "square"))
         save_certificate(v2, args.out)
         print(f"shifts: {len(v2.shifts)}")
         return 0

@@ -4,8 +4,8 @@ The objects here live on the grid group Z_q^m.  An orbit n -> n*c + n^2*u
 is decomposed exactly: its visit measure over one period is a convex
 combination of uniform measures on cosets of the stabilizer subgroup of
 that measure, with rational weights read off from visit counts.  The
-identity is exact by construction and is re-checked by enumeration, never
-by tolerance.
+identity is exact by construction; the tests re-check it by enumeration,
+never by tolerance.
 
 For orbits whose linear part lies on the progression diagonal
 {(s, t, 2s, 2t, 0)} and whose quadratic part has the shape
@@ -25,7 +25,6 @@ that test and a failure raises rather than returning a near-zero.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -66,8 +65,6 @@ __all__ = [
     "quadratic_direction",
     "quadratic_orbit_decomposition",
     "root_of_unity_sum_is_zero",
-    "star_kernel",
-    "star_transform_factor",
     "uniformize_over_joining",
 ]
 
@@ -190,37 +187,6 @@ class OrbitDecomposition:
             tuple((a + b) % self.q for a, b in zip(rep, s))
             for s in self.stabilizer.elements()
         ]
-
-    def orbit_average(self, fn: Callable[[tuple[int, ...]], object]):
-        total = sum(fn(self.orbit_point(n)) for n in range(self.q))
-        return total / self.q
-
-    def decomposition_average(self, fn: Callable[[tuple[int, ...]], object]):
-        total = 0
-        for j, w in enumerate(self.weights):
-            elems = self.coset_elements(j)
-            total += w * (sum(fn(x) for x in elems) / len(elems))
-        return total
-
-    def averaging_gap(self, fn: Callable[[tuple[int, ...]], object]):
-        """Orbit average minus decomposition average; exactly 0 when fn is exact."""
-        return self.orbit_average(fn) - self.decomposition_average(fn)
-
-    def verify_measure_identity(self) -> bool:
-        """Recount the orbit and check the pointwise measure identity."""
-        counts = self.visit_counts()
-        if sum(self.weights, Fraction(0)) != 1:
-            return False
-        order = self.stabilizer.order()
-        seen: set[tuple[int, ...]] = set()
-        for j, w in enumerate(self.weights):
-            for x in self.coset_elements(j):
-                if x in seen:
-                    return False
-                seen.add(x)
-                if Fraction(counts.get(x, 0), self.q) != w / order:
-                    return False
-        return seen == set(counts)
 
 
 def quadratic_orbit_decomposition(
@@ -470,63 +436,6 @@ def extract_affine_joining(
         phi=phi,
         pattern=pattern,
     )
-
-
-# ---- the star convolution ----
-
-
-def star_kernel(
-    f_values: np.ndarray, g_values: np.ndarray, joining: AffineJoining
-) -> np.ndarray:
-    """(f *_joining g)(x, y) = sum_j w_j avg_{(w1,w2)} f(x, y + 2*w1) g(w2).
-
-    f_values has 2d axes of length q (x block then y block), g_values has
-    r axes of length q.  Object arrays of Fractions stay exact; anything
-    else accumulates in complex.
-    """
-    d, r, q = joining.d, joining.r, joining.q
-    f = np.asarray(f_values)
-    g = np.asarray(g_values)
-    if f.ndim != 2 * d or any(s != q for s in f.shape):
-        raise ValueError(f"f must have 2*{d} axes of length {q}")
-    if g.ndim != r or any(s != q for s in g.shape):
-        raise ValueError(f"g must have {r} axes of length {q}")
-    exact = f.dtype == object and g.dtype == object
-    out = np.zeros(f.shape, dtype=object if exact else complex)
-    y_axes = tuple(range(d, 2 * d))
-    for j, weight in enumerate(joining.weights):
-        elems = joining.coset_elements(j)
-        scale = weight / len(elems) if exact else float(weight) / len(elems)
-        for w in elems:
-            w1, w2 = w[:d], w[d:]
-            gv = g[w2] if exact else complex(g[w2])
-            if gv == 0:
-                continue
-            rolled = np.roll(f, shift=tuple(-(2 * a) % q for a in w1), axis=y_axes)
-            out = out + rolled * (scale * gv)
-    return out
-
-
-def star_transform_factor(
-    joining: AffineJoining, psi: Character, g_values: np.ndarray
-) -> complex:
-    """The factor multiplying every (chi, psi) coefficient under the kernel.
-
-    Equals sum_j w_j avg_{(w1,w2)} e(2 * psi . w1 / q) * g(w2).
-    """
-    d, q = joining.d, joining.q
-    if psi.dim != d:
-        raise ValueError("psi must act on the w1 block")
-    g = np.asarray(g_values)
-    total = 0j
-    for j, weight in enumerate(joining.weights):
-        elems = joining.coset_elements(j)
-        acc = 0j
-        for w in elems:
-            ph = sum(2 * n * a for n, a in zip(psi.freq, w[:d])) % q
-            acc += cmath.exp(2j * cmath.pi * ph / q) * complex(g[w[d:]])
-        total += float(weight) * acc / len(elems)
-    return total
 
 
 # ---- exact zero certificates for root-of-unity sums ----

@@ -520,11 +520,16 @@ class AveragesTrace:
     def to_csv(self) -> str:
         lines = ["N,value,closed_form,gap"]
         for n, v, cf, gap in self.rows():
-            cells = [str(n)] + [
-                "" if w is None else repr(float(w)) for w in (v, cf, gap)
-            ]
+            cells = [str(n)] + [_csv_cell(w) for w in (v, cf, gap)]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
+
+
+def _csv_cell(w) -> str:
+    if w is None:
+        return ""
+    # a non-real cell is written as repr(complex), such as (0.5+1j), which holds no comma
+    return repr(complex(w)) if isinstance(w, complex) and w.imag else repr(float(w.real))
 
 
 def _default_checkpoints(n_max: int) -> list[int]:

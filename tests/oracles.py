@@ -12,7 +12,9 @@ pointwise evaluation of a trig polynomial.  For the certificates: the
 one-draw band-disjointness probe that
 ``certificates.sample_band_disjointness`` replaced with row blocks, the
 band-measure probe, and the product bitset rebuilt from a certificate's
-recorded factors.
+recorded factors.  For the joinings: the orbit and coset averages of an
+orbit decomposition and the recount of its measure identity, the star
+kernel and its transform factor.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from reclab.harmonic import (
     cylinder_coefficient_is_structural_zero,
     top_k_characters,
 )
+from reclab.joinings import AffineJoining, OrbitDecomposition
 from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint
 from reclab.weyl import AveragesTrace, GridWeylModel, WeylSystem, weighted_average
 
@@ -394,3 +397,94 @@ def product_bits_from_factors(cert: Certificate) -> int:
         beta = Frequency(TorusPoint.from_json(entry["beta"]))
         bits &= band_return_bitset(witness, beta, cert.horizon)
     return bits
+
+
+def orbit_average(dec: OrbitDecomposition, fn: Callable[[tuple[int, ...]], object]):
+    """Mean of fn along one period of the decomposed orbit."""
+    total = sum(fn(dec.orbit_point(n)) for n in range(dec.q))
+    return total / dec.q
+
+
+def decomposition_average(dec: OrbitDecomposition, fn: Callable[[tuple[int, ...]], object]):
+    """Weighted mean of fn's coset averages."""
+    total = 0
+    for j, w in enumerate(dec.weights):
+        elems = dec.coset_elements(j)
+        total += w * (sum(fn(x) for x in elems) / len(elems))
+    return total
+
+
+def averaging_gap(dec: OrbitDecomposition, fn: Callable[[tuple[int, ...]], object]):
+    """Orbit average minus decomposition average; exactly 0 when fn is exact."""
+    return orbit_average(dec, fn) - decomposition_average(dec, fn)
+
+
+def verify_measure_identity(dec: OrbitDecomposition) -> bool:
+    """Recount the orbit and check the pointwise measure identity."""
+    counts = dec.visit_counts()
+    if sum(dec.weights, Fraction(0)) != 1:
+        return False
+    order = dec.stabilizer.order()
+    seen: set[tuple[int, ...]] = set()
+    for j, w in enumerate(dec.weights):
+        for x in dec.coset_elements(j):
+            if x in seen:
+                return False
+            seen.add(x)
+            if Fraction(counts.get(x, 0), dec.q) != w / order:
+                return False
+    return seen == set(counts)
+
+
+def star_kernel(
+    f_values: np.ndarray, g_values: np.ndarray, joining: AffineJoining
+) -> np.ndarray:
+    """(f *_joining g)(x, y) = sum_j w_j avg_{(w1,w2)} f(x, y + 2*w1) g(w2).
+
+    f_values has 2d axes of length q (x block then y block), g_values has
+    r axes of length q.  Object arrays of Fractions stay exact; anything
+    else accumulates in complex.
+    """
+    d, r, q = joining.d, joining.r, joining.q
+    f = np.asarray(f_values)
+    g = np.asarray(g_values)
+    if f.ndim != 2 * d or any(s != q for s in f.shape):
+        raise ValueError(f"f must have 2*{d} axes of length {q}")
+    if g.ndim != r or any(s != q for s in g.shape):
+        raise ValueError(f"g must have {r} axes of length {q}")
+    exact = f.dtype == object and g.dtype == object
+    out = np.zeros(f.shape, dtype=object if exact else complex)
+    y_axes = tuple(range(d, 2 * d))
+    for j, weight in enumerate(joining.weights):
+        elems = joining.coset_elements(j)
+        scale = weight / len(elems) if exact else float(weight) / len(elems)
+        for w in elems:
+            w1, w2 = w[:d], w[d:]
+            gv = g[w2] if exact else complex(g[w2])
+            if gv == 0:
+                continue
+            rolled = np.roll(f, shift=tuple(-(2 * a) % q for a in w1), axis=y_axes)
+            out = out + rolled * (scale * gv)
+    return out
+
+
+def star_transform_factor(
+    joining: AffineJoining, psi: Character, g_values: np.ndarray
+) -> complex:
+    """The factor multiplying every (chi, psi) coefficient under the kernel.
+
+    Equals sum_j w_j avg_{(w1,w2)} e(2 * psi . w1 / q) * g(w2).
+    """
+    d, q = joining.d, joining.q
+    if psi.dim != d:
+        raise ValueError("psi must act on the w1 block")
+    g = np.asarray(g_values)
+    total = 0j
+    for j, weight in enumerate(joining.weights):
+        elems = joining.coset_elements(j)
+        acc = 0j
+        for w in elems:
+            ph = sum(2 * n * a for n, a in zip(psi.freq, w[:d])) % q
+            acc += cmath.exp(2j * cmath.pi * ph / q) * complex(g[w[d:]])
+        total += float(weight) * acc / len(elems)
+    return total

@@ -39,7 +39,12 @@ from reclab.roth import quotient_gap_bound, roth_form
 from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint
 from reclab.weyl import GridWeylModel, RotationModel, triple_integrals
 
-from oracles import grid_convolve, grid_plancherel_gap
+from oracles import (
+    averaging_gap,
+    grid_convolve,
+    grid_plancherel_gap,
+    verify_measure_identity,
+)
 
 
 def random_point(rng, r, den=32):
@@ -187,7 +192,7 @@ def test_orbit_average_equals_coset_decomposition_exactly():
     rng = np.random.default_rng(505)
     for label, q, c, u in regimes:
         dec = quadratic_orbit_decomposition(c, u, q)
-        assert dec.verify_measure_identity(), label
+        assert verify_measure_identity(dec), label
         assert sum(dec.weights, Fraction(0)) == 1
 
         values = {}
@@ -197,7 +202,7 @@ def test_orbit_average_equals_coset_decomposition_exactly():
                 values[x] = Fraction(int(rng.integers(-60, 61)), 7)
             return values[x]
 
-        gap = dec.averaging_gap(fn)
+        gap = averaging_gap(dec, fn)
         assert isinstance(gap, Fraction), label
         assert gap == 0, label
     elapsed = time.perf_counter() - t0

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from reclab import certificates
 from reclab.bohr import BohrHammingBall, Frequency, set_enumerate
@@ -497,18 +497,46 @@ def test_combine_beyond_horizon_reduces_to_first():
     assert verify_certificate(combined).ok
 
 
-def test_combine_preconditions():
+# a recorded band-rotation ancestry, so the product-rotation candidate is tried
+TOY_ROTATION = {
+    "kind": "rotation",
+    "witness": BandWitness(r=1, a=Fraction(1, 8), t=0).to_json(),
+    "beta": TorusPoint.of([Fraction(1, 16)]).to_json(),
+}
+
+
+@st.composite
+def k1_certificates(draw):
+    """k = 1 certificates that may or may not verify, with or without ancestry."""
+    horizon = draw(st.integers(1, 48))
+    return Certificate(
+        horizon=horizon,
+        bits=draw(st.integers(0, (1 << horizon) - 1)),
+        shifts=tuple(draw(st.lists(st.integers(0, 60), max_size=6))),
+        k=1,
+        density_claim=draw(st.fractions(0, 1, max_denominator=48)),
+        provenance=draw(st.sampled_from([{}, TOY_ROTATION])),
+    )
+
+
+@given(c1=k1_certificates(), c2=k1_certificates(), m=st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_combine_preconditions(c1, c2, m):
     ev = evens_certificate()
     three_ap = Certificate.from_members(
         102, [n for n in range(102) if n % 6 in (0, 1)], (2,), 2, Fraction(1, 3)
     )
     with pytest.raises(ValueError):
         combine_certificates(ev, three_ap, 3)
-    broken = evens_certificate(extra=(5,))
-    with pytest.raises(ValueError):
-        combine_certificates(ev, broken, 3)
     with pytest.raises(ValueError):
         combine_certificates(ev, ev, 0)
+    # the inputs are not verified: whatever they hold, a merge that
+    # succeeds has passed its own check
+    try:
+        merged = combine_certificates(c1, c2, m)
+    except CertificateRejected:
+        return
+    assert verify_certificate(merged).ok
 
 
 def build_rotation_pair(horizon=3000):
@@ -642,14 +670,6 @@ def test_square_rejection_carries_diagnostics():
     with pytest.raises(CertificateRejected) as info:
         square_certificate(cert)
     assert info.value.diagnostics[0][1].violating_shift == 4
-
-
-def test_square_with_caller_base_set():
-    cert = Certificate.from_members(20, [0, 1], (3,), 1, Fraction(0))
-    override = sum(1 << n for n in range(0, 20, 5))  # avoids gap 9, not gap 3
-    squared = square_certificate(cert, bits=override)
-    assert squared.shifts == (9,)
-    assert squared.members() == [0, 5, 10, 15]
 
 
 # ---------------------------------------------------------------------------

@@ -293,15 +293,42 @@ def test_weyl_avg_poly_file_defaults_and_sums(tmp_path, capsys):
     assert capsys.readouterr().out == summed
 
 
-@pytest.mark.parametrize("n", [0, PERIOD_CAP + 1])
-def test_weyl_avg_horizon_above_the_period_cap_is_exit_2(tmp_path, monkeypatch, capsys, n):
+# --d must equal the number of --alpha values, so the command line bounds it
+@pytest.mark.parametrize(
+    "d, alpha, n, message",
+    [
+        pytest.param("1", ["1/7"], 0, f"--N: 0 is outside [1, {PERIOD_CAP}]", id="0"),
+        pytest.param("1", ["1/7"], PERIOD_CAP + 1,
+                     f"--N: {PERIOD_CAP + 1} is outside [1, {PERIOD_CAP}]", id=str(PERIOD_CAP + 1)),
+        pytest.param("0", ["1/7"], 50, "expected 0 alpha coordinates, got 1", id="d-0"),
+        pytest.param("2", ["1/7"], 50, "expected 2 alpha coordinates, got 1", id="d-2-one-alpha"),
+    ],
+)
+def test_weyl_avg_horizon_above_the_period_cap_is_exit_2(
+    tmp_path, monkeypatch, capsys, d, alpha, n, message
+):
     monkeypatch.setattr("reclab.cli.weighted_average", unreachable)
-    args = ["avg", "--d", "1", "--alpha", "1/7", "--freq-beta", "1/5",
+    args = ["avg", "--d", d, "--alpha", *alpha, "--freq-beta", "1/5",
             "--r", "1", "--k", "0", "--eta", "1/8", "--N", str(n), "--f", poly_file(tmp_path)]
     with pytest.raises(SystemExit) as err:
         main_weyl(args)
     assert err.value.code == 2
-    assert f"--N: {n} is outside [1, {PERIOD_CAP}]" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_weyl_avg_non_hermitian_table_writes_complex_cells(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"entries": [
+        {"freq": [0, 0], "coef": [0.5, 0.5]}, {"freq": [1, 0], "coef": [0, 1]},
+    ]}))
+    assert main_weyl(WEYL_SMALL + ["--f", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    lines = captured.out.strip().splitlines()
+    assert lines[0] == "N,value,closed_form,gap"
+    # four cells a row: a complex cell holds no comma
+    assert all(len(line.split(",")) == 4 for line in lines)
+    assert lines[-1].split(",")[:3] == ["50", "(-0.2+0.2j)", "(-0.25+0.25j)"]
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +420,33 @@ def test_cert_combine_rejects_bad_dilation(tmp_path, capsys):
     out = tmp_path / "merged.json"
     assert main_cert(["combine", evens, evens, "--m", "2", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def unverified_path(tmp_path):
+    # the evens with an odd member: 4, 5 is a progression of gap 1
+    cert = Certificate.from_members(600, [*range(0, 600, 2), 5], (1,), 1, Fraction(1, 2))
+    path = tmp_path / "broken.json"
+    save_certificate(cert, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["combine", "{good}", "{bad}", "--m", "3"], "{bad} does not verify; refuse to combine"),
+        (["combine", "{bad}", "{good}", "--m", "3"], "{bad} does not verify; refuse to combine"),
+        (["search-m", "{good}", "{bad}", "--m-max", "5"],
+         "{bad} does not verify; refuse to combine"),
+        (["square", "{bad}"], "{bad} does not verify; refuse to square"),
+    ],
+    ids=["combine-second", "combine-first", "search-m", "square"],
+)
+def test_cert_refuses_an_input_that_does_not_verify(tmp_path, capsys, args, message):
+    paths = {"good": evens_path(tmp_path), "bad": unverified_path(tmp_path)}
+    out = tmp_path / "out.json"
+    assert main_cert([a.format(**paths) for a in args] + ["--out", str(out)]) == 2
+    assert message.format(**paths) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.json", "evens.json"]
 
 
 def test_cert_square_evens(tmp_path, capsys):

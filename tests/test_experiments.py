@@ -452,6 +452,27 @@ def test_theorem_stage_builds_one_bitset_per_stage(tmp_path, monkeypatch, stages
     assert len(built) == stages
 
 
+def test_theorem_stage_checks_each_certificate_once(tmp_path, monkeypatch):
+    # one check per rotation certificate and one per merge candidate tried;
+    # the default stages merge at m = 1 on their first candidate
+    checked = []
+    verify = certificates.verify_certificate
+
+    def counted(cert):
+        checked.append(cert.provenance.get("candidate", cert.provenance["kind"]))
+        return verify(cert)
+
+    for module in (certificates, experiments):
+        if hasattr(module, "verify_certificate"):
+            monkeypatch.setattr(module, "verify_certificate", counted)
+    report = run(tmp_path, "theorem_stage", {})
+    assert report.status == PASS
+    assert report.metrics["stages_completed"] == 3
+    assert checked == [
+        "rotation", "rotation", "product-rotation", "rotation", "product-rotation"
+    ]
+
+
 def test_theorem_stage_default_frequencies_follow_the_witness(tmp_path, monkeypatch):
     # the k = 1 lists are the two-coordinate table, unchanged
     assert experiments._stage_frequencies(2) == [

@@ -780,14 +780,6 @@ WINDOWS = {
 }
 
 
-def csv_or_error(trace):
-    # to_csv writes real values only; a complex trace fails the same way on both paths
-    try:
-        return trace.to_csv()
-    except TypeError as exc:
-        return repr(exc)
-
-
 @given(
     case=float_averaging_cases(),
     window=st.sampled_from(sorted(WINDOWS)),
@@ -812,7 +804,7 @@ def test_float_weighted_average_matches_the_per_term_oracle(
     # repr pins every bit, the type (float or complex) and the sign of zero
     assert [repr(pt) for pt in got.checkpoints] == [repr(pt) for pt in want.checkpoints]
     assert repr(got.closed_form) == repr(want.closed_form)
-    assert csv_or_error(got) == csv_or_error(want)
+    assert got.to_csv() == want.to_csv()
     assert got.metadata == want.metadata
     if window == "all-off":
         assert got.metadata["window_hits"] == 0 and got.value == 0.0
@@ -855,6 +847,9 @@ def test_trace_validation_and_csv():
     with_form = AveragesTrace(checkpoints=((1, Fraction(1, 2)),), closed_form=Fraction(1, 4))
     assert with_form.gap == Fraction(1, 4)
     assert with_form.to_csv().strip().splitlines()[1] == "1,0.5,0.25,0.25"
+    # a non-real cell is written as repr(complex), which holds no comma
+    mixed = AveragesTrace(checkpoints=((1, 0.5 + 0.25j), (2, 0.5 + 0j)), closed_form=0.5)
+    assert mixed.to_csv().strip().splitlines()[1:] == ["1,(0.5+0.25j),0.5,0.25j", "2,0.5,0.5,0.0"]
 
 
 # ---- intersection scans ----
