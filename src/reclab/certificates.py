@@ -30,17 +30,21 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bohr import Frequency
 from .torus import (
-    ApproxHammingBall, TorusPoint, as_fraction, fraction_str, orbit_deviations, scan_blocks
+    ApproxHammingBall,
+    TorusPoint,
+    as_fraction,
+    binomial_tail,
+    fraction_str,
+    orbit_deviations,
+    scan_blocks,
 )
 
 __all__ = [
@@ -140,33 +144,6 @@ class Certificate:
     @property
     def density(self) -> Fraction:
         return Fraction(self.size, self.horizon)
-
-    def members(self) -> list[int]:
-        """The elements of B in increasing order (costly for huge B)."""
-        out = []
-        x = self.bits
-        while x:
-            low = x & -x
-            out.append(low.bit_length() - 1)
-            x ^= low
-        return out
-
-    @classmethod
-    def from_members(
-        cls,
-        horizon: int,
-        members: Iterable[int],
-        shifts: Sequence[int],
-        k: int,
-        density_claim,
-        provenance: dict | None = None,
-    ) -> "Certificate":
-        bits = 0
-        for n in members:
-            if not 0 <= n < horizon:
-                raise ValueError(f"member {n} outside [0, {horizon})")
-            bits |= 1 << n
-        return cls(horizon, bits, tuple(shifts), k, density_claim, provenance or {})
 
 
 @dataclass(frozen=True)
@@ -269,12 +246,7 @@ class BandWitness:
         return x.deviation_count(self.a) <= self.t
 
     def measure(self) -> Fraction:
-        p_off = 1 - 2 * self.a
-        p_in = 2 * self.a
-        return sum(
-            math.comb(self.r, j) * p_off**j * p_in ** (self.r - j)
-            for j in range(self.t + 1)
-        )
+        return binomial_tail(self.r, self.t, self.a)
 
     def to_json(self) -> dict:
         return {"r": self.r, "a": fraction_str(self.a), "t": self.t}
@@ -467,35 +439,30 @@ def sample_band_disjointness(
 # the rotation construction
 
 
-def _as_frequency(beta) -> Frequency:
-    if isinstance(beta, Frequency):
-        return beta
-    if isinstance(beta, TorusPoint):
-        return Frequency(beta)
-    raise TypeError(f"expected a Frequency or TorusPoint, got {type(beta).__name__}")
-
-
-def band_return_bitset(witness: BandWitness, beta, n_max: int) -> int:
+def band_return_bitset(witness: BandWitness, beta: TorusPoint, n_max: int) -> int:
     """Bitset of {n in [0, n_max) : n*beta lies in E}, decided exactly.
 
     Off-band counts come from torus.orbit_deviations on integer
     residues, one block of n at a time.
     """
-    freq = _as_frequency(beta)
-    if freq.dim != witness.r:
+    if beta.dim != witness.r:
         raise ValueError("witness and frequency dimensions differ")
     if n_max < 1:
         raise ValueError("horizon must be positive")
     bits = 0
     for ns in scan_blocks(0, n_max):
-        inside = orbit_deviations(freq.beta.coords, (0,) * witness.r, witness.a, ns) <= witness.t
+        inside = orbit_deviations(beta.coords, (0,) * witness.r, witness.a, ns) <= witness.t
         packed = np.packbits(inside, bitorder="little").tobytes()
         bits |= int.from_bytes(packed, "little") << int(ns[0])
     return bits
 
 
 def rotation_certificate(
-    witness: BandWitness, ball: ApproxHammingBall, beta, n_max: int, shifts: Sequence[int]
+    witness: BandWitness,
+    ball: ApproxHammingBall,
+    beta: TorusPoint,
+    n_max: int,
+    shifts: Sequence[int],
 ) -> Certificate:
     """Certificate from the orbit of beta through a band set.
 
@@ -507,10 +474,9 @@ def rotation_certificate(
     any shift that fails surfaces as a typed rejection carrying the
     verification, never as a certificate.
     """
-    freq = _as_frequency(beta)
-    if freq.dim != witness.r or ball.dim != witness.r:
+    if beta.dim != witness.r or ball.dim != witness.r:
         raise ValueError("witness, ball, and frequency dimensions must agree")
-    bits = band_return_bitset(witness, freq, n_max)
+    bits = band_return_bitset(witness, beta, n_max)
     cert = Certificate(
         horizon=n_max,
         bits=bits,
@@ -519,7 +485,7 @@ def rotation_certificate(
         density_claim=Fraction(bits.bit_count(), n_max),
         provenance={
             "kind": "rotation",
-            "beta": freq.beta.to_json(),
+            "beta": beta.to_json(),
             "witness": witness.to_json(),
             "ball": ball.to_json(),
             "target_density": fraction_str(witness.measure()),
@@ -622,7 +588,7 @@ def combine_certificates(c1: Certificate, c2: Certificate, m: int) -> Certificat
             bits &= c2.bits
         else:
             for w, beta in divided:
-                bits &= band_return_bitset(w, Frequency(beta), n_max)
+                bits &= band_return_bitset(w, beta, n_max)
         candidates.append(("product-rotation", bits, _factors_provenance(f1 + divided)))
     base_prov = {
         "kind": "combined",

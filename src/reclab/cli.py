@@ -21,7 +21,6 @@ import numpy as np
 
 from .bohr import (
     BohrHammingBall,
-    Frequency,
     named_convergent,
     set_enumerate,
     set_to_json,
@@ -73,8 +72,8 @@ def _rational(text: str) -> Fraction:
         return named_convergent(text)
     try:
         return as_fraction(text)
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -151,11 +150,11 @@ def main_bohr(argv: Sequence[str] | None = None) -> int:
     try:
         # the scan allocates O(N): bound N by sqrt_recurrence's N before any work
         parse_entry("sqrt_recurrence", "N", args.N, "--N")
-    except ExperimentError as exc:
+        ball = ApproxHammingBall(TorusPoint.of(center), args.k, args.eps)
+    except (ExperimentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ball = ApproxHammingBall(TorusPoint.of(center), args.k, args.eps)
-    bh = BohrHammingBall(Frequency(TorusPoint.of(args.freq), generating=True), ball)
+    bh = BohrHammingBall(TorusPoint.of(args.freq), ball)
     scan = sqrt_set_enumerate if args.sqrt else set_enumerate
     result = scan(bh, args.N)
     doc = set_to_json(result.elems, args.N)
@@ -245,11 +244,12 @@ def main_weyl(argv: Sequence[str] | None = None) -> int:
     if not 1 <= args.N <= PERIOD_CAP:
         parser.error(f"--N: {args.N} is outside [1, {PERIOD_CAP}]")
     try:
+        parse_entry("main_inequality (trig)", "ell", args.ell, "--ell")
+        ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * args.r), args.k, args.eta)
         table = _load_table(args.f, 2 * args.d)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (ExperimentError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * args.r), args.k, args.eta)
     g = annihilating_cylinder(ball, [])
     model = WeylSystem(TorusPoint.of(args.alpha))
     trace = weighted_average(
@@ -291,6 +291,11 @@ def main_roth(argv: Sequence[str] | None = None) -> int:
     # q >= 3 makes q^d > PHASE_CAP for every d past its bit length, so q^d stays small
     if args.d >= PHASE_CAP.bit_length() or args.q**args.d > PHASE_CAP:
         parser.error(f"q^d = {args.q}^{args.d} cells exceed the cap {PHASE_CAP}")
+    try:
+        parse_entry("config", "seed", args.seed, "--seed")
+    except ExperimentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # project onto the quotient by the last coordinate axis; for d = 1
     # that is the full grid and the projection is the plain mean
     axis = [0] * args.d
@@ -399,7 +404,7 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            freq = Frequency(TorusPoint.of(args.freq), generating=True)
+            freq = TorusPoint.of(args.freq)
             returns = set_enumerate(BohrHammingBall(freq, ball), args.N).elems
             cert = rotation_certificate(witness, ball, freq, args.N, returns)
             save_certificate(cert, args.out)

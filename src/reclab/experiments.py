@@ -34,7 +34,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .bohr import BohrHammingBall, Frequency, named_convergent, set_to_json, sqrt_set_enumerate
+from .bohr import BohrHammingBall, named_convergent, set_to_json, sqrt_set_enumerate
 from .certificates import (
     CertificateRejected,
     SearchExhausted,
@@ -749,7 +749,7 @@ def exp_sqrt_recurrence(config: ExperimentConfig) -> ExperimentReport:
 
     n_max = p["N"]
     ball = ApproxHammingBall(TorusPoint.of(center), p["k"], p["eps"])
-    bh = BohrHammingBall(Frequency(TorusPoint.of(coords), generating=True), ball)
+    bh = BohrHammingBall(TorusPoint.of(coords), ball)
     enum = sqrt_set_enumerate(bh, n_max)
 
     if not enum.elems:
@@ -861,7 +861,7 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
         )
 
     try:
-        witness, ball, proof = build_band_witness(k, p["eta"], seed=config.seed or 7)
+        witness, ball, proof = build_band_witness(k, p["eta"], seed=config.seed)
     except (SearchExhausted, ValueError) as exc:
         raise ExperimentError("band-witness", str(exc))
     if p["frequencies"] is None:
@@ -886,7 +886,7 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
     shift_base: set[int] = set()
 
     for i in range(1, stages + 1):
-        freq = Frequency(TorusPoint.of(p["frequencies"][i - 1]), generating=True)
+        freq = TorusPoint.of(p["frequencies"][i - 1])
         roots = sqrt_set_enumerate(BohrHammingBall(freq, ball), n_scan).elems
         if not roots:
             status = INCONCLUSIVE

@@ -24,16 +24,13 @@ Plancherel gap are computed by the tests' oracles.
 
 from __future__ import annotations
 
-import cmath
 import math
-import struct
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .torus import ApproxHammingBall, Cylinder, TorusPoint, as_fraction, wrap_unit
+from .torus import ApproxHammingBall, Cylinder
 
 @dataclass(frozen=True)
 class Character:
@@ -53,23 +50,6 @@ class Character:
     @property
     def trivial(self) -> bool:
         return all(n == 0 for n in self.freq)
-
-    def phase_at(self, x: TorusPoint) -> Fraction:
-        """Exact phase sum n_i x_i reduced mod 1."""
-        if x.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return wrap_unit(sum((n * c for n, c in zip(self.freq, x.coords)), Fraction(0)))
-
-    def value_at(self, x: TorusPoint) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self.phase_at(x)))
-
-    def __mul__(self, other: "Character") -> "Character":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return Character(tuple(a + b for a, b in zip(self.freq, other.freq)))
-
-    def inverse(self) -> "Character":
-        return Character(tuple(-a for a in self.freq))
 
 
 class CoefficientTable:
@@ -101,34 +81,6 @@ class CoefficientTable:
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def support(self) -> list[Character]:
-        return list(self._data.keys())
-
-    def norm_sq(self) -> float:
-        """Squared L2 norm through the coefficients."""
-        return sum(abs(v) ** 2 for v in self._data.values())
-
-    def translate(self, s: TorusPoint) -> "CoefficientTable":
-        """Coefficients of x -> f(x - s): each entry picks up chi(s)."""
-        out = CoefficientTable(self.dim)
-        for chi, v in self._data.items():
-            out[chi] = chi.value_at(s) * v
-        return out
-
-    def to_json(self) -> list[dict]:
-        rows = sorted(self._data.items(), key=lambda kv: kv[0].freq)
-        return [
-            {"n": list(chi.freq), "re": v.real, "im": v.imag} for chi, v in rows
-        ]
-
-    @classmethod
-    def from_json(cls, dim: int, rows: Iterable[dict]) -> "CoefficientTable":
-        out = cls(dim)
-        for row in rows:
-            chi = Character(tuple(row["n"]))
-            out[chi] = out[chi] + complex(row["re"], row["im"])
-        return out
 
 
 # ---- cylinder coefficients ----
@@ -220,7 +172,6 @@ def annihilating_cylinder(
 
 # ---- grid functions ----
 
-GRID_MAGIC = b"GRIDFN01"
 _DIRECT_DFT_LIMIT = 4096
 
 
@@ -240,17 +191,8 @@ class GridFunction:
             raise ValueError(f"values must have shape {(self.q,) * self.dim}")
         self.values = arr
 
-    @classmethod
-    def random(cls, dim: int, q: int, seed: int) -> "GridFunction":
-        rng = np.random.default_rng(seed)
-        vals = rng.standard_normal((q,) * dim) + 1j * rng.standard_normal((q,) * dim)
-        return cls(dim, q, vals)
-
     def size(self) -> int:
         return self.q**self.dim
-
-    def mean(self) -> complex:
-        return complex(self.values.mean())
 
     def norm_sq(self) -> float:
         """Squared L2 norm under normalized counting measure."""
@@ -271,51 +213,6 @@ class GridFunction:
             # tensordot cycles axes; after dim applications order is restored
             return GridFunction(self.dim, self.q, out / self.size())
         return GridFunction(self.dim, self.q, np.fft.fftn(self.values) / self.size())
-
-    def idft(self, force_direct: bool | None = None) -> "GridFunction":
-        """Inverse of dft: f(x) = sum fhat(n) e(n.x/q)."""
-        use_direct = (
-            force_direct
-            if force_direct is not None
-            else self.size() <= _DIRECT_DFT_LIMIT
-        )
-        if use_direct:
-            out = self.values
-            kernel = np.conj(_dft_kernel(self.q))
-            for axis in range(self.dim):
-                out = np.tensordot(out, kernel, axes=([0], [1]))
-            return GridFunction(self.dim, self.q, out)
-        return GridFunction(self.dim, self.q, np.fft.ifftn(self.values) * self.size())
-
-    def translate(self, shift: Sequence[int]) -> "GridFunction":
-        if len(shift) != self.dim:
-            raise ValueError("shift dimension mismatch")
-        out = self.values
-        for axis, s in enumerate(shift):
-            out = np.roll(out, s, axis=axis)
-        return GridFunction(self.dim, self.q, out)
-
-    # binary format: 8-byte magic, uint32 d, uint32 q, then q^d little-endian
-    # (re, im) float64 pairs in C order.
-    def to_bytes(self) -> bytes:
-        header = GRID_MAGIC + struct.pack("<II", self.dim, self.q)
-        flat = np.ascontiguousarray(self.values.ravel())
-        pairs = np.empty(2 * flat.size, dtype="<f8")
-        pairs[0::2] = flat.real
-        pairs[1::2] = flat.imag
-        return header + pairs.tobytes()
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "GridFunction":
-        if payload[:8] != GRID_MAGIC:
-            raise ValueError("bad magic; not a grid function blob")
-        dim, q = struct.unpack("<II", payload[8:16])
-        expected = 16 + 16 * q**dim
-        if len(payload) != expected:
-            raise ValueError(f"expected {expected} bytes, got {len(payload)}")
-        pairs = np.frombuffer(payload, dtype="<f8", offset=16)
-        vals = pairs[0::2] + 1j * pairs[1::2]
-        return cls(dim, q, vals.reshape((q,) * dim))
 
     def spectrum_table(self, tol: float = 0.0) -> CoefficientTable:
         """Spectrum as a coefficient table with centered frequencies."""

@@ -29,7 +29,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,27 +41,16 @@ from .harmonic import (
     top_k_characters,
 )
 from .lattice import SubgroupModel, solve_linear_mod
-from .torus import (
-    ApproxHammingBall,
-    Cylinder,
-    RationalLike,
-    TorusPoint,
-    as_fraction,
-    fraction_str,
-)
+from .torus import ApproxHammingBall, Cylinder, RationalLike, as_fraction
 
 __all__ = [
     "AffineJoining",
     "JoiningExtraction",
     "OrbitDecomposition",
     "annihilate_over_joining",
-    "cyclic_closure",
-    "cylinder_grid_density",
     "extract_affine_joining",
-    "grid_aligned_cylinder",
     "offset_projection",
     "pair_embedding",
-    "progression_subgroup",
     "quadratic_direction",
     "quadratic_orbit_decomposition",
     "root_of_unity_sum_is_zero",
@@ -89,36 +78,7 @@ def _lift_common(
     return lifted, q
 
 
-def cyclic_closure(
-    coords: Sequence[RationalLike], modulus: int | None = None
-) -> SubgroupModel:
-    """Subgroup of Z_q^m generated by one rational vector.
-
-    q is the least common denominator of the coordinates joined with the
-    optional modulus, so the vector becomes integral and the closure of
-    its multiples is a genuine subgroup model.
-    """
-    (vec,), q = _lift_common([list(coords)], modulus)
-    return SubgroupModel.from_generators(q, len(vec), [vec])
-
-
 # ---- the progression diagonal and standard orbit parts ----
-
-
-def progression_subgroup(d: int, r: int, q: int) -> SubgroupModel:
-    """The subgroup of Z_q^(4d+r) cut out by z3 = 2*z1, z4 = 2*z2, z5 = 0."""
-    m = 4 * d + r
-    gens = []
-    for i in range(d):
-        row = [0] * m
-        row[i] = 1
-        row[2 * d + i] = 2
-        gens.append(row)
-        row = [0] * m
-        row[d + i] = 1
-        row[3 * d + i] = 2
-        gens.append(row)
-    return SubgroupModel.from_generators(q, m, gens)
 
 
 def pair_embedding(s: Sequence, t: Sequence, r: int) -> list:
@@ -170,23 +130,6 @@ class OrbitDecomposition:
     stabilizer: SubgroupModel
     cosets: tuple[tuple[int, ...], ...]
     weights: tuple[Fraction, ...]
-
-    def orbit_point(self, n: int) -> tuple[int, ...]:
-        return tuple(
-            (n * c + n * n * u) % self.q
-            for c, u in zip(self.linear, self.quadratic)
-        )
-
-    def visit_counts(self) -> Counter:
-        """Counts over n in [0, q); one period doubles every count."""
-        return Counter(self.orbit_point(n) for n in range(self.q))
-
-    def coset_elements(self, j: int) -> list[tuple[int, ...]]:
-        rep = self.cosets[j]
-        return [
-            tuple((a + b) % self.q for a, b in zip(rep, s))
-            for s in self.stabilizer.elements()
-        ]
 
 
 def quadratic_orbit_decomposition(
@@ -293,44 +236,6 @@ class AffineJoining:
         """Uniform measure on the base subgroup itself."""
         zero = tuple([0] * base.dim)
         return cls(base=base, d=d, r=r, shifts=(zero,), weights=(Fraction(1),))
-
-    def coset_elements(self, j: int) -> list[tuple[int, ...]]:
-        rep = self.shifts[j]
-        return [
-            tuple((a + b) % self.q for a, b in zip(rep, s))
-            for s in self.base.elements()
-        ]
-
-    def integrate(self, fn: Callable[[tuple[int, ...]], object]):
-        """sum_j weight_j * average of fn over the j-th coset."""
-        total = 0
-        for j, w in enumerate(self.weights):
-            elems = self.coset_elements(j)
-            total += w * (sum(fn(x) for x in elems) / len(elems))
-        return total
-
-    def to_json(self) -> dict:
-        q = self.q
-        return {
-            "base": self.base.to_json(),
-            "d": self.d,
-            "r": self.r,
-            "cosets": [
-                [fraction_str(Fraction(a, q)) for a in shift] for shift in self.shifts
-            ],
-            "weights": [fraction_str(w) for w in self.weights],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AffineJoining":
-        base = SubgroupModel.from_json(data["base"])
-        q = base.q
-        shifts = tuple(
-            tuple(int(as_fraction(a) * q) % q for a in shift)
-            for shift in data["cosets"]
-        )
-        weights = tuple(as_fraction(w) for w in data["weights"])
-        return cls(base=base, d=data["d"], r=data["r"], shifts=shifts, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -496,33 +401,6 @@ def root_of_unity_sum_is_zero(masses: dict[int, Fraction], q: int) -> bool:
 # ---- cylinders evaluated over a joining ----
 
 
-def grid_aligned_cylinder(
-    dim: int,
-    index_set: Sequence[int],
-    center_indices: Sequence[int],
-    h: int,
-    q: int,
-) -> Cylinder:
-    """Box of radius (2h+1)/(2q) centered on a grid point.
-
-    Each pinned coordinate then contains exactly 2h+1 of the q grid
-    points, so grid averages of the normalized density are exactly 1.
-    """
-    if h < 0 or 2 * h + 1 > q:
-        raise ValueError("need 0 <= 2h+1 <= q")
-    center = TorusPoint.of([Fraction(a, q) for a in center_indices])
-    return Cylinder(
-        dim=dim, index_set=tuple(index_set), center=center, eta=Fraction(2 * h + 1, 2 * q)
-    )
-
-
-def cylinder_grid_density(cyl: Cylinder, q: int) -> np.ndarray:
-    """Normalized cylinder density sampled on the grid, as exact Fractions."""
-    shape = (q,) * cyl.dim
-    hits = cyl.orbit_contains([Fraction(1, q)] * cyl.dim, np.indices(shape).reshape(cyl.dim, -1).T)
-    return np.where(hits.reshape(shape), 1 / cyl.measure(), Fraction(0))
-
-
 def _phase(freq: Sequence[int], block: Sequence[int], q: int, scale: int = 1) -> int:
     return sum(scale * n * a for n, a in zip(freq, block)) % q
 
@@ -535,8 +413,8 @@ def _verify_star_zero(
     grid = [Fraction(1, q)] * joining.r
     value = 1 / cyl.measure()
     step = np.array([scale * n % q for n in freq], dtype=np.int64)
-    for j in range(len(joining.shifts)):
-        w = np.array(joining.coset_elements(j), dtype=np.int64)
+    for j, rep in enumerate(joining.shifts):
+        w = np.array(joining.base.coset_elements(rep), dtype=np.int64)
         inside = cyl.orbit_contains(grid, w[:, d:])
         phases, counts = np.unique(w[inside, :d] @ step % q, return_counts=True)
         masses = {t: c * value for t, c in zip(phases.tolist(), counts.tolist())}

@@ -5,8 +5,8 @@ lattice L = span_Z(generators) + q*Z^m.  The Hermite normal form of L
 is a canonical upper-triangular basis whose pivots divide q, which
 gives exact membership tests, the exact order q^m / det, and duplicate
 free enumeration by mixed-radix combinations of basis rows.  The Smith
-normal form supplies invariant factors and a solver for linear systems
-mod q, used to extend characters from a subgroup to the full group.
+normal form supplies a solver for linear systems mod q, used to extend
+characters from a subgroup to the full group.
 
 Everything here is integer arithmetic; there are no tolerances.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -223,15 +223,6 @@ class SubgroupModel:
         h = hermite_normal_form(rows, dim)
         return cls(q=q, dim=dim, basis=tuple(tuple(r) for r in h))
 
-    @classmethod
-    def trivial(cls, q: int, dim: int) -> "SubgroupModel":
-        return cls.from_generators(q, dim, [])
-
-    @classmethod
-    def full(cls, q: int, dim: int) -> "SubgroupModel":
-        eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        return cls.from_generators(q, dim, eye)
-
     def order(self) -> int:
         det = math.prod(row[i] for i, row in enumerate(self.basis))
         return self.q**self.dim // det
@@ -282,6 +273,10 @@ class SubgroupModel:
         out.sort()
         return out
 
+    def coset_elements(self, rep: Sequence[int]) -> list[tuple[int, ...]]:
+        """The coset rep + subgroup: elements() shifted by rep, in that order."""
+        return [tuple((a + b) % self.q for a, b in zip(rep, s)) for s in self.elements()]
+
     def join(self, other: "SubgroupModel") -> "SubgroupModel":
         """Smallest subgroup containing both operands."""
         if (self.q, self.dim) != (other.q, other.dim):
@@ -289,22 +284,3 @@ class SubgroupModel:
         return SubgroupModel.from_generators(
             self.q, self.dim, list(self.basis) + list(other.basis)
         )
-
-    def is_subgroup_of(self, other: "SubgroupModel") -> bool:
-        return all(other.contains(row) for row in self.basis)
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Cyclic decomposition orders d_1 >= d_2 >= ..., omitting 1s."""
-        d, _, _ = smith_normal_form([list(r) for r in self.basis])
-        factors = sorted(
-            (self.q // d[i][i] for i in range(self.dim) if self.q // d[i][i] > 1),
-            reverse=True,
-        )
-        return tuple(factors)
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "dims": self.dim, "basis": [list(r) for r in self.basis]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SubgroupModel":
-        return cls.from_generators(data["q"], data["dims"], data["basis"])

@@ -17,8 +17,8 @@ near machine precision whenever both run.
 Projecting one slot of the form onto the functions invariant under a
 subgroup K is a Fourier truncation to the annihilator of K, so the cost
 of projecting is controlled by the largest coefficient outside the
-annihilator.  Both the coset-averaging and mask forms of the projection
-are implemented and cross-checked.
+annihilator.  The projection averages over cosets; the tests check it
+against the Fourier mask onto the annihilator.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ __all__ = [
     "annihilator_contains",
     "quotient_gap_bound",
     "quotient_project",
-    "quotient_project_exact",
-    "quotient_project_spectral",
     "roth_form",
     "roth_form_exact",
 ]
@@ -129,29 +127,6 @@ def quotient_project(f: GridFunction, subgroup: SubgroupModel) -> GridFunction:
     for k in elems:
         acc += _roll_to(f.values, k)
     return GridFunction(f.dim, f.q, acc / len(elems))
-
-
-def quotient_project_exact(values: np.ndarray, subgroup: SubgroupModel) -> np.ndarray:
-    """Coset averaging for exact rational arrays."""
-    if values.shape != (subgroup.q,) * subgroup.dim:
-        raise ValueError("array shape must match the subgroup ambient")
-    elems = subgroup.elements()
-    acc = np.zeros(values.shape, dtype=object)
-    for k in elems:
-        acc = acc + _roll_to(values, k)
-    return acc / len(elems)
-
-
-def quotient_project_spectral(f: GridFunction, subgroup: SubgroupModel) -> GridFunction:
-    """The same projection as a Fourier mask onto the annihilator."""
-    if (subgroup.dim, subgroup.q) != (f.dim, f.q):
-        raise ValueError("subgroup must live on the same grid as f")
-    hat = f.dft()
-    masked = np.zeros_like(hat.values)
-    for idx in np.ndindex(*hat.values.shape):
-        if annihilator_contains(subgroup, idx):
-            masked[idx] = hat.values[idx]
-    return GridFunction(f.dim, f.q, masked).idft()
 
 
 def quotient_gap_bound(

@@ -1,9 +1,8 @@
 """Exact arithmetic on finite-dimensional tori.
 
 Points carry Fraction coordinates reduced into [0, 1).  The distance of a
-coordinate c to the nearest integer is min(c, 1 - c), and the norm of a
-point is the max of those coordinate distances.  The basic neighborhoods
-here allow a bounded number of coordinates to stray: a point x is
+coordinate c to the nearest integer is min(c, 1 - c).  The basic
+neighborhoods here allow a bounded number of coordinates to stray: a point x is
 (k, eps)-close to a center y when at most k coordinates of y - x sit at
 distance >= eps from zero.  Such a neighborhood is a finite union of
 axis-aligned boxes ("cylinders") that pin all but k coordinates.
@@ -24,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -79,10 +77,6 @@ class TorusPoint:
     def of(cls, values: Iterable[RationalLike]) -> "TorusPoint":
         return cls(tuple(as_fraction(v) for v in values))
 
-    @classmethod
-    def zero(cls, dim: int) -> "TorusPoint":
-        return cls(tuple(Fraction(0) for _ in range(dim)))
-
     @property
     def dim(self) -> int:
         return len(self.coords)
@@ -95,19 +89,12 @@ class TorusPoint:
         self._check_dim(other)
         return TorusPoint(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "TorusPoint":
-        return TorusPoint(tuple(-a for a in self.coords))
-
     def scale(self, n: int) -> "TorusPoint":
         return TorusPoint(tuple(n * a for a in self.coords))
 
     def _check_dim(self, other: "TorusPoint") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def norm(self) -> Fraction:
-        """Max over coordinates of the distance to the nearest integer."""
-        return max(coordinate_norm(c) for c in self.coords)
 
     def deviation_count(self, eps: RationalLike) -> int:
         """Number of coordinates at distance >= eps from zero."""
@@ -185,23 +172,6 @@ class Cylinder:
             return 1 / self.measure()
         return Fraction(0)
 
-    def to_json(self) -> dict:
-        return {
-            "r": self.dim,
-            "I": list(self.index_set),
-            "y": self.center.to_json(),
-            "eta": fraction_str(self.eta),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Cylinder":
-        return cls(
-            dim=data["r"],
-            index_set=tuple(data["I"]),
-            center=TorusPoint.from_json(data["y"]),
-            eta=as_fraction(data["eta"]),
-        )
-
 
 @dataclass(frozen=True)
 class ApproxHammingBall:
@@ -231,24 +201,7 @@ class ApproxHammingBall:
         return (self.center - x).deviation_count(self.eps) <= self.k
 
     def measure(self) -> Fraction:
-        r, e = self.dim, self.eps
-        p_dev = 1 - 2 * e
-        return sum(
-            comb(r, j) * p_dev**j * (2 * e) ** (r - j) for j in range(self.k + 1)
-        )
-
-    def cylinders(self, eta: RationalLike | None = None) -> list[Cylinder]:
-        """All cylinders on r - k coordinates, centered like the ball.
-
-        With eta = eps (the default) the union of these boxes is exactly
-        the ball.  Enumeration order is lexicographic in the index sets.
-        """
-        width = self.eps if eta is None else as_fraction(eta)
-        r = self.dim
-        out = []
-        for idx in combinations(range(1, r + 1), r - self.k):
-            out.append(Cylinder(dim=r, index_set=idx, center=self.center, eta=width))
-        return out
+        return binomial_tail(self.dim, self.k, self.eps)
 
     def to_json(self) -> dict:
         return {
@@ -258,13 +211,16 @@ class ApproxHammingBall:
             "eps": fraction_str(self.eps),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ApproxHammingBall":
-        return cls(
-            center=TorusPoint.from_json(data["y"]),
-            k=data["k"],
-            eps=as_fraction(data["eps"]),
-        )
+
+def binomial_tail(r: int, t: int, eps: Fraction) -> Fraction:
+    """Haar measure of the points of T^r with at most t coordinates at distance >= eps from 0.
+
+    Each coordinate deviates with probability 1 - 2 eps, independently,
+    so the measure is sum_{j<=t} C(r, j) (1 - 2 eps)^j (2 eps)^(r - j);
+    t = r gives the whole torus.
+    """
+    p_dev = 1 - 2 * eps
+    return sum(comb(r, j) * p_dev**j * (2 * eps) ** (r - j) for j in range(t + 1))
 
 
 def scan_blocks(start: int, stop: int) -> Iterator[np.ndarray]:

@@ -146,61 +146,6 @@ class WeylSystem:
     def dim(self) -> int:
         return self.alpha.dim
 
-    def orbit(self, x: TorusPoint, y: TorusPoint, n: int) -> tuple[TorusPoint, TorusPoint]:
-        """S^n(x, y) by the closed form, valid for every integer n.
-
-        The quadratic term C(n, 2) = n(n-1)/2 is an integer for all n,
-        so the formula also runs the inverse map.
-        """
-        if x.dim != self.dim or y.dim != self.dim:
-            raise ValueError("point dimensions must match the system")
-        n = int(n)
-        binom = n * (n - 1) // 2
-        return x + self.alpha.scale(n), y + x.scale(n) + self.alpha.scale(binom)
-
-    def step(self, x: TorusPoint, y: TorusPoint) -> tuple[TorusPoint, TorusPoint]:
-        return self.orbit(x, y, 1)
-
-    def pullback(self, table: CoefficientTable, n: int) -> CoefficientTable:
-        """Coefficients of f o S^n for a trig polynomial f on T^d x T^d.
-
-        A character e(nu . x + mu . y) pulls back to the character with
-        x-frequency nu + n mu and unchanged y-frequency, times the exact
-        root of unity e(n nu . alpha + C(n, 2) mu . alpha).
-        """
-        d = self.dim
-        if table.dim != 2 * d:
-            raise ValueError(f"table dimension {table.dim} is not twice the system dim {d}")
-        n = int(n)
-        binom = n * (n - 1) // 2
-        out = CoefficientTable(table.dim)
-        for chi, coef in table:
-            nu, mu = chi.freq[:d], chi.freq[d:]
-            phase = sum(
-                ((n * a + binom * b) * c for a, b, c in zip(nu, mu, self.alpha.coords)),
-                Fraction(0),
-            )
-            shifted = Character(tuple(a + n * b for a, b in zip(nu, mu)) + mu)
-            out[shifted] = out[shifted] + coef * _unit(phase)
-        return out
-
-    def triple_integral(self, table: CoefficientTable, n: int) -> complex:
-        """avg f . (f o S^n) . (f o S^2n) by orthogonality of characters.
-
-        The integral of a product of three characters is 1 when the
-        frequencies cancel and 0 otherwise, so the triple integral is a
-        finite coefficient sum with no quadrature anywhere.
-        """
-        t1 = self.pullback(table, n)
-        t2 = self.pullback(table, 2 * n)
-        total = 0j
-        for chi0, c0 in table:
-            for chi1, c1 in t1:
-                c2 = t2[(chi0 * chi1).inverse()]
-                if c2 != 0:
-                    total += c0 * c1 * c2
-        return total
-
     def correlation_series(self, table: CoefficientTable, n_max: int) -> np.ndarray:
         """The vector of triple integrals for n = 1..n_max in one pass.
 
@@ -279,8 +224,19 @@ def _drift_hit(base: tuple[int, ...], drift: tuple[int, ...]) -> int:
 # ---- finite grid models ----
 
 
+class _GridModel:
+    """What the two grid models share: the triple integral over their pullbacks."""
+
+    def triple_integral(self, f: Observable, n: int):
+        """avg f . (f o S^n) . (f o S^2n), exact on integer/object grids."""
+        values = _as_values(f)
+        return _mean_of_product(
+            [values, self.pullback_values(values, n), self.pullback_values(values, 2 * n)]
+        )
+
+
 @dataclass(frozen=True)
-class RotationModel:
+class RotationModel(_GridModel):
     """Rotation T(x) = x + step on the grid Z_q^d."""
 
     q: int
@@ -320,16 +276,9 @@ class RotationModel:
         shift = tuple(-(int(n) * s) % self.q for s in self.step)
         return np.roll(values, shift=shift, axis=tuple(range(self.d)))
 
-    def triple_integral(self, f: Observable, n: int):
-        """avg f . (f o T^n) . (f o T^2n), exact on integer/object grids."""
-        values = _as_values(f)
-        return _mean_of_product(
-            [values, self.pullback_values(values, n), self.pullback_values(values, 2 * n)]
-        )
-
 
 @dataclass(frozen=True)
-class GridWeylModel:
+class GridWeylModel(_GridModel):
     """The skew product S(x, y) = (x + alpha, y + x) on Z_q^d x Z_q^d.
 
     alpha holds the integer residues a with rotation part a/q; the
@@ -394,13 +343,6 @@ class GridWeylModel:
         ]
         return values[tuple(rows + cols)]
 
-    def triple_integral(self, f: Observable, n: int):
-        """avg f . (f o S^n) . (f o S^2n), exact on integer/object grids."""
-        values = _as_values(f)
-        return _mean_of_product(
-            [values, self.pullback_values(values, n), self.pullback_values(values, 2 * n)]
-        )
-
 
 Model = Union[WeylSystem, RotationModel, GridWeylModel]
 
@@ -413,16 +355,17 @@ def kronecker_projection(f: Observable, d: int | None = None) -> Observable:
 
     Trig polynomials drop every term whose y-frequency is nonzero; grid
     observables average over the trailing block of axes.  Exact object
-    grids stay exact.
+    grids stay exact.  The split point d defaults to half the dimension.
     """
+    arr = None if isinstance(f, (CoefficientTable, GridFunction)) else np.asarray(f)
+    total = f.dim if arr is None else arr.ndim
+    if d is None:
+        if total % 2:
+            raise ValueError(f"odd dimension {total} needs an explicit split point d")
+        d = total // 2
+    if not 1 <= d < total:
+        raise ValueError(f"split point {d} outside 1..{total - 1}")
     if isinstance(f, CoefficientTable):
-        total = f.dim
-        if d is None:
-            if total % 2:
-                raise ValueError("odd table dimension needs an explicit split point d")
-            d = total // 2
-        if not 1 <= d < total:
-            raise ValueError(f"split point {d} outside 1..{total - 1}")
         out = CoefficientTable(d)
         for chi, coef in f:
             if any(chi.freq[d:]):
@@ -431,21 +374,7 @@ def kronecker_projection(f: Observable, d: int | None = None) -> Observable:
             out[kept] = out[kept] + coef
         return out
     if isinstance(f, GridFunction):
-        if d is None:
-            if f.dim % 2:
-                raise ValueError("odd grid dimension needs an explicit split point d")
-            d = f.dim // 2
-        if not 1 <= d < f.dim:
-            raise ValueError(f"split point {d} outside 1..{f.dim - 1}")
-        vals = f.values.mean(axis=tuple(range(d, f.dim)))
-        return GridFunction(d, f.q, vals)
-    arr = np.asarray(f)
-    if d is None:
-        if arr.ndim % 2:
-            raise ValueError("odd array dimension needs an explicit split point d")
-        d = arr.ndim // 2
-    if not 1 <= d < arr.ndim:
-        raise ValueError(f"split point {d} outside 1..{arr.ndim - 1}")
+        return GridFunction(d, f.q, f.values.mean(axis=tuple(range(d, f.dim))))
     axes = tuple(range(d, arr.ndim))
     if arr.dtype == object:
         return _exact_block_mean(arr, axes)
@@ -563,10 +492,10 @@ def _is_leading_range(ns: Sequence[int]) -> bool:
 def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> Sequence:
     """The per-step integrals avg f . f o S^n . f o S^2n for each requested n.
 
-    A contiguous run 1..N on the trig backend, as a range or as a list,
-    comes back as the complex ndarray of the closed-form series;
-    everything else is a list evaluated pointwise.  Results are in
-    request order.
+    On the trig backend every n must be at least 1: one closed-form
+    series over 1..max(n) is computed and indexed, and the request 1..N
+    (a range or the equal list) gets the series itself, a complex ndarray.
+    Results are in request order.
 
     On the grid models S^P is the identity for P = model.period, so the
     integral depends only on r = n mod P, and the gathered arrays are
@@ -579,7 +508,11 @@ def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> Se
     if isinstance(model, WeylSystem):
         if _is_leading_range(ns):
             return model.correlation_series(f, len(ns))
-        return [model.triple_integral(f, n) for n in ns]
+        if not ns:
+            return []
+        if min(ns) < 1:
+            raise ValueError(f"trig integrals start at n = 1, got n = {min(ns)}")
+        return model.correlation_series(f, max(ns))[np.asarray(ns) - 1]
     period = model.period
     reflect = _is_exact_dtype(_as_values(f))
     by_key: dict[int, object] = {}

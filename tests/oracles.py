@@ -1,26 +1,37 @@
-"""Reference code that only the tests call.
+"""Reference code and fixture builders that only the tests call.
 
-The per-n loop that ``weyl.triple_integrals`` replaced on the grid
-models, and the weyl helpers nothing in the library uses: the grid model
-of a rational system, the unweighted average, and the observable range
-check.  The float path of ``weyl.weighted_average`` one Python complex
-term at a time, and the O(support^3) triple loop that
-``WeylSystem.correlation_series`` replaced with a y-frequency index.
-For harmonic: the sinc closed form of a cylinder coefficient, the
-uniformizing cylinder, grid convolution, the Plancherel gap and
-pointwise evaluation of a trig polynomial.  For the certificates: the
-one-draw band-disjointness probe that
+Fixtures: the origin of a torus (``zero_point``), the trivial and full
+subgroups, a random complex grid function, a certificate built from a
+list of members and the list of a certificate's members, and the
+inverse of ``bohr.set_to_json``.
+
+For weyl: the per-n loop that ``weyl.triple_integrals`` replaced on the
+grid models; the trig pullback f o S^n and the pointwise triple integral
+by orthogonality, which ``WeylSystem.correlation_series`` and every trig
+``triple_integrals`` request are checked against; the O(support^3)
+triple loop that the series replaced with a y-frequency index; the float
+path of ``weyl.weighted_average`` one Python complex term at a time; the
+grid model of a rational system, the unweighted average and the
+observable range check.  For torus and harmonic: the cylinders whose
+union is a Hamming ball, the value of a character and of a trig
+polynomial at a point, the sinc closed form of a cylinder coefficient,
+the uniformizing cylinder, the inverse DFT, grid convolution and the
+Plancherel gap.  For roth: the quotient projection as a Fourier mask
+onto the annihilator, the oracle of the coset-average projection.  For
+the certificates: the one-draw band-disjointness probe that
 ``certificates.sample_band_disjointness`` replaced with row blocks, the
 band-measure probe, and the product bitset rebuilt from a certificate's
-recorded factors.  For the joinings: the orbit and coset averages of an
-orbit decomposition and the recount of its measure identity, the star
-kernel and its transform factor.
+recorded factors.  For the joinings: the points and visit counts of a
+decomposed orbit, its orbit and coset averages and the recount of its
+measure identity, and the star kernel and its transform factor.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -28,7 +39,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from reclab import weyl
-from reclab.bohr import Frequency
 from reclab.certificates import BandWitness, Certificate, band_return_bitset
 from reclab.harmonic import (
     Character,
@@ -39,13 +49,111 @@ from reclab.harmonic import (
     top_k_characters,
 )
 from reclab.joinings import AffineJoining, OrbitDecomposition
-from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint
+from reclab.lattice import SubgroupModel
+from reclab.roth import annihilator_contains
+from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint, wrap_unit
 from reclab.weyl import AveragesTrace, GridWeylModel, WeylSystem, weighted_average
+
+
+# ---------------------------------------------------------------------------
+# fixture builders
+
+
+def zero_point(dim: int) -> TorusPoint:
+    """The origin of T^dim."""
+    return TorusPoint((Fraction(0),) * dim)
+
+
+def trivial_subgroup(q: int, dim: int) -> SubgroupModel:
+    return SubgroupModel.from_generators(q, dim, [])
+
+
+def full_subgroup(q: int, dim: int) -> SubgroupModel:
+    eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    return SubgroupModel.from_generators(q, dim, eye)
+
+
+def random_grid(dim: int, q: int, seed: int) -> GridFunction:
+    """A complex Gaussian grid function, reproducible from its seed."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((q,) * dim) + 1j * rng.standard_normal((q,) * dim)
+    return GridFunction(dim, q, vals)
+
+
+def certificate_from_members(
+    horizon: int,
+    members: Iterable[int],
+    shifts: Sequence[int],
+    k: int,
+    density_claim,
+) -> Certificate:
+    """A certificate whose base set B is listed element by element."""
+    bits = 0
+    for n in members:
+        if not 0 <= n < horizon:
+            raise ValueError(f"member {n} outside [0, {horizon})")
+        bits |= 1 << n
+    return Certificate(horizon, bits, tuple(shifts), k, density_claim)
+
+
+def certificate_members(cert: Certificate) -> list[int]:
+    """The elements of B in increasing order."""
+    return [n for n in range(cert.horizon) if cert.bits >> n & 1]
+
+
+def set_from_json(payload: dict) -> tuple[list[int], int]:
+    """Inverse of bohr.set_to_json; returns (elements, horizon)."""
+    elems: list[int] = []
+    for start, length in payload["elems"]:
+        elems.extend(range(start, start + length))
+    return elems, payload["N"]
 
 
 def triple_integrals_per_n(model, f, n_values: Iterable[int]) -> list:
     """One ``model.triple_integral`` per requested n, in request order."""
     return [model.triple_integral(f, int(n)) for n in n_values]
+
+
+def pullback(system: WeylSystem, table: CoefficientTable, n: int) -> CoefficientTable:
+    """Coefficients of f o S^n for a trig polynomial f on T^d x T^d.
+
+    A character e(nu . x + mu . y) pulls back to the character with
+    x-frequency nu + n mu and unchanged y-frequency, times the exact
+    root of unity e(n nu . alpha + C(n, 2) mu . alpha).
+    """
+    d = system.dim
+    if table.dim != 2 * d:
+        raise ValueError(f"table dimension {table.dim} is not twice the system dim {d}")
+    n = int(n)
+    binom = n * (n - 1) // 2
+    out = CoefficientTable(table.dim)
+    for chi, coef in table:
+        nu, mu = chi.freq[:d], chi.freq[d:]
+        phase = sum(
+            ((n * a + binom * b) * c for a, b, c in zip(nu, mu, system.alpha.coords)),
+            Fraction(0),
+        )
+        shifted = Character(tuple(a + n * b for a, b in zip(nu, mu)) + mu)
+        out[shifted] = out[shifted] + coef * weyl._unit(phase)
+    return out
+
+
+def trig_triple_integral(system: WeylSystem, table: CoefficientTable, n: int) -> complex:
+    """avg f . (f o S^n) . (f o S^2n) at one n, by orthogonality of characters.
+
+    The integral of a product of three characters is 1 when the
+    frequencies cancel and 0 otherwise: the pointwise oracle of
+    ``WeylSystem.correlation_series``.
+    """
+    t1 = pullback(system, table, n)
+    t2 = pullback(system, table, 2 * n)
+    total = 0j
+    for chi0, c0 in table:
+        for chi1, c1 in t1:
+            c2 = t2[Character(tuple(-(a + b) for a, b in zip(chi0.freq, chi1.freq)))]
+            if c2 != 0:
+                total += c0 * c1 * c2
+    return total
 
 
 def grid_model_from_system(system: WeylSystem, q: int | None = None) -> GridWeylModel:
@@ -223,9 +331,28 @@ def weighted_average_per_term(
 # harmonic
 
 
+def character_value(chi: Character, x: TorusPoint) -> complex:
+    """e(n . x) from the exact phase n . x mod 1."""
+    phase = wrap_unit(sum((n * c for n, c in zip(chi.freq, x.coords)), Fraction(0)))
+    return cmath.exp(2j * cmath.pi * float(phase))
+
+
 def evaluate_table(table: CoefficientTable, x: TorusPoint) -> complex:
     """The trig polynomial at x, summed term by term."""
-    return sum(v * chi.value_at(x) for chi, v in table)
+    return sum(v * character_value(chi, x) for chi, v in table)
+
+
+def ball_cylinders(ball: ApproxHammingBall) -> list[Cylinder]:
+    """All cylinders on r - k coordinates, centered like the ball, of width eps.
+
+    Their union is exactly the ball.  Enumeration order is lexicographic
+    in the index sets.
+    """
+    r = ball.dim
+    return [
+        Cylinder(dim=r, index_set=idx, center=ball.center, eta=ball.eps)
+        for idx in itertools.combinations(range(1, r + 1), r - ball.k)
+    ]
 
 
 def cylinder_fourier(cyl: Cylinder, chi: Character) -> complex:
@@ -285,6 +412,28 @@ def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     fh = np.fft.fftn(f.values)
     gh = np.fft.fftn(g.values)
     return GridFunction(f.dim, f.q, np.fft.ifftn(fh * gh) / f.size())
+
+
+def grid_idft(hat: GridFunction) -> GridFunction:
+    """Inverse of GridFunction.dft by the direct kernel: f(x) = sum fhat(n) e(n.x/q)."""
+    j = np.arange(hat.q)
+    kernel = np.exp(2j * np.pi * np.outer(j, j) / hat.q)
+    out = hat.values
+    for _ in range(hat.dim):
+        out = np.tensordot(out, kernel, axes=([0], [1]))
+    return GridFunction(hat.dim, hat.q, out)
+
+
+def quotient_project_spectral(f: GridFunction, subgroup: SubgroupModel) -> GridFunction:
+    """roth.quotient_project as a Fourier mask onto the annihilator."""
+    if (subgroup.dim, subgroup.q) != (f.dim, f.q):
+        raise ValueError("subgroup must live on the same grid as f")
+    hat = f.dft()
+    masked = np.zeros_like(hat.values)
+    for idx in np.ndindex(*hat.values.shape):
+        if annihilator_contains(subgroup, idx):
+            masked[idx] = hat.values[idx]
+    return grid_idft(GridFunction(f.dim, f.q, masked))
 
 
 def grid_plancherel_gap(f: GridFunction) -> float:
@@ -394,24 +543,38 @@ def product_bits_from_factors(cert: Certificate) -> int:
     bits = (1 << cert.horizon) - 1
     for entry in entries:
         witness = BandWitness.from_json(entry["witness"])
-        beta = Frequency(TorusPoint.from_json(entry["beta"]))
-        bits &= band_return_bitset(witness, beta, cert.horizon)
+        bits &= band_return_bitset(witness, TorusPoint.from_json(entry["beta"]), cert.horizon)
     return bits
+
+
+def orbit_point(dec: OrbitDecomposition, n: int) -> tuple[int, ...]:
+    """The n-th point n*c + n^2*u of the decomposed orbit."""
+    return tuple((n * c + n * n * u) % dec.q for c, u in zip(dec.linear, dec.quadratic))
+
+
+def visit_counts(dec: OrbitDecomposition) -> Counter:
+    """Counts over n in [0, q); one period doubles every count."""
+    return Counter(orbit_point(dec, n) for n in range(dec.q))
 
 
 def orbit_average(dec: OrbitDecomposition, fn: Callable[[tuple[int, ...]], object]):
     """Mean of fn along one period of the decomposed orbit."""
-    total = sum(fn(dec.orbit_point(n)) for n in range(dec.q))
+    total = sum(fn(orbit_point(dec, n)) for n in range(dec.q))
     return total / dec.q
+
+
+def coset_average(base: SubgroupModel, reps, weights, fn: Callable[[tuple[int, ...]], object]):
+    """sum_j weights[j] * the average of fn over the coset reps[j] + base."""
+    total = 0
+    for rep, w in zip(reps, weights):
+        elems = base.coset_elements(rep)
+        total += w * (sum(fn(x) for x in elems) / len(elems))
+    return total
 
 
 def decomposition_average(dec: OrbitDecomposition, fn: Callable[[tuple[int, ...]], object]):
     """Weighted mean of fn's coset averages."""
-    total = 0
-    for j, w in enumerate(dec.weights):
-        elems = dec.coset_elements(j)
-        total += w * (sum(fn(x) for x in elems) / len(elems))
-    return total
+    return coset_average(dec.stabilizer, dec.cosets, dec.weights, fn)
 
 
 def averaging_gap(dec: OrbitDecomposition, fn: Callable[[tuple[int, ...]], object]):
@@ -421,13 +584,13 @@ def averaging_gap(dec: OrbitDecomposition, fn: Callable[[tuple[int, ...]], objec
 
 def verify_measure_identity(dec: OrbitDecomposition) -> bool:
     """Recount the orbit and check the pointwise measure identity."""
-    counts = dec.visit_counts()
+    counts = visit_counts(dec)
     if sum(dec.weights, Fraction(0)) != 1:
         return False
     order = dec.stabilizer.order()
     seen: set[tuple[int, ...]] = set()
-    for j, w in enumerate(dec.weights):
-        for x in dec.coset_elements(j):
+    for rep, w in zip(dec.cosets, dec.weights):
+        for x in dec.stabilizer.coset_elements(rep):
             if x in seen:
                 return False
             seen.add(x)
@@ -455,8 +618,8 @@ def star_kernel(
     exact = f.dtype == object and g.dtype == object
     out = np.zeros(f.shape, dtype=object if exact else complex)
     y_axes = tuple(range(d, 2 * d))
-    for j, weight in enumerate(joining.weights):
-        elems = joining.coset_elements(j)
+    for rep, weight in zip(joining.shifts, joining.weights):
+        elems = joining.base.coset_elements(rep)
         scale = weight / len(elems) if exact else float(weight) / len(elems)
         for w in elems:
             w1, w2 = w[:d], w[d:]
@@ -480,8 +643,8 @@ def star_transform_factor(
         raise ValueError("psi must act on the w1 block")
     g = np.asarray(g_values)
     total = 0j
-    for j, weight in enumerate(joining.weights):
-        elems = joining.coset_elements(j)
+    for rep, weight in zip(joining.shifts, joining.weights):
+        elems = joining.base.coset_elements(rep)
         acc = 0j
         for w in elems:
             ph = sum(2 * n * a for n, a in zip(psi.freq, w[:d])) % q

@@ -13,9 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reclab.bohr import BohrHammingBall, Frequency, set_enumerate, sqrt_set_enumerate
+from reclab.bohr import BohrHammingBall, set_enumerate, sqrt_set_enumerate
 from reclab.certificates import (
-    Certificate,
     CertificateRejected,
     build_band_witness,
     combine_certificates,
@@ -41,8 +40,10 @@ from reclab.weyl import GridWeylModel, RotationModel, triple_integrals
 
 from oracles import (
     averaging_gap,
+    certificate_from_members,
     grid_convolve,
     grid_plancherel_gap,
+    random_grid,
     verify_measure_identity,
 )
 
@@ -117,8 +118,8 @@ def test_plancherel_and_convolution_identities():
     for q in (3, 5, 7):
         for d in (1, 2):
             for _ in range(100):
-                f = GridFunction.random(d, q, seed)
-                g = GridFunction.random(d, q, seed + 1)
+                f = random_grid(d, q, seed)
+                g = random_grid(d, q, seed + 1)
                 seed += 2
                 worst = max(worst, grid_plancherel_gap(f))
                 conv_hat = grid_convolve(f, g).dft().values
@@ -138,9 +139,9 @@ def test_progression_form_spectral_identity():
     for q in (3, 5, 7, 9):
         for d in (1, 2):
             for _ in range(100):
-                f0 = GridFunction.random(d, q, seed)
-                f1 = GridFunction.random(d, q, seed + 1)
-                f2 = GridFunction.random(d, q, seed + 2)
+                f0 = random_grid(d, q, seed)
+                f1 = random_grid(d, q, seed + 1)
+                f2 = random_grid(d, q, seed + 2)
                 seed += 3
                 direct = roth_form(f0, f1, f2, method="direct")
                 spectral = roth_form(f0, f1, f2, method="spectral")
@@ -148,9 +149,9 @@ def test_progression_form_spectral_identity():
     assert worst < 1e-9
     with pytest.raises(ValueError):
         roth_form(
-            GridFunction.random(1, 4, 1),
-            GridFunction.random(1, 4, 2),
-            GridFunction.random(1, 4, 3),
+            random_grid(1, 4, 1),
+            random_grid(1, 4, 2),
+            random_grid(1, 4, 3),
             method="spectral",
         )
     elapsed = time.perf_counter() - t0
@@ -265,7 +266,7 @@ def test_weighted_average_inequality_desk_check(tmp_path):
 def test_certificate_suite():
     """Parity certificate, pair merging at m=3, and a verified rotation run."""
     t0 = time.perf_counter()
-    evens = Certificate.from_members(2000, range(0, 2000, 2), (1,), 1, Fraction(1, 2))
+    evens = certificate_from_members(2000, range(0, 2000, 2), (1,), 1, Fraction(1, 2))
     assert verify_certificate(evens).ok
 
     m, merged = search_min_m(evens, evens, 5)
@@ -277,9 +278,7 @@ def test_certificate_suite():
 
     witness, ball, proof = build_band_witness(1, Fraction(1, 8))
     assert witness.r <= 6
-    freq = Frequency(
-        TorusPoint.of([Fraction(3, 64), Fraction(5, 81)]), generating=True
-    )
+    freq = TorusPoint.of([Fraction(3, 64), Fraction(5, 81)])
     shifts = set_enumerate(BohrHammingBall(freq, ball), 100_000).elems
     cert = rotation_certificate(witness, ball, freq, 100_000, shifts)
     verdict = verify_certificate(cert)
@@ -313,9 +312,7 @@ def test_sqrt_return_set_recurrence_positivity():
     """Square-root return times produce an exactly positive triple overlap."""
     t0 = time.perf_counter()
     ball = ApproxHammingBall(TorusPoint.of(["0", "0"]), 1, Fraction(1, 16))
-    freq = Frequency(
-        TorusPoint.of([Fraction(3, 64), Fraction(5, 81)]), generating=True
-    )
+    freq = TorusPoint.of([Fraction(3, 64), Fraction(5, 81)])
     elems = sqrt_set_enumerate(BohrHammingBall(freq, ball), 2000).elems
     assert elems
 

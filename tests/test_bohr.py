@@ -1,6 +1,5 @@
 """Bohr-Hamming set enumeration against brute-force torus oracles."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -8,20 +7,15 @@ from hypothesis import given, strategies as st
 
 from reclab.bohr import (
     BohrHammingBall,
-    Frequency,
     continued_fraction_convergents,
-    convergent_frequency,
-    density_vs_measure,
-    dilate,
-    dilate_divide,
     named_convergent,
     set_enumerate,
-    set_from_json,
     set_to_json,
     sqrt_set_enumerate,
-    square_set,
 )
 from reclab.torus import ApproxHammingBall, TorusPoint
+
+from oracles import set_from_json
 
 fractions_small = st.fractions(
     min_value=Fraction(0), max_value=Fraction(1), max_denominator=12
@@ -31,26 +25,10 @@ radii_small = st.fractions(
 )
 
 
-def make_bh(beta_coords, center_coords, k, eps, generating=False):
-    freq = Frequency.of(*beta_coords, generating=generating)
+def make_bh(beta_coords, center_coords, k, eps):
+    freq = TorusPoint.of(beta_coords)
     ball = ApproxHammingBall(center=TorusPoint.of(center_coords), k=k, eps=eps)
     return BohrHammingBall(freq=freq, ball=ball)
-
-
-def test_frequency_common_denominator():
-    freq = Frequency.of("1/6", "3/4")
-    assert freq.q == 12
-    assert freq.numerators == (2, 9)
-    assert freq.multiple(3).coords == (Fraction(1, 2), Fraction(1, 4))
-
-
-def test_frequency_scale_gcd_rule():
-    freq = Frequency.of("1/8", generating=True)
-    assert freq.scale(3).generating
-    assert freq.scale(3).beta.coords == (Fraction(3, 8),)
-    assert not freq.scale(2).generating
-    with pytest.raises(ValueError):
-        freq.scale(0)
 
 
 def test_contains_worked_examples():
@@ -78,14 +56,13 @@ def test_contains_matches_ball_oracle(beta_coords, data):
     eps = data.draw(radii_small)
     bh = make_bh(beta_coords, center, k=k, eps=eps)
     for n in data.draw(st.lists(st.integers(-60, 60), min_size=1, max_size=8)):
-        assert bh.contains(n) == bh.ball.contains(bh.freq.multiple(n))
+        assert bh.contains(n) == bh.ball.contains(bh.freq.scale(n))
 
 
 @given(st.integers(-100, 100), st.integers(-3, 3))
 def test_contains_is_periodic_mod_q(n, t):
     bh = make_bh(["1/6", "2/9"], ["1/3", "0"], k=1, eps="1/4")
-    q = bh.freq.q
-    assert q == 18
+    q = 18  # the common denominator of 1/6 and 2/9
     assert bh.contains(n) == bh.contains(n + t * q)
 
 
@@ -102,7 +79,7 @@ def test_sqrt_set_matches_brute_force(monkeypatch):
     oracle = [
         n
         for n in range(1, 201)
-        if bh.ball.contains(bh.freq.multiple(n * n))
+        if bh.ball.contains(bh.freq.scale(n * n))
     ]
     assert elems == oracle
     # scans that cross block boundaries, including one-element blocks
@@ -128,32 +105,6 @@ def test_enumeration_rejects_bad_horizon():
         sqrt_set_enumerate(bh, 0)
     with pytest.raises(ValueError):
         set_enumerate(bh, -4)
-
-
-def test_dilate_examples():
-    assert dilate({1, 2}, 3) == [3, 6]
-    assert dilate_divide({3, 6, 7}, 3) == [1, 2]
-    assert dilate({4, 9}, 1) == [4, 9]
-    with pytest.raises(ValueError):
-        dilate({1}, 0)
-    with pytest.raises(ValueError):
-        dilate_divide({1}, 0)
-
-
-@given(st.sets(st.integers(-50, 50), max_size=20), st.integers(1, 9))
-def test_dilate_divide_roundtrip(elems, m):
-    assert dilate_divide(dilate(elems, m), m) == sorted(elems)
-
-
-@given(
-    st.sets(st.integers(0, 40), max_size=12),
-    st.sets(st.integers(0, 40), max_size=12),
-    st.integers(1, 6),
-)
-def test_square_of_dilated_union(s1, s2, m):
-    lhs = square_set(s1 | set(dilate(s2, m)))
-    rhs = sorted(set(square_set(s1)) | set(dilate(square_set(s2), m * m)))
-    assert lhs == rhs
 
 
 def test_convergents_frozen_prefixes():
@@ -205,39 +156,22 @@ def test_convergent_caps_are_respected_up_to_word_size():
     assert 2**60 < c.denominator <= 2**62
 
 
-def test_density_preconditions():
-    casual = make_bh(["1/8"], ["1/2"], k=0, eps="1/5")
-    with pytest.raises(ValueError):
-        density_vs_measure(casual, 2000)
-    proper_small_q = make_bh(["1/8"], ["1/2"], k=0, eps="1/5", generating=True)
-    with pytest.raises(ValueError):
-        density_vs_measure(proper_small_q, 2000)
-    big = convergent_frequency(["golden"], q_cap=200000)
-    ball = ApproxHammingBall(center=TorusPoint.of(["0"]), k=0, eps="1/2")
-    bh = BohrHammingBall(freq=big, ball=ball)
-    with pytest.raises(ValueError):
-        density_vs_measure(bh, 999)
-
-
 def test_density_whole_torus():
     # odd denominator keeps every orbit point strictly inside radius 1/2
-    freq = convergent_frequency(["golden"], q_cap=150000)
-    assert freq.q % 2 == 1
-    ball = ApproxHammingBall(center=TorusPoint.of(["0"]), k=0, eps="1/2")
-    report = density_vs_measure(BohrHammingBall(freq=freq, ball=ball), 1000)
-    assert report.density == 1
-    assert report.measure == 1
-    assert report.gap == 0.0
+    beta = named_convergent("golden", 150000)
+    assert beta.denominator % 2 == 1
+    bh = make_bh([beta], ["0"], k=0, eps="1/2")
+    assert sqrt_set_enumerate(bh, 1000).density == 1
+    assert bh.ball.measure() == 1
 
 
 def test_density_tracks_measure_for_generic_frequency():
-    freq = convergent_frequency(["sqrt2", "sqrt3"], q_cap=10**9)
-    ball = ApproxHammingBall(
-        center=TorusPoint.of(["0", "0"]), k=1, eps="1/4"
-    )
-    assert ball.measure() == Fraction(3, 4)
-    report = density_vs_measure(BohrHammingBall(freq=freq, ball=ball), 10**6)
-    assert report.gap < 0.02
+    # convergents with q near 10^9 equidistribute at N = 10^6, well below q
+    coords = [named_convergent(name, 10**9) for name in ("sqrt2", "sqrt3")]
+    bh = make_bh(coords, ["0", "0"], k=1, eps="1/4")
+    assert bh.ball.measure() == Fraction(3, 4)
+    density = sqrt_set_enumerate(bh, 10**6).density
+    assert abs(density - bh.ball.measure()) < Fraction(1, 50)
 
 
 def test_set_rle_roundtrip():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reclab import certificates
-from reclab.bohr import BohrHammingBall, Frequency, set_enumerate
+from reclab.bohr import BohrHammingBall, set_enumerate
 from reclab.certificates import (
     BandWitness,
     Certificate,
@@ -32,14 +32,21 @@ from reclab.certificates import (
     square_certificate,
     verify_certificate,
 )
-from reclab.torus import ApproxHammingBall, TorusPoint, fraction_str
+from reclab.torus import ApproxHammingBall, TorusPoint, binomial_tail, fraction_str
 
-from oracles import product_bits_from_factors, sample_band_disjointness_one_draw, sample_band_measure
+from oracles import (
+    certificate_from_members,
+    certificate_members,
+    product_bits_from_factors,
+    sample_band_disjointness_one_draw,
+    sample_band_measure,
+    zero_point,
+)
 
 
 def evens_certificate(extra=(), shifts=(1,), claim=Fraction(49, 100)):
     members = sorted(set(range(0, 100, 2)) | set(extra))
-    return Certificate.from_members(100, members, shifts, 1, claim)
+    return certificate_from_members(100, members, shifts, 1, claim)
 
 
 def brute_first_violation(members, shifts, k):
@@ -88,7 +95,7 @@ def test_adjacent_pair_detected():
 
 def test_three_term_pattern_mod_six():
     members = [n for n in range(102) if n % 6 in (0, 1)]
-    cert = Certificate.from_members(102, members, (2,), 2, Fraction(1, 3))
+    cert = certificate_from_members(102, members, (2,), 2, Fraction(1, 3))
     result = verify_certificate(cert)
     assert result.ok
     assert result.density == Fraction(1, 3)
@@ -103,7 +110,7 @@ def test_three_term_pattern_mod_six():
 def test_verifier_matches_brute_force(bits, shifts, k):
     cert = Certificate(60, bits, tuple(shifts), k, Fraction(0))
     result = verify_certificate(cert)
-    expected = brute_first_violation(cert.members(), shifts, k)
+    expected = brute_first_violation(certificate_members(cert), shifts, k)
     if expected is None:
         assert result.ok
         assert result.violating_shift is None
@@ -113,7 +120,7 @@ def test_verifier_matches_brute_force(bits, shifts, k):
 
 
 def test_density_shortfall_reported():
-    cert = Certificate.from_members(100, [0, 2, 4], (1,), 1, Fraction(1, 4))
+    cert = certificate_from_members(100, [0, 2, 4], (1,), 1, Fraction(1, 4))
     result = verify_certificate(cert)
     assert not result.ok
     assert not result.density_ok
@@ -122,7 +129,7 @@ def test_density_shortfall_reported():
 
 
 def test_zero_shift_and_empty_base_set():
-    nonempty = Certificate.from_members(10, [3, 7], (0,), 1, Fraction(0))
+    nonempty = certificate_from_members(10, [3, 7], (0,), 1, Fraction(0))
     result = verify_certificate(nonempty)
     assert not result.ok
     assert result.violating_shift == 0
@@ -141,12 +148,12 @@ def test_certificate_validation():
     with pytest.raises(ValueError):
         Certificate(4, 1, (), 1, Fraction(3, 2))
     with pytest.raises(ValueError):
-        Certificate.from_members(4, [4], (), 1, Fraction(0))
+        certificate_from_members(4, [4], (), 1, Fraction(0))
 
 
 def test_members_roundtrip():
-    cert = Certificate.from_members(12, [0, 5, 11], (3,), 1, Fraction(1, 4))
-    assert cert.members() == [0, 5, 11]
+    cert = certificate_from_members(12, [0, 5, 11], (3,), 1, Fraction(1, 4))
+    assert certificate_members(cert) == [0, 5, 11]
     assert cert.size == 3
     assert cert.density == Fraction(3, 12)
     assert cert.shifts == (3,)
@@ -163,6 +170,25 @@ def test_band_measure_hand_values():
     assert w.measure() == Fraction(5, 9)
     # whole torus
     assert BandWitness(r=3, a=Fraction(1, 5), t=3).measure() == 1
+
+
+@given(
+    r=st.integers(1, 9),
+    data=st.data(),
+    a=st.fractions(min_value=Fraction(1, 64), max_value=Fraction(1, 2), max_denominator=64),
+)
+def test_band_and_ball_measures_are_one_binomial_tail(r, data, a):
+    t = data.draw(st.integers(0, r))
+    tail = binomial_tail(r, t, a)
+    # the sum BandWitness.measure computed on its own before sharing the tail
+    band_sum = sum(
+        math.comb(r, j) * (1 - 2 * a) ** j * (2 * a) ** (r - j) for j in range(t + 1)
+    )
+    assert tail == band_sum == BandWitness(r=r, a=a, t=t).measure()
+    if t < r:
+        assert tail == ApproxHammingBall(zero_point(r), t, a).measure()
+    else:
+        assert tail == 1
 
 
 @given(
@@ -309,11 +335,11 @@ def test_build_band_witness_exhaustion_reports_budget():
 
 def test_return_bitset_matches_pointwise_membership(monkeypatch):
     w = BandWitness(r=2, a=Fraction(1, 6), t=1)
-    freq = Frequency.of(Fraction(2, 9), Fraction(1, 7))
+    freq = TorusPoint.of([Fraction(2, 9), Fraction(1, 7)])
     bits = band_return_bitset(w, freq, 200)
     expected = 0
     for n in range(200):
-        if w.contains(freq.multiple(n)):
+        if w.contains(freq.scale(n)):
             expected |= 1 << n
     assert bits == expected
     # scans that cross block boundaries, including one-element blocks
@@ -324,11 +350,11 @@ def test_return_bitset_matches_pointwise_membership(monkeypatch):
 
 def test_return_bitset_huge_denominator_fallback():
     w = BandWitness(r=1, a=Fraction(1, 8), t=0)
-    freq = Frequency.of(Fraction(12345, 2**40 + 1))
+    freq = TorusPoint.of([Fraction(12345, 2**40 + 1)])
     bits = band_return_bitset(w, freq, 300)
     expected = 0
     for n in range(300):
-        if w.contains(freq.multiple(n)):
+        if w.contains(freq.scale(n)):
             expected |= 1 << n
     assert bits == expected
 
@@ -336,15 +362,15 @@ def test_return_bitset_huge_denominator_fallback():
 def test_return_bitset_validation():
     w = BandWitness(r=2, a=Fraction(1, 6), t=1)
     with pytest.raises(ValueError):
-        band_return_bitset(w, Frequency.of(Fraction(1, 3)), 10)
+        band_return_bitset(w, TorusPoint.of([Fraction(1, 3)]), 10)
     with pytest.raises(ValueError):
-        band_return_bitset(w, Frequency.of(Fraction(1, 3), Fraction(1, 5)), 0)
+        band_return_bitset(w, TorusPoint.of([Fraction(1, 3), Fraction(1, 5)]), 0)
 
 
 def test_rotation_toy_full_enumeration():
     w = BandWitness(r=1, a=Fraction(1, 8), t=0)
     ball = ApproxHammingBall(center=half_center(1), k=0, eps=Fraction(1, 4))
-    freq = Frequency.of(Fraction(1, 16))
+    freq = TorusPoint.of([Fraction(1, 16)])
     cert = rotation_certificate(w, ball, freq, 64, returns(freq, ball, 64))
     beta = Fraction(1, 16)
     expected_b = [
@@ -356,8 +382,8 @@ def test_rotation_toy_full_enumeration():
         if min(abs(n * beta % 1 - Fraction(1, 2)), 1 - abs(n * beta % 1 - Fraction(1, 2)))
         < Fraction(1, 4)
     ]
-    assert cert.members() == expected_b
-    assert sorted({n % 16 for n in cert.members()}) == [0, 1, 15]
+    assert certificate_members(cert) == expected_b
+    assert sorted({n % 16 for n in certificate_members(cert)}) == [0, 1, 15]
     assert list(cert.shifts) == expected_s
     assert sorted({s % 16 for s in cert.shifts}) == [5, 6, 7, 8, 9, 10, 11]
     assert cert.density_claim == Fraction(12, 64)
@@ -369,13 +395,13 @@ def test_rotation_degenerate_torus_needs_empty_returns():
     whole = BandWitness(r=1, a=Fraction(1, 8), t=1)
     tiny = ApproxHammingBall(center=half_center(1), k=0, eps=Fraction(1, 16))
     # 1/5 never returns to the narrow window around 1/2
-    fifth = Frequency.of(Fraction(1, 5))
+    fifth = TorusPoint.of([Fraction(1, 5)])
     cert = rotation_certificate(whole, tiny, fifth, 40, returns(fifth, tiny, 40))
     assert cert.shifts == ()
     assert cert.density == 1
     assert verify_certificate(cert).ok
     # 1/2 returns on every odd multiple, and B is the whole window
-    half = Frequency.of(Fraction(1, 2))
+    half = TorusPoint.of([Fraction(1, 2)])
     with pytest.raises(CertificateRejected) as err:
         rotation_certificate(whole, tiny, half, 40, returns(half, tiny, 40))
     (label, check), = err.value.diagnostics
@@ -385,17 +411,17 @@ def test_rotation_degenerate_torus_needs_empty_returns():
 def test_rotation_horizon_below_first_return():
     w = BandWitness(r=1, a=Fraction(1, 8), t=0)
     ball = ApproxHammingBall(center=half_center(1), k=0, eps=Fraction(1, 4))
-    freq = Frequency.of(Fraction(1, 16))
+    freq = TorusPoint.of([Fraction(1, 16)])
     cert = rotation_certificate(w, ball, freq, 4, returns(freq, ball, 4))
     assert cert.shifts == ()
-    assert cert.members() == [0, 1]
+    assert certificate_members(cert) == [0, 1]
 
 
 def test_rotation_dimension_mismatch():
     w = BandWitness(r=2, a=Fraction(1, 8), t=0)
     ball = ApproxHammingBall(center=half_center(2), k=1, eps=Fraction(1, 8))
     with pytest.raises(ValueError):
-        rotation_certificate(w, ball, Frequency.of(Fraction(1, 16)), 10, ())
+        rotation_certificate(w, ball, TorusPoint.of([Fraction(1, 16)]), 10, ())
 
 
 #: band/ball pairs that meet the counting argument, so every return time verifies
@@ -411,11 +437,11 @@ DISJOINT_PAIRS = (
 
 def pointwise_rotation(w, ball, freq, n_max):
     """The rotation certificate whose S is every return over [1, n_max], point by point."""
-    bits = sum(1 << n for n in range(n_max) if w.contains(freq.multiple(n)))
-    shifts = [n for n in range(1, n_max + 1) if ball.contains(freq.multiple(n))]
+    bits = sum(1 << n for n in range(n_max) if w.contains(freq.scale(n)))
+    shifts = [n for n in range(1, n_max + 1) if ball.contains(freq.scale(n))]
     provenance = {
         "kind": "rotation",
-        "beta": freq.beta.to_json(),
+        "beta": freq.to_json(),
         "witness": w.to_json(),
         "ball": ball.to_json(),
         "target_density": fraction_str(w.measure()),
@@ -434,12 +460,12 @@ def pointwise_rotation(w, ball, freq, n_max):
 def test_rotation_certificate_certifies_the_given_shifts(pair, coords, n_max):
     w, ball = pair
     assert band_ball_disjoint(w, ball)
-    freq = Frequency.of(*(Fraction(a, b) for a, b in coords[: w.r]))
+    freq = TorusPoint.of(Fraction(a, b) for a, b in coords[: w.r])
     expected = pointwise_rotation(w, ball, freq, n_max)
     cert = rotation_certificate(w, ball, freq, n_max, returns(freq, ball, n_max))
     assert cert == expected  # bits, shifts, claim and provenance
     squares = [
-        x * x for x in range(1, math.isqrt(n_max) + 1) if ball.contains(freq.multiple(x * x))
+        x * x for x in range(1, math.isqrt(n_max) + 1) if ball.contains(freq.scale(x * x))
     ]
     assert rotation_certificate(w, ball, freq, n_max, squares) == replace(
         expected, shifts=squares
@@ -448,7 +474,7 @@ def test_rotation_certificate_certifies_the_given_shifts(pair, coords, n_max):
 
 def test_rotation_rejects_a_shift_outside_the_return_set():
     w, ball = DISJOINT_PAIRS[0]
-    freq = Frequency.of(Fraction(1, 16))
+    freq = TorusPoint.of([Fraction(1, 16)])
     # 16*beta = 0 is no return, and B holds both 0 and 16
     with pytest.raises(CertificateRejected) as err:
         rotation_certificate(w, ball, freq, 64, returns(freq, ball, 64) + [16])
@@ -523,7 +549,7 @@ def k1_certificates(draw):
 @settings(max_examples=200, deadline=None)
 def test_combine_preconditions(c1, c2, m):
     ev = evens_certificate()
-    three_ap = Certificate.from_members(
+    three_ap = certificate_from_members(
         102, [n for n in range(102) if n % 6 in (0, 1)], (2,), 2, Fraction(1, 3)
     )
     with pytest.raises(ValueError):
@@ -541,8 +567,8 @@ def test_combine_preconditions(c1, c2, m):
 
 def build_rotation_pair(horizon=3000):
     witness, ball, _ = build_band_witness(1, Fraction(1, 100), samples=2_000)
-    f1 = Frequency.of(Fraction(3, 64), Fraction(5, 81))
-    f2 = Frequency.of(Fraction(7, 125), Fraction(4, 49))
+    f1 = TorusPoint.of([Fraction(3, 64), Fraction(5, 81)])
+    f2 = TorusPoint.of([Fraction(7, 125), Fraction(4, 49)])
     c1 = rotation_certificate(witness, ball, f1, horizon, returns(f1, ball, horizon))
     c2 = rotation_certificate(witness, ball, f2, horizon, returns(f2, ball, horizon))
     # halve the claims so the product witness has density to spare
@@ -611,7 +637,7 @@ def test_combine_builds_only_the_divided_factor_bitsets(monkeypatch):
     combine_certificates(c1, c2, 1)
     assert built == []
     product = combine_certificates(c1, c2, 2)
-    assert [f.beta for f in built] == [TorusPoint.from_json(product.provenance["factors"][1]["beta"])]
+    assert built == [TorusPoint.from_json(product.provenance["factors"][1]["beta"])]
 
 
 def test_search_min_m_finds_three():
@@ -643,7 +669,7 @@ def test_search_min_m_exhaustion_lists_attempts():
 
 
 def test_square_rewrites_single_shift():
-    cert = Certificate.from_members(12, [0, 1, 2, 3], (2,), 1, Fraction(1, 4))
+    cert = certificate_from_members(12, [0, 1, 2, 3], (2,), 1, Fraction(1, 4))
     squared = square_certificate(cert)
     assert squared.shifts == (4,)
     assert verify_certificate(squared).ok
@@ -659,7 +685,7 @@ def test_square_of_evens_combination():
 
 
 def test_square_empty_is_vacuous():
-    cert = Certificate.from_members(10, [0, 1], (), 1, Fraction(1, 5))
+    cert = certificate_from_members(10, [0, 1], (), 1, Fraction(1, 5))
     squared = square_certificate(cert)
     assert squared.shifts == ()
     assert verify_certificate(squared).ok
@@ -679,7 +705,7 @@ def test_square_rejection_carries_diagnostics():
 def toy_certificate(horizon=60):
     w = BandWitness(r=1, a=Fraction(1, 8), t=0)
     ball = ApproxHammingBall(center=half_center(1), k=0, eps=Fraction(1, 4))
-    freq = Frequency.of(Fraction(1, 16))
+    freq = TorusPoint.of([Fraction(1, 16)])
     return rotation_certificate(w, ball, freq, horizon, returns(freq, ball, horizon))
 
 

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from reclab.bohr import BohrHammingBall, Frequency, sqrt_set_enumerate
-from reclab.certificates import Certificate, save_certificate
+from reclab.bohr import BohrHammingBall, sqrt_set_enumerate
+from reclab.certificates import save_certificate
 from reclab.cli import (
     ROTH_TRIALS_CAP,
     WEYL_TABLE_CAP,
@@ -23,9 +23,11 @@ from reclab.cli import (
 from reclab.experiments import PERIOD_CAP, PHASE_CAP, TRIG_MODES_CAP
 from reclab.torus import ApproxHammingBall, TorusPoint
 
+from oracles import certificate_from_members
+
 
 def evens_path(tmp_path, name="evens.json", horizon=600):
-    cert = Certificate.from_members(
+    cert = certificate_from_members(
         horizon, range(0, horizon, 2), (1,), 1, Fraction(1, 2)
     )
     path = tmp_path / name
@@ -153,7 +155,7 @@ def test_bohr_enum_matches_library(tmp_path, capsys):
         members.extend(range(start, start + length))
 
     ball = ApproxHammingBall(TorusPoint.of(["0", "0"]), 1, Fraction(1, 16))
-    freq = Frequency(TorusPoint.of([Fraction(3, 64), Fraction(5, 81)]), generating=True)
+    freq = TorusPoint.of([Fraction(3, 64), Fraction(5, 81)])
     expected = sqrt_set_enumerate(BohrHammingBall(freq, ball), 400)
     assert members == list(expected.elems)
     assert Fraction(doc["density"]) == expected.density
@@ -424,7 +426,7 @@ def test_cert_combine_rejects_bad_dilation(tmp_path, capsys):
 
 def unverified_path(tmp_path):
     # the evens with an odd member: 4, 5 is a progression of gap 1
-    cert = Certificate.from_members(600, [*range(0, 600, 2), 5], (1,), 1, Fraction(1, 2))
+    cert = certificate_from_members(600, [*range(0, 600, 2), 5], (1,), 1, Fraction(1, 2))
     path = tmp_path / "broken.json"
     save_certificate(cert, str(path))
     return str(path)
@@ -488,6 +490,57 @@ def test_cert_build_horizon_outside_the_stage_bounds_is_exit_2(tmp_path, monkeyp
 
 def test_cert_missing_file_is_exit_2(tmp_path, capsys):
     assert main_cert(["verify", str(tmp_path / "ghost.json")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# bad values on any verb
+
+
+def exit_code(main, args):
+    """What an entry point exits with, whether it returns or argparse raises."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+BOHR_ENUM = ["enum", "--r", "2", "--freq", "3/64", "5/81", "--N", "50"]
+WEYL_AVG = ["avg", "--d", "1", "--freq-beta", "1/5", "--r", "1", "--k", "0", "--N", "50"]
+
+
+@pytest.mark.parametrize(
+    "main, args, message",
+    [
+        pytest.param(main_bohr, BOHR_ENUM + ["--k", "2", "--eps", "1/8"],
+                     "need 0 <= k < r, got k=2, r=2", id="bohr-k-equals-r"),
+        pytest.param(main_bohr, BOHR_ENUM + ["--k", "-1", "--eps", "1/8"],
+                     "need 0 <= k < r, got k=-1, r=2", id="bohr-k-negative"),
+        pytest.param(main_bohr, BOHR_ENUM + ["--k", "1", "--eps", "0"],
+                     "eps must lie in (0, 1/2], got 0", id="bohr-eps-0"),
+        pytest.param(main_bohr, BOHR_ENUM + ["--k", "1", "--eps", "3/4"],
+                     "eps must lie in (0, 1/2], got 3/4", id="bohr-eps-three-quarters"),
+        pytest.param(main_bohr, BOHR_ENUM + ["--k", "1", "--eps", "1/8", "--center", "1/0", "0"],
+                     "argument --center: not a rational: '1/0'", id="bohr-center-zero-denominator"),
+        pytest.param(main_weyl, WEYL_AVG + ["--alpha", "1/7", "--eta", "0"],
+                     "eps must lie in (0, 1/2], got 0", id="weyl-eta-0"),
+        pytest.param(main_weyl, WEYL_AVG + ["--alpha", "1/0", "--eta", "1/8"],
+                     "argument --alpha: not a rational: '1/0'", id="weyl-alpha-zero-denominator"),
+        pytest.param(main_weyl, WEYL_AVG + ["--alpha", "1/7", "--eta", "1/8", "--ell", "0"],
+                     "--ell: 0 is outside [1, inf)", id="weyl-ell-0"),
+        pytest.param(main_roth, ["check", "--q", "3", "--d", "1", "--seed", "-1"],
+                     "--seed: -1 is outside [0, inf)", id="roth-seed-negative"),
+    ],
+)
+def test_bad_value_is_exit_2_with_one_error_line(tmp_path, monkeypatch, capsys, main, args, message):
+    for name in ("set_enumerate", "sqrt_set_enumerate", "weighted_average", "quotient_gap_bound"):
+        monkeypatch.setattr(f"reclab.cli.{name}", unreachable)
+    if main is main_weyl:
+        args = args + ["--f", poly_file(tmp_path)]
+    assert exit_code(main, args) == 2
+    captured = capsys.readouterr()
+    last = captured.err.strip().splitlines()[-1]
+    assert "error: " in last and message in last
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,22 @@ def test_theorem_stage_builds_one_bitset_per_stage(tmp_path, monkeypatch, stages
     assert len(built) == stages
 
 
+@pytest.mark.parametrize("seed", [0, 11])
+def test_theorem_stage_passes_the_config_seed_to_the_probe(tmp_path, monkeypatch, seed):
+    seen = []
+    probe = certificates.sample_band_disjointness
+
+    def recorded(witness, ball, samples, seed):
+        seen.append(seed)
+        return probe(witness, ball, samples=samples, seed=seed)
+
+    monkeypatch.setattr(certificates, "sample_band_disjointness", recorded)
+    report = run(tmp_path, "theorem_stage", {"stages": 1, "N": 1000}, seed=seed)
+    assert report.status == PASS
+    assert seen == [seed]
+    assert report.metrics["witness"]["mc_violations"] == 0
+
+
 def test_theorem_stage_checks_each_certificate_once(tmp_path, monkeypatch):
     # one check per rotation certificate and one per merge candidate tried;
     # the default stages merge at m = 1 on their first candidate

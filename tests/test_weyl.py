@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reclab.harmonic import Character, CoefficientTable, GridFunction
+from reclab.harmonic import Character, CoefficientTable
 from reclab.torus import Cylinder, TorusPoint
 from reclab.weyl import (
     AveragesTrace,
@@ -28,8 +28,12 @@ from oracles import (
     evaluate_table,
     grid_model_from_system,
     l3_average,
+    pullback,
+    random_grid,
+    trig_triple_integral,
     triple_integrals_per_n,
     weighted_average_per_term,
+    zero_point,
 )
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -61,54 +65,47 @@ def hermitian_table(rng, dim, freqs, scale=0.2):
 
 
 def test_orbit_identity_at_zero_power():
-    system = WeylSystem(TorusPoint.of([Fraction(3, 7), Fraction(1, 4)]))
-    x = TorusPoint.of([Fraction(1, 3), Fraction(1, 5)])
-    y = TorusPoint.of([Fraction(2, 3), Fraction(4, 5)])
-    assert system.orbit(x, y, 0) == (x, y)
+    model = GridWeylModel(7, (3, 2))
+    values = np.arange(7**4).reshape(model.phase_space_shape)
+    assert np.array_equal(model.pullback_values(values, 0), values)
 
 
 def test_orbit_three_steps_by_hand():
-    # alpha = 1/5 from the origin: (1/5,0), (2/5,1/5), (3/5,3/5)
-    system = WeylSystem(TorusPoint.of([Fraction(1, 5)]))
-    zero = TorusPoint.zero(1)
-    p = (zero, zero)
-    seen = []
-    for _ in range(3):
-        p = system.step(*p)
-        seen.append(p)
-    assert seen[0] == (TorusPoint.of(["1/5"]), zero)
-    assert seen[1] == (TorusPoint.of(["2/5"]), TorusPoint.of(["1/5"]))
-    assert seen[2] == (TorusPoint.of(["3/5"]), TorusPoint.of(["3/5"]))
-    assert system.orbit(zero, zero, 3) == seen[2]
+    # alpha = 1 on Z_5: the origin runs to (1, 0), (2, 1), (3, 3), so the
+    # point mass at (3, 3) pulls back along that orbit to the origin
+    model = GridWeylModel(5, (1,))
+    mass = np.zeros((5, 5), dtype=np.int64)
+    mass[3, 3] = 1
+    for n, point in ((1, (2, 1)), (2, (1, 0)), (3, (0, 0))):
+        assert list(zip(*np.nonzero(model.pullback_values(mass, n)))) == [point]
 
 
 @given(
-    alpha=torus_points(2),
-    x=torus_points(2),
-    y=torus_points(2),
-    n=st.integers(min_value=0, max_value=50),
+    q=st.integers(1, 7),
+    alpha=st.lists(st.integers(0, 50), min_size=1, max_size=2),
+    n=st.integers(min_value=0, max_value=30),
 )
 @settings(max_examples=40)
-def test_orbit_matches_iterated_map(alpha, x, y, n):
-    system = WeylSystem(alpha)
-    p = (x, y)
+def test_orbit_matches_iterated_map(q, alpha, n):
+    # f o S^n by the closed form equals n single steps f o S o ... o S
+    model = GridWeylModel(q, tuple(alpha))
+    values = np.arange(q ** (2 * len(alpha))).reshape(model.phase_space_shape)
+    iterated = values
     for _ in range(n):
-        p = system.step(*p)
-    assert system.orbit(x, y, n) == p
+        iterated = model.pullback_values(iterated, 1)
+    assert np.array_equal(model.pullback_values(values, n), iterated)
 
 
 def test_orbit_inverse_power_returns_home():
-    system = WeylSystem(TorusPoint.of([Fraction(2, 9)]))
-    x = TorusPoint.of([Fraction(1, 7)])
-    y = TorusPoint.of([Fraction(3, 7)])
-    forward = system.orbit(x, y, 13)
-    assert system.orbit(*forward, -13) == (x, y)
+    model = GridWeylModel(9, (2,))
+    values = np.arange(81).reshape(9, 9)
+    forward = model.pullback_values(values, 13)
+    assert np.array_equal(model.pullback_values(forward, -13), values)
 
 
 def test_orbit_rejects_dimension_mismatch():
-    system = WeylSystem(TorusPoint.of([Fraction(1, 2)]))
     with pytest.raises(ValueError):
-        system.orbit(TorusPoint.zero(2), TorusPoint.zero(2), 1)
+        GridWeylModel(5, (1,)).pullback_values(np.zeros((5, 5, 5, 5)), 1)
 
 
 # ---- pullback of trig polynomials ----
@@ -122,8 +119,8 @@ def test_eigenfunction_invariant():
     table = CoefficientTable(4)
     table[chi] = 1.0
     for n in (1, 2, 7):
-        pulled = system.pullback(table, n)
-        assert pulled.support() == [chi]
+        pulled = pullback(system, table, n)
+        assert [c for c, _ in pulled] == [chi]
         phase = Fraction(n) * (3 * Fraction(1, 5) - Fraction(1, 3))
         expected = np.exp(2j * np.pi * float(phase % 1))
         assert abs(pulled[chi] - expected) < 1e-12
@@ -133,8 +130,8 @@ def test_pullback_composes_like_the_map():
     rng = random.Random(11)
     system = WeylSystem(TorusPoint.of([Fraction(2, 7)]))
     table = hermitian_table(rng, 2, [(1, 0), (0, 1), (1, -1)])
-    once = system.pullback(system.pullback(table, 3), 4)
-    whole = system.pullback(table, 7)
+    once = pullback(system, pullback(system, table, 3), 4)
+    whole = pullback(system, table, 7)
     assert set(c.freq for c, _ in once) == set(c.freq for c, _ in whole)
     for chi, coef in whole:
         assert abs(once[chi] - coef) < 1e-12
@@ -145,7 +142,7 @@ def test_pullback_needs_doubled_dimension():
     table = CoefficientTable(3)
     table[Character((1, 0, 0))] = 1.0
     with pytest.raises(ValueError):
-        system.pullback(table, 1)
+        pullback(system, table, 1)
 
 
 # ---- triple integrals, dual routes ----
@@ -161,7 +158,7 @@ def test_correlation_series_matches_scalar_route(seed):
     n_max = rng.randrange(1, 25)
     series = system.correlation_series(table, n_max)
     for n in range(1, n_max + 1):
-        assert abs(series[n - 1] - system.triple_integral(table, n)) < 1e-10
+        assert abs(series[n - 1] - trig_triple_integral(system, table, n)) < 1e-10
 
 
 def test_grid_and_trig_integrals_agree_without_aliasing():
@@ -184,7 +181,7 @@ def test_grid_and_trig_integrals_agree_without_aliasing():
         ]
     )
     for n in range(0, 15):
-        assert abs(model.triple_integral(values, n) - system.triple_integral(table, n)) < 1e-12
+        assert abs(model.triple_integral(values, n) - trig_triple_integral(system, table, n)) < 1e-12
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -251,10 +248,10 @@ def test_triple_integrals_driver_routes_agree():
     system = WeylSystem(TorusPoint.of([Fraction(3, 11)]))
     table = hermitian_table(rng, 2, [(1, 0), (0, 1)])
     fast = triple_integrals(system, table, range(1, 13))
-    slow = [system.triple_integral(table, n) for n in range(1, 13)]
+    slow = [trig_triple_integral(system, table, n) for n in range(1, 13)]
     assert max(abs(a - b) for a, b in zip(fast, slow)) < 1e-10
     reordered = triple_integrals(system, table, [4, 2, 9])
-    assert max(abs(a - system.triple_integral(table, n)) for a, n in zip(reordered, [4, 2, 9])) < 1e-12
+    assert max(abs(a - trig_triple_integral(system, table, n)) for a, n in zip(reordered, [4, 2, 9])) < 1e-12
 
 
 def random_table(rng, d, span, size):
@@ -353,11 +350,10 @@ def test_weighted_average_on_a_system_runs_one_series(monkeypatch):
     rng = random.Random(8)
     system = WeylSystem(TorusPoint.of([Fraction(2, 9)]))
     table = hermitian_table(rng, 2, [(1, 0), (0, 1), (1, -2)])
-    g = Cylinder(1, (1,), TorusPoint.zero(1), Fraction(1, 4))
+    g = Cylinder(1, (1,), zero_point(1), Fraction(1, 4))
     series = CallCounter(monkeypatch, WeylSystem, "correlation_series")
-    scalar = CallCounter(monkeypatch, WeylSystem, "triple_integral")
     weighted_average(system, table, g=g, beta=TorusPoint.of([Fraction(1, 7)]), n_max=300)
-    assert (series.calls, scalar.calls) == (1, 0)
+    assert series.calls == 1
 
 
 def test_triple_integrals_routes_a_leading_range_or_list_to_the_series(monkeypatch):
@@ -366,15 +362,36 @@ def test_triple_integrals_routes_a_leading_range_or_list_to_the_series(monkeypat
     table = hermitian_table(rng, 2, [(1, 0), (0, 1), (2, -1)])
     want = system.correlation_series(table, 40)
     series = CallCounter(monkeypatch, WeylSystem, "correlation_series")
-    scalar = CallCounter(monkeypatch, WeylSystem, "triple_integral")
     assert_same_bits(triple_integrals(system, table, range(1, 41)), want)
     assert_same_bits(triple_integrals(system, table, list(range(1, 41))), want)
-    assert (series.calls, scalar.calls) == (2, 0)
-    for ns in ([1, 2, 4], [2, 3], range(2, 10), range(1, 10, 2), [3, 2, 1]):
-        assert len(triple_integrals(system, table, ns)) == len(ns)
     assert series.calls == 2
-    assert scalar.calls == 3 + 2 + 8 + 5 + 3
+    # any other request indexes one series over 1..max(n)
+    for ns in ([1, 2, 4], [2, 3], range(2, 10), range(1, 10, 2), [3, 2, 1], [40, 40]):
+        got = triple_integrals(system, table, ns)
+        assert_same_bits(got, want[np.asarray(ns) - 1])
+    assert series.calls == 2 + 6
     assert triple_integrals(system, table, range(1, 1)) == []
+    for ns in ([0, 1], [3, -2]):
+        with pytest.raises(ValueError, match="start at n = 1"):
+            triple_integrals(system, table, ns)
+
+
+@given(
+    den=st.sampled_from([5, 7, 9, 16, 97]),
+    seed=st.integers(0, 2**32 - 1),
+    ns=st.lists(st.integers(1, 40), min_size=1, max_size=8).filter(
+        lambda ns: ns != list(range(1, len(ns) + 1))
+    ),
+)
+@settings(max_examples=40)
+def test_triple_integrals_of_any_request_match_the_pointwise_oracle(den, seed, ns):
+    rng = random.Random(seed)
+    system = WeylSystem(TorusPoint.of([Fraction(rng.randrange(1, den), den)]))
+    table = hermitian_table(rng, 2, [(1, 0), (0, 1), (1, -2), (2, 1)])
+    got = triple_integrals(system, table, ns)
+    assert len(got) == len(ns)
+    for value, n in zip(got, ns):
+        assert abs(value - trig_triple_integral(system, table, n)) < 1e-10
 
 
 # ---- one evaluation per distinct grid integral ----
@@ -555,7 +572,7 @@ def test_projection_keeps_first_coordinate_terms():
 
 
 def test_projection_grid_mean_oracle():
-    grid = GridFunction.random(2, 5, seed=3)
+    grid = random_grid(2, 5, seed=3)
     projected = kronecker_projection(grid)
     assert projected.dim == 1 and projected.q == 5
     assert np.max(np.abs(projected.values - grid.values.mean(axis=1))) < 1e-15
@@ -686,7 +703,7 @@ def test_constant_weight_equals_plain_trace_pointwise():
     f[0, 0] = f[1, 2] = f[2, 2] = Fraction(1)
     plain = l3_average(model, f)
     missing = weighted_average(model, f)
-    whole = Cylinder(2, (), TorusPoint.zero(2), Fraction(1, 4))
+    whole = Cylinder(2, (), zero_point(2), Fraction(1, 4))
     beta = TorusPoint.of([Fraction(1, 3), Fraction(1, 2)])
     wide = weighted_average(model, f, g=whole, beta=beta, ell=2)
     assert missing.checkpoints == plain.checkpoints
@@ -696,7 +713,7 @@ def test_constant_weight_equals_plain_trace_pointwise():
 def test_constant_observable_reduces_to_weight_average():
     model = GridWeylModel(3, (1,))
     ones = np.full((3, 3), Fraction(1), dtype=object)
-    g = Cylinder(1, (1,), TorusPoint.zero(1), Fraction(1, 4))
+    g = Cylinder(1, (1,), zero_point(1), Fraction(1, 4))
     beta = TorusPoint.of([Fraction(1, 5)])
     trace = weighted_average(model, ones, g=g, beta=beta, ell=1)
     direct = sum(g.normalized_value(beta.scale(n * n)) for n in range(1, 4)) / 3
@@ -770,7 +787,7 @@ WINDOWS = {
         TorusPoint.of([Fraction(3, 17), Fraction(355, 113)]),
     ),
     "all-on": (
-        Cylinder(1, (), TorusPoint.zero(1), Fraction(1, 4)),
+        Cylinder(1, (), zero_point(1), Fraction(1, 4)),
         TorusPoint.of([Fraction(1, 3)]),
     ),
     "all-off": (
@@ -815,7 +832,7 @@ def test_float_weighted_average_matches_the_per_term_oracle(
 def test_weight_plumbing_errors():
     model = GridWeylModel(3, (1,))
     ones = np.full((3, 3), Fraction(1), dtype=object)
-    g = Cylinder(2, (1,), TorusPoint.zero(2), Fraction(1, 4))
+    g = Cylinder(2, (1,), zero_point(2), Fraction(1, 4))
     with pytest.raises(ValueError):
         weighted_average(model, ones, g=g, beta=TorusPoint.of([Fraction(1, 5)]))
     with pytest.raises(ValueError):
