@@ -243,6 +243,8 @@ def main_weyl(argv: Sequence[str] | None = None) -> int:
         parser.error(f"need 0 <= k < r, got k={args.k}, r={args.r}")
     if not 1 <= args.N <= PERIOD_CAP:
         parser.error(f"--N: {args.N} is outside [1, {PERIOD_CAP}]")
+    if not 0 < args.eta <= Fraction(1, 2):
+        parser.error(f"--eta: {args.eta} is outside (0, 1/2]")
     try:
         parse_entry("main_inequality (trig)", "ell", args.ell, "--ell")
         ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * args.r), args.k, args.eta)

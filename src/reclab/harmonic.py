@@ -198,14 +198,9 @@ class GridFunction:
         """Squared L2 norm under normalized counting measure."""
         return float(np.mean(np.abs(self.values) ** 2))
 
-    def dft(self, force_direct: bool | None = None) -> "GridFunction":
+    def dft(self) -> "GridFunction":
         """Coefficient array fhat(n) = q^(-d) sum f(x) e(-n.x/q)."""
-        use_direct = (
-            force_direct
-            if force_direct is not None
-            else self.size() <= _DIRECT_DFT_LIMIT
-        )
-        if use_direct:
+        if self.size() <= _DIRECT_DFT_LIMIT:
             out = self.values
             kernel = _dft_kernel(self.q)
             for axis in range(self.dim):
@@ -215,13 +210,14 @@ class GridFunction:
         return GridFunction(self.dim, self.q, np.fft.fftn(self.values) / self.size())
 
     def spectrum_table(self, tol: float = 0.0) -> CoefficientTable:
-        """Spectrum as a coefficient table with centered frequencies."""
-        hat = self.dft()
+        """Spectrum as a coefficient table with centered frequencies, in C order."""
+        hat = self.dft().values
+        support = np.nonzero(np.abs(hat) > tol)
+        # the centered residue of each index, n - q on the upper half
+        freqs = np.stack([np.where(2 * i > self.q, i - self.q, i) for i in support], axis=1)
         out = CoefficientTable(self.dim)
-        for idx in np.ndindex(*hat.values.shape):
-            v = complex(hat.values[idx])
-            if abs(v) > tol:
-                out[Character(tuple(centered_residue(i, self.q) for i in idx))] = v
+        for freq, v in zip(freqs.tolist(), hat[support].tolist()):
+            out[Character(tuple(freq))] = v
         return out
 
 

@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .harmonic import Character, CoefficientTable, GridFunction
 from .roth import roth_form, roth_form_exact
@@ -80,45 +81,6 @@ def _as_values(f: Observable) -> np.ndarray:
 
 def _is_exact_dtype(arr: np.ndarray) -> bool:
     return arr.dtype == object or arr.dtype == bool or np.issubdtype(arr.dtype, np.integer)
-
-
-def _mean_of_product(arrays: Sequence[np.ndarray]):
-    """Mean of the elementwise product, exact for integer/bool/object arrays.
-
-    Integer inputs ride int64 only when the worst-case product of entry
-    bounds provably fits; otherwise they are lifted to Python integers.
-    Float inputs return a float (or complex) mean.
-    """
-    if all(_is_exact_dtype(a) for a in arrays):
-        size = arrays[0].size
-        lifted = []
-        bound = size
-        for a in arrays:
-            if a.dtype == object:
-                lifted = None
-                break
-            # max |a| without an abs() temporary, and exact even for the int64 minimum
-            m = max(int(a.max()), -int(a.min())) if a.size else 0
-            bound *= max(m, 1)
-            lifted.append(a.astype(np.int64, copy=False))
-        if lifted is not None and bound < 2**62:
-            # one product buffer per call: fresh grid-sized temporaries on every n
-            # make glibc trim and re-fault the heap top, which can double a grid run
-            prod = lifted[0].copy()
-            for a in lifted[1:]:
-                prod *= a
-            return Fraction(int(prod.sum()), size)
-        prod = arrays[0].astype(object)
-        for a in arrays[1:]:
-            prod = prod * a.astype(object)
-        return Fraction(prod.sum(), size)
-    prod = arrays[0]
-    for a in arrays[1:]:
-        prod = prod * a
-    out = prod.mean()
-    if np.iscomplexobj(prod):
-        return complex(out)
-    return float(out)
 
 
 def _exact_block_mean(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -224,15 +186,42 @@ def _drift_hit(base: tuple[int, ...], drift: tuple[int, ...]) -> int:
 # ---- finite grid models ----
 
 
-class _GridModel:
-    """What the two grid models share: the triple integral over their pullbacks."""
+@dataclass(frozen=True)
+class _Windows:
+    """One observable on a grid model, prepared for any number of pullbacks.
 
-    def triple_integral(self, f: Observable, n: int):
-        """avg f . (f o S^n) . (f o S^2n), exact on integer/object grids."""
-        values = _as_values(f)
-        return _mean_of_product(
-            [values, self.pullback_values(values, n), self.pullback_values(values, 2 * n)]
-        )
+    ``values`` is the observable in the dtype its triple products are
+    taken in, and ``view`` holds every q-wide window along the last axis
+    of a copy of it doubled along that axis (``_GridModel._windows``).
+    """
+
+    values: np.ndarray
+    view: np.ndarray
+
+
+class _GridModel:
+    """What the two grid models share: the pullback as a gather of whole windows.
+
+    Both maps shift the last axis of the phase space by an amount that
+    depends only on the point of the other axes (n step_d for the
+    rotation, n x_d + C(n, 2) alpha_d for the skew product), and move
+    that point too.  On a copy of f doubled along the last axis each row
+    of f o T^n along it is one q-wide window, so the pullback is one
+    gather: ``_window_index(n)`` gives an index array for every other
+    axis and then the window offset, all broadcasting to the phase space
+    without its last axis.  Only one axis is doubled, so the copy has
+    2 * size cells for every d.
+    """
+
+    def _windows(self, values: np.ndarray) -> _Windows:
+        if values.shape != self.phase_space_shape:
+            raise ValueError(f"values must have shape {self.phase_space_shape}")
+        doubled = np.concatenate([values, values], axis=-1)
+        return _Windows(values, sliding_window_view(doubled, self.q, axis=-1))
+
+    def _gather(self, windows: _Windows, n: int) -> np.ndarray:
+        # every index is an array, so this is a fresh copy, never a view of the windows
+        return windows.view[self._window_index(int(n))].reshape(self.phase_space_shape)
 
 
 @dataclass(frozen=True)
@@ -268,13 +257,15 @@ class RotationModel(_GridModel):
         """Whether the orbit of 0 sweeps the whole grid group."""
         return self.period == self.q**self.d
 
-    def pullback_values(self, values: np.ndarray, n: int) -> np.ndarray:
-        """Array g with g[x] = values[x + n step]."""
-        values = _as_values(values)
-        if values.shape != self.phase_space_shape:
-            raise ValueError(f"values must have shape {self.phase_space_shape}")
-        shift = tuple(-(int(n) * s) % self.q for s in self.step)
-        return np.roll(values, shift=shift, axis=tuple(range(self.d)))
+    def _window_index(self, n: int) -> tuple[np.ndarray, ...]:
+        q, d = self.q, self.d
+        shifts = [n * s % q for s in self.step]
+        axes = [np.arange(q).reshape((q,) + (1,) * (d - 2 - ax)) for ax in range(d - 1)]
+        return tuple((x + s) % q for x, s in zip(axes, shifts)) + (np.array([shifts[-1]]),)
+
+    def pullback_values(self, windows: _Windows, n: int) -> np.ndarray:
+        """Array g with g[x] = f[x + n step], for f prepared by ``_windows``."""
+        return self._gather(windows, n)
 
 
 @dataclass(frozen=True)
@@ -324,24 +315,23 @@ class GridWeylModel(_GridModel):
         orbit = math.lcm(*(self.q // math.gcd(a, self.q) for a in self.alpha))
         return orbit == self.q**self.d
 
-    def pullback_values(self, values: np.ndarray, n: int) -> np.ndarray:
-        """Array g with g[x, y] = values[x + n alpha, y + n x + C(n, 2) alpha]."""
-        values = _as_values(values)
-        if values.shape != self.phase_space_shape:
-            raise ValueError(f"values must have shape {self.phase_space_shape}")
-        d, q = self.d, self.q
-        # n and C(n, 2) are reduced in Python ints, so no index term exceeds 3 q^2.
-        n = int(n)
+    def _window_index(self, n: int) -> tuple[np.ndarray, ...]:
+        # n and C(n, 2) are reduced in Python ints, so no index term reaches 2 q^2.
+        q, d = self.q, self.d
         binom = (n * (n - 1) // 2) % q
         n %= q
-        axes = [np.arange(q).reshape((q,) + (1,) * (2 * d - 1 - ax)) for ax in range(2 * d)]
+        # axes x_1..x_d, y_1..y_(d-1): the last y axis is the window axis
+        axes = [np.arange(q).reshape((q,) + (1,) * (2 * d - 2 - ax)) for ax in range(2 * d - 1)]
         xs, ys = axes[:d], axes[d:]
         rows = [(x + n * a) % q for x, a in zip(xs, self.alpha)]
-        # reduce the (q, 1) term first, so only one (q, q) temporary is built per axis
-        cols = [
-            np.remainder((n * x + binom * a) % q + y, q) for x, y, a in zip(xs, ys, self.alpha)
-        ]
-        return values[tuple(rows + cols)]
+        shifts = [(n * x + binom * a) % q for x, a in zip(xs, self.alpha)]
+        cols = [(y + s) % q for y, s in zip(ys, shifts)]
+        return tuple(rows + cols + shifts[-1:])
+
+    def pullback_values(self, windows: _Windows, n: int) -> np.ndarray:
+        """Array g with g[x, y] = f[x + n alpha, y + n x + C(n, 2) alpha],
+        for f prepared by ``_windows``."""
+        return self._gather(windows, n)
 
 
 Model = Union[WeylSystem, RotationModel, GridWeylModel]
@@ -502,7 +492,8 @@ def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> Se
     the same as at n; substituting x -> S^2n x also shows I(n) = I(-n).
     Each distinct key is evaluated once: min(r, P - r) for exact
     observables, r alone for float ones, whose sum the reflection would
-    reorder.
+    reorder.  The observable is lifted and windowed once per call, so a
+    key costs two gathers of whole windows and one product.
     """
     ns = n_values if isinstance(n_values, range) else [int(n) for n in n_values]
     if isinstance(model, WeylSystem):
@@ -513,18 +504,60 @@ def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> Se
         if min(ns) < 1:
             raise ValueError(f"trig integrals start at n = 1, got n = {min(ns)}")
         return model.correlation_series(f, max(ns))[np.asarray(ns) - 1]
+    if not ns:
+        return []
+    windows = _lifted_windows(model, f)
+    exact = _is_exact_dtype(windows.values)
     period = model.period
-    reflect = _is_exact_dtype(_as_values(f))
     by_key: dict[int, object] = {}
     out = []
     for n in ns:
         key = n % period
-        if reflect:
+        if exact:
             key = min(key, period - key)
         if key not in by_key:
-            by_key[key] = model.triple_integral(f, key)
+            by_key[key] = _triple_mean(model, windows, key, exact)
         out.append(by_key[key])
     return out
+
+
+def _lifted_windows(model: Union[RotationModel, GridWeylModel], f: Observable) -> _Windows:
+    """The windows of f in the dtype its triple products are exact in.
+
+    Every pullback permutes the entries of f, so one bound serves every
+    product: integer and bool grids ride int64 when size * max|f|^3 < 2^62
+    and Python ints otherwise.  Object grids stay as they are, and float
+    grids keep their dtype.
+    """
+    values = _as_values(f)
+    if _is_exact_dtype(values) and values.dtype != object:
+        # max |f| without an abs() temporary, and exact even for the int64 minimum
+        top = max(int(values.max()), -int(values.min()), 1)
+        fits = values.size * top**3 < 2**62
+        values = values.astype(np.int64 if fits else object, copy=False)
+    return model._windows(values)
+
+
+def _triple_mean(model, windows: _Windows, n: int, exact: bool):
+    """avg f . (f o S^n) . (f o S^2n), exact products in the first gather's buffer.
+
+    Float factors are multiplied left to right into fresh arrays, each
+    factor held by a name: numpy rounds a complex product whose output
+    aliases an input (or that it computes into a temporary operand, with
+    the operands swapped) differently, and the mean must be the plain
+    product's, bit for bit.
+    """
+    first = model.pullback_values(windows, n)
+    second = model.pullback_values(windows, 2 * n)
+    if not exact:
+        prod = windows.values * first
+        prod = prod * second
+        mean = prod.mean()
+        return complex(mean) if np.iscomplexobj(prod) else float(mean)
+    np.multiply(windows.values, first, out=first)
+    first *= second
+    total = first.sum()
+    return Fraction(total if first.dtype == object else int(total), first.size)
 
 
 def _checkpoint_averages(

@@ -6,19 +6,22 @@ list of members and the list of a certificate's members, and the
 inverse of ``bohr.set_to_json``.
 
 For weyl: the per-n loop that ``weyl.triple_integrals`` replaced on the
-grid models; the trig pullback f o S^n and the pointwise triple integral
-by orthogonality, which ``WeylSystem.correlation_series`` and every trig
-``triple_integrals`` request are checked against; the O(support^3)
-triple loop that the series replaced with a y-frequency index; the float
-path of ``weyl.weighted_average`` one Python complex term at a time; the
-grid model of a rational system, the unweighted average and the
-observable range check.  For torus and harmonic: the cylinders whose
-union is a Hamming ball, the value of a character and of a trig
-polynomial at a point, the sinc closed form of a cylinder coefficient,
-the uniformizing cylinder, the inverse DFT, grid convolution and the
-Plancherel gap.  For roth: the quotient projection as a Fourier mask
-onto the annihilator, the oracle of the coset-average projection.  For
-the certificates: the one-draw band-disjointness probe that
+grid models, with its mean of a product and the index-grid pullback
+that the window gather replaced; the trig pullback f o S^n and the
+pointwise triple integral by orthogonality, which
+``WeylSystem.correlation_series`` and every trig ``triple_integrals``
+request are checked against; the O(support^3) triple loop that the
+series replaced with a y-frequency index; the float path of
+``weyl.weighted_average`` one Python complex term at a time; the grid
+model of a rational system, the unweighted average and the observable
+range check.  For torus and harmonic: the cylinders whose union is a
+Hamming ball, the value of a character and of a trig polynomial at a
+point, the sinc closed form of a cylinder coefficient, the uniformizing
+cylinder, the DFT by its definition and the inverse DFT, the spectrum
+table cell by cell, grid convolution and the Plancherel gap.  For
+roth: the quotient projection as a Fourier mask onto the annihilator,
+the oracle of the coset-average projection.  For the certificates: the
+one-draw band-disjointness probe that
 ``certificates.sample_band_disjointness`` replaced with row blocks, the
 band-measure probe, and the product bitset rebuilt from a certificate's
 recorded factors.  For the joinings: the points and visit counts of a
@@ -45,6 +48,7 @@ from reclab.harmonic import (
     CoefficientTable,
     GridFunction,
     annihilating_cylinder,
+    centered_residue,
     cylinder_coefficient_is_structural_zero,
     top_k_characters,
 )
@@ -52,7 +56,7 @@ from reclab.joinings import AffineJoining, OrbitDecomposition
 from reclab.lattice import SubgroupModel
 from reclab.roth import annihilator_contains
 from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint, wrap_unit
-from reclab.weyl import AveragesTrace, GridWeylModel, WeylSystem, weighted_average
+from reclab.weyl import AveragesTrace, GridWeylModel, RotationModel, WeylSystem, weighted_average
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +113,64 @@ def set_from_json(payload: dict) -> tuple[list[int], int]:
     return elems, payload["N"]
 
 
+def pullback_by_index_grids(model, values: np.ndarray, n: int) -> np.ndarray:
+    """f o T^n on a grid model: np.roll for the rotation, one broadcast index gather
+    (with the (q, q) index grid of every y axis) for the skew product."""
+    q, n = model.q, int(n)
+    if isinstance(model, RotationModel):
+        shift = tuple(-(n * s) % q for s in model.step)
+        return np.roll(values, shift=shift, axis=tuple(range(model.d)))
+    d = model.d
+    binom = (n * (n - 1) // 2) % q
+    n %= q
+    axes = [np.arange(q).reshape((q,) + (1,) * (2 * d - 1 - ax)) for ax in range(2 * d)]
+    xs, ys = axes[:d], axes[d:]
+    rows = [(x + n * a) % q for x, a in zip(xs, model.alpha)]
+    cols = [(y + n * x + binom * a) % q for x, y, a in zip(xs, ys, model.alpha)]
+    return values[tuple(rows + cols)]
+
+
+def mean_of_product(arrays: Sequence[np.ndarray]):
+    """Mean of the elementwise product, exact for integer/bool/object arrays.
+
+    Integer inputs ride int64 only when the worst-case product of entry
+    bounds fits; otherwise they are lifted to Python integers.  Float
+    inputs return a float (or complex) mean of the left-to-right product.
+    """
+    if all(weyl._is_exact_dtype(a) for a in arrays):
+        size = arrays[0].size
+        bound = size
+        for a in arrays:
+            if a.dtype != object:
+                bound *= max(int(a.max()), -int(a.min()), 1)
+        if bound < 2**62 and all(a.dtype != object for a in arrays):
+            prod = arrays[0].astype(np.int64)
+            for a in arrays[1:]:
+                prod = prod * a.astype(np.int64)
+            return Fraction(int(prod.sum()), size)
+        prod = arrays[0].astype(object)
+        for a in arrays[1:]:
+            prod = prod * a.astype(object)
+        return Fraction(prod.sum(), size)
+    prod = arrays[0]
+    for a in arrays[1:]:
+        prod = prod * a
+    out = prod.mean()
+    return complex(out) if np.iscomplexobj(prod) else float(out)
+
+
+def triple_integral(model, f, n: int):
+    """avg f . (f o T^n) . (f o T^2n) on a grid model, for one n."""
+    values = np.asarray(f.values if isinstance(f, GridFunction) else f)
+    return mean_of_product(
+        [values, pullback_by_index_grids(model, values, n),
+         pullback_by_index_grids(model, values, 2 * n)]
+    )
+
+
 def triple_integrals_per_n(model, f, n_values: Iterable[int]) -> list:
-    """One ``model.triple_integral`` per requested n, in request order."""
-    return [model.triple_integral(f, int(n)) for n in n_values]
+    """One ``triple_integral`` per requested n, in request order."""
+    return [triple_integral(model, f, int(n)) for n in n_values]
 
 
 def pullback(system: WeylSystem, table: CoefficientTable, n: int) -> CoefficientTable:
@@ -412,6 +471,26 @@ def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     fh = np.fft.fftn(f.values)
     gh = np.fft.fftn(g.values)
     return GridFunction(f.dim, f.q, np.fft.ifftn(fh * gh) / f.size())
+
+
+def grid_dft_direct(f: GridFunction) -> GridFunction:
+    """GridFunction.dft by its definition, one frequency n at a time:
+    fhat(n) = q^(-d) sum_x f(x) e(-n.x/q), with n.x reduced mod q in integers."""
+    points = np.indices(f.values.shape).reshape(f.dim, -1)
+    flat = f.values.ravel()
+    hat = [flat @ np.exp(-2j * np.pi * ((n @ points) % f.q) / f.q) for n in points.T]
+    return GridFunction(f.dim, f.q, np.reshape(hat, f.values.shape) / f.size())
+
+
+def spectrum_table_per_cell(f: GridFunction, tol: float = 0.0) -> CoefficientTable:
+    """GridFunction.spectrum_table one cell at a time, in np.ndindex order."""
+    hat = f.dft()
+    out = CoefficientTable(f.dim)
+    for idx in np.ndindex(*hat.values.shape):
+        v = complex(hat.values[idx])
+        if abs(v) > tol:
+            out[Character(tuple(centered_residue(i, f.q) for i in idx))] = v
+    return out
 
 
 def grid_idft(hat: GridFunction) -> GridFunction:

@@ -522,7 +522,9 @@ WEYL_AVG = ["avg", "--d", "1", "--freq-beta", "1/5", "--r", "1", "--k", "0", "--
         pytest.param(main_bohr, BOHR_ENUM + ["--k", "1", "--eps", "1/8", "--center", "1/0", "0"],
                      "argument --center: not a rational: '1/0'", id="bohr-center-zero-denominator"),
         pytest.param(main_weyl, WEYL_AVG + ["--alpha", "1/7", "--eta", "0"],
-                     "eps must lie in (0, 1/2], got 0", id="weyl-eta-0"),
+                     "--eta: 0 is outside (0, 1/2]", id="weyl-eta-0"),
+        pytest.param(main_weyl, WEYL_AVG + ["--alpha", "1/7", "--eta", "3/4"],
+                     "--eta: 3/4 is outside (0, 1/2]", id="weyl-eta-three-quarters"),
         pytest.param(main_weyl, WEYL_AVG + ["--alpha", "1/0", "--eta", "1/8"],
                      "argument --alpha: not a rational: '1/0'", id="weyl-alpha-zero-denominator"),
         pytest.param(main_weyl, WEYL_AVG + ["--alpha", "1/7", "--eta", "1/8", "--ell", "0"],

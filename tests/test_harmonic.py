@@ -21,9 +21,11 @@ from oracles import (
     character_value,
     cylinder_fourier,
     grid_convolve,
+    grid_dft_direct,
     grid_idft,
     grid_plancherel_gap,
     random_grid,
+    spectrum_table_per_cell,
     uniformizing_cylinder,
     zero_point,
 )
@@ -238,15 +240,16 @@ def test_uniformizing_cylinder_sparse_support():
 
 def test_dft_roundtrip_direct():
     f = random_grid(2, 7, seed=3)
-    back = grid_idft(f.dft(force_direct=True))
+    back = grid_idft(f.dft())
     assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
 def test_dft_direct_vs_fft_agree():
-    for dim, q in [(1, 64), (2, 11), (1, 101), (3, 5)]:
+    # both sides of the size at which dft switches from its direct kernel to the FFT
+    for dim, q in [(1, 64), (2, 11), (1, 101), (3, 5), (2, 65)]:
         f = random_grid(dim, q, seed=dim * q)
-        a = f.dft(force_direct=True)
-        b = f.dft(force_direct=False)
+        a = grid_dft_direct(f)
+        b = f.dft()
         assert np.max(np.abs(a.values - b.values)) < 1e-9
 
 
@@ -295,3 +298,15 @@ def test_spectrum_table_matches_known():
     table = f.spectrum_table(tol=1e-9)
     assert len(table) == 1
     assert abs(table[Character((1,))] - 1) < 1e-12
+
+
+@pytest.mark.parametrize("dim, q", [(1, 1), (1, 6), (1, 7), (2, 8), (3, 5), (2, 65)])
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 0.3])
+def test_spectrum_table_matches_the_cell_loop_entry_for_entry(dim, q, tol):
+    f = random_grid(dim, q, seed=dim + q)
+    sparse = GridFunction(dim, q, np.where(np.abs(f.values) > 1.0, f.values, 0))
+    for grid in (f, sparse, GridFunction(dim, q, np.zeros((q,) * dim))):
+        got = [(chi.freq, v) for chi, v in grid.spectrum_table(tol)]
+        want = [(chi.freq, v) for chi, v in spectrum_table_per_cell(grid, tol)]
+        assert [(k, repr(v)) for k, v in got] == [(k, repr(v)) for k, v in want]
+        assert all(type(v) is complex and all(type(n) is int for n in k) for k, v in got)

@@ -1,6 +1,7 @@
 """Skew-product orbits, correlation averages, and intersection scans."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,8 +30,10 @@ from oracles import (
     grid_model_from_system,
     l3_average,
     pullback,
+    pullback_by_index_grids,
     random_grid,
     trig_triple_integral,
+    triple_integral,
     triple_integrals_per_n,
     weighted_average_per_term,
     zero_point,
@@ -61,13 +64,18 @@ def hermitian_table(rng, dim, freqs, scale=0.2):
     return table
 
 
+def grid_pullback(model, values, n):
+    """f o T^n through the production gather, for raw grid values."""
+    return model.pullback_values(model._windows(np.asarray(values)), n)
+
+
 # ---- orbits ----
 
 
 def test_orbit_identity_at_zero_power():
     model = GridWeylModel(7, (3, 2))
     values = np.arange(7**4).reshape(model.phase_space_shape)
-    assert np.array_equal(model.pullback_values(values, 0), values)
+    assert np.array_equal(grid_pullback(model, values, 0), values)
 
 
 def test_orbit_three_steps_by_hand():
@@ -77,7 +85,7 @@ def test_orbit_three_steps_by_hand():
     mass = np.zeros((5, 5), dtype=np.int64)
     mass[3, 3] = 1
     for n, point in ((1, (2, 1)), (2, (1, 0)), (3, (0, 0))):
-        assert list(zip(*np.nonzero(model.pullback_values(mass, n)))) == [point]
+        assert list(zip(*np.nonzero(grid_pullback(model, mass, n)))) == [point]
 
 
 @given(
@@ -92,20 +100,20 @@ def test_orbit_matches_iterated_map(q, alpha, n):
     values = np.arange(q ** (2 * len(alpha))).reshape(model.phase_space_shape)
     iterated = values
     for _ in range(n):
-        iterated = model.pullback_values(iterated, 1)
-    assert np.array_equal(model.pullback_values(values, n), iterated)
+        iterated = grid_pullback(model, iterated, 1)
+    assert np.array_equal(grid_pullback(model, values, n), iterated)
 
 
 def test_orbit_inverse_power_returns_home():
     model = GridWeylModel(9, (2,))
     values = np.arange(81).reshape(9, 9)
-    forward = model.pullback_values(values, 13)
-    assert np.array_equal(model.pullback_values(forward, -13), values)
+    forward = grid_pullback(model, values, 13)
+    assert np.array_equal(grid_pullback(model, forward, -13), values)
 
 
 def test_orbit_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        GridWeylModel(5, (1,)).pullback_values(np.zeros((5, 5, 5, 5)), 1)
+        grid_pullback(GridWeylModel(5, (1,)), np.zeros((5, 5, 5, 5)), 1)
 
 
 # ---- pullback of trig polynomials ----
@@ -180,8 +188,8 @@ def test_grid_and_trig_integrals_agree_without_aliasing():
             for i in range(7)
         ]
     )
-    for n in range(0, 15):
-        assert abs(model.triple_integral(values, n) - trig_triple_integral(system, table, n)) < 1e-12
+    for n, value in zip(range(0, 15), triple_integrals(model, values, range(0, 15))):
+        assert abs(value - trig_triple_integral(system, table, n)) < 1e-12
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -192,7 +200,7 @@ def test_weyl_grid_pullback_is_the_orbit_substitution(seed):
     model = GridWeylModel(q, (rng.randrange(q),))
     values = np.arange(q * q).reshape(q, q)
     n = rng.randrange(0, 3 * q)
-    out = model.pullback_values(values, n)
+    out = grid_pullback(model, values, n)
     binom = n * (n - 1) // 2
     for x in range(q):
         for y in range(q):
@@ -237,10 +245,45 @@ def test_weyl_grid_pullback_gather_matches_slice_rolls(q, alpha, n, exact, seed)
         values = exact_grid(rng, shape, span=7) - Fraction(1, 3)
     else:
         values = np.array([rng.randint(-5, 5) for _ in range(q ** len(shape))]).reshape(shape)
-    out = model.pullback_values(values, n)
+    out = grid_pullback(model, values, n)
     expected = pullback_by_slice_rolls(model, values, n)
     assert out.dtype == expected.dtype and out.shape == expected.shape
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [RotationModel(5, (2,)), RotationModel(4, (1, 2)), RotationModel(3, (1, 0, 2)),
+     RotationModel(2, (1,) * 6), GridWeylModel(3, (1, 2, 1)), GridWeylModel(2, (1, 0, 1))],
+)
+def test_grid_pullback_gather_matches_the_index_grids_in_every_dimension(model):
+    shape = model.phase_space_shape
+    values = np.arange(int(np.prod(shape))).reshape(shape)
+    for n in (0, 1, 2, -3, 7, 2**64 + 5):
+        out = grid_pullback(model, values, n)
+        assert out.shape == shape and out.dtype == values.dtype
+        assert np.array_equal(out, pullback_by_index_grids(model, values, n))
+
+
+@pytest.mark.parametrize("model", [RotationModel(4, (1,) * 7), GridWeylModel(2, (1,) * 7)])
+def test_triple_integrals_hold_memory_linear_in_the_grid(model):
+    # 2^14 cells: doubling every shifted axis would build 2^7 copies of the grid,
+    # while the windows of the last axis need a few grids, plus the blocks of at
+    # most 8192 entries in which numpy buffers each broadcast index array
+    rng = random.Random(12)
+    size = int(np.prod(model.phase_space_shape))
+    f = np.array([rng.randint(-3, 3) for _ in range(size)], dtype=np.int64)
+    f = f.reshape(model.phase_space_shape)
+    ns = [1, 2, 3, -1]
+    want = triple_integrals_per_n(model, f, ns)
+    tracemalloc.start()
+    try:
+        got = triple_integrals(model, f, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 6 * f.nbytes + f.ndim * 8192 * 8
 
 
 def test_triple_integrals_driver_routes_agree():
@@ -396,7 +439,8 @@ def test_triple_integrals_of_any_request_match_the_pointwise_oracle(den, seed, n
 
 # ---- one evaluation per distinct grid integral ----
 
-GRID_DTYPES = ("int64", "bool", "fraction", "float", "complex")
+GRID_DTYPES = ("int64", "bool", "fraction", "wide", "float", "complex")
+EXACT_DTYPES = ("int64", "bool", "fraction", "wide")
 
 
 def grid_observable(rng, shape, dtype):
@@ -408,6 +452,10 @@ def grid_observable(rng, shape, dtype):
     elif dtype == "fraction":
         flat = np.array([Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(size)],
                         dtype=object)
+    elif dtype == "wide":
+        # int64 entries whose cubes overflow, the int64 minimum among them: Python ints
+        flat = np.array([rng.randint(-(2**40), 2**40) for _ in range(size)], dtype=np.int64)
+        flat[rng.randrange(size)] = np.iinfo(np.int64).min
     elif dtype == "float":
         flat = np.array([rng.uniform(-1, 1) for _ in range(size)])
     else:
@@ -418,13 +466,14 @@ def grid_observable(rng, shape, dtype):
 @st.composite
 def grid_models(draw):
     kind = draw(st.sampled_from(["odd", "even", "rotation"]))
+    d = draw(st.integers(1, 2))
     if kind == "rotation":
         q = draw(st.sampled_from([4, 6, 8, 9]))
-        step = draw(st.integers(0, q - 1).filter(lambda s: np.gcd(s, q) > 1))
-        model = RotationModel(q, (step,))
+        step = draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d)
+                    .filter(lambda s: np.gcd(s[0], q) > 1))
+        model = RotationModel(q, tuple(step))
         assert not model.is_generating
         return model
-    d = draw(st.integers(1, 2))
     q = draw(st.sampled_from([1, 3, 5] if kind == "odd" else [2, 4, 6]))
     alpha = draw(st.lists(st.integers(-20, 20), min_size=d, max_size=d))
     if kind == "even":
@@ -450,6 +499,10 @@ def grid_models(draw):
 @example(model=GridWeylModel(3, (1, 2)), dtype="complex", ns=[2, -1, 2**64 + 1], seed=1)
 @example(model=GridWeylModel(4, (1,)), dtype="int64", ns=[1, 5, 9, 2**63 + 1], seed=2)
 @example(model=RotationModel(6, (2,)), dtype="fraction", ns=[5, -1, 2, 0], seed=3)
+@example(model=RotationModel(4, (2, 1)), dtype="wide", ns=[3, -7, 1], seed=4)
+@example(model=GridWeylModel(6, (3, 1)), dtype="bool", ns=[-5, 7, 2**63], seed=5)
+# a complex product computed in place into a factor rounds differently here
+@example(model=GridWeylModel(1, (0,)), dtype="complex", ns=[0, 0], seed=0)
 @settings(max_examples=80)
 def test_triple_integrals_match_the_per_n_oracle_exactly(model, dtype, ns, seed):
     # repeats, n = 0 and an unsorted order on top of the drawn n
@@ -477,17 +530,31 @@ def test_triple_integrals_evaluate_each_distinct_key_once(monkeypatch, model, dt
     ns = range(1, 3 * period + 1)
     want = triple_integrals_per_n(model, f, ns)
     calls = []
-    evaluate = type(model).triple_integral
+    gather = type(model).pullback_values
 
     def counted(self, values, n):
         calls.append(n)
-        return evaluate(self, values, n)
+        return gather(self, values, n)
 
-    monkeypatch.setattr(type(model), "triple_integral", counted)
+    monkeypatch.setattr(type(model), "pullback_values", counted)
     assert triple_integrals(model, f, ns) == want
-    exact = dtype in ("int64", "bool", "fraction")
-    assert len(calls) <= (period // 2 + 1 if exact else period)
-    assert len(set(calls)) == len(calls)
+    # one key is one evaluation: the gathers at n and at 2n
+    keys = calls[::2]
+    assert calls[1::2] == [2 * n for n in keys]
+    assert len(keys) <= (period // 2 + 1 if dtype in EXACT_DTYPES else period)
+    assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("model", [GridWeylModel(3, (1,)), GridWeylModel(2, (1, 1)),
+                                   RotationModel(5, (2,)), RotationModel(3, (1, 2))])
+def test_triple_integrals_lift_past_the_int64_bound_exactly(model):
+    # a constant m integrates to m^3; at size * m^3 >= 2^62 an int64 sum could
+    # wrap (and does from 2^63 on), so the kernel switches to Python ints there
+    size = int(np.prod(model.phase_space_shape))
+    edge = round((2**62 / size) ** (1 / 3))
+    for m in (edge - 2, edge - 1, edge, edge + 1, edge * 7 // 5, 2**21, 2**40, -(2**40)):
+        f = np.full(model.phase_space_shape, m, dtype=np.int64)
+        assert triple_integrals(model, f, [1, -3]) == [Fraction(m**3)] * 2
 
 
 # ---- finite models ----
@@ -506,7 +573,7 @@ def test_rotation_period_and_generating_flags():
 def test_rotation_pullback_is_plain_shift():
     model = RotationModel(7, (3,))
     values = np.arange(7)
-    out = model.pullback_values(values, 2)
+    out = grid_pullback(model, values, 2)
     assert [out[x] for x in range(7)] == [values[(x + 6) % 7] for x in range(7)]
 
 
@@ -514,7 +581,11 @@ def test_integer_triple_integral_is_exact_at_the_int64_minimum():
     # abs() of the int64 minimum wraps, so the entry bound must not come from it
     low = int(np.iinfo(np.int64).min)
     values = np.array([low, 1], dtype=np.int64)
-    assert RotationModel(2, (1,)).triple_integral(values, 1) == Fraction(low * low + low, 2)
+    assert triple_integrals(RotationModel(2, (1,)), values, [1]) == [Fraction(low * low + low, 2)]
+    grid = np.array([[low, 1], [1, 1]], dtype=np.int64)
+    model = GridWeylModel(2, (1,))
+    ns = [1, 2, 3]
+    assert triple_integrals(model, grid, ns) == triple_integrals_per_n(model, grid, ns)
 
 
 def test_weyl_grid_period_values():
@@ -532,13 +603,13 @@ def test_weyl_grid_period_is_the_order_of_the_map(seed):
     model = GridWeylModel(q, (rng.randrange(q),))
     values = np.arange(q * q).reshape(q, q)
     period = model.period
-    assert np.array_equal(model.pullback_values(values, period), values)
+    assert np.array_equal(grid_pullback(model, values, period), values)
     # and no proper divisor works
     for n in range(1, period):
-        if period % n == 0 and not np.array_equal(model.pullback_values(values, n), values):
+        if period % n == 0 and not np.array_equal(grid_pullback(model, values, n), values):
             break
     divisors = [n for n in range(1, period) if period % n == 0]
-    assert all(not np.array_equal(model.pullback_values(values, n), values) for n in divisors)
+    assert all(not np.array_equal(grid_pullback(model, values, n), values) for n in divisors)
 
 
 def test_grid_model_from_system():
@@ -930,7 +1001,7 @@ def test_weyl_model_intersection_matches_hand_count():
         )
         best = max(best, Fraction(count, q * q))
     assert value == best
-    assert model.triple_integral(mask, n_star) == value
+    assert triple_integral(model, mask, n_star) == value
 
 
 # ---- observable bundling ----
