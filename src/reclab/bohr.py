@@ -56,10 +56,6 @@ class BohrHammingBall:
                 f"frequency dim {self.freq.dim} does not match ball dim {self.ball.dim}"
             )
 
-    def contains(self, n: int) -> bool:
-        """Whether n*beta lies in the ball (at most k deviating coordinates)."""
-        return bool(self._inside(np.asarray([n]), 1)[0])
-
     def _inside(self, ns: np.ndarray, e: int) -> np.ndarray:
         ball = self.ball
         return orbit_deviations(self.freq.coords, ball.center.coords, ball.eps, ns, e) <= ball.k

@@ -497,15 +497,14 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
         raise ExperimentError("config", f"joint period {period} exceeds the cap {PERIOD_CAP}")
 
     try:
-        extraction = extract_affine_joining(
+        joining = extract_affine_joining(
             pair_embedding([alpha], [t0], r),
             quadratic_direction([alpha], weight_dir),
             1,
             r,
         )
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         raise ExperimentError("extract-joining", str(exc))
-    joining = extraction.group_joining
 
     ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * r), k, eps)
     beta_pt = TorusPoint.of(beta)

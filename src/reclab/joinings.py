@@ -1,20 +1,15 @@
 """Finite joining models for quadratic orbit averages.
 
-The objects here live on the grid group Z_q^m.  An orbit n -> n*c + n^2*u
-is decomposed exactly: its visit measure over one period is a convex
-combination of uniform measures on cosets of the stabilizer subgroup of
-that measure, with rational weights read off from visit counts.  The
-identity is exact by construction; the tests re-check it by enumeration,
-never by tolerance.
-
-For orbits whose linear part lies on the progression diagonal
+The objects here live on the grid group Z_q^m.  For orbits
+n -> n*c + n^2*u whose linear part lies on the progression diagonal
 {(s, t, 2s, 2t, 0)} and whose quadratic part has the shape
 (0, a, 0, 4a, b), the two offset coordinates w1 = (z4 - 2*z2)/2 and
-w2 = z5 sweep out (n^2 * a, n^2 * b).  Projecting the decomposition there
-yields an affine joining: a base subgroup of Z_q^(d+r) together with
-weighted coset shifts.  Averaging a product f(x, y + 2*w1) * g(w2) against
-it is the star convolution; on the transform side it multiplies each
-(chi, psi) coefficient of f by a factor depending on psi and g only.
+w2 = z5 sweep out (n^2 * a, n^2 * b).  The joining extracted from such
+an orbit is the Haar measure on the subgroup of Z_q^(d+r) those offsets
+generate.  An affine joining in general is a base subgroup together with
+weighted coset shifts.  Averaging a product f(x, y + 2*w1) * g(w2)
+against it is the star convolution; on the transform side it multiplies
+each (chi, psi) coefficient of f by a factor depending on psi and g only.
 
 Cylinder constructions over a joining must certify their zeros.  A sum of
 q-th roots of unity with rational masses is exactly zero iff the mass
@@ -26,7 +21,6 @@ that test and a failure raises rather than returning a near-zero.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -45,14 +39,11 @@ from .torus import ApproxHammingBall, Cylinder, RationalLike, as_fraction
 
 __all__ = [
     "AffineJoining",
-    "JoiningExtraction",
-    "OrbitDecomposition",
     "annihilate_over_joining",
     "extract_affine_joining",
     "offset_projection",
     "pair_embedding",
     "quadratic_direction",
-    "quadratic_orbit_decomposition",
     "root_of_unity_sum_is_zero",
     "uniformize_over_joining",
 ]
@@ -106,89 +97,6 @@ def offset_projection(vec: Sequence[int], d: int, r: int, q: int) -> tuple[int, 
     return tuple(w1 + w2)
 
 
-# ---- exact decomposition of a quadratic orbit's visit measure ----
-
-
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    """Visit measure of n -> n*c + n^2*u as weighted uniform coset measures.
-
-    The stabilizer is the full symmetry group of the visit counts, so the
-    support splits into stabilizer cosets on which the counts are constant
-    and the averaging identity
-
-        (1/P) sum_{n<P} F(x_n)  =  sum_j weight_j * avg_{coset_j} F
-
-    holds exactly for every F, with P one full period.
-    """
-
-    q: int
-    dim: int
-    period: int
-    linear: tuple[int, ...]
-    quadratic: tuple[int, ...]
-    stabilizer: SubgroupModel
-    cosets: tuple[tuple[int, ...], ...]
-    weights: tuple[Fraction, ...]
-
-
-def quadratic_orbit_decomposition(
-    linear: Sequence[int], quadratic: Sequence[int], q: int
-) -> OrbitDecomposition:
-    """Exact coset decomposition of the visit measure of n*c + n^2*u mod q.
-
-    The stabilizer is found by testing every difference x - x0 of support
-    points against the counts; that search is complete because a shift
-    fixing the measure must send x0 back into the support.
-    """
-    if q < 1:
-        raise ValueError("modulus must be >= 1")
-    if len(linear) != len(quadratic):
-        raise ValueError("linear and quadratic parts must have equal width")
-    dim = len(linear)
-    c = tuple(a % q for a in linear)
-    u = tuple(a % q for a in quadratic)
-    counts = Counter(
-        tuple((n * a + n * n * b) % q for a, b in zip(c, u)) for n in range(q)
-    )
-    support = sorted(counts)
-    x0 = support[0]
-
-    def shifted(x: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((a + b) % q for a, b in zip(x, s))
-
-    stab_gens = []
-    for y in support:
-        s = tuple((a - b) % q for a, b in zip(y, x0))
-        if all(counts.get(shifted(x, s)) == counts[x] for x in support):
-            stab_gens.append(s)
-    stabilizer = SubgroupModel.from_generators(q, dim, stab_gens)
-    order = stabilizer.order()
-
-    classes: dict[tuple[int, ...], int] = defaultdict(int)
-    class_sizes: Counter = Counter()
-    for x in support:
-        rep = stabilizer.coset_representative(x)
-        classes[rep] += counts[x]
-        class_sizes[rep] += 1
-    for rep, size in class_sizes.items():
-        if size != order:
-            raise ArithmeticError("support does not split into full stabilizer cosets")
-
-    cosets = tuple(sorted(classes))
-    weights = tuple(Fraction(classes[rep], q) for rep in cosets)
-    return OrbitDecomposition(
-        q=q,
-        dim=dim,
-        period=2 * q,
-        linear=c,
-        quadratic=u,
-        stabilizer=stabilizer,
-        cosets=cosets,
-        weights=weights,
-    )
-
-
 # ---- affine joinings ----
 
 
@@ -238,43 +146,22 @@ class AffineJoining:
         return cls(base=base, d=d, r=r, shifts=(zero,), weights=(Fraction(1),))
 
 
-@dataclass(frozen=True)
-class JoiningExtraction:
-    """Everything computed when extracting a joining from an orbit.
-
-    joining carries the exact projected visit decomposition; group_joining
-    is the Haar measure on the projected closure of the quadratic part,
-    which is the single-component idealization the decomposition refines.
-    phi and lambda_closure are ambient closure diagnostics.
-    """
-
-    q: int
-    d: int
-    r: int
-    linear: tuple[int, ...]
-    quadratic: tuple[int, ...]
-    decomposition: OrbitDecomposition
-    joining: AffineJoining
-    group_joining: AffineJoining
-    lambda_closure: SubgroupModel
-    phi: SubgroupModel
-    pattern: SubgroupModel
-
-
 def extract_affine_joining(
     linear: Sequence[RationalLike],
     quadratic: Sequence[RationalLike],
     d: int,
     r: int,
     modulus: int | None = None,
-) -> JoiningExtraction:
-    """Decompose the orbit of (linear, quadratic) and project to offsets.
+) -> AffineJoining:
+    """Haar measure on the offset projection of the quadratic part's closure.
 
-    The linear part must lie on the progression diagonal and generate the
-    product of the cyclic closures of its two leading blocks; otherwise
-    the input is degenerate and a ValueError explains which closure came
-    out wrong.  The common denominator q must be odd so the offset halving
-    is defined.
+    The projection is a homomorphism, so the projected closure is the
+    closure of the projected quadratic part: one generator, one normal
+    form.  The linear part must lie on the progression diagonal and
+    generate the product of the cyclic closures of its two leading blocks;
+    otherwise the input is degenerate and a ValueError explains which
+    closure came out wrong.  The common denominator q must be odd so the
+    offset halving is defined.
     """
     m = 4 * d + r
     if len(linear) != m or len(quadratic) != m:
@@ -304,43 +191,8 @@ def extract_affine_joining(
             f"{pattern.order()}; the two leading blocks must have coprime orders"
         )
 
-    lambda_closure = SubgroupModel.from_generators(q, m, [u])
-    phi = linear_closure.join(lambda_closure)
-    decomposition = quadratic_orbit_decomposition(c, u, q)
-
-    def proj(vec: Sequence[int]) -> list[int]:
-        return list(offset_projection(vec, d, r, q))
-
-    base_w = SubgroupModel.from_generators(
-        q, d + r, [proj(row) for row in decomposition.stabilizer.basis]
-    )
-    merged: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
-    for rep, w in zip(decomposition.cosets, decomposition.weights):
-        merged[base_w.coset_representative(proj(rep))] += w
-    shifts = tuple(sorted(merged))
-    joining = AffineJoining(
-        base=base_w,
-        d=d,
-        r=r,
-        shifts=shifts,
-        weights=tuple(merged[s] for s in shifts),
-    )
-    group_base = SubgroupModel.from_generators(
-        q, d + r, [proj(row) for row in lambda_closure.basis]
-    )
-    return JoiningExtraction(
-        q=q,
-        d=d,
-        r=r,
-        linear=tuple(c),
-        quadratic=tuple(u),
-        decomposition=decomposition,
-        joining=joining,
-        group_joining=AffineJoining.haar(group_base, d, r),
-        lambda_closure=lambda_closure,
-        phi=phi,
-        pattern=pattern,
-    )
+    base = SubgroupModel.from_generators(q, d + r, [offset_projection(u, d, r, q)])
+    return AffineJoining.haar(base, d, r)
 
 
 # ---- exact zero certificates for root-of-unity sums ----
@@ -513,7 +365,5 @@ def uniformize_over_joining(
         "selected": [list(chi.freq) for chi in chosen],
         "psi_blocks": [list(psi) for psi in doubled],
         "residual": residual,
-        "bound": norm_bound / math.sqrt(ball.k),
-        "sharper_bound": norm_bound / math.sqrt(1 + ball.k),
     }
     return cyl, report

@@ -3,10 +3,10 @@
 A subgroup of Z_q^m generated by integer vectors is the image of the
 lattice L = span_Z(generators) + q*Z^m.  The Hermite normal form of L
 is a canonical upper-triangular basis whose pivots divide q, which
-gives exact membership tests, the exact order q^m / det, and duplicate
-free enumeration by mixed-radix combinations of basis rows.  The Smith
-normal form supplies a solver for linear systems mod q, used to extend
-characters from a subgroup to the full group.
+gives canonical coset representatives, the exact order q^m / det, and
+duplicate free enumeration by mixed-radix combinations of basis rows.
+The Smith normal form supplies a solver for linear systems mod q, used
+to extend characters from a subgroup to the full group.
 
 Everything here is integer arithmetic; there are no tolerances.
 """
@@ -227,21 +227,6 @@ class SubgroupModel:
         det = math.prod(row[i] for i, row in enumerate(self.basis))
         return self.q**self.dim // det
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        x = [int(a) % self.q for a in vec]
-        if len(x) != self.dim:
-            raise ValueError(f"vector width {len(x)} does not match dim {self.dim}")
-        for i, row in enumerate(self.basis):
-            if x[i] % row[i]:
-                return False
-            t = x[i] // row[i]
-            if t:
-                x = [a - t * b for a, b in zip(x, row)]
-        return True
-
-    def __contains__(self, vec) -> bool:
-        return self.contains(vec)
-
     def coset_representative(self, vec: Sequence[int]) -> tuple[int, ...]:
         """The unique member of vec + subgroup inside the pivot box.
 
@@ -276,11 +261,3 @@ class SubgroupModel:
     def coset_elements(self, rep: Sequence[int]) -> list[tuple[int, ...]]:
         """The coset rep + subgroup: elements() shifted by rep, in that order."""
         return [tuple((a + b) % self.q for a, b in zip(rep, s)) for s in self.elements()]
-
-    def join(self, other: "SubgroupModel") -> "SubgroupModel":
-        """Smallest subgroup containing both operands."""
-        if (self.q, self.dim) != (other.q, other.dim):
-            raise ValueError("subgroup models live in different ambient groups")
-        return SubgroupModel.from_generators(
-            self.q, self.dim, list(self.basis) + list(other.basis)
-        )

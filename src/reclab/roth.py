@@ -4,15 +4,13 @@ The central object is the progression form
 
     I(f0, f1, f2) = avg_{x, s} f0(x) f1(x + s) f2(x + 2s)
 
-over Z_q^d.  It is computed two independent ways: directly from the
-definition, and through the spectral identity
+over Z_q^d, computed from the definition: in floats for complex grid
+functions, and in integers for exact arrays.  The tests check it
+against the spectral identity
 
     I = sum_n fhat0(n) fhat1(-2n) fhat2(n),
 
-whose derivation needs nothing but orthogonality of characters.  The
-spectral route is only offered on odd grids, where n -> -2n permutes the
-frequencies; the direct route works everywhere and the two must agree to
-near machine precision whenever both run.
+which holds on odd grids, where n -> -2n permutes the frequencies.
 
 Projecting one slot of the form onto the functions invariant under a
 subgroup K is a Fourier truncation to the annihilator of K, so the cost
@@ -51,35 +49,15 @@ def _roll_to(values: np.ndarray, shift: Sequence[int]) -> np.ndarray:
     return np.roll(values, shift=tuple(-int(s) for s in shift), axis=tuple(range(values.ndim)))
 
 
-def roth_form(
-    f0: GridFunction, f1: GridFunction, f2: GridFunction, method: str = "direct"
-) -> complex:
-    """The progression form avg_{x,s} f0(x) f1(x+s) f2(x+2s).
-
-    method "direct" runs the definition; "spectral" runs the coefficient
-    sum and raises on even q, where doubling frequencies is not a
-    permutation and the spectral route is not offered.
-    """
+def roth_form(f0: GridFunction, f1: GridFunction, f2: GridFunction) -> complex:
+    """The progression form avg_{x,s} f0(x) f1(x+s) f2(x+2s), from the definition."""
     _check_triple(f0, f1, f2)
     q, dim = f0.q, f0.dim
-    if method == "direct":
-        total = 0j
-        for s in np.ndindex(*(q,) * dim):
-            term = f0.values * _roll_to(f1.values, s) * _roll_to(f2.values, [2 * a for a in s])
-            total += term.mean()
-        return complex(total / q**dim)
-    if method == "spectral":
-        if q % 2 == 0:
-            raise ValueError(
-                f"spectral route needs an odd grid, got q={q}; use the direct route"
-            )
-        h0 = f0.dft().values
-        h1 = f1.dft().values
-        h2 = f2.dft().values
-        idx = np.indices(h1.shape)
-        h1_at_minus_2n = h1[tuple((-2 * comp) % q for comp in idx)]
-        return complex(np.sum(h0 * h1_at_minus_2n * h2))
-    raise ValueError(f"unknown method {method!r}")
+    total = 0j
+    for s in np.ndindex(*(q,) * dim):
+        term = f0.values * _roll_to(f1.values, s) * _roll_to(f2.values, [2 * a for a in s])
+        total += term.mean()
+    return complex(total / q**dim)
 
 
 def roth_form_exact(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Fraction:

@@ -89,9 +89,6 @@ class TorusPoint:
         self._check_dim(other)
         return TorusPoint(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def scale(self, n: int) -> "TorusPoint":
-        return TorusPoint(tuple(n * a for a in self.coords))
-
     def _check_dim(self, other: "TorusPoint") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")

@@ -619,7 +619,7 @@ def _closed_form(model: Model, f: Observable):
     if _is_exact_dtype(proj):
         return roth_form_exact(proj, proj, proj)
     grid = GridFunction(proj.ndim, proj.shape[0], np.asarray(proj, dtype=complex))
-    value = roth_form(grid, grid, grid, method="direct")
+    value = roth_form(grid, grid, grid)
     return value.real if abs(value.imag) <= 1e-9 else value
 
 

@@ -1,7 +1,8 @@
 """Reference code and fixture builders that only the tests call.
 
 Fixtures: the origin of a torus (``zero_point``), the trivial and full
-subgroups, a random complex grid function, a certificate built from a
+subgroups, subgroup membership and the join of two subgroups, n times a
+torus point, a random complex grid function, a certificate built from a
 list of members and the list of a certificate's members, and the
 inverse of ``bohr.set_to_json``.
 
@@ -19,14 +20,18 @@ Hamming ball, the value of a character and of a trig polynomial at a
 point, the sinc closed form of a cylinder coefficient, the uniformizing
 cylinder, the DFT by its definition and the inverse DFT, the spectrum
 table cell by cell, grid convolution and the Plancherel gap.  For
-roth: the quotient projection as a Fourier mask onto the annihilator,
-the oracle of the coset-average projection.  For the certificates: the
+roth: the progression form by its spectral identity, and the quotient
+projection as a Fourier mask onto the annihilator, the oracle of the
+coset-average projection.  For the certificates: the
 one-draw band-disjointness probe that
 ``certificates.sample_band_disjointness`` replaced with row blocks, the
 band-measure probe, and the product bitset rebuilt from a certificate's
 recorded factors.  For the joinings: the points and visit counts of a
 decomposed orbit, its orbit and coset averages and the recount of its
-measure identity, and the star kernel and its transform factor.
+measure identity, the exact visit decomposition of a quadratic orbit,
+the weighted joining it projects to and the two-step projected closure
+that ``joinings.extract_affine_joining`` replaced with one projection,
+and the star kernel and its transform factor.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -52,10 +57,10 @@ from reclab.harmonic import (
     cylinder_coefficient_is_structural_zero,
     top_k_characters,
 )
-from reclab.joinings import AffineJoining, OrbitDecomposition
+from reclab.joinings import AffineJoining, offset_projection
 from reclab.lattice import SubgroupModel
 from reclab.roth import annihilator_contains
-from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint, wrap_unit
+from reclab.torus import ApproxHammingBall, Cylinder, RationalLike, TorusPoint, as_fraction, wrap_unit
 from reclab.weyl import AveragesTrace, GridWeylModel, RotationModel, WeylSystem, weighted_average
 
 
@@ -75,6 +80,23 @@ def trivial_subgroup(q: int, dim: int) -> SubgroupModel:
 def full_subgroup(q: int, dim: int) -> SubgroupModel:
     eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
     return SubgroupModel.from_generators(q, dim, eye)
+
+
+def subgroup_contains(model: SubgroupModel, vec: Sequence[int]) -> bool:
+    """Whether vec lies in the subgroup: its canonical coset representative is 0."""
+    return not any(model.coset_representative(vec))
+
+
+def subgroup_join(a: SubgroupModel, b: SubgroupModel) -> SubgroupModel:
+    """Smallest subgroup containing both operands."""
+    if (a.q, a.dim) != (b.q, b.dim):
+        raise ValueError("subgroup models live in different ambient groups")
+    return SubgroupModel.from_generators(a.q, a.dim, list(a.basis) + list(b.basis))
+
+
+def scaled(point: TorusPoint, n: int) -> TorusPoint:
+    """The point n * x of the torus, exactly."""
+    return TorusPoint(tuple(n * a for a in point.coords))
 
 
 def random_grid(dim: int, q: int, seed: int) -> GridFunction:
@@ -458,8 +480,6 @@ def uniformizing_cylinder(
     report = {
         "selected": [list(c.freq) for c in chosen],
         "residual": residual,
-        "bound": norm_bound / math.sqrt(ball.k),
-        "sharper_bound": norm_bound / math.sqrt(1 + ball.k),
     }
     return cyl, report
 
@@ -501,6 +521,23 @@ def grid_idft(hat: GridFunction) -> GridFunction:
     for _ in range(hat.dim):
         out = np.tensordot(out, kernel, axes=([0], [1]))
     return GridFunction(hat.dim, hat.q, out)
+
+
+def roth_form_spectral(f0: GridFunction, f1: GridFunction, f2: GridFunction) -> complex:
+    """roth.roth_form through sum_n fhat0(n) fhat1(-2n) fhat2(n); odd grids only.
+
+    On even q doubling frequencies is not a permutation, so the identity
+    does not hold and the route raises.
+    """
+    if not (f0.dim == f1.dim == f2.dim and f0.q == f1.q == f2.q):
+        raise ValueError("all three functions must live on the same grid")
+    q = f0.q
+    if q % 2 == 0:
+        raise ValueError(f"spectral route needs an odd grid, got q={q}; use the direct route")
+    h0, h1, h2 = (f.dft().values for f in (f0, f1, f2))
+    idx = np.indices(h1.shape)
+    h1_at_minus_2n = h1[tuple((-2 * comp) % q for comp in idx)]
+    return complex(np.sum(h0 * h1_at_minus_2n * h2))
 
 
 def quotient_project_spectral(f: GridFunction, subgroup: SubgroupModel) -> GridFunction:
@@ -624,6 +661,136 @@ def product_bits_from_factors(cert: Certificate) -> int:
         witness = BandWitness.from_json(entry["witness"])
         bits &= band_return_bitset(witness, TorusPoint.from_json(entry["beta"]), cert.horizon)
     return bits
+
+
+@dataclass(frozen=True)
+class OrbitDecomposition:
+    """Visit measure of n -> n*c + n^2*u as weighted uniform coset measures.
+
+    The stabilizer is the full symmetry group of the visit counts, so the
+    support splits into stabilizer cosets on which the counts are constant
+    and the averaging identity
+
+        (1/P) sum_{n<P} F(x_n)  =  sum_j weight_j * avg_{coset_j} F
+
+    holds exactly for every F, with P one full period.
+    """
+
+    q: int
+    dim: int
+    period: int
+    linear: tuple[int, ...]
+    quadratic: tuple[int, ...]
+    stabilizer: SubgroupModel
+    cosets: tuple[tuple[int, ...], ...]
+    weights: tuple[Fraction, ...]
+
+
+def quadratic_orbit_decomposition(
+    linear: Sequence[int], quadratic: Sequence[int], q: int
+) -> OrbitDecomposition:
+    """Exact coset decomposition of the visit measure of n*c + n^2*u mod q.
+
+    The stabilizer is found by testing every difference x - x0 of support
+    points against the counts; that search is complete because a shift
+    fixing the measure must send x0 back into the support.
+    """
+    if q < 1:
+        raise ValueError("modulus must be >= 1")
+    if len(linear) != len(quadratic):
+        raise ValueError("linear and quadratic parts must have equal width")
+    dim = len(linear)
+    c = tuple(a % q for a in linear)
+    u = tuple(a % q for a in quadratic)
+    counts = Counter(
+        tuple((n * a + n * n * b) % q for a, b in zip(c, u)) for n in range(q)
+    )
+    support = sorted(counts)
+    x0 = support[0]
+
+    def shifted(x: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple((a + b) % q for a, b in zip(x, s))
+
+    stab_gens = []
+    for y in support:
+        s = tuple((a - b) % q for a, b in zip(y, x0))
+        if all(counts.get(shifted(x, s)) == counts[x] for x in support):
+            stab_gens.append(s)
+    stabilizer = SubgroupModel.from_generators(q, dim, stab_gens)
+    order = stabilizer.order()
+
+    classes: dict[tuple[int, ...], int] = defaultdict(int)
+    class_sizes: Counter = Counter()
+    for x in support:
+        rep = stabilizer.coset_representative(x)
+        classes[rep] += counts[x]
+        class_sizes[rep] += 1
+    if any(size != order for size in class_sizes.values()):
+        raise ArithmeticError("support does not split into full stabilizer cosets")
+
+    cosets = tuple(sorted(classes))
+    return OrbitDecomposition(
+        q=q,
+        dim=dim,
+        period=2 * q,
+        linear=c,
+        quadratic=u,
+        stabilizer=stabilizer,
+        cosets=cosets,
+        weights=tuple(Fraction(classes[rep], q) for rep in cosets),
+    )
+
+
+def lift_orbit(
+    linear: Sequence[RationalLike], quadratic: Sequence[RationalLike], modulus: int | None = None
+) -> tuple[list[int], list[int], int]:
+    """(c, u, q): both parts written over their common denominator q (a multiple of modulus)."""
+    fracs = [as_fraction(a) for a in [*linear, *quadratic]]
+    q = math.lcm(modulus or 1, *(f.denominator for f in fracs))
+    lifted = [f.numerator * (q // f.denominator) % q for f in fracs]
+    return lifted[: len(linear)], lifted[len(linear) :], q
+
+
+def decomposition_joining(
+    linear: Sequence[RationalLike],
+    quadratic: Sequence[RationalLike],
+    d: int,
+    r: int,
+    modulus: int | None = None,
+) -> AffineJoining:
+    """The orbit's exact visit decomposition projected to the (w1, w2) offsets.
+
+    Refines joinings.extract_affine_joining, whose Haar measure on the
+    projected closure of the quadratic part is the single-component
+    idealization of this weighted coset measure.
+    """
+    c, u, q = lift_orbit(linear, quadratic, modulus)
+    dec = quadratic_orbit_decomposition(c, u, q)
+    base = SubgroupModel.from_generators(
+        q, d + r, [offset_projection(row, d, r, q) for row in dec.stabilizer.basis]
+    )
+    merged: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+    for rep, w in zip(dec.cosets, dec.weights):
+        merged[base.coset_representative(offset_projection(rep, d, r, q))] += w
+    shifts = tuple(sorted(merged))
+    return AffineJoining(
+        base=base, d=d, r=r, shifts=shifts, weights=tuple(merged[s] for s in shifts)
+    )
+
+
+def projected_closure(
+    linear: Sequence[RationalLike],
+    quadratic: Sequence[RationalLike],
+    d: int,
+    r: int,
+    modulus: int | None = None,
+) -> SubgroupModel:
+    """The closure of the quadratic part in Z_q^(4d+r), then projected to the offsets."""
+    _, u, q = lift_orbit(linear, quadratic, modulus)
+    closure = SubgroupModel.from_generators(q, 4 * d + r, [u])
+    return SubgroupModel.from_generators(
+        q, d + r, [offset_projection(row, d, r, q) for row in closure.basis]
+    )
 
 
 def orbit_point(dec: OrbitDecomposition, n: int) -> tuple[int, ...]:

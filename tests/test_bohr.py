@@ -15,7 +15,7 @@ from reclab.bohr import (
 )
 from reclab.torus import ApproxHammingBall, TorusPoint
 
-from oracles import set_from_json
+from oracles import scaled, set_from_json
 
 fractions_small = st.fractions(
     min_value=Fraction(0), max_value=Fraction(1), max_denominator=12
@@ -33,11 +33,12 @@ def make_bh(beta_coords, center_coords, k, eps):
 
 def test_contains_worked_examples():
     bh = make_bh(["1/8"], ["1/2"], k=0, eps="1/5")
-    assert bh.contains(4)
-    assert not bh.contains(1)
-    # center far from 0 in every coordinate keeps 0 out of the set
+    members = set_enumerate(bh, 8).elems
+    assert 4 in members
+    assert 1 not in members
+    # center far from 0 in every coordinate keeps 0, and so its period 24, out of the set
     wide = make_bh(["1/8", "1/3"], ["1/2", "1/2"], k=1, eps="1/5")
-    assert not wide.contains(0)
+    assert 24 not in set_enumerate(wide, 24).elems
 
 
 def test_dim_mismatch_rejected():
@@ -55,15 +56,17 @@ def test_contains_matches_ball_oracle(beta_coords, data):
     k = data.draw(st.integers(0, r - 1))
     eps = data.draw(radii_small)
     bh = make_bh(beta_coords, center, k=k, eps=eps)
-    for n in data.draw(st.lists(st.integers(-60, 60), min_size=1, max_size=8)):
-        assert bh.contains(n) == bh.ball.contains(bh.freq.scale(n))
+    n_max = data.draw(st.integers(1, 60))
+    oracle = [n for n in range(1, n_max + 1) if bh.ball.contains(scaled(bh.freq, n))]
+    assert set_enumerate(bh, n_max).elems == oracle
 
 
-@given(st.integers(-100, 100), st.integers(-3, 3))
+@given(st.integers(1, 18), st.integers(0, 3))
 def test_contains_is_periodic_mod_q(n, t):
     bh = make_bh(["1/6", "2/9"], ["1/3", "0"], k=1, eps="1/4")
     q = 18  # the common denominator of 1/6 and 2/9
-    assert bh.contains(n) == bh.contains(n + t * q)
+    members = set(set_enumerate(bh, 4 * q).elems)
+    assert (n in members) == (n + t * q in members)
 
 
 def test_sqrt_set_frozen_example():
@@ -79,7 +82,7 @@ def test_sqrt_set_matches_brute_force(monkeypatch):
     oracle = [
         n
         for n in range(1, 201)
-        if bh.ball.contains(bh.freq.scale(n * n))
+        if bh.ball.contains(scaled(bh.freq, n * n))
     ]
     assert elems == oracle
     # scans that cross block boundaries, including one-element blocks

@@ -40,6 +40,7 @@ from oracles import (
     product_bits_from_factors,
     sample_band_disjointness_one_draw,
     sample_band_measure,
+    scaled,
     zero_point,
 )
 
@@ -339,7 +340,7 @@ def test_return_bitset_matches_pointwise_membership(monkeypatch):
     bits = band_return_bitset(w, freq, 200)
     expected = 0
     for n in range(200):
-        if w.contains(freq.scale(n)):
+        if w.contains(scaled(freq, n)):
             expected |= 1 << n
     assert bits == expected
     # scans that cross block boundaries, including one-element blocks
@@ -354,7 +355,7 @@ def test_return_bitset_huge_denominator_fallback():
     bits = band_return_bitset(w, freq, 300)
     expected = 0
     for n in range(300):
-        if w.contains(freq.scale(n)):
+        if w.contains(scaled(freq, n)):
             expected |= 1 << n
     assert bits == expected
 
@@ -437,8 +438,8 @@ DISJOINT_PAIRS = (
 
 def pointwise_rotation(w, ball, freq, n_max):
     """The rotation certificate whose S is every return over [1, n_max], point by point."""
-    bits = sum(1 << n for n in range(n_max) if w.contains(freq.scale(n)))
-    shifts = [n for n in range(1, n_max + 1) if ball.contains(freq.scale(n))]
+    bits = sum(1 << n for n in range(n_max) if w.contains(scaled(freq, n)))
+    shifts = [n for n in range(1, n_max + 1) if ball.contains(scaled(freq, n))]
     provenance = {
         "kind": "rotation",
         "beta": freq.to_json(),
@@ -465,7 +466,7 @@ def test_rotation_certificate_certifies_the_given_shifts(pair, coords, n_max):
     cert = rotation_certificate(w, ball, freq, n_max, returns(freq, ball, n_max))
     assert cert == expected  # bits, shifts, claim and provenance
     squares = [
-        x * x for x in range(1, math.isqrt(n_max) + 1) if ball.contains(freq.scale(x * x))
+        x * x for x in range(1, math.isqrt(n_max) + 1) if ball.contains(scaled(freq, x * x))
     ]
     assert rotation_certificate(w, ball, freq, n_max, squares) == replace(
         expected, shifts=squares

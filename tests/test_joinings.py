@@ -1,6 +1,7 @@
-"""Joining models: exact decompositions, the star kernel, certified zeros."""
+"""Joining models: extraction against the exact decomposition, the star kernel, certified zeros."""
 
 import cmath
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,7 +19,6 @@ from reclab.joinings import (
     offset_projection,
     pair_embedding,
     quadratic_direction,
-    quadratic_orbit_decomposition,
     root_of_unity_sum_is_zero,
     uniformize_over_joining,
 )
@@ -28,11 +28,16 @@ from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint
 from oracles import (
     averaging_gap,
     coset_average,
+    decomposition_joining,
     evaluate_table,
     full_subgroup,
+    lift_orbit,
     orbit_point,
+    projected_closure,
+    quadratic_orbit_decomposition,
     star_kernel,
     star_transform_factor,
+    subgroup_contains,
     verify_measure_identity,
     visit_counts,
 )
@@ -124,19 +129,24 @@ def test_decomposition_identity_random(seed):
 # ---- extraction ----
 
 
-def diagonal_example():
+def diagonal_parts():
     lin = pair_embedding([frac(1, 3)], [frac(1, 5)], 1)
     quad = quadratic_direction([frac(1, 15)], [frac(1, 15)])
-    return extract_affine_joining(lin, quad, 1, 1)
+    return lin, quad
+
+
+def diagonal_example():
+    """The exact decomposition joining of the equal-frequency orbit on Z_15."""
+    return decomposition_joining(*diagonal_parts(), 1, 1)
 
 
 def test_extraction_equal_frequencies_concentrate_on_diagonal():
-    ex = diagonal_example()
-    assert ex.q == 15
-    assert ex.joining.base.order() == 1
-    assert all(s[0] == s[1] for s in ex.joining.shifts)
-    assert ex.joining.shifts == ((0, 0), (1, 1), (4, 4), (6, 6), (9, 9), (10, 10))
-    assert ex.joining.weights == (
+    J = diagonal_example()
+    assert J.q == 15
+    assert J.base.order() == 1
+    assert all(s[0] == s[1] for s in J.shifts)
+    assert J.shifts == ((0, 0), (1, 1), (4, 4), (6, 6), (9, 9), (10, 10))
+    assert J.weights == (
         frac(1, 15),
         frac(4, 15),
         frac(4, 15),
@@ -144,9 +154,12 @@ def test_extraction_equal_frequencies_concentrate_on_diagonal():
         frac(2, 15),
         frac(2, 15),
     )
-    # the group idealization is the full diagonal
-    assert ex.group_joining.base == SubgroupModel.from_generators(15, 2, [[1, 1]])
-    assert verify_measure_identity(ex.decomposition)
+    # the extracted group idealization is the full diagonal
+    ex = extract_affine_joining(*diagonal_parts(), 1, 1)
+    assert ex.q == 15
+    assert ex.base == SubgroupModel.from_generators(15, 2, [[1, 1]])
+    assert ex.shifts == ((0, 0),) and ex.weights == (frac(1),)
+    assert verify_measure_identity(quadratic_orbit_decomposition(*lift_orbit(*diagonal_parts())))
 
 
 def test_extraction_coprime_frequencies_group_is_full_product():
@@ -155,24 +168,26 @@ def test_extraction_coprime_frequencies_group_is_full_product():
     ex = extract_affine_joining(lin, quad, 1, 1)
     assert ex.q == 35
     product = SubgroupModel.from_generators(35, 2, [[7, 0], [0, 5]])
-    assert ex.group_joining.base == product
-    assert ex.group_joining.weights == (frac(1),)
+    assert ex.base == product
+    assert ex.weights == (frac(1),)
     # offset marginals: w1 sweeps squares times alpha, w2 squares times beta
-    w_visits = {offset_projection(orbit_point(ex.decomposition, n), 1, 1, 35) for n in range(35)}
+    dec = quadratic_orbit_decomposition(pair_embedding([7], [5], 1), quadratic_direction([7], [5]), 35)
+    w_visits = {offset_projection(orbit_point(dec, n), 1, 1, 35) for n in range(35)}
     assert w_visits == {(7 * n * n % 35, 5 * n * n % 35) for n in range(35)}
 
 
 def test_extraction_zero_quadratic_part_is_point_mass():
     lin = pair_embedding([frac(1, 3)], [frac(1, 5)], 1)
     ex = extract_affine_joining(lin, [0] * 5, 1, 1)
-    assert ex.joining.base.order() == 1
-    assert ex.joining.shifts == ((0, 0),)
-    assert ex.joining.weights == (frac(1),)
+    assert ex.base.order() == 1
+    assert ex.shifts == ((0, 0),)
+    assert ex.weights == (frac(1),)
+    assert decomposition_joining(lin, [0] * 5, 1, 1) == ex
 
     rng = np.random.default_rng(3)
     f = rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))
     g = rng.standard_normal((15,)) + 0j
-    out = star_kernel(f, g, ex.joining)
+    out = star_kernel(f, g, ex)
     assert np.allclose(out, f * g[0])
 
 
@@ -207,6 +222,7 @@ def test_extraction_weights_invariant_under_generator_change():
     lin = pair_embedding([frac(1, 3)], [frac(1, 5)], 1)
     quad = quadratic_direction([frac(1, 15)], [frac(2, 15)])
     ex1 = extract_affine_joining(lin, quad, 1, 1)
+    dec1 = decomposition_joining(lin, quad, 1, 1)
     for m in (2, 4, 7, 8):
         lin_m = [m * a for a in lin]
         ex2 = extract_affine_joining(lin_m, quad, 1, 1, modulus=15)
@@ -214,7 +230,46 @@ def test_extraction_weights_invariant_under_generator_change():
         assert SubgroupModel.from_generators(15, 5, lifted[:1]) == SubgroupModel.from_generators(
             15, 5, lifted[1:]
         )
-        assert ex2.joining == ex1.joining
+        assert ex2 == ex1
+        assert decomposition_joining(lin_m, quad, 1, 1, modulus=15) == dec1
+
+
+@st.composite
+def valid_orbits(draw):
+    """(lin, quad, d, r): a progression-diagonal linear part whose two leading
+    blocks have coprime odd orders, and any quadratic part of odd order."""
+    d, r = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    odd = (1, 3, 5, 7)
+    a, b = draw(st.sampled_from([(a, b) for a in odd for b in odd if math.gcd(a, b) == 1]))
+    s = [frac(draw(st.integers(0, a - 1)), a) for _ in range(d)]
+    t = [frac(draw(st.integers(0, b - 1)), b) for _ in range(d)]
+    den = draw(st.sampled_from([1, 3, 5, 7, 15]))
+    quad = [frac(draw(st.integers(0, den - 1)), den) for _ in range(4 * d + r)]
+    return pair_embedding(s, t, r), quad, d, r
+
+
+@given(valid_orbits())
+@settings(max_examples=60, deadline=None)
+def test_extraction_base_is_projected_closure(orbit):
+    # one projection of the quadratic part spans what closing in Z_q^(4d+r) and then
+    # projecting every closure basis row spans, since the projection is a homomorphism
+    lin, quad, d, r = orbit
+    J = extract_affine_joining(lin, quad, d, r)
+    assert J.base == projected_closure(lin, quad, d, r)
+    assert J.shifts == ((0,) * (d + r),) and J.weights == (frac(1),)
+
+
+@given(valid_orbits())
+@settings(max_examples=40, deadline=None)
+def test_extraction_base_contains_decomposition_joining(orbit):
+    # the exact visit decomposition projects into the extracted base: its base
+    # subgroup and every coset shift lie inside the Haar joining's support
+    lin, quad, d, r = orbit
+    J = extract_affine_joining(lin, quad, d, r)
+    D = decomposition_joining(lin, quad, d, r)
+    assert (D.q, D.d, D.r) == (J.q, J.d, J.r)
+    assert all(subgroup_contains(J.base, row) for row in D.base.basis)
+    assert all(subgroup_contains(J.base, shift) for shift in D.shifts)
 
 
 def test_offset_projection_needs_odd_modulus():
@@ -241,7 +296,7 @@ def test_affine_joining_validation():
 
 
 def test_star_kernel_exact_matches_float():
-    ex = diagonal_example()
+    J = diagonal_example()
     rng = random.Random(11)
     fF = np.empty((15, 15), dtype=object)
     for idx in np.ndindex(15, 15):
@@ -249,38 +304,37 @@ def test_star_kernel_exact_matches_float():
     gF = np.empty((15,), dtype=object)
     for i in range(15):
         gF[i] = frac(rng.randint(-10, 10), 3)
-    exact = star_kernel(fF, gF, ex.joining)
-    approx = star_kernel(fF.astype(complex), gF.astype(complex), ex.joining)
+    exact = star_kernel(fF, gF, J)
+    approx = star_kernel(fF.astype(complex), gF.astype(complex), J)
     assert np.allclose(exact.astype(complex), approx)
 
 
 def test_star_kernel_projection_identity_exact():
     # g grid aligned with joining mass exactly 1: averaging the kernel over y
     # returns the y-average of f, coordinate by coordinate, exactly
-    ex = diagonal_example()
+    J = diagonal_example()
     # radius 5/30 pins 5 of the 15 grid points, so the density is 3 there
     cyl = Cylinder(1, (1,), TorusPoint.of([0]), frac(5, 30))
     hits = cyl.orbit_contains([frac(1, 15)], np.arange(15))
     gd = np.where(hits, 1 / cyl.measure(), frac(0))
     assert list(gd).count(3) == 5
-    J = ex.joining
     assert coset_average(J.base, J.shifts, J.weights, lambda w: gd[w[1:]]) == 1
 
     rng = random.Random(23)
     fF = np.empty((15, 15), dtype=object)
     for idx in np.ndindex(15, 15):
         fF[idx] = frac(rng.randint(-9, 9), 4)
-    out = star_kernel(fF, gd, ex.joining)
+    out = star_kernel(fF, gd, J)
     for x in range(15):
         assert sum(out[x, :]) / 15 == sum(fF[x, :]) / 15
 
 
 def test_star_kernel_shape_checks():
-    ex = diagonal_example()
+    J = diagonal_example()
     with pytest.raises(ValueError, match="axes"):
-        star_kernel(np.zeros((15,)), np.zeros((15,)), ex.joining)
+        star_kernel(np.zeros((15,)), np.zeros((15,)), J)
     with pytest.raises(ValueError, match="axes"):
-        star_kernel(np.zeros((15, 15)), np.zeros((5,)), ex.joining)
+        star_kernel(np.zeros((15, 15)), np.zeros((5,)), J)
 
 
 # ---- root of unity certificates ----

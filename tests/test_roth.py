@@ -18,7 +18,13 @@ from reclab.roth import (
     roth_form_exact,
 )
 
-from oracles import full_subgroup, quotient_project_spectral, random_grid, trivial_subgroup
+from oracles import (
+    full_subgroup,
+    quotient_project_spectral,
+    random_grid,
+    roth_form_spectral,
+    trivial_subgroup,
+)
 
 
 def indicator(dim, q, points):
@@ -61,17 +67,17 @@ def test_direct_equals_spectral_on_odd_grids(seed):
     q = rng.choice([3, 5, 7, 9])
     dim = rng.randint(1, 2)
     fs = [random_grid(dim, q, seed + i) for i in range(3)]
-    direct = roth_form(*fs, method="direct")
-    spectral = roth_form(*fs, method="spectral")
+    direct = roth_form(*fs)
+    spectral = roth_form_spectral(*fs)
     assert abs(direct - spectral) < 1e-9
 
 
 def test_spectral_rejects_even_grids():
     fs = [random_grid(1, 6, i) for i in range(3)]
     with pytest.raises(ValueError, match="odd"):
-        roth_form(*fs, method="spectral")
+        roth_form_spectral(*fs)
     # the direct route stays available
-    roth_form(*fs, method="direct")
+    roth_form(*fs)
 
 
 def test_form_translation_invariance():

@@ -19,7 +19,7 @@ from reclab.torus import (
     orbit_residues,
 )
 
-from oracles import ball_cylinders, zero_point
+from oracles import ball_cylinders, scaled, zero_point
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=64)
 
@@ -176,7 +176,7 @@ def test_union_of_cylinders_random_grid():
 
 def oracle_deviations(beta, center, eps, ns, e):
     y = TorusPoint.of(center)
-    return [(TorusPoint.of(beta).scale(n**e) - y).deviation_count(eps) for n in ns]
+    return [(scaled(TorusPoint.of(beta), n**e) - y).deviation_count(eps) for n in ns]
 
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=720)

@@ -32,6 +32,7 @@ from oracles import (
     pullback,
     pullback_by_index_grids,
     random_grid,
+    scaled,
     trig_triple_integral,
     triple_integral,
     triple_integrals_per_n,
@@ -787,7 +788,7 @@ def test_constant_observable_reduces_to_weight_average():
     g = Cylinder(1, (1,), zero_point(1), Fraction(1, 4))
     beta = TorusPoint.of([Fraction(1, 5)])
     trace = weighted_average(model, ones, g=g, beta=beta, ell=1)
-    direct = sum(g.normalized_value(beta.scale(n * n)) for n in range(1, 4)) / 3
+    direct = sum(g.normalized_value(scaled(beta, n * n)) for n in range(1, 4)) / 3
     assert trace.value == direct
 
 
@@ -804,7 +805,7 @@ def test_full_period_weighted_average_brute_force():
     assert trace.final_n == q
     total = Fraction(0)
     for n in range(1, q + 1):
-        weight = g.normalized_value(beta.scale(4 * n * n))
+        weight = g.normalized_value(scaled(beta, 4 * n * n))
         if weight == 0:
             continue
         binom = n * (n - 1) // 2
