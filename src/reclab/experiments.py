@@ -51,7 +51,7 @@ from .joinings import (
     root_of_unity_sum_is_zero,
     uniformize_over_joining,
 )
-from .roth import roth_form_exact
+from .roth import product_dtype, roth_form_exact
 from .torus import ApproxHammingBall, TorusPoint, as_fraction, fraction_str, orbit_residues
 from .weyl import (
     GridWeylModel,
@@ -522,7 +522,9 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     }
 
     for label, values in _battery_grids(q, p["battery"], config.seed):
-        norm_sq = Fraction(int((values.astype(object) ** 2).sum()), q * q)
+        # in the dtype weighted_average lifts the grid to: its bound covers the squares
+        lifted = values.astype(product_dtype(values.size, values, values, values), copy=False)
+        norm_sq = Fraction(int((lifted * lifted).sum()), q * q)
         table = GridFunction(2, q, values.astype(np.complex128)).spectrum_table(tol=1e-12)
         norm_bound = math.sqrt(float(norm_sq)) if norm_sq else 1.0
         try:

@@ -13,10 +13,11 @@ Everything here is integer arithmetic; there are no tolerances.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "SubgroupModel",
@@ -244,19 +245,26 @@ class SubgroupModel:
         return tuple(x)
 
     def elements(self, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
-        """All elements, sorted; mixed-radix combinations of basis rows."""
-        if self.order() > cap:
-            raise ValueError(f"order {self.order()} exceeds enumeration cap {cap}")
+        """All elements, sorted; mixed-radix combinations of basis rows.
+
+        Every combination comes at once: the mixed-radix digits
+        ``np.indices(radices)`` times the basis, reduced mod q, then
+        sorted by ``lexsort``.  Digits and basis entries are at most q,
+        so int64 holds the products when dim * q^2 < 2^63; Python
+        integers do otherwise.
+        """
+        order = self.order()
+        if order > cap:
+            raise ValueError(f"order {order} exceeds enumeration cap {cap}")
         radices = [self.q // row[i] for i, row in enumerate(self.basis)]
-        out = []
-        for combo in itertools.product(*(range(r) for r in radices)):
-            vec = [0] * self.dim
-            for t, row in zip(combo, self.basis):
-                if t:
-                    vec = [(a + t * b) % self.q for a, b in zip(vec, row)]
-            out.append(tuple(vec))
-        out.sort()
-        return out
+        dtype = np.int64 if self.dim * self.q**2 < 2**63 else object
+        digits = np.indices(radices).reshape(self.dim, order).T.astype(dtype)
+        basis = np.array(self.basis, dtype=dtype).reshape(self.dim, self.dim)
+        vecs = digits @ basis % self.q
+        if self.dim:  # Z_q^0 has one element and lexsort no key
+            # lexsort takes its last key as the primary one
+            vecs = vecs[np.lexsort(vecs.T[::-1])]
+        return list(map(tuple, vecs.tolist()))
 
     def coset_elements(self, rep: Sequence[int]) -> list[tuple[int, ...]]:
         """The coset rep + subgroup: elements() shifted by rep, in that order."""

@@ -5,8 +5,14 @@ The central object is the progression form
     I(f0, f1, f2) = avg_{x, s} f0(x) f1(x + s) f2(x + 2s)
 
 over Z_q^d, computed from the definition: in floats for complex grid
-functions, and in integers for exact arrays.  The tests check it
-against the spectral identity
+functions, and in integers for exact arrays.  The shifts s come in
+blocks, in ``np.ndindex`` order.  For each shift of the outer axes f1
+and f2 are rolled once; every shift along the last axis then comes at
+once, as q-wide windows of the roll doubled along that axis (x + s) and
+tripled along it, taken with stride 2 (x + 2s).  Row j of a block is
+one shift, laid out like f0, and a block holds as many rows as fit in
+``BLOCK_CELLS`` cells.  The tests check the form against the spectral
+identity
 
     I = sum_n fhat0(n) fhat1(-2n) fhat2(n),
 
@@ -23,20 +29,25 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .harmonic import GridFunction
 from .lattice import SubgroupModel
 
 __all__ = [
     "annihilator_contains",
+    "product_dtype",
     "quotient_gap_bound",
     "quotient_project",
     "roth_form",
     "roth_form_exact",
 ]
+
+#: most cells in one block of shifts; a block holds at least one row
+BLOCK_CELLS = 1 << 14
 
 
 def _check_triple(f0: GridFunction, f1: GridFunction, f2: GridFunction) -> None:
@@ -44,39 +55,93 @@ def _check_triple(f0: GridFunction, f1: GridFunction, f2: GridFunction) -> None:
         raise ValueError("all three functions must live on the same grid")
 
 
-def _roll_to(values: np.ndarray, shift: Sequence[int]) -> np.ndarray:
-    """Array a with a[x] = values[x + shift]."""
-    return np.roll(values, shift=tuple(-int(s) for s in shift), axis=tuple(range(values.ndim)))
+def _shift_blocks(a1: np.ndarray, a2: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rows of a1 at x + s, rows of a2 at x + 2s) for blocks of shifts s.
+
+    The shifts run in ``np.ndindex`` order; both blocks have the shape
+    (rows,) + a1.shape and are read-only views of one roll of the outer
+    axes, doubled (a1) or tripled (a2) along the last axis.
+    """
+    q = a1.shape[-1]
+    outer = tuple(range(a1.ndim - 1))
+    doubled = np.concatenate([a1, a1], axis=-1)
+    tripled = np.concatenate([a2, a2, a2], axis=-1)
+    rows = max(1, min(q, BLOCK_CELLS // a1.size))
+    for s in np.ndindex(*a1.shape[:-1]):
+        r1 = np.roll(doubled, [-a for a in s], axis=outer)
+        r2 = np.roll(tripled, [-2 * a for a in s], axis=outer)
+        # row t starts t cells (x + t) or 2t cells (x + 2t) along the last axis
+        w1 = as_strided(r1, (q,) + a1.shape, r1.strides[-1:] + r1.strides, writeable=False)
+        w2 = as_strided(r2, (q,) + a2.shape, (2 * r2.strides[-1],) + r2.strides, writeable=False)
+        for t in range(0, q, rows):
+            yield w1[t : t + rows], w2[t : t + rows]
 
 
 def roth_form(f0: GridFunction, f1: GridFunction, f2: GridFunction) -> complex:
-    """The progression form avg_{x,s} f0(x) f1(x+s) f2(x+2s), from the definition."""
+    """The progression form avg_{x,s} f0(x) f1(x+s) f2(x+2s), from the definition.
+
+    Each block is multiplied left to right into fresh, C-ordered arrays,
+    and the mean of each row is added to the total one row at a time, in
+    shift order: every term is the mean of f0 * f1(. + s) * f2(. + 2s)
+    over a contiguous grid, as a loop over the shifts would take it.
+    """
     _check_triple(f0, f1, f2)
     q, dim = f0.q, f0.dim
     total = 0j
-    for s in np.ndindex(*(q,) * dim):
-        term = f0.values * _roll_to(f1.values, s) * _roll_to(f2.values, [2 * a for a in s])
-        total += term.mean()
+    for w1, w2 in _shift_blocks(f1.values, f2.values):
+        rows, order = len(w1), "C"
+        if rows == 1:
+            # one shift, multiplied as a plain product in f0's shape: numpy
+            # rounds a broadcast or C-ordered single-cell complex product
+            # (q = 1) with another loop
+            w1, w2, order = w1[0], w2[0], "K"
+        first = np.multiply(f0.values, w1, order=order)
+        prod = np.multiply(first, w2, order=order)
+        for mean in prod.reshape(rows, -1).mean(axis=1):
+            total += mean
     return complex(total / q**dim)
+
+
+def product_dtype(size: int, *factors: np.ndarray) -> type:
+    """np.int64 when a sum of size products, one entry of each factor, stays below 2^62.
+
+    That is size * max|a| * ... < 2^62 over the factors, with max|a|
+    taken as at least 1; object (Python integers) otherwise.
+    """
+    bound = size
+    for a in factors:
+        # max |a| without an abs() temporary, and exact even for the int64 minimum
+        bound *= max(int(a.max()), -int(a.min()), 1)
+    return np.int64 if bound < 2**62 else object
 
 
 def roth_form_exact(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Fraction:
     """The progression form for integer or rational arrays, no floats anywhere.
 
-    The shifts s are summed on the arrays scaled to Python integers; one
-    Fraction is built at the end.
+    The arrays are scaled to integers, each by its own common
+    denominator; the shifts are summed in int64 when ``product_dtype``
+    allows it and in Python integers otherwise, and one Fraction is built
+    at the end.
     """
     if not (a0.shape == a1.shape == a2.shape):
         raise ValueError("shape mismatch")
     (i0, d0), (i1, d1), (i2, d2) = (_integer_scaled(a) for a in (a0, a1, a2))
+    dtype = product_dtype(a0.size, i0, i1, i2)
+    i0, i1, i2 = (a.astype(dtype, copy=False) for a in (i0, i1, i2))
     total = 0
-    for s in np.ndindex(*a0.shape):
-        total += int((i0 * _roll_to(i1, s) * _roll_to(i2, [2 * a for a in s])).sum())
+    for w1, w2 in _shift_blocks(i1, i2):
+        prod = np.multiply(i0, w1, order="C")
+        prod *= w2
+        # one row is one shift, within the bound; the rows are added in Python
+        total += sum(prod.reshape(len(prod), -1).sum(axis=1).tolist())
     return Fraction(total, d0 * d1 * d2 * a0.size**2)
 
 
 def _integer_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """(integers, den) with integers / den == values, as Python ints in an object array."""
+    """(integers, den) with integers / den == values; integer dtypes come back as they are."""
+    if values.dtype != object:
+        if values.dtype == bool or np.issubdtype(values.dtype, np.integer):
+            return values, 1
     fracs = [Fraction(v) for v in values.astype(object).flat]
     den = math.lcm(*(f.denominator for f in fracs))
     ints = [f.numerator * (den // f.denominator) for f in fracs]
@@ -102,8 +167,9 @@ def quotient_project(f: GridFunction, subgroup: SubgroupModel) -> GridFunction:
         raise ValueError("subgroup must live on the same grid as f")
     acc = np.zeros_like(f.values)
     elems = subgroup.elements()
+    axes = tuple(range(f.dim))
     for k in elems:
-        acc += _roll_to(f.values, k)
+        acc += np.roll(f.values, tuple(-a for a in k), axis=axes)
     return GridFunction(f.dim, f.q, acc / len(elems))
 
 

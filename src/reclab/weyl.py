@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .harmonic import Character, CoefficientTable, GridFunction
-from .roth import roth_form, roth_form_exact
+from .roth import product_dtype, roth_form, roth_form_exact
 from .torus import Cylinder, TorusPoint, orbit_residues, wrap_unit
 
 __all__ = [
@@ -531,10 +531,7 @@ def _lifted_windows(model: Union[RotationModel, GridWeylModel], f: Observable) -
     """
     values = _as_values(f)
     if _is_exact_dtype(values) and values.dtype != object:
-        # max |f| without an abs() temporary, and exact even for the int64 minimum
-        top = max(int(values.max()), -int(values.min()), 1)
-        fits = values.size * top**3 < 2**62
-        values = values.astype(np.int64 if fits else object, copy=False)
+        values = values.astype(product_dtype(values.size, values, values, values), copy=False)
     return model._windows(values)
 
 
@@ -563,13 +560,16 @@ def _triple_mean(model, windows: _Windows, n: int, exact: bool):
 def _checkpoint_averages(
     terms: Sequence[Fraction], marks: Sequence[int]
 ) -> list[tuple[int, Fraction]]:
-    acc = Fraction(0)
+    """Running means of the terms at each mark, summed as numerators over one denominator."""
+    den = math.lcm(*(t.denominator for t in terms))
+    nums = [t.numerator * (den // t.denominator) for t in terms]
+    acc = 0
     prev = 0
     out = []
     for mark in marks:
-        acc += sum(terms[prev:mark], Fraction(0))
+        acc += sum(nums[prev:mark])
         prev = mark
-        out.append((mark, acc / mark))
+        out.append((mark, Fraction(acc, den * mark)))
     return out
 
 

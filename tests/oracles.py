@@ -87,6 +87,20 @@ def subgroup_contains(model: SubgroupModel, vec: Sequence[int]) -> bool:
     return not any(model.coset_representative(vec))
 
 
+def subgroup_elements_by_loop(model: SubgroupModel) -> list[tuple[int, ...]]:
+    """SubgroupModel.elements one mixed-radix digit vector at a time, in Python integers."""
+    radices = [model.q // row[i] for i, row in enumerate(model.basis)]
+    out = []
+    for combo in itertools.product(*(range(r) for r in radices)):
+        vec = [0] * model.dim
+        for t, row in zip(combo, model.basis):
+            if t:
+                vec = [(a + t * b) % model.q for a, b in zip(vec, row)]
+        out.append(tuple(vec))
+    out.sort()
+    return out
+
+
 def subgroup_join(a: SubgroupModel, b: SubgroupModel) -> SubgroupModel:
     """Smallest subgroup containing both operands."""
     if (a.q, a.dim) != (b.q, b.dim):
@@ -349,6 +363,18 @@ def correlation_series_triple_loop(
     return out
 
 
+def checkpoint_averages_by_fraction_sum(terms: Sequence[Fraction], marks: Sequence[int]) -> list:
+    """Running means of exact terms, one Fraction addition per term."""
+    acc = Fraction(0)
+    prev = 0
+    out = []
+    for mark in marks:
+        acc += sum(terms[prev:mark], Fraction(0))
+        prev = mark
+        out.append((mark, acc / mark))
+    return out
+
+
 def float_checkpoint_averages_per_term(terms: Sequence, marks: Sequence[int]) -> list:
     """Running means of the terms, each converted with complex() before fsum."""
     acc_re, acc_im = 0.0, 0.0
@@ -521,6 +547,36 @@ def grid_idft(hat: GridFunction) -> GridFunction:
     for _ in range(hat.dim):
         out = np.tensordot(out, kernel, axes=([0], [1]))
     return GridFunction(hat.dim, hat.q, out)
+
+
+def roll_to(values: np.ndarray, shift: Sequence[int]) -> np.ndarray:
+    """Array a with a[x] = values[x + shift]."""
+    return np.roll(values, shift=tuple(-int(s) for s in shift), axis=tuple(range(values.ndim)))
+
+
+def roth_form_roll_loop(f0: GridFunction, f1: GridFunction, f2: GridFunction) -> complex:
+    """roth.roth_form one shift at a time: two whole-grid rolls and one mean per s."""
+    q, dim = f0.q, f0.dim
+    total = 0j
+    for s in np.ndindex(*(q,) * dim):
+        term = f0.values * roll_to(f1.values, s) * roll_to(f2.values, [2 * a for a in s])
+        total += term.mean()
+    return complex(total / q**dim)
+
+
+def roth_form_exact_roll_loop(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Fraction:
+    """roth.roth_form_exact one shift at a time, in Python integers throughout."""
+    scaled = []
+    for a in (a0, a1, a2):
+        fracs = [Fraction(v) for v in a.astype(object).flat]
+        den = math.lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (den // f.denominator) for f in fracs]
+        scaled.append((np.array(ints, dtype=object).reshape(a.shape), den))
+    (i0, d0), (i1, d1), (i2, d2) = scaled
+    total = 0
+    for s in np.ndindex(*a0.shape):
+        total += int((i0 * roll_to(i1, s) * roll_to(i2, [2 * a for a in s])).sum())
+    return Fraction(total, d0 * d1 * d2 * a0.size**2)
 
 
 def roth_form_spectral(f0: GridFunction, f1: GridFunction, f2: GridFunction) -> complex:

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from reclab.joinings import extract_affine_joining, pair_embedding, quadratic_direction
 from reclab.lattice import (
     SubgroupModel,
     ext_gcd,
@@ -14,7 +16,13 @@ from reclab.lattice import (
     solve_linear_mod,
 )
 
-from oracles import full_subgroup, subgroup_contains, subgroup_join, trivial_subgroup
+from oracles import (
+    full_subgroup,
+    subgroup_contains,
+    subgroup_elements_by_loop,
+    subgroup_join,
+    trivial_subgroup,
+)
 
 
 def closure_oracle(q, dim, gens):
@@ -80,6 +88,39 @@ def test_elements_match_closure_oracle(shape, data):
     oracle_set = set(oracle)
     for vec in itertools.product(range(q), repeat=dim):
         assert subgroup_contains(model, vec) == (vec in oracle_set)
+
+
+@given(st.integers(1, 40), st.integers(0, 4), st.data())
+def test_elements_match_the_digit_loop(q, dim, data):
+    vectors = st.lists(st.integers(-q, 2 * q), min_size=dim, max_size=dim)
+    model = SubgroupModel.from_generators(q, dim, data.draw(st.lists(vectors, max_size=3)))
+    if model.order() > 5000:
+        model = SubgroupModel.from_generators(q, dim, [])
+    elements = model.elements()
+    assert elements == subgroup_elements_by_loop(model)
+    assert all(type(a) is int for vec in elements for a in vec)
+
+
+def test_elements_of_the_grid_joining_base_and_trivial_groups():
+    # the joining base of a main_inequality grid run at q = 135, r = 5
+    r = 5
+    joining = extract_affine_joining(
+        pair_embedding([Fraction(2, 135)], [Fraction(1, 7)], r),
+        quadratic_direction([Fraction(2, 135)], [Fraction(i, 7) for i in range(1, r + 1)]),
+        1,
+        r,
+    )
+    base = joining.base
+    assert (base.q, base.dim, base.order()) == (945, 6, 945)
+    assert base.elements() == subgroup_elements_by_loop(base)
+    for q, dim in ((1, 1), (7, 3), (945, 6)):
+        assert trivial_subgroup(q, dim).elements() == [(0,) * dim]
+    assert SubgroupModel.from_generators(5, 0, []).elements() == [()]
+    # past the int64 guard (dim * q^2 >= 2^63) the same elements come in Python integers
+    q = 3**40
+    big = SubgroupModel.from_generators(q, 2, [[3**38, 5 * 3**38]])
+    assert big.elements() == subgroup_elements_by_loop(big)
+    assert len(big.elements()) == 9
 
 
 @given(small_groups, st.data())

@@ -2,16 +2,19 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reclab import roth
 from reclab.harmonic import GridFunction
 from reclab.lattice import SubgroupModel
 from reclab.roth import (
     annihilator_contains,
+    product_dtype,
     quotient_gap_bound,
     quotient_project,
     roth_form,
@@ -22,6 +25,8 @@ from oracles import (
     full_subgroup,
     quotient_project_spectral,
     random_grid,
+    roth_form_exact_roll_loop,
+    roth_form_roll_loop,
     roth_form_spectral,
     trivial_subgroup,
 )
@@ -144,6 +149,99 @@ def test_exact_form_matches_the_double_sum(dim, q, kinds, dens, seed):
     value = roth_form_exact(*arrs)
     assert isinstance(value, Fraction)
     assert value == roth_form_by_definition(*arrs)
+
+
+# ---- window blocks against the loop over shifts ----
+
+#: largest q drawn per dimension; d = 1 reaches past a block of 64 cells
+_MAX_Q = {1: 40, 2: 10, 3: 5}
+
+
+def float_grids(dim, q, kind, seed, shared):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(3):
+        vals = rng.standard_normal((q,) * dim)
+        if kind == "complex":
+            vals = vals + 1j * rng.standard_normal((q,) * dim)
+        out.append(GridFunction(dim, q, vals))
+    return [out[0]] * 3 if shared else out
+
+
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    q=st.integers(1, 40),
+    kind=st.sampled_from(["complex", "real"]),
+    shared=st.booleans(),
+    cells=st.sampled_from([1, 2, 5, 64, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# q = 1 with d >= 2: a broadcast single-cell product would round differently
+@example(dim=2, q=1, kind="complex", shared=False, cells=None, seed=5)
+@example(dim=3, q=1, kind="complex", shared=True, cells=None, seed=6)
+# blocks of 121 and 14 rows, and of 8 rows with 5 left over, at the module's cap
+@example(dim=1, q=135, kind="complex", shared=True, cells=None, seed=7)
+@example(dim=2, q=45, kind="complex", shared=False, cells=None, seed=8)
+@settings(max_examples=80, deadline=None)
+def test_form_equals_the_roll_loop_bit_for_bit(dim, q, kind, shared, cells, seed):
+    if q > _MAX_Q[dim] and (dim, q) not in ((1, 135), (2, 45)):
+        q = 1 + q % _MAX_Q[dim]
+    fs = float_grids(dim, q, kind, seed, shared)
+    with mock.patch.object(roth, "BLOCK_CELLS", cells or roth.BLOCK_CELLS):
+        value = roth_form(*fs)
+    assert value == roth_form_roll_loop(*fs)
+
+
+def int_grid(rng, shape, top):
+    """Integers in [-top, top] with top itself at a random cell."""
+    vals = rng.integers(-min(top, 9), min(top, 9) + 1, size=shape).astype(object)
+    vals[tuple(int(rng.integers(0, n)) for n in shape)] = top
+    return vals
+
+
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    q=st.integers(1, 9),
+    kind=st.sampled_from(["int64", "below", "above", "fractions", "bool"]),
+    cells=st.sampled_from([1, 3, 64, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=1, q=135, kind="int64", cells=None, seed=1)
+@example(dim=2, q=5, kind="above", cells=None, seed=2)
+@example(dim=3, q=3, kind="below", cells=None, seed=3)
+@settings(max_examples=60, deadline=None)
+def test_exact_form_equals_the_roll_loop(dim, q, kind, cells, seed):
+    if dim > 1:
+        q = min(q, 9 if dim == 2 else 4)
+    rng = np.random.default_rng(seed)
+    shape = (q,) * dim
+    size = q**dim
+    if kind in ("below", "above"):
+        # the int64 bound size * max|a0| * max|a1| * max|a2| < 2^62 at its edge
+        a1, a2 = int_grid(rng, shape, 3), int_grid(rng, shape, 2)
+        top = (2**62 - 1) // (size * 6) + (kind == "above")
+        arrs = [int_grid(rng, shape, top).astype(np.int64), a1.astype(np.int64), a2]
+        assert product_dtype(size, *arrs) is (object if kind == "above" else np.int64)
+    elif kind == "fractions":
+        arrs = [exact_array(random.Random(seed + i), shape, "fractions", 35) for i in range(3)]
+    elif kind == "bool":
+        arrs = [rng.integers(0, 2, size=shape).astype(bool) for _ in range(3)]
+    else:
+        arrs = [rng.integers(-9, 10, size=shape) for _ in range(3)]
+    with mock.patch.object(roth, "BLOCK_CELLS", cells or roth.BLOCK_CELLS):
+        value = roth_form_exact(*arrs)
+    assert isinstance(value, Fraction)
+    assert value == roth_form_exact_roll_loop(*arrs)
+
+
+def test_product_dtype_bound_is_strict():
+    ones = np.ones(4, dtype=np.int64)
+    top = np.array([2**60], dtype=np.int64)
+    assert product_dtype(3, top, ones) is np.int64
+    assert product_dtype(4, top, ones) is object
+    # |int64 min| is taken exactly, and an all-zero factor counts as 1
+    assert product_dtype(1, np.array([np.iinfo(np.int64).min])) is object
+    assert product_dtype(2**61, np.zeros(3, dtype=np.int64)) is np.int64
 
 
 # ---- projections ----

@@ -25,6 +25,7 @@ from reclab.weyl import (
 
 from oracles import (
     ObservablePair,
+    checkpoint_averages_by_fraction_sum,
     correlation_series_triple_loop,
     evaluate_table,
     grid_model_from_system,
@@ -921,6 +922,21 @@ def test_checkpoint_schedule_and_reuse():
     ints = triple_integrals(model, f, range(1, 9))
     again = weighted_average(model, f, integrals=ints)
     assert again.checkpoints == trace.checkpoints
+
+
+@given(
+    st.lists(st.fractions(max_denominator=10**6) | st.integers(-50, 50).map(Fraction), min_size=1, max_size=60),
+    st.data(),
+)
+def test_exact_checkpoints_match_the_fraction_sum(integrals, data):
+    n_max = len(integrals)
+    marks = data.draw(st.lists(st.integers(1, n_max), max_size=6)) + [n_max]
+    model = RotationModel(5, (1,))
+    f = np.ones(5, dtype=np.int64)
+    trace = weighted_average(model, f, n_max=n_max, checkpoints=marks, integrals=integrals)
+    want = checkpoint_averages_by_fraction_sum(integrals, sorted(set(marks)))
+    assert trace.checkpoints == tuple(want)
+    assert all(type(v) is Fraction for _, v in trace.checkpoints)
 
 
 def test_trace_validation_and_csv():
