@@ -139,9 +139,8 @@ def roth_form_exact(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Fraction:
 
 def _integer_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
     """(integers, den) with integers / den == values; integer dtypes come back as they are."""
-    if values.dtype != object:
-        if values.dtype == bool or np.issubdtype(values.dtype, np.integer):
-            return values, 1
+    if values.dtype == bool or np.issubdtype(values.dtype, np.integer):
+        return values, 1
     fracs = [Fraction(v) for v in values.astype(object).flat]
     den = math.lcm(*(f.denominator for f in fracs))
     ints = [f.numerator * (den // f.denominator) for f in fracs]
