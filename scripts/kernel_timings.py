@@ -9,7 +9,10 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
 - ``roth_form_exact`` on an integer grid at (135, 1);
 - ``SubgroupModel.elements`` on the order-945 joining base of a
   ``main_inequality`` grid run at q = 135, r = 5;
-- the exact checkpoint averages of a weighted average over 135 terms.
+- the exact checkpoint averages of a weighted average over 135 terms;
+- ``WeylSystem.correlation_series`` at N = 100000 on the trig polynomial
+  of a ``main_inequality`` trig run at config seed 7 (13 zero-drift
+  families), over all of 1..N and at the n where that run's window is on.
 
 Inputs are drawn from fixed seeds, so runs on one machine compare.
 """
@@ -23,10 +26,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from reclab import weyl
-from reclab.harmonic import GridFunction
+from reclab import experiments, weyl
+from reclab.harmonic import GridFunction, annihilating_cylinder
 from reclab.joinings import extract_affine_joining, pair_embedding, quadratic_direction
 from reclab.roth import roth_form, roth_form_exact
+from reclab.torus import ApproxHammingBall, TorusPoint
 
 REPEATS = 5
 
@@ -44,6 +48,18 @@ def complex_grid(q: int, d: int, seed: int) -> GridFunction:
     rng = np.random.default_rng(seed)
     shape = (q,) * d
     return GridFunction(d, q, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def trig_window_case(seed: int, n_max: int):
+    """The system, polynomial and window hits of a default trig run at config seed ``seed``."""
+    alpha = experiments._parse_value({"convergent": "sqrt2"}, experiments._VALUE, "alpha")
+    system = weyl.WeylSystem(TorusPoint.of([alpha]))
+    table, _ = experiments._random_trig_table(6, seed)
+    ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * 5), 4, Fraction(1, 8))
+    window = annihilating_cylinder(ball, [])
+    beta = experiments._TRIG_BETA[:5]
+    at = np.flatnonzero(window.orbit_contains(beta, np.arange(1, n_max + 1), 2)) + 1
+    return system, table, at
 
 
 def main() -> None:
@@ -67,7 +83,18 @@ def main() -> None:
     rng = np.random.default_rng(7)
     terms = [Fraction(int(v), 135**2) * Fraction(7, 3) for v in rng.integers(-500, 500, size=135)]
     marks = weyl._default_checkpoints(len(terms))
-    out["checkpoint_averages_135_s"] = best_of(lambda: weyl._checkpoint_averages(terms, marks))
+    weight = Fraction(1)
+    out["checkpoint_averages_135_s"] = best_of(
+        lambda: weyl._checkpoint_averages(terms, marks, marks, weight)
+    )
+
+    n_max = 100_000
+    system, table, at = trig_window_case(7, n_max)
+    out["correlation_series_1e5_full_s"] = best_of(lambda: system.correlation_series(table, n_max))
+    out["correlation_series_1e5_hits_s"] = best_of(
+        lambda: system.correlation_series(table, n_max, at=at)
+    )
+    out["correlation_series_1e5_hits"] = len(at)
 
     out["repeats"] = REPEATS
     out["python"] = platform.python_version()

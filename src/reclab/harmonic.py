@@ -24,6 +24,7 @@ Plancherel gap are computed by the tests' oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -221,9 +222,13 @@ class GridFunction:
         return out
 
 
+@functools.lru_cache(maxsize=4)
 def _dft_kernel(q: int) -> np.ndarray:
+    """The matrix e(-j k / q), built once per q and shared read-only."""
     j = np.arange(q)
-    return np.exp(-2j * np.pi * np.outer(j, j) / q)
+    kernel = np.exp(-2j * np.pi * np.outer(j, j) / q)
+    kernel.flags.writeable = False
+    return kernel
 
 
 def centered_residue(n: int, q: int) -> int:

@@ -28,6 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -57,18 +58,36 @@ def _unit(phase: Fraction) -> complex:
     return cmath.exp(2j * cmath.pi * float(wrap_unit(phase)))
 
 
-def _quadratic_phase_powers(a: Fraction, b: Fraction, ns: np.ndarray) -> np.ndarray:
-    """The vector e(a n + b n^2) over the integer vector ns.
+#: numpy computes ``c * P`` for a temporary complex128 vector P of 256 KiB
+#: or more (16384 entries) as ``P * c`` in P's buffer (temporary elision),
+#: and the two operand orders round a complex product differently.  The
+#: series multiplies each phase vector in the order of that expression over
+#: the whole horizon 1..n_max, whatever the number of n it is evaluated at,
+#: and into a fresh array: a product written over a one-entry operand
+#: rounds differently again.
+ELIDED_PRODUCT_TERMS = 16384
 
-    Phases are reduced mod 1 in integer arithmetic before the single
-    float conversion, so the result is accurate to one ulp of exp even
-    when n^2 b is astronomically larger than 1.
+
+def _family_phase_powers(
+    a: Fraction, b: Fraction, r1: np.ndarray, r2: np.ndarray, modulus: int
+) -> np.ndarray:
+    """The vector e(a n + b n^2), given r1 = n mod L and r2 = n^2 mod L.
+
+    L = ``modulus`` is a multiple of the denominator den of the phase, so
+    the phase is reduced mod L in integer arithmetic before the single
+    float conversion: on int64 residues L < 2^53, and ph / L is the same
+    double as the phase reduced mod den over den; Python-int residues are
+    divided by L / den first.  Each product is reduced before the sum, so
+    int64 residues cannot overflow.
     """
     den = math.lcm(a.denominator, b.denominator)
-    pa = a.numerator * (den // a.denominator)
-    pb = b.numerator * (den // b.denominator)
-    ph = (orbit_residues(ns, 1, pa, den) + orbit_residues(ns, 2, pb, den)) % den
-    return np.exp(2j * np.pi * (ph.astype(np.float64) / den))
+    scale = modulus // den
+    pa = a.numerator * (den // a.denominator) * scale % modulus
+    pb = b.numerator * (den // b.denominator) * scale % modulus
+    ph = (r1 * pa % modulus + r2 * pb % modulus) % modulus
+    if ph.dtype == object:
+        ph, modulus = ph // scale, den
+    return np.exp(2j * np.pi * (ph.astype(np.float64) / modulus))
 
 
 def _as_values(f: Observable) -> np.ndarray:
@@ -108,27 +127,44 @@ class WeylSystem:
     def dim(self) -> int:
         return self.alpha.dim
 
-    def correlation_series(self, table: CoefficientTable, n_max: int) -> np.ndarray:
-        """The vector of triple integrals for n = 1..n_max in one pass.
+    def correlation_series(
+        self, table: CoefficientTable, n_max: int, at: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The vector of triple integrals for n = 1..n_max, or at the n in ``at``, in one pass.
 
         Matching frequency triples split by the drift mu_1 + 2 mu_2 of
         the x-cancellation condition: zero drift gives a family active
         at every n with phase a n + b n^2, anything else is satisfied by
-        at most one n.  The cost is O(support^3 + n_max * families),
-        which is what makes million-step traces affordable.
+        at most one n.  The cost is O(support^3 + len(at) * families),
+        which is what makes million-step traces affordable; n mod L and
+        n^2 mod L are computed once for all families, L the lcm of their
+        denominators.
+
+        ``at`` is a strictly increasing integer vector inside 1..n_max
+        (default all of it); entry i of the result has the bits of entry
+        at[i] - 1 of the series over 1..n_max.
         """
         d = self.dim
         if table.dim != 2 * d:
             raise ValueError(f"table dimension {table.dim} is not twice the system dim {d}")
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if at is None:
+            ns = np.arange(1, n_max + 1, dtype=np.int64)
+        else:
+            ns = np.asarray(at, dtype=np.int64)
+            if ns.ndim != 1 or ns.size and (
+                ns[0] < 1 or ns[-1] > n_max or np.any(ns[1:] <= ns[:-1])
+            ):
+                raise ValueError("at must be strictly increasing inside 1..n_max")
         entries = [(chi.freq[:d], chi.freq[d:], coef) for chi, coef in table]
         by_mu: dict[tuple[int, ...], list] = {}
         for entry in entries:
             by_mu.setdefault(entry[1], []).append(entry)
-        ns = np.arange(1, n_max + 1, dtype=np.int64)
-        out = np.zeros(n_max, dtype=complex)
         alpha = self.alpha.coords
+        # contributing triples in loop order, as (coefficient, a, b, hit, position
+        # of the hit in ns); a family active at every n has hit 0
+        triples = []
         for nu0, mu0, c0 in entries:
             for nu1, mu1, c1 in entries:
                 # the y-frequencies must cancel: only mu_2 = -(mu_0 + mu_1) can match
@@ -136,16 +172,34 @@ class WeylSystem:
                 for nu2, mu2, c2 in partners:
                     base = tuple(a + b + c for a, b, c in zip(nu0, nu1, nu2))
                     drift = tuple(b + 2 * c for b, c in zip(mu1, mu2))
+                    hit = pos = 0
                     if not any(drift):
                         if any(base):
                             continue
-                        lin, quad = _series_phases(nu1, nu2, mu1, mu2, alpha)
-                        out += c0 * c1 * c2 * _quadratic_phase_powers(lin, quad, ns)
-                        continue
-                    hit = _drift_hit(base, drift)
-                    if hit and 1 <= hit <= n_max:
-                        lin, quad = _series_phases(nu1, nu2, mu1, mu2, alpha)
-                        out[hit - 1] += c0 * c1 * c2 * _unit(hit * lin + hit * hit * quad)
+                    else:
+                        hit = _drift_hit(base, drift)
+                        if not 1 <= hit <= n_max:
+                            continue
+                        pos = int(np.searchsorted(ns, hit))
+                        if pos == len(ns) or ns[pos] != hit:
+                            continue
+                    lin, quad = _series_phases(nu1, nu2, mu1, mu2, alpha)
+                    triples.append((c0 * c1 * c2, lin, quad, hit, pos))
+        out = np.zeros(len(ns), dtype=complex)
+        dens = [x.denominator for _, lin, quad, hit, _ in triples if not hit for x in (lin, quad)]
+        if dens:
+            modulus = math.lcm(*dens)
+            r1 = orbit_residues(ns, 1, 1, modulus)
+            r2 = orbit_residues(ns, 2, 1, modulus)
+        for coef, lin, quad, hit, pos in triples:
+            if hit:
+                out[pos] += coef * _unit(hit * lin + hit * hit * quad)
+                continue
+            powers = _family_phase_powers(lin, quad, r1, r2, modulus)
+            if n_max >= ELIDED_PRODUCT_TERMS:
+                out += np.multiply(powers, coef)
+            else:
+                out += np.multiply(coef, powers)
         return out
 
 
@@ -482,10 +536,10 @@ def _is_leading_range(ns: Sequence[int]) -> bool:
 def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> Sequence:
     """The per-step integrals avg f . f o S^n . f o S^2n for each requested n.
 
-    On the trig backend every n must be at least 1: one closed-form
-    series over 1..max(n) is computed and indexed, and the request 1..N
-    (a range or the equal list) gets the series itself, a complex ndarray.
-    Results are in request order.
+    On the trig backend every n must be at least 1: the closed-form
+    series over 1..max(n) is evaluated at the distinct requested n, and
+    the request 1..N (a range or the equal list) gets the series itself,
+    a complex ndarray.  Results are in request order.
 
     On the grid models S^P is the identity for P = model.period, so the
     integral depends only on r = n mod P, and the gathered arrays are
@@ -503,7 +557,9 @@ def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> Se
             return []
         if min(ns) < 1:
             raise ValueError(f"trig integrals start at n = 1, got n = {min(ns)}")
-        return model.correlation_series(f, max(ns))[np.asarray(ns) - 1]
+        request = np.asarray(ns, dtype=np.int64)
+        at = np.unique(request)
+        return model.correlation_series(f, int(at[-1]), at=at)[np.searchsorted(at, request)]
     if not ns:
         return []
     windows = _lifted_windows(model, f)
@@ -558,36 +614,41 @@ def _triple_mean(model, windows: _Windows, n: int, exact: bool):
 
 
 def _checkpoint_averages(
-    terms: Sequence[Fraction], marks: Sequence[int]
+    terms: Sequence[Fraction], marks: Sequence[int], ends: Sequence[int], weight: Fraction
 ) -> list[tuple[int, Fraction]]:
-    """Running means of the terms at each mark, summed as numerators over one denominator."""
+    """Running means weight * sum(terms[:end]) / mark at each mark and its end.
+
+    The terms are summed as numerators over one denominator, and the
+    weight is applied once per mark.
+    """
     den = math.lcm(*(t.denominator for t in terms))
     nums = [t.numerator * (den // t.denominator) for t in terms]
     acc = 0
     prev = 0
     out = []
-    for mark in marks:
-        acc += sum(nums[prev:mark])
-        prev = mark
-        out.append((mark, Fraction(acc, den * mark)))
+    for mark, end in zip(marks, ends):
+        acc += sum(nums[prev:end])
+        prev = end
+        out.append((mark, Fraction(acc * weight.numerator, den * weight.denominator * mark)))
     return out
 
 
 def _float_checkpoint_averages(
-    re: np.ndarray, im: np.ndarray, marks: Sequence[int]
+    re: np.ndarray, im: np.ndarray, marks: Sequence[int], ends: Sequence[int]
 ) -> list[tuple[int, object]]:
-    """Running means of re + i im, each correctly rounded by fsum.
+    """Running means of re + i im, summed up to each end and divided by its mark.
 
-    The accumulator enters every fsum, so each checkpoint is the
-    correctly rounded sum of all terms so far, whatever the chunking.
+    Each sum is correctly rounded by fsum, and the accumulator enters
+    every fsum, so each checkpoint is the correctly rounded sum of all
+    terms so far, whatever the chunking.
     """
     acc_re, acc_im = 0.0, 0.0
     prev = 0
     out = []
-    for mark in marks:
-        acc_re = math.fsum([acc_re] + re[prev:mark].tolist())
-        acc_im = math.fsum([acc_im] + im[prev:mark].tolist())
-        prev = mark
+    for mark, end in zip(marks, ends):
+        acc_re = math.fsum([acc_re] + re[prev:end].tolist())
+        acc_im = math.fsum([acc_im] + im[prev:end].tolist())
+        prev = end
         if abs(acc_im) <= 1e-9 * max(1.0, abs(acc_re)):
             out.append((mark, acc_re / mark))
         else:
@@ -663,45 +724,48 @@ def weighted_average(
     window, metadata["window_hits"] counts the n where it is nonzero.  On
     grid models n_max may be omitted to mean one full period.  The
     integrals argument lets a caller reuse a precomputed series when
-    sweeping many windows over the same observable.
+    sweeping many windows over the same observable; without it, a
+    windowed trig average evaluates the series only where g is on.
     """
     n_max = _resolve_n_max(model, n_max)
     marks = sorted({int(m) for m in checkpoints}) if checkpoints else _default_checkpoints(n_max)
     if not marks or marks[0] < 1 or marks[-1] != n_max:
         raise ValueError("checkpoints must be inside 1..n_max and end at n_max")
-    if integrals is None:
-        integrals = triple_integrals(model, f, range(1, n_max + 1))
-    elif len(integrals) != n_max:
+    if integrals is not None and len(integrals) != n_max:
         raise ValueError(f"expected {n_max} precomputed integrals, got {len(integrals)}")
-    hits = None
+    hits = at = None
+    weight = Fraction(1)
     if g is not None:
         if beta is None:
             raise ValueError("a cylinder weight needs its frequency beta")
         scale = int(ell) ** 2
         hits = g.orbit_contains([scale * b for b in beta.coords], np.arange(1, n_max + 1), 2)
-        on = 1 / g.measure()
-    if all(isinstance(v, Fraction) for v in integrals):
-        if hits is None:
-            terms = list(integrals)
-        else:
-            terms = [on * v if hit else Fraction(0) for hit, v in zip(hits.tolist(), integrals)]
-        points = _checkpoint_averages(terms, marks)
+        at = np.flatnonzero(hits) + 1
+        weight = 1 / g.measure()
+    # only the terms the window keeps enter the sums: zeros do not change
+    # an exact sum, nor an fsum whose accumulator starts at +0.0
+    exact = False
+    if integrals is None and isinstance(model, WeylSystem):
+        terms = model.correlation_series(f, n_max, at=at)
     else:
-        # float64 parts of each term; they differ from complex(v) * w only in
-        # the sign of a zero, which no fsum starting from +0.0 can see
-        series = np.asarray(integrals, dtype=np.complex128)
-        re, im = series.real, series.imag
-        if hits is not None:
-            w = np.where(hits, float(on), 0.0)
-            re, im = re * w, im * w
-        points = _float_checkpoint_averages(re, im, marks)
+        if integrals is None:
+            integrals = triple_integrals(model, f, range(1, n_max + 1))
+        exact = all(isinstance(v, Fraction) for v in integrals)
+        terms = integrals if at is None else list(compress(integrals, hits.tolist()))
+    ends = marks if at is None else np.searchsorted(at, marks, side="right").tolist()
+    if exact:
+        points = _checkpoint_averages(terms, marks, ends, weight)
+    else:
+        series = np.asarray(terms, dtype=np.complex128)
+        w = float(weight)
+        points = _float_checkpoint_averages(series.real * w, series.imag * w, marks, ends)
     meta = _model_metadata(model)
     meta["n_max"] = n_max
     if g is not None:
         meta["weight_measure"] = str(g.measure())
         meta["ell"] = int(ell)
         meta["beta"] = beta.to_json()
-        meta["window_hits"] = int(hits.sum())
+        meta["window_hits"] = len(at)
     return AveragesTrace(
         checkpoints=tuple(points),
         closed_form=_closed_form(model, f),

@@ -12,7 +12,8 @@ that the window gather replaced; the trig pullback f o S^n and the
 pointwise triple integral by orthogonality, which
 ``WeylSystem.correlation_series`` and every trig ``triple_integrals``
 request are checked against; the O(support^3) triple loop that the
-series replaced with a y-frequency index; the float path of
+series replaced with a y-frequency index, with the per-family phase
+vector that shared orbit residues replaced; the float path of
 ``weyl.weighted_average`` one Python complex term at a time; the grid
 model of a rational system, the unweighted average and the observable
 range check.  For torus and harmonic: the cylinders whose union is a
@@ -60,7 +61,15 @@ from reclab.harmonic import (
 from reclab.joinings import AffineJoining, offset_projection
 from reclab.lattice import SubgroupModel
 from reclab.roth import annihilator_contains
-from reclab.torus import ApproxHammingBall, Cylinder, RationalLike, TorusPoint, as_fraction, wrap_unit
+from reclab.torus import (
+    ApproxHammingBall,
+    Cylinder,
+    RationalLike,
+    TorusPoint,
+    as_fraction,
+    orbit_residues,
+    wrap_unit,
+)
 from reclab.weyl import AveragesTrace, GridWeylModel, RotationModel, WeylSystem, weighted_average
 
 
@@ -305,6 +314,20 @@ class ObservablePair:
             raise ValueError("observable leaves [0, 1]")
 
 
+def quadratic_phase_powers(a: Fraction, b: Fraction, ns: np.ndarray) -> np.ndarray:
+    """The vector e(a n + b n^2) over the integer vector ns.
+
+    Phases are reduced mod 1 in integer arithmetic before the single
+    float conversion, so the result is accurate to one ulp of exp even
+    when n^2 b is astronomically larger than 1.
+    """
+    den = math.lcm(a.denominator, b.denominator)
+    pa = a.numerator * (den // a.denominator)
+    pb = b.numerator * (den // b.denominator)
+    ph = (orbit_residues(ns, 1, pa, den) + orbit_residues(ns, 2, pb, den)) % den
+    return np.exp(2j * np.pi * (ph.astype(np.float64) / den))
+
+
 def correlation_series_triple_loop(
     system: WeylSystem, table: CoefficientTable, n_max: int
 ) -> np.ndarray:
@@ -312,6 +335,8 @@ def correlation_series_triple_loop(
 
     The phases of a triple are computed before it is known to contribute;
     the triples that do are added in the same order as the indexed loop.
+    Each family is ``coef * quadratic_phase_powers(...)`` over all of
+    1..n_max, with two residue scans mod its own denominator.
     """
     d = system.dim
     entries = [(chi.freq[:d], chi.freq[d:], coef) for chi, coef in table]
@@ -340,7 +365,7 @@ def correlation_series_triple_loop(
                 if not any(drift):
                     if any(base):
                         continue
-                    out += coef * weyl._quadratic_phase_powers(lin, quad, ns)
+                    out += coef * quadratic_phase_powers(lin, quad, ns)
                     continue
                 hit = None
                 for bs, dr in zip(base, drift):

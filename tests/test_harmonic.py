@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reclab import harmonic
 from reclab.harmonic import (
     Character,
     CoefficientTable,
@@ -251,6 +252,25 @@ def test_dft_direct_vs_fft_agree():
         a = grid_dft_direct(f)
         b = f.dft()
         assert np.max(np.abs(a.values - b.values)) < 1e-9
+
+
+@pytest.mark.parametrize("dim, q", [(1, 1), (1, 7), (2, 8), (3, 5), (1, 135)])
+def test_dft_with_the_cached_kernel_is_bit_identical(dim, q):
+    f = random_grid(dim, q, seed=dim + q)
+    # the transform by a kernel built for this call alone
+    out = f.values
+    for _ in range(dim):
+        out = np.tensordot(out, harmonic._dft_kernel.__wrapped__(q), axes=([0], [1]))
+    want = out / f.size()
+    harmonic._dft_kernel.cache_clear()
+    for _ in range(2):  # a cold kernel, then the cached one
+        assert np.array_equal(f.dft().values.view(np.uint64), want.view(np.uint64))
+        got = [(chi.freq, repr(v)) for chi, v in f.spectrum_table(1e-12)]
+        assert got == [(chi.freq, repr(v)) for chi, v in spectrum_table_per_cell(f, 1e-12)]
+    kernel = harmonic._dft_kernel(q)
+    assert harmonic._dft_kernel(q) is kernel and not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0
 
 
 def test_plancherel_exact_to_float_eps():

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reclab.harmonic import Character, CoefficientTable
-from reclab.torus import Cylinder, TorusPoint
+from reclab import weyl
+from reclab.experiments import _TRIG_BETA, _random_trig_table
+from reclab.harmonic import Character, CoefficientTable, annihilating_cylinder
+from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint, orbit_residues
 from reclab.weyl import (
     AveragesTrace,
     GridWeylModel,
@@ -334,17 +336,26 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+# a prime whose int64 residues fit every product, 2^62 <= (L - 1)^2 < 2^63, but
+# not the sum of two products; and one beyond int64 products, (L - 1)^2 >= 2^63
+OVERFLOW_BAND_DEN = 3037000493
+PYTHON_INT_DEN = 2**61 - 1
+#: rotation denominators, one drawn per coordinate: two different ones put the
+#: lcm L of the series beyond the denominator of a family in one coordinate
+SERIES_DENS = [2, 5, 12, 97, 999999937, 1000000007, OVERFLOW_BAND_DEN, PYTHON_INT_DEN]
+
+
 @given(
     d=st.integers(1, 2),
-    den=st.sampled_from([2, 5, 12, 97, 999999937]),
+    dens=st.lists(st.sampled_from(SERIES_DENS), min_size=2, max_size=2),
     size=st.integers(1, 9),
     n_max=st.integers(1, 60),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_correlation_series_matches_the_triple_loop_bit_for_bit(d, den, size, n_max, seed):
+def test_correlation_series_matches_the_triple_loop_bit_for_bit(d, dens, size, n_max, seed):
     rng = random.Random(seed)
-    system = WeylSystem(TorusPoint.of([Fraction(rng.randrange(den), den) for _ in range(d)]))
+    system = WeylSystem(TorusPoint.of([Fraction(rng.randrange(den), den) for den in dens[:d]]))
     table = random_table(rng, d, 6, size)
     got = system.correlation_series(table, n_max)
     assert_same_bits(got, correlation_series_triple_loop(system, table, n_max))
@@ -379,6 +390,103 @@ def test_correlation_series_drift_families_inside_and_outside_the_horizon(d):
         assert_same_bits(got, correlation_series_triple_loop(system, table, n_max))
 
 
+@given(
+    d=st.integers(1, 2),
+    dens=st.lists(st.sampled_from(SERIES_DENS), min_size=2, max_size=2),
+    size=st.integers(1, 9),
+    n_max=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_correlation_series_at_chosen_n_has_the_bits_of_the_whole_series(
+    d, dens, size, n_max, seed, data
+):
+    rng = random.Random(seed)
+    system = WeylSystem(TorusPoint.of([Fraction(rng.randrange(den), den) for den in dens[:d]]))
+    table = random_table(rng, d, 6, size)
+    chosen = data.draw(st.sets(st.integers(1, n_max)))
+    at = np.array(sorted(chosen), dtype=np.int64)
+    got = system.correlation_series(table, n_max, at=at)
+    assert_same_bits(got, system.correlation_series(table, n_max)[at - 1])
+
+
+@pytest.mark.parametrize("den, dtype", [(OVERFLOW_BAND_DEN, np.int64), (PYTHON_INT_DEN, object)])
+def test_correlation_series_far_out_matches_the_pointwise_integral(den, dtype):
+    # n near sqrt(L) and beyond: residues as large as L - 1 meet phase
+    # numerators as large, where an unreduced int64 sum would overflow
+    assert 2**62 <= (OVERFLOW_BAND_DEN - 1) ** 2 < 2**63 <= (PYTHON_INT_DEN - 1) ** 2
+    assert orbit_residues(np.arange(3), 1, 1, den).dtype == dtype
+    rng = random.Random(den)
+    system = WeylSystem(TorusPoint.of([Fraction(den - 2, den), Fraction(den // 3, den)]))
+    # y-frequencies mu_1 = -2 mu_2 != 0 with x-frequencies that do not cancel in
+    # pairs: families whose phases a n + b n^2 have both a and b nonzero
+    table = hermitian_table(rng, 4, [(1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 2, 0), (0, 2, 0, 2)])
+    at = np.array(sorted(rng.sample(range(10**9, 10**12), 40)), dtype=np.int64)
+    got = system.correlation_series(table, int(at[-1]), at=at)
+    for n, v in zip(at.tolist(), got):
+        assert abs(v - trig_triple_integral(system, table, n)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "dens", [(999999937, 1000000007), (5, PYTHON_INT_DEN), (OVERFLOW_BAND_DEN, 2), (12, 97)]
+)
+def test_series_of_families_with_different_denominators_matches_the_triple_loop(dens):
+    # each family lives in one coordinate, so its denominator is a proper divisor
+    # of the lcm L that the shared residues are taken mod
+    rng = random.Random(sum(dens))
+    system = WeylSystem(TorusPoint.of([Fraction(den // 2 + 1, den) for den in dens]))
+    table = hermitian_table(rng, 4, [(1, 0, 1, 0), (2, 0, 2, 0), (0, 1, 0, 1), (0, 2, 0, 2)])
+    want = correlation_series_triple_loop(system, table, 400)
+    assert_same_bits(system.correlation_series(table, 400), want)
+
+
+def test_correlation_series_at_chosen_n_rejects_a_bad_vector():
+    system = WeylSystem(TorusPoint.of([Fraction(1, 3)]))
+    table = hermitian_table(random.Random(1), 2, [(1, 0), (0, 1)])
+    assert system.correlation_series(table, 5, at=np.array([], dtype=np.int64)).shape == (0,)
+    for at in ([0, 1], [1, 6], [2, 2], [3, 1], [[1, 2]]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            system.correlation_series(table, 5, at=np.array(at))
+
+
+#: the default rotation part of a trig config, a convergent of sqrt 2
+TRIG_ALPHA = Fraction(768398401, 543339720)
+
+
+@pytest.mark.parametrize("n_max", [16383, 16384])
+def test_series_multiplies_in_the_operand_order_of_the_whole_horizon(monkeypatch, n_max):
+    # numpy multiplies c * P as P * c from 16384 entries up, and on this
+    # table the two orders round differently
+    system = WeylSystem(TorusPoint.of([TRIG_ALPHA]))
+    table, _ = _random_trig_table(6, 1)
+    want = correlation_series_triple_loop(system, table, n_max)
+    assert_same_bits(system.correlation_series(table, n_max), want)
+    at = np.arange(1, n_max + 1, 7)
+    assert_same_bits(system.correlation_series(table, n_max, at=at), want[at - 1])
+    # the other order changes bits, so the check above can tell them apart
+    flip = 1 if n_max < weyl.ELIDED_PRODUCT_TERMS else n_max + 1
+    monkeypatch.setattr(weyl, "ELIDED_PRODUCT_TERMS", flip)
+    flipped = system.correlation_series(table, n_max)
+    assert not np.array_equal(flipped.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11])
+@pytest.mark.parametrize("n_max", [3000, 16383, 16384])
+def test_windowed_trig_average_matches_the_full_series_route(seed, n_max):
+    system = WeylSystem(TorusPoint.of([TRIG_ALPHA]))
+    table, _ = _random_trig_table(6, seed)
+    ball = ApproxHammingBall(zero_point(5), 4, Fraction(1, 8))
+    g, beta = annihilating_cylinder(ball, []), TorusPoint.of(_TRIG_BETA[:5])
+    kwargs = dict(g=g, beta=beta, n_max=n_max)
+    got = weighted_average(system, table, **kwargs)
+    series = system.correlation_series(table, n_max)
+    full = weighted_average(system, table, integrals=series, **kwargs)
+    assert 0 < got.metadata["window_hits"] < n_max
+    assert [repr(pt) for pt in got.checkpoints] == [repr(pt) for pt in full.checkpoints]
+    assert got.to_csv() == full.to_csv() and got.metadata == full.metadata
+
+
 class CallCounter:
     def __init__(self, monkeypatch, cls, name):
         self.calls = 0
@@ -410,7 +518,7 @@ def test_triple_integrals_routes_a_leading_range_or_list_to_the_series(monkeypat
     assert_same_bits(triple_integrals(system, table, range(1, 41)), want)
     assert_same_bits(triple_integrals(system, table, list(range(1, 41))), want)
     assert series.calls == 2
-    # any other request indexes one series over 1..max(n)
+    # any other request evaluates one series over 1..max(n) at its distinct n
     for ns in ([1, 2, 4], [2, 3], range(2, 10), range(1, 10, 2), [3, 2, 1], [40, 40]):
         got = triple_integrals(system, table, ns)
         assert_same_bits(got, want[np.asarray(ns) - 1])
@@ -926,15 +1034,25 @@ def test_checkpoint_schedule_and_reuse():
 
 @given(
     st.lists(st.fractions(max_denominator=10**6) | st.integers(-50, 50).map(Fraction), min_size=1, max_size=60),
+    st.sampled_from(sorted(WINDOWS)),
+    st.integers(1, 3),
     st.data(),
 )
-def test_exact_checkpoints_match_the_fraction_sum(integrals, data):
+def test_exact_checkpoints_match_the_fraction_sum(integrals, window, ell, data):
     n_max = len(integrals)
     marks = data.draw(st.lists(st.integers(1, n_max), max_size=6)) + [n_max]
+    g, beta = WINDOWS[window]
     model = RotationModel(5, (1,))
     f = np.ones(5, dtype=np.int64)
-    trace = weighted_average(model, f, n_max=n_max, checkpoints=marks, integrals=integrals)
-    want = checkpoint_averages_by_fraction_sum(integrals, sorted(set(marks)))
+    trace = weighted_average(
+        model, f, g=g, beta=beta, ell=ell, n_max=n_max, checkpoints=marks, integrals=integrals
+    )
+    terms = integrals
+    if g is not None:
+        hits = g.orbit_contains([ell**2 * b for b in beta.coords], np.arange(1, n_max + 1), 2)
+        terms = [v / g.measure() if hit else Fraction(0) for hit, v in zip(hits.tolist(), integrals)]
+        assert trace.metadata["window_hits"] == int(hits.sum())
+    want = checkpoint_averages_by_fraction_sum(terms, sorted(set(marks)))
     assert trace.checkpoints == tuple(want)
     assert all(type(v) is Fraction for _, v in trace.checkpoints)
 
