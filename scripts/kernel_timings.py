@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fixed-size timings of the progression-form and joining kernels.
+"""Fixed-size timings of the progression-form, joining and certificate kernels.
 
     PYTHONPATH=src python3 scripts/kernel_timings.py
 
@@ -12,7 +12,13 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
 - the exact checkpoint averages of a weighted average over 135 terms;
 - ``WeylSystem.correlation_series`` at N = 100000 on the trig polynomial
   of a ``main_inequality`` trig run at config seed 7 (13 zero-drift
-  families), over all of 1..N and at the n where that run's window is on.
+  families), over all of 1..N and at the n where that run's window is on;
+- ``band_return_bitset`` at N = 200000 with the band witness of a
+  default ``theorem_stage`` run (k = 1, eta = 1/8) on each of its three
+  stage frequencies, and on one frequency whose period 1009 * 997 is
+  beyond N;
+- ``sample_band_disjointness`` at 100000 samples on that witness and
+  its ball.
 
 Inputs are drawn from fixed seeds, so runs on one machine compare.
 """
@@ -27,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from reclab import experiments, weyl
+from reclab.certificates import band_return_bitset, build_band_witness, sample_band_disjointness
 from reclab.harmonic import GridFunction, annihilating_cylinder
 from reclab.joinings import extract_affine_joining, pair_embedding, quadratic_direction
 from reclab.roth import roth_form, roth_form_exact
@@ -95,6 +102,19 @@ def main() -> None:
         lambda: system.correlation_series(table, n_max, at=at)
     )
     out["correlation_series_1e5_hits"] = len(at)
+
+    n_max = 200_000
+    witness, ball, _ = build_band_witness(1, Fraction(1, 8))
+    stages = experiments._stage_frequencies(witness.r)
+    long_period = [Fraction(7, 1009), Fraction(11, 997)]
+    for name, coords in [(f"stage{i + 1}", c) for i, c in enumerate(stages)] + [("long", long_period)]:
+        beta = TorusPoint.of(coords)
+        out[f"band_return_bitset_2e5_{name}_s"] = best_of(
+            lambda: band_return_bitset(witness, beta, n_max)
+        )
+    out["sample_band_disjointness_1e5_s"] = best_of(
+        lambda: sample_band_disjointness(witness, ball, samples=100_000, seed=11)
+    )
 
     out["repeats"] = REPEATS
     out["python"] = platform.python_version()

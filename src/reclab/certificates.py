@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -349,7 +350,7 @@ def build_band_witness(
 # Monte Carlo probes (float prefilter, exact confirmation)
 
 
-# rows drawn per rejection block of sample_band_disjointness
+# rows drawn per block of sample_band_disjointness
 PROBE_BLOCK = 65_536
 
 
@@ -369,6 +370,36 @@ def _off_band_counts(x: np.ndarray, a: float) -> np.ndarray:
     return off.view(np.uint8) @ np.ones(x.shape[1], dtype=np.min_scalar_type(x.shape[1]))
 
 
+def _sample_band_rows(rng: np.random.Generator, witness: BandWitness, n: int) -> np.ndarray:
+    """n points of E as rows in [0, 1]^r, drawn from the uniform measure on E.
+
+    Under the uniform measure on E the off-band count J is Binomial(r,
+    1 - 2a) conditioned on J <= t, the off-band coordinates form a
+    uniform J-subset, and each coordinate is uniform on its arc.  J is
+    read off the exact conditional tail, the subset is picked by
+    selection sampling (coordinate i goes off the band with probability
+    (J still to place) / (r - i)), in-band coordinates are squeezed
+    strictly inside (-a, a) mod 1 and off-band ones lie on [a, 1 - a].
+    Rounding can only move an off-band coordinate into the band, so
+    every row lies in E exactly.
+    """
+    r, t, a_f = witness.r, witness.t, float(witness.a)
+    total = witness.measure()
+    u = rng.random(n)
+    need = np.zeros(n, dtype=np.int64)
+    for j in range(t):
+        need += u >= float(binomial_tail(r, j, witness.a) / total)
+    keys = rng.random((r, n))
+    off = np.empty((r, n), dtype=bool)
+    for i in range(r):
+        np.less(keys[i] * (r - i), need, out=off[i])
+        need -= off[i]
+    v = rng.random((r, n))
+    inner = (v * 2.0 - 1.0) * (a_f * (1.0 - 1e-12))
+    inner += inner < 0.0
+    return np.where(off, a_f + v * (1.0 - 2.0 * a_f), inner).T
+
+
 def sample_band_disjointness(
     witness: BandWitness,
     ball: ApproxHammingBall,
@@ -377,16 +408,14 @@ def sample_band_disjointness(
 ) -> int:
     """Count sampled pairs (x, u) in E x U whose sum lands back in E.
 
-    A correct disjointness argument makes the answer 0.  E is sampled
-    by rejection; u is drawn with k coordinates placed anywhere and
-    the rest squeezed strictly inside the eps window, which lands in U
-    by construction (not uniformly, but a falsification probe only
-    needs coverage).  Suspect sums are flagged with a slack of 1e-9
-    and every flagged pair is re-verified in exact arithmetic before
-    it may count as a violation.  Rejection rows are drawn and decided
-    PROBE_BLOCK rows at a time, so memory stays bounded while the
-    generator stream, the kept rows and the count are those of one
-    draw of every row.
+    A correct disjointness argument makes the answer 0.  x is drawn
+    uniformly from E itself (_sample_band_rows); u is drawn with k
+    coordinates placed anywhere and the rest squeezed strictly inside
+    the eps window, which lands in U by construction (not uniformly,
+    but a falsification probe only needs coverage).  Suspect sums are
+    flagged with a slack of 1e-9 and every flagged pair is re-verified
+    in exact arithmetic before it may count as a violation.  Pairs are
+    drawn PROBE_BLOCK at a time, so memory stays bounded by the block.
     """
     if ball.dim != witness.r:
         raise ValueError("witness and ball dimensions differ")
@@ -394,28 +423,10 @@ def sample_band_disjointness(
     r = witness.r
     a_f = float(witness.a)
     eps_f = float(ball.eps)
-    accept = float(witness.measure())
-    chunk_rows = max(1, 4_000_000 // r)
     violations = 0
-    produced = 0
-    rounds = 0
-    while produced < samples:
-        rounds += 1
-        if rounds > 500:
-            raise RuntimeError("band acceptance rate too low for sampling")
-        want = samples - produced
-        draw = min(chunk_rows, int(want / max(accept, 1e-6) * 1.25) + 64)
-        # consecutive row blocks read the generator's stream in the same
-        # order as one draw of all the rows, so the same rows are kept
-        kept = []
-        for rows in range(0, draw, PROBE_BLOCK):
-            x = rng.random((min(PROBE_BLOCK, draw - rows), r))
-            kept.append(x[_off_band_counts(x, a_f) <= witness.t])
-        x = np.concatenate(kept)[:want]
-        n = len(x)
-        if n == 0:
-            continue
-        produced += n
+    for start in range(0, samples, PROBE_BLOCK):
+        n = min(PROBE_BLOCK, samples - start)
+        x = _sample_band_rows(rng, witness, n)
         u = 0.5 + (rng.random((n, r)) * 2.0 - 1.0) * eps_f * (1.0 - 1e-12)
         if ball.k:
             order = rng.random((n, r)).argsort(axis=1)[:, : ball.k]
@@ -442,19 +453,26 @@ def sample_band_disjointness(
 def band_return_bitset(witness: BandWitness, beta: TorusPoint, n_max: int) -> int:
     """Bitset of {n in [0, n_max) : n*beta lies in E}, decided exactly.
 
-    Off-band counts come from torus.orbit_deviations on integer
-    residues, one block of n at a time.
+    Whether n*beta lies in E depends only on n mod L, L the lcm of the
+    denominators of beta, so one period [0, min(L, n_max)) is scanned:
+    off-band counts come from torus.orbit_deviations on integer
+    residues, one block of n at a time.  The period is then tiled by
+    doubling and cut to n_max bits.
     """
     if beta.dim != witness.r:
         raise ValueError("witness and frequency dimensions differ")
     if n_max < 1:
         raise ValueError("horizon must be positive")
+    length = min(math.lcm(*(c.denominator for c in beta.coords)), n_max)
     bits = 0
-    for ns in scan_blocks(0, n_max):
+    for ns in scan_blocks(0, length):
         inside = orbit_deviations(beta.coords, (0,) * witness.r, witness.a, ns) <= witness.t
         packed = np.packbits(inside, bitorder="little").tobytes()
         bits |= int.from_bytes(packed, "little") << int(ns[0])
-    return bits
+    while length < n_max:
+        bits |= bits << length
+        length *= 2
+    return bits & ((1 << n_max) - 1)
 
 
 def rotation_certificate(

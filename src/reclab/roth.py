@@ -166,9 +166,16 @@ def quotient_project(f: GridFunction, subgroup: SubgroupModel) -> GridFunction:
         raise ValueError("subgroup must live on the same grid as f")
     acc = np.zeros_like(f.values)
     elems = subgroup.elements()
-    axes = tuple(range(f.dim))
+    outer = tuple(range(f.dim - 1))
+    doubled = np.concatenate([f.values, f.values], axis=-1)
+    prefix = None
     for k in elems:
-        acc += np.roll(f.values, tuple(-a for a in k), axis=axes)
+        # elements() is sorted, so one roll of the outer axes serves every
+        # element with the same outer coordinates; the last is a window
+        if k[:-1] != prefix:
+            prefix = k[:-1]
+            rolled = np.roll(doubled, [-a for a in prefix], axis=outer)
+        acc += rolled[..., k[-1] : k[-1] + f.q]
     return GridFunction(f.dim, f.q, acc / len(elems))
 
 

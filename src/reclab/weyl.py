@@ -638,9 +638,11 @@ def _float_checkpoint_averages(
 ) -> list[tuple[int, object]]:
     """Running means of re + i im, summed up to each end and divided by its mark.
 
-    Each sum is correctly rounded by fsum, and the accumulator enters
-    every fsum, so each checkpoint is the correctly rounded sum of all
-    terms so far, whatever the chunking.
+    Each checkpoint is one fsum of the previous checkpoint's sum, already
+    rounded, and the new segment's terms: correctly rounded for those
+    operands, not for all terms so far.  Terms 1e16, 1, 1 with marks 2
+    and 3 sum to 1e16 at mark 3, where the correctly rounded total is
+    1e16 + 2.
     """
     acc_re, acc_im = 0.0, 0.0
     prev = 0

@@ -22,12 +22,13 @@ point, the sinc closed form of a cylinder coefficient, the uniformizing
 cylinder, the DFT by its definition and the inverse DFT, the spectrum
 table cell by cell, grid convolution and the Plancherel gap.  For
 roth: the progression form by its spectral identity, and the quotient
-projection as a Fourier mask onto the annihilator, the oracle of the
-coset-average projection.  For the certificates: the
-one-draw band-disjointness probe that
-``certificates.sample_band_disjointness`` replaced with row blocks, the
-band-measure probe, and the product bitset rebuilt from a certificate's
-recorded factors.  For the joinings: the points and visit counts of a
+projection as a Fourier mask onto the annihilator and as one
+whole-grid roll per subgroup element, the two oracles of the
+coset-average projection.  For the certificates: the band return
+bitset decided one n at a time, the rejection-sampling
+band-disjointness probe that ``certificates.sample_band_disjointness``
+replaced with direct draws from the band set, the band-measure probe,
+and the product bitset rebuilt from a certificate's recorded factors.  For the joinings: the points and visit counts of a
 decomposed orbit, its orbit and coset averages and the recount of its
 measure identity, the exact visit decomposition of a quadratic orbit,
 the weighted joining it projects to and the two-step projected closure
@@ -633,6 +634,15 @@ def quotient_project_spectral(f: GridFunction, subgroup: SubgroupModel) -> GridF
     return grid_idft(GridFunction(f.dim, f.q, masked))
 
 
+def quotient_project_roll_loop(f: GridFunction, subgroup: SubgroupModel) -> GridFunction:
+    """roth.quotient_project with one whole-grid roll per subgroup element."""
+    acc = np.zeros_like(f.values)
+    elems = subgroup.elements()
+    for k in elems:
+        acc += roll_to(f.values, k)
+    return GridFunction(f.dim, f.q, acc / len(elems))
+
+
 def grid_plancherel_gap(f: GridFunction) -> float:
     """|sum |fhat|^2 - q^(-d) sum |f|^2|, should be ~machine epsilon."""
     hat = f.dft()
@@ -678,13 +688,26 @@ def sample_band_measure(
     return Fraction(hits, samples)
 
 
-def sample_band_disjointness_one_draw(
+def band_return_bitset_per_n(witness: BandWitness, beta: TorusPoint, n_max: int) -> int:
+    """certificates.band_return_bitset deciding each n*beta with deviation_count."""
+    bits = 0
+    for n in range(n_max):
+        if scaled(beta, n).deviation_count(witness.a) <= witness.t:
+            bits |= 1 << n
+    return bits
+
+
+def sample_band_disjointness_by_rejection(
     witness: BandWitness,
     ball: ApproxHammingBall,
     samples: int = 100_000,
     seed: int = 2026,
 ) -> int:
-    """``sample_band_disjointness`` drawing each round's rows at once."""
+    """``sample_band_disjointness`` keeping the uniform rows of [0, 1)^r that lie in E.
+
+    Each round draws about 1.25 / m(E) rows per point still wanted, all
+    at once; the ball points and the exact confirmation are the probe's.
+    """
     if ball.dim != witness.r:
         raise ValueError("witness and ball dimensions differ")
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reclab import certificates
+from reclab import certificates, torus
 from reclab.bohr import BohrHammingBall, set_enumerate
 from reclab.certificates import (
     BandWitness,
@@ -37,8 +37,9 @@ from reclab.torus import ApproxHammingBall, TorusPoint, binomial_tail, fraction_
 from oracles import (
     certificate_from_members,
     certificate_members,
+    band_return_bitset_per_n,
     product_bits_from_factors,
-    sample_band_disjointness_one_draw,
+    sample_band_disjointness_by_rejection,
     sample_band_measure,
     scaled,
     zero_point,
@@ -252,29 +253,95 @@ def test_disjointness_probe_detects_overlap():
 
 
 @given(
-    r=st.integers(1, 8),
+    r=st.integers(1, 6),
     data=st.data(),
-    a=st.sampled_from([Fraction(1, 8), Fraction(3, 16), Fraction(1, 4), Fraction(3, 8)]),
-    eps=st.sampled_from([Fraction(1, 64), Fraction(1, 16), Fraction(1, 4)]),
-    samples=st.integers(1, 1500),
+    a=st.sampled_from([Fraction(1, 10), Fraction(1, 8), Fraction(1, 3), Fraction(3, 8), Fraction(1, 2)]),
+    n=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
-    block=st.sampled_from([37, 1000, certificates.PROBE_BLOCK]),
 )
-def test_blocked_probe_matches_the_one_draw_oracle(r, data, a, eps, samples, seed, block):
-    t = data.draw(st.integers(0, r), label="t")
-    k = data.draw(st.integers(0, min(2, r - 1)), label="k")
-    # keep the rejection draws small; the oracle holds every row at once
-    while BandWitness(r=r, a=a, t=t).measure() < Fraction(1, 50):
-        t += 1
+def test_band_rows_lie_in_the_band_set(r, data, a, n, seed):
+    w = BandWitness(r=r, a=a, t=data.draw(st.integers(0, r), label="t"))
+    x = certificates._sample_band_rows(np.random.default_rng(seed), w, n)
+    assert x.shape == (n, r)
+    assert ((x >= 0.0) & (x <= 1.0)).all()
+    assert all(w.contains(certificates._exact_point(row)) for row in x)
+
+
+@pytest.mark.parametrize(
+    "r, a, t",
+    [(5, Fraction(1, 8), 2), (2, Fraction(3, 16), 0), (6, Fraction(3, 16), 3), (4, Fraction(1, 4), 4), (3, Fraction(1, 2), 1)],
+)
+@pytest.mark.parametrize("seed", [0, 11])
+def test_band_rows_off_band_counts_follow_the_conditional_binomial(r, a, t, seed):
+    # with a dyadic the float count of each row is its drawn off-band
+    # count J; every bin and every coordinate's off-band share must lie
+    # within 5 binomial standard deviations of the exact law
+    n = 100_000
     w = BandWitness(r=r, a=a, t=t)
+    x = certificates._sample_band_rows(np.random.default_rng(seed), w, n)
+    off = (x >= float(a)) & (1.0 - x >= float(a))
+    freq = np.bincount(off.sum(axis=1), minlength=r + 1) / n
+    law = [
+        float(math.comb(r, j) * (1 - 2 * a) ** j * (2 * a) ** (r - j) / w.measure()) if j <= t else 0.0
+        for j in range(r + 1)
+    ]
+    for f, p in zip(freq, law):
+        assert abs(f - p) <= 5 * math.sqrt(p * (1 - p) / n)
+    share = sum(j * p for j, p in enumerate(law)) / r
+    for f in off.mean(axis=0):
+        assert abs(f - share) <= 5 * math.sqrt(share * (1 - share) / n)
+
+
+@given(
+    r=st.integers(1, 6),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 37, 1000, certificates.PROBE_BLOCK]),
+)
+def test_probe_and_rejection_oracle_agree_where_the_answer_is_certain(r, data, seed, block):
+    k = data.draw(st.integers(0, r - 1), label="k")
+    eps = data.draw(st.sampled_from([Fraction(1, 64), Fraction(1, 16), Fraction(1, 8)]), label="eps")
     ball = ApproxHammingBall(center=half_center(r), k=k, eps=eps)
-    expected = sample_band_disjointness_one_draw(w, ball, samples=samples, seed=seed)
+    if data.draw(st.booleans(), label="disjoint"):
+        # the widest band and any threshold the counting argument allows
+        t = data.draw(st.integers(0, (r - k - 1) // 2), label="t")
+        w = BandWitness(r=r, a=Fraction(1, 4) - eps / 2, t=t)
+        assert band_ball_disjoint(w, ball)
+        samples = data.draw(st.integers(1, 400), label="samples")
+        expected = 0
+    else:
+        # E is the whole torus, so every sampled sum lands back in it
+        a = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]), label="a")
+        w = BandWitness(r=r, a=a, t=r)
+        samples = data.draw(st.integers(1, 40), label="samples")
+        expected = samples
+    assert sample_band_disjointness_by_rejection(w, ball, samples=samples, seed=seed) == expected
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(certificates, "PROBE_BLOCK", block)
         assert sample_band_disjointness(w, ball, samples=samples, seed=seed) == expected
-    if t == r:
-        # E is the whole torus, so every sampled sum lands back in it
-        assert expected == samples
+
+
+@pytest.mark.parametrize(
+    "r, a, t, k, eps",
+    [
+        (3, Fraction(3, 16), 1, 1, Fraction(1, 16)),
+        (2, Fraction(1, 4), 0, 0, Fraction(1, 8)),
+        (1, Fraction(3, 8), 0, 0, Fraction(1, 4)),
+    ],
+)
+def test_probe_and_rejection_oracle_violation_rates_agree(r, a, t, k, eps):
+    # both draw x uniformly from E and u the same way, so on overlapping
+    # pairs the two rates estimate one probability: they must agree
+    # within 5 standard deviations of the difference of two such rates
+    w = BandWitness(r=r, a=a, t=t)
+    ball = ApproxHammingBall(center=half_center(r), k=k, eps=eps)
+    assert not band_ball_disjoint(w, ball)
+    n = 3_000
+    direct = sample_band_disjointness(w, ball, samples=n, seed=5) / n
+    rejection = sample_band_disjointness_by_rejection(w, ball, samples=n, seed=6) / n
+    pooled = (direct + rejection) / 2
+    assert 0 < pooled < 1
+    assert abs(direct - rejection) <= 5 * math.sqrt(2 * pooled * (1 - pooled) / n)
 
 
 @pytest.mark.parametrize("r", [1, 2, 5, 300])
@@ -358,6 +425,51 @@ def test_return_bitset_huge_denominator_fallback():
         if w.contains(scaled(freq, n)):
             expected |= 1 << n
     assert bits == expected
+
+
+small_fractions = st.builds(Fraction, st.integers(0, 60), st.integers(1, 12))
+
+
+@given(
+    coords=st.lists(small_fractions, min_size=1, max_size=3),
+    a=st.fractions(min_value=Fraction(1, 30), max_value=Fraction(1, 2), max_denominator=30),
+    data=st.data(),
+    block=st.sampled_from([1, 7, 64, torus.SCAN_BLOCK]),
+)
+def test_return_bitset_matches_the_per_n_oracle(coords, a, data, block):
+    beta = TorusPoint.of(coords)
+    w = BandWitness(r=beta.dim, a=a, t=data.draw(st.integers(0, beta.dim), label="t"))
+    period = math.lcm(*(c.denominator for c in beta.coords))
+    n_max = data.draw(st.integers(1, min(3 * period + 1, 800)), label="n_max")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(torus, "SCAN_BLOCK", block)
+        assert band_return_bitset(w, beta, n_max) == band_return_bitset_per_n(w, beta, n_max)
+
+
+def period_edge_cases():
+    """(witness, beta, n_max) around the period L of beta, and past it."""
+    sixth = Fraction(1, 6)
+    cases = [(BandWitness(r=2, a=sixth, t=0), TorusPoint.of([0, 0]), n) for n in (1, 2, 9, 100)]
+    # L = 21 is no multiple of 8, so each tiling shift cuts a byte
+    beta = TorusPoint.of([Fraction(1, 3), Fraction(2, 7)])
+    cases += [(BandWitness(r=2, a=sixth, t=1), beta, n) for n in (1, 20, 21, 22, 62, 64, 200)]
+    beta = TorusPoint.of([Fraction(3, 8), Fraction(1, 4)])
+    cases += [(BandWitness(r=2, a=Fraction(3, 16), t=1), beta, n) for n in (7, 8, 9, 23, 25)]
+    # L = 6125 is beyond the horizon: one partial period
+    beta = TorusPoint.of([Fraction(7, 125), Fraction(4, 49)])
+    cases.append((BandWitness(r=2, a=sixth, t=1), beta, 500))
+    # a denominator above 3,037,000,500 takes the Python-int residues
+    beta = TorusPoint.of([Fraction(1, 3), Fraction(12345, 2**32 + 15)])
+    cases += [(BandWitness(r=2, a=Fraction(1, 8), t=1), beta, n) for n in (1, 50, 300)]
+    return cases
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, None])
+def test_return_bitset_tiles_the_period_exactly(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr("reclab.torus.SCAN_BLOCK", block)
+    for w, beta, n_max in period_edge_cases():
+        assert band_return_bitset(w, beta, n_max) == band_return_bitset_per_n(w, beta, n_max)
 
 
 def test_return_bitset_validation():
@@ -623,6 +735,28 @@ def test_product_rotation_bits_are_the_and_of_fresh_factor_bitsets(tmp_path, kin
     combined = combine_certificates(c1, c2, m)
     assert combined.provenance["candidate"] == "product-rotation"
     assert combined.bits == product_bits_from_factors(combined)
+
+
+def test_product_merge_at_m2_tiles_the_divided_periods():
+    # periods 63 and 55 (110 once divided by 2) lie far below the horizon
+    witness, ball, _ = build_band_witness(1, Fraction(1, 100), samples=2_000)
+    f1 = TorusPoint.of([Fraction(1, 7), Fraction(2, 9)])
+    f2 = TorusPoint.of([Fraction(1, 5), Fraction(3, 11)])
+    horizon = 700
+    c1, c2 = (
+        rotation_certificate(witness, ball, f, horizon, returns(f, ball, horizon))
+        for f in (f1, f2)
+    )
+    combined = combine_certificates(
+        replace(c1, density_claim=c1.density_claim / 2),
+        replace(c2, density_claim=c2.density_claim / 2),
+        2,
+    )
+    assert combined.provenance["candidate"] == "product-rotation"
+    assert combined.bits == product_bits_from_factors(combined)
+    half_f2 = TorusPoint.of([c / 2 for c in f2.coords])
+    per_n = band_return_bitset_per_n(witness, f1, horizon) & band_return_bitset_per_n(witness, half_f2, horizon)
+    assert combined.bits == per_n
 
 
 def test_combine_builds_only_the_divided_factor_bitsets(monkeypatch):

@@ -23,6 +23,7 @@ from reclab.roth import (
 
 from oracles import (
     full_subgroup,
+    quotient_project_roll_loop,
     quotient_project_spectral,
     random_grid,
     roth_form_exact_roll_loop,
@@ -285,6 +286,19 @@ def test_projection_routes_agree_and_are_idempotent(seed):
     twice = quotient_project(direct, K)
     assert np.allclose(twice.values, direct.values, atol=1e-12)
     assert abs(direct.values.mean() - f.values.mean()) < 1e-12
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+@settings(max_examples=40)
+def test_projection_windows_match_the_roll_loop_bit_for_bit(seed, dim):
+    rng = random.Random(seed)
+    q = rng.choice([1, 2, 3, 5, 6, 7] if dim < 3 else [1, 2, 3, 5])
+    gens = [[rng.randrange(q) for _ in range(dim)] for _ in range(rng.randint(0, 3))]
+    K = SubgroupModel.from_generators(q, dim, gens)
+    f = random_grid(dim, q, seed)
+    got = quotient_project(f, K).values
+    want = quotient_project_roll_loop(f, K).values
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---- gap bound ----

@@ -1,5 +1,6 @@
 """Skew-product orbits, correlation averages, and intersection scans."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -30,6 +31,7 @@ from oracles import (
     checkpoint_averages_by_fraction_sum,
     correlation_series_triple_loop,
     evaluate_table,
+    float_checkpoint_averages_per_term,
     grid_model_from_system,
     l3_average,
     pullback,
@@ -1030,6 +1032,17 @@ def test_checkpoint_schedule_and_reuse():
     ints = triple_integrals(model, f, range(1, 9))
     again = weighted_average(model, f, integrals=ints)
     assert again.checkpoints == trace.checkpoints
+
+
+def test_float_checkpoints_round_each_segment_onto_the_previous_checkpoint():
+    # 1e16 + 1 rounds back to 1e16 at mark 2, and again at mark 3, so the
+    # sum at mark 3 is 1e16 where the correctly rounded total is 1e16 + 2
+    re = np.array([1e16, 1.0, 1.0])
+    out = weyl._float_checkpoint_averages(re, np.zeros(3), [2, 3], [2, 3])
+    assert out == [(2, 1e16 / 2), (3, 1e16 / 3)]
+    assert math.fsum(re.tolist()) == 1e16 + 2
+    assert out[1][1] != (1e16 + 2) / 3
+    assert out == float_checkpoint_averages_per_term(re.tolist(), [2, 3])
 
 
 @given(
