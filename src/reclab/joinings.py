@@ -6,10 +6,10 @@ n -> n*c + n^2*u whose linear part lies on the progression diagonal
 (0, a, 0, 4a, b), the two offset coordinates w1 = (z4 - 2*z2)/2 and
 w2 = z5 sweep out (n^2 * a, n^2 * b).  The joining extracted from such
 an orbit is the Haar measure on the subgroup of Z_q^(d+r) those offsets
-generate.  An affine joining in general is a base subgroup together with
-weighted coset shifts.  Averaging a product f(x, y + 2*w1) * g(w2)
-against it is the star convolution; on the transform side it multiplies
-each (chi, psi) coefficient of f by a factor depending on psi and g only.
+generate, and that Haar measure is the only joining shape here.
+Averaging a product f(x, y + 2*w1) * g(w2) against it is the star
+convolution; on the transform side it multiplies each (chi, psi)
+coefficient of f by a factor depending on psi and g only.
 
 Cylinder constructions over a joining must certify their zeros.  A sum of
 q-th roots of unity with rational masses is exactly zero iff the mass
@@ -102,48 +102,27 @@ def offset_projection(vec: Sequence[int], d: int, r: int, q: int) -> tuple[int, 
 
 @dataclass(frozen=True)
 class AffineJoining:
-    """Weighted coset shifts of a base subgroup of Z_q^(d+r).
+    """The Haar measure of a base subgroup of Z_q^(d+r).
 
     The first d coordinates are the w1 block (they shift the second
     argument of f by 2*w1), the last r are the w2 block (they feed g).
-    Weights are positive rationals summing to 1; shifts are stored as
-    canonical coset representatives so equality is measure equality.
+    Equal subgroups give equal joinings, since the base is held in its
+    canonical Hermite form.
     """
 
     base: SubgroupModel
     d: int
     r: int
-    shifts: tuple[tuple[int, ...], ...]
-    weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.r < 1:
             raise ValueError("both blocks must be nonempty")
         if self.base.dim != self.d + self.r:
             raise ValueError("base dimension must be d + r")
-        if len(self.shifts) != len(self.weights) or not self.shifts:
-            raise ValueError("need equally many shifts and weights, at least one")
-        canonical = tuple(self.base.coset_representative(s) for s in self.shifts)
-        weights = tuple(as_fraction(w) for w in self.weights)
-        if len(set(canonical)) != len(canonical):
-            raise ValueError("shifts name the same coset twice")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
-        if sum(weights, Fraction(0)) != 1:
-            raise ValueError("weights must sum to 1")
-        order = sorted(range(len(canonical)), key=lambda i: canonical[i])
-        object.__setattr__(self, "shifts", tuple(canonical[i] for i in order))
-        object.__setattr__(self, "weights", tuple(weights[i] for i in order))
 
     @property
     def q(self) -> int:
         return self.base.q
-
-    @classmethod
-    def haar(cls, base: SubgroupModel, d: int, r: int) -> "AffineJoining":
-        """Uniform measure on the base subgroup itself."""
-        zero = tuple([0] * base.dim)
-        return cls(base=base, d=d, r=r, shifts=(zero,), weights=(Fraction(1),))
 
 
 def extract_affine_joining(
@@ -192,7 +171,7 @@ def extract_affine_joining(
         )
 
     base = SubgroupModel.from_generators(q, d + r, [offset_projection(u, d, r, q)])
-    return AffineJoining.haar(base, d, r)
+    return AffineJoining(base, d, r)
 
 
 # ---- exact zero certificates for root-of-unity sums ----
@@ -260,21 +239,20 @@ def _phase(freq: Sequence[int], block: Sequence[int], q: int, scale: int = 1) ->
 def _verify_star_zero(
     joining: AffineJoining, freq: Sequence[int], cyl: Cylinder, scale: int
 ) -> None:
-    """Certify sum over every coset of e(scale * freq . w1 / q) g(w2) is 0."""
+    """Certify that the sum over the base of e(scale * freq . w1 / q) g(w2) is 0."""
     q, d = joining.q, joining.d
     grid = [Fraction(1, q)] * joining.r
     value = 1 / cyl.measure()
     step = np.array([scale * n % q for n in freq], dtype=np.int64)
-    for j, rep in enumerate(joining.shifts):
-        w = np.array(joining.base.coset_elements(rep), dtype=np.int64)
-        inside = cyl.orbit_contains(grid, w[:, d:])
-        phases, counts = np.unique(w[inside, :d] @ step % q, return_counts=True)
-        masses = {t: c * value for t, c in zip(phases.tolist(), counts.tolist())}
-        if not root_of_unity_sum_is_zero(masses, q):
-            raise ArithmeticError(
-                f"coefficient for frequency {tuple(freq)} is not certifiably zero "
-                f"on coset {j}; the joining is too sparse for this cylinder"
-            )
+    w = np.array(joining.base.elements(), dtype=np.int64)
+    inside = cyl.orbit_contains(grid, w[:, d:])
+    phases, counts = np.unique(w[inside, :d] @ step % q, return_counts=True)
+    masses = {t: c * value for t, c in zip(phases.tolist(), counts.tolist())}
+    if not root_of_unity_sum_is_zero(masses, q):
+        raise ArithmeticError(
+            f"coefficient for frequency {tuple(freq)} is not certifiably zero; "
+            "the joining is too sparse for this cylinder"
+        )
 
 
 def annihilate_over_joining(
@@ -285,11 +263,11 @@ def annihilate_over_joining(
 ) -> Cylinder:
     """Cylinder g subordinate to ball with avg of chi(scale*w1) g(w2) = 0.
 
-    The average runs over every coset of the joining separately.  Each
-    character either dies automatically (it is nontrivial on the kernel of
-    the w2 projection, so fibers cancel) or is pushed through the w2
-    marginal: extend it to a character of the full grid and pin the
-    cylinder against the extension.  Every zero is then certified exactly
+    The average runs over the joining's base subgroup.  Each character
+    either dies automatically (it is nontrivial on the kernel of the w2
+    projection, so fibers cancel) or is pushed through the w2 marginal:
+    extend it to a character of the full grid and pin the cylinder
+    against the extension.  Every zero is then certified exactly
     by the cyclotomic test; an uncertifiable sum raises.
     """
     d, r, q = joining.d, joining.r, joining.q

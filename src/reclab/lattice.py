@@ -3,8 +3,8 @@
 A subgroup of Z_q^m generated by integer vectors is the image of the
 lattice L = span_Z(generators) + q*Z^m.  The Hermite normal form of L
 is a canonical upper-triangular basis whose pivots divide q, which
-gives canonical coset representatives, the exact order q^m / det, and
-duplicate free enumeration by mixed-radix combinations of basis rows.
+makes equal subgroups equal models and gives the exact order q^m / det
+and duplicate free enumeration by mixed-radix combinations of basis rows.
 The Smith normal form supplies a solver for linear systems mod q, used
 to extend characters from a subgroup to the full group.
 
@@ -228,22 +228,6 @@ class SubgroupModel:
         det = math.prod(row[i] for i, row in enumerate(self.basis))
         return self.q**self.dim // det
 
-    def coset_representative(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """The unique member of vec + subgroup inside the pivot box.
-
-        Reduction against the triangular basis lands every coset at one
-        point with 0 <= x[i] < basis[i][i], so representatives can be
-        compared for coset equality.
-        """
-        x = [int(a) % self.q for a in vec]
-        if len(x) != self.dim:
-            raise ValueError(f"vector width {len(x)} does not match dim {self.dim}")
-        for i, row in enumerate(self.basis):
-            t = x[i] // row[i]
-            if t:
-                x = [a - t * b for a, b in zip(x, row)]
-        return tuple(x)
-
     def elements(self, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
         """All elements, sorted; mixed-radix combinations of basis rows.
 
@@ -265,7 +249,3 @@ class SubgroupModel:
             # lexsort takes its last key as the primary one
             vecs = vecs[np.lexsort(vecs.T[::-1])]
         return list(map(tuple, vecs.tolist()))
-
-    def coset_elements(self, rep: Sequence[int]) -> list[tuple[int, ...]]:
-        """The coset rep + subgroup: elements() shifted by rep, in that order."""
-        return [tuple((a + b) % self.q for a, b in zip(rep, s)) for s in self.elements()]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -38,7 +38,6 @@ from .harmonic import GridFunction
 from .lattice import SubgroupModel
 
 __all__ = [
-    "annihilator_contains",
     "product_dtype",
     "quotient_gap_bound",
     "quotient_project",
@@ -150,14 +149,17 @@ def _integer_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
 # ---- quotient projections ----
 
 
-def annihilator_contains(subgroup: SubgroupModel, freq: Sequence[int]) -> bool:
-    """Whether the character with this frequency is trivial on the subgroup."""
-    if len(freq) != subgroup.dim:
-        raise ValueError("frequency width must match the subgroup ambient")
-    q = subgroup.q
-    return all(
-        sum(n * k for n, k in zip(freq, row)) % q == 0 for row in subgroup.basis
-    )
+def _annihilator_mask(subgroup: SubgroupModel) -> np.ndarray:
+    """Boolean grid, true at the frequencies whose characters are trivial on the subgroup.
+
+    A frequency n is in the annihilator when n . row = 0 mod q for every
+    basis row.  Both factors are at most q and the q^dim cells are held
+    in memory, so the dot products stay far inside int64.
+    """
+    freqs = np.indices((subgroup.q,) * subgroup.dim)
+    basis = np.array(subgroup.basis, dtype=np.int64).reshape(-1, subgroup.dim)
+    dots = np.tensordot(basis, freqs, axes=(1, 0)) % subgroup.q
+    return ~dots.any(axis=0)
 
 
 def quotient_project(f: GridFunction, subgroup: SubgroupModel) -> GridFunction:
@@ -198,10 +200,9 @@ def quotient_gap_bound(
     if (subgroup.dim, subgroup.q) != (f0.dim, f0.q):
         raise ValueError("subgroup must live on the same grid")
     h2 = f2.dft().values
-    kappa = 0.0
-    for idx in np.ndindex(*h2.shape):
-        if not annihilator_contains(subgroup, idx):
-            kappa = max(kappa, abs(complex(h2[idx])))
+    # Python's complex abs: np.abs rounds some moduli to a neighbouring double
+    outside = h2[~_annihilator_mask(subgroup)].tolist()
+    kappa = max(map(abs, outside), default=0.0)
     bound = kappa * math.sqrt(f0.norm_sq() * f1.norm_sq())
     form = roth_form(f0, f1, f2)
     projected_form = roth_form(f0, f1, quotient_project(f2, subgroup))

@@ -9,8 +9,9 @@ so every orbit quantity here is computed in exact rational arithmetic.
 Observables come in two backends that must agree wherever both apply:
 trigonometric polynomials (CoefficientTable over character pairs, with
 integrals collapsed by orthogonality) and finite models on Z_q^d x Z_q^d
-(full summation, exact over integer or Fraction grids).  Quadrature is
-never used; that keeps inequality checks honest.
+(full summation over int, bool or Fraction grids, the only observables
+they take, so their integrals are exact).  Quadrature is never used;
+that keeps inequality checks honest.
 
 On top of the map sit the triple correlation averages: the unweighted
 limit average of x -> avg f . f o S^n . f o S^2n, its arithmetically
@@ -50,7 +51,7 @@ __all__ = [
     "weighted_average",
 ]
 
-Observable = Union[CoefficientTable, GridFunction, np.ndarray]
+Observable = Union[CoefficientTable, np.ndarray]
 
 
 def _unit(phase: Fraction) -> complex:
@@ -91,11 +92,13 @@ def _family_phase_powers(
 
 
 def _as_values(f: Observable) -> np.ndarray:
-    if isinstance(f, GridFunction):
-        return f.values
-    if isinstance(f, CoefficientTable):
-        raise TypeError("grid model needs grid values, not a coefficient table")
-    return np.asarray(f)
+    """The values of an exact grid observable: an int, bool or object array."""
+    if isinstance(f, (CoefficientTable, GridFunction)):
+        raise TypeError(f"a grid model needs an exact array, not a {type(f).__name__}")
+    values = np.asarray(f)
+    if not _is_exact_dtype(values):
+        raise TypeError(f"a grid model needs an int, bool or object array, not {values.dtype}")
+    return values
 
 
 def _is_exact_dtype(arr: np.ndarray) -> bool:
@@ -394,22 +397,18 @@ Model = Union[WeylSystem, RotationModel, GridWeylModel]
 # ---- observables ----
 
 
-def kronecker_projection(f: Observable, d: int | None = None) -> Observable:
+def kronecker_projection(f: Observable, d: int) -> Observable:
     """Average out the second coordinate block: f'(x) = integral of f(x, .).
 
     Trig polynomials drop every term whose y-frequency is nonzero; grid
-    observables average over the trailing block of axes.  Exact object
-    grids stay exact.  The split point d defaults to half the dimension.
+    arrays average over the axes from the split point d on.  Exact object
+    grids stay exact.
     """
-    arr = None if isinstance(f, (CoefficientTable, GridFunction)) else np.asarray(f)
+    arr = None if isinstance(f, CoefficientTable) else np.asarray(f)
     total = f.dim if arr is None else arr.ndim
-    if d is None:
-        if total % 2:
-            raise ValueError(f"odd dimension {total} needs an explicit split point d")
-        d = total // 2
     if not 1 <= d < total:
         raise ValueError(f"split point {d} outside 1..{total - 1}")
-    if isinstance(f, CoefficientTable):
+    if arr is None:
         out = CoefficientTable(d)
         for chi, coef in f:
             if any(chi.freq[d:]):
@@ -417,8 +416,6 @@ def kronecker_projection(f: Observable, d: int | None = None) -> Observable:
             kept = Character(chi.freq[:d])
             out[kept] = out[kept] + coef
         return out
-    if isinstance(f, GridFunction):
-        return GridFunction(d, f.q, f.values.mean(axis=tuple(range(d, f.dim))))
     axes = tuple(range(d, arr.ndim))
     if arr.dtype == object:
         return _exact_block_mean(arr, axes)
@@ -446,9 +443,10 @@ def trig_progression_form(table: CoefficientTable) -> complex:
 class AveragesTrace:
     """Running averages (N, value) at strictly increasing checkpoints.
 
-    Values are Fractions on the exact backends and floats otherwise;
-    closed_form, when present, is the projected progression form the
-    trace is converging toward (or being compared against).
+    Values are Fractions on the grid models and floats (or complex) on
+    the trig backend; closed_form, when present, is the projected
+    progression form the trace is converging toward (or being compared
+    against).
     """
 
     checkpoints: tuple[tuple[int, object], ...]
@@ -526,87 +524,51 @@ def _resolve_n_max(model: Model, n_max: int | None) -> int:
     return model.period
 
 
-def _is_leading_range(ns: Sequence[int]) -> bool:
-    """Whether ns is exactly 1, 2, ..., len(ns), with at least one entry."""
-    if isinstance(ns, range):
-        return len(ns) > 0 and ns == range(1, len(ns) + 1)
-    return bool(ns) and ns == list(range(1, len(ns) + 1))
+def triple_integrals(
+    model: Union[RotationModel, GridWeylModel], f: np.ndarray, n_values: Iterable[int]
+) -> list[Fraction]:
+    """The per-step integrals avg f . f o S^n . f o S^2n for each requested n, in order.
 
-
-def triple_integrals(model: Model, f: Observable, n_values: Iterable[int]) -> Sequence:
-    """The per-step integrals avg f . f o S^n . f o S^2n for each requested n.
-
-    On the trig backend every n must be at least 1: the closed-form
-    series over 1..max(n) is evaluated at the distinct requested n, and
-    the request 1..N (a range or the equal list) gets the series itself,
-    a complex ndarray.  Results are in request order.
-
-    On the grid models S^P is the identity for P = model.period, so the
-    integral depends only on r = n mod P, and the gathered arrays are
-    the same as at n; substituting x -> S^2n x also shows I(n) = I(-n).
-    Each distinct key is evaluated once: min(r, P - r) for exact
-    observables, r alone for float ones, whose sum the reflection would
-    reorder.  The observable is lifted and windowed once per call, so a
-    key costs two gathers of whole windows and one product.
+    Grid models only: the trig backend's integrals are
+    ``WeylSystem.correlation_series``.  S^P is the identity for
+    P = model.period, so the integral depends only on r = n mod P, and
+    the gathered arrays are the same as at n; substituting x -> S^2n x
+    also shows I(n) = I(-n).  Each distinct key min(r, P - r) is
+    evaluated once.  The observable is lifted and windowed once per
+    call, so a key costs two gathers of whole windows and one product.
     """
-    ns = n_values if isinstance(n_values, range) else [int(n) for n in n_values]
     if isinstance(model, WeylSystem):
-        if _is_leading_range(ns):
-            return model.correlation_series(f, len(ns))
-        if not ns:
-            return []
-        if min(ns) < 1:
-            raise ValueError(f"trig integrals start at n = 1, got n = {min(ns)}")
-        request = np.asarray(ns, dtype=np.int64)
-        at = np.unique(request)
-        return model.correlation_series(f, int(at[-1]), at=at)[np.searchsorted(at, request)]
-    if not ns:
-        return []
+        raise TypeError("the trig backend's integrals are WeylSystem.correlation_series")
     windows = _lifted_windows(model, f)
-    exact = _is_exact_dtype(windows.values)
     period = model.period
-    by_key: dict[int, object] = {}
+    by_key: dict[int, Fraction] = {}
     out = []
-    for n in ns:
-        key = n % period
-        if exact:
-            key = min(key, period - key)
+    for n in n_values:
+        key = int(n) % period
+        key = min(key, period - key)
         if key not in by_key:
-            by_key[key] = _triple_mean(model, windows, key, exact)
+            by_key[key] = _triple_mean(model, windows, key)
         out.append(by_key[key])
     return out
 
 
-def _lifted_windows(model: Union[RotationModel, GridWeylModel], f: Observable) -> _Windows:
+def _lifted_windows(model: Union[RotationModel, GridWeylModel], f: np.ndarray) -> _Windows:
     """The windows of f in the dtype its triple products are exact in.
 
     Every pullback permutes the entries of f, so one bound serves every
     product: integer and bool grids ride int64 when size * max|f|^3 < 2^62
-    and Python ints otherwise.  Object grids stay as they are, and float
-    grids keep their dtype.
+    and Python ints otherwise.  Object grids stay as they are.
     """
     values = _as_values(f)
-    if _is_exact_dtype(values) and values.dtype != object:
+    if values.dtype != object:
         values = values.astype(product_dtype(values.size, values, values, values), copy=False)
     return model._windows(values)
 
 
-def _triple_mean(model, windows: _Windows, n: int, exact: bool):
-    """avg f . (f o S^n) . (f o S^2n), exact products in the first gather's buffer.
-
-    Float factors are multiplied left to right into fresh arrays, each
-    factor held by a name: numpy rounds a complex product whose output
-    aliases an input (or that it computes into a temporary operand, with
-    the operands swapped) differently, and the mean must be the plain
-    product's, bit for bit.
-    """
+def _triple_mean(model, windows: _Windows, n: int) -> Fraction:
+    """avg f . (f o S^n) . (f o S^2n), the products in the first gather's buffer."""
     first = model.pullback_values(windows, n)
     second = model.pullback_values(windows, 2 * n)
-    if not exact:
-        prod = windows.values * first
-        prod = prod * second
-        mean = prod.mean()
-        return complex(mean) if np.iscomplexobj(prod) else float(mean)
     np.multiply(windows.values, first, out=first)
     first *= second
     total = first.sum()
@@ -715,8 +677,6 @@ def weighted_average(
     beta: TorusPoint | None = None,
     ell: int = 1,
     n_max: int | None = None,
-    checkpoints: Sequence[int] | None = None,
-    integrals: Sequence | None = None,
 ) -> AveragesTrace:
     """The running averages (1/N) sum_{n<=N} g(n^2 l^2 beta) avg f . f o S^n . f o S^2n.
 
@@ -724,17 +684,12 @@ def weighted_average(
     0 off it) evaluated by exact membership; g = None means the constant
     weight 1, which turns this into the plain correlation average; with a
     window, metadata["window_hits"] counts the n where it is nonzero.  On
-    grid models n_max may be omitted to mean one full period.  The
-    integrals argument lets a caller reuse a precomputed series when
-    sweeping many windows over the same observable; without it, a
-    windowed trig average evaluates the series only where g is on.
+    grid models n_max may be omitted to mean one full period.  Grid models
+    average their exact integrals in Fractions; the trig backend
+    evaluates its series only where g is on and sums it in floats.
     """
     n_max = _resolve_n_max(model, n_max)
-    marks = sorted({int(m) for m in checkpoints}) if checkpoints else _default_checkpoints(n_max)
-    if not marks or marks[0] < 1 or marks[-1] != n_max:
-        raise ValueError("checkpoints must be inside 1..n_max and end at n_max")
-    if integrals is not None and len(integrals) != n_max:
-        raise ValueError(f"expected {n_max} precomputed integrals, got {len(integrals)}")
+    marks = _default_checkpoints(n_max)
     hits = at = None
     weight = Fraction(1)
     if g is not None:
@@ -746,21 +701,15 @@ def weighted_average(
         weight = 1 / g.measure()
     # only the terms the window keeps enter the sums: zeros do not change
     # an exact sum, nor an fsum whose accumulator starts at +0.0
-    exact = False
-    if integrals is None and isinstance(model, WeylSystem):
-        terms = model.correlation_series(f, n_max, at=at)
-    else:
-        if integrals is None:
-            integrals = triple_integrals(model, f, range(1, n_max + 1))
-        exact = all(isinstance(v, Fraction) for v in integrals)
-        terms = integrals if at is None else list(compress(integrals, hits.tolist()))
     ends = marks if at is None else np.searchsorted(at, marks, side="right").tolist()
-    if exact:
-        points = _checkpoint_averages(terms, marks, ends, weight)
-    else:
-        series = np.asarray(terms, dtype=np.complex128)
+    if isinstance(model, WeylSystem):
+        series = model.correlation_series(f, n_max, at=at)
         w = float(weight)
         points = _float_checkpoint_averages(series.real * w, series.imag * w, marks, ends)
+    else:
+        integrals = triple_integrals(model, f, range(1, n_max + 1))
+        terms = integrals if at is None else list(compress(integrals, hits.tolist()))
+        points = _checkpoint_averages(terms, marks, ends, weight)
     meta = _model_metadata(model)
     meta["n_max"] = n_max
     if g is not None:
@@ -777,7 +726,7 @@ def weighted_average(
 
 def max_triple_intersection(
     model: Union[RotationModel, GridWeylModel],
-    mask: Observable,
+    mask: np.ndarray,
     steps: Iterable[int],
     n_max: int,
 ):

@@ -1,39 +1,43 @@
 """Reference code and fixture builders that only the tests call.
 
 Fixtures: the origin of a torus (``zero_point``), the trivial and full
-subgroups, subgroup membership and the join of two subgroups, n times a
-torus point, a random complex grid function, a certificate built from a
-list of members and the list of a certificate's members, and the
-inverse of ``bohr.set_to_json``.
+subgroups, canonical coset representatives and coset members, subgroup
+membership and the join of two subgroups, n times a torus point, a
+random complex grid function, a certificate built from a list of
+members and the list of a certificate's members, and the inverse of
+``bohr.set_to_json``.
 
 For weyl: the per-n loop that ``weyl.triple_integrals`` replaced on the
-grid models, with its mean of a product and the index-grid pullback
-that the window gather replaced; the trig pullback f o S^n and the
-pointwise triple integral by orthogonality, which
-``WeylSystem.correlation_series`` and every trig ``triple_integrals``
-request are checked against; the O(support^3) triple loop that the
-series replaced with a y-frequency index, with the per-family phase
-vector that shared orbit residues replaced; the float path of
-``weyl.weighted_average`` one Python complex term at a time; the grid
-model of a rational system, the unweighted average and the observable
-range check.  For torus and harmonic: the cylinders whose union is a
-Hamming ball, the value of a character and of a trig polynomial at a
-point, the sinc closed form of a cylinder coefficient, the uniformizing
-cylinder, the DFT by its definition and the inverse DFT, the spectrum
-table cell by cell, grid convolution and the Plancherel gap.  For
-roth: the progression form by its spectral identity, and the quotient
-projection as a Fourier mask onto the annihilator and as one
+grid models, with its mean of a product and the index-grid pullback that
+the window gather replaced; the trig pullback f o S^n and the pointwise
+triple integral by orthogonality, which
+``WeylSystem.correlation_series`` is checked against; the O(support^3)
+triple loop that the series replaced with a y-frequency index, with the
+per-family phase vector that shared orbit residues replaced; the trig
+path of ``weyl.weighted_average`` one Python complex term at a time; the
+grid model of a rational system, the unweighted average and the
+observable range check.  For torus and harmonic: the cylinders whose
+union is a Hamming ball, the value of a character and of a trig
+polynomial at a point, the sinc closed form of a cylinder coefficient,
+the uniformizing cylinder, the DFT by its definition and the inverse
+DFT, the spectrum table cell by cell, grid convolution and the
+Plancherel gap.  For roth: the progression form by its spectral
+identity, annihilator membership one frequency at a time, and the
+quotient projection as a Fourier mask onto the annihilator and as one
 whole-grid roll per subgroup element, the two oracles of the
-coset-average projection.  For the certificates: the band return
-bitset decided one n at a time, the rejection-sampling
-band-disjointness probe that ``certificates.sample_band_disjointness``
-replaced with direct draws from the band set, the band-measure probe,
-and the product bitset rebuilt from a certificate's recorded factors.  For the joinings: the points and visit counts of a
-decomposed orbit, its orbit and coset averages and the recount of its
-measure identity, the exact visit decomposition of a quadratic orbit,
-the weighted joining it projects to and the two-step projected closure
-that ``joinings.extract_affine_joining`` replaced with one projection,
-and the star kernel and its transform factor.
+coset-average projection.  For the certificates: the band return bitset
+decided one n at a time, the rejection-sampling band-disjointness probe
+that ``certificates.sample_band_disjointness`` replaced with direct
+draws from the band set, the band-measure probe, and the product bitset
+rebuilt from a certificate's recorded factors.  For the joinings: the
+points and visit counts of a decomposed orbit, its orbit and coset
+averages and the recount of its measure identity, the exact visit
+decomposition of a quadratic orbit, the weighted coset joining it
+projects to (the general affine joining, of which
+``joinings.AffineJoining`` keeps only the Haar measure) and the two-step
+projected closure that ``joinings.extract_affine_joining`` replaced with
+one projection, the star-zero certificate one coset at a time, and the
+star kernel and its transform factor.
 """
 
 from __future__ import annotations
@@ -59,9 +63,8 @@ from reclab.harmonic import (
     cylinder_coefficient_is_structural_zero,
     top_k_characters,
 )
-from reclab.joinings import AffineJoining, offset_projection
+from reclab.joinings import AffineJoining, offset_projection, root_of_unity_sum_is_zero
 from reclab.lattice import SubgroupModel
-from reclab.roth import annihilator_contains
 from reclab.torus import (
     ApproxHammingBall,
     Cylinder,
@@ -92,9 +95,31 @@ def full_subgroup(q: int, dim: int) -> SubgroupModel:
     return SubgroupModel.from_generators(q, dim, eye)
 
 
+def coset_representative(model: SubgroupModel, vec: Sequence[int]) -> tuple[int, ...]:
+    """The unique member of vec + subgroup inside the pivot box.
+
+    Reduction against the triangular basis lands every coset at one
+    point with 0 <= x[i] < basis[i][i], so representatives can be
+    compared for coset equality.
+    """
+    x = [int(a) % model.q for a in vec]
+    if len(x) != model.dim:
+        raise ValueError(f"vector width {len(x)} does not match dim {model.dim}")
+    for i, row in enumerate(model.basis):
+        t = x[i] // row[i]
+        if t:
+            x = [a - t * b for a, b in zip(x, row)]
+    return tuple(x)
+
+
+def coset_elements(model: SubgroupModel, rep: Sequence[int]) -> list[tuple[int, ...]]:
+    """The coset rep + subgroup: elements() shifted by rep, in that order."""
+    return [tuple((a + b) % model.q for a, b in zip(rep, s)) for s in model.elements()]
+
+
 def subgroup_contains(model: SubgroupModel, vec: Sequence[int]) -> bool:
     """Whether vec lies in the subgroup: its canonical coset representative is 0."""
-    return not any(model.coset_representative(vec))
+    return not any(coset_representative(model, vec))
 
 
 def subgroup_elements_by_loop(model: SubgroupModel) -> list[tuple[int, ...]]:
@@ -273,14 +298,14 @@ def grid_model_from_system(system: WeylSystem, q: int | None = None) -> GridWeyl
     return GridWeylModel(q, tuple(res))
 
 
-def l3_average(model, f, n_max: int | None = None, checkpoints: Sequence[int] | None = None):
+def l3_average(model, f, n_max: int | None = None):
     """The unweighted correlation average, with its closed form attached.
 
     Equivalent to weighted_average with the constant weight; on a grid
     model with generating rotation part and n_max one full period, the
     rotation-model value matches the closed form exactly.
     """
-    return weighted_average(model, f, n_max=n_max, checkpoints=checkpoints)
+    return weighted_average(model, f, n_max=n_max)
 
 
 @dataclass(frozen=True)
@@ -419,27 +444,18 @@ def float_checkpoint_averages_per_term(terms: Sequence, marks: Sequence[int]) ->
 
 
 def weighted_average_per_term(
-    model,
-    f,
+    system: WeylSystem,
+    f: CoefficientTable,
     g: Cylinder | None = None,
     beta: TorusPoint | None = None,
     ell: int = 1,
     n_max: int | None = None,
-    checkpoints: Sequence[int] | None = None,
-    integrals: Sequence | None = None,
 ) -> AveragesTrace:
-    """The float path of ``weyl.weighted_average``, one term complex(v) * w per n."""
-    n_max = weyl._resolve_n_max(model, n_max)
+    """The trig path of ``weyl.weighted_average``: the whole series, one term complex(v) * w per n."""
+    n_max = weyl._resolve_n_max(system, n_max)
     marks = weyl._default_checkpoints(n_max)
-    if checkpoints:
-        marks = sorted({int(m) for m in checkpoints})
-    if integrals is None:
-        if isinstance(model, WeylSystem):
-            integrals = list(model.correlation_series(f, n_max))
-        else:
-            integrals = triple_integrals_per_n(model, f, range(1, n_max + 1))
-    assert not all(isinstance(v, Fraction) for v in integrals), "exact integrals"
-    meta = weyl._model_metadata(model)
+    integrals = list(system.correlation_series(f, n_max))
+    meta = weyl._model_metadata(system)
     meta["n_max"] = n_max
     if g is None:
         terms = list(integrals)
@@ -455,7 +471,7 @@ def weighted_average_per_term(
         meta["window_hits"] = int(hits.sum())
     return AveragesTrace(
         checkpoints=tuple(float_checkpoint_averages_per_term(terms, marks)),
-        closed_form=weyl._closed_form(model, f),
+        closed_form=weyl._closed_form(system, f),
         metadata=meta,
     )
 
@@ -620,6 +636,16 @@ def roth_form_spectral(f0: GridFunction, f1: GridFunction, f2: GridFunction) -> 
     idx = np.indices(h1.shape)
     h1_at_minus_2n = h1[tuple((-2 * comp) % q for comp in idx)]
     return complex(np.sum(h0 * h1_at_minus_2n * h2))
+
+
+def annihilator_contains(subgroup: SubgroupModel, freq: Sequence[int]) -> bool:
+    """Whether the character with this frequency is trivial on the subgroup."""
+    if len(freq) != subgroup.dim:
+        raise ValueError("frequency width must match the subgroup ambient")
+    q = subgroup.q
+    return all(
+        sum(n * k for n, k in zip(freq, row)) % q == 0 for row in subgroup.basis
+    )
 
 
 def quotient_project_spectral(f: GridFunction, subgroup: SubgroupModel) -> GridFunction:
@@ -826,7 +852,7 @@ def quadratic_orbit_decomposition(
     classes: dict[tuple[int, ...], int] = defaultdict(int)
     class_sizes: Counter = Counter()
     for x in support:
-        rep = stabilizer.coset_representative(x)
+        rep = coset_representative(stabilizer, x)
         classes[rep] += counts[x]
         class_sizes[rep] += 1
     if any(size != order for size in class_sizes.values()):
@@ -855,13 +881,81 @@ def lift_orbit(
     return lifted[: len(linear)], lifted[len(linear) :], q
 
 
+@dataclass(frozen=True)
+class WeightedJoining:
+    """Weighted coset shifts of a base subgroup of Z_q^(d+r): the general affine joining.
+
+    The blocks are those of ``joinings.AffineJoining``, whose Haar
+    measure is the one-shift case.  Weights are positive rationals
+    summing to 1; shifts are stored as canonical coset representatives,
+    sorted, so equality is measure equality.
+    """
+
+    base: SubgroupModel
+    d: int
+    r: int
+    shifts: tuple[tuple[int, ...], ...]
+    weights: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        AffineJoining(self.base, self.d, self.r)  # the block checks
+        if len(self.shifts) != len(self.weights) or not self.shifts:
+            raise ValueError("need equally many shifts and weights, at least one")
+        canonical = tuple(coset_representative(self.base, s) for s in self.shifts)
+        weights = tuple(as_fraction(w) for w in self.weights)
+        if len(set(canonical)) != len(canonical):
+            raise ValueError("shifts name the same coset twice")
+        if any(w <= 0 for w in weights):
+            raise ValueError("weights must be positive")
+        if sum(weights, Fraction(0)) != 1:
+            raise ValueError("weights must sum to 1")
+        order = sorted(range(len(canonical)), key=lambda i: canonical[i])
+        object.__setattr__(self, "shifts", tuple(canonical[i] for i in order))
+        object.__setattr__(self, "weights", tuple(weights[i] for i in order))
+
+    @property
+    def q(self) -> int:
+        return self.base.q
+
+    @classmethod
+    def of(cls, joining: "AffineJoining | WeightedJoining") -> "WeightedJoining":
+        """A weighted joining as it is; a Haar joining as its one zero shift of weight 1."""
+        if isinstance(joining, WeightedJoining):
+            return joining
+        zero = (0,) * joining.base.dim
+        return cls(joining.base, joining.d, joining.r, (zero,), (Fraction(1),))
+
+
+def verify_star_zero_per_coset(
+    joining: "AffineJoining | WeightedJoining", freq: Sequence[int], cyl: Cylinder, scale: int
+) -> bool:
+    """Whether sum e(scale * freq . w1 / q) g(w2) is certifiably 0 on every coset.
+
+    One certificate per coset of the weighted joining; on a Haar joining,
+    one zero shift, it is the oracle of ``joinings._verify_star_zero``.
+    """
+    joining = WeightedJoining.of(joining)
+    q, d = joining.q, joining.d
+    grid = [Fraction(1, q)] * joining.r
+    value = 1 / cyl.measure()
+    step = np.array([scale * n % q for n in freq], dtype=np.int64)
+    for rep in joining.shifts:
+        w = np.array(coset_elements(joining.base, rep), dtype=np.int64)
+        inside = cyl.orbit_contains(grid, w[:, d:])
+        phases, counts = np.unique(w[inside, :d] @ step % q, return_counts=True)
+        masses = {t: c * value for t, c in zip(phases.tolist(), counts.tolist())}
+        if not root_of_unity_sum_is_zero(masses, q):
+            return False
+    return True
+
+
 def decomposition_joining(
     linear: Sequence[RationalLike],
     quadratic: Sequence[RationalLike],
     d: int,
     r: int,
     modulus: int | None = None,
-) -> AffineJoining:
+) -> WeightedJoining:
     """The orbit's exact visit decomposition projected to the (w1, w2) offsets.
 
     Refines joinings.extract_affine_joining, whose Haar measure on the
@@ -875,9 +969,9 @@ def decomposition_joining(
     )
     merged: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
     for rep, w in zip(dec.cosets, dec.weights):
-        merged[base.coset_representative(offset_projection(rep, d, r, q))] += w
+        merged[coset_representative(base, offset_projection(rep, d, r, q))] += w
     shifts = tuple(sorted(merged))
-    return AffineJoining(
+    return WeightedJoining(
         base=base, d=d, r=r, shifts=shifts, weights=tuple(merged[s] for s in shifts)
     )
 
@@ -917,7 +1011,7 @@ def coset_average(base: SubgroupModel, reps, weights, fn: Callable[[tuple[int, .
     """sum_j weights[j] * the average of fn over the coset reps[j] + base."""
     total = 0
     for rep, w in zip(reps, weights):
-        elems = base.coset_elements(rep)
+        elems = coset_elements(base, rep)
         total += w * (sum(fn(x) for x in elems) / len(elems))
     return total
 
@@ -940,7 +1034,7 @@ def verify_measure_identity(dec: OrbitDecomposition) -> bool:
     order = dec.stabilizer.order()
     seen: set[tuple[int, ...]] = set()
     for rep, w in zip(dec.cosets, dec.weights):
-        for x in dec.stabilizer.coset_elements(rep):
+        for x in coset_elements(dec.stabilizer, rep):
             if x in seen:
                 return False
             seen.add(x)
@@ -950,7 +1044,7 @@ def verify_measure_identity(dec: OrbitDecomposition) -> bool:
 
 
 def star_kernel(
-    f_values: np.ndarray, g_values: np.ndarray, joining: AffineJoining
+    f_values: np.ndarray, g_values: np.ndarray, joining: AffineJoining | WeightedJoining
 ) -> np.ndarray:
     """(f *_joining g)(x, y) = sum_j w_j avg_{(w1,w2)} f(x, y + 2*w1) g(w2).
 
@@ -958,6 +1052,7 @@ def star_kernel(
     r axes of length q.  Object arrays of Fractions stay exact; anything
     else accumulates in complex.
     """
+    joining = WeightedJoining.of(joining)
     d, r, q = joining.d, joining.r, joining.q
     f = np.asarray(f_values)
     g = np.asarray(g_values)
@@ -969,7 +1064,7 @@ def star_kernel(
     out = np.zeros(f.shape, dtype=object if exact else complex)
     y_axes = tuple(range(d, 2 * d))
     for rep, weight in zip(joining.shifts, joining.weights):
-        elems = joining.base.coset_elements(rep)
+        elems = coset_elements(joining.base, rep)
         scale = weight / len(elems) if exact else float(weight) / len(elems)
         for w in elems:
             w1, w2 = w[:d], w[d:]
@@ -982,19 +1077,20 @@ def star_kernel(
 
 
 def star_transform_factor(
-    joining: AffineJoining, psi: Character, g_values: np.ndarray
+    joining: AffineJoining | WeightedJoining, psi: Character, g_values: np.ndarray
 ) -> complex:
     """The factor multiplying every (chi, psi) coefficient under the kernel.
 
     Equals sum_j w_j avg_{(w1,w2)} e(2 * psi . w1 / q) * g(w2).
     """
+    joining = WeightedJoining.of(joining)
     d, q = joining.d, joining.q
     if psi.dim != d:
         raise ValueError("psi must act on the w1 block")
     g = np.asarray(g_values)
     total = 0j
     for rep, weight in zip(joining.shifts, joining.weights):
-        elems = joining.base.coset_elements(rep)
+        elems = coset_elements(joining.base, rep)
         acc = 0j
         for w in elems:
             ph = sum(2 * n * a for n, a in zip(psi.freq, w[:d])) % q

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reclab import joinings
 from reclab.harmonic import Character, CoefficientTable
 from reclab.joinings import (
     AffineJoining,
@@ -26,8 +27,10 @@ from reclab.lattice import SubgroupModel
 from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint
 
 from oracles import (
+    WeightedJoining,
     averaging_gap,
     coset_average,
+    coset_elements,
     decomposition_joining,
     evaluate_table,
     full_subgroup,
@@ -39,6 +42,7 @@ from oracles import (
     star_transform_factor,
     subgroup_contains,
     verify_measure_identity,
+    verify_star_zero_per_coset,
     visit_counts,
 )
 
@@ -158,7 +162,7 @@ def test_extraction_equal_frequencies_concentrate_on_diagonal():
     ex = extract_affine_joining(*diagonal_parts(), 1, 1)
     assert ex.q == 15
     assert ex.base == SubgroupModel.from_generators(15, 2, [[1, 1]])
-    assert ex.shifts == ((0, 0),) and ex.weights == (frac(1),)
+    assert (ex.d, ex.r) == (1, 1)
     assert verify_measure_identity(quadratic_orbit_decomposition(*lift_orbit(*diagonal_parts())))
 
 
@@ -169,7 +173,6 @@ def test_extraction_coprime_frequencies_group_is_full_product():
     assert ex.q == 35
     product = SubgroupModel.from_generators(35, 2, [[7, 0], [0, 5]])
     assert ex.base == product
-    assert ex.weights == (frac(1),)
     # offset marginals: w1 sweeps squares times alpha, w2 squares times beta
     dec = quadratic_orbit_decomposition(pair_embedding([7], [5], 1), quadratic_direction([7], [5]), 35)
     w_visits = {offset_projection(orbit_point(dec, n), 1, 1, 35) for n in range(35)}
@@ -180,9 +183,7 @@ def test_extraction_zero_quadratic_part_is_point_mass():
     lin = pair_embedding([frac(1, 3)], [frac(1, 5)], 1)
     ex = extract_affine_joining(lin, [0] * 5, 1, 1)
     assert ex.base.order() == 1
-    assert ex.shifts == ((0, 0),)
-    assert ex.weights == (frac(1),)
-    assert decomposition_joining(lin, [0] * 5, 1, 1) == ex
+    assert decomposition_joining(lin, [0] * 5, 1, 1) == WeightedJoining.of(ex)
 
     rng = np.random.default_rng(3)
     f = rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))
@@ -256,7 +257,7 @@ def test_extraction_base_is_projected_closure(orbit):
     lin, quad, d, r = orbit
     J = extract_affine_joining(lin, quad, d, r)
     assert J.base == projected_closure(lin, quad, d, r)
-    assert J.shifts == ((0,) * (d + r),) and J.weights == (frac(1),)
+    assert (J.d, J.r) == (d, r)
 
 
 @given(valid_orbits())
@@ -282,14 +283,22 @@ def test_offset_projection_needs_odd_modulus():
 
 def test_affine_joining_validation():
     base = SubgroupModel.from_generators(5, 2, [[1, 1]])
+    assert AffineJoining(base, 1, 1).q == 5
+    with pytest.raises(ValueError, match="nonempty"):
+        AffineJoining(base=base, d=2, r=0)
+    with pytest.raises(ValueError, match="d \\+ r"):
+        AffineJoining(base=base, d=1, r=2)
+    # the weighted coset form lives with the oracles and checks its weights
     with pytest.raises(ValueError, match="sum"):
-        AffineJoining(base=base, d=1, r=1, shifts=((0, 0),), weights=(frac(1, 2),))
+        WeightedJoining(base=base, d=1, r=1, shifts=((0, 0),), weights=(frac(1, 2),))
     with pytest.raises(ValueError, match="twice"):
-        AffineJoining(
+        WeightedJoining(
             base=base, d=1, r=1,
             shifts=((0, 0), (1, 1)),
             weights=(frac(1, 2), frac(1, 2)),
         )
+    with pytest.raises(ValueError, match="nonempty"):
+        WeightedJoining(base=base, d=2, r=0, shifts=((0, 0),), weights=(frac(1),))
 
 
 # ---- star kernel ----
@@ -375,7 +384,7 @@ def test_root_of_unity_zero_agrees_with_numeric(seed):
 
 def order_two_model():
     base = full_subgroup(6, 2)
-    return AffineJoining.haar(base, 1, 1)
+    return AffineJoining(base, 1, 1)
 
 
 def test_annihilate_order_two_character_full_product():
@@ -388,7 +397,7 @@ def test_annihilate_order_two_character_full_product():
     total = sum(
         cmath.exp(2j * cmath.pi * 3 * w[0] / 6)
         * float(cyl.normalized_value(TorusPoint.of([frac(w[1], 6)])))
-        for w in J.base.coset_elements(J.shifts[0])
+        for w in J.base.elements()
     )
     assert abs(total) < 1e-12
 
@@ -396,14 +405,14 @@ def test_annihilate_order_two_character_full_product():
 def test_annihilate_via_character_extension():
     # kernel trivial: the character must be pushed through the w2 marginal
     base = SubgroupModel.from_generators(6, 3, [[1, 1, 0], [0, 0, 1]])
-    J = AffineJoining.haar(base, 1, 2)
+    J = AffineJoining(base, 1, 2)
     ball = ball_on([0, frac(1, 6)], 1, frac(1, 5))
     cyl = annihilate_over_joining(ball, J, [Character((2,))])
     assert cyl.index_set == (2,)
     total = sum(
         cmath.exp(2j * cmath.pi * 2 * w[0] / 6)
         * float(cyl.normalized_value(TorusPoint.of([frac(w[1], 6), frac(w[2], 6)])))
-        for w in J.base.coset_elements(J.shifts[0])
+        for w in J.base.elements()
     )
     assert abs(total) < 1e-12
 
@@ -418,7 +427,7 @@ def test_annihilate_zero_characters_returns_subordinate_cylinder():
 
 def test_annihilate_rejects_character_trivial_on_joining():
     base = SubgroupModel.from_generators(6, 2, [[0, 1]])
-    J = AffineJoining.haar(base, 1, 1)
+    J = AffineJoining(base, 1, 1)
     ball = ball_on([0], 0, frac(1, 5))
     with pytest.raises(ValueError, match="vanishes on the joining"):
         annihilate_over_joining(ball, J, [Character((2,))])
@@ -434,29 +443,67 @@ def test_annihilate_rejects_grid_trivial_character():
 def test_annihilate_raises_when_not_certifiable():
     # sparse diagonal marginal: the windowed cylinder cannot cancel exactly
     base = SubgroupModel.from_generators(6, 3, [[1, 1, 1]])
-    J = AffineJoining.haar(base, 1, 2)
+    J = AffineJoining(base, 1, 2)
     ball = ball_on([0, 0], 1, frac(1, 6))
     with pytest.raises(ArithmeticError, match="not certifiably zero"):
         annihilate_over_joining(ball, J, [Character((2,))])
 
 
 def test_annihilate_holds_on_every_coset():
-    # a shifted coset joining: the certificate runs on each coset separately
+    # the cylinder built for the Haar joining of the base also annihilates on
+    # the shifted coset: the oracle's per-coset certificate holds on a
+    # two-coset weighted joining, and so does the float sum on each coset
     base = SubgroupModel.from_generators(6, 3, [[1, 1, 0], [0, 0, 2]])
-    J = AffineJoining(
+    ball = ball_on([0, frac(1, 6)], 1, frac(1, 5))
+    cyl = annihilate_over_joining(ball, AffineJoining(base, 1, 2), [Character((2,))])
+    J = WeightedJoining(
         base=base, d=1, r=2,
         shifts=((0, 0, 0), (0, 0, 1)),
         weights=(frac(1, 3), frac(2, 3)),
     )
-    ball = ball_on([0, frac(1, 6)], 1, frac(1, 5))
-    cyl = annihilate_over_joining(ball, J, [Character((2,))])
-    for j in range(2):
+    assert verify_star_zero_per_coset(J, (2,), cyl, 1)
+    for rep in J.shifts:
         total = sum(
             cmath.exp(2j * cmath.pi * 2 * w[0] / 6)
             * float(cyl.normalized_value(TorusPoint.of([frac(w[1], 6), frac(w[2], 6)])))
-            for w in J.base.coset_elements(J.shifts[j])
+            for w in coset_elements(J.base, rep)
         )
         assert abs(total) < 1e-12
+
+
+@st.composite
+def star_zero_cases(draw):
+    """A Haar joining with d = 1, a cylinder on its w2 block, a frequency and a scale."""
+    q = draw(st.sampled_from([3, 5, 6, 7, 9]))
+    r = draw(st.integers(1, 2))
+    vectors = st.lists(st.integers(0, q - 1), min_size=1 + r, max_size=1 + r)
+    base = SubgroupModel.from_generators(q, 1 + r, draw(st.lists(vectors, min_size=1, max_size=2)))
+    index_set = tuple(sorted(draw(st.sets(st.integers(1, r), min_size=1))))
+    center = TorusPoint.of([frac(draw(st.integers(0, 2 * q - 1)), 2 * q) for _ in range(r)])
+    eta = frac(draw(st.integers(1, q)), 2 * q + 1)
+    cyl = Cylinder(r, index_set, center, eta)
+    freq = (draw(st.integers(1, q - 1)),)
+    return AffineJoining(base, 1, r), freq, cyl, draw(st.sampled_from([1, 2]))
+
+
+@given(star_zero_cases())
+# one certified, and the sparse diagonal of test_annihilate_raises_when_not_certifiable
+@example((AffineJoining(SubgroupModel.from_generators(6, 3, [[1, 1, 0], [0, 0, 1]]), 1, 2),
+          (2,), Cylinder(2, (2,), TorusPoint.of([0, frac(1, 6)]), frac(1, 5)), 1))
+@example((AffineJoining(SubgroupModel.from_generators(6, 3, [[1, 1, 1]]), 1, 2),
+          (2,), Cylinder(2, (1,), TorusPoint.of([0, 0]), frac(1, 6)), 1))
+@settings(max_examples=120, deadline=None)
+def test_star_zero_on_the_haar_joining_matches_the_per_coset_loop(case):
+    # one pass over base.elements() certifies exactly what the loop over
+    # cosets did for the one zero shift of weight 1
+    J, freq, cyl, scale = case
+    try:
+        joinings._verify_star_zero(J, freq, cyl, scale)
+        certified = True
+    except ArithmeticError as exc:
+        assert "not certifiably zero" in str(exc)
+        certified = False
+    assert certified == verify_star_zero_per_coset(J, freq, cyl, scale)
 
 
 # ---- uniformization over a joining ----
@@ -465,7 +512,7 @@ def test_annihilate_holds_on_every_coset():
 def uniformize_fixture():
     q = 5
     base = SubgroupModel.from_generators(q, 4, [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    J = AffineJoining.haar(base, 1, 3)
+    J = AffineJoining(base, 1, 3)
     ball = ball_on([0, frac(1, 5), 0], 2, frac(3, 10))
     return q, J, ball
 
@@ -534,7 +581,7 @@ def test_uniformize_residual_bound_random_table():
 
 def test_uniformize_rejects_even_grid():
     base = full_subgroup(6, 3)
-    J = AffineJoining.haar(base, 1, 2)
+    J = AffineJoining(base, 1, 2)
     ball = ball_on([0, 0], 1, frac(1, 5))
     with pytest.raises(ValueError, match="even"):
         uniformize_over_joining(CoefficientTable(2), ball, J)

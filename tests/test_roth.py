@@ -13,7 +13,6 @@ from reclab import roth
 from reclab.harmonic import GridFunction
 from reclab.lattice import SubgroupModel
 from reclab.roth import (
-    annihilator_contains,
     product_dtype,
     quotient_gap_bound,
     quotient_project,
@@ -22,6 +21,7 @@ from reclab.roth import (
 )
 
 from oracles import (
+    annihilator_contains,
     full_subgroup,
     quotient_project_roll_loop,
     quotient_project_spectral,
@@ -323,6 +323,34 @@ def test_gap_bound_holds(seed):
     fs = [random_grid(2, 5, seed + 7 * i) for i in range(3)]
     report = quotient_gap_bound(*fs, K)
     assert report["gap"] <= report["bound"] + 1e-9
+
+
+@given(
+    q=st.integers(1, 12),
+    dim=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=60)
+def test_annihilator_mask_matches_the_per_frequency_oracle(q, dim, data):
+    vectors = st.lists(st.integers(-q, 2 * q), min_size=dim, max_size=dim)
+    K = SubgroupModel.from_generators(q, dim, data.draw(st.lists(vectors, max_size=3)))
+    mask = roth._annihilator_mask(K)
+    assert mask.shape == (q,) * dim and mask.dtype == bool
+    for idx in np.ndindex(*mask.shape):
+        assert mask[idx] == annihilator_contains(K, idx)
+
+
+@pytest.mark.parametrize("q, dim, gens", [(9, 2, [[0, 1]]), (15, 1, [[5]]), (5, 2, [[1, 0], [0, 1]]), (5, 2, [])])
+def test_gap_bound_kappa_is_the_largest_coefficient_outside_the_annihilator(q, dim, gens):
+    K = SubgroupModel.from_generators(q, dim, gens)
+    fs = [random_grid(dim, q, 40 + i) for i in range(3)]
+    h2 = fs[2].dft().values
+    kappa = 0.0
+    for idx in np.ndindex(*h2.shape):
+        if not annihilator_contains(K, idx):
+            kappa = max(kappa, abs(complex(h2[idx])))
+    # the same double as the loop over frequencies; 0.0 when K is trivial
+    assert repr(quotient_gap_bound(*fs, K)["kappa"]) == repr(kappa)
 
 
 def test_gap_bound_rejects_even_grid():

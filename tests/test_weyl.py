@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from reclab import weyl
 from reclab.experiments import _TRIG_BETA, _random_trig_table
-from reclab.harmonic import Character, CoefficientTable, annihilating_cylinder
+from reclab.harmonic import Character, CoefficientTable, GridFunction, annihilating_cylinder
 from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint, orbit_residues
 from reclab.weyl import (
     AveragesTrace,
@@ -194,7 +194,8 @@ def test_grid_and_trig_integrals_agree_without_aliasing():
             for i in range(7)
         ]
     )
-    for n, value in zip(range(0, 15), triple_integrals(model, values, range(0, 15))):
+    # a complex grid is no grid model observable; the per-n oracle takes it
+    for n, value in zip(range(0, 15), triple_integrals_per_n(model, values, range(0, 15))):
         assert abs(value - trig_triple_integral(system, table, n)) < 1e-12
 
 
@@ -296,11 +297,11 @@ def test_triple_integrals_driver_routes_agree():
     rng = random.Random(5)
     system = WeylSystem(TorusPoint.of([Fraction(3, 11)]))
     table = hermitian_table(rng, 2, [(1, 0), (0, 1)])
-    fast = triple_integrals(system, table, range(1, 13))
+    fast = system.correlation_series(table, 12)
     slow = [trig_triple_integral(system, table, n) for n in range(1, 13)]
     assert max(abs(a - b) for a, b in zip(fast, slow)) < 1e-10
-    reordered = triple_integrals(system, table, [4, 2, 9])
-    assert max(abs(a - trig_triple_integral(system, table, n)) for a, n in zip(reordered, [4, 2, 9])) < 1e-12
+    chosen = system.correlation_series(table, 9, at=np.array([2, 4, 9]))
+    assert max(abs(a - trig_triple_integral(system, table, n)) for a, n in zip(chosen, [2, 4, 9])) < 1e-12
 
 
 def random_table(rng, d, span, size):
@@ -482,8 +483,8 @@ def test_windowed_trig_average_matches_the_full_series_route(seed, n_max):
     g, beta = annihilating_cylinder(ball, []), TorusPoint.of(_TRIG_BETA[:5])
     kwargs = dict(g=g, beta=beta, n_max=n_max)
     got = weighted_average(system, table, **kwargs)
-    series = system.correlation_series(table, n_max)
-    full = weighted_average(system, table, integrals=series, **kwargs)
+    # the oracle sums the whole series over 1..n_max, one term per n
+    full = weighted_average_per_term(system, table, **kwargs)
     assert 0 < got.metadata["window_hits"] < n_max
     assert [repr(pt) for pt in got.checkpoints] == [repr(pt) for pt in full.checkpoints]
     assert got.to_csv() == full.to_csv() and got.metadata == full.metadata
@@ -511,24 +512,19 @@ def test_weighted_average_on_a_system_runs_one_series(monkeypatch):
     assert series.calls == 1
 
 
-def test_triple_integrals_routes_a_leading_range_or_list_to_the_series(monkeypatch):
+def test_triple_integrals_refer_the_trig_backend_to_its_series():
     rng = random.Random(9)
     system = WeylSystem(TorusPoint.of([Fraction(4, 13)]))
     table = hermitian_table(rng, 2, [(1, 0), (0, 1), (2, -1)])
+    with pytest.raises(TypeError, match="correlation_series"):
+        triple_integrals(system, table, range(1, 41))
+    # the series at the distinct n of a request, over 1..max(n), has the bits
+    # of the whole series there
     want = system.correlation_series(table, 40)
-    series = CallCounter(monkeypatch, WeylSystem, "correlation_series")
-    assert_same_bits(triple_integrals(system, table, range(1, 41)), want)
-    assert_same_bits(triple_integrals(system, table, list(range(1, 41))), want)
-    assert series.calls == 2
-    # any other request evaluates one series over 1..max(n) at its distinct n
     for ns in ([1, 2, 4], [2, 3], range(2, 10), range(1, 10, 2), [3, 2, 1], [40, 40]):
-        got = triple_integrals(system, table, ns)
-        assert_same_bits(got, want[np.asarray(ns) - 1])
-    assert series.calls == 2 + 6
-    assert triple_integrals(system, table, range(1, 1)) == []
-    for ns in ([0, 1], [3, -2]):
-        with pytest.raises(ValueError, match="start at n = 1"):
-            triple_integrals(system, table, ns)
+        at = np.unique(np.asarray(ns))
+        got = system.correlation_series(table, int(at[-1]), at=at)
+        assert_same_bits(got[np.searchsorted(at, ns)], want[np.asarray(ns) - 1])
 
 
 @given(
@@ -543,7 +539,8 @@ def test_triple_integrals_of_any_request_match_the_pointwise_oracle(den, seed, n
     rng = random.Random(seed)
     system = WeylSystem(TorusPoint.of([Fraction(rng.randrange(1, den), den)]))
     table = hermitian_table(rng, 2, [(1, 0), (0, 1), (1, -2), (2, 1)])
-    got = triple_integrals(system, table, ns)
+    at = np.unique(ns)
+    got = system.correlation_series(table, int(at[-1]), at=at)[np.searchsorted(at, ns)]
     assert len(got) == len(ns)
     for value, n in zip(got, ns):
         assert abs(value - trig_triple_integral(system, table, n)) < 1e-10
@@ -551,8 +548,7 @@ def test_triple_integrals_of_any_request_match_the_pointwise_oracle(den, seed, n
 
 # ---- one evaluation per distinct grid integral ----
 
-GRID_DTYPES = ("int64", "bool", "fraction", "wide", "float", "complex")
-EXACT_DTYPES = ("int64", "bool", "fraction", "wide")
+GRID_DTYPES = ("int64", "bool", "fraction", "wide")
 
 
 def grid_observable(rng, shape, dtype):
@@ -568,10 +564,6 @@ def grid_observable(rng, shape, dtype):
         # int64 entries whose cubes overflow, the int64 minimum among them: Python ints
         flat = np.array([rng.randint(-(2**40), 2**40) for _ in range(size)], dtype=np.int64)
         flat[rng.randrange(size)] = np.iinfo(np.int64).min
-    elif dtype == "float":
-        flat = np.array([rng.uniform(-1, 1) for _ in range(size)])
-    else:
-        flat = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(size)])
     return flat.reshape(shape)
 
 
@@ -607,14 +599,13 @@ def grid_models(draw):
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(model=GridWeylModel(5, (2,)), dtype="float", ns=[1, 2, 3, 4], seed=0)
-@example(model=GridWeylModel(3, (1, 2)), dtype="complex", ns=[2, -1, 2**64 + 1], seed=1)
+@example(model=GridWeylModel(5, (2,)), dtype="fraction", ns=[1, 2, 3, 4], seed=0)
+@example(model=GridWeylModel(3, (1, 2)), dtype="int64", ns=[2, -1, 2**64 + 1], seed=1)
 @example(model=GridWeylModel(4, (1,)), dtype="int64", ns=[1, 5, 9, 2**63 + 1], seed=2)
 @example(model=RotationModel(6, (2,)), dtype="fraction", ns=[5, -1, 2, 0], seed=3)
 @example(model=RotationModel(4, (2, 1)), dtype="wide", ns=[3, -7, 1], seed=4)
 @example(model=GridWeylModel(6, (3, 1)), dtype="bool", ns=[-5, 7, 2**63], seed=5)
-# a complex product computed in place into a factor rounds differently here
-@example(model=GridWeylModel(1, (0,)), dtype="complex", ns=[0, 0], seed=0)
+@example(model=GridWeylModel(1, (0,)), dtype="wide", ns=[0, 0], seed=0)
 @settings(max_examples=80)
 def test_triple_integrals_match_the_per_n_oracle_exactly(model, dtype, ns, seed):
     # repeats, n = 0 and an unsorted order on top of the drawn n
@@ -625,7 +616,7 @@ def test_triple_integrals_match_the_per_n_oracle_exactly(model, dtype, ns, seed)
     got = triple_integrals(model, f, ns)
     want = triple_integrals_per_n(model, f, ns)
     assert got == want
-    # repr pins the type and, for floats, every bit
+    # repr pins the type
     assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
@@ -653,7 +644,7 @@ def test_triple_integrals_evaluate_each_distinct_key_once(monkeypatch, model, dt
     # one key is one evaluation: the gathers at n and at 2n
     keys = calls[::2]
     assert calls[1::2] == [2 * n for n in keys]
-    assert len(keys) <= (period // 2 + 1 if dtype in EXACT_DTYPES else period)
+    assert len(keys) <= period // 2 + 1
     assert len(set(keys)) == len(keys)
 
 
@@ -667,6 +658,30 @@ def test_triple_integrals_lift_past_the_int64_bound_exactly(model):
     for m in (edge - 2, edge - 1, edge, edge + 1, edge * 7 // 5, 2**21, 2**40, -(2**40)):
         f = np.full(model.phase_space_shape, m, dtype=np.int64)
         assert triple_integrals(model, f, [1, -3]) == [Fraction(m**3)] * 2
+
+
+INEXACT_OBSERVABLES = {
+    "float": lambda shape: np.full(shape, 0.5),
+    "complex": lambda shape: np.full(shape, 0.5 + 0.5j),
+    "grid-function": lambda shape: GridFunction(len(shape), shape[0], np.ones(shape)),
+    "coefficient-table": lambda shape: CoefficientTable(len(shape)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INEXACT_OBSERVABLES))
+@pytest.mark.parametrize("model", [RotationModel(5, (2,)), GridWeylModel(3, (1,))],
+                         ids=["rotation", "weyl"])
+def test_grid_models_reject_inexact_observables(model, kind):
+    f = INEXACT_OBSERVABLES[kind](model.phase_space_shape)
+    with pytest.raises(TypeError, match="grid model needs"):
+        triple_integrals(model, f, [1, 2])
+    with pytest.raises(TypeError, match="grid model needs"):
+        max_triple_intersection(model, f, [1, 2], 2)
+    with pytest.raises(TypeError, match="grid model needs"):
+        weighted_average(model, f)
+    g = Cylinder(1, (1,), zero_point(1), Fraction(1, 4))
+    with pytest.raises(TypeError, match="grid model needs"):
+        weighted_average(model, f, g=g, beta=TorusPoint.of([Fraction(1, 7)]))
 
 
 # ---- finite models ----
@@ -739,7 +754,7 @@ def test_projection_kills_pure_second_coordinate_terms():
     table = CoefficientTable(2)
     table[Character((0, 1))] = 0.5
     table[Character((0, -1))] = 0.5
-    assert len(kronecker_projection(table)) == 0
+    assert len(kronecker_projection(table, 1)) == 0
 
 
 def test_projection_keeps_first_coordinate_terms():
@@ -747,7 +762,7 @@ def test_projection_keeps_first_coordinate_terms():
     table[Character((2, -1, 0, 0))] = 1.5j
     table[Character((0, 1, 0, 0))] = -0.25
     table[Character((0, 0, 1, 0))] = 9.0
-    projected = kronecker_projection(table)
+    projected = kronecker_projection(table, 2)
     assert projected.dim == 2
     assert projected[Character((2, -1))] == 1.5j
     assert projected[Character((0, 1))] == -0.25
@@ -756,21 +771,24 @@ def test_projection_keeps_first_coordinate_terms():
 
 def test_projection_grid_mean_oracle():
     grid = random_grid(2, 5, seed=3)
-    projected = kronecker_projection(grid)
-    assert projected.dim == 1 and projected.q == 5
-    assert np.max(np.abs(projected.values - grid.values.mean(axis=1))) < 1e-15
+    projected = kronecker_projection(grid.values, 1)
+    assert projected.shape == (5,)
+    assert np.max(np.abs(projected - grid.values.mean(axis=1))) < 1e-15
 
 
 def test_projection_exact_grid_stays_exact():
     values = np.array([[Fraction(i + j, 7) for j in range(3)] for i in range(3)], dtype=object)
-    projected = kronecker_projection(values)
+    projected = kronecker_projection(values, 1)
     assert list(projected) == [Fraction(i + 1, 7) for i in range(3)]
     assert all(isinstance(v, Fraction) for v in projected)
 
 
-def test_projection_rejects_odd_dimension_without_split():
-    with pytest.raises(ValueError):
-        kronecker_projection(np.zeros((2, 2, 2)))
+def test_projection_rejects_a_split_point_outside_the_axes():
+    for d in (0, 3):
+        with pytest.raises(ValueError, match="split point"):
+            kronecker_projection(np.zeros((2, 2, 2)), d)
+    with pytest.raises(ValueError, match="split point"):
+        kronecker_projection(CoefficientTable(2), 2)
     assert kronecker_projection(np.ones((2, 2, 2)), d=1).shape == (2,)
 
 
@@ -873,7 +891,7 @@ def test_trig_trace_converges_to_closed_form():
     assert trace.closed_form is not None
     assert abs(trace.gap) < 5e-3
     # the closed form is the progression form of the projection
-    direct = trig_progression_form(kronecker_projection(table))
+    direct = trig_progression_form(kronecker_projection(table, 1))
     assert abs(trace.closed_form - direct) < 1e-12
 
 
@@ -932,34 +950,19 @@ def test_full_period_weighted_average_brute_force():
     assert trace.value == total / q
 
 
-FLOAT_DTYPES = ("float", "complex")
-
-
 @st.composite
 def float_averaging_cases(draw):
-    """A model, a float observable and the n_max of one weighted_average call."""
-    kind = draw(st.sampled_from(["system", "rotation", "grid"]))
+    """A system, a trig polynomial and the n_max of one weighted_average call."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = random.Random(seed)
-    if kind == "system":
-        den = draw(st.sampled_from([3, 7, 16, 999999937]))
-        model = WeylSystem(TorusPoint.of([Fraction(rng.randrange(1, den), den)]))
-        if draw(st.booleans()):
-            f = hermitian_table(rng, 2, [(1, 0), (0, 1), (1, -2), (2, 1)])
-        else:
-            f = random_table(rng, 1, 3, draw(st.integers(1, 6)))
-        n_max = draw(st.integers(1, 400))
+    den = draw(st.sampled_from([3, 7, 16, 999999937]))
+    system = WeylSystem(TorusPoint.of([Fraction(rng.randrange(1, den), den)]))
+    if draw(st.booleans()):
+        f = hermitian_table(rng, 2, [(1, 0), (0, 1), (1, -2), (2, 1)])
     else:
-        if kind == "rotation":
-            d = draw(st.integers(1, 2))
-            q = draw(st.integers(2, 9))
-            model = RotationModel(q, tuple(rng.randrange(q) for _ in range(d)))
-        else:
-            q = draw(st.integers(2, 6))
-            model = GridWeylModel(q, (rng.randrange(q),))
-        f = grid_observable(rng, model.phase_space_shape, draw(st.sampled_from(FLOAT_DTYPES)))
-        n_max = draw(st.integers(1, 3 * model.period))
-    return model, f, n_max
+        f = random_table(rng, 1, 3, draw(st.integers(1, 6)))
+    n_max = draw(st.integers(1, 400))
+    return system, f, n_max
 
 
 WINDOWS = {
@@ -984,23 +987,14 @@ WINDOWS = {
     case=float_averaging_cases(),
     window=st.sampled_from(sorted(WINDOWS)),
     ell=st.integers(1, 3),
-    given_integrals=st.booleans(),
-    marks=st.lists(st.integers(1, 1200), max_size=6),
 )
 @settings(max_examples=120, deadline=None)
-def test_float_weighted_average_matches_the_per_term_oracle(
-    case, window, ell, given_integrals, marks
-):
-    model, f, n_max = case
+def test_float_weighted_average_matches_the_per_term_oracle(case, window, ell):
+    system, f, n_max = case
     g, beta = WINDOWS[window]
-    checkpoints = [m for m in marks if m < n_max] + [n_max] if marks else None
-    integrals = None
-    if given_integrals:
-        integrals = [complex(v) for v in triple_integrals(model, f, range(1, n_max + 1))]
-    kwargs = dict(g=g, beta=beta, ell=ell, n_max=n_max, checkpoints=checkpoints,
-                  integrals=integrals)
-    got = weighted_average(model, f, **kwargs)
-    want = weighted_average_per_term(model, f, **kwargs)
+    kwargs = dict(g=g, beta=beta, ell=ell, n_max=n_max)
+    got = weighted_average(system, f, **kwargs)
+    want = weighted_average_per_term(system, f, **kwargs)
     # repr pins every bit, the type (float or complex) and the sign of zero
     assert [repr(pt) for pt in got.checkpoints] == [repr(pt) for pt in want.checkpoints]
     assert repr(got.closed_form) == repr(want.closed_form)
@@ -1027,11 +1021,10 @@ def test_checkpoint_schedule_and_reuse():
     f = exact_grid(random.Random(3), (8,))
     trace = l3_average(model, f)
     assert [n for n, _ in trace.checkpoints] == [1, 2, 4, 8]
-    with pytest.raises(ValueError):
-        l3_average(model, f, checkpoints=[1, 3])
+    marks = [1, 2, 4, 8]
     ints = triple_integrals(model, f, range(1, 9))
-    again = weighted_average(model, f, integrals=ints)
-    assert again.checkpoints == trace.checkpoints
+    again = weyl._checkpoint_averages(ints, marks, marks, Fraction(1))
+    assert tuple(again) == trace.checkpoints
 
 
 def test_float_checkpoints_round_each_segment_onto_the_previous_checkpoint():
@@ -1055,19 +1048,19 @@ def test_exact_checkpoints_match_the_fraction_sum(integrals, window, ell, data):
     n_max = len(integrals)
     marks = data.draw(st.lists(st.integers(1, n_max), max_size=6)) + [n_max]
     g, beta = WINDOWS[window]
-    model = RotationModel(5, (1,))
-    f = np.ones(5, dtype=np.int64)
-    trace = weighted_average(
-        model, f, g=g, beta=beta, ell=ell, n_max=n_max, checkpoints=marks, integrals=integrals
-    )
-    terms = integrals
+    marks = sorted(set(marks))
+    # the kept terms and the ends of the marks among them, as weighted_average forms them
+    kept, ends, weight, terms = integrals, marks, Fraction(1), integrals
     if g is not None:
         hits = g.orbit_contains([ell**2 * b for b in beta.coords], np.arange(1, n_max + 1), 2)
-        terms = [v / g.measure() if hit else Fraction(0) for hit, v in zip(hits.tolist(), integrals)]
-        assert trace.metadata["window_hits"] == int(hits.sum())
-    want = checkpoint_averages_by_fraction_sum(terms, sorted(set(marks)))
-    assert trace.checkpoints == tuple(want)
-    assert all(type(v) is Fraction for _, v in trace.checkpoints)
+        at = np.flatnonzero(hits) + 1
+        kept = [v for hit, v in zip(hits.tolist(), integrals) if hit]
+        ends = np.searchsorted(at, marks, side="right").tolist()
+        weight = 1 / g.measure()
+        terms = [v * weight if hit else Fraction(0) for hit, v in zip(hits.tolist(), integrals)]
+    got = weyl._checkpoint_averages(kept, marks, ends, weight)
+    assert got == checkpoint_averages_by_fraction_sum(terms, marks)
+    assert all(type(v) is Fraction for _, v in got)
 
 
 def test_trace_validation_and_csv():
