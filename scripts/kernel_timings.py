@@ -13,6 +13,8 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
 - ``WeylSystem.correlation_series`` at N = 100000 on the trig polynomial
   of a ``main_inequality`` trig run at config seed 7 (13 zero-drift
   families), over all of 1..N and at the n where that run's window is on;
+- one windowed ``weighted_average`` of that polynomial at N = 2000000,
+  and its tracemalloc peak in MiB (one traced run, after the timings);
 - ``band_return_bitset`` at N = 200000 with the band witness of a
   default ``theorem_stage`` run (k = 1, eta = 1/8) on each of its three
   stage frequencies, and on one frequency whose period 1009 * 997 is
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 import platform
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -57,16 +60,14 @@ def complex_grid(q: int, d: int, seed: int) -> GridFunction:
     return GridFunction(d, q, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def trig_window_case(seed: int, n_max: int):
-    """The system, polynomial and window hits of a default trig run at config seed ``seed``."""
+def trig_window_case(seed: int):
+    """The system, polynomial, window and beta of a default trig run at config seed ``seed``."""
     alpha = experiments._parse_value({"convergent": "sqrt2"}, experiments._VALUE, "alpha")
     system = weyl.WeylSystem(TorusPoint.of([alpha]))
     table, _ = experiments._random_trig_table(6, seed)
     ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * 5), 4, Fraction(1, 8))
     window = annihilating_cylinder(ball, [])
-    beta = experiments._TRIG_BETA[:5]
-    at = np.flatnonzero(window.orbit_contains(beta, np.arange(1, n_max + 1), 2)) + 1
-    return system, table, at
+    return system, table, window, TorusPoint.of(experiments._TRIG_BETA[:5])
 
 
 def main() -> None:
@@ -96,12 +97,22 @@ def main() -> None:
     )
 
     n_max = 100_000
-    system, table, at = trig_window_case(7, n_max)
+    system, table, window, beta = trig_window_case(7)
+    at = np.flatnonzero(window.orbit_contains(beta.coords, np.arange(1, n_max + 1), 2)) + 1
     out["correlation_series_1e5_full_s"] = best_of(lambda: system.correlation_series(table, n_max))
     out["correlation_series_1e5_hits_s"] = best_of(
         lambda: system.correlation_series(table, n_max, at=at)
     )
     out["correlation_series_1e5_hits"] = len(at)
+
+    def average():
+        return weyl.weighted_average(system, table, g=window, beta=beta, n_max=2_000_000)
+
+    out["trig_average_2e6_s"] = best_of(average)
+    tracemalloc.start()
+    average()
+    out["trig_average_2e6_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
 
     n_max = 200_000
     witness, ball, _ = build_band_witness(1, Fraction(1, 8))

@@ -42,9 +42,9 @@ from .certificates import (
 from .experiments import (
     ExperimentConfig,
     ExperimentError,
-    PERIOD_CAP,
     PHASE_CAP,
     REFUTED,
+    TRIG_HORIZON_CAP,
     TRIG_MODES_CAP,
     list_experiments,
     parse_entry,
@@ -241,8 +241,8 @@ def main_weyl(argv: Sequence[str] | None = None) -> int:
         parser.error(f"expected {args.r} beta coordinates, got {len(args.freq_beta)}")
     if not 0 <= args.k < args.r:
         parser.error(f"need 0 <= k < r, got k={args.k}, r={args.r}")
-    if not 1 <= args.N <= PERIOD_CAP:
-        parser.error(f"--N: {args.N} is outside [1, {PERIOD_CAP}]")
+    if not 1 <= args.N <= TRIG_HORIZON_CAP:
+        parser.error(f"--N: {args.N} is outside [1, {TRIG_HORIZON_CAP}]")
     if not 0 < args.eta <= Fraction(1, 2):
         parser.error(f"--eta: {args.eta} is outside (0, 1/2]")
     try:

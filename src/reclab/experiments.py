@@ -69,8 +69,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 REPORT_NAME = "report.json"
 TIMINGS_NAME = "timings.json"
 
-#: longest horizon a main_inequality run walks: the grid's joint period or the trig N
+#: longest joint period (or explicit n_max) a grid main_inequality run walks
 PERIOD_CAP = 2_000_000
+#: longest trig horizon N: the trig average streams 1..N in blocks, so memory stays flat
+TRIG_HORIZON_CAP = 10**8
 #: most cells (q^d) of a phase space a pipeline allocates
 PHASE_CAP = 2**22
 #: most random modes (conjugate pairs) of a trig main_inequality observable
@@ -249,7 +251,7 @@ _SCHEMA: dict[str, tuple[Param, ...]] = {
         Param("alpha", "value", {"convergent": "sqrt2"}),
         Param("beta", "list", None, of=_VALUE),
         Param("battery", "int", 6, "[1, 16]"),
-        Param("N", "int", 100_000, f"[1000, {PERIOD_CAP}]"),
+        Param("N", "int", 100_000, f"[1000, {TRIG_HORIZON_CAP}]"),
         Param("modes", "int", 6, f"[1, {TRIG_MODES_CAP}]"),
         Param("tolerance", "rational", "0", "[0, inf)"),
     ),

@@ -237,16 +237,16 @@ def _phase(freq: Sequence[int], block: Sequence[int], q: int, scale: int = 1) ->
 
 
 def _verify_star_zero(
-    joining: AffineJoining, freq: Sequence[int], cyl: Cylinder, scale: int
+    inside: np.ndarray, q: int, freq: Sequence[int], cyl: Cylinder, scale: int
 ) -> None:
-    """Certify that the sum over the base of e(scale * freq . w1 / q) g(w2) is 0."""
-    q, d = joining.q, joining.d
-    grid = [Fraction(1, q)] * joining.r
-    value = 1 / cyl.measure()
+    """Certify that the sum over the base of e(scale * freq . w1 / q) g(w2) is 0.
+
+    ``inside`` holds the w1 blocks (int64) of the base elements whose w2
+    block lies in the cylinder, the only ones where g is nonzero.
+    """
     step = np.array([scale * n % q for n in freq], dtype=np.int64)
-    w = np.array(joining.base.elements(), dtype=np.int64)
-    inside = cyl.orbit_contains(grid, w[:, d:])
-    phases, counts = np.unique(w[inside, :d] @ step % q, return_counts=True)
+    phases, counts = np.unique(inside @ step % q, return_counts=True)
+    value = 1 / cyl.measure()
     masses = {t: c * value for t, c in zip(phases.tolist(), counts.tolist())}
     if not root_of_unity_sum_is_zero(masses, q):
         raise ArithmeticError(
@@ -280,13 +280,13 @@ def annihilate_over_joining(
         if all((scale * n) % q == 0 for n in chi.freq):
             raise ValueError(f"character {chi.freq} is trivial on the grid Z_{q}")
 
-    base_elems = joining.base.elements()
-    kernel = [w for w in base_elems if not any(w[d:])]
+    w = np.array(joining.base.elements(), dtype=np.int64)
+    kernel = w[~w[:, d:].any(axis=1), :d].tolist()
     basis_rows = [tuple(a % q for a in row) for row in joining.base.basis]
 
     needed: dict[tuple[int, ...], Character] = {}
     for chi in chars:
-        if any(_phase(chi.freq, w[:d], q, scale) for w in kernel):
+        if any(_phase(chi.freq, w1, q, scale) for w1 in kernel):
             continue
         phases = [_phase(chi.freq, row[:d], q, scale) for row in basis_rows]
         if not any(phases):
@@ -305,8 +305,9 @@ def annihilate_over_joining(
         needed[ext.freq] = ext
 
     cyl = annihilating_cylinder(ball, list(needed.values()))
+    inside = w[cyl.orbit_contains([Fraction(1, q)] * r, w[:, d:]), :d]
     for chi in chars:
-        _verify_star_zero(joining, chi.freq, cyl, scale)
+        _verify_star_zero(inside, q, chi.freq, cyl, scale)
     return cyl
 
 

@@ -30,8 +30,11 @@ import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 
-#: orbit scans over [1, N] pass this many multipliers at a time to the kernel
-SCAN_BLOCK = 1 << 16
+#: orbit scans over [1, N] pass this many multipliers at a time to the kernel;
+#: the trig weighted average also evaluates its series and folds its sums
+#: one such block at a time, so every power-of-two checkpoint from 2^14 up
+#: ends a block
+SCAN_BLOCK = 1 << 14
 
 
 def as_fraction(value: RationalLike) -> Fraction:

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .harmonic import Character, CoefficientTable, GridFunction
 from .roth import product_dtype, roth_form, roth_form_exact
-from .torus import Cylinder, TorusPoint, orbit_residues, wrap_unit
+from .torus import Cylinder, TorusPoint, orbit_residues, scan_blocks, wrap_unit
 
 __all__ = [
     "AveragesTrace",
@@ -135,23 +135,12 @@ class WeylSystem:
     ) -> np.ndarray:
         """The vector of triple integrals for n = 1..n_max, or at the n in ``at``, in one pass.
 
-        Matching frequency triples split by the drift mu_1 + 2 mu_2 of
-        the x-cancellation condition: zero drift gives a family active
-        at every n with phase a n + b n^2, anything else is satisfied by
-        at most one n.  The cost is O(support^3 + len(at) * families),
-        which is what makes million-step traces affordable; n mod L and
-        n^2 mod L are computed once for all families, L the lcm of their
-        denominators.
-
-        ``at`` is a strictly increasing integer vector inside 1..n_max
-        (default all of it); entry i of the result has the bits of entry
-        at[i] - 1 of the series over 1..n_max.
+        The series of ``series_plan(table, n_max)`` evaluated at ``at``, a
+        strictly increasing integer vector inside 1..n_max (default all
+        of it); entry i of the result has the bits of entry at[i] - 1 of
+        the series over 1..n_max.
         """
-        d = self.dim
-        if table.dim != 2 * d:
-            raise ValueError(f"table dimension {table.dim} is not twice the system dim {d}")
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        plan = self.series_plan(table, n_max)
         if at is None:
             ns = np.arange(1, n_max + 1, dtype=np.int64)
         else:
@@ -160,14 +149,28 @@ class WeylSystem:
                 ns[0] < 1 or ns[-1] > n_max or np.any(ns[1:] <= ns[:-1])
             ):
                 raise ValueError("at must be strictly increasing inside 1..n_max")
+        return plan.evaluate(ns)
+
+    def series_plan(self, table: CoefficientTable, n_max: int) -> "_SeriesPlan":
+        """The matching frequency triples of the series over 1..n_max, enumerated once.
+
+        Matching triples split by the drift mu_1 + 2 mu_2 of the
+        x-cancellation condition: zero drift gives a family active at
+        every n with phase a n + b n^2, anything else is satisfied by at
+        most one n.  Enumeration costs O(support^3); evaluating the plan
+        costs O(len(ns) * distinct (a, b) + families) per block of n.
+        """
+        d = self.dim
+        if table.dim != 2 * d:
+            raise ValueError(f"table dimension {table.dim} is not twice the system dim {d}")
+        if n_max < 1:
+            raise ValueError("n_max must be >= 1")
         entries = [(chi.freq[:d], chi.freq[d:], coef) for chi, coef in table]
         by_mu: dict[tuple[int, ...], list] = {}
         for entry in entries:
             by_mu.setdefault(entry[1], []).append(entry)
         alpha = self.alpha.coords
-        # contributing triples in loop order, as (coefficient, a, b, hit, position
-        # of the hit in ns); a family active at every n has hit 0
-        triples = []
+        terms = []
         for nu0, mu0, c0 in entries:
             for nu1, mu1, c1 in entries:
                 # the y-frequencies must cancel: only mu_2 = -(mu_0 + mu_1) can match
@@ -175,7 +178,7 @@ class WeylSystem:
                 for nu2, mu2, c2 in partners:
                     base = tuple(a + b + c for a, b, c in zip(nu0, nu1, nu2))
                     drift = tuple(b + 2 * c for b, c in zip(mu1, mu2))
-                    hit = pos = 0
+                    hit = 0
                     if not any(drift):
                         if any(base):
                             continue
@@ -183,26 +186,57 @@ class WeylSystem:
                         hit = _drift_hit(base, drift)
                         if not 1 <= hit <= n_max:
                             continue
-                        pos = int(np.searchsorted(ns, hit))
-                        if pos == len(ns) or ns[pos] != hit:
-                            continue
                     lin, quad = _series_phases(nu1, nu2, mu1, mu2, alpha)
-                    triples.append((c0 * c1 * c2, lin, quad, hit, pos))
+                    coef = c0 * c1 * c2
+                    if hit:
+                        terms.append((hit, coef * _unit(hit * lin + hit * hit * quad), None))
+                    else:
+                        terms.append((0, coef, (wrap_unit(lin), wrap_unit(quad))))
+        dens = [x.denominator for hit, _, key in terms if not hit for x in key]
+        return _SeriesPlan(n_max, tuple(terms), math.lcm(*dens) if dens else 0)
+
+
+@dataclass(frozen=True)
+class _SeriesPlan:
+    """The contributing triples of a correlation series over 1..n_max, in loop order.
+
+    A drift triple is (hit, its term at n = hit, None); a family active
+    at every n is (0, coefficient, (a, b)), with a and b reduced mod 1.
+    ``modulus`` is L, the lcm of the families' denominators (0 when there
+    is no family).
+    """
+
+    n_max: int
+    terms: tuple[tuple[int, complex, tuple[Fraction, Fraction] | None], ...]
+    modulus: int
+
+    def evaluate(self, ns: np.ndarray) -> np.ndarray:
+        """The series at ns, a strictly increasing int64 vector inside 1..n_max.
+
+        Entry i has the bits of entry ns[i] - 1 of the series over
+        1..n_max: the terms are added in loop order, and the operand
+        order of each family's product depends on n_max alone.  n mod L
+        and n^2 mod L are computed once, and the phase vector once per
+        distinct (a, b).
+        """
         out = np.zeros(len(ns), dtype=complex)
-        dens = [x.denominator for _, lin, quad, hit, _ in triples if not hit for x in (lin, quad)]
-        if dens:
-            modulus = math.lcm(*dens)
-            r1 = orbit_residues(ns, 1, 1, modulus)
-            r2 = orbit_residues(ns, 2, 1, modulus)
-        for coef, lin, quad, hit, pos in triples:
+        if not len(ns):
+            return out
+        if self.modulus:
+            r1 = orbit_residues(ns, 1, 1, self.modulus)
+            r2 = orbit_residues(ns, 2, 1, self.modulus)
+        elided = self.n_max >= ELIDED_PRODUCT_TERMS
+        phases: dict[tuple[Fraction, Fraction], np.ndarray] = {}
+        for hit, coef, key in self.terms:
             if hit:
-                out[pos] += coef * _unit(hit * lin + hit * hit * quad)
+                pos = int(np.searchsorted(ns, hit))
+                if pos < len(ns) and ns[pos] == hit:
+                    out[pos] += coef
                 continue
-            powers = _family_phase_powers(lin, quad, r1, r2, modulus)
-            if n_max >= ELIDED_PRODUCT_TERMS:
-                out += np.multiply(powers, coef)
-            else:
-                out += np.multiply(coef, powers)
+            if key not in phases:
+                phases[key] = _family_phase_powers(*key, r1, r2, self.modulus)
+            powers = phases[key]
+            out += np.multiply(powers, coef) if elided else np.multiply(coef, powers)
         return out
 
 
@@ -595,29 +629,78 @@ def _checkpoint_averages(
     return out
 
 
-def _float_checkpoint_averages(
-    re: np.ndarray, im: np.ndarray, marks: Sequence[int], ends: Sequence[int]
-) -> list[tuple[int, object]]:
-    """Running means of re + i im, summed up to each end and divided by its mark.
+def _fsum_expansion(terms: list[float]) -> list[float]:
+    """Floats whose exact sum is the exact sum of terms, by repeated fsum.
+
+    Each part is the fsum of the terms less the parts so far, so no
+    earlier rounding is lost: fsum([acc] + _fsum_expansion(a) + b) is
+    fsum([acc] + a + b).  A sum that is exactly zero gives [].
+    """
+    parts: list[float] = []
+    while part := math.fsum(terms + [-p for p in parts]):
+        parts.append(part)
+    return parts
+
+
+class _FloatCheckpoints:
+    """Running means of re + i im at each mark, folded in one block of n at a time.
 
     Each checkpoint is one fsum of the previous checkpoint's sum, already
-    rounded, and the new segment's terms: correctly rounded for those
-    operands, not for all terms so far.  Terms 1e16, 1, 1 with marks 2
-    and 3 sum to 1e16 at mark 3, where the correctly rounded total is
-    1e16 + 2.
+    rounded, and the terms since: correctly rounded for those operands,
+    not for all terms so far (terms 1e16, 1, 1 with marks 2 and 3 sum to
+    1e16 at mark 3, where the correctly rounded total is 1e16 + 2).  The
+    earlier blocks of a segment that spans blocks wait in ``pending_re``
+    and ``pending_im`` as their exact fsum expansions, a few floats each,
+    so every checkpoint has the bits of one fsum over the whole segment.
     """
-    acc_re, acc_im = 0.0, 0.0
-    prev = 0
-    out = []
-    for mark, end in zip(marks, ends):
-        acc_re = math.fsum([acc_re] + re[prev:end].tolist())
-        acc_im = math.fsum([acc_im] + im[prev:end].tolist())
-        prev = end
-        if abs(acc_im) <= 1e-9 * max(1.0, abs(acc_re)):
-            out.append((mark, acc_re / mark))
-        else:
-            out.append((mark, complex(acc_re, acc_im) / mark))
-    return out
+
+    def __init__(self, marks: Sequence[int]) -> None:
+        self.marks = list(marks)
+        self.points: list[tuple[int, object]] = []
+        self.acc_re = self.acc_im = 0.0
+        self.pending_re: list[float] = []
+        self.pending_im: list[float] = []
+
+    def add(self, last: int, ns: np.ndarray, re: np.ndarray, im: np.ndarray) -> None:
+        """Fold in the terms re + i im at the increasing n in ns, a block ending at n = last."""
+        re, im = re.tolist(), im.tolist()
+        cut = 0
+        while len(self.points) < len(self.marks) and self.marks[len(self.points)] <= last:
+            mark = self.marks[len(self.points)]
+            end = int(np.searchsorted(ns, mark, side="right"))
+            self.acc_re = math.fsum([self.acc_re] + self.pending_re + re[cut:end])
+            self.acc_im = math.fsum([self.acc_im] + self.pending_im + im[cut:end])
+            self.pending_re, self.pending_im = [], []
+            cut = end
+            if abs(self.acc_im) <= 1e-9 * max(1.0, abs(self.acc_re)):
+                self.points.append((mark, self.acc_re / mark))
+            else:
+                self.points.append((mark, complex(self.acc_re, self.acc_im) / mark))
+        if cut < len(re):
+            self.pending_re += _fsum_expansion(re[cut:])
+            self.pending_im += _fsum_expansion(im[cut:])
+
+
+def _trig_checkpoint_averages(
+    plan: _SeriesPlan, g: Cylinder | None, beta: list | None, weight: float, marks: Sequence[int]
+) -> tuple[list[tuple[int, object]], int]:
+    """The float checkpoints of the windowed series and the window's hit count.
+
+    Walks 1..n_max in scan blocks: the window, the series at its hits
+    and the weighted terms are formed one block at a time, so nothing of
+    the horizon's size is held.  Only the terms the window keeps enter
+    the sums: zeros do not change an fsum whose accumulator starts at +0.0.
+    """
+    sums = _FloatCheckpoints(marks)
+    hits = 0
+    for ns in scan_blocks(1, plan.n_max + 1):
+        last = int(ns[-1])
+        if g is not None:
+            ns = ns[g.orbit_contains(beta, ns, 2)]
+            hits += len(ns)
+        series = plan.evaluate(ns)
+        sums.add(last, ns, series.real * weight, series.imag * weight)
+    return sums.points, hits
 
 
 def _closed_form(model: Model, f: Observable):
@@ -685,30 +768,32 @@ def weighted_average(
     weight 1, which turns this into the plain correlation average; with a
     window, metadata["window_hits"] counts the n where it is nonzero.  On
     grid models n_max may be omitted to mean one full period.  Grid models
-    average their exact integrals in Fractions; the trig backend
-    evaluates its series only where g is on and sums it in floats.
+    average their exact integrals in Fractions.  The trig backend plans
+    its series once, then walks 1..n_max in blocks of ``torus.SCAN_BLOCK``:
+    it evaluates the series only where g is on and folds the terms into
+    float sums with the bits of one pass over the whole horizon, so its
+    memory does not grow with n_max.
     """
     n_max = _resolve_n_max(model, n_max)
     marks = _default_checkpoints(n_max)
-    hits = at = None
-    weight = Fraction(1)
+    weight, scaled_beta = Fraction(1), None
     if g is not None:
         if beta is None:
             raise ValueError("a cylinder weight needs its frequency beta")
-        scale = int(ell) ** 2
-        hits = g.orbit_contains([scale * b for b in beta.coords], np.arange(1, n_max + 1), 2)
-        at = np.flatnonzero(hits) + 1
+        scaled_beta = [int(ell) ** 2 * b for b in beta.coords]
         weight = 1 / g.measure()
-    # only the terms the window keeps enter the sums: zeros do not change
-    # an exact sum, nor an fsum whose accumulator starts at +0.0
-    ends = marks if at is None else np.searchsorted(at, marks, side="right").tolist()
     if isinstance(model, WeylSystem):
-        series = model.correlation_series(f, n_max, at=at)
-        w = float(weight)
-        points = _float_checkpoint_averages(series.real * w, series.imag * w, marks, ends)
+        plan = model.series_plan(f, n_max)
+        points, hits = _trig_checkpoint_averages(plan, g, scaled_beta, float(weight), marks)
     else:
         integrals = triple_integrals(model, f, range(1, n_max + 1))
-        terms = integrals if at is None else list(compress(integrals, hits.tolist()))
+        terms, ends = integrals, marks
+        if g is not None:
+            on = g.orbit_contains(scaled_beta, np.arange(1, n_max + 1), 2)
+            # only the terms the window keeps enter the sums: zeros do not change an exact sum
+            terms = list(compress(integrals, on.tolist()))
+            ends = np.searchsorted(np.flatnonzero(on) + 1, marks, side="right").tolist()
+            hits = len(terms)
         points = _checkpoint_averages(terms, marks, ends, weight)
     meta = _model_metadata(model)
     meta["n_max"] = n_max
@@ -716,7 +801,7 @@ def weighted_average(
         meta["weight_measure"] = str(g.measure())
         meta["ell"] = int(ell)
         meta["beta"] = beta.to_json()
-        meta["window_hits"] = len(at)
+        meta["window_hits"] = hits
     return AveragesTrace(
         checkpoints=tuple(points),
         closed_form=_closed_form(model, f),

@@ -426,6 +426,29 @@ def checkpoint_averages_by_fraction_sum(terms: Sequence[Fraction], marks: Sequen
     return out
 
 
+def float_checkpoint_averages_by_segment(
+    re: np.ndarray, im: np.ndarray, marks: Sequence[int], ends: Sequence[int]
+) -> list:
+    """Running means of re + i im, one fsum per segment of the whole vectors.
+
+    Each checkpoint is one fsum of the previous checkpoint's sum, already
+    rounded, and the terms re[prev:end] + i im[prev:end] of its segment;
+    the sum up to each end is divided by its mark.
+    """
+    acc_re, acc_im = 0.0, 0.0
+    prev = 0
+    out = []
+    for mark, end in zip(marks, ends):
+        acc_re = math.fsum([acc_re] + re[prev:end].tolist())
+        acc_im = math.fsum([acc_im] + im[prev:end].tolist())
+        prev = end
+        if abs(acc_im) <= 1e-9 * max(1.0, abs(acc_re)):
+            out.append((mark, acc_re / mark))
+        else:
+            out.append((mark, complex(acc_re, acc_im) / mark))
+    return out
+
+
 def float_checkpoint_averages_per_term(terms: Sequence, marks: Sequence[int]) -> list:
     """Running means of the terms, each converted with complex() before fsum."""
     acc_re, acc_im = 0.0, 0.0
@@ -924,6 +947,28 @@ class WeightedJoining:
             return joining
         zero = (0,) * joining.base.dim
         return cls(joining.base, joining.d, joining.r, (zero,), (Fraction(1),))
+
+
+def verify_star_zero_per_character(
+    joining: AffineJoining, freq: Sequence[int], cyl: Cylinder, scale: int
+) -> None:
+    """``joinings._verify_star_zero`` enumerating the base anew for one character.
+
+    Raises the same ArithmeticError when the sum over the base of
+    e(scale * freq . w1 / q) g(w2) is not certifiably zero.
+    """
+    q, d = joining.q, joining.d
+    value = 1 / cyl.measure()
+    step = np.array([scale * n % q for n in freq], dtype=np.int64)
+    w = np.array(joining.base.elements(), dtype=np.int64)
+    inside = cyl.orbit_contains([Fraction(1, q)] * joining.r, w[:, d:])
+    phases, counts = np.unique(w[inside, :d] @ step % q, return_counts=True)
+    masses = {t: c * value for t, c in zip(phases.tolist(), counts.tolist())}
+    if not root_of_unity_sum_is_zero(masses, q):
+        raise ArithmeticError(
+            f"coefficient for frequency {tuple(freq)} is not certifiably zero; "
+            "the joining is too sparse for this cylinder"
+        )
 
 
 def verify_star_zero_per_coset(

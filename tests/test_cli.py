@@ -20,7 +20,7 @@ from reclab.cli import (
     main_roth,
     main_weyl,
 )
-from reclab.experiments import PERIOD_CAP, PHASE_CAP, TRIG_MODES_CAP
+from reclab.experiments import PHASE_CAP, TRIG_HORIZON_CAP, TRIG_MODES_CAP
 from reclab.torus import ApproxHammingBall, TorusPoint
 
 from oracles import certificate_from_members
@@ -299,9 +299,10 @@ def test_weyl_avg_poly_file_defaults_and_sums(tmp_path, capsys):
 @pytest.mark.parametrize(
     "d, alpha, n, message",
     [
-        pytest.param("1", ["1/7"], 0, f"--N: 0 is outside [1, {PERIOD_CAP}]", id="0"),
-        pytest.param("1", ["1/7"], PERIOD_CAP + 1,
-                     f"--N: {PERIOD_CAP + 1} is outside [1, {PERIOD_CAP}]", id=str(PERIOD_CAP + 1)),
+        pytest.param("1", ["1/7"], 0, f"--N: 0 is outside [1, {TRIG_HORIZON_CAP}]", id="0"),
+        pytest.param("1", ["1/7"], TRIG_HORIZON_CAP + 1,
+                     f"--N: {TRIG_HORIZON_CAP + 1} is outside [1, {TRIG_HORIZON_CAP}]",
+                     id=str(TRIG_HORIZON_CAP + 1)),
         pytest.param("0", ["1/7"], 50, "expected 0 alpha coordinates, got 1", id="d-0"),
         pytest.param("2", ["1/7"], 50, "expected 2 alpha coordinates, got 1", id="d-2-one-alpha"),
     ],

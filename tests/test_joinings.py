@@ -1,10 +1,12 @@
 """Joining models: extraction against the exact decomposition, the star kernel, certified zeros."""
 
 import cmath
+import json
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reclab import joinings
+from reclab.experiments import ExperimentConfig, run_experiment
 from reclab.harmonic import Character, CoefficientTable
 from reclab.joinings import (
     AffineJoining,
@@ -42,9 +45,13 @@ from oracles import (
     star_transform_factor,
     subgroup_contains,
     verify_measure_identity,
+    verify_star_zero_per_character,
     verify_star_zero_per_coset,
     visit_counts,
 )
+
+
+REPO = Path(__file__).parents[1]
 
 
 def frac(a, b=1):
@@ -497,13 +504,71 @@ def test_star_zero_on_the_haar_joining_matches_the_per_coset_loop(case):
     # one pass over base.elements() certifies exactly what the loop over
     # cosets did for the one zero shift of weight 1
     J, freq, cyl, scale = case
+    w = np.array(J.base.elements(), dtype=np.int64)
+    inside = w[cyl.orbit_contains([frac(1, J.q)] * J.r, w[:, J.d:]), :J.d]
     try:
-        joinings._verify_star_zero(J, freq, cyl, scale)
+        joinings._verify_star_zero(inside, J.q, freq, cyl, scale)
         certified = True
     except ArithmeticError as exc:
         assert "not certifiably zero" in str(exc)
         certified = False
     assert certified == verify_star_zero_per_coset(J, freq, cyl, scale)
+
+
+def annihilate_outcome(ball, J, chars, scale):
+    try:
+        return annihilate_over_joining(ball, J, chars, scale)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(case=star_zero_cases(), k=st.integers(0, 1), chars=st.lists(st.integers(1, 8), max_size=3))
+@example(
+    case=(AffineJoining(SubgroupModel.from_generators(6, 3, [[1, 1, 1]]), 1, 2), (2,),
+          Cylinder(2, (1, 2), TorusPoint.of([0, 0]), frac(1, 6)), 1),
+    k=1, chars=[2],
+)
+@settings(max_examples=80, deadline=None)
+def test_annihilate_certifies_what_the_per_character_route_does(case, k, chars):
+    # the cylinder and every certificate or error are those of the route that
+    # enumerates the base once more for each character
+    J, _, cyl, scale = case
+    ball = ApproxHammingBall(cyl.center, min(k, J.r - 1), cyl.eta)
+    chars = [Character((c % J.q,)) for c in chars]
+    got = annihilate_outcome(ball, J, chars, scale)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            joinings, "_verify_star_zero",
+            lambda inside, q, freq, cyl, scale: verify_star_zero_per_character(J, freq, cyl, scale),
+        )
+        want = annihilate_outcome(ball, J, chars, scale)
+    assert got == want
+
+
+def test_annihilate_enumerates_the_joining_base_once_per_call(monkeypatch, tmp_path):
+    # the grid battery of the joint example config certifies 16 characters
+    # in 6 calls; each call enumerates the base once
+    enumerations = []
+    elements = SubgroupModel.elements
+    monkeypatch.setattr(
+        SubgroupModel, "elements", lambda self, *a: enumerations.append(1) or elements(self, *a)
+    )
+    per_call = []
+    annihilate = joinings.annihilate_over_joining
+
+    def counted(*args, **kwargs):
+        before = len(enumerations)
+        out = annihilate(*args, **kwargs)
+        per_call.append((len(enumerations) - before, len(list(args[2]))))
+        return out
+
+    monkeypatch.setattr(joinings, "annihilate_over_joining", counted)
+    with open(REPO / "scripts" / "configs" / "main_inequality_joint.json") as fh:
+        config = ExperimentConfig.from_json(json.load(fh))
+    config.out_dir = str(tmp_path)
+    assert run_experiment(config).status == "PASS"
+    assert [once for once, _ in per_call] == [1] * 6
+    assert sum(chars for _, chars in per_call) == 16
 
 
 # ---- uniformization over a joining ----

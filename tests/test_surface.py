@@ -42,6 +42,9 @@ ALLOWED = {
         for name, fn in EXPERIMENTS.items()
     },
     "Cylinder.normalized_value": "probed by the benchmark tracer (bench/spans.py)",
+    "WeylSystem.correlation_series": (
+        "probed by the benchmark tracer (bench/spans.py); the pipelines evaluate series_plan"
+    ),
 }
 
 

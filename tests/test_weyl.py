@@ -31,6 +31,7 @@ from oracles import (
     checkpoint_averages_by_fraction_sum,
     correlation_series_triple_loop,
     evaluate_table,
+    float_checkpoint_averages_by_segment,
     float_checkpoint_averages_per_term,
     grid_model_from_system,
     l3_average,
@@ -490,6 +491,57 @@ def test_windowed_trig_average_matches_the_full_series_route(seed, n_max):
     assert got.to_csv() == full.to_csv() and got.metadata == full.metadata
 
 
+def trig_run_table(seed):
+    """The system and polynomial of a default main_inequality trig run at config seed ``seed``."""
+    return WeylSystem(TorusPoint.of([TRIG_ALPHA])), _random_trig_table(6, seed)[0]
+
+
+#: block sizes of the stream, each with the horizons it is checked at
+STREAM_BLOCKS = [
+    (1, [3000]),
+    (7, [3000, 16385]),
+    (64, [16383, 16384, 32769]),
+    (2**14, [3000, 16383, 16384, 16385, 32769, 100000]),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11])
+@pytest.mark.parametrize("windowed", [False, True], ids=["no-window", "window"])
+@pytest.mark.parametrize("block, horizons", STREAM_BLOCKS, ids=[str(b) for b, _ in STREAM_BLOCKS])
+def test_streamed_trig_average_has_the_bits_of_the_whole_series(
+    monkeypatch, seed, windowed, block, horizons
+):
+    system, table = trig_run_table(seed)
+    kwargs = {}
+    if windowed:
+        ball = ApproxHammingBall(zero_point(5), 4, Fraction(1, 8))
+        kwargs = dict(g=annihilating_cylinder(ball, []), beta=TorusPoint.of(_TRIG_BETA[:5]))
+    monkeypatch.setattr("reclab.torus.SCAN_BLOCK", block)
+    for n_max in horizons:
+        got = weighted_average(system, table, n_max=n_max, **kwargs)
+        # the oracle sums the whole series over 1..n_max, one term per n
+        want = weighted_average_per_term(system, table, n_max=n_max, **kwargs)
+        assert [repr(pt) for pt in got.checkpoints] == [repr(pt) for pt in want.checkpoints]
+        assert got.to_csv() == want.to_csv() and got.metadata == want.metadata
+
+
+def windowed_trig_peak(n_max):
+    """The tracemalloc peak of one windowed average of the config-seed-11 table over 1..n_max."""
+    system, table = trig_run_table(11)
+    ball = ApproxHammingBall(zero_point(5), 4, Fraction(1, 8))
+    g, beta = annihilating_cylinder(ball, []), TorusPoint.of(_TRIG_BETA[:5])
+    tracemalloc.start()
+    try:
+        weighted_average(system, table, g=g, beta=beta, n_max=n_max)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_windowed_trig_average_memory_does_not_grow_with_the_horizon():
+    assert windowed_trig_peak(2_000_000) <= 1.25 * windowed_trig_peak(200_000)
+
+
 class CallCounter:
     def __init__(self, monkeypatch, cls, name):
         self.calls = 0
@@ -503,13 +555,41 @@ class CallCounter:
 
 
 def test_weighted_average_on_a_system_runs_one_series(monkeypatch):
+    # the triples are enumerated once, however many blocks the horizon takes
     rng = random.Random(8)
     system = WeylSystem(TorusPoint.of([Fraction(2, 9)]))
     table = hermitian_table(rng, 2, [(1, 0), (0, 1), (1, -2)])
     g = Cylinder(1, (1,), zero_point(1), Fraction(1, 4))
-    series = CallCounter(monkeypatch, WeylSystem, "correlation_series")
+    monkeypatch.setattr("reclab.torus.SCAN_BLOCK", 7)
+    plans = CallCounter(monkeypatch, WeylSystem, "series_plan")
     weighted_average(system, table, g=g, beta=TorusPoint.of([Fraction(1, 7)]), n_max=300)
-    assert series.calls == 1
+    assert plans.calls == 1
+
+
+def test_families_sharing_a_phase_share_one_phase_vector_per_block(monkeypatch):
+    # the config-seed-7 table has 13 zero-drift families over 9 distinct (a, b)
+    system, table = trig_run_table(7)
+    plan = system.series_plan(table, 20000)
+    keys = [key for hit, _, key in plan.terms if not hit]
+    assert (len(keys), len(set(keys))) == (13, 9)
+    calls = CallCounter(monkeypatch, weyl, "_family_phase_powers")
+    want = correlation_series_triple_loop(system, table, 20000)
+    assert_same_bits(system.correlation_series(table, 20000), want)
+    assert calls.calls == 9
+    # one vector per distinct (a, b) in each block of the stream
+    calls.calls = 0
+    monkeypatch.setattr("reclab.torus.SCAN_BLOCK", 4096)
+    trace = weighted_average(system, table, n_max=20000)
+    assert calls.calls == 9 * 5
+    assert trace.checkpoints == weighted_average_per_term(system, table, n_max=20000).checkpoints
+    # phases are shared mod 1: with alpha = 1/3 the families of a table in x
+    # alone have a = (nu_1 + 2 nu_2) / 3, many values but three mod 1
+    calls.calls = 0
+    system = WeylSystem(TorusPoint.of([Fraction(1, 3)]))
+    table = hermitian_table(random.Random(3), 2, [(1, 0), (2, 0)])
+    want = correlation_series_triple_loop(system, table, 50)
+    assert_same_bits(system.correlation_series(table, 50), want)
+    assert calls.calls == 3
 
 
 def test_triple_integrals_refer_the_trig_backend_to_its_series():
@@ -1027,15 +1107,73 @@ def test_checkpoint_schedule_and_reuse():
     assert tuple(again) == trace.checkpoints
 
 
+def checkpoints_in_blocks(ns, re, im, marks, edges):
+    """``weyl._FloatCheckpoints`` fed the terms at the n in ns, in blocks ending at the edges."""
+    sums = weyl._FloatCheckpoints(marks)
+    ns, re, im = np.asarray(ns), np.asarray(re), np.asarray(im)
+    start = 0
+    for last in sorted(set(edges) | {marks[-1]}):
+        stop = int(np.searchsorted(ns, last, side="right"))
+        sums.add(last, ns[start:stop], re[start:stop], im[start:stop])
+        start = stop
+    return sums.points
+
+
 def test_float_checkpoints_round_each_segment_onto_the_previous_checkpoint():
     # 1e16 + 1 rounds back to 1e16 at mark 2, and again at mark 3, so the
-    # sum at mark 3 is 1e16 where the correctly rounded total is 1e16 + 2
+    # sum at mark 3 is 1e16 where the correctly rounded total is 1e16 + 2;
+    # a block edge between the two marks changes nothing
     re = np.array([1e16, 1.0, 1.0])
-    out = weyl._float_checkpoint_averages(re, np.zeros(3), [2, 3], [2, 3])
+    out = checkpoints_in_blocks([1, 2, 3], re, np.zeros(3), [2, 3], [2])
     assert out == [(2, 1e16 / 2), (3, 1e16 / 3)]
     assert math.fsum(re.tolist()) == 1e16 + 2
     assert out[1][1] != (1e16 + 2) / 3
     assert out == float_checkpoint_averages_per_term(re.tolist(), [2, 3])
+    # a segment over three blocks is summed as one: 1e16 + 2 at mark 3
+    re = np.array([1e16, 1.0, 1.0])
+    out = checkpoints_in_blocks([1, 2, 3], re, np.zeros(3), [1, 3], [1, 2])
+    assert out == [(1, 1e16), (3, (1e16 + 2) / 3)]
+    assert out == float_checkpoint_averages_per_term(re.tolist(), [1, 3])
+
+
+#: floats from 1e-300 to 1e300 in magnitude, either sign, and zeros of both signs
+wide_floats = st.one_of(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 299)),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16]),
+)
+
+
+@given(acc=wide_floats, a=st.lists(wide_floats, max_size=12), b=st.lists(wide_floats, max_size=12))
+@example(acc=1e16, a=[1.0], b=[1.0])
+@example(acc=0.0, a=[], b=[-0.0])
+@example(acc=1.0, a=[1e300, -1e300, 1e-300], b=[])
+@example(acc=-0.0, a=[2.5, -2.5], b=[-0.0])
+@example(acc=1e300, a=[1e-300, 1e300, -1e300, 1.0], b=[1e-300])
+@settings(max_examples=300, deadline=None)
+def test_fsum_expansion_keeps_the_exact_sum_of_its_block(acc, a, b):
+    parts = weyl._fsum_expansion(a)
+    assert repr(math.fsum([acc] + parts + b)) == repr(math.fsum([acc] + a + b))
+    # an exactly zero block leaves nothing behind
+    assert (parts == []) == (math.fsum(a) == 0.0)
+
+
+@given(
+    terms=st.lists(st.tuples(wide_floats, wide_floats), max_size=40),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_float_checkpoints_fed_in_blocks_match_one_pass(terms, data):
+    # the terms sit at some of the n in 1..n_max, as the window's hits do
+    n_max = data.draw(st.integers(max(len(terms), 1), 60))
+    ns = sorted(data.draw(st.sets(st.integers(1, n_max), min_size=len(terms), max_size=len(terms))))
+    re = np.array([t[0] for t in terms])
+    im = np.array([t[1] for t in terms])
+    marks = sorted(data.draw(st.sets(st.integers(1, n_max), max_size=6)) | {n_max})
+    edges = data.draw(st.sets(st.integers(1, n_max), max_size=10))
+    ends = np.searchsorted(ns, marks, side="right").tolist()
+    want = float_checkpoint_averages_by_segment(re, im, marks, ends)
+    got = checkpoints_in_blocks(ns, re, im, marks, edges)
+    assert [repr(pt) for pt in got] == [repr(pt) for pt in want]
 
 
 @given(
