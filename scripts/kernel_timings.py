@@ -20,7 +20,9 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
   stage frequencies, and on one frequency whose period 1009 * 997 is
   beyond N;
 - ``sample_band_disjointness`` at 100000 samples on that witness and
-  its ball.
+  its ball, and on the r = 85 witness and ball of
+  ``build_band_witness(2, 2/5)``, with its tracemalloc peak in MiB there
+  (one traced run, after the timings).
 
 Inputs are drawn from fixed seeds, so runs on one machine compare.
 """
@@ -126,6 +128,16 @@ def main() -> None:
     out["sample_band_disjointness_1e5_s"] = best_of(
         lambda: sample_band_disjointness(witness, ball, samples=100_000, seed=11)
     )
+    witness, ball, _ = build_band_witness(2, Fraction(2, 5))
+
+    def probe():
+        return sample_band_disjointness(witness, ball, samples=100_000, seed=11)
+
+    out["sample_band_disjointness_1e5_r85_s"] = best_of(probe)
+    tracemalloc.start()
+    probe()
+    out["sample_band_disjointness_1e5_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
 
     out["repeats"] = REPEATS
     out["python"] = platform.python_version()

@@ -39,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .torus import (
+    SCAN_BLOCK,
     ApproxHammingBall,
     TorusPoint,
     as_fraction,
@@ -350,54 +351,92 @@ def build_band_witness(
 # Monte Carlo probes (float prefilter, exact confirmation)
 
 
-# rows drawn per block of sample_band_disjointness
-PROBE_BLOCK = 65_536
+# cells (coordinates x samples) per (r, n) block of sample_band_disjointness
+PROBE_BLOCK = SCAN_BLOCK
 
 
-def _exact_point(row: np.ndarray) -> TorusPoint:
+def _exact_point(column: np.ndarray) -> TorusPoint:
     # floats are dyadic rationals, so this conversion is lossless
-    return TorusPoint.of([Fraction(float(v)) for v in row])
+    return TorusPoint.of([Fraction(float(v)) for v in column])
 
 
-def _off_band_counts(x: np.ndarray, a: float) -> np.ndarray:
-    """Per row of x in [0, 1), the coordinates at float distance >= a from 0.
+def _off_band(x: np.ndarray, a: float) -> np.ndarray:
+    """The entries of x in [0, 1) at float distance >= a from 0.
 
-    x >= a together with 1 - x >= a is exactly min(x, 1 - x) >= a; the
-    row count is a small-integer matmul against ones, which beats a
-    short-axis sum.
+    x >= a together with 1 - x >= a is exactly min(x, 1 - x) >= a.
     """
-    off = (x >= a) & (1.0 - x >= a)
-    return off.view(np.uint8) @ np.ones(x.shape[1], dtype=np.min_scalar_type(x.shape[1]))
+    return (x >= a) & (1.0 - x >= a)
 
 
-def _sample_band_rows(rng: np.random.Generator, witness: BandWitness, n: int) -> np.ndarray:
-    """n points of E as rows in [0, 1]^r, drawn from the uniform measure on E.
+def _choose_subsets(rng: np.random.Generator, r: int, need) -> np.ndarray:
+    """(r, n) bool whose column j is a uniform need[j]-subset of the r coordinates.
+
+    Selection sampling: coordinate i is chosen with probability (still
+    to choose) / (r - i), so every column gets exactly its count.  When
+    every count is 0 nothing is drawn.
+    """
+    left = np.array(need, dtype=np.float64)
+    if not left.any():
+        return np.zeros((r, len(left)), dtype=bool)
+    keys = rng.random((r, len(left)))
+    keys *= np.arange(r, 0, -1)[:, None]
+    chosen = np.empty(keys.shape, dtype=bool)
+    for key, pick in zip(keys, chosen):
+        np.less(key, left, out=pick)
+        left -= pick
+    return chosen
+
+
+def _band_cuts(witness: BandWitness) -> np.ndarray:
+    """P(J <= j | J <= t) for j < t, J the Binomial(r, 1 - 2a) off-band count."""
+    tails = [binomial_tail(witness.r, j, witness.a) for j in range(witness.t + 1)]
+    return np.array([float(tail / tails[-1]) for tail in tails[:-1]])
+
+
+def _sample_band_points(
+    rng: np.random.Generator, witness: BandWitness, cuts: np.ndarray, n: int
+) -> np.ndarray:
+    """n points of E as the columns of an (r, n) array in [0, 1], uniform on E.
 
     Under the uniform measure on E the off-band count J is Binomial(r,
     1 - 2a) conditioned on J <= t, the off-band coordinates form a
     uniform J-subset, and each coordinate is uniform on its arc.  J is
-    read off the exact conditional tail, the subset is picked by
-    selection sampling (coordinate i goes off the band with probability
-    (J still to place) / (r - i)), in-band coordinates are squeezed
+    the number of cuts (_band_cuts) at or below a uniform draw, the
+    subset comes from _choose_subsets, in-band coordinates are squeezed
     strictly inside (-a, a) mod 1 and off-band ones lie on [a, 1 - a].
-    Rounding can only move an off-band coordinate into the band, so
-    every row lies in E exactly.
+    Each value is picked by multiplying by 0.0 or 1.0 and adding 0.0,
+    which is exact, and rounding can only move an off-band coordinate
+    into the band, so every column lies in E exactly.
     """
-    r, t, a_f = witness.r, witness.t, float(witness.a)
-    total = witness.measure()
-    u = rng.random(n)
-    need = np.zeros(n, dtype=np.int64)
-    for j in range(t):
-        need += u >= float(binomial_tail(r, j, witness.a) / total)
-    keys = rng.random((r, n))
-    off = np.empty((r, n), dtype=bool)
-    for i in range(r):
-        np.less(keys[i] * (r - i), need, out=off[i])
-        need -= off[i]
-    v = rng.random((r, n))
+    a_f = float(witness.a)
+    off = _choose_subsets(rng, witness.r, (rng.random(n) >= cuts[:, None]).sum(axis=0))
+    v = rng.random((witness.r, n))
     inner = (v * 2.0 - 1.0) * (a_f * (1.0 - 1e-12))
     inner += inner < 0.0
-    return np.where(off, a_f + v * (1.0 - 2.0 * a_f), inner).T
+    inner *= ~off
+    v *= 1.0 - 2.0 * a_f
+    v += a_f
+    v *= off
+    v += inner
+    return v
+
+
+def _sample_ball_points(rng: np.random.Generator, ball: ApproxHammingBall, n: int) -> np.ndarray:
+    """n points of U as the columns of an (r, n) array in [0, 1), for a ball at the halves.
+
+    k coordinates, chosen by _choose_subsets, are uniform on [0, 1) and
+    the rest are squeezed strictly inside the eps window around 1/2; one
+    uniform draw serves both and is picked as in _sample_band_points.
+    Every column lies in U, though not uniformly: a falsification probe
+    only needs coverage.
+    """
+    v = rng.random((ball.dim, n))
+    u = 0.5 + (v * 2.0 - 1.0) * (float(ball.eps) * (1.0 - 1e-12))
+    free = _choose_subsets(rng, ball.dim, np.full(n, ball.k))
+    u *= ~free
+    v *= free
+    u += v
+    return u
 
 
 def sample_band_disjointness(
@@ -409,34 +448,30 @@ def sample_band_disjointness(
     """Count sampled pairs (x, u) in E x U whose sum lands back in E.
 
     A correct disjointness argument makes the answer 0.  x is drawn
-    uniformly from E itself (_sample_band_rows); u is drawn with k
-    coordinates placed anywhere and the rest squeezed strictly inside
-    the eps window, which lands in U by construction (not uniformly,
-    but a falsification probe only needs coverage).  Suspect sums are
-    flagged with a slack of 1e-9 and every flagged pair is re-verified
-    in exact arithmetic before it may count as a violation.  Pairs are
-    drawn PROBE_BLOCK at a time, so memory stays bounded by the block.
+    uniformly from E itself (_sample_band_points) and u from U
+    (_sample_ball_points); both pick their coordinate subsets with one
+    sampler.  Suspect sums are flagged with a slack of 1e-9 and every
+    flagged pair is re-verified in exact arithmetic before it may count
+    as a violation.  Pairs are drawn as (r, n) blocks of at most
+    PROBE_BLOCK cells (one column at least), so memory does not grow
+    with r or samples; the thresholds for J are computed once per call.
     """
     if ball.dim != witness.r:
         raise ValueError("witness and ball dimensions differ")
     rng = np.random.default_rng(seed)
-    r = witness.r
-    a_f = float(witness.a)
-    eps_f = float(ball.eps)
+    cuts = _band_cuts(witness)
+    a_probe = float(witness.a) + 1e-9
+    rows = max(1, PROBE_BLOCK // witness.r)
     violations = 0
-    for start in range(0, samples, PROBE_BLOCK):
-        n = min(PROBE_BLOCK, samples - start)
-        x = _sample_band_rows(rng, witness, n)
-        u = 0.5 + (rng.random((n, r)) * 2.0 - 1.0) * eps_f * (1.0 - 1e-12)
-        if ball.k:
-            order = rng.random((n, r)).argsort(axis=1)[:, : ball.k]
-            u[np.arange(n)[:, None], order] = rng.random((n, ball.k))
+    for start in range(0, samples, rows):
+        n = min(rows, samples - start)
+        x = _sample_band_points(rng, witness, cuts, n)
+        u = _sample_ball_points(rng, ball, n)
         total = x + u
         total -= total >= 1.0
-        w_sum = _off_band_counts(total, a_f + 1e-9)
-        for i in np.flatnonzero(w_sum <= witness.t):
-            xp = _exact_point(x[i])
-            up = _exact_point(u[i])
+        for i in np.flatnonzero(_off_band(total, a_probe).sum(axis=0) <= witness.t):
+            xp = _exact_point(x[:, i])
+            up = _exact_point(u[:, i])
             if (
                 witness.contains(xp)
                 and ball.contains(up)

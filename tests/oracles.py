@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from reclab import weyl
-from reclab.certificates import BandWitness, Certificate, band_return_bitset
+from reclab.certificates import BandWitness, Certificate, _sample_ball_points, band_return_bitset
 from reclab.harmonic import (
     Character,
     CoefficientTable,
@@ -755,14 +755,14 @@ def sample_band_disjointness_by_rejection(
     """``sample_band_disjointness`` keeping the uniform rows of [0, 1)^r that lie in E.
 
     Each round draws about 1.25 / m(E) rows per point still wanted, all
-    at once; the ball points and the exact confirmation are the probe's.
+    at once; the ball points (``certificates._sample_ball_points``) and
+    the exact confirmation are the probe's.
     """
     if ball.dim != witness.r:
         raise ValueError("witness and ball dimensions differ")
     rng = np.random.default_rng(seed)
     r = witness.r
     a_f = float(witness.a)
-    eps_f = float(ball.eps)
     accept = float(witness.measure())
     chunk_rows = max(1, 4_000_000 // r)
     violations = 0
@@ -781,10 +781,7 @@ def sample_band_disjointness_by_rejection(
         if n == 0:
             continue
         produced += n
-        u = 0.5 + (rng.random((n, r)) * 2.0 - 1.0) * eps_f * (1.0 - 1e-12)
-        if ball.k:
-            order = rng.random((n, r)).argsort(axis=1)[:, : ball.k]
-            u[np.arange(n)[:, None], order] = rng.random((n, ball.k))
+        u = _sample_ball_points(rng, ball, n).T
         total = x + u
         total -= total >= 1.0
         dist = np.minimum(total, 1.0 - total)

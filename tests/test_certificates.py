@@ -4,6 +4,7 @@ import base64
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -252,6 +253,53 @@ def test_disjointness_probe_detects_overlap():
     assert sample_band_disjointness(w, ball, samples=500, seed=3) == 500
 
 
+def band_points(w, n, seed):
+    return certificates._sample_band_points(np.random.default_rng(seed), w, certificates._band_cuts(w), n)
+
+
+@given(
+    r=st.integers(1, 12),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chosen_subsets_have_exactly_the_requested_sizes(r, data, seed):
+    n = data.draw(st.integers(1, 200), label="n")
+    if data.draw(st.booleans(), label="per column"):
+        need = np.array(data.draw(st.lists(st.integers(0, r), min_size=n, max_size=n), label="need"))
+    else:
+        need = np.full(n, data.draw(st.integers(0, r), label="k"))
+    chosen = certificates._choose_subsets(np.random.default_rng(seed), r, need)
+    assert chosen.shape == (r, n) and chosen.dtype == bool
+    assert (chosen.sum(axis=0) == need).all()
+
+
+@pytest.mark.parametrize("r, k", [(2, 1), (5, 2), (7, 3), (85, 2)])
+def test_chosen_subsets_pick_each_coordinate_at_rate_need_over_r(r, k):
+    # every coordinate, first and last alike, within 5 binomial standard deviations
+    n = 20_000
+    chosen = certificates._choose_subsets(np.random.default_rng(r), r, np.full(n, k))
+    p = k / r
+    for f in chosen.mean(axis=1):
+        assert abs(f - p) <= 5 * math.sqrt(p * (1 - p) / n)
+
+
+@given(
+    r=st.integers(1, 6),
+    data=st.data(),
+    eps=st.sampled_from([Fraction(1, 1024), Fraction(1, 64), Fraction(1, 8), Fraction(1, 2)]),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ball_points_lie_in_the_ball(r, data, eps, n, seed):
+    ball = ApproxHammingBall(center=half_center(r), k=data.draw(st.integers(0, r - 1), label="k"), eps=eps)
+    u = certificates._sample_ball_points(np.random.default_rng(seed), ball, n)
+    assert u.shape == (r, n)
+    assert ((u >= 0.0) & (u < 1.0)).all()
+    assert all(ball.contains(certificates._exact_point(column)) for column in u.T)
+    inside = (abs(u - 0.5) < float(eps)).sum(axis=0)
+    assert (inside >= r - ball.k).all()
+
+
 @given(
     r=st.integers(1, 6),
     data=st.data(),
@@ -261,10 +309,10 @@ def test_disjointness_probe_detects_overlap():
 )
 def test_band_rows_lie_in_the_band_set(r, data, a, n, seed):
     w = BandWitness(r=r, a=a, t=data.draw(st.integers(0, r), label="t"))
-    x = certificates._sample_band_rows(np.random.default_rng(seed), w, n)
-    assert x.shape == (n, r)
+    x = band_points(w, n, seed)
+    assert x.shape == (r, n)
     assert ((x >= 0.0) & (x <= 1.0)).all()
-    assert all(w.contains(certificates._exact_point(row)) for row in x)
+    assert all(w.contains(certificates._exact_point(column)) for column in x.T)
 
 
 @pytest.mark.parametrize(
@@ -273,14 +321,13 @@ def test_band_rows_lie_in_the_band_set(r, data, a, n, seed):
 )
 @pytest.mark.parametrize("seed", [0, 11])
 def test_band_rows_off_band_counts_follow_the_conditional_binomial(r, a, t, seed):
-    # with a dyadic the float count of each row is its drawn off-band
+    # with a dyadic the float count of each point is its drawn off-band
     # count J; every bin and every coordinate's off-band share must lie
     # within 5 binomial standard deviations of the exact law
     n = 100_000
     w = BandWitness(r=r, a=a, t=t)
-    x = certificates._sample_band_rows(np.random.default_rng(seed), w, n)
-    off = (x >= float(a)) & (1.0 - x >= float(a))
-    freq = np.bincount(off.sum(axis=1), minlength=r + 1) / n
+    off = certificates._off_band(band_points(w, n, seed), float(a))
+    freq = np.bincount(off.sum(axis=0), minlength=r + 1) / n
     law = [
         float(math.comb(r, j) * (1 - 2 * a) ** j * (2 * a) ** (r - j) / w.measure()) if j <= t else 0.0
         for j in range(r + 1)
@@ -288,7 +335,7 @@ def test_band_rows_off_band_counts_follow_the_conditional_binomial(r, a, t, seed
     for f, p in zip(freq, law):
         assert abs(f - p) <= 5 * math.sqrt(p * (1 - p) / n)
     share = sum(j * p for j, p in enumerate(law)) / r
-    for f in off.mean(axis=0):
+    for f in off.mean(axis=1):
         assert abs(f - share) <= 5 * math.sqrt(share * (1 - share) / n)
 
 
@@ -347,12 +394,50 @@ def test_probe_and_rejection_oracle_violation_rates_agree(r, a, t, k, eps):
 @pytest.mark.parametrize("r", [1, 2, 5, 300])
 @pytest.mark.parametrize("a", [0.1875, 0.25 + 1e-9, 0.5])
 def test_off_band_counts_match_the_min_distance_count(r, a):
-    # rows at, just inside and just outside both band edges, and r past uint8
+    # points at, just inside and just outside both band edges, and r past uint8
     edges = [a, 1.0 - a, np.nextafter(a, 0), np.nextafter(a, 1), np.nextafter(1.0 - a, 1), 0.0]
     rng = np.random.default_rng(r)
-    x = np.concatenate([rng.choice(edges, size=(64, r)), rng.random((64, r))])
-    expected = (np.minimum(x, 1.0 - x) >= a).sum(axis=1)
-    assert (certificates._off_band_counts(x, a) == expected).all()
+    x = np.concatenate([rng.choice(edges, size=(r, 64)), rng.random((r, 64))], axis=1)
+    expected = (np.minimum(x, 1.0 - x) >= a).sum(axis=0)
+    assert (certificates._off_band(x, a).sum(axis=0) == expected).all()
+
+
+def test_probe_computes_the_thresholds_once_per_call(monkeypatch):
+    # t cut points and m(E) itself, however many blocks the samples take
+    calls = []
+    tail = certificates.binomial_tail
+
+    def counted(*args):
+        calls.append(args)
+        return tail(*args)
+
+    monkeypatch.setattr(certificates, "binomial_tail", counted)
+    w = BandWitness(r=7, a=Fraction(15, 64), t=3)
+    ball = ApproxHammingBall(center=half_center(7), k=0, eps=Fraction(1, 32))
+    assert band_ball_disjoint(w, ball)
+    monkeypatch.setattr(certificates, "PROBE_BLOCK", 14)
+    assert sample_band_disjointness(w, ball, samples=500, seed=1) == 0
+    assert len(calls) == w.t + 1
+
+
+def test_probe_memory_does_not_grow_with_r():
+    # the witnesses and balls of build_band_witness(2, 2/5) and build_band_witness(1, 1/8)
+    wide = BandWitness(r=85, a=Fraction(255, 1024), t=41)
+    assert wide.measure() > Fraction(2, 5)
+    cases = [
+        (wide, ApproxHammingBall(center=half_center(85), k=2, eps=Fraction(1, 1024))),
+        (BandWitness(r=2, a=Fraction(3, 16), t=0), ApproxHammingBall(center=half_center(2), k=1, eps=Fraction(1, 16))),
+    ]
+    bound_mib = 4
+    for w, ball in cases:
+        assert band_ball_disjoint(w, ball)
+        tracemalloc.start()
+        try:
+            assert sample_band_disjointness(w, ball, samples=100_000, seed=11) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, (w.r, peak)
 
 
 def test_measure_probe_within_three_sigma():
