@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-
-from .torus import ApproxHammingBall, TorusPoint, orbit_deviations, scan_blocks
+from .torus import ApproxHammingBall, TorusPoint, scan_blocks
 
 __all__ = [
     "CONVERGENT_DENOMINATOR_CAP",
@@ -41,8 +39,8 @@ CONVERGENT_DENOMINATOR_CAP = 2**62
 class BohrHammingBall:
     """Integers n with n*beta inside a fixed approximate Hamming ball.
 
-    freq is the frequency vector beta.  Membership is decided by
-    torus.orbit_deviations on integer residues: n*beta lies in the ball
+    freq is the frequency vector beta.  Membership is decided by the
+    ball's orbit_contains on integer residues: n*beta lies in the ball
     when at most k coordinates of n*beta - y sit at circular distance
     >= eps.
     """
@@ -56,10 +54,6 @@ class BohrHammingBall:
                 f"frequency dim {self.freq.dim} does not match ball dim {self.ball.dim}"
             )
 
-    def _inside(self, ns: np.ndarray, e: int) -> np.ndarray:
-        ball = self.ball
-        return orbit_deviations(self.freq.coords, ball.center.coords, ball.eps, ns, e) <= ball.k
-
 
 class EnumerationResult(NamedTuple):
     elems: list[int]
@@ -71,7 +65,7 @@ def _enumerate(bh: BohrHammingBall, n_max: int, e: int) -> EnumerationResult:
         raise ValueError("enumeration horizon must be at least 1")
     elems: list[int] = []
     for ns in scan_blocks(1, n_max + 1):
-        elems.extend(ns[bh._inside(ns, e)].tolist())
+        elems.extend(ns[bh.ball.orbit_contains(bh.freq.coords, ns, e)].tolist())
     return EnumerationResult(elems, Fraction(len(elems), n_max))
 
 

@@ -29,6 +29,7 @@ not their inputs, so a certificate read from a file is verified first.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 import os
@@ -41,6 +42,7 @@ import numpy as np
 from .torus import (
     SCAN_BLOCK,
     ApproxHammingBall,
+    RationalLike,
     TorusPoint,
     as_fraction,
     binomial_tail,
@@ -242,10 +244,9 @@ class BandWitness:
         if not 0 <= self.t <= self.r:
             raise ValueError("threshold t must lie in [0, r]")
 
-    def contains(self, x: TorusPoint) -> bool:
-        if x.dim != self.r:
-            raise ValueError("dimension mismatch")
-        return x.deviation_count(self.a) <= self.t
+    def orbit_contains(self, beta: Sequence[RationalLike], ns, e: int = 1) -> np.ndarray:
+        """Whether each point ns^e * beta (one per row of ns) lies in E, exactly."""
+        return orbit_deviations(beta, (0,) * self.r, self.a, ns, e) <= self.t
 
     def measure(self) -> Fraction:
         return binomial_tail(self.r, self.t, self.a)
@@ -355,9 +356,9 @@ def build_band_witness(
 PROBE_BLOCK = SCAN_BLOCK
 
 
-def _exact_point(column: np.ndarray) -> TorusPoint:
+def _exact_point(column: np.ndarray) -> list[Fraction]:
     # floats are dyadic rationals, so this conversion is lossless
-    return TorusPoint.of([Fraction(float(v)) for v in column])
+    return [Fraction(float(v)) for v in column]
 
 
 def _off_band(x: np.ndarray, a: float) -> np.ndarray:
@@ -470,12 +471,11 @@ def sample_band_disjointness(
         total = x + u
         total -= total >= 1.0
         for i in np.flatnonzero(_off_band(total, a_probe).sum(axis=0) <= witness.t):
-            xp = _exact_point(x[:, i])
-            up = _exact_point(u[:, i])
+            xp, up = _exact_point(x[:, i]), _exact_point(u[:, i])
             if (
-                witness.contains(xp)
-                and ball.contains(up)
-                and witness.contains(xp + up)
+                witness.orbit_contains(xp, [1])[0]
+                and ball.orbit_contains(up, [1])[0]
+                and witness.orbit_contains([a + b for a, b in zip(xp, up)], [1])[0]
             ):
                 violations += 1
     return violations
@@ -489,10 +489,9 @@ def band_return_bitset(witness: BandWitness, beta: TorusPoint, n_max: int) -> in
     """Bitset of {n in [0, n_max) : n*beta lies in E}, decided exactly.
 
     Whether n*beta lies in E depends only on n mod L, L the lcm of the
-    denominators of beta, so one period [0, min(L, n_max)) is scanned:
-    off-band counts come from torus.orbit_deviations on integer
-    residues, one block of n at a time.  The period is then tiled by
-    doubling and cut to n_max bits.
+    denominators of beta, so one period [0, min(L, n_max)) is scanned
+    by the witness's orbit_contains on integer residues, one block of n
+    at a time.  The period is then tiled by doubling and cut to n_max bits.
     """
     if beta.dim != witness.r:
         raise ValueError("witness and frequency dimensions differ")
@@ -501,7 +500,7 @@ def band_return_bitset(witness: BandWitness, beta: TorusPoint, n_max: int) -> in
     length = min(math.lcm(*(c.denominator for c in beta.coords)), n_max)
     bits = 0
     for ns in scan_blocks(0, length):
-        inside = orbit_deviations(beta.coords, (0,) * witness.r, witness.a, ns) <= witness.t
+        inside = witness.orbit_contains(beta.coords, ns)
         packed = np.packbits(inside, bitorder="little").tobytes()
         bits |= int.from_bytes(packed, "little") << int(ns[0])
     while length < n_max:
@@ -747,12 +746,37 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
+_JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
+
+
+def _json_field(data: dict, key: str, kind: type):
+    """data[key], refused with a ValueError naming the key unless it is a JSON kind."""
+    if key not in data:
+        raise ValueError(f"certificate has no {key!r}")
+    value = data[key]
+    # bool is an int subclass, but JSON true/false is no integer
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"certificate {key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def certificate_from_json(data: dict) -> Certificate:
+    """Inverse of certificate_to_json; a malformed document raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a certificate is a JSON object, got {type(data).__name__}")
     version = data.get("version")
-    if version != FILE_FORMAT_VERSION:
+    if version != FILE_FORMAT_VERSION or isinstance(version, bool):
         raise ValueError(f"unsupported certificate format version: {version!r}")
-    horizon = int(data["N"])
-    raw = base64.b64decode(data["payload"])
+    horizon = _json_field(data, "N", int)
+    shifts = _json_field(data, "S", list)
+    for s in shifts:
+        if not isinstance(s, int) or isinstance(s, bool):
+            raise ValueError(f"certificate 'S' must hold JSON integers, got {s!r}")
+    payload = _json_field(data, "payload", str)
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"certificate 'payload' is not base64: {exc}") from None
     if len(raw) != _payload_length(horizon):
         raise ValueError(
             f"payload holds {len(raw)} bytes, expected {_payload_length(horizon)}"
@@ -760,10 +784,10 @@ def certificate_from_json(data: dict) -> Certificate:
     return Certificate(
         horizon=horizon,
         bits=int.from_bytes(raw, "little"),
-        shifts=tuple(int(s) for s in data["S"]),
-        k=int(data["k"]),
-        density_claim=as_fraction(data["deltaPrime"]),
-        provenance=dict(data.get("provenance") or {}),
+        shifts=tuple(shifts),
+        k=_json_field(data, "k", int),
+        density_claim=as_fraction(_json_field(data, "deltaPrime", str)),
+        provenance=_json_field(data, "provenance", dict) if "provenance" in data else {},
     )
 
 

@@ -61,6 +61,10 @@ _NAMED = ("sqrt2", "sqrt3", "golden")
 
 # most trials one `roth check` runs
 ROTH_TRIALS_CAP = 10_000
+# most cells one `roth check` may cost, q^(2d) per trial: every trial takes the
+# progression form from its definition.  The slowest rate measured, 350 ns a
+# cell at (q, d) = (3, 5) on a 2-vCPU Xeon, makes that about 60 s.
+ROTH_COST_CAP = 60 * 10**9 // 350
 # most entries of a `weyl avg` polynomial file: the largest main_inequality
 # trig table, a constant term and TRIG_MODES_CAP conjugate pairs
 WEYL_TABLE_CAP = 1 + 2 * TRIG_MODES_CAP
@@ -293,6 +297,12 @@ def main_roth(argv: Sequence[str] | None = None) -> int:
     # q >= 3 makes q^d > PHASE_CAP for every d past its bit length, so q^d stays small
     if args.d >= PHASE_CAP.bit_length() or args.q**args.d > PHASE_CAP:
         parser.error(f"q^d = {args.q}^{args.d} cells exceed the cap {PHASE_CAP}")
+    cost = args.q ** (2 * args.d) * args.trials
+    if cost > ROTH_COST_CAP:
+        parser.error(
+            f"cost q^(2d) * trials = {args.q}^{2 * args.d} * {args.trials} = {cost} cells "
+            f"exceeds the cap {ROTH_COST_CAP}"
+        )
     try:
         parse_entry("config", "seed", args.seed, "--seed")
     except ExperimentError as exc:

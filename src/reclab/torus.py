@@ -12,10 +12,10 @@ counts as deviating when its distance is >= eps, and cylinder membership
 is strict (< eta).  With eta = eps the union-of-cylinders identity is then
 exact, with no boundary mismatch.
 
-All measures are exact rationals.  Orbit points n^e * beta (e = 1 or 2)
-are tested in bulk by orbit_deviations, which decides the same
-predicate on integer residues; the Fraction predicates below stay as
-its oracle.
+All measures are exact rationals.  Membership has one kernel:
+orbit_deviations tests orbit points n^e * beta (e = 1 or 2) on integer
+residues, and each region's orbit_contains calls it (a point x is 1 * x).
+Its Fraction oracles, point by point, live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -53,12 +53,6 @@ def wrap_unit(value: Fraction) -> Fraction:
     return value - (value.numerator // value.denominator)
 
 
-def coordinate_norm(value: Fraction) -> Fraction:
-    """Distance of a rational to the nearest integer."""
-    c = wrap_unit(value)
-    return min(c, 1 - c)
-
-
 def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -83,23 +77,6 @@ class TorusPoint:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def __add__(self, other: "TorusPoint") -> "TorusPoint":
-        self._check_dim(other)
-        return TorusPoint(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "TorusPoint") -> "TorusPoint":
-        self._check_dim(other)
-        return TorusPoint(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def _check_dim(self, other: "TorusPoint") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def deviation_count(self, eps: RationalLike) -> int:
-        """Number of coordinates at distance >= eps from zero."""
-        e = as_fraction(eps)
-        return sum(1 for c in self.coords if coordinate_norm(c) >= e)
 
     def to_json(self) -> list[str]:
         return [fraction_str(c) for c in self.coords]
@@ -141,16 +118,8 @@ class Cylinder:
             if not 1 <= i <= self.dim:
                 raise ValueError(f"index {i} outside 1..{self.dim}")
 
-    def contains(self, x: TorusPoint) -> bool:
-        if x.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        for i in self.index_set:
-            if coordinate_norm(x.coords[i - 1] - self.center.coords[i - 1]) >= self.eta:
-                return False
-        return True
-
     def orbit_contains(self, beta: Sequence[RationalLike], ns, e: int = 1) -> np.ndarray:
-        """contains for each point ns^e * beta (one per row of ns), exactly."""
+        """Whether each point ns^e * beta (one per row of ns) lies in the box, exactly."""
         if len(beta) != self.dim:
             raise ValueError("dimension mismatch")
         pinned = [i - 1 for i in self.index_set]
@@ -168,7 +137,7 @@ class Cylinder:
 
     def normalized_value(self, x: TorusPoint) -> Fraction:
         """Value of the density (1/measure) * indicator at x."""
-        if self.contains(x):
+        if self.orbit_contains(x.coords, [1])[0]:
             return 1 / self.measure()
         return Fraction(0)
 
@@ -195,10 +164,9 @@ class ApproxHammingBall:
     def dim(self) -> int:
         return self.center.dim
 
-    def contains(self, x: TorusPoint) -> bool:
-        if x.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return (self.center - x).deviation_count(self.eps) <= self.k
+    def orbit_contains(self, beta: Sequence[RationalLike], ns, e: int = 1) -> np.ndarray:
+        """Whether each point ns^e * beta (one per row of ns) lies in the ball, exactly."""
+        return orbit_deviations(beta, self.center.coords, self.eps, ns, e) <= self.k
 
     def measure(self) -> Fraction:
         return binomial_tail(self.dim, self.k, self.eps)
@@ -258,7 +226,7 @@ def orbit_deviations(
     ns is 1-D (one multiplier shared by every coordinate) or 2-D (one
     column per coordinate).  With Q the common denominator of beta_i,
     center_i and eps, the test is min(t, Q - t) >= eps * Q on the residue
-    t of (n^e * beta_i - center_i) * Q: exactly TorusPoint.deviation_count.
+    t of (n^e * beta_i - center_i) * Q, exactly as tests/oracles.py counts.
     """
     eps, ns = as_fraction(eps), np.asarray(ns)
     if len(center) != len(beta) or ns.ndim not in (1, 2) or ns.shape[1:] not in ((), (len(beta),)):

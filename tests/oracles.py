@@ -7,6 +7,12 @@ random complex grid function, a certificate built from a list of
 members and the list of a certificate's members, and the inverse of
 ``bohr.set_to_json``.
 
+Membership in Fractions, one point at a time: the coordinate norm, the
+deviation count, point addition and subtraction, and the ball, band and
+cylinder predicates.  These are the oracles of ``torus.orbit_deviations``
+and of the ``orbit_contains`` of ``ApproxHammingBall``, ``BandWitness``
+and ``Cylinder``, which decide the same predicates on integer residues.
+
 For weyl: the per-n loop that ``weyl.triple_integrals`` replaced on the
 grid models, with its mean of a product and the index-grid pullback that
 the window gather replaced; the trig pullback f o S^n and the pointwise
@@ -500,6 +506,61 @@ def weighted_average_per_term(
 
 
 # ---------------------------------------------------------------------------
+# torus membership in Fractions, one point at a time
+
+
+def coordinate_norm(value: Fraction) -> Fraction:
+    """Distance of a rational to the nearest integer."""
+    c = wrap_unit(value)
+    return min(c, 1 - c)
+
+
+def deviation_count(point: TorusPoint, eps: RationalLike) -> int:
+    """Number of coordinates of point at distance >= eps from zero."""
+    e = as_fraction(eps)
+    return sum(1 for c in point.coords if coordinate_norm(c) >= e)
+
+
+def _check_dims(a: TorusPoint, b: TorusPoint) -> None:
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
+def point_add(a: TorusPoint, b: TorusPoint) -> TorusPoint:
+    """a + b on the torus."""
+    _check_dims(a, b)
+    return TorusPoint(tuple(x + y for x, y in zip(a.coords, b.coords)))
+
+
+def point_sub(a: TorusPoint, b: TorusPoint) -> TorusPoint:
+    """a - b on the torus."""
+    _check_dims(a, b)
+    return TorusPoint(tuple(x - y for x, y in zip(a.coords, b.coords)))
+
+
+def ball_contains(ball: ApproxHammingBall, x: TorusPoint) -> bool:
+    """At most k coordinates of center - x at distance >= eps."""
+    return deviation_count(point_sub(ball.center, x), ball.eps) <= ball.k
+
+
+def band_contains(witness: BandWitness, x: TorusPoint) -> bool:
+    """At most t coordinates of x at distance >= a from zero."""
+    if x.dim != witness.r:
+        raise ValueError("dimension mismatch")
+    return deviation_count(x, witness.a) <= witness.t
+
+
+def cylinder_contains(cyl: Cylinder, x: TorusPoint) -> bool:
+    """Every pinned coordinate of x strictly within eta of the center."""
+    if x.dim != cyl.dim:
+        raise ValueError("dimension mismatch")
+    return all(
+        coordinate_norm(x.coords[i - 1] - cyl.center.coords[i - 1]) < cyl.eta
+        for i in cyl.index_set
+    )
+
+
+# ---------------------------------------------------------------------------
 # harmonic
 
 
@@ -732,16 +793,16 @@ def sample_band_measure(
         near_edge = (np.abs(dist - a_f) < 1e-9).any(axis=1)
         hits += int(((w <= witness.t) & ~near_edge).sum())
         for i in np.flatnonzero(near_edge):
-            if witness.contains(_exact_point(x[i])):
+            if band_contains(witness, _exact_point(x[i])):
                 hits += 1
     return Fraction(hits, samples)
 
 
 def band_return_bitset_per_n(witness: BandWitness, beta: TorusPoint, n_max: int) -> int:
-    """certificates.band_return_bitset deciding each n*beta with deviation_count."""
+    """certificates.band_return_bitset deciding each n*beta with band_contains."""
     bits = 0
     for n in range(n_max):
-        if scaled(beta, n).deviation_count(witness.a) <= witness.t:
+        if band_contains(witness, scaled(beta, n)):
             bits |= 1 << n
     return bits
 
@@ -790,9 +851,9 @@ def sample_band_disjointness_by_rejection(
             xp = _exact_point(x[i])
             up = _exact_point(u[i])
             if (
-                witness.contains(xp)
-                and ball.contains(up)
-                and witness.contains(xp + up)
+                band_contains(witness, xp)
+                and ball_contains(ball, up)
+                and band_contains(witness, point_add(xp, up))
             ):
                 violations += 1
     return violations

@@ -36,9 +36,12 @@ from reclab.certificates import (
 from reclab.torus import ApproxHammingBall, TorusPoint, binomial_tail, fraction_str
 
 from oracles import (
+    ball_contains,
+    band_contains,
     certificate_from_members,
     certificate_members,
     band_return_bitset_per_n,
+    deviation_count,
     product_bits_from_factors,
     sample_band_disjointness_by_rejection,
     sample_band_measure,
@@ -204,7 +207,7 @@ def test_band_and_ball_measures_are_one_binomial_tail(r, data, a):
 def test_band_contains_matches_deviation_count(coords):
     w = BandWitness(r=3, a=Fraction(1, 5), t=1)
     x = TorusPoint.of(coords)
-    assert w.contains(x) == (x.deviation_count(Fraction(1, 5)) <= 1)
+    assert w.orbit_contains(coords, [1])[0] == (deviation_count(x, Fraction(1, 5)) <= 1)
 
 
 def test_band_witness_validation():
@@ -217,7 +220,7 @@ def test_band_witness_validation():
     with pytest.raises(ValueError):
         BandWitness(r=2, a=Fraction(1, 4), t=3)
     with pytest.raises(ValueError):
-        BandWitness(r=2, a=Fraction(1, 4), t=0).contains(TorusPoint.of([Fraction(0)]))
+        BandWitness(r=2, a=Fraction(1, 4), t=0).orbit_contains([Fraction(0)], [1])
 
 
 def test_disjointness_counting_condition():
@@ -295,7 +298,7 @@ def test_ball_points_lie_in_the_ball(r, data, eps, n, seed):
     u = certificates._sample_ball_points(np.random.default_rng(seed), ball, n)
     assert u.shape == (r, n)
     assert ((u >= 0.0) & (u < 1.0)).all()
-    assert all(ball.contains(certificates._exact_point(column)) for column in u.T)
+    assert all(ball_contains(ball, TorusPoint.of(certificates._exact_point(column))) for column in u.T)
     inside = (abs(u - 0.5) < float(eps)).sum(axis=0)
     assert (inside >= r - ball.k).all()
 
@@ -312,7 +315,7 @@ def test_band_rows_lie_in_the_band_set(r, data, a, n, seed):
     x = band_points(w, n, seed)
     assert x.shape == (r, n)
     assert ((x >= 0.0) & (x <= 1.0)).all()
-    assert all(w.contains(certificates._exact_point(column)) for column in x.T)
+    assert all(band_contains(w, TorusPoint.of(certificates._exact_point(column))) for column in x.T)
 
 
 @pytest.mark.parametrize(
@@ -492,7 +495,7 @@ def test_return_bitset_matches_pointwise_membership(monkeypatch):
     bits = band_return_bitset(w, freq, 200)
     expected = 0
     for n in range(200):
-        if w.contains(scaled(freq, n)):
+        if band_contains(w, scaled(freq, n)):
             expected |= 1 << n
     assert bits == expected
     # scans that cross block boundaries, including one-element blocks
@@ -507,7 +510,7 @@ def test_return_bitset_huge_denominator_fallback():
     bits = band_return_bitset(w, freq, 300)
     expected = 0
     for n in range(300):
-        if w.contains(scaled(freq, n)):
+        if band_contains(w, scaled(freq, n)):
             expected |= 1 << n
     assert bits == expected
 
@@ -635,8 +638,8 @@ DISJOINT_PAIRS = (
 
 def pointwise_rotation(w, ball, freq, n_max):
     """The rotation certificate whose S is every return over [1, n_max], point by point."""
-    bits = sum(1 << n for n in range(n_max) if w.contains(scaled(freq, n)))
-    shifts = [n for n in range(1, n_max + 1) if ball.contains(scaled(freq, n))]
+    bits = sum(1 << n for n in range(n_max) if band_contains(w, scaled(freq, n)))
+    shifts = [n for n in range(1, n_max + 1) if ball_contains(ball, scaled(freq, n))]
     provenance = {
         "kind": "rotation",
         "beta": freq.to_json(),
@@ -663,7 +666,9 @@ def test_rotation_certificate_certifies_the_given_shifts(pair, coords, n_max):
     cert = rotation_certificate(w, ball, freq, n_max, returns(freq, ball, n_max))
     assert cert == expected  # bits, shifts, claim and provenance
     squares = [
-        x * x for x in range(1, math.isqrt(n_max) + 1) if ball.contains(scaled(freq, x * x))
+        x * x
+        for x in range(1, math.isqrt(n_max) + 1)
+        if ball_contains(ball, scaled(freq, x * x))
     ]
     assert rotation_certificate(w, ball, freq, n_max, squares) == replace(
         expected, shifts=squares

@@ -12,6 +12,7 @@ import pytest
 from reclab.bohr import BohrHammingBall, sqrt_set_enumerate
 from reclab.certificates import save_certificate
 from reclab.cli import (
+    ROTH_COST_CAP,
     ROTH_TRIALS_CAP,
     WEYL_TABLE_CAP,
     main_bohr,
@@ -383,6 +384,38 @@ def test_roth_check_trials_outside_the_bounds_is_exit_2(monkeypatch, capsys, tri
     assert captured.out == ""
 
 
+# the largest accepted cost at three grid shapes, and the next size up at each
+@pytest.mark.parametrize(
+    "q, d, trials, accepted",
+    [(3, 5, 2903, True), (3, 5, 2904, False), (13093, 1, 1, True), (13095, 1, 1, False),
+     (113, 2, 1, True), (115, 2, 1, False)],
+)
+def test_roth_check_cost_cap(monkeypatch, capsys, q, d, trials, accepted):
+    cost = q ** (2 * d) * trials
+    assert (cost <= ROTH_COST_CAP) == accepted
+    calls = []
+
+    def stub(*args):
+        calls.append(1)
+        return {"form": 0j, "projected_form": 0j, "gap": 0.0, "kappa": 0.0, "bound": 0.0}
+
+    monkeypatch.setattr("reclab.cli.quotient_gap_bound", stub if accepted else unreachable)
+    args = ["check", "--q", str(q), "--d", str(d), "--trials", str(trials)]
+    if accepted:
+        assert main_roth(args) == 0
+        assert len(calls) == trials
+        return
+    with pytest.raises(SystemExit) as err:
+        main_roth(args)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert (
+        f"cost q^(2d) * trials = {q}^{2 * d} * {trials} = {cost} cells exceeds the cap "
+        f"{ROTH_COST_CAP}"
+    ) in captured.err
+    assert captured.out == ""
+
+
 def test_roth_check_help_states_the_trials_cap(capsys):
     with pytest.raises(SystemExit):
         main_roth(["check", "--help"])
@@ -491,6 +524,60 @@ def test_cert_build_horizon_outside_the_stage_bounds_is_exit_2(tmp_path, monkeyp
 
 def test_cert_missing_file_is_exit_2(tmp_path, capsys):
     assert main_cert(["verify", str(tmp_path / "ghost.json")]) == 2
+
+
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def setting(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        (lambda doc: [doc], "a certificate is a JSON object, got list"),
+        (lambda doc: "cert", "a certificate is a JSON object, got str"),
+        (without("S"), "certificate has no 'S'"),
+        (without("N"), "certificate has no 'N'"),
+        (without("k"), "certificate has no 'k'"),
+        (without("payload"), "certificate has no 'payload'"),
+        (without("deltaPrime"), "certificate has no 'deltaPrime'"),
+        (setting("S", None), "certificate 'S' must be a JSON array, got None"),
+        (setting("S", 1), "certificate 'S' must be a JSON array, got 1"),
+        (setting("S", [1.0]), "certificate 'S' must hold JSON integers, got 1.0"),
+        (setting("S", [True]), "certificate 'S' must hold JSON integers, got True"),
+        (setting("S", ["1"]), "certificate 'S' must hold JSON integers, got '1'"),
+        (setting("N", 600.0), "certificate 'N' must be a JSON integer, got 600.0"),
+        (setting("N", True), "certificate 'N' must be a JSON integer, got True"),
+        (setting("N", "600"), "certificate 'N' must be a JSON integer, got '600'"),
+        (setting("k", 1.0), "certificate 'k' must be a JSON integer, got 1.0"),
+        (setting("k", True), "certificate 'k' must be a JSON integer, got True"),
+        (setting("k", "1"), "certificate 'k' must be a JSON integer, got '1'"),
+        (setting("deltaPrime", 0.5), "certificate 'deltaPrime' must be a JSON string, got 0.5"),
+        (setting("payload", 0), "certificate 'payload' must be a JSON string, got 0"),
+        (setting("payload", "AAAA!AAA"), "certificate 'payload' is not base64"),
+        (setting("provenance", []), "certificate 'provenance' must be a JSON object, got []"),
+        (setting("version", True), "unsupported certificate format version: True"),
+    ],
+    ids=[
+        "doc-list", "doc-string", "no-S", "no-N", "no-k", "no-payload", "no-deltaPrime",
+        "S-null", "S-int", "S-float", "S-bool", "S-string", "N-float", "N-bool", "N-string",
+        "k-float", "k-bool", "k-string", "deltaPrime-float", "payload-int", "payload-not-base64",
+        "provenance-list", "version-bool",
+    ],
+)
+def test_cert_verify_malformed_document_is_exit_2(tmp_path, capsys, malform, message):
+    with open(evens_path(tmp_path)) as fh:
+        doc = json.load(fh)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(malform(doc)))
+    assert main_cert(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,30 @@ def test_every_allowed_name_is_defined():
     assert {"main_lab", "main_bohr", "main_weyl", "main_roth", "main_cert"} <= set(ALLOWED)
 
 
+def test_every_tracer_reason_names_a_probe():
+    # bench/spans.py is read as text: Probe("module", "attr", ...) patches attr by name
+    spans = (ROOT / "bench" / "spans.py").read_text(encoding="utf-8")
+    probed = set(re.findall(r'Probe\(\s*"[\w.]+",\s*"([\w.]+)"', spans))
+    assert "Cylinder.normalized_value" in probed  # the pattern sees the probes
+    cited = [name for name, why in ALLOWED.items() if "bench/spans.py" in why]
+    assert cited and sorted(set(cited) - probed) == []
+
+
+def test_one_membership_kernel():
+    # membership is decided by torus.orbit_deviations through each region's
+    # orbit_contains; the scalar Fraction predicates live in tests/oracles.py
+    defs = {
+        node.name: node
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert {"contains", "deviation_count", "coordinate_norm"} & set(defs) == set()
+    for region in ("Cylinder", "ApproxHammingBall", "BandWitness"):
+        methods = {item.name for item in defs[region].body if isinstance(item, ast.FunctionDef)}
+        assert "orbit_contains" in methods, region
+
+
 @pytest.mark.parametrize("module", [path.stem for path in MODULES])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"reclab.{module}")

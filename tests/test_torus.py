@@ -9,17 +9,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reclab.bohr import named_convergent
+from reclab.certificates import BandWitness
 from reclab.torus import (
     ApproxHammingBall,
     Cylinder,
     TorusPoint,
     as_fraction,
-    coordinate_norm,
     orbit_deviations,
     orbit_residues,
 )
 
-from oracles import ball_cylinders, scaled, zero_point
+from oracles import (
+    ball_contains,
+    ball_cylinders,
+    band_contains,
+    coordinate_norm,
+    cylinder_contains,
+    deviation_count,
+    point_sub,
+    scaled,
+    zero_point,
+)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=64)
 
@@ -52,17 +62,17 @@ def test_norm_triangle(a, b):
 @given(st.lists(rationals, min_size=1, max_size=6), st.fractions(min_value="1/64", max_value="1/2", max_denominator=64))
 def test_deviation_count_range(coords, eps):
     p = TorusPoint.of(coords)
-    w = p.deviation_count(eps)
+    w = deviation_count(p, eps)
     assert 0 <= w <= p.dim
     # deviation count of the negation matches (dist is symmetric)
-    assert TorusPoint.of(-c for c in p.coords).deviation_count(eps) == w
+    assert deviation_count(TorusPoint.of(-c for c in p.coords), eps) == w
 
 
 def test_deviation_boundary_is_counted():
     # distance exactly eps counts as deviating
     p = TorusPoint.of(["1/4"])
-    assert p.deviation_count(Fraction(1, 4)) == 1
-    assert p.deviation_count(Fraction(1, 4) + Fraction(1, 1000)) == 0
+    assert deviation_count(p, Fraction(1, 4)) == 1
+    assert deviation_count(p, Fraction(1, 4) + Fraction(1, 1000)) == 0
 
 
 # ---- balls ----
@@ -71,9 +81,9 @@ def test_deviation_boundary_is_counted():
 def test_ball_contains_matches_count():
     y = TorusPoint.of(["1/2", "1/2", 0])
     ball = ApproxHammingBall(center=y, k=1, eps="1/4")
-    assert ball.contains(TorusPoint.of(["1/2", "1/2", "9/10"]))
-    assert ball.contains(TorusPoint.of([0, "1/2", 0]))
-    assert not ball.contains(TorusPoint.of([0, 0, 0]))
+    points = [["1/2", "1/2", "9/10"], [0, "1/2", 0], [0, 0, 0]]
+    assert [ball_contains(ball, TorusPoint.of(x)) for x in points] == [True, True, False]
+    assert [ball.orbit_contains(x, [1])[0] for x in points] == [True, True, False]
 
 
 def test_ball_measure_exact_value():
@@ -130,9 +140,10 @@ def test_cylinder_measure():
 
 def test_cylinder_membership_strict():
     c = Cylinder(dim=2, index_set=(1,), center=zero_point(2), eta="1/4")
-    assert c.contains(TorusPoint.of(["1/8", "1/2"]))
-    assert not c.contains(TorusPoint.of(["1/4", 0]))  # boundary excluded
-    assert not c.contains(TorusPoint.of(["1/3", 0]))
+    # the boundary 1/4 is excluded
+    points = [["1/8", "1/2"], ["1/4", 0], ["1/3", 0]]
+    assert [cylinder_contains(c, TorusPoint.of(x)) for x in points] == [True, False, False]
+    assert [c.orbit_contains(x, [1])[0] for x in points] == [True, False, False]
 
 
 def test_subordinate_cylinder_count():
@@ -157,8 +168,8 @@ def test_union_of_cylinders_is_ball(r, k, ycoords, xcoords, eps):
     y = TorusPoint.of(ycoords[:r])
     x = TorusPoint.of(xcoords[:r])
     ball = ApproxHammingBall(center=y, k=k, eps=eps)
-    in_union = any(c.contains(x) for c in ball_cylinders(ball))
-    assert in_union == ball.contains(x)
+    in_union = any(cylinder_contains(c, x) for c in ball_cylinders(ball))
+    assert in_union == ball_contains(ball, x)
 
 
 def test_union_of_cylinders_random_grid():
@@ -168,7 +179,7 @@ def test_union_of_cylinders_random_grid():
     cyls = ball_cylinders(ball)
     for _ in range(500):
         x = random_point(rng, 4)
-        assert ball.contains(x) == any(c.contains(x) for c in cyls)
+        assert ball_contains(ball, x) == any(cylinder_contains(c, x) for c in cyls)
 
 
 # ---- the orbit-deviation kernel against the Fraction oracle ----
@@ -176,12 +187,18 @@ def test_union_of_cylinders_random_grid():
 
 def oracle_deviations(beta, center, eps, ns, e):
     y = TorusPoint.of(center)
-    return [(scaled(TorusPoint.of(beta), n**e) - y).deviation_count(eps) for n in ns]
+    return [deviation_count(point_sub(scaled(TorusPoint.of(beta), n**e), y), eps) for n in ns]
+
+
+def orbit_points(beta, ns, e):
+    return [scaled(TorusPoint.of(beta), n**e) for n in ns]
 
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=720)
 # denominators up to 10^6 put Q on either side of the int64 edge
 frequencies = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+# floats in [0, 1] as exact Fractions, subnormals included: denominators up to 2^1074
+dyadics = st.floats(min_value=0, max_value=1).map(Fraction)
 radii = st.fractions(min_value=Fraction(1, 720), max_value=Fraction(1, 2), max_denominator=720)
 # the largest modulus Q with (Q - 1)^2 < 2^63, so the last one on the int64 path
 INT64_EDGE = 3_037_000_500
@@ -198,6 +215,33 @@ def test_orbit_deviations_match_oracle(beta, data, eps, ns, e):
     center = data.draw(st.lists(unit_rationals, min_size=len(beta), max_size=len(beta)))
     got = orbit_deviations(beta, center, eps, np.array(ns, dtype=np.int64), e)
     assert got.tolist() == oracle_deviations(beta, center, eps, ns, e)
+
+
+@given(
+    st.lists(st.one_of(frequencies, dyadics), min_size=1, max_size=4),
+    st.data(),
+    radii,
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+    st.sampled_from([1, 2]),
+)
+def test_ball_orbit_contains_matches_oracle(beta, data, eps, ns, e):
+    center = data.draw(st.lists(st.one_of(unit_rationals, dyadics), min_size=len(beta), max_size=len(beta)))
+    ball = ApproxHammingBall(TorusPoint.of(center), data.draw(st.integers(0, len(beta) - 1)), eps)
+    got = ball.orbit_contains(beta, np.array(ns, dtype=np.int64), e)
+    assert got.tolist() == [ball_contains(ball, x) for x in orbit_points(beta, ns, e)]
+
+
+@given(
+    st.lists(st.one_of(frequencies, dyadics), min_size=1, max_size=4),
+    st.data(),
+    radii,
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+    st.sampled_from([1, 2]),
+)
+def test_band_orbit_contains_matches_oracle(beta, data, a, ns, e):
+    w = BandWitness(r=len(beta), a=a, t=data.draw(st.integers(0, len(beta))))
+    got = w.orbit_contains(beta, np.array(ns, dtype=np.int64), e)
+    assert got.tolist() == [band_contains(w, x) for x in orbit_points(beta, ns, e)]
 
 
 def test_orbit_deviations_count_the_boundary():
@@ -219,6 +263,14 @@ def test_orbit_deviations_on_both_sides_of_the_int64_edge(modulus, e):
     ns = [1, 2, 3, 77_777, 10**9 + 7, 3 * 10**12, -(10**15), 2**62]
     got = orbit_deviations(beta, center, eps, np.array(ns, dtype=np.int64), e)
     assert got.tolist() == oracle_deviations(beta, center, eps, ns, e)
+    # each region's orbit_contains on the same modulus, against its oracle
+    points = orbit_points(beta, ns, e)
+    ball = ApproxHammingBall(TorusPoint.of(center), 1, eps)
+    band = BandWitness(r=2, a=eps, t=1)
+    cyl = Cylinder(dim=2, index_set=(1,), center=TorusPoint.of(center), eta=eps)
+    for region, oracle in ((ball, ball_contains), (band, band_contains), (cyl, cylinder_contains)):
+        got = region.orbit_contains(beta, np.array(ns, dtype=np.int64), e)
+        assert got.tolist() == [oracle(region, x) for x in points]
     dtype = orbit_residues(np.array(ns), e, 1, modulus).dtype
     assert dtype == (np.int64 if modulus <= INT64_EDGE else object)
 
@@ -236,13 +288,14 @@ def test_orbit_deviations_at_the_convergent_cap(e):
 
 
 def test_orbit_deviations_per_coordinate_multipliers():
-    # grid points w/q, one column per coordinate, against Cylinder.contains
+    # grid points w/q, one column per coordinate, against the cylinder oracle
     q = 9
     cyl = Cylinder(dim=2, index_set=(1, 2), center=TorusPoint.of(["2/9", "1/2"]), eta="5/18")
     points = np.indices((q, q)).reshape(2, -1).T
     inside = orbit_deviations([Fraction(1, q)] * 2, cyl.center.coords, cyl.eta, points) == 0
-    oracle = [cyl.contains(TorusPoint.of([Fraction(a, q) for a in w])) for w in points.tolist()]
+    oracle = [cylinder_contains(cyl, TorusPoint.of([Fraction(a, q) for a in w])) for w in points.tolist()]
     assert inside.tolist() == oracle
+    assert cyl.orbit_contains([Fraction(1, q)] * 2, points).tolist() == oracle
     assert 0 < sum(oracle) < q * q
 
 
