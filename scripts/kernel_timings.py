@@ -22,7 +22,14 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
 - ``sample_band_disjointness`` at 100000 samples on that witness and
   its ball, and on the r = 85 witness and ball of
   ``build_band_witness(2, 2/5)``, with its tracemalloc peak in MiB there
-  (one traced run, after the timings).
+  (one traced run, after the timings);
+- ``verify_certificate`` at N = 1000000 on the k = 1 rotation
+  certificate of ``cert build --k 1 --eta 1/8 --freq 3/64 5/81`` (every
+  return of the ball, 219,325 shifts) and on the final three-stage
+  product certificate of a default ``theorem_stage`` run;
+- ``max_triple_intersection`` on that run's 729-point contrast: the
+  rotation by 1 on Z_729, its 2/5 interval mask and the unsquared shift
+  base as the powers.
 
 Inputs are drawn from fixed seeds, so runs on one machine compare.
 """
@@ -30,7 +37,9 @@ Inputs are drawn from fixed seeds, so runs on one machine compare.
 from __future__ import annotations
 
 import json
+import os
 import platform
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -38,7 +47,15 @@ from fractions import Fraction
 import numpy as np
 
 from reclab import experiments, weyl
-from reclab.certificates import band_return_bitset, build_band_witness, sample_band_disjointness
+from reclab.bohr import BohrHammingBall, set_enumerate
+from reclab.certificates import (
+    band_return_bitset,
+    build_band_witness,
+    load_certificate,
+    rotation_certificate,
+    sample_band_disjointness,
+    verify_certificate,
+)
 from reclab.harmonic import GridFunction, annihilating_cylinder
 from reclab.joinings import extract_affine_joining, pair_embedding, quadratic_direction
 from reclab.roth import roth_form, roth_form_exact
@@ -138,6 +155,34 @@ def main() -> None:
     probe()
     out["sample_band_disjointness_1e5_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
+
+    n_max = 1_000_000
+    witness, ball, _ = build_band_witness(1, Fraction(1, 8))
+    freq = TorusPoint.of([Fraction(3, 64), Fraction(5, 81)])
+    shifts = set_enumerate(BohrHammingBall(freq, ball), n_max).elems
+    cert = rotation_certificate(witness, ball, freq, n_max, shifts)
+    out["verify_rotation_1e6_s"] = best_of(lambda: verify_certificate(cert))
+    out["verify_rotation_1e6_shifts"] = len(cert.shifts)
+    with tempfile.TemporaryDirectory() as out_dir:
+        config = experiments.ExperimentConfig.from_json(
+            {
+                "experiment": "theorem_stage",
+                "params": {"stages": 3, "delta_prime": "1/1000", "N": n_max, "m_max": 12},
+                "out_dir": out_dir,
+            }
+        )
+        experiments.run_experiment(config)
+        cert = load_certificate(os.path.join(out_dir, "certificate.json"))
+        with open(os.path.join(out_dir, "shift_base.json"), "r", encoding="utf-8") as fh:
+            runs = json.load(fh)["elems"]
+    out["verify_stage_product_1e6_s"] = best_of(lambda: verify_certificate(cert))
+    out["verify_stage_product_1e6_shifts"] = len(cert.shifts)
+    steps = [start + i for start, length in runs for i in range(length)]
+    contrast = weyl.RotationModel(729, (1,))
+    mask = experiments._interval_mask((729,), Fraction(2, 5))
+    out["contrast_729_s"] = best_of(
+        lambda: weyl.max_triple_intersection(contrast, mask, steps, max(steps))
+    )
 
     out["repeats"] = REPEATS
     out["python"] = platform.python_version()

@@ -4,10 +4,17 @@ A certificate packages a horizon N, a subset B of {0, ..., N-1} stored
 as a bitset, a finite shift set S, a progression length k, and a
 rational density claim.  It asserts two finite facts: B holds at least
 deltaPrime * N elements, and for every s in S the sets B, B - s, ...,
-B - k*s have empty common intersection.  Both are checked exactly;
-the intersection test is word-parallel, since bit i of the AND of the
-right-shifted bitsets B >> (j*s) records whether the progression
-i, i+s, ..., i+k*s lies entirely inside B.
+B - k*s have empty common intersection.  Both are checked exactly.
+The intersection test runs first on residue folds: if i, i+s, ...,
+i+k*s all lie in B, then i mod L lies in G, G - s, ..., G - k*s taken
+mod L, where G is the set of residues mod L of B's members, so an
+empty cyclic intersection of those L-bit sets clears s for any L.  The
+periods L come from the band frequencies the provenance records (a
+band return set along beta repeats with the lcm of beta's
+denominators), and each residue s mod L is decided once.  A shift no
+fold clears falls back to the word-parallel test on B itself, since
+bit i of the AND of the right-shifted bitsets B >> (j*s) records
+whether the progression i, i+s, ..., i+k*s lies entirely inside B.
 
 Certificates are manufactured three ways.  The rotation route takes a
 band set E on the torus (at most t coordinates further than a from 0)
@@ -113,7 +120,9 @@ class Certificate:
     n lies in B; only bits below horizon may be set.  density_claim is
     the promised lower bound |B| >= density_claim * horizon, kept as a
     Fraction so the comparison is exact.  provenance is free-form JSON
-    recording how the certificate was built; verification ignores it.
+    recording how the certificate was built.  It may only supply period
+    hints that speed verification up; the verdict depends on bits,
+    shifts, k and the claim alone.
     """
 
     horizon: int
@@ -182,26 +191,74 @@ def _progression_hits(bits: int, s: int, k: int) -> int:
     return acc
 
 
-def _scan_shifts(bits: int, shifts: Sequence[int], k: int):
-    """First (s, start) violating the emptiness condition, else None."""
-    for s in shifts:
-        hit = _progression_hits(bits, s, k)
-        if hit:
-            return s, (hit & -hit).bit_length() - 1
-    return None
+def _period_hints(cert: Certificate) -> list[int]:
+    """Periods L < horizon of the band frequencies in the provenance, smallest first.
+
+    Only a hint: verification is sound for any L, so a provenance that
+    cannot be read gives no hint rather than an error.
+    """
+    try:
+        factors = _rotation_factors(cert.provenance)
+        if factors is None:
+            return []
+        periods = {math.lcm(*(c.denominator for c in beta.coords)) for _, beta in factors}
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
+        return []
+    return sorted(L for L in periods if L < cert.horizon)
+
+
+def _fold(bits: int, width: int, period: int) -> int:
+    """The residues mod period of the members of bits (all below width), as a bitset.
+
+    Each pass ORs the part above a multiple of period, at least half
+    the width, onto the part below it, so the passes cost O(width / 64)
+    words in all.
+    """
+    while width > period:
+        half = (-(-width // period) + 1) // 2 * period
+        bits = (bits & ((1 << half) - 1)) | bits >> half
+        width = half
+    return bits
+
+
+def _cyclic_progression_free(fold: int, period: int, s: int, k: int) -> bool:
+    """Whether no residue i has i, i+s, ..., i+k*s all in fold, taken mod period."""
+    acc = fold
+    for j in range(1, k + 1):
+        t = j * s % period
+        # rotate right by t; acc holds no bit at or above period, so it masks the rest
+        acc &= fold >> t | fold << (period - t)
+        if not acc:
+            return True
+    return False
 
 
 def verify_certificate(cert: Certificate) -> Verification:
     """Check the density and progression-emptiness conditions exactly.
 
-    Shifts are scanned in increasing order and the first violation is
-    reported.
+    Shifts are taken in increasing order and the first violation is
+    reported.  A shift passes outright when a residue fold (module
+    docstring) for one of the provenance's periods has no cyclic
+    progression at its residue, each residue decided once per period;
+    any other shift is tested on the whole bitset.
     """
     size = cert.bits.bit_count()
     density = Fraction(size, cert.horizon)
     density_ok = size >= cert.density_claim * cert.horizon
-    found = _scan_shifts(cert.bits, cert.shifts, cert.k)
-    violating, start = found if found is not None else (None, None)
+    folds = [(L, _fold(cert.bits, cert.horizon, L), {}) for L in _period_hints(cert)]
+    violating = start = None
+    for s in cert.shifts:
+        for period, fold, cleared in folds:
+            r = s % period
+            if r not in cleared:
+                cleared[r] = _cyclic_progression_free(fold, period, r, cert.k)
+            if cleared[r]:
+                break
+        else:
+            hit = _progression_hits(cert.bits, s, cert.k)
+            if hit:
+                violating, start = s, (hit & -hit).bit_length() - 1
+                break
     ok = density_ok and violating is None
     return Verification(
         ok=ok,

@@ -406,7 +406,7 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
             return 0 if v.ok else 1
 
         if args.verb == "build":
-            # the full-return-set check grows as N^2: bound N before any work
+            # the return set, kept and saved shift by shift, grows with N: bound N before any work
             parse_entry("theorem_stage", "N", args.N, "--N")
             witness, ball, proof = build_band_witness(args.k, args.eta)
             if len(args.freq) != witness.r:

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .harmonic import Character, CoefficientTable, GridFunction
 from .roth import product_dtype, roth_form, roth_form_exact
-from .torus import Cylinder, TorusPoint, orbit_residues, scan_blocks, wrap_unit
+from .torus import SCAN_BLOCK, Cylinder, TorusPoint, orbit_residues, scan_blocks, wrap_unit
 
 __all__ = [
     "AveragesTrace",
@@ -298,9 +298,11 @@ class _GridModel:
     rotation, n x_d + C(n, 2) alpha_d for the skew product), and move
     that point too.  On a copy of f doubled along the last axis each row
     of f o T^n along it is one q-wide window, so the pullback is one
-    gather: ``_window_index(n)`` gives an index array for every other
-    axis and then the window offset, all broadcasting to the phase space
-    without its last axis.  Only one axis is doubled, so the copy has
+    gather.  For a vector of b powers, ``_window_index(ns)`` gives an
+    index array for every other axis and then the window offset, all
+    broadcasting to (b,) + the phase space without its last axis, so
+    one gather pulls f back along every power at once
+    (``pullback_values``).  Only one axis is doubled, so the copy has
     2 * size cells for every d.
     """
 
@@ -310,9 +312,15 @@ class _GridModel:
         doubled = np.concatenate([values, values], axis=-1)
         return _Windows(values, sliding_window_view(doubled, self.q, axis=-1))
 
-    def _gather(self, windows: _Windows, n: int) -> np.ndarray:
+    def _gather(self, windows: _Windows, ns: Sequence[int]) -> np.ndarray:
         # every index is an array, so this is a fresh copy, never a view of the windows
-        return windows.view[self._window_index(int(n))].reshape(self.phase_space_shape)
+        shape = (len(ns),) + self.phase_space_shape
+        return windows.view[self._window_index(ns)].reshape(shape)
+
+
+def _key_column(values: Sequence[int], axes: int) -> np.ndarray:
+    """Index terms reduced in Python ints, as an int64 column ahead of ``axes`` unit axes."""
+    return np.array(values, dtype=np.int64).reshape((len(values),) + (1,) * axes)
 
 
 @dataclass(frozen=True)
@@ -348,15 +356,17 @@ class RotationModel(_GridModel):
         """Whether the orbit of 0 sweeps the whole grid group."""
         return self.period == self.q**self.d
 
-    def _window_index(self, n: int) -> tuple[np.ndarray, ...]:
+    def _window_index(self, ns: Sequence[int]) -> tuple[np.ndarray, ...]:
+        # g[x] = f[x + n step]; n step is reduced mod q in Python ints
         q, d = self.q, self.d
-        shifts = [n * s % q for s in self.step]
+        shifts = [_key_column([int(n) * s % q for n in ns], d - 1) for s in self.step]
         axes = [np.arange(q).reshape((q,) + (1,) * (d - 2 - ax)) for ax in range(d - 1)]
-        return tuple((x + s) % q for x, s in zip(axes, shifts)) + (np.array([shifts[-1]]),)
+        return tuple((x + s) % q for x, s in zip(axes, shifts)) + (shifts[-1],)
 
-    def pullback_values(self, windows: _Windows, n: int) -> np.ndarray:
-        """Array g with g[x] = f[x + n step], for f prepared by ``_windows``."""
-        return self._gather(windows, n)
+    def pullback_values(self, windows: _Windows, ns: Sequence[int]) -> np.ndarray:
+        """Arrays g with g[x] = f[x + n step], one per n in ns along a leading axis,
+        for f prepared by ``_windows``."""
+        return self._gather(windows, ns)
 
 
 @dataclass(frozen=True)
@@ -406,11 +416,13 @@ class GridWeylModel(_GridModel):
         orbit = math.lcm(*(self.q // math.gcd(a, self.q) for a in self.alpha))
         return orbit == self.q**self.d
 
-    def _window_index(self, n: int) -> tuple[np.ndarray, ...]:
-        # n and C(n, 2) are reduced in Python ints, so no index term reaches 2 q^2.
+    def _window_index(self, ns: Sequence[int]) -> tuple[np.ndarray, ...]:
+        # g[x, y] = f[x + n alpha, y + n x + C(n, 2) alpha].  n and C(n, 2) are
+        # reduced mod q in Python ints, so no index term reaches 2 q^2.
         q, d = self.q, self.d
-        binom = (n * (n - 1) // 2) % q
-        n %= q
+        ns = [int(n) for n in ns]
+        binom = _key_column([n * (n - 1) // 2 % q for n in ns], 2 * d - 1)
+        n = _key_column([n % q for n in ns], 2 * d - 1)
         # axes x_1..x_d, y_1..y_(d-1): the last y axis is the window axis
         axes = [np.arange(q).reshape((q,) + (1,) * (2 * d - 2 - ax)) for ax in range(2 * d - 1)]
         xs, ys = axes[:d], axes[d:]
@@ -419,10 +431,10 @@ class GridWeylModel(_GridModel):
         cols = [(y + s) % q for y, s in zip(ys, shifts)]
         return tuple(rows + cols + shifts[-1:])
 
-    def pullback_values(self, windows: _Windows, n: int) -> np.ndarray:
-        """Array g with g[x, y] = f[x + n alpha, y + n x + C(n, 2) alpha],
-        for f prepared by ``_windows``."""
-        return self._gather(windows, n)
+    def pullback_values(self, windows: _Windows, ns: Sequence[int]) -> np.ndarray:
+        """Arrays g with g[x, y] = f[x + n alpha, y + n x + C(n, 2) alpha], one per
+        n in ns along a leading axis, for f prepared by ``_windows``."""
+        return self._gather(windows, ns)
 
 
 Model = Union[WeylSystem, RotationModel, GridWeylModel]
@@ -569,21 +581,23 @@ def triple_integrals(
     the gathered arrays are the same as at n; substituting x -> S^2n x
     also shows I(n) = I(-n).  Each distinct key min(r, P - r) is
     evaluated once.  The observable is lifted and windowed once per
-    call, so a key costs two gathers of whole windows and one product.
+    call.  The keys go in blocks of as many as fit, with their doubles,
+    in ``torus.SCAN_BLOCK`` gathered cells (one key at least); a block
+    costs one gather at its keys n and 2n together, one product and one
+    sum per key.
     """
     if isinstance(model, WeylSystem):
         raise TypeError("the trig backend's integrals are WeylSystem.correlation_series")
     windows = _lifted_windows(model, f)
     period = model.period
+    keys = [min(r, period - r) for r in (int(n) % period for n in n_values)]
+    distinct = list(dict.fromkeys(keys))
+    per_block = max(1, SCAN_BLOCK // (2 * windows.values.size))
     by_key: dict[int, Fraction] = {}
-    out = []
-    for n in n_values:
-        key = int(n) % period
-        key = min(key, period - key)
-        if key not in by_key:
-            by_key[key] = _triple_mean(model, windows, key)
-        out.append(by_key[key])
-    return out
+    for lo in range(0, len(distinct), per_block):
+        block = distinct[lo : lo + per_block]
+        by_key.update(zip(block, _triple_means(model, windows, block)))
+    return [by_key[key] for key in keys]
 
 
 def _lifted_windows(model: Union[RotationModel, GridWeylModel], f: np.ndarray) -> _Windows:
@@ -599,14 +613,18 @@ def _lifted_windows(model: Union[RotationModel, GridWeylModel], f: np.ndarray) -
     return model._windows(values)
 
 
-def _triple_mean(model, windows: _Windows, n: int) -> Fraction:
-    """avg f . (f o S^n) . (f o S^2n), the products in the first gather's buffer."""
-    first = model.pullback_values(windows, n)
-    second = model.pullback_values(windows, 2 * n)
+def _triple_means(model, windows: _Windows, ns: Sequence[int]) -> list[Fraction]:
+    """avg f . (f o S^n) . (f o S^2n) for each n, from one gather at every n and 2n.
+
+    The products are formed in the buffer of the f o S^n half.
+    """
+    both = model.pullback_values(windows, list(ns) + [2 * n for n in ns])
+    first, second = both[: len(ns)], both[len(ns) :]
     np.multiply(windows.values, first, out=first)
     first *= second
-    total = first.sum()
-    return Fraction(total if first.dtype == object else int(total), first.size)
+    # tolist gives Python ints from int64 sums and leaves object sums as they are
+    totals = first.reshape(len(ns), -1).sum(axis=1).tolist()
+    return [Fraction(t, windows.values.size) for t in totals]
 
 
 def _checkpoint_averages(

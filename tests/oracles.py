@@ -31,7 +31,9 @@ Plancherel gap.  For roth: the progression form by its spectral
 identity, annihilator membership one frequency at a time, and the
 quotient projection as a Fourier mask onto the annihilator and as one
 whole-grid roll per subgroup element, the two oracles of the
-coset-average projection.  For the certificates: the band return bitset
+coset-average projection.  For the certificates: the verifier as one
+word scan of the whole bitset per shift, which ``verify_certificate``
+keeps only for shifts that no residue fold clears; the band return bitset
 decided one n at a time, the rejection-sampling band-disjointness probe
 that ``certificates.sample_band_disjointness`` replaced with direct
 draws from the band set, the band-measure probe, and the product bitset
@@ -59,7 +61,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from reclab import weyl
-from reclab.certificates import BandWitness, Certificate, _sample_ball_points, band_return_bitset
+from reclab.certificates import (
+    BandWitness,
+    Certificate,
+    Verification,
+    _sample_ball_points,
+    band_return_bitset,
+)
 from reclab.harmonic import (
     Character,
     CoefficientTable,
@@ -857,6 +865,34 @@ def sample_band_disjointness_by_rejection(
             ):
                 violations += 1
     return violations
+
+
+def verify_certificate_by_scan(cert: Certificate) -> Verification:
+    """``verify_certificate`` with every shift tested on the whole bitset, in increasing order.
+
+    Bit i of the AND of bits >> (j*s) over j = 0..k is set when i, i+s,
+    ..., i+k*s all lie in B; the first shift with a set bit violates.
+    """
+    violating = start = None
+    for s in cert.shifts:
+        acc = cert.bits
+        for j in range(1, cert.k + 1):
+            step = j * s
+            acc &= cert.bits >> step if step >= 0 else cert.bits << -step
+        if acc:
+            violating, start = s, (acc & -acc).bit_length() - 1
+            break
+    size = cert.bits.bit_count()
+    density_ok = size >= cert.density_claim * cert.horizon
+    return Verification(
+        ok=density_ok and violating is None,
+        size=size,
+        density=Fraction(size, cert.horizon),
+        required=cert.density_claim,
+        density_ok=density_ok,
+        violating_shift=violating,
+        witness_start=start,
+    )
 
 
 def product_bits_from_factors(cert: Certificate) -> int:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reclab import certificates, torus
 from reclab.bohr import BohrHammingBall, set_enumerate
@@ -46,6 +46,7 @@ from oracles import (
     sample_band_disjointness_by_rejection,
     sample_band_measure,
     scaled,
+    verify_certificate_by_scan,
     zero_point,
 )
 
@@ -123,6 +124,119 @@ def test_verifier_matches_brute_force(bits, shifts, k):
     else:
         assert not result.ok
         assert (result.violating_shift, result.witness_start) == expected
+
+
+_HINT_WITNESS = {"r": 1, "a": "1/4", "t": 0}
+
+
+def _rotation_hint(*periods):
+    """Provenance whose period hints are exactly the given L."""
+    factors = [{"witness": _HINT_WITNESS, "beta": [f"1/{L}"]} for L in periods]
+    if len(factors) == 1:
+        return {"kind": "rotation", **factors[0]}
+    return {"kind": "rotation-product", "factors": factors}
+
+
+UNREADABLE_HINTS = [
+    {"kind": "rotation"},
+    {"kind": "rotation", "beta": ["1/0"], "witness": _HINT_WITNESS},
+    {"kind": "rotation", "beta": ["1/4"]},
+    {"kind": "rotation", "beta": "1/4", "witness": _HINT_WITNESS},
+    {"kind": "rotation", "beta": [0.25], "witness": _HINT_WITNESS},
+    {"kind": "rotation", "beta": ["1/4"], "witness": {"r": 0, "a": "1/4", "t": 0}},
+    {"kind": "rotation-product"},
+    {"kind": "rotation-product", "factors": 7},
+    {"kind": "rotation-product", "factors": [{"beta": ["1/4"]}]},
+    {"kind": "rotation-product", "factors": ["1/4"]},
+    {"kind": "combined", "m": 2},
+]
+
+
+@st.composite
+def hinted_certificates(draw):
+    """Bits that are periodic, periodic with a few flips, or arbitrary, under any hint.
+
+    A periodic layout repeats a set of residues mod period, either any
+    set or one cyclic arc, which may wrap past period - 1 back to 0.
+    """
+    n = draw(st.integers(1, 400))
+    k = draw(st.integers(1, 3))
+    period = draw(st.integers(1, 60))
+    layout = draw(st.sampled_from(["periodic", "flipped", "arbitrary"]))
+    if layout == "arbitrary":
+        bits = draw(st.integers(0, 2**n - 1))
+    else:
+        if draw(st.booleans()):
+            residues = draw(st.sets(st.integers(0, period - 1), max_size=period))
+        else:
+            start, length = draw(st.integers(0, period - 1)), draw(st.integers(0, period))
+            residues = {(start + j) % period for j in range(length)}
+        bits = sum(1 << i for i in range(n) if i % period in residues)
+        if layout == "flipped":
+            for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+                bits ^= 1 << i
+    shifts = draw(st.lists(st.integers(-n - 3, 2 * n + 3), max_size=12))
+    wrong = st.integers(1, 2 * n + 2)
+    hint = draw(
+        st.one_of(
+            st.just({}),
+            st.just(_rotation_hint(period)),
+            wrong.map(_rotation_hint),
+            st.tuples(wrong, wrong).map(lambda ls: _rotation_hint(period, *ls)),
+            st.sampled_from(UNREADABLE_HINTS),
+        )
+    )
+    claim = Fraction(draw(st.integers(0, n)), n)
+    return Certificate(n, bits, tuple(shifts), k, claim, provenance=hint)
+
+
+@given(hinted_certificates())
+@example(Certificate(12, 0b000100010001, (0, -4, 4, 7, 12, 40), 1, Fraction(1, 4),
+                     provenance=_rotation_hint(4)))
+# residues 4 and 0 mod 5 meet only across the wrap: 4, 5 is a progression of gap 1
+@example(Certificate(20, sum(1 << i for i in range(20) if i % 5 in (0, 4)), (1,), 1, Fraction(0),
+                     provenance=_rotation_hint(5)))
+@example(Certificate(30, sum(1 << i for i in range(0, 30, 5)), (1, 2, 3, 5), 2, Fraction(0),
+                     provenance=_rotation_hint(5)))
+@example(Certificate(30, sum(1 << i for i in range(0, 30, 5)), (-1, 3), 1, Fraction(0),
+                     provenance={"kind": "rotation", "beta": ["1/0"], "witness": _HINT_WITNESS}))
+@settings(max_examples=300)
+def test_verifier_matches_the_whole_scan_oracle_under_any_hint(cert):
+    assert verify_certificate(cert) == verify_certificate_by_scan(cert)
+
+
+def test_period_hints_read_only_what_they_can():
+    def hints(provenance):
+        return certificates._period_hints(Certificate(10, 1, (), 1, 0, provenance))
+
+    assert hints(_rotation_hint(4, 6, 4)) == [4, 6]
+    # L at or above the horizon gives no hint
+    assert hints(_rotation_hint(10, 3)) == [3]
+    for hint in UNREADABLE_HINTS:
+        assert hints(hint) == []
+
+
+def test_default_stages_verify_on_residue_folds_alone(tmp_path, monkeypatch):
+    from reclab.experiments import ExperimentConfig, run_experiment
+
+    config = ExperimentConfig.from_json(
+        {
+            "experiment": "theorem_stage",
+            "params": {"stages": 3, "delta_prime": "1/1000", "N": 1_000_000, "m_max": 12},
+            "out_dir": str(tmp_path),
+        }
+    )
+    assert run_experiment(config).status == "PASS"
+    cert = load_certificate(tmp_path / "certificate.json")
+    assert cert.provenance["kind"] == "rotation-product" and len(cert.shifts) > 500
+    scans = []
+    hits = certificates._progression_hits
+    monkeypatch.setattr(
+        certificates, "_progression_hits", lambda *args: scans.append(args[1]) or hits(*args)
+    )
+    assert verify_certificate(cert).ok
+    # every shift is cleared by a fold: none falls back to the whole-bitset scan
+    assert scans == []
 
 
 def test_density_shortfall_reported():

@@ -73,7 +73,7 @@ def hermitian_table(rng, dim, freqs, scale=0.2):
 
 def grid_pullback(model, values, n):
     """f o T^n through the production gather, for raw grid values."""
-    return model.pullback_values(model._windows(np.asarray(values)), n)
+    return model.pullback_values(model._windows(np.asarray(values)), [n])[0]
 
 
 # ---- orbits ----
@@ -715,17 +715,53 @@ def test_triple_integrals_evaluate_each_distinct_key_once(monkeypatch, model, dt
     calls = []
     gather = type(model).pullback_values
 
-    def counted(self, values, n):
-        calls.append(n)
-        return gather(self, values, n)
+    def counted(self, windows, keys):
+        calls.append(list(keys))
+        return gather(self, windows, keys)
 
     monkeypatch.setattr(type(model), "pullback_values", counted)
     assert triple_integrals(model, f, ns) == want
-    # one key is one evaluation: the gathers at n and at 2n
-    keys = calls[::2]
-    assert calls[1::2] == [2 * n for n in keys]
+    # one block is one gather at its keys n followed by their doubles 2n
+    blocks = [call[: len(call) // 2] for call in calls]
+    assert calls == [block + [2 * n for n in block] for block in blocks]
+    keys = [n for block in blocks for n in block]
     assert len(keys) <= period // 2 + 1
     assert len(set(keys)) == len(keys)
+    assert sorted(keys) == sorted({min(n % period, period - n % period) for n in ns})
+
+
+@pytest.mark.parametrize("dtype", ["int64", "fraction", "wide"])
+@pytest.mark.parametrize(
+    "model",
+    [GridWeylModel(7, (2,)), GridWeylModel(4, (1, 1)), RotationModel(13, (3,)),
+     RotationModel(7, (1, 2))],
+    ids=["weyl-d1", "weyl-d2", "rotation-d1", "rotation-d2"],
+)
+@pytest.mark.parametrize("per_block", [1, 3, 10**6], ids=["one", "partial-last", "all"])
+def test_triple_integrals_in_key_blocks_match_the_per_n_oracle(
+    monkeypatch, model, dtype, per_block
+):
+    size = int(np.prod(model.phase_space_shape))
+    # a block gathers each key and its double
+    monkeypatch.setattr(weyl, "SCAN_BLOCK", per_block * 2 * size)
+    blocks = []
+    gather = type(model).pullback_values
+
+    def counted(self, windows, keys):
+        blocks.append(len(keys) // 2)
+        return gather(self, windows, keys)
+
+    monkeypatch.setattr(type(model), "pullback_values", counted)
+    f = grid_observable(random.Random(size), model.phase_space_shape, dtype)
+    ns = list(range(-3, 2 * model.period + 2))
+    got = triple_integrals(model, f, ns)
+    assert [repr(v) for v in got] == [repr(v) for v in triple_integrals_per_n(model, f, ns)]
+    distinct = model.period // 2 + 1
+    assert sum(blocks) == distinct
+    assert blocks[:-1] == [min(per_block, distinct)] * (len(blocks) - 1)
+    if per_block == 3:
+        # more than one block, the last one partial
+        assert len(blocks) > 1 and blocks[-1] == distinct % 3 != 0
 
 
 @pytest.mark.parametrize("model", [GridWeylModel(3, (1,)), GridWeylModel(2, (1, 1)),
