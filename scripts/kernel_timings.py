@@ -29,7 +29,12 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
   product certificate of a default ``theorem_stage`` run;
 - ``max_triple_intersection`` on that run's 729-point contrast: the
   rotation by 1 on Z_729, its 2/5 interval mask and the unsquared shift
-  base as the powers.
+  base as the powers;
+- ``triple_integrals`` at n = 1..945 on the 135 x 135 grid model of a
+  ``main_inequality`` grid run (alpha = 2/135) for the two observables
+  of the ``grid_large_q`` benchmark workload and one random observable
+  (a battery of three at config seed 11), with the dtype each observable
+  was lifted to and the keys per gathered block.
 
 Inputs are drawn from fixed seeds, so runs on one machine compare.
 """
@@ -183,6 +188,16 @@ def main() -> None:
     out["contrast_729_s"] = best_of(
         lambda: weyl.max_triple_intersection(contrast, mask, steps, max(steps))
     )
+
+    grid = weyl.GridWeylModel(135, (2,))
+    battery = [values for _, values in experiments._battery_grids(135, 3, 11)]
+    ns = range(1, 946)
+    out["triple_integrals_q135_battery_s"] = best_of(
+        lambda: [weyl.triple_integrals(grid, values, ns) for values in battery]
+    )
+    lifted = [weyl._lifted_windows(grid, values).values for values in battery]
+    out["triple_integrals_q135_battery_dtypes"] = [str(v.dtype) for v in lifted]
+    out["triple_integrals_q135_battery_keys_per_block"] = list(map(weyl._keys_per_block, lifted))
 
     out["repeats"] = REPEATS
     out["python"] = platform.python_version()

@@ -51,7 +51,7 @@ from .joinings import (
     root_of_unity_sum_is_zero,
     uniformize_over_joining,
 )
-from .roth import product_dtype, roth_form_exact
+from .roth import product_dtype, roth_form_exact, sum_dtype
 from .torus import ApproxHammingBall, TorusPoint, as_fraction, fraction_str, orbit_residues
 from .weyl import (
     GridWeylModel,
@@ -454,9 +454,10 @@ def _mask_measure(mask: np.ndarray) -> Fraction:
 
 def _battery_grids(q: int, count: int, seed: int) -> list[tuple[str, np.ndarray]]:
     """Small integer observables: a constant, an x-only one, then noise."""
-    rng = np.random.default_rng(seed)
     out: list[tuple[str, np.ndarray]] = [("constant", np.ones((q, q), dtype=np.int64))]
     if count >= 2:
+        # the generator only when something is drawn: it imports numpy.random
+        rng = np.random.default_rng(seed)
         row = rng.integers(-2, 3, size=q)
         out.append(("x-only", np.repeat(row[:, None], q, axis=1)))
     while len(out) < count:
@@ -526,8 +527,9 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
 
     for label, values in _battery_grids(q, p["battery"], config.seed):
         # in the dtype weighted_average lifts the grid to: its bound covers the squares
-        lifted = values.astype(product_dtype(values.size, values, values, values), copy=False)
-        norm_sq = Fraction(int((lifted * lifted).sum()), q * q)
+        dtype = product_dtype(values.size, values, values, values)
+        lifted = values.astype(dtype, copy=False)
+        norm_sq = Fraction(int((lifted * lifted).sum(dtype=sum_dtype(dtype))), q * q)
         table = GridFunction(2, q, values.astype(np.complex128)).spectrum_table(tol=1e-12)
         norm_bound = math.sqrt(float(norm_sq)) if norm_sq else 1.0
         try:

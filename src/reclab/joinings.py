@@ -20,6 +20,7 @@ that test and a failure raises rather than returning a near-zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -255,6 +256,14 @@ def _verify_star_zero(
         )
 
 
+@functools.lru_cache(maxsize=4)
+def _base_elements(base: SubgroupModel) -> np.ndarray:
+    """The elements of a joining base as int64 rows, enumerated once and shared read-only."""
+    w = np.array(base.elements(), dtype=np.int64)
+    w.flags.writeable = False
+    return w
+
+
 def annihilate_over_joining(
     ball: ApproxHammingBall,
     joining: AffineJoining,
@@ -280,7 +289,7 @@ def annihilate_over_joining(
         if all((scale * n) % q == 0 for n in chi.freq):
             raise ValueError(f"character {chi.freq} is trivial on the grid Z_{q}")
 
-    w = np.array(joining.base.elements(), dtype=np.int64)
+    w = _base_elements(joining.base)
     kernel = w[~w[:, d:].any(axis=1), :d].tolist()
     basis_rows = [tuple(a % q for a in row) for row in joining.base.basis]
 

@@ -43,10 +43,14 @@ __all__ = [
     "quotient_project",
     "roth_form",
     "roth_form_exact",
+    "sum_dtype",
 ]
 
 #: most cells in one block of shifts; a block holds at least one row
 BLOCK_CELLS = 1 << 14
+
+#: the exact integer dtypes of ``product_dtype``, narrowest first
+_EXACT_INTS = (np.int8, np.int16, np.int32, np.int64)
 
 
 def _check_triple(f0: GridFunction, f1: GridFunction, f2: GridFunction) -> None:
@@ -102,25 +106,35 @@ def roth_form(f0: GridFunction, f1: GridFunction, f2: GridFunction) -> complex:
 
 
 def product_dtype(size: int, *factors: np.ndarray) -> type:
-    """np.int64 when a sum of size products, one entry of each factor, stays below 2^62.
+    """The narrowest exact dtype for a sum of size products, one entry of each factor.
 
-    That is size * max|a| * ... < 2^62 over the factors, with max|a|
-    taken as at least 1; object (Python integers) otherwise.
+    One product is at most P = max|a| * ... over the factors, each max|a|
+    taken as at least 1 (so an int8 -128 counts as 128).  The dtype is
+    the narrowest of int8, int16, int32 and int64 that holds P, when
+    size * P < 2^62; object (Python integers) otherwise.  The products
+    fit the dtype; their sums are taken in int64 (``sum_dtype``).
     """
-    bound = size
+    bound = 1
     for a in factors:
         # max |a| without an abs() temporary, and exact even for the int64 minimum
         bound *= max(int(a.max()), -int(a.min()), 1)
-    return np.int64 if bound < 2**62 else object
+    if size * bound >= 2**62:
+        return object
+    return next(t for t in _EXACT_INTS if bound <= np.iinfo(t).max)
+
+
+def sum_dtype(dtype) -> type:
+    """The accumulator of products in ``dtype``: int64, or object for Python integers."""
+    return object if np.dtype(dtype) == object else np.int64
 
 
 def roth_form_exact(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Fraction:
     """The progression form for integer or rational arrays, no floats anywhere.
 
     The arrays are scaled to integers, each by its own common
-    denominator; the shifts are summed in int64 when ``product_dtype``
-    allows it and in Python integers otherwise, and one Fraction is built
-    at the end.
+    denominator; the products are taken in the ``product_dtype`` of the
+    three, summed per shift in int64 (Python integers past its bound),
+    and one Fraction is built at the end.
     """
     if not (a0.shape == a1.shape == a2.shape):
         raise ValueError("shape mismatch")
@@ -132,7 +146,7 @@ def roth_form_exact(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Fraction:
         prod = np.multiply(i0, w1, order="C")
         prod *= w2
         # one row is one shift, within the bound; the rows are added in Python
-        total += sum(prod.reshape(len(prod), -1).sum(axis=1).tolist())
+        total += sum(prod.reshape(len(prod), -1).sum(axis=1, dtype=sum_dtype(dtype)).tolist())
     return Fraction(total, d0 * d1 * d2 * a0.size**2)
 
 

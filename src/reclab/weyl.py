@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .harmonic import Character, CoefficientTable, GridFunction
-from .roth import product_dtype, roth_form, roth_form_exact
+from .roth import product_dtype, roth_form, roth_form_exact, sum_dtype
 from .torus import SCAN_BLOCK, Cylinder, TorusPoint, orbit_residues, scan_blocks, wrap_unit
 
 __all__ = [
@@ -582,30 +582,59 @@ def triple_integrals(
     also shows I(n) = I(-n).  Each distinct key min(r, P - r) is
     evaluated once.  The observable is lifted and windowed once per
     call.  The keys go in blocks of as many as fit, with their doubles,
-    in ``torus.SCAN_BLOCK`` gathered cells (one key at least); a block
+    in the bytes of ``torus.SCAN_BLOCK`` int64 cells (one key at least),
+    so a block holds 8 times as many int8 keys as int64 ones; a block
     costs one gather at its keys n and 2n together, one product and one
     sum per key.
+    """
+    sums, where, size = _triple_sums(model, f, n_values)
+    values = [Fraction(t, size) for t in sums]
+    return list(map(values.__getitem__, where))
+
+
+def _triple_sums(
+    model: Union[RotationModel, GridWeylModel], f: np.ndarray, n_values: Iterable[int]
+) -> tuple[list, list[int], int]:
+    """(sums, where, size): the integral at the i-th requested n is sums[where[i]] / size.
+
+    sums holds one sum per distinct key, in increasing key order.
     """
     if isinstance(model, WeylSystem):
         raise TypeError("the trig backend's integrals are WeylSystem.correlation_series")
     windows = _lifted_windows(model, f)
     period = model.period
-    keys = [min(r, period - r) for r in (int(n) % period for n in n_values)]
-    distinct = list(dict.fromkeys(keys))
-    per_block = max(1, SCAN_BLOCK // (2 * windows.values.size))
-    by_key: dict[int, Fraction] = {}
+    residues = _residues(n_values, period)
+    distinct, where = np.unique(np.minimum(residues, period - residues), return_inverse=True)
+    per_block = _keys_per_block(windows.values)
+    sums: list = []
     for lo in range(0, len(distinct), per_block):
-        block = distinct[lo : lo + per_block]
-        by_key.update(zip(block, _triple_means(model, windows, block)))
-    return [by_key[key] for key in keys]
+        sums += _triple_block_sums(model, windows, distinct[lo : lo + per_block].tolist())
+    return sums, where.tolist(), windows.values.size
+
+
+def _keys_per_block(values: np.ndarray) -> int:
+    """Keys whose gathers at n and 2n fit the bytes of ``SCAN_BLOCK`` int64 cells, one at least."""
+    return max(1, SCAN_BLOCK * np.dtype(np.int64).itemsize // (2 * values.nbytes))
+
+
+def _residues(n_values: Iterable[int], period: int) -> np.ndarray:
+    """n mod period for each n, as int64; n past int64 are reduced in Python ints."""
+    n_values = list(n_values)
+    try:
+        ns = np.asarray(n_values, dtype=np.int64)
+    except OverflowError:
+        ns = np.array(n_values, dtype=object)
+    return np.asarray(ns % period, dtype=np.int64)
 
 
 def _lifted_windows(model: Union[RotationModel, GridWeylModel], f: np.ndarray) -> _Windows:
-    """The windows of f in the dtype its triple products are exact in.
+    """The windows of f in the narrowest dtype its triple products are exact in.
 
     Every pullback permutes the entries of f, so one bound serves every
-    product: integer and bool grids ride int64 when size * max|f|^3 < 2^62
-    and Python ints otherwise.  Object grids stay as they are.
+    product: integer and bool grids ride the ``roth.product_dtype`` of
+    (f, f, f), int8 while max|f|^3 <= 127 and up to int64 while
+    size * max|f|^3 < 2^62, and Python ints otherwise.  Object grids stay
+    as they are.
     """
     values = _as_values(f)
     if values.dtype != object:
@@ -613,18 +642,19 @@ def _lifted_windows(model: Union[RotationModel, GridWeylModel], f: np.ndarray) -
     return model._windows(values)
 
 
-def _triple_means(model, windows: _Windows, ns: Sequence[int]) -> list[Fraction]:
-    """avg f . (f o S^n) . (f o S^2n) for each n, from one gather at every n and 2n.
+def _triple_block_sums(model, windows: _Windows, ns: Sequence[int]) -> list:
+    """sum f . (f o S^n) . (f o S^2n) for each n, from one gather at every n and 2n.
 
-    The products are formed in the buffer of the f o S^n half.
+    The products are formed in the buffer of the f o S^n half, in the
+    dtype of the windows, and summed in int64 (Python objects for object
+    grids).
     """
     both = model.pullback_values(windows, list(ns) + [2 * n for n in ns])
     first, second = both[: len(ns)], both[len(ns) :]
     np.multiply(windows.values, first, out=first)
     first *= second
     # tolist gives Python ints from int64 sums and leaves object sums as they are
-    totals = first.reshape(len(ns), -1).sum(axis=1).tolist()
-    return [Fraction(t, windows.values.size) for t in totals]
+    return first.reshape(len(ns), -1).sum(axis=1, dtype=sum_dtype(first.dtype)).tolist()
 
 
 def _checkpoint_averages(
@@ -847,6 +877,8 @@ def max_triple_intersection(
     candidates = sorted({int(n) for n in steps if 0 <= int(n) <= int(n_max)})
     if not candidates:
         raise ValueError("no admissible powers: steps has nothing in [0, n_max]")
-    integrals = triple_integrals(model, values, candidates)
-    best = max(range(len(candidates)), key=integrals.__getitem__)  # first maximum on ties
-    return candidates[best], integrals[best]
+    # the integrals share the denominator size, so their sums order them
+    sums, where, size = _triple_sums(model, values, candidates)
+    per_n = list(map(sums.__getitem__, where))
+    best = per_n.index(max(per_n))  # first maximum on ties
+    return candidates[best], Fraction(per_n[best], size)

@@ -547,7 +547,8 @@ def test_annihilate_certifies_what_the_per_character_route_does(case, k, chars):
 
 def test_annihilate_enumerates_the_joining_base_once_per_call(monkeypatch, tmp_path):
     # the grid battery of the joint example config certifies 16 characters
-    # in 6 calls; each call enumerates the base once
+    # in 6 calls over one base; the process enumerates that base once
+    joinings._base_elements.cache_clear()
     enumerations = []
     elements = SubgroupModel.elements
     monkeypatch.setattr(
@@ -567,8 +568,17 @@ def test_annihilate_enumerates_the_joining_base_once_per_call(monkeypatch, tmp_p
         config = ExperimentConfig.from_json(json.load(fh))
     config.out_dir = str(tmp_path)
     assert run_experiment(config).status == "PASS"
-    assert [once for once, _ in per_call] == [1] * 6
+    assert [once for once, _ in per_call] == [1] + [0] * 5
     assert sum(chars for _, chars in per_call) == 16
+
+
+def test_joining_base_elements_are_cached_read_only():
+    base = SubgroupModel.from_generators(5, 4, [[1, 1, 0, 0], [0, 0, 1, 2]])
+    w = joinings._base_elements(base)
+    assert joinings._base_elements(base) is w
+    assert w.dtype == np.int64 and w.tolist() == [list(e) for e in base.elements()]
+    with pytest.raises(ValueError):
+        w[0, 0] = 1
 
 
 # ---- uniformization over a joining ----

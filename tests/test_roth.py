@@ -240,9 +240,11 @@ def test_product_dtype_bound_is_strict():
     top = np.array([2**60], dtype=np.int64)
     assert product_dtype(3, top, ones) is np.int64
     assert product_dtype(4, top, ones) is object
-    # |int64 min| is taken exactly, and an all-zero factor counts as 1
+    # |int64 min| is taken exactly, and an all-zero factor counts as 1, so its
+    # products fit int8 while the sum stays below 2^62
     assert product_dtype(1, np.array([np.iinfo(np.int64).min])) is object
-    assert product_dtype(2**61, np.zeros(3, dtype=np.int64)) is np.int64
+    assert product_dtype(2**61, np.zeros(3, dtype=np.int64)) is np.int8
+    assert product_dtype(2**62, np.zeros(3, dtype=np.int64)) is object
 
 
 # ---- projections ----

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from reclab import weyl
 from reclab.experiments import _TRIG_BETA, _random_trig_table
 from reclab.harmonic import Character, CoefficientTable, GridFunction, annihilating_cylinder
+from reclab.roth import product_dtype, roth_form_exact
 from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint, orbit_residues
 from reclab.weyl import (
     AveragesTrace,
@@ -38,6 +39,7 @@ from oracles import (
     pullback,
     pullback_by_index_grids,
     random_grid,
+    roth_form_exact_roll_loop,
     scaled,
     trig_triple_integral,
     triple_integral,
@@ -742,8 +744,11 @@ def test_triple_integrals_in_key_blocks_match_the_per_n_oracle(
     monkeypatch, model, dtype, per_block
 ):
     size = int(np.prod(model.phase_space_shape))
-    # a block gathers each key and its double
-    monkeypatch.setattr(weyl, "SCAN_BLOCK", per_block * 2 * size)
+    f = grid_observable(random.Random(size), model.phase_space_shape, dtype)
+    # a block gathers each key and its double in the lifted dtype, within the
+    # bytes of SCAN_BLOCK int64 cells: the least budget that holds per_block keys
+    itemsize = weyl._lifted_windows(model, f).values.itemsize
+    monkeypatch.setattr(weyl, "SCAN_BLOCK", -(-per_block * 2 * size * itemsize // 8))
     blocks = []
     gather = type(model).pullback_values
 
@@ -752,7 +757,6 @@ def test_triple_integrals_in_key_blocks_match_the_per_n_oracle(
         return gather(self, windows, keys)
 
     monkeypatch.setattr(type(model), "pullback_values", counted)
-    f = grid_observable(random.Random(size), model.phase_space_shape, dtype)
     ns = list(range(-3, 2 * model.period + 2))
     got = triple_integrals(model, f, ns)
     assert [repr(v) for v in got] == [repr(v) for v in triple_integrals_per_n(model, f, ns)]
@@ -774,6 +778,105 @@ def test_triple_integrals_lift_past_the_int64_bound_exactly(model):
     for m in (edge - 2, edge - 1, edge, edge + 1, edge * 7 // 5, 2**21, 2**40, -(2**40)):
         f = np.full(model.phase_space_shape, m, dtype=np.int64)
         assert triple_integrals(model, f, [1, -3]) == [Fraction(m**3)] * 2
+
+
+def cube_root_edge(size: int) -> int:
+    """The largest m with size * m^3 < 2^62."""
+    m = round((2**62 / size) ** (1 / 3))
+    while size * m**3 >= 2**62:
+        m -= 1
+    while size * (m + 1) ** 3 < 2**62:
+        m += 1
+    return m
+
+
+#: max|f| at each edge of the exact dtypes (the largest cube each holds, and
+#: one past it) with the dtype its triple products take; "int8-min" is an
+#: int8 grid holding -128, so its bound is 128^3
+DTYPE_EDGES = {
+    5: np.int8, 6: np.int16, 31: np.int16, 32: np.int32, 1290: np.int32, 1291: np.int64,
+    "int8-min": np.int32, "bool": np.int8, "2^62-below": np.int64, "2^62-above": object,
+    "fraction": object,
+}
+NARROWER = {np.int16: np.int8, np.int32: np.int16, np.int64: np.int32}
+EDGE_MODELS = [GridWeylModel(3, (1,)), GridWeylModel(2, (1, 1)), GridWeylModel(4, (1,)),
+               RotationModel(5, (2,)), RotationModel(3, (1, 2))]
+
+
+def edge_grid(rng: random.Random, shape: tuple[int, ...], edge) -> np.ndarray:
+    """A grid of the given shape whose max|f| is exactly the edge."""
+    size = int(np.prod(shape))
+    if edge == "bool":
+        flat = np.array([rng.random() < 0.5 for _ in range(size)], dtype=bool)
+        flat[rng.randrange(size)] = True
+        return flat.reshape(shape)
+    if edge == "fraction":
+        return grid_observable(rng, shape, "fraction")
+    if edge == "int8-min":
+        flat = np.array([rng.randint(-128, 127) for _ in range(size)], dtype=np.int8)
+        flat[rng.randrange(size)] = -128
+        return flat.reshape(shape)
+    top = edge if isinstance(edge, int) else cube_root_edge(size) + (edge == "2^62-above")
+    flat = np.array([rng.randint(-top, top) for _ in range(size)], dtype=np.int64)
+    flat[rng.randrange(size)] = rng.choice([top, -top])
+    return flat.reshape(shape)
+
+
+@given(
+    edge=st.sampled_from(list(DTYPE_EDGES)),
+    model=st.sampled_from(EDGE_MODELS),
+    ns=st.lists(st.integers(-12, 12), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_kernels_take_the_narrowest_dtype_at_every_edge(edge, model, ns, seed):
+    rng = random.Random(seed)
+    f = edge_grid(rng, model.phase_space_shape, edge)
+    want = DTYPE_EDGES[edge]
+    lifted = weyl._lifted_windows(model, f).values
+    if f.dtype != object:
+        assert product_dtype(f.size, f, f, f) is want
+        # the narrowest: one product fits this dtype and not the one below it
+        top = max(int(f.max()), -int(f.min()), 1)
+        if want is not object:
+            assert top**3 <= np.iinfo(want).max
+            if want is not np.int8:
+                assert top**3 > np.iinfo(NARROWER[want]).max
+    assert lifted.dtype == np.dtype(want)
+    assert triple_integrals(model, f, ns) == triple_integrals_per_n(model, f, ns)
+    g, h = (edge_grid(rng, model.phase_space_shape, edge) for _ in range(2))
+    assert roth_form_exact(f, g, h) == roth_form_exact_roll_loop(f, g, h)
+
+
+@given(
+    model=grid_models(),
+    dtype=st.sampled_from(["bool", "int64"]),
+    steps=st.lists(st.integers(-3, 30), min_size=1, max_size=12),
+    n_max=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(model=RotationModel(6, (2,)), dtype="int64", steps=[0, 3, 6, 9], n_max=9, seed=0)
+@example(model=GridWeylModel(5, (1,)), dtype="bool", steps=[4, 1, 6, 5], n_max=6, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_max_triple_intersection_takes_the_first_maximum_on_ties(
+    model, dtype, steps, n_max, seed
+):
+    rng = random.Random(seed)
+    size = int(np.prod(model.phase_space_shape))
+    # few 0/1 levels and powers that share a key (n, P - n, n + P), so ties are common
+    flat = np.array([rng.random() < 0.6 for _ in range(size)], dtype=bool)
+    mask = flat.astype(dtype).reshape(model.phase_space_shape)
+    candidates = sorted({n for n in steps if 0 <= n <= n_max})
+    if not candidates:
+        with pytest.raises(ValueError):
+            max_triple_intersection(model, mask, steps, n_max)
+        return
+    integrals = triple_integrals_per_n(model, mask, candidates)
+    best = max(integrals)
+    want = candidates[integrals.index(best)]
+    n_star, value = max_triple_intersection(model, mask, steps, n_max)
+    assert (n_star, value) == (want, best)
+    assert type(value) is Fraction
 
 
 INEXACT_OBSERVABLES = {
