@@ -62,7 +62,7 @@ from reclab.certificates import (
     verify_certificate,
 )
 from reclab.harmonic import GridFunction, annihilating_cylinder
-from reclab.joinings import extract_affine_joining, pair_embedding, quadratic_direction
+from reclab.joinings import extract_affine_joining
 from reclab.roth import roth_form, roth_form_exact
 from reclab.torus import ApproxHammingBall, TorusPoint
 
@@ -104,12 +104,8 @@ def main() -> None:
     out["roth_form_exact_q135_d1_s"] = best_of(lambda: roth_form_exact(sums, sums, sums))
 
     r = 5
-    base = extract_affine_joining(
-        pair_embedding([Fraction(2, 135)], [Fraction(1, 7)], r),
-        quadratic_direction([Fraction(2, 135)], [Fraction(i, 7) for i in range(1, r + 1)]),
-        1,
-        r,
-    ).base
+    beta = [Fraction(i, 7) for i in range(1, r + 1)]
+    base = extract_affine_joining([Fraction(2, 135)], beta, 945).base
     out["elements_order945_s"] = best_of(base.elements)
 
     rng = np.random.default_rng(7)

@@ -46,6 +46,7 @@ from .experiments import (
     REFUTED,
     TRIG_HORIZON_CAP,
     TRIG_MODES_CAP,
+    csv_table,
     list_experiments,
     parse_entry,
     run_experiment,
@@ -80,11 +81,17 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        write_atomic(out, text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, out: str | None) -> int:
+    """Write text to out, or to stdout without one: 0, or 2 with one error line."""
+    try:
+        if out:
+            write_atomic(out, text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 # ---- lab ----
@@ -114,7 +121,7 @@ def main_lab(argv: Sequence[str] | None = None) -> int:
     try:
         config = ExperimentConfig.from_json(doc)
         report = run_experiment(config)
-    except ExperimentError as exc:
+    except (ExperimentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in report.lines:
@@ -163,8 +170,7 @@ def main_bohr(argv: Sequence[str] | None = None) -> int:
     result = scan(bh, args.N)
     doc = set_to_json(result.elems, args.N)
     doc["density"] = fraction_str(result.density)
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return 0
+    return _emit(json.dumps(doc, indent=2) + "\n", args.out)
 
 
 # ---- weyl ----
@@ -266,8 +272,7 @@ def main_weyl(argv: Sequence[str] | None = None) -> int:
         ell=args.ell,
         n_max=args.N,
     )
-    _emit(trace.to_csv(), args.out)
-    return 0
+    return _emit(trace.to_csv(), args.out)
 
 
 # ---- roth ----
@@ -316,7 +321,7 @@ def main_roth(argv: Sequence[str] | None = None) -> int:
     rng = np.random.default_rng(args.seed)
     shape = (args.q,) * args.d
 
-    lines = ["trial,I,I_W,gap,kappa,bound,ok"]
+    rows = []
     failures = 0
     for trial in range(args.trials):
         f0, f1, f2 = (
@@ -326,21 +331,14 @@ def main_roth(argv: Sequence[str] | None = None) -> int:
         out = quotient_gap_bound(f0, f1, f2, subgroup)
         ok = out["gap"] <= out["bound"] + 1e-9
         failures += not ok
-        lines.append(
-            ",".join(
-                [
-                    str(trial),
-                    repr(out["form"].real),
-                    repr(out["projected_form"].real),
-                    repr(out["gap"]),
-                    repr(out["kappa"]),
-                    repr(out["bound"]),
-                    str(ok),
-                ]
-            )
+        rows.append(
+            [
+                trial, out["form"].real, out["projected_form"].real,
+                out["gap"], out["kappa"], out["bound"], ok,
+            ]
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 1 if failures else 0
+    header = ["trial", "I", "I_W", "gap", "kappa", "bound", "ok"]
+    return _emit(csv_table(header, rows), args.out) or (1 if failures else 0)
 
 
 # ---- cert ----

@@ -46,8 +46,6 @@ from .certificates import (
 from .harmonic import Character, CoefficientTable, GridFunction, annihilating_cylinder
 from .joinings import (
     extract_affine_joining,
-    pair_embedding,
-    quadratic_direction,
     root_of_unity_sum_is_zero,
     uniformize_over_joining,
 )
@@ -405,7 +403,8 @@ def _echo(config: ExperimentConfig, params: dict[str, Any]) -> dict:
     return doc
 
 
-def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+def csv_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """One CSV document: Fractions as n/d, floats by repr, the rest by str."""
     def cell(v) -> str:
         if isinstance(v, Fraction):
             return fraction_str(v)
@@ -499,16 +498,7 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     if period > PERIOD_CAP:
         raise ExperimentError("config", f"joint period {period} exceeds the cap {PERIOD_CAP}")
 
-    try:
-        joining = extract_affine_joining(
-            pair_embedding([alpha], [t0], r),
-            quadratic_direction([alpha], weight_dir),
-            1,
-            r,
-        )
-    except ValueError as exc:
-        raise ExperimentError("extract-joining", str(exc))
-
+    joining = extract_affine_joining([alpha], weight_dir, modulus)
     ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * r), k, eps)
     beta_pt = TorusPoint.of(beta)
     bound_scale = 2.0 / math.sqrt(k)
@@ -572,7 +562,7 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
             f"2 k^-1/2 ||f||^2 = {bound:.6e}"
         )
 
-    tables["battery.csv"] = _csv(
+    tables["battery.csv"] = csv_table(
         [
             "label", "norm_sq", "average", "closed_form", "window_mass",
             "gap", "gap_float", "bound_float", "pinned_modes", "residual", "within_bound",
@@ -673,7 +663,7 @@ def _main_inequality_trig(config: ExperimentConfig, p: dict[str, Any]) -> Experi
             f"margin {margin:+.6e}"
         )
 
-    tables["battery.csv"] = _csv(
+    tables["battery.csv"] = csv_table(
         ["label", "norm_sq", "average", "closed_form", "window_mass", "gap", "bound", "margin"],
         rows,
     )
@@ -807,7 +797,7 @@ def exp_sqrt_recurrence(config: ExperimentConfig) -> ExperimentReport:
         config=_echo(config, p),
         metrics=metrics,
         lines=lines,
-        tables={"sqrt_recurrence.csv": _csv(["n", "intersection", "float", "positive"], rows)},
+        tables={"sqrt_recurrence.csv": csv_table(["n", "intersection", "float", "positive"], rows)},
     )
 
 
@@ -960,7 +950,7 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
         "witness": proof,
     }
     tables = {
-        "theorem_stage.csv": _csv(
+        "theorem_stage.csv": csv_table(
             ["stage", "roots", "achieved", "stage_claim", "m", "base_size", "running_claim"],
             rows,
         )
@@ -1161,7 +1151,7 @@ def exp_equidistribution(config: ExperimentConfig) -> ExperimentReport:
         config=_echo(config, p),
         metrics=metrics,
         lines=lines,
-        tables={"equidistribution.csv": _csv(["label", "m", "N", "abs_average"], rows)},
+        tables={"equidistribution.csv": csv_table(["label", "m", "N", "abs_average"], rows)},
     )
 
 

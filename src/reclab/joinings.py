@@ -1,14 +1,22 @@
 """Finite joining models for quadratic orbit averages.
 
-The objects here live on the grid group Z_q^m.  For orbits
-n -> n*c + n^2*u whose linear part lies on the progression diagonal
-{(s, t, 2s, 2t, 0)} and whose quadratic part has the shape
-(0, a, 0, 4a, b), the two offset coordinates w1 = (z4 - 2*z2)/2 and
-w2 = z5 sweep out (n^2 * a, n^2 * b).  The joining extracted from such
-an orbit is the Haar measure on the subgroup of Z_q^(d+r) those offsets
-generate, and that Haar measure is the only joining shape here.
-Averaging a product f(x, y + 2*w1) * g(w2) against it is the star
-convolution; on the transform side it multiplies each (chi, psi)
+The grid pipeline averages along the orbit n -> n*c + n^2*u with linear
+part c = (alpha, t0, 2*alpha, 2*t0, 0) and quadratic part
+u = (0, alpha, 0, 4*alpha, l^2*beta).  Its two offset blocks
+w1 = (z4 - 2*z2)/2 and w2 = z5 sweep out n^2 * (alpha, l^2*beta), so the
+joining is the Haar measure on the subgroup of Z_M^(d+r) generated by
+(alpha, l^2*beta), M the common denominator of alpha, t0 and l^2*beta.
+That Haar measure is the only joining shape here, and
+``extract_affine_joining`` builds it from the two blocks directly.
+
+The construction has a precondition on the linear blocks: alpha and t0
+must have coprime orders, so that the linear part closes on the product
+of their cyclic closures, and M must be odd, so that the offsets halve.
+The grid pipeline checks it before building the joining: an odd q, an
+alpha that generates Z_q, an order of t0 coprime to q and an odd M.
+
+Averaging a product f(x, y + 2*w1) * g(w2) against the joining is the
+star convolution; on the transform side it multiplies each (chi, psi)
 coefficient of f by a factor depending on psi and g only.
 
 Cylinder constructions over a joining must certify their zeros.  A sum of
@@ -36,66 +44,15 @@ from .harmonic import (
     top_k_characters,
 )
 from .lattice import SubgroupModel, solve_linear_mod
-from .torus import ApproxHammingBall, Cylinder, RationalLike, as_fraction
+from .torus import ApproxHammingBall, Cylinder, as_fraction
 
 __all__ = [
     "AffineJoining",
     "annihilate_over_joining",
     "extract_affine_joining",
-    "offset_projection",
-    "pair_embedding",
-    "quadratic_direction",
     "root_of_unity_sum_is_zero",
     "uniformize_over_joining",
 ]
-
-
-# ---- lifting rationals onto a common grid ----
-
-
-def _lift_common(
-    vectors: Sequence[Sequence[RationalLike]], modulus: int | None = None
-) -> tuple[list[list[int]], int]:
-    """Write every coordinate as num/q over one common denominator q."""
-    fracs = [[as_fraction(c) for c in vec] for vec in vectors]
-    q = 1 if modulus is None else int(modulus)
-    if q < 1:
-        raise ValueError("modulus must be >= 1")
-    for vec in fracs:
-        for f in vec:
-            q = math.lcm(q, f.denominator)
-    lifted = [
-        [f.numerator * (q // f.denominator) % q for f in vec] for vec in fracs
-    ]
-    return lifted, q
-
-
-# ---- the progression diagonal and standard orbit parts ----
-
-
-def pair_embedding(s: Sequence, t: Sequence, r: int) -> list:
-    """(s, t, 2s, 2t, 0): the linear orbit part determined by a pair."""
-    if len(s) != len(t):
-        raise ValueError("the two blocks must have equal length")
-    return [*s, *t, *(2 * a for a in s), *(2 * b for b in t), *([0] * r)]
-
-
-def quadratic_direction(alpha: Sequence, beta: Sequence) -> list:
-    """(0, alpha, 0, 4*alpha, beta): the quadratic orbit part."""
-    d = len(alpha)
-    return [0] * d + list(alpha) + [0] * d + [4 * a for a in alpha] + list(beta)
-
-
-def offset_projection(vec: Sequence[int], d: int, r: int, q: int) -> tuple[int, ...]:
-    """(w1, w2) with w1 = (z4 - 2*z2)/2 and w2 = z5, for odd q."""
-    if q % 2 == 0:
-        raise ValueError("offset projection needs an odd modulus to halve")
-    if len(vec) != 4 * d + r:
-        raise ValueError(f"vector width {len(vec)} does not match 4*{d}+{r}")
-    inv2 = pow(2, -1, q)
-    w1 = [inv2 * (vec[3 * d + i] - 2 * vec[d + i]) % q for i in range(d)]
-    w2 = [vec[4 * d + i] % q for i in range(r)]
-    return tuple(w1 + w2)
 
 
 # ---- affine joinings ----
@@ -127,52 +84,18 @@ class AffineJoining:
 
 
 def extract_affine_joining(
-    linear: Sequence[RationalLike],
-    quadratic: Sequence[RationalLike],
-    d: int,
-    r: int,
-    modulus: int | None = None,
+    alpha: Sequence[Fraction], weight_dir: Sequence[Fraction], modulus: int
 ) -> AffineJoining:
-    """Haar measure on the offset projection of the quadratic part's closure.
+    """Haar measure on the subgroup of Z_modulus^(d+r) generated by (alpha, weight_dir).
 
-    The projection is a homomorphism, so the projected closure is the
-    closure of the projected quadratic part: one generator, one normal
-    form.  The linear part must lie on the progression diagonal and
-    generate the product of the cyclic closures of its two leading blocks;
-    otherwise the input is degenerate and a ValueError explains which
-    closure came out wrong.  The common denominator q must be odd so the
-    offset halving is defined.
+    alpha (d coordinates) is the w1 block and weight_dir = l^2*beta (r
+    coordinates) the w2 block; modulus must be a multiple of every
+    denominator.  The caller checks the precondition on the orbit's linear
+    blocks that the module docstring states.
     """
-    m = 4 * d + r
-    if len(linear) != m or len(quadratic) != m:
-        raise ValueError(f"both parts must have width 4*{d}+{r} = {m}")
-    (c, u), q = _lift_common([list(linear), list(quadratic)], modulus)
-    if q % 2 == 0:
-        raise ValueError(f"common modulus {q} is even; offsets cannot be halved")
-
-    for i in range(d):
-        if (c[2 * d + i] - 2 * c[i]) % q or (c[3 * d + i] - 2 * c[d + i]) % q:
-            raise ValueError(
-                "degenerate linear part: not on the progression diagonal"
-            )
-    if any(c[4 * d + i] % q for i in range(r)):
-        raise ValueError("degenerate linear part: nonzero trailing block")
-
-    s0, t0 = c[:d], c[d : 2 * d]
-    zero_d = [0] * d
-    pattern = SubgroupModel.from_generators(
-        q, m, [pair_embedding(s0, zero_d, r), pair_embedding(zero_d, t0, r)]
-    )
-    linear_closure = SubgroupModel.from_generators(q, m, [c])
-    if linear_closure != pattern:
-        raise ValueError(
-            "degenerate linear part: its closure has order "
-            f"{linear_closure.order()} but the block product has order "
-            f"{pattern.order()}; the two leading blocks must have coprime orders"
-        )
-
-    base = SubgroupModel.from_generators(q, d + r, [offset_projection(u, d, r, q)])
-    return AffineJoining(base, d, r)
+    gen = [c * modulus % modulus for c in (*alpha, *weight_dir)]
+    base = SubgroupModel.from_generators(modulus, len(gen), [gen])
+    return AffineJoining(base, len(alpha), len(weight_dir))
 
 
 # ---- exact zero certificates for root-of-unity sums ----

@@ -40,12 +40,13 @@ draws from the band set, the band-measure probe, and the product bitset
 rebuilt from a certificate's recorded factors.  For the joinings: the
 points and visit counts of a decomposed orbit, its orbit and coset
 averages and the recount of its measure identity, the exact visit
-decomposition of a quadratic orbit, the weighted coset joining it
-projects to (the general affine joining, of which
+decomposition of a quadratic orbit, the embedding of the grid orbit in
+Z_q^(4d+r) and its offset projection, the weighted coset joining the
+orbit projects to (the general affine joining, of which
 ``joinings.AffineJoining`` keeps only the Haar measure) and the two-step
 projected closure that ``joinings.extract_affine_joining`` replaced with
-one projection, the star-zero certificate one coset at a time, and the
-star kernel and its transform factor.
+the one generator (alpha, l^2*beta), the star-zero certificate one coset
+at a time, and the star kernel and its transform factor.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from reclab.harmonic import (
     cylinder_coefficient_is_structural_zero,
     top_k_characters,
 )
-from reclab.joinings import AffineJoining, offset_projection, root_of_unity_sum_is_zero
+from reclab.joinings import AffineJoining, root_of_unity_sum_is_zero
 from reclab.lattice import SubgroupModel
 from reclab.torus import (
     ApproxHammingBall,
@@ -996,6 +997,31 @@ def lift_orbit(
     q = math.lcm(modulus or 1, *(f.denominator for f in fracs))
     lifted = [f.numerator * (q // f.denominator) % q for f in fracs]
     return lifted[: len(linear)], lifted[len(linear) :], q
+
+
+def pair_embedding(s: Sequence, t: Sequence, r: int) -> list:
+    """(s, t, 2s, 2t, 0): the linear orbit part determined by a pair."""
+    if len(s) != len(t):
+        raise ValueError("the two blocks must have equal length")
+    return [*s, *t, *(2 * a for a in s), *(2 * b for b in t), *([0] * r)]
+
+
+def quadratic_direction(alpha: Sequence, beta: Sequence) -> list:
+    """(0, alpha, 0, 4*alpha, beta): the quadratic orbit part."""
+    d = len(alpha)
+    return [0] * d + list(alpha) + [0] * d + [4 * a for a in alpha] + list(beta)
+
+
+def offset_projection(vec: Sequence[int], d: int, r: int, q: int) -> tuple[int, ...]:
+    """(w1, w2) with w1 = (z4 - 2*z2)/2 and w2 = z5, for odd q."""
+    if q % 2 == 0:
+        raise ValueError("offset projection needs an odd modulus to halve")
+    if len(vec) != 4 * d + r:
+        raise ValueError(f"vector width {len(vec)} does not match 4*{d}+{r}")
+    inv2 = pow(2, -1, q)
+    w1 = [inv2 * (vec[3 * d + i] - 2 * vec[d + i]) % q for i in range(d)]
+    w2 = [vec[4 * d + i] % q for i in range(r)]
+    return tuple(w1 + w2)
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,19 @@ def test_lab_config_errors_are_exit_2(tmp_path, monkeypatch, capsys, extra, mess
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def test_lab_grid_config_refusal_is_exit_2(tmp_path, capsys):
+    # an even common phase denominator: the joining's offsets cannot halve
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "experiment": "main_inequality",
+        "params": {"t0": "1/2", "battery": 1},
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert main_lab(["run", str(config)]) == 2
+    assert "[config] common phase denominator 1890 is even" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_lab_pipeline_error_is_exit_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -631,6 +644,45 @@ def test_bad_value_is_exit_2_with_one_error_line(tmp_path, monkeypatch, capsys, 
     last = captured.err.strip().splitlines()[-1]
     assert "error: " in last and message in last
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# outputs that cannot be written
+
+
+def assert_one_error_line(captured):
+    """Exit 2 leaves one `error: ...` line on stderr, no traceback and no stdout."""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_lab_run_into_an_unwritable_out_dir_is_exit_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "experiment": "equidistribution",
+        "params": {"ladder": [1000]},
+        "out_dir": str(tmp_path / "afile" / "sub"),
+    }))
+    assert main_lab(["run", str(config)]) == 2
+    assert_one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "main, args",
+    [
+        pytest.param(main_bohr, BOHR_ENUM + ["--k", "1", "--eps", "1/8"], id="bohr-enum"),
+        pytest.param(main_weyl, WEYL_AVG + ["--alpha", "1/7", "--eta", "1/8"], id="weyl-avg"),
+        pytest.param(main_roth, ["check", "--q", "5", "--d", "1", "--trials", "2"], id="roth-check"),
+    ],
+)
+def test_an_unwritable_out_file_is_exit_2(tmp_path, capsys, main, args):
+    (tmp_path / "afile").write_text("")
+    if main is main_weyl:
+        args = args + ["--f", poly_file(tmp_path)]
+    assert exit_code(main, args + ["--out", str(tmp_path / "afile" / "x")]) == 2
+    assert_one_error_line(capsys.readouterr())
+    assert (tmp_path / "afile").read_text() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,31 @@ def test_grid_requires_odd_modulus(tmp_path):
     assert err.value.stage == "config"
 
 
+def joining_unreachable(*args, **kwargs):
+    raise AssertionError("the joining was built for a refused config")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param({"alpha": "3/135"}, "alpha 1/45 must generate the size-135 grid",
+                     id="alpha-not-generating"),
+        pytest.param({"t0": "1/5"}, "t0 1/5 must have order coprime to the grid size 135",
+                     id="t0-order-not-coprime"),
+        pytest.param({"t0": "1/2"}, "common phase denominator 1890 is even",
+                     id="even-phase-denominator"),
+    ],
+)
+def test_grid_config_checks_guard_the_joining(tmp_path, monkeypatch, change, message):
+    # extract_affine_joining assumes what these checks establish, with the odd q
+    # of test_grid_requires_odd_modulus: alpha generating Z_q, t0 of order
+    # coprime to q and an odd common denominator
+    monkeypatch.setattr(experiments, "extract_affine_joining", joining_unreachable)
+    with pytest.raises(ExperimentError) as err:
+        run(tmp_path, "main_inequality", dict(INDEPENDENT, **change))
+    assert err.value.stage == "config" and message in str(err.value)
+
+
 def test_trig_battery_uses_the_three_term_progression_form(tmp_path):
     run(tmp_path, "main_inequality", {"model": "trig", "N": 1000, "battery": 1}, seed=4)
     closed = float(battery_rows(tmp_path)["trig-0"]["closed_form"])

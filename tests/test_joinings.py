@@ -20,9 +20,6 @@ from reclab.joinings import (
     AffineJoining,
     annihilate_over_joining,
     extract_affine_joining,
-    offset_projection,
-    pair_embedding,
-    quadratic_direction,
     root_of_unity_sum_is_zero,
     uniformize_over_joining,
 )
@@ -38,8 +35,11 @@ from oracles import (
     evaluate_table,
     full_subgroup,
     lift_orbit,
+    offset_projection,
     orbit_point,
+    pair_embedding,
     projected_closure,
+    quadratic_direction,
     quadratic_orbit_decomposition,
     star_kernel,
     star_transform_factor,
@@ -67,7 +67,7 @@ def ball_on(center_coords, k, eps):
 
 def test_cyclic_closure_coprime_blocks_give_full_product():
     # (1/5, 1/7) lifted to Z_35 is (7, 5): the pair generates the product of the factors,
-    # the closure equality extract_affine_joining requires of its linear part
+    # the closure equality the grid joining requires of its linear blocks
     G = SubgroupModel.from_generators(35, 2, [[7, 5]])
     product = SubgroupModel.from_generators(35, 2, [[7, 0], [0, 5]])
     assert G == product and G.order() == 35
@@ -166,7 +166,7 @@ def test_extraction_equal_frequencies_concentrate_on_diagonal():
         frac(2, 15),
     )
     # the extracted group idealization is the full diagonal
-    ex = extract_affine_joining(*diagonal_parts(), 1, 1)
+    ex = extract_affine_joining([frac(1, 15)], [frac(1, 15)], 15)
     assert ex.q == 15
     assert ex.base == SubgroupModel.from_generators(15, 2, [[1, 1]])
     assert (ex.d, ex.r) == (1, 1)
@@ -174,9 +174,7 @@ def test_extraction_equal_frequencies_concentrate_on_diagonal():
 
 
 def test_extraction_coprime_frequencies_group_is_full_product():
-    lin = pair_embedding([frac(1, 5)], [frac(1, 7)], 1)
-    quad = quadratic_direction([frac(1, 5)], [frac(1, 7)])
-    ex = extract_affine_joining(lin, quad, 1, 1)
+    ex = extract_affine_joining([frac(1, 5)], [frac(1, 7)], 35)
     assert ex.q == 35
     product = SubgroupModel.from_generators(35, 2, [[7, 0], [0, 5]])
     assert ex.base == product
@@ -188,7 +186,7 @@ def test_extraction_coprime_frequencies_group_is_full_product():
 
 def test_extraction_zero_quadratic_part_is_point_mass():
     lin = pair_embedding([frac(1, 3)], [frac(1, 5)], 1)
-    ex = extract_affine_joining(lin, [0] * 5, 1, 1)
+    ex = extract_affine_joining([0], [0], 15)
     assert ex.base.order() == 1
     assert decomposition_joining(lin, [0] * 5, 1, 1) == WeightedJoining.of(ex)
 
@@ -199,90 +197,55 @@ def test_extraction_zero_quadratic_part_is_point_mass():
     assert np.allclose(out, f * g[0])
 
 
-def test_extraction_rejects_degenerate_linear_part():
-    # off the progression diagonal
-    with pytest.raises(ValueError, match="diagonal"):
-        extract_affine_joining(
-            [frac(1, 3), frac(1, 5), frac(1, 3), frac(2, 5), 0], [0] * 5, 1, 1
-        )
-    # nonzero trailing block
-    with pytest.raises(ValueError, match="trailing"):
-        extract_affine_joining(
-            pair_embedding([frac(1, 3)], [frac(1, 5)], 0) + [frac(1, 3)], [0] * 5, 1, 1
-        )
-    # blocks with equal orders cannot generate the block product
-    with pytest.raises(ValueError, match="coprime orders"):
-        extract_affine_joining(
-            pair_embedding([frac(1, 3)], [frac(1, 3)], 1), [0] * 5, 1, 1
-        )
-
-
-def test_extraction_rejects_even_modulus():
-    with pytest.raises(ValueError, match="even"):
-        extract_affine_joining(
-            pair_embedding([frac(1, 2)], [frac(1, 3)], 1), [0] * 5, 1, 1
-        )
-
-
-def test_extraction_weights_invariant_under_generator_change():
-    # replacing the linear part by a unit multiple keeps the same closure
-    # and must keep the same projected joining
-    lin = pair_embedding([frac(1, 3)], [frac(1, 5)], 1)
-    quad = quadratic_direction([frac(1, 15)], [frac(2, 15)])
-    ex1 = extract_affine_joining(lin, quad, 1, 1)
-    dec1 = decomposition_joining(lin, quad, 1, 1)
-    for m in (2, 4, 7, 8):
-        lin_m = [m * a for a in lin]
-        ex2 = extract_affine_joining(lin_m, quad, 1, 1, modulus=15)
-        lifted = [[int(a * 15) % 15 for a in vec] for vec in (lin, lin_m)]
-        assert SubgroupModel.from_generators(15, 5, lifted[:1]) == SubgroupModel.from_generators(
-            15, 5, lifted[1:]
-        )
-        assert ex2 == ex1
-        assert decomposition_joining(lin_m, quad, 1, 1, modulus=15) == dec1
-
-
 @st.composite
-def valid_orbits(draw):
-    """(lin, quad, d, r): a progression-diagonal linear part whose two leading
-    blocks have coprime odd orders, and any quadratic part of odd order."""
+def grid_orbits(draw):
+    """(alpha, t0, weight_dir): the grid pipeline's orbit data, with alpha and t0
+    of coprime odd orders and weight_dir = l^2 * beta of odd order."""
     d, r = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     odd = (1, 3, 5, 7)
     a, b = draw(st.sampled_from([(a, b) for a in odd for b in odd if math.gcd(a, b) == 1]))
-    s = [frac(draw(st.integers(0, a - 1)), a) for _ in range(d)]
-    t = [frac(draw(st.integers(0, b - 1)), b) for _ in range(d)]
+    alpha = [frac(draw(st.integers(0, a - 1)), a) for _ in range(d)]
+    t0 = [frac(draw(st.integers(0, b - 1)), b) for _ in range(d)]
     den = draw(st.sampled_from([1, 3, 5, 7, 15]))
-    quad = [frac(draw(st.integers(0, den - 1)), den) for _ in range(4 * d + r)]
-    return pair_embedding(s, t, r), quad, d, r
+    ell = draw(st.integers(1, 3))
+    weight_dir = [frac(draw(st.integers(0, den - 1)), den) * ell * ell for _ in range(r)]
+    return alpha, t0, weight_dir
 
 
-@given(valid_orbits())
+def orbit_parts(alpha, t0, weight_dir):
+    """The grid orbit embedded in Z_M^(4d+r), its d and r, and the modulus M."""
+    d, r = len(alpha), len(weight_dir)
+    modulus = math.lcm(*(c.denominator for c in (*alpha, *t0, *weight_dir)))
+    return pair_embedding(alpha, t0, r), quadratic_direction(alpha, weight_dir), d, r, modulus
+
+
+# the default grid config and main_inequality_joint: alpha 2/135, t0 1/7, ell 1
+@example(([frac(2, 135)], [frac(1, 7)], [frac(i, 7) for i in range(1, 6)]))
+@example(([frac(2, 135)], [frac(1, 7)], [Fraction(x) for x in ("1/3", "2/3", "1/5", "2/5", "1/9")]))
+@given(grid_orbits())
 @settings(max_examples=60, deadline=None)
 def test_extraction_base_is_projected_closure(orbit):
-    # one projection of the quadratic part spans what closing in Z_q^(4d+r) and then
-    # projecting every closure basis row spans, since the projection is a homomorphism
-    lin, quad, d, r = orbit
-    J = extract_affine_joining(lin, quad, d, r)
+    # the generator (alpha, l^2 beta) spans what closing the quadratic part in
+    # Z_M^(4d+r) and then projecting every closure basis row to the offsets spans
+    alpha, t0, weight_dir = orbit
+    lin, quad, d, r, modulus = orbit_parts(alpha, t0, weight_dir)
+    J = extract_affine_joining(alpha, weight_dir, modulus)
     assert J.base == projected_closure(lin, quad, d, r)
-    assert (J.d, J.r) == (d, r)
+    assert (J.q, J.d, J.r) == (modulus, d, r)
 
 
-@given(valid_orbits())
+@given(grid_orbits())
 @settings(max_examples=40, deadline=None)
 def test_extraction_base_contains_decomposition_joining(orbit):
     # the exact visit decomposition projects into the extracted base: its base
     # subgroup and every coset shift lie inside the Haar joining's support
-    lin, quad, d, r = orbit
-    J = extract_affine_joining(lin, quad, d, r)
+    alpha, t0, weight_dir = orbit
+    lin, quad, d, r, modulus = orbit_parts(alpha, t0, weight_dir)
+    J = extract_affine_joining(alpha, weight_dir, modulus)
     D = decomposition_joining(lin, quad, d, r)
     assert (D.q, D.d, D.r) == (J.q, J.d, J.r)
     assert all(subgroup_contains(J.base, row) for row in D.base.basis)
     assert all(subgroup_contains(J.base, shift) for shift in D.shifts)
-
-
-def test_offset_projection_needs_odd_modulus():
-    with pytest.raises(ValueError, match="odd"):
-        offset_projection([0] * 5, 1, 1, 8)
 
 
 # ---- affine joining container ----

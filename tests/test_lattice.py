@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from reclab.joinings import extract_affine_joining, pair_embedding, quadratic_direction
+from reclab.joinings import extract_affine_joining
 from reclab.lattice import (
     SubgroupModel,
     ext_gcd,
@@ -106,12 +106,8 @@ def test_elements_match_the_digit_loop(q, dim, data):
 def test_elements_of_the_grid_joining_base_and_trivial_groups():
     # the joining base of a main_inequality grid run at q = 135, r = 5
     r = 5
-    joining = extract_affine_joining(
-        pair_embedding([Fraction(2, 135)], [Fraction(1, 7)], r),
-        quadratic_direction([Fraction(2, 135)], [Fraction(i, 7) for i in range(1, r + 1)]),
-        1,
-        r,
-    )
+    beta = [Fraction(i, 7) for i in range(1, r + 1)]
+    joining = extract_affine_joining([Fraction(2, 135)], beta, 945)
     base = joining.base
     assert (base.q, base.dim, base.order()) == (945, 6, 945)
     assert base.elements() == subgroup_elements_by_loop(base)
