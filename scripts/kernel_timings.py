@@ -126,7 +126,7 @@ def main() -> None:
     out["correlation_series_1e5_hits"] = len(at)
 
     def average():
-        return weyl.weighted_average(system, table, g=window, beta=beta, n_max=2_000_000)
+        return weyl.weighted_average(system, table, window, beta.coords, 2_000_000)
 
     out["trig_average_2e6_s"] = best_of(average)
     tracemalloc.start()

@@ -3,13 +3,14 @@
 
     PYTHONPATH=src python3 scripts/unreached.py
 
-Traces ``src/reclab`` line by line (``sys.settrace``) while it runs the
-eight configs of ``scripts/configs`` and one in-process call of each CLI
-verb: ``bohr enum`` with and without ``--sqrt``, ``weyl avg``, ``roth
-check``, ``cert build``/``verify``/``combine``/``search-m``/``square``
-and ``lab list-experiments``.  Every output goes to a temporary
-directory.  Then it prints, per module, the statements that never ran
-(docstrings skipped), grouped by the function that holds them.
+Traces ``src/reclab`` line by line (``sys.settrace``) while it runs
+one in-process call of each CLI verb: ``lab run`` on each of the eight
+configs of ``scripts/configs``, ``bohr enum`` with and without
+``--sqrt``, ``weyl avg``, ``roth check``,
+``cert build``/``verify``/``combine``/``search-m``/``square`` and
+``lab list-experiments``.  Every output goes to a temporary directory.
+Then it prints, per module, the statements that never ran (docstrings
+skipped), grouped by the function that holds them.
 
 A statement counts as run when a line of its own (for a compound
 statement, of its header) was traced, or when a statement in its body
@@ -93,24 +94,27 @@ def statements(path: Path) -> list[tuple[str, ast.stmt, list[ast.stmt]]]:
 
 
 def run_everything(work: Path) -> None:
-    """The eight configs and one call of each CLI verb, with outputs below work."""
-    from reclab.certificates import Certificate, save_certificate
+    """One call of each CLI verb, ``lab run`` once per config, with outputs below work."""
+    from reclab.certificates import Certificate, certificate_text
     from reclab.cli import main_bohr, main_cert, main_lab, main_roth, main_weyl
-    from reclab.experiments import ExperimentConfig, run_experiment
 
+    runs = []
     for path in sorted(CONFIG_DIR.glob("*.json")):
-        config = ExperimentConfig.from_json(json.loads(path.read_text()))
-        config.out_dir = str(work / "runs" / path.stem)
-        run_experiment(config)
+        doc = json.loads(path.read_text())
+        doc["out_dir"] = str(work / "runs" / path.stem)
+        config = work / path.name
+        config.write_text(json.dumps(doc))
+        runs.append((main_lab, ["run", str(config)]))
     table = work / "table.json"
     table.write_text(json.dumps(WEYL_TABLE))
     cert = str(work / "cert.json")
     # the even numbers below 600 avoid the shift 1: they merge with themselves
     # at m = 3, and their squares certify the squared shift
     evens = str(work / "evens.json")
-    save_certificate(Certificate(600, sum(1 << n for n in range(0, 600, 2)), (1,), 1,
-                                 Fraction(1, 2)), evens)
-    calls = [
+    Path(evens).write_text(certificate_text(
+        Certificate(600, sum(1 << n for n in range(0, 600, 2)), (1,), 1, Fraction(1, 2))
+    ))
+    calls = runs + [
         (main_bohr, ["enum", "--r", "2", "--k", "1", "--eps", "1/8",
                      "--freq", "sqrt2", "3/7", "--N", "2000"]),
         (main_bohr, ["enum", "--r", "2", "--k", "1", "--eps", "1/8",

@@ -68,12 +68,12 @@ __all__ = [
     "band_return_bitset",
     "build_band_witness",
     "certificate_from_json",
+    "certificate_text",
     "certificate_to_json",
     "combine_certificates",
     "load_certificate",
     "rotation_certificate",
     "sample_band_disjointness",
-    "save_certificate",
     "search_min_m",
     "square_certificate",
     "verify_certificate",
@@ -848,13 +848,9 @@ def certificate_from_json(data: dict) -> Certificate:
     )
 
 
-def save_certificate(cert: Certificate, path) -> None:
-    """Write atomically through the shared report writer."""
-    # imported here: experiments imports this module
-    from .experiments import write_atomic
-
-    text = json.dumps(certificate_to_json(cert), indent=2, sort_keys=True) + "\n"
-    write_atomic(os.fspath(path), text)
+def certificate_text(cert: Certificate) -> str:
+    """The text of a certificate file: its JSON document, indented, keys sorted."""
+    return json.dumps(certificate_to_json(cert), indent=2, sort_keys=True) + "\n"
 
 
 def load_certificate(path) -> Certificate:

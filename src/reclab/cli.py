@@ -31,10 +31,10 @@ from .certificates import (
     CertificateRejected,
     SearchExhausted,
     build_band_witness,
+    certificate_text,
     combine_certificates,
     load_certificate,
     rotation_certificate,
-    save_certificate,
     search_min_m,
     square_certificate,
     verify_certificate,
@@ -264,14 +264,8 @@ def main_weyl(argv: Sequence[str] | None = None) -> int:
         return 2
     g = annihilating_cylinder(ball, [])
     model = WeylSystem(TorusPoint.of(args.alpha))
-    trace = weighted_average(
-        model,
-        table,
-        g=g,
-        beta=TorusPoint.of(args.freq_beta),
-        ell=args.ell,
-        n_max=args.N,
-    )
+    direction = [args.ell**2 * b for b in args.freq_beta]
+    trace = weighted_average(model, table, g, direction, args.N)
     return _emit(trace.to_csv(), args.out)
 
 
@@ -417,7 +411,7 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
             freq = TorusPoint.of(args.freq)
             returns = set_enumerate(BohrHammingBall(freq, ball), args.N).elems
             cert = rotation_certificate(witness, ball, freq, args.N, returns)
-            save_certificate(cert, args.out)
+            write_atomic(args.out, certificate_text(cert))
             print(f"witness: r={proof['r']} t={proof['t']} a={proof['a']}")
             print(f"claim: {fraction_str(cert.density_claim)} over horizon {args.N}")
             print(f"shifts: {len(cert.shifts)}")
@@ -426,7 +420,7 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
         if args.verb == "combine":
             c1, c2 = (_load_verified(path, "combine") for path in (args.first, args.second))
             cert = combine_certificates(c1, c2, args.m)
-            save_certificate(cert, args.out)
+            write_atomic(args.out, certificate_text(cert))
             print(f"m: {args.m}")
             print(f"claim: {fraction_str(cert.density_claim)}")
             return 0
@@ -434,13 +428,13 @@ def main_cert(argv: Sequence[str] | None = None) -> int:
         if args.verb == "search-m":
             c1, c2 = (_load_verified(path, "combine") for path in (args.first, args.second))
             m, cert = search_min_m(c1, c2, args.m_max)
-            save_certificate(cert, args.out)
+            write_atomic(args.out, certificate_text(cert))
             print(f"m: {m}")
             print(f"claim: {fraction_str(cert.density_claim)}")
             return 0
 
         v2 = square_certificate(_load_verified(args.cert, "square"))
-        save_certificate(v2, args.out)
+        write_atomic(args.out, certificate_text(v2))
         print(f"shifts: {len(v2.shifts)}")
         return 0
     except (CertificateRejected, SearchExhausted) as exc:

@@ -39,9 +39,9 @@ from .certificates import (
     CertificateRejected,
     SearchExhausted,
     build_band_witness,
+    certificate_text,
     combine_certificates,
     rotation_certificate,
-    save_certificate,
 )
 from .harmonic import Character, CoefficientTable, GridFunction, annihilating_cylinder
 from .joinings import (
@@ -49,7 +49,7 @@ from .joinings import (
     root_of_unity_sum_is_zero,
     uniformize_over_joining,
 )
-from .roth import product_dtype, roth_form_exact, sum_dtype
+from .roth import roth_form_exact
 from .torus import ApproxHammingBall, TorusPoint, as_fraction, fraction_str, orbit_residues
 from .weyl import (
     GridWeylModel,
@@ -113,8 +113,9 @@ class ExperimentConfig:
 class ExperimentReport:
     """Outcome of one run: echoed inputs, metrics, verdict lines, tables.
 
-    ``tables`` maps CSV file names to their text; ``persist_report``
-    writes them next to report.json and lists them in ``artifacts``.
+    ``tables`` maps output file names (the CSV tables, and the JSON
+    files of a certificate) to their text; ``persist_report`` writes
+    them next to report.json, and ``artifacts`` lists all of them.
     ``wall_clock_seconds`` goes to timings.json, never into the report,
     so one config and seed reproduce report.json byte for byte.
     Every asserted inequality appears in ``metrics`` with its measured
@@ -126,9 +127,12 @@ class ExperimentReport:
     config: dict
     metrics: dict
     lines: list[str] = field(default_factory=list)
-    artifacts: list[str] = field(default_factory=list)
     tables: dict[str, str] = field(default_factory=dict, repr=False)
     wall_clock_seconds: float = 0.0
+
+    @property
+    def artifacts(self) -> list[str]:
+        return [REPORT_NAME, *sorted(self.tables)]
 
     def to_json(self) -> dict:
         return {
@@ -158,14 +162,10 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def persist_report(report: ExperimentReport, out_dir: str) -> str:
-    """Write report.json, every CSV table and timings.json into out_dir; returns report path."""
+    """Write report.json, every table and timings.json into out_dir; returns report path."""
     os.makedirs(out_dir, exist_ok=True)
     for name in sorted(report.tables):
         write_atomic(os.path.join(out_dir, name), report.tables[name])
-        if name not in report.artifacts:
-            report.artifacts.append(name)
-    if REPORT_NAME not in report.artifacts:
-        report.artifacts.insert(0, REPORT_NAME)
     path = os.path.join(out_dir, REPORT_NAME)
     write_atomic(path, json.dumps(report.to_json(), indent=2) + "\n")
     timings = {"wall_clock_seconds": report.wall_clock_seconds}
@@ -500,7 +500,6 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
 
     joining = extract_affine_joining([alpha], weight_dir, modulus)
     ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * r), k, eps)
-    beta_pt = TorusPoint.of(beta)
     bound_scale = 2.0 / math.sqrt(k)
 
     rows: list[list] = []
@@ -516,17 +515,15 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     }
 
     for label, values in _battery_grids(q, p["battery"], config.seed):
-        # in the dtype weighted_average lifts the grid to: its bound covers the squares
-        dtype = product_dtype(values.size, values, values, values)
-        lifted = values.astype(dtype, copy=False)
-        norm_sq = Fraction(int((lifted * lifted).sum(dtype=sum_dtype(dtype))), q * q)
+        # entries lie in [-2, 2] and q <= 2048, so the int64 sum is exact
+        norm_sq = Fraction(int((values * values).sum()), q * q)
         table = GridFunction(2, q, values.astype(np.complex128)).spectrum_table(tol=1e-12)
         norm_bound = math.sqrt(float(norm_sq)) if norm_sq else 1.0
         try:
             g, window_report = uniformize_over_joining(table, ball, joining, norm_bound=norm_bound)
         except (ValueError, ArithmeticError) as exc:
             raise ExperimentError("uniformize", f"{label}: {exc}")
-        trace = weighted_average(model, values, g=g, beta=beta_pt, ell=ell, n_max=period)
+        trace = weighted_average(model, values, g, weight_dir, period)
         average = trace.value
         # the form of the rotation marginal sums / q; the form is cubic, hence q^3
         sums = values.sum(axis=1)
@@ -534,7 +531,7 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
         # the window is 0 or 1/measure, so its mass is the hit rate times 1/measure; at a
         # full joint period this is generally not 1, since squares oversample quadratic
         # residues, and the comparison has to carry the factor rather than wish it away
-        mass = Fraction(trace.metadata["window_hits"], period) / g.measure()
+        mass = Fraction(trace.window_hits, period) / g.measure()
         gap = abs(average - mass * closed)
         ok = _bound_holds(gap, k, norm_sq)
         if not ok:
@@ -635,7 +632,7 @@ def _main_inequality_trig(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * r), k, p["eps"])
     g = annihilating_cylinder(ball, [])
     model = WeylSystem(TorusPoint.of([p["alpha"]]))
-    beta_pt = TorusPoint.of(beta)
+    direction = [p["ell"] ** 2 * b for b in beta]
     bound_scale = 2.0 / math.sqrt(k)
 
     rows: list[list] = []
@@ -646,9 +643,9 @@ def _main_inequality_trig(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     for i in range(battery):
         label = f"trig-{i}"
         table, norm_sq = _random_trig_table(p["modes"], config.seed + i)
-        trace = weighted_average(model, table, g=g, beta=beta_pt, ell=p["ell"], n_max=n_max)
+        trace = weighted_average(model, table, g, direction, n_max)
         average = complex(trace.value)
-        mass = Fraction(trace.metadata["window_hits"], n_max) / g.measure()
+        mass = Fraction(trace.window_hits, n_max) / g.measure()
         # the 3-AP form of the x-marginal, sum over nu of h(nu)^2 h(-2 nu)
         closed = trace.closed_form
         gap = abs(average - float(mass) * closed)
@@ -833,7 +830,8 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
     claim keeps a fluctuation cushion.  Every certificate is checked
     once, where it is made: rotation_certificate and each merge
     candidate are verified from their bitsets, and lowering a verified
-    claim keeps it verified.  The final certificate is saved.
+    claim keeps it verified.  The final certificate and its shift base
+    go into the report's tables.
     """
     p = _parse_params(config)
     stages, delta_prime, k, n_max = p["stages"], p["delta_prime"], p["k"], p["N"]
@@ -869,7 +867,6 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
         f"(measure {proof['measure']}), ball eps={proof['eps']} k={k}"
     ]
     rows: list[list] = []
-    artifacts: list[str] = []
     status = PASS
     current = None
     shift_base: set[int] = set()
@@ -957,15 +954,9 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
     }
 
     if current is not None and rows:
-        os.makedirs(config.out_dir, exist_ok=True)
-        save_certificate(current, os.path.join(config.out_dir, "certificate.json"))
-        artifacts.append("certificate.json")
+        tables["certificate.json"] = certificate_text(current)
         base_doc = set_to_json(sorted(shift_base), max(shift_base) + 1)
-        write_atomic(
-            os.path.join(config.out_dir, "shift_base.json"),
-            json.dumps(base_doc, indent=2) + "\n",
-        )
-        artifacts.append("shift_base.json")
+        tables["shift_base.json"] = json.dumps(base_doc, indent=2) + "\n"
         metrics.update(
             {
                 "final_claim": fraction_str(current.density_claim),
@@ -1003,7 +994,6 @@ def exp_theorem_stage(config: ExperimentConfig) -> ExperimentReport:
         config=_echo(config, p),
         metrics=metrics,
         lines=lines,
-        artifacts=artifacts,
         tables=tables,
     )
 

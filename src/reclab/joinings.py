@@ -90,10 +90,15 @@ def extract_affine_joining(
 
     alpha (d coordinates) is the w1 block and weight_dir = l^2*beta (r
     coordinates) the w2 block; modulus must be a multiple of every
-    denominator.  The caller checks the precondition on the orbit's linear
+    denominator; a coordinate whose denominator does not divide it raises
+    ValueError.  The caller checks the precondition on the orbit's linear
     blocks that the module docstring states.
     """
-    gen = [c * modulus % modulus for c in (*alpha, *weight_dir)]
+    coords = (*alpha, *weight_dir)
+    for c in coords:
+        if (c * modulus).denominator != 1:
+            raise ValueError(f"coordinate {c}: its denominator does not divide {modulus}")
+    gen = [c * modulus % modulus for c in coords]
     base = SubgroupModel.from_generators(modulus, len(gen), [gen])
     return AffineJoining(base, len(alpha), len(weight_dir))
 

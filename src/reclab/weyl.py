@@ -13,21 +13,21 @@ integrals collapsed by orthogonality) and finite models on Z_q^d x Z_q^d
 they take, so their integrals are exact).  Quadrature is never used;
 that keeps inequality checks honest.
 
-On top of the map sit the triple correlation averages: the unweighted
-limit average of x -> avg f . f o S^n . f o S^2n, its arithmetically
-weighted variant with a cylinder window evaluated along n^2 l^2 beta,
-and the closed form both are compared against, namely the progression
-form of the first-coordinate marginal (the rotation factor carries all
-of the limit for generic rotation parts).  Rational rotation parts make
-every run a periodic model; traces record that label rather than
-pretending to ergodicity.
+On top of the map sit the triple correlation averages: the running
+average of n -> avg f . f o S^n . f o S^2n arithmetically weighted by a
+cylinder window evaluated along n^2 l^2 beta (a window that pins no
+coordinate gives the plain average), and the closed form it is
+compared against, namely the progression form of the first-coordinate
+marginal (the rotation factor carries all of the limit for generic
+rotation parts).  Rational rotation parts make every run a periodic
+model, so the closed form is a comparison, not a claimed limit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence, Union
@@ -490,14 +490,15 @@ class AveragesTrace:
     """Running averages (N, value) at strictly increasing checkpoints.
 
     Values are Fractions on the grid models and floats (or complex) on
-    the trig backend; closed_form, when present, is the projected
+    the trig backend; window_hits counts the n up to the last checkpoint
+    where the window is on; closed_form, when present, is the projected
     progression form the trace is converging toward (or being compared
     against).
     """
 
     checkpoints: tuple[tuple[int, object], ...]
+    window_hits: int
     closed_form: object = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         pts = tuple((int(n), v) for n, v in self.checkpoints)
@@ -509,21 +510,10 @@ class AveragesTrace:
         if pts[0][0] < 1:
             raise ValueError("checkpoint positions start at 1")
         object.__setattr__(self, "checkpoints", pts)
-        object.__setattr__(self, "metadata", dict(self.metadata))
-
-    @property
-    def final_n(self) -> int:
-        return self.checkpoints[-1][0]
 
     @property
     def value(self):
         return self.checkpoints[-1][1]
-
-    @property
-    def gap(self):
-        if self.closed_form is None:
-            return None
-        return self.value - self.closed_form
 
     def rows(self) -> list[tuple]:
         out = []
@@ -557,17 +547,6 @@ def _default_checkpoints(n_max: int) -> list[int]:
         p *= 2
     pts.append(n_max)
     return pts
-
-
-def _resolve_n_max(model: Model, n_max: int | None) -> int:
-    if n_max is not None:
-        n_max = int(n_max)
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        return n_max
-    if isinstance(model, WeylSystem):
-        raise ValueError("the continuous system has no period; pass an explicit n_max")
-    return model.period
 
 
 def triple_integrals(
@@ -730,7 +709,11 @@ class _FloatCheckpoints:
 
 
 def _trig_checkpoint_averages(
-    plan: _SeriesPlan, g: Cylinder | None, beta: list | None, weight: float, marks: Sequence[int]
+    plan: _SeriesPlan,
+    window: Cylinder,
+    direction: Sequence[Fraction],
+    weight: float,
+    marks: Sequence[int],
 ) -> tuple[list[tuple[int, object]], int]:
     """The float checkpoints of the windowed series and the window's hit count.
 
@@ -743,9 +726,8 @@ def _trig_checkpoint_averages(
     hits = 0
     for ns in scan_blocks(1, plan.n_max + 1):
         last = int(ns[-1])
-        if g is not None:
-            ns = ns[g.orbit_contains(beta, ns, 2)]
-            hits += len(ns)
+        ns = ns[window.orbit_contains(direction, ns, 2)]
+        hits += len(ns)
         series = plan.evaluate(ns)
         sums.add(last, ns, series.real * weight, series.imag * weight)
     return sums.points, hits
@@ -779,81 +761,46 @@ def _closed_form(model: Model, f: Observable):
     return value.real if abs(value.imag) <= 1e-9 else value
 
 
-def _model_metadata(model: Model) -> dict:
-    if isinstance(model, WeylSystem):
-        return {
-            "model": "weyl system (rational rotation part, periodic model)",
-            "d": model.dim,
-            "alpha": model.alpha.to_json(),
-        }
-    if isinstance(model, RotationModel):
-        return {
-            "model": "rotation grid (periodic model)",
-            "q": model.q,
-            "step": list(model.step),
-            "generating": model.is_generating,
-        }
-    return {
-        "model": "weyl grid (periodic model)",
-        "q": model.q,
-        "alpha": list(model.alpha),
-        "generating": model.is_generating,
-    }
-
-
 def weighted_average(
     model: Model,
     f: Observable,
-    g: Cylinder | None = None,
-    beta: TorusPoint | None = None,
-    ell: int = 1,
-    n_max: int | None = None,
+    window: Cylinder,
+    direction: Sequence[Fraction],
+    n_max: int,
 ) -> AveragesTrace:
-    """The running averages (1/N) sum_{n<=N} g(n^2 l^2 beta) avg f . f o S^n . f o S^2n.
+    """The running averages (1/N) sum_{n<=N} g(n^2 direction) avg f . f o S^n . f o S^2n.
 
-    g is a normalized cylinder window (density 1/measure on the window,
-    0 off it) evaluated by exact membership; g = None means the constant
-    weight 1, which turns this into the plain correlation average; with a
-    window, metadata["window_hits"] counts the n where it is nonzero.  On
-    grid models n_max may be omitted to mean one full period.  Grid models
-    average their exact integrals in Fractions.  The trig backend plans
-    its series once, then walks 1..n_max in blocks of ``torus.SCAN_BLOCK``:
+    g is the cylinder ``window`` normalized to density 1/measure on it
+    and 0 off it, decided by exact membership of n^2 direction, where
+    ``direction`` holds the r coordinates l^2 beta the window is read
+    along; the trace's window_hits counts the n <= n_max where g is on.
+    A window that pins no coordinate has measure 1 and is on at every
+    n, which gives the plain correlation average.  Grid models average
+    their exact integrals in Fractions.  The trig backend plans its
+    series once, then walks 1..n_max in blocks of ``torus.SCAN_BLOCK``:
     it evaluates the series only where g is on and folds the terms into
     float sums with the bits of one pass over the whole horizon, so its
     memory does not grow with n_max.
     """
-    n_max = _resolve_n_max(model, n_max)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     marks = _default_checkpoints(n_max)
-    weight, scaled_beta = Fraction(1), None
-    if g is not None:
-        if beta is None:
-            raise ValueError("a cylinder weight needs its frequency beta")
-        scaled_beta = [int(ell) ** 2 * b for b in beta.coords]
-        weight = 1 / g.measure()
+    weight = 1 / window.measure()
     if isinstance(model, WeylSystem):
         plan = model.series_plan(f, n_max)
-        points, hits = _trig_checkpoint_averages(plan, g, scaled_beta, float(weight), marks)
+        points, hits = _trig_checkpoint_averages(plan, window, direction, float(weight), marks)
     else:
         integrals = triple_integrals(model, f, range(1, n_max + 1))
-        terms, ends = integrals, marks
-        if g is not None:
-            on = g.orbit_contains(scaled_beta, np.arange(1, n_max + 1), 2)
-            # only the terms the window keeps enter the sums: zeros do not change an exact sum
-            terms = list(compress(integrals, on.tolist()))
-            ends = np.searchsorted(np.flatnonzero(on) + 1, marks, side="right").tolist()
-            hits = len(terms)
+        on = window.orbit_contains(direction, np.arange(1, n_max + 1), 2)
+        # only the terms the window keeps enter the sums: zeros do not change an exact sum
+        terms = list(compress(integrals, on.tolist()))
+        ends = np.searchsorted(np.flatnonzero(on) + 1, marks, side="right").tolist()
+        hits = len(terms)
         points = _checkpoint_averages(terms, marks, ends, weight)
-    meta = _model_metadata(model)
-    meta["n_max"] = n_max
-    if g is not None:
-        meta["weight_measure"] = str(g.measure())
-        meta["ell"] = int(ell)
-        meta["beta"] = beta.to_json()
-        meta["window_hits"] = hits
     return AveragesTrace(
         checkpoints=tuple(points),
+        window_hits=hits,
         closed_form=_closed_form(model, f),
-        metadata=meta,
     )
 
 

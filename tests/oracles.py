@@ -1,11 +1,11 @@
 """Reference code and fixture builders that only the tests call.
 
-Fixtures: the origin of a torus (``zero_point``), the trivial and full
-subgroups, canonical coset representatives and coset members, subgroup
-membership and the join of two subgroups, n times a torus point, a
-random complex grid function, a certificate built from a list of
-members and the list of a certificate's members, and the inverse of
-``bohr.set_to_json``.
+Fixtures: the origin of a torus (``zero_point``), the window that is on
+at every n (``FULL_WINDOW``), the trivial and full subgroups, canonical
+coset representatives and coset members, subgroup membership and the
+join of two subgroups, n times a torus point, a random complex grid
+function, a certificate built from a list of members and the list of a
+certificate's members, and the inverse of ``bohr.set_to_json``.
 
 Membership in Fractions, one point at a time: the coordinate norm, the
 deviation count, point addition and subtraction, and the ball, band and
@@ -21,8 +21,8 @@ triple integral by orthogonality, which
 triple loop that the series replaced with a y-frequency index, with the
 per-family phase vector that shared orbit residues replaced; the trig
 path of ``weyl.weighted_average`` one Python complex term at a time; the
-grid model of a rational system, the unweighted average and the
-observable range check.  For torus and harmonic: the cylinders whose
+grid model of a rational system, the unweighted average (under the
+full window) and the observable range check.  For torus and harmonic: the cylinders whose
 union is a Hamming ball, the value of a character and of a trig
 polynomial at a point, the sinc closed form of a cylinder coefficient,
 the uniformizing cylinder, the DFT by its definition and the inverse
@@ -99,6 +99,11 @@ from reclab.weyl import AveragesTrace, GridWeylModel, RotationModel, WeylSystem,
 def zero_point(dim: int) -> TorusPoint:
     """The origin of T^dim."""
     return TorusPoint((Fraction(0),) * dim)
+
+
+#: a window that pins no coordinate: measure 1, so weight 1 at every n along FULL_DIRECTION
+FULL_WINDOW = Cylinder(1, (), zero_point(1), Fraction(1, 2))
+FULL_DIRECTION = (Fraction(0),)
 
 
 def trivial_subgroup(q: int, dim: int) -> SubgroupModel:
@@ -313,14 +318,13 @@ def grid_model_from_system(system: WeylSystem, q: int | None = None) -> GridWeyl
     return GridWeylModel(q, tuple(res))
 
 
-def l3_average(model, f, n_max: int | None = None):
-    """The unweighted correlation average, with its closed form attached.
+def l3_average(model, f, n_max: int):
+    """The unweighted correlation average: ``weighted_average`` under the full window.
 
-    Equivalent to weighted_average with the constant weight; on a grid
-    model with generating rotation part and n_max one full period, the
-    rotation-model value matches the closed form exactly.
+    On a grid model with generating rotation part and n_max one full
+    period, the rotation-model value matches the closed form exactly.
     """
-    return weighted_average(model, f, n_max=n_max)
+    return weighted_average(model, f, FULL_WINDOW, FULL_DIRECTION, n_max)
 
 
 @dataclass(frozen=True)
@@ -484,33 +488,20 @@ def float_checkpoint_averages_per_term(terms: Sequence, marks: Sequence[int]) ->
 def weighted_average_per_term(
     system: WeylSystem,
     f: CoefficientTable,
-    g: Cylinder | None = None,
-    beta: TorusPoint | None = None,
-    ell: int = 1,
-    n_max: int | None = None,
+    window: Cylinder,
+    direction: Sequence[Fraction],
+    n_max: int,
 ) -> AveragesTrace:
     """The trig path of ``weyl.weighted_average``: the whole series, one term complex(v) * w per n."""
-    n_max = weyl._resolve_n_max(system, n_max)
     marks = weyl._default_checkpoints(n_max)
     integrals = list(system.correlation_series(f, n_max))
-    meta = weyl._model_metadata(system)
-    meta["n_max"] = n_max
-    if g is None:
-        terms = list(integrals)
-    else:
-        hits = g.orbit_contains(
-            [int(ell) ** 2 * b for b in beta.coords], np.arange(1, n_max + 1), 2
-        )
-        on_f = float(1 / g.measure())
-        terms = [complex(v) * (on_f if hit else 0.0) for hit, v in zip(hits.tolist(), integrals)]
-        meta["weight_measure"] = str(g.measure())
-        meta["ell"] = int(ell)
-        meta["beta"] = beta.to_json()
-        meta["window_hits"] = int(hits.sum())
+    hits = window.orbit_contains(direction, np.arange(1, n_max + 1), 2)
+    on_f = float(1 / window.measure())
+    terms = [complex(v) * (on_f if hit else 0.0) for hit, v in zip(hits.tolist(), integrals)]
     return AveragesTrace(
         checkpoints=tuple(float_checkpoint_averages_per_term(terms, marks)),
+        window_hits=int(hits.sum()),
         closed_form=weyl._closed_form(system, f),
-        metadata=meta,
     )
 
 

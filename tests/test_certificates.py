@@ -23,16 +23,17 @@ from reclab.certificates import (
     band_return_bitset,
     build_band_witness,
     certificate_from_json,
+    certificate_text,
     certificate_to_json,
     combine_certificates,
     load_certificate,
     rotation_certificate,
     sample_band_disjointness,
-    save_certificate,
     search_min_m,
     square_certificate,
     verify_certificate,
 )
+from reclab.experiments import write_atomic
 from reclab.torus import ApproxHammingBall, TorusPoint, binomial_tail, fraction_str
 
 from oracles import (
@@ -928,7 +929,7 @@ def product_inputs(kind, tmp_path):
     if kind == "chained":
         return product, second, 3
     for name, cert in (("product", product), ("second", second)):
-        save_certificate(cert, tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(certificate_text(cert))
     return load_certificate(tmp_path / "product.json"), load_certificate(tmp_path / "second.json"), 3
 
 
@@ -1056,7 +1057,7 @@ def test_json_roundtrip_is_bit_exact(tmp_path):
     clone = certificate_from_json(json.loads(json.dumps(doc)))
     assert clone == cert
     path = tmp_path / "cert.json"
-    save_certificate(cert, path)
+    write_atomic(str(path), certificate_text(cert))
     assert load_certificate(path) == cert
     assert not path.with_suffix(".json.tmp").exists()
 
@@ -1070,7 +1071,7 @@ def test_failed_save_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError):
-        save_certificate(toy_certificate(), path)
+        write_atomic(str(path), certificate_text(toy_certificate()))
     assert path.read_text() == "previous\n"
     assert not [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from reclab.bohr import BohrHammingBall, sqrt_set_enumerate
-from reclab.certificates import save_certificate
+from reclab.certificates import certificate_text
 from reclab.cli import (
     ROTH_COST_CAP,
     ROTH_TRIALS_CAP,
@@ -32,7 +32,7 @@ def evens_path(tmp_path, name="evens.json", horizon=600):
         horizon, range(0, horizon, 2), (1,), 1, Fraction(1, 2)
     )
     path = tmp_path / name
-    save_certificate(cert, str(path))
+    path.write_text(certificate_text(cert))
     return str(path)
 
 
@@ -475,7 +475,7 @@ def unverified_path(tmp_path):
     # the evens with an odd member: 4, 5 is a progression of gap 1
     cert = certificate_from_members(600, [*range(0, 600, 2), 5], (1,), 1, Fraction(1, 2))
     path = tmp_path / "broken.json"
-    save_certificate(cert, str(path))
+    path.write_text(certificate_text(cert))
     return str(path)
 
 

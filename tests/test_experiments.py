@@ -421,6 +421,26 @@ def test_theorem_stage_single_stage_certificate(tmp_path):
     assert Fraction(report.metrics["final_claim"]) == cert.density_claim
 
 
+def test_theorem_stage_writes_its_files_only_through_the_report(tmp_path):
+    # the pipeline itself writes nothing: the certificate and the shift base are
+    # report tables, which persist_report writes and lists after report.json
+    config = ExperimentConfig(
+        experiment="theorem_stage", params={"stages": 1, "N": 30000}, out_dir=str(tmp_path / "out")
+    )
+    report = EXPERIMENTS["theorem_stage"](config)
+    assert not (tmp_path / "out").exists()
+    assert report.artifacts == [
+        "report.json", "certificate.json", "shift_base.json", "theorem_stage.csv",
+    ]
+    cert = certificates.certificate_from_json(json.loads(report.tables["certificate.json"]))
+    assert report.tables["certificate.json"] == certificates.certificate_text(cert)
+    experiments.persist_report(report, config.out_dir)
+    for name in report.artifacts[1:]:
+        assert (tmp_path / "out" / name).read_text() == report.tables[name]
+    with open(tmp_path / "out" / "report.json") as fh:
+        assert json.load(fh)["artifacts"] == report.artifacts
+
+
 def test_theorem_stage_enumerates_no_whole_return_set(tmp_path, monkeypatch):
     # both enumerators share bohr._enumerate; e = 1 is a whole return set
     scan = bohr._enumerate

@@ -197,6 +197,15 @@ def test_extraction_zero_quadratic_part_is_point_mass():
     assert np.allclose(out, f * g[0])
 
 
+def test_extraction_refuses_a_coordinate_off_the_modulus():
+    # 1/3 does not live on Z_5; truncating 5/3 to 1 would give the base of (1, 1)
+    with pytest.raises(ValueError, match="coordinate 1/3"):
+        extract_affine_joining([frac(1, 3)], [frac(1, 5)], 5)
+    with pytest.raises(ValueError, match="coordinate 2/7"):
+        extract_affine_joining([frac(1, 3)], [frac(1, 5), frac(2, 7)], 15)
+    assert extract_affine_joining([frac(1, 3)], [frac(1, 5)], 15).base.order() == 15
+
+
 @st.composite
 def grid_orbits(draw):
     """(alpha, t0, weight_dir): the grid pipeline's orbit data, with alpha and t0

@@ -1,5 +1,6 @@
 """Skew-product orbits, correlation averages, and intersection scans."""
 
+import inspect
 import math
 import random
 import tracemalloc
@@ -28,6 +29,8 @@ from reclab.weyl import (
 )
 
 from oracles import (
+    FULL_DIRECTION,
+    FULL_WINDOW,
     ObservablePair,
     checkpoint_averages_by_fraction_sum,
     correlation_series_triple_loop,
@@ -483,14 +486,13 @@ def test_windowed_trig_average_matches_the_full_series_route(seed, n_max):
     system = WeylSystem(TorusPoint.of([TRIG_ALPHA]))
     table, _ = _random_trig_table(6, seed)
     ball = ApproxHammingBall(zero_point(5), 4, Fraction(1, 8))
-    g, beta = annihilating_cylinder(ball, []), TorusPoint.of(_TRIG_BETA[:5])
-    kwargs = dict(g=g, beta=beta, n_max=n_max)
-    got = weighted_average(system, table, **kwargs)
+    args = (annihilating_cylinder(ball, []), _TRIG_BETA[:5], n_max)
+    got = weighted_average(system, table, *args)
     # the oracle sums the whole series over 1..n_max, one term per n
-    full = weighted_average_per_term(system, table, **kwargs)
-    assert 0 < got.metadata["window_hits"] < n_max
+    full = weighted_average_per_term(system, table, *args)
+    assert 0 < got.window_hits < n_max
     assert [repr(pt) for pt in got.checkpoints] == [repr(pt) for pt in full.checkpoints]
-    assert got.to_csv() == full.to_csv() and got.metadata == full.metadata
+    assert got.to_csv() == full.to_csv() and got.window_hits == full.window_hits
 
 
 def trig_run_table(seed):
@@ -514,27 +516,27 @@ def test_streamed_trig_average_has_the_bits_of_the_whole_series(
     monkeypatch, seed, windowed, block, horizons
 ):
     system, table = trig_run_table(seed)
-    kwargs = {}
+    window, direction = FULL_WINDOW, FULL_DIRECTION
     if windowed:
         ball = ApproxHammingBall(zero_point(5), 4, Fraction(1, 8))
-        kwargs = dict(g=annihilating_cylinder(ball, []), beta=TorusPoint.of(_TRIG_BETA[:5]))
+        window, direction = annihilating_cylinder(ball, []), _TRIG_BETA[:5]
     monkeypatch.setattr("reclab.torus.SCAN_BLOCK", block)
     for n_max in horizons:
-        got = weighted_average(system, table, n_max=n_max, **kwargs)
+        got = weighted_average(system, table, window, direction, n_max)
         # the oracle sums the whole series over 1..n_max, one term per n
-        want = weighted_average_per_term(system, table, n_max=n_max, **kwargs)
+        want = weighted_average_per_term(system, table, window, direction, n_max)
         assert [repr(pt) for pt in got.checkpoints] == [repr(pt) for pt in want.checkpoints]
-        assert got.to_csv() == want.to_csv() and got.metadata == want.metadata
+        assert got.to_csv() == want.to_csv() and got.window_hits == want.window_hits
 
 
 def windowed_trig_peak(n_max):
     """The tracemalloc peak of one windowed average of the config-seed-11 table over 1..n_max."""
     system, table = trig_run_table(11)
     ball = ApproxHammingBall(zero_point(5), 4, Fraction(1, 8))
-    g, beta = annihilating_cylinder(ball, []), TorusPoint.of(_TRIG_BETA[:5])
+    g = annihilating_cylinder(ball, [])
     tracemalloc.start()
     try:
-        weighted_average(system, table, g=g, beta=beta, n_max=n_max)
+        weighted_average(system, table, g, _TRIG_BETA[:5], n_max)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -564,7 +566,7 @@ def test_weighted_average_on_a_system_runs_one_series(monkeypatch):
     g = Cylinder(1, (1,), zero_point(1), Fraction(1, 4))
     monkeypatch.setattr("reclab.torus.SCAN_BLOCK", 7)
     plans = CallCounter(monkeypatch, WeylSystem, "series_plan")
-    weighted_average(system, table, g=g, beta=TorusPoint.of([Fraction(1, 7)]), n_max=300)
+    weighted_average(system, table, g, [Fraction(1, 7)], 300)
     assert plans.calls == 1
 
 
@@ -581,9 +583,10 @@ def test_families_sharing_a_phase_share_one_phase_vector_per_block(monkeypatch):
     # one vector per distinct (a, b) in each block of the stream
     calls.calls = 0
     monkeypatch.setattr("reclab.torus.SCAN_BLOCK", 4096)
-    trace = weighted_average(system, table, n_max=20000)
+    args = (FULL_WINDOW, FULL_DIRECTION, 20000)
+    trace = weighted_average(system, table, *args)
     assert calls.calls == 9 * 5
-    assert trace.checkpoints == weighted_average_per_term(system, table, n_max=20000).checkpoints
+    assert trace.checkpoints == weighted_average_per_term(system, table, *args).checkpoints
     # phases are shared mod 1: with alpha = 1/3 the families of a table in x
     # alone have a = (nu_1 + 2 nu_2) / 3, many values but three mod 1
     calls.calls = 0
@@ -897,10 +900,10 @@ def test_grid_models_reject_inexact_observables(model, kind):
     with pytest.raises(TypeError, match="grid model needs"):
         max_triple_intersection(model, f, [1, 2], 2)
     with pytest.raises(TypeError, match="grid model needs"):
-        weighted_average(model, f)
+        weighted_average(model, f, FULL_WINDOW, FULL_DIRECTION, model.period)
     g = Cylinder(1, (1,), zero_point(1), Fraction(1, 4))
     with pytest.raises(TypeError, match="grid model needs"):
-        weighted_average(model, f, g=g, beta=TorusPoint.of([Fraction(1, 7)]))
+        weighted_average(model, f, g, [Fraction(1, 7)], model.period)
 
 
 # ---- finite models ----
@@ -1018,10 +1021,10 @@ def test_point_mass_rotation_average_is_exact():
     model = RotationModel(5, (1,))
     delta = np.full((5,), Fraction(0), dtype=object)
     delta[0] = Fraction(1)
-    trace = l3_average(model, delta)
+    trace = l3_average(model, delta, model.period)
     assert trace.value == Fraction(1, 25)
     assert trace.closed_form == Fraction(1, 25)
-    assert trace.gap == 0
+    assert trace.value - trace.closed_form == 0
     # independent recount over all (n, x) pairs
     hits = sum(
         1
@@ -1035,10 +1038,10 @@ def test_point_mass_rotation_average_is_exact():
 def test_constant_observables():
     model = RotationModel(5, (1,))
     ones = np.full((5,), Fraction(1), dtype=object)
-    trace = l3_average(model, ones)
+    trace = l3_average(model, ones, model.period)
     assert all(v == 1 for _, v in trace.checkpoints)
     c = Fraction(2, 3)
-    assert l3_average(model, np.full((5,), c, dtype=object)).value == c**3
+    assert l3_average(model, np.full((5,), c, dtype=object), model.period).value == c**3
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -1050,16 +1053,16 @@ def test_generating_rotation_full_period_equals_closed_form(seed):
     q = rng.choice([3, 4, 5, 7, 9])
     step = rng.choice([a for a in range(1, q) if np.gcd(a, q) == 1])
     model = RotationModel(q, (step,))
-    trace = l3_average(model, exact_grid(rng, (q,)))
+    trace = l3_average(model, exact_grid(rng, (q,)), model.period)
     assert trace.closed_form is not None
-    assert trace.gap == 0
+    assert trace.value - trace.closed_form == 0
 
 
 def test_nongenerating_rotation_reports_no_closed_form():
     model = RotationModel(6, (2,))
-    trace = l3_average(model, np.full((6,), Fraction(1, 2), dtype=object))
+    assert not model.is_generating
+    trace = l3_average(model, np.full((6,), Fraction(1, 2), dtype=object), model.period)
     assert trace.closed_form is None
-    assert trace.metadata["generating"] is False
 
 
 def test_skew_full_period_gap_is_a_finite_size_effect():
@@ -1068,10 +1071,10 @@ def test_skew_full_period_gap_is_a_finite_size_effect():
     model = GridWeylModel(3, (1,))
     f = np.full((3, 3), Fraction(0), dtype=object)
     f[0, 0] = f[1, 2] = f[2, 2] = Fraction(1)
-    trace = l3_average(model, f)
+    trace = l3_average(model, f, model.period)
     assert trace.value == Fraction(1, 9)
     assert trace.closed_form == Fraction(1, 27)
-    assert trace.gap == Fraction(2, 27)
+    assert trace.value - trace.closed_form == Fraction(2, 27)
 
 
 def test_x_only_skew_observable_matches_closed_form_exactly():
@@ -1079,7 +1082,8 @@ def test_x_only_skew_observable_matches_closed_form_exactly():
     f = np.empty((3, 3), dtype=object)
     for i in range(3):
         f[i, :] = Fraction(i, 3)
-    assert l3_average(model, f).gap == 0
+    trace = l3_average(model, f, model.period)
+    assert trace.value - trace.closed_form == 0
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -1089,7 +1093,7 @@ def test_averages_of_unit_range_observables_stay_in_unit_range(seed):
     q = rng.choice([3, 4, 5, 6])
     model = RotationModel(q, (rng.randrange(q),))
     mask = np.array([Fraction(rng.randrange(2)) for _ in range(q)], dtype=object)
-    trace = l3_average(model, mask)
+    trace = l3_average(model, mask, model.period)
     assert all(0 <= v <= 1 for _, v in trace.checkpoints)
 
 
@@ -1097,8 +1101,11 @@ def test_continuous_system_requires_explicit_horizon():
     system = WeylSystem(TorusPoint.of([Fraction(1, 3)]))
     table = CoefficientTable(2)
     table[Character((0, 0))] = 1.0
-    with pytest.raises(ValueError):
-        l3_average(system, table)
+    # the continuous system has no period: the horizon is an argument without a default
+    params = inspect.signature(weighted_average).parameters.values()
+    assert all(param.default is inspect.Parameter.empty for param in params)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        l3_average(system, table, 0)
 
 
 def test_trig_trace_converges_to_closed_form():
@@ -1106,9 +1113,9 @@ def test_trig_trace_converges_to_closed_form():
     alpha = TorusPoint.of([Fraction(355688341, 999999937)])
     system = WeylSystem(alpha)
     table = hermitian_table(rng, 2, [(1, 0), (0, 1), (1, -2)], scale=0.1)
-    trace = l3_average(system, table, n_max=20000)
+    trace = l3_average(system, table, 20000)
     assert trace.closed_form is not None
-    assert abs(trace.gap) < 5e-3
+    assert abs(trace.value - trace.closed_form) < 5e-3
     # the closed form is the progression form of the projection
     direct = trig_progression_form(kronecker_projection(table, 1))
     assert abs(trace.closed_form - direct) < 1e-12
@@ -1121,13 +1128,14 @@ def test_constant_weight_equals_plain_trace_pointwise():
     model = GridWeylModel(3, (1,))
     f = np.full((3, 3), Fraction(0), dtype=object)
     f[0, 0] = f[1, 2] = f[2, 2] = Fraction(1)
-    plain = l3_average(model, f)
-    missing = weighted_average(model, f)
+    plain = l3_average(model, f, model.period)
+    # the plain running means of the integrals, at the checkpoints 1, 2 and 3
+    ints = triple_integrals(model, f, range(1, 4))
+    assert plain.checkpoints == tuple((n, sum(ints[:n]) / n) for n in (1, 2, 3))
     whole = Cylinder(2, (), zero_point(2), Fraction(1, 4))
-    beta = TorusPoint.of([Fraction(1, 3), Fraction(1, 2)])
-    wide = weighted_average(model, f, g=whole, beta=beta, ell=2)
-    assert missing.checkpoints == plain.checkpoints
+    wide = weighted_average(model, f, whole, [Fraction(4, 3), Fraction(4, 2)], model.period)
     assert wide.checkpoints == plain.checkpoints
+    assert wide.window_hits == plain.window_hits == 3
 
 
 def test_constant_observable_reduces_to_weight_average():
@@ -1135,7 +1143,7 @@ def test_constant_observable_reduces_to_weight_average():
     ones = np.full((3, 3), Fraction(1), dtype=object)
     g = Cylinder(1, (1,), zero_point(1), Fraction(1, 4))
     beta = TorusPoint.of([Fraction(1, 5)])
-    trace = weighted_average(model, ones, g=g, beta=beta, ell=1)
+    trace = weighted_average(model, ones, g, beta.coords, model.period)
     direct = sum(g.normalized_value(scaled(beta, n * n)) for n in range(1, 4)) / 3
     assert trace.value == direct
 
@@ -1149,8 +1157,8 @@ def test_full_period_weighted_average_brute_force():
     f = np.array([[Fraction(rng.randrange(2)) for _ in range(q)] for _ in range(q)], dtype=object)
     g = Cylinder(1, (1,), TorusPoint.of([Fraction(0)]), Fraction(3, 10))
     beta = TorusPoint.of([Fraction(1, 5)])
-    trace = weighted_average(model, f, g=g, beta=beta, ell=2)
-    assert trace.final_n == q
+    trace = weighted_average(model, f, g, [4 * b for b in beta.coords], model.period)
+    assert trace.checkpoints[-1][0] == q
     total = Fraction(0)
     for n in range(1, q + 1):
         weight = g.normalized_value(scaled(beta, 4 * n * n))
@@ -1185,7 +1193,7 @@ def float_averaging_cases(draw):
 
 
 WINDOWS = {
-    "none": (None, None),
+    "full": (FULL_WINDOW, TorusPoint.of(FULL_DIRECTION)),
     # weight 25/9, which no float32 holds exactly
     "window": (
         Cylinder(2, (1, 2), TorusPoint.of([Fraction(1, 3), Fraction(0)]), Fraction(3, 10)),
@@ -1211,34 +1219,34 @@ WINDOWS = {
 def test_float_weighted_average_matches_the_per_term_oracle(case, window, ell):
     system, f, n_max = case
     g, beta = WINDOWS[window]
-    kwargs = dict(g=g, beta=beta, ell=ell, n_max=n_max)
-    got = weighted_average(system, f, **kwargs)
-    want = weighted_average_per_term(system, f, **kwargs)
+    args = (g, [ell**2 * b for b in beta.coords], n_max)
+    got = weighted_average(system, f, *args)
+    want = weighted_average_per_term(system, f, *args)
     # repr pins every bit, the type (float or complex) and the sign of zero
     assert [repr(pt) for pt in got.checkpoints] == [repr(pt) for pt in want.checkpoints]
     assert repr(got.closed_form) == repr(want.closed_form)
     assert got.to_csv() == want.to_csv()
-    assert got.metadata == want.metadata
+    assert got.window_hits == want.window_hits
     if window == "all-off":
-        assert got.metadata["window_hits"] == 0 and got.value == 0.0
-    if window == "all-on":
-        assert got.metadata["window_hits"] == n_max
+        assert got.window_hits == 0 and got.value == 0.0
+    if window in ("all-on", "full"):
+        assert got.window_hits == n_max
 
 
 def test_weight_plumbing_errors():
     model = GridWeylModel(3, (1,))
     ones = np.full((3, 3), Fraction(1), dtype=object)
     g = Cylinder(2, (1,), zero_point(2), Fraction(1, 4))
-    with pytest.raises(ValueError):
-        weighted_average(model, ones, g=g, beta=TorusPoint.of([Fraction(1, 5)]))
-    with pytest.raises(ValueError):
-        weighted_average(model, ones, g=g)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        weighted_average(model, ones, g, [Fraction(1, 5)], model.period)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        weighted_average(model, ones, g, [Fraction(1, 5)] * 2, 0)
 
 
 def test_checkpoint_schedule_and_reuse():
     model = RotationModel(8, (3,))
     f = exact_grid(random.Random(3), (8,))
-    trace = l3_average(model, f)
+    trace = l3_average(model, f, model.period)
     assert [n for n, _ in trace.checkpoints] == [1, 2, 4, 8]
     marks = [1, 2, 4, 8]
     ints = triple_integrals(model, f, range(1, 9))
@@ -1327,14 +1335,12 @@ def test_exact_checkpoints_match_the_fraction_sum(integrals, window, ell, data):
     g, beta = WINDOWS[window]
     marks = sorted(set(marks))
     # the kept terms and the ends of the marks among them, as weighted_average forms them
-    kept, ends, weight, terms = integrals, marks, Fraction(1), integrals
-    if g is not None:
-        hits = g.orbit_contains([ell**2 * b for b in beta.coords], np.arange(1, n_max + 1), 2)
-        at = np.flatnonzero(hits) + 1
-        kept = [v for hit, v in zip(hits.tolist(), integrals) if hit]
-        ends = np.searchsorted(at, marks, side="right").tolist()
-        weight = 1 / g.measure()
-        terms = [v * weight if hit else Fraction(0) for hit, v in zip(hits.tolist(), integrals)]
+    hits = g.orbit_contains([ell**2 * b for b in beta.coords], np.arange(1, n_max + 1), 2)
+    at = np.flatnonzero(hits) + 1
+    kept = [v for hit, v in zip(hits.tolist(), integrals) if hit]
+    ends = np.searchsorted(at, marks, side="right").tolist()
+    weight = 1 / g.measure()
+    terms = [v * weight if hit else Fraction(0) for hit, v in zip(hits.tolist(), integrals)]
     got = weyl._checkpoint_averages(kept, marks, ends, weight)
     assert got == checkpoint_averages_by_fraction_sum(terms, marks)
     assert all(type(v) is Fraction for _, v in got)
@@ -1342,19 +1348,23 @@ def test_exact_checkpoints_match_the_fraction_sum(integrals, window, ell, data):
 
 def test_trace_validation_and_csv():
     with pytest.raises(ValueError):
-        AveragesTrace(checkpoints=((2, 0.5), (2, 0.6)))
+        AveragesTrace(checkpoints=((2, 0.5), (2, 0.6)), window_hits=2)
     with pytest.raises(ValueError):
-        AveragesTrace(checkpoints=())
-    trace = AveragesTrace(checkpoints=((1, 0.5), (4, 0.25)))
+        AveragesTrace(checkpoints=(), window_hits=0)
+    trace = AveragesTrace(checkpoints=((1, 0.5), (4, 0.25)), window_hits=4)
     lines = trace.to_csv().strip().splitlines()
     assert lines[0] == "N,value,closed_form,gap"
     assert lines[1].startswith("1,0.5,,")
-    assert trace.gap is None
-    with_form = AveragesTrace(checkpoints=((1, Fraction(1, 2)),), closed_form=Fraction(1, 4))
-    assert with_form.gap == Fraction(1, 4)
+    assert trace.rows()[-1] == (4, 0.25, None, None)
+    with_form = AveragesTrace(
+        checkpoints=((1, Fraction(1, 2)),), window_hits=1, closed_form=Fraction(1, 4)
+    )
+    assert with_form.rows() == [(1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))]
     assert with_form.to_csv().strip().splitlines()[1] == "1,0.5,0.25,0.25"
     # a non-real cell is written as repr(complex), which holds no comma
-    mixed = AveragesTrace(checkpoints=((1, 0.5 + 0.25j), (2, 0.5 + 0j)), closed_form=0.5)
+    mixed = AveragesTrace(
+        checkpoints=((1, 0.5 + 0.25j), (2, 0.5 + 0j)), window_hits=2, closed_form=0.5
+    )
     assert mixed.to_csv().strip().splitlines()[1:] == ["1,(0.5+0.25j),0.5,0.25j", "2,0.5,0.5,0.0"]
 
 
