@@ -34,7 +34,10 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
   ``main_inequality`` grid run (alpha = 2/135) for the two observables
   of the ``grid_large_q`` benchmark workload and one random observable
   (a battery of three at config seed 11), with the dtype each observable
-  was lifted to and the keys per gathered block.
+  was lifted to and the keys per gathered block;
+- the battery draw ``PCG64(11).integers(-2, 3, n)``, seeding included,
+  at n = 135 (an ``x-only`` row at q = 135) and n = 135^2 (one random
+  observable).
 
 Inputs are drawn from fixed seeds, so runs on one machine compare.
 """
@@ -63,6 +66,7 @@ from reclab.certificates import (
 )
 from reclab.harmonic import GridFunction, annihilating_cylinder
 from reclab.joinings import extract_affine_joining
+from reclab.pcg64 import PCG64
 from reclab.roth import roth_form, roth_form_exact
 from reclab.torus import ApproxHammingBall, TorusPoint
 
@@ -194,6 +198,9 @@ def main() -> None:
     lifted = [weyl._lifted_windows(grid, values).values for values in battery]
     out["triple_integrals_q135_battery_dtypes"] = [str(v.dtype) for v in lifted]
     out["triple_integrals_q135_battery_keys_per_block"] = list(map(weyl._keys_per_block, lifted))
+
+    for name, count in (("135", 135), ("135sq", 135**2)):
+        out[f"battery_draw_{name}_s"] = best_of(lambda: PCG64(11).integers(-2, 3, count))
 
     out["repeats"] = REPEATS
     out["python"] = platform.python_version()

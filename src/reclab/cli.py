@@ -62,10 +62,12 @@ _NAMED = ("sqrt2", "sqrt3", "golden")
 
 # most trials one `roth check` runs
 ROTH_TRIALS_CAP = 10_000
-# most cells one `roth check` may cost, q^(2d) per trial: every trial takes the
-# progression form from its definition.  The slowest rate measured, 350 ns a
-# cell at (q, d) = (3, 5) on a 2-vCPU Xeon, makes that about 60 s.
-ROTH_COST_CAP = 60 * 10**9 // 350
+# fixed cost of one shift of the outer axes in a progression form, in cells
+ROTH_SHIFT_CELLS = 2**14
+# most cells one `roth check` may cost (``_roth_trial_cells`` per trial): 60 s
+# at 20 ns a cell, the rate the model was fitted to on a 2-vCPU Xeon (13 ns)
+# with room for the shapes it underestimates by up to 1.5 times
+ROTH_COST_CAP = 60 * 10**9 // 20
 # most entries of a `weyl avg` polynomial file: the largest main_inequality
 # trig table, a constant term and TRIG_MODES_CAP conjugate pairs
 WEYL_TABLE_CAP = 1 + 2 * TRIG_MODES_CAP
@@ -272,6 +274,17 @@ def main_weyl(argv: Sequence[str] | None = None) -> int:
 # ---- roth ----
 
 
+def _roth_trial_cells(q: int, d: int) -> int:
+    """The cost of one `roth check` trial on (Z_q)^d, in cells of products.
+
+    Each progression form takes q^(2d) products and, for each of the
+    q^(d-1) shifts of its outer axes, rolls 5 q^d cells at about twice a
+    product's cost after a fixed ``ROTH_SHIFT_CELLS``; the per-shift
+    term is what makes small grids in many dimensions slow.
+    """
+    return q ** (2 * d) + q ** (d - 1) * (ROTH_SHIFT_CELLS + 10 * q**d)
+
+
 def main_roth(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="roth", description="Progression-form quotient gap spot checks."
@@ -296,11 +309,11 @@ def main_roth(argv: Sequence[str] | None = None) -> int:
     # q >= 3 makes q^d > PHASE_CAP for every d past its bit length, so q^d stays small
     if args.d >= PHASE_CAP.bit_length() or args.q**args.d > PHASE_CAP:
         parser.error(f"q^d = {args.q}^{args.d} cells exceed the cap {PHASE_CAP}")
-    cost = args.q ** (2 * args.d) * args.trials
-    if cost > ROTH_COST_CAP:
+    per_trial = _roth_trial_cells(args.q, args.d)
+    if per_trial * args.trials > ROTH_COST_CAP:
         parser.error(
-            f"cost q^(2d) * trials = {args.q}^{2 * args.d} * {args.trials} = {cost} cells "
-            f"exceeds the cap {ROTH_COST_CAP}"
+            f"cost trials * (q^(2d) + q^(d-1) * ({ROTH_SHIFT_CELLS} + 10 q^d)) = {args.trials} "
+            f"* {per_trial} = {per_trial * args.trials} cells exceeds the cap {ROTH_COST_CAP}"
         )
     try:
         parse_entry("config", "seed", args.seed, "--seed")

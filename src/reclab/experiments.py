@@ -30,7 +30,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .joinings import (
     root_of_unity_sum_is_zero,
     uniformize_over_joining,
 )
+from .pcg64 import PCG64
 from .roth import roth_form_exact
 from .torus import ApproxHammingBall, TorusPoint, as_fraction, fraction_str, orbit_residues
 from .weyl import (
@@ -73,8 +74,9 @@ PERIOD_CAP = 2_000_000
 TRIG_HORIZON_CAP = 10**8
 #: most cells (q^d) of a phase space a pipeline allocates
 PHASE_CAP = 2**22
-#: most random modes (conjugate pairs) of a trig main_inequality observable
-TRIG_MODES_CAP = 40
+#: most random modes (conjugate pairs) of a trig main_inequality observable: its
+#: frequencies come from [-3, 3]^2, which holds (7^2 - 1) / 2 = 24 pairs
+TRIG_MODES_CAP = 24
 #: largest phase modulus the equidistribution pipeline classifies exactly
 EXACT_MODULUS_CAP = 250_000
 
@@ -451,17 +453,20 @@ def _mask_measure(mask: np.ndarray) -> Fraction:
 # ---- weighted averages against the progression form ----
 
 
-def _battery_grids(q: int, count: int, seed: int) -> list[tuple[str, np.ndarray]]:
-    """Small integer observables: a constant, an x-only one, then noise."""
-    out: list[tuple[str, np.ndarray]] = [("constant", np.ones((q, q), dtype=np.int64))]
-    if count >= 2:
-        # the generator only when something is drawn: it imports numpy.random
-        rng = np.random.default_rng(seed)
-        row = rng.integers(-2, 3, size=q)
-        out.append(("x-only", np.repeat(row[:, None], q, axis=1)))
-    while len(out) < count:
-        out.append((f"random-{len(out) - 2}", rng.integers(-2, 3, size=(q, q))))
-    return out[:count]
+def _battery_grids(q: int, count: int, seed: int) -> Iterator[tuple[str, np.ndarray]]:
+    """Small integer observables: a constant, an x-only one, then noise, one at a time.
+
+    The row and then each grid, in C order, come from one stream, as
+    ``default_rng(seed).integers(-2, 3, ...)`` draws them.
+    """
+    yield "constant", np.ones((q, q), dtype=np.int64)
+    if count < 2:
+        return
+    rng = PCG64(seed)
+    row = rng.integers(-2, 3, q)
+    yield "x-only", np.repeat(row[:, None], q, axis=1)
+    for i in range(count - 2):
+        yield f"random-{i}", rng.integers(-2, 3, q * q).reshape(q, q)
 
 
 def _bound_holds(gap: Fraction, k: int, norm_sq: Fraction) -> bool:

@@ -284,7 +284,7 @@ def test_weyl_avg_malformed_poly_file_is_exit_2(tmp_path, monkeypatch, capsys, t
 
 def test_weyl_avg_poly_file_entry_cap(tmp_path, monkeypatch, capsys):
     # the cap is the largest main_inequality trig table: 1 + 2 * TRIG_MODES_CAP
-    assert WEYL_TABLE_CAP == 1 + 2 * TRIG_MODES_CAP == 81
+    assert WEYL_TABLE_CAP == 1 + 2 * TRIG_MODES_CAP == 49
     entries = [{"freq": [i, 1], "coef": [0.01, 0]} for i in range(WEYL_TABLE_CAP)]
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"entries": entries}))
@@ -293,7 +293,7 @@ def test_weyl_avg_poly_file_entry_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("reclab.cli.weighted_average", unreachable)
     path.write_text(json.dumps({"entries": entries + [{"freq": [0, 0]}]}))
     assert main_weyl(WEYL_SMALL + ["--f", str(path)]) == 2
-    assert f"82 entries exceed the cap {WEYL_TABLE_CAP}" in capsys.readouterr().err
+    assert f"50 entries exceed the cap {WEYL_TABLE_CAP}" in capsys.readouterr().err
 
 
 def test_weyl_avg_poly_file_defaults_and_sums(tmp_path, capsys):
@@ -397,14 +397,18 @@ def test_roth_check_trials_outside_the_bounds_is_exit_2(monkeypatch, capsys, tri
     assert captured.out == ""
 
 
-# the largest accepted cost at three grid shapes, and the next size up at each
+# the largest accepted cost at three grid shapes and the next size up at each,
+# refused without a trial; a one-trial (135, 2), about 3.6 s, is accepted
 @pytest.mark.parametrize(
     "q, d, trials, accepted",
-    [(3, 5, 2903, True), (3, 5, 2904, False), (13093, 1, 1, True), (13095, 1, 1, False),
-     (113, 2, 1, True), (115, 2, 1, False)],
+    [(3, 5, 1895, True), (3, 5, 1896, False), (3, 5, 2904, False), (13093, 1, 1, True),
+     (54767, 1, 1, True), (54769, 1, 1, False), (113, 2, 1, True), (135, 2, 1, True),
+     (231, 2, 1, True), (233, 2, 1, False)],
 )
 def test_roth_check_cost_cap(monkeypatch, capsys, q, d, trials, accepted):
-    cost = q ** (2 * d) * trials
+    # per trial: q^(2d) products, and q^(d-1) outer shifts of 2^14 cells plus 10 q^d
+    per_trial = q ** (2 * d) + q ** (d - 1) * (2**14 + 10 * q**d)
+    cost = per_trial * trials
     assert (cost <= ROTH_COST_CAP) == accepted
     calls = []
 
@@ -423,8 +427,8 @@ def test_roth_check_cost_cap(monkeypatch, capsys, q, d, trials, accepted):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert (
-        f"cost q^(2d) * trials = {q}^{2 * d} * {trials} = {cost} cells exceeds the cap "
-        f"{ROTH_COST_CAP}"
+        f"cost trials * (q^(2d) + q^(d-1) * (16384 + 10 q^d)) = {trials} * {per_trial} = "
+        f"{cost} cells exceeds the cap {ROTH_COST_CAP}"
     ) in captured.err
     assert captured.out == ""
 

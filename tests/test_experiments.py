@@ -19,6 +19,7 @@ from reclab.experiments import (
     ExperimentError,
     INCONCLUSIVE,
     PASS,
+    TRIG_MODES_CAP,
     _REQUIRED,
     _SCHEMA,
     _build_mask,
@@ -193,6 +194,19 @@ def test_trig_alpha_is_used_as_given(tmp_path):
     assert default.config["params"]["alpha"] == "768398401/543339720"
     assert default.tables == sqrt2.tables
     assert given_alpha.tables["battery.csv"] != default.tables["battery.csv"]
+
+
+def test_trig_modes_cap_is_every_conjugate_pair_of_the_frequency_box(tmp_path):
+    # frequencies come from [-3, 3]^2 less the origin, in conjugate pairs; a
+    # table asking for more pairs than the box holds would never be filled
+    box = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+    assert TRIG_MODES_CAP == len(box) // 2 == 24
+    table, _ = _random_trig_table(TRIG_MODES_CAP, 11)
+    assert len(list(table)) == len(box) + 1
+    base = {"model": "trig", "N": 1000, "battery": 1}
+    with pytest.raises(ExperimentError) as err:
+        run(tmp_path, "main_inequality", dict(base, modes=TRIG_MODES_CAP + 1))
+    assert err.value.stage == "config" and f"[1, {TRIG_MODES_CAP}]" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,86 @@
+"""reclab's PCG64 stream, held bit for bit to numpy's ``default_rng``.
+
+numpy's ``Generator`` is the oracle here and nowhere in ``src/``.  The
+seed-11 values are literals, as numpy 2.4 draws them: NEP 19 lets a
+later numpy change its ``Generator`` streams, and such a change must not
+move what the pinned report bytes are held to.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from reclab.pcg64 import _CHUNK, _LANES, PCG64, _seed_state
+
+SEED_11_STATE = [
+    3926704849073358691, 2926583794887213564, 215141457385765089, 15564452721439488421
+]
+SEED_11_RAW = [0x20E9FA102240CC4E, 0x7FD0AC8ACC0D7A67, 0x99FBCBDE970C647C, 0x075829B0B650EBD3]
+# integers(-2, 3, 27) and then integers(-2, 3, 9): the second call starts
+# on the high half that the first one's odd count left over
+SEED_11_ROW = [-2, -2, 1, 0, 0, 1, 1, -2, 0, -2, 0, 2, 0, -2, 0, -2, 1, 2, 2, 1, 2, -1, -2, 0, 0, 1, 2]
+SEED_11_NEXT = [-1, 2, -2, -1, 1, -1, 1, 0, 0]
+# integers(0, 2^31 + 1, 6): about half of all words are rejected at this span
+SEED_11_WIDE = [1267085886, 1291707887, 1042610374, 317668847, 151227035, 1165533627]
+
+
+def test_seed_11_golden_outputs():
+    assert _seed_state(11) == SEED_11_STATE
+    assert PCG64(11)._outputs(4).tolist() == SEED_11_RAW
+    rng = PCG64(11)
+    assert rng.integers(-2, 3, 27).tolist() == SEED_11_ROW
+    assert rng.integers(-2, 3, 9).tolist() == SEED_11_NEXT
+    assert PCG64(11).integers(0, 2**31 + 1, 6).tolist() == SEED_11_WIDE
+
+
+# one long draw per range: past a row of lanes, past a chunk of words, and
+# the 135 x 135 battery grid after its row, as the grid pipeline draws them
+@pytest.mark.parametrize("seed", [0, 11, 2**32, 10**40, 2**200 + 3])
+def test_long_draws_match_numpy(seed):
+    ours, ref = PCG64(seed), np.random.default_rng(seed)
+    for low, high, count in [
+        (-2, 3, 135), (-2, 3, 135 * 135), (0, 2**31 + 1, _CHUNK + 3), (0, 2**32, 2 * _LANES + 1)
+    ]:
+        drawn = ours.integers(low, high, count)
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, ref.integers(low, high, size=count))
+
+
+def test_seed_states_match_numpy_on_the_first_400_seeds():
+    for seed in range(400):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        assert _seed_state(seed) == expected, seed
+
+
+_SPANS = st.one_of(
+    st.sampled_from([1, 2, 5, 2**31 + 1, 2**32 - 1, 2**32]), st.integers(1, 2**32)
+)
+
+
+@given(
+    seed=st.integers(0, 2**256),
+    draws=st.lists(
+        st.tuples(st.integers(-(2**40), 2**40), _SPANS, st.integers(0, 301)), max_size=5
+    ),
+)
+def test_chained_draws_match_numpy(seed, draws):
+    ours, ref = PCG64(seed), np.random.default_rng(seed)
+    for low, span, count in draws:
+        drawn = ours.integers(low, low + span, count)
+        assert np.array_equal(drawn, ref.integers(low, low + span, size=count))
+    # the streams are still in step after the draws
+    assert np.array_equal(ours.integers(0, 2**32, 3), ref.integers(0, 2**32, size=3))
+
+
+def test_negative_seed_is_refused_as_numpy_refuses_it():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        PCG64(-1)
+
+
+@pytest.mark.parametrize("low, high", [(0, 0), (3, 2), (0, 2**32 + 1)])
+def test_span_outside_one_to_two_to_the_32_is_refused(low, high):
+    with pytest.raises(ValueError, match="outside"):
+        PCG64(0).integers(low, high, 1)

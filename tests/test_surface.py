@@ -4,13 +4,19 @@ Every public function, class and method defined in ``src/reclab`` must
 be named somewhere else in ``src/`` as a word of code (strings and
 comments do not count), or carry an entry in ``ALLOWED`` saying why it
 is reached from outside the package.  Oracles and fixture builders that
-only the tests call belong in ``tests/oracles.py``.
+only the tests call belong in ``tests/oracles.py``.  A grid
+``main_inequality`` run must not import ``numpy.random`` either: its
+battery comes from ``reclab.pcg64``.
 """
 
 import ast
 import importlib
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -125,3 +131,37 @@ def test_every_exported_name_resolves(module):
     exported = getattr(mod, "__all__", ())
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if not hasattr(mod, name)] == []
+
+
+# a fresh interpreter runs the config through `lab run`, then lists the
+# numpy.random modules it loaded
+_LOADED_RANDOM = """
+import sys
+from reclab.cli import main_lab
+code = main_lab(["run", sys.argv[1]])
+print("loaded:", sorted(m for m in sys.modules if m.startswith("numpy.random")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_grid_main_inequality_never_imports_numpy_random(tmp_path):
+    # battery 3 draws the x-only row and one random grid from reclab.pcg64
+    config = {
+        "experiment": "main_inequality",
+        "out_dir": str(tmp_path / "out"),
+        "seed": 11,
+        "params": {
+            "model": "grid", "q": 27, "alpha": "2/27", "r": 5, "k": 4,
+            "eps": "1/8", "t0": "1/7", "battery": 3,
+        },
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_RANDOM, str(path)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert "loaded: []" in result.stderr
+    assert "random-0" in (tmp_path / "out" / "battery.csv").read_text(encoding="utf-8")
