@@ -38,6 +38,12 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
 - the battery draw ``PCG64(11).integers(-2, 3, n)``, seeding included,
   at n = 135 (an ``x-only`` row at q = 135) and n = 135^2 (one random
   observable).
+- the exact zero test ``root_of_unity_sum_is_zero`` at q = 945 on the
+  counts of the phases 2 * w1 over the order-945 joining base above (a
+  star-zero sum of that grid run, under the full window), and at
+  q = 945945 = 3^3 * 5 * 7^2 * 11 * 13 (the phase modulus of ``beta``
+  [1/49, 1/11, 1/13, 2/7, 3/7], at the enumeration cap) on weight 1 at
+  every multiple of 3.
 
 Inputs are drawn from fixed seeds, so runs on one machine compare.
 """
@@ -65,7 +71,7 @@ from reclab.certificates import (
     verify_certificate,
 )
 from reclab.harmonic import GridFunction, annihilating_cylinder
-from reclab.joinings import extract_affine_joining
+from reclab.joinings import extract_affine_joining, root_of_unity_sum_is_zero
 from reclab.pcg64 import PCG64
 from reclab.roth import roth_form, roth_form_exact
 from reclab.torus import ApproxHammingBall, TorusPoint
@@ -201,6 +207,13 @@ def main() -> None:
 
     for name, count in (("135", 135), ("135sq", 135**2)):
         out[f"battery_draw_{name}_s"] = best_of(lambda: PCG64(11).integers(-2, 3, count))
+
+    base_945 = np.array(base.elements(), dtype=np.int64)
+    counts = np.bincount(base_945[:, 0] * 2 % 945, minlength=945)
+    out["root_of_unity_zero_q945_s"] = best_of(lambda: root_of_unity_sum_is_zero(counts))
+    thirds = np.zeros(945945, dtype=np.int64)
+    thirds[::3] = 1
+    out["root_of_unity_zero_q945945_s"] = best_of(lambda: root_of_unity_sum_is_zero(thirds))
 
     out["repeats"] = REPEATS
     out["python"] = platform.python_version()

@@ -20,16 +20,18 @@ star convolution; on the transform side it multiplies each (chi, psi)
 coefficient of f by a factor depending on psi and g only.
 
 Cylinder constructions over a joining must certify their zeros.  A sum of
-q-th roots of unity with rational masses is exactly zero iff the mass
-polynomial is divisible by the q-th cyclotomic polynomial, which is a
-finite integer computation; every claimed annihilation is pushed through
-that test and a failure raises rather than returning a near-zero.
+q-th roots of unity with integer weights is exactly zero iff it is an
+integer combination of rotated regular p-gons, p prime and dividing q
+(Redei, de Bruijn, Schoenberg; Lam and Leung 2000).  Folding those
+p-gons out of the weights, one prime at a time on the CRT grid of q,
+leaves the sum's coordinates in a basis of Q(e(1/q)), which is a finite
+integer computation; every claimed annihilation is pushed through that
+test and a failure raises rather than returning a near-zero.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -44,7 +46,7 @@ from .harmonic import (
     top_k_characters,
 )
 from .lattice import SubgroupModel, solve_linear_mod
-from .torus import ApproxHammingBall, Cylinder, as_fraction
+from .torus import ApproxHammingBall, Cylinder
 
 __all__ = [
     "AffineJoining",
@@ -105,57 +107,50 @@ def extract_affine_joining(
 
 # ---- exact zero certificates for root-of-unity sums ----
 
-_cyclotomic_memo: dict[int, list[int]] = {}
 
+def root_of_unity_sum_is_zero(weights: np.ndarray) -> bool:
+    """Whether sum_t weights[t] * e(t/q) is exactly zero, q = len(weights).
 
-def _poly_div(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder for a monic integer divisor."""
-    num = list(num)
-    dn = len(den) - 1
-    quot = [0] * max(0, len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        coeff = num[i]
-        if coeff:
-            quot[i - dn] = coeff
-            for j, dc in enumerate(den):
-                num[i - dn + j] -= coeff * dc
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _cyclotomic(n: int) -> list[int]:
-    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
-    if n in _cyclotomic_memo:
-        return _cyclotomic_memo[n]
-    poly = [-1] + [0] * (n - 1) + [1]
-    for dd in range(1, n):
-        if n % dd == 0:
-            poly, rem = _poly_div(poly, _cyclotomic(dd))
-            if rem:
-                raise ArithmeticError("cyclotomic division left a remainder")
-    _cyclotomic_memo[n] = poly
-    return poly
-
-
-def root_of_unity_sum_is_zero(masses: dict[int, Fraction], q: int) -> bool:
-    """Whether sum_t masses[t] * e(t/q) is exactly zero.
-
-    Complete for rational masses: the sum vanishes iff the minimal
-    polynomial of e(1/q), the q-th cyclotomic polynomial, divides the mass
-    polynomial.  No floating point is involved.
+    The weights are integers.  The rational relations among the q-th
+    roots of unity are spanned by the rotated regular p-gons, p a prime
+    dividing q (Redei, de Bruijn, Schoenberg).  So lay the weights out on
+    the CRT grid of q = prod p^a, and on each axis fold the last of the
+    p rotated copies of Z_(p^(a-1)) into the others: what is left are the
+    coordinates in the power basis of Q(e(1/q)) of the sum's image under
+    a Galois automorphism (the CRT units), all 0 iff the sum is 0.  Each
+    fold at most doubles a cell, so weights whose max |w| times 2^s
+    (s distinct primes) reaches 2^63 raise ValueError.
     """
-    if q < 1:
-        raise ValueError("modulus must be >= 1")
-    coeffs = [Fraction(0)] * q
-    for t, mass in masses.items():
-        coeffs[t % q] += as_fraction(mass)
-    if not any(coeffs):
-        return True
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    _, rem = _poly_div(ints, _cyclotomic(q))
-    return not rem
+    w = np.asarray(weights)
+    if w.ndim != 1 or not w.size or w.dtype.kind not in "iu":
+        raise ValueError("weights must be a nonempty integer vector")
+    q = w.size
+    primes, moduli = [], []
+    rest, p = q, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            primes.append(p)
+            moduli.append(1)
+            while rest % p == 0:
+                rest //= p
+                moduli[-1] *= p
+        p += 1
+    peak = max(-int(w.min()), int(w.max()))
+    if peak << len(primes) >= 2**63:
+        raise ValueError(f"weight {peak} times 2^{len(primes)} overflows int64")
+    t = np.arange(q)
+    flat = np.zeros(q, dtype=np.int64)
+    for m in moduli:
+        flat = flat * m + t % m
+    grid = np.empty(q, dtype=np.int64)
+    grid[flat] = w
+    grid = grid.reshape(moduli)
+    for p in primes:
+        cells = grid.reshape(p, -1)
+        grid = np.moveaxis((cells[:-1] - cells[-1]).reshape(-1, *grid.shape[1:]), 0, -1)
+    return not grid.any()
 
 
 # ---- cylinders evaluated over a joining ----
@@ -165,19 +160,15 @@ def _phase(freq: Sequence[int], block: Sequence[int], q: int, scale: int = 1) ->
     return sum(scale * n * a for n, a in zip(freq, block)) % q
 
 
-def _verify_star_zero(
-    inside: np.ndarray, q: int, freq: Sequence[int], cyl: Cylinder, scale: int
-) -> None:
+def _verify_star_zero(inside: np.ndarray, q: int, freq: Sequence[int], scale: int) -> None:
     """Certify that the sum over the base of e(scale * freq . w1 / q) g(w2) is 0.
 
     ``inside`` holds the w1 blocks (int64) of the base elements whose w2
-    block lies in the cylinder, the only ones where g is nonzero.
+    block lies in the cylinder, the only ones where g is nonzero, and
+    there g is one positive constant, which cannot change a zero.
     """
     step = np.array([scale * n % q for n in freq], dtype=np.int64)
-    phases, counts = np.unique(inside @ step % q, return_counts=True)
-    value = 1 / cyl.measure()
-    masses = {t: c * value for t, c in zip(phases.tolist(), counts.tolist())}
-    if not root_of_unity_sum_is_zero(masses, q):
+    if not root_of_unity_sum_is_zero(np.bincount(inside @ step % q, minlength=q)):
         raise ArithmeticError(
             f"coefficient for frequency {tuple(freq)} is not certifiably zero; "
             "the joining is too sparse for this cylinder"
@@ -204,8 +195,9 @@ def annihilate_over_joining(
     either dies automatically (it is nontrivial on the kernel of the w2
     projection, so fibers cancel) or is pushed through the w2 marginal:
     extend it to a character of the full grid and pin the cylinder
-    against the extension.  Every zero is then certified exactly
-    by the cyclotomic test; an uncertifiable sum raises.
+    against the extension.  Every zero is then certified exactly by
+    ``root_of_unity_sum_is_zero``, which folds the phase counts along
+    rotated p-gons; an uncertifiable sum raises.
     """
     d, r, q = joining.d, joining.r, joining.q
     if ball.dim != r:
@@ -244,7 +236,7 @@ def annihilate_over_joining(
     cyl = annihilating_cylinder(ball, list(needed.values()))
     inside = w[cyl.orbit_contains([Fraction(1, q)] * r, w[:, d:]), :d]
     for chi in chars:
-        _verify_star_zero(inside, q, chi.freq, cyl, scale)
+        _verify_star_zero(inside, q, chi.freq, scale)
     return cyl
 
 

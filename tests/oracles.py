@@ -46,12 +46,16 @@ orbit projects to (the general affine joining, of which
 ``joinings.AffineJoining`` keeps only the Haar measure) and the two-step
 projected closure that ``joinings.extract_affine_joining`` replaced with
 the one generator (alpha, l^2*beta), the star-zero certificate one coset
-at a time, and the star kernel and its transform factor.
+at a time, the zero test of a root-of-unity sum by division by the
+cyclotomic polynomial (the oracle of the p-gon fold
+``joinings.root_of_unity_sum_is_zero``), and the star kernel and its
+transform factor.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from collections import Counter, defaultdict
@@ -1060,6 +1064,42 @@ class WeightedJoining:
         return cls(joining.base, joining.d, joining.r, (zero,), (Fraction(1),))
 
 
+def _poly_div(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder for a monic integer divisor."""
+    num = list(num)
+    dn = len(den) - 1
+    quot = [0] * max(0, len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        coeff = num[i]
+        if coeff:
+            quot[i - dn] = coeff
+            for j, dc in enumerate(den):
+                num[i - dn + j] -= coeff * dc
+    while num and num[-1] == 0:
+        num.pop()
+    return quot, num
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for dd in range(1, n):
+        if n % dd == 0:
+            poly, rem = _poly_div(poly, list(cyclotomic(dd)))
+            assert not rem, "cyclotomic division left a remainder"
+    return tuple(poly)
+
+
+def root_of_unity_sum_is_zero_by_division(weights: Sequence[int]) -> bool:
+    """Whether sum_t weights[t] * e(t/q) is 0: the q-th cyclotomic polynomial
+    divides the weight polynomial.  The oracle of
+    ``joinings.root_of_unity_sum_is_zero``, which folds rotated p-gons.
+    """
+    ints = [int(w) for w in weights]
+    return not _poly_div(ints, list(cyclotomic(len(ints))))[1]
+
+
 def verify_star_zero_per_character(
     joining: AffineJoining, freq: Sequence[int], cyl: Cylinder, scale: int
 ) -> None:
@@ -1069,13 +1109,10 @@ def verify_star_zero_per_character(
     e(scale * freq . w1 / q) g(w2) is not certifiably zero.
     """
     q, d = joining.q, joining.d
-    value = 1 / cyl.measure()
     step = np.array([scale * n % q for n in freq], dtype=np.int64)
     w = np.array(joining.base.elements(), dtype=np.int64)
     inside = cyl.orbit_contains([Fraction(1, q)] * joining.r, w[:, d:])
-    phases, counts = np.unique(w[inside, :d] @ step % q, return_counts=True)
-    masses = {t: c * value for t, c in zip(phases.tolist(), counts.tolist())}
-    if not root_of_unity_sum_is_zero(masses, q):
+    if not root_of_unity_sum_is_zero(np.bincount(w[inside, :d] @ step % q, minlength=q)):
         raise ArithmeticError(
             f"coefficient for frequency {tuple(freq)} is not certifiably zero; "
             "the joining is too sparse for this cylinder"
@@ -1087,20 +1124,19 @@ def verify_star_zero_per_coset(
 ) -> bool:
     """Whether sum e(scale * freq . w1 / q) g(w2) is certifiably 0 on every coset.
 
-    One certificate per coset of the weighted joining; on a Haar joining,
-    one zero shift, it is the oracle of ``joinings._verify_star_zero``.
+    One certificate per coset of the weighted joining, each by the
+    cyclotomic division; on a Haar joining, one zero shift, it is the
+    oracle of ``joinings._verify_star_zero``.
     """
     joining = WeightedJoining.of(joining)
     q, d = joining.q, joining.d
     grid = [Fraction(1, q)] * joining.r
-    value = 1 / cyl.measure()
     step = np.array([scale * n % q for n in freq], dtype=np.int64)
     for rep in joining.shifts:
         w = np.array(coset_elements(joining.base, rep), dtype=np.int64)
         inside = cyl.orbit_contains(grid, w[:, d:])
-        phases, counts = np.unique(w[inside, :d] @ step % q, return_counts=True)
-        masses = {t: c * value for t, c in zip(phases.tolist(), counts.tolist())}
-        if not root_of_unity_sum_is_zero(masses, q):
+        counts = np.bincount(w[inside, :d] @ step % q, minlength=q)
+        if not root_of_unity_sum_is_zero_by_division(counts):
             return False
     return True
 

@@ -114,6 +114,13 @@ def test_lab_bad_experiment_id(tmp_path, capsys):
             },
             "phase space of 2048^6 cells exceeds the cap 4194304",
         ),
+        (
+            {
+                "experiment": "main_inequality",
+                "params": {"model": "trig", "N": 10**8, "battery": 16, "modes": 24},
+            },
+            "= 100000000 * 16 * 2212 = 3539200000000 ns exceeds the cap 60000000000 ns",
+        ),
     ],
 )
 def test_lab_config_errors_are_exit_2(tmp_path, monkeypatch, capsys, extra, message):

@@ -19,6 +19,8 @@ from reclab.experiments import (
     ExperimentError,
     INCONCLUSIVE,
     PASS,
+    TRIG_COST_CAP,
+    TRIG_HORIZON_CAP,
     TRIG_MODES_CAP,
     _REQUIRED,
     _SCHEMA,
@@ -207,6 +209,32 @@ def test_trig_modes_cap_is_every_conjugate_pair_of_the_frequency_box(tmp_path):
     with pytest.raises(ExperimentError) as err:
         run(tmp_path, "main_inequality", dict(base, modes=TRIG_MODES_CAP + 1))
     assert err.value.stage == "config" and f"[1, {TRIG_MODES_CAP}]" in str(err.value)
+
+
+def test_trig_cost_model_refuses_the_next_size_up_without_running_it(tmp_path, monkeypatch):
+    # one n past the largest accepted N is refused at config, before any
+    # polynomial is averaged
+    monkeypatch.setattr(experiments, "weighted_average", lambda *args: pytest.fail("ran"))
+    for modes, battery in ((1, 16), (6, 2), (TRIG_MODES_CAP, 1)):
+        per_n = battery * experiments._trig_term_ns(modes)
+        largest = TRIG_COST_CAP // per_n
+        assert largest < TRIG_HORIZON_CAP
+        with pytest.raises(ExperimentError) as err:
+            run(tmp_path, "main_inequality",
+                {"model": "trig", "N": largest + 1, "battery": battery, "modes": modes})
+        assert err.value.stage == "config"
+        assert f"= {(largest + 1) * per_n} ns exceeds the cap {TRIG_COST_CAP} ns" in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trig_cost_model_accepts_every_shipped_trig_config():
+    # the example trig config, and a benchmark-sized run of it, stay far inside the budget
+    for path in sorted((REPO / "scripts" / "configs").glob("*.json")):
+        with open(path, encoding="utf-8") as fh:
+            config = ExperimentConfig.from_json(json.load(fh))
+        p = _parse_params(config)
+        if config.experiment == "main_inequality" and p["model"] == "trig":
+            assert p["N"] * p["battery"] * experiments._trig_term_ns(p["modes"]) < TRIG_COST_CAP / 100
 
 
 # ---------------------------------------------------------------------------

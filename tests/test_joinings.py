@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from reclab import joinings
 from reclab.experiments import ExperimentConfig, run_experiment
-from reclab.harmonic import Character, CoefficientTable
+from reclab.harmonic import Character, CoefficientTable, annihilating_cylinder
 from reclab.joinings import (
     AffineJoining,
     annihilate_over_joining,
@@ -41,6 +41,7 @@ from oracles import (
     projected_closure,
     quadratic_direction,
     quadratic_orbit_decomposition,
+    root_of_unity_sum_is_zero_by_division,
     star_kernel,
     star_transform_factor,
     subgroup_contains,
@@ -328,17 +329,34 @@ def test_star_kernel_shape_checks():
 # ---- root of unity certificates ----
 
 
+def weights_of(entries, q):
+    """The length-q int64 weight vector with weight w at each t of ``entries``."""
+    weights = np.zeros(q, dtype=np.int64)
+    for t, w in entries.items():
+        weights[t % q] += w
+    return weights
+
+
 def test_root_of_unity_sum_examples():
     # all q-th roots sum to zero
-    assert root_of_unity_sum_is_zero({t: frac(1) for t in range(6)}, 6)
+    assert root_of_unity_sum_is_zero(np.ones(6, dtype=np.int64))
     # paired opposite phases cancel
-    assert root_of_unity_sum_is_zero({1: frac(2, 3), 4: frac(2, 3)}, 6)
+    assert root_of_unity_sum_is_zero(weights_of({1: 1, 4: 1}, 6))
     # a lone root is nonzero, as is an unbalanced pair
-    assert not root_of_unity_sum_is_zero({2: frac(1)}, 6)
-    assert not root_of_unity_sum_is_zero({1: frac(1), 4: frac(2)}, 6)
-    # q = 1: plain rational sum
-    assert root_of_unity_sum_is_zero({0: frac(0)}, 1)
-    assert not root_of_unity_sum_is_zero({0: frac(1, 7)}, 1)
+    assert not root_of_unity_sum_is_zero(weights_of({2: 1}, 6))
+    assert not root_of_unity_sum_is_zero(weights_of({1: 1, 4: 2}, 6))
+    # q = 1: plain integer sum
+    assert root_of_unity_sum_is_zero(weights_of({0: 0}, 1))
+    assert not root_of_unity_sum_is_zero(weights_of({0: 1}, 1))
+
+
+@pytest.mark.parametrize(
+    "weights", [np.zeros(0, dtype=np.int64), np.zeros((2, 3), dtype=np.int64), np.zeros(4)],
+    ids=["empty", "matrix", "float"],
+)
+def test_root_of_unity_sum_refuses_what_is_not_an_integer_vector(weights):
+    with pytest.raises(ValueError, match="nonempty integer vector"):
+        root_of_unity_sum_is_zero(weights)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -346,16 +364,96 @@ def test_root_of_unity_sum_examples():
 def test_root_of_unity_zero_agrees_with_numeric(seed):
     rng = random.Random(seed)
     q = rng.randint(1, 30)
-    masses = {
-        rng.randrange(q): frac(rng.randint(-5, 5), rng.randint(1, 5))
-        for _ in range(rng.randint(1, 6))
-    }
-    claim = root_of_unity_sum_is_zero(masses, q)
-    numeric = sum(float(m) * cmath.exp(2j * cmath.pi * t / q) for t, m in masses.items())
+    entries = {rng.randrange(q): rng.randint(-5, 5) for _ in range(rng.randint(1, 6))}
+    claim = root_of_unity_sum_is_zero(weights_of(entries, q))
+    numeric = sum(w * cmath.exp(2j * cmath.pi * t / q) for t, w in entries.items())
     if claim:
         assert abs(numeric) < 1e-9
     else:
         assert abs(numeric) > 1e-12
+
+
+def prime_divisors(q):
+    return [p for p in range(2, q + 1) if q % p == 0 and all(p % d for d in range(2, p))]
+
+
+@st.composite
+def root_of_unity_cases(draw):
+    """Weights at a modulus q <= 400, and whether they are a sum of rotated p-gons.
+
+    Random weights are almost never zero, so most cases are integer
+    combinations of rotated p-gons, p | q: zero as they are, and mostly
+    not after a unit perturbation.
+    """
+    q = draw(st.integers(1, 400))
+    if draw(st.integers(0, 3)) == 0:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        return [rng.randint(-3, 3) for _ in range(q)], False
+    weights = [0] * q
+    primes = prime_divisors(q)
+    gons = st.tuples(st.sampled_from(primes), st.integers(-4, 4), st.integers(0, q - 1))
+    for p, c, start in draw(st.lists(gons, max_size=6)) if primes else []:
+        for j in range(p):
+            weights[(start + j * (q // p)) % q] += c
+    if draw(st.booleans()):
+        weights[draw(st.integers(0, q - 1))] += draw(st.sampled_from([-1, 1]))
+        return weights, False
+    return weights, True
+
+
+@given(root_of_unity_cases())
+@settings(max_examples=300, deadline=None)
+def test_root_of_unity_fold_agrees_with_cyclotomic_division(case):
+    weights, is_pgon_sum = case
+    claim = root_of_unity_sum_is_zero(np.array(weights, dtype=np.int64))
+    assert claim == root_of_unity_sum_is_zero_by_division(weights)
+    if is_pgon_sum:
+        assert claim
+
+
+# 945945 = 3^3 * 5 * 7^2 * 11 * 13: the phase modulus of a grid run with
+# beta [1/49, 1/11, 1/13, 2/7, 3/7], at the enumeration cap
+Q_LARGE = 945945
+
+
+def test_root_of_unity_sum_at_a_large_modulus():
+    # every multiple of 3 is every (Q/3)-th root of unity, whose full sum is 0
+    weights = np.zeros(Q_LARGE, dtype=np.int64)
+    weights[::3] = 1
+    assert root_of_unity_sum_is_zero(weights)
+    # a rotated 7-gon is 0, so adding it to e(0) leaves e(0) = 1
+    weights = np.zeros(Q_LARGE, dtype=np.int64)
+    weights[5 :: Q_LARGE // 7] = 1
+    weights[0] = 1
+    assert not root_of_unity_sum_is_zero(weights)
+    weights[0] = 0
+    assert root_of_unity_sum_is_zero(weights)
+
+
+def test_root_of_unity_sum_refuses_weights_that_would_overflow():
+    # five distinct primes: each fold may double a cell, so |w| * 2^5 must stay below 2^63
+    weights = np.zeros(Q_LARGE, dtype=np.int64)
+    weights[1] = 2**58 - 1
+    assert not root_of_unity_sum_is_zero(weights)
+    weights[1] = -(2**58)
+    with pytest.raises(ValueError, match="overflows int64"):
+        root_of_unity_sum_is_zero(weights)
+
+
+def test_equidistribution_decides_a_large_modulus_exactly(tmp_path):
+    # 240240 = 2^4 * 3 * 5 * 7 * 11 * 13; the limit of n*(n+1)/240240 vanishes, and
+    # that of n^2/240240 is a product of Gauss sums, of size sqrt(2 * 240240) / 240240
+    cases = [{"alpha": "1/240240", "beta": "1/240240"}, {"beta": "1/240240"}]
+    config = ExperimentConfig.from_json({
+        "experiment": "equidistribution",
+        "params": {"ladder": [1000], "cases": cases},
+        "out_dir": str(tmp_path),
+    })
+    zero, periodic = run_experiment(config).metrics["cases"]
+    assert zero["modulus"] == periodic["modulus"] == 240240
+    assert zero["exact_zero_limit"] and zero["limit_abs"] < 1e-12
+    assert not periodic["exact_zero_limit"]
+    assert periodic["limit_abs"] == pytest.approx(math.sqrt(2 * 240240) / 240240, rel=1e-9)
 
 
 # ---- annihilation over a joining ----
@@ -479,7 +577,7 @@ def test_star_zero_on_the_haar_joining_matches_the_per_coset_loop(case):
     w = np.array(J.base.elements(), dtype=np.int64)
     inside = w[cyl.orbit_contains([frac(1, J.q)] * J.r, w[:, J.d:]), :J.d]
     try:
-        joinings._verify_star_zero(inside, J.q, freq, cyl, scale)
+        joinings._verify_star_zero(inside, J.q, freq, scale)
         certified = True
     except ArithmeticError as exc:
         assert "not certifiably zero" in str(exc)
@@ -508,10 +606,15 @@ def test_annihilate_certifies_what_the_per_character_route_does(case, k, chars):
     ball = ApproxHammingBall(cyl.center, min(k, J.r - 1), cyl.eta)
     chars = [Character((c % J.q,)) for c in chars]
     got = annihilate_outcome(ball, J, chars, scale)
+    built = []  # the cylinder annihilate_over_joining pins, for the per-character route
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
+            joinings, "annihilating_cylinder",
+            lambda *args: built.append(annihilating_cylinder(*args)) or built[-1],
+        )
+        patch.setattr(
             joinings, "_verify_star_zero",
-            lambda inside, q, freq, cyl, scale: verify_star_zero_per_character(J, freq, cyl, scale),
+            lambda inside, q, freq, scale: verify_star_zero_per_character(J, freq, built[-1], scale),
         )
         want = annihilate_outcome(ball, J, chars, scale)
     assert got == want
