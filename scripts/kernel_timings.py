@@ -8,7 +8,8 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
 - ``roth_form`` on complex grids at (q, d) = (135, 1) and (45, 2);
 - ``roth_form_exact`` on an integer grid at (135, 1);
 - ``SubgroupModel.elements`` on the order-945 joining base of a
-  ``main_inequality`` grid run at q = 135, r = 5;
+  ``main_inequality`` grid run at q = 135, r = 5, the cyclic subgroup
+  of Z_945^6 generated by (alpha, beta);
 - the exact checkpoint averages of a weighted average over 135 terms;
 - ``WeylSystem.correlation_series`` at N = 100000 on the trig polynomial
   of a ``main_inequality`` trig run at config seed 7 (13 zero-drift
@@ -208,7 +209,7 @@ def main() -> None:
     for name, count in (("135", 135), ("135sq", 135**2)):
         out[f"battery_draw_{name}_s"] = best_of(lambda: PCG64(11).integers(-2, 3, count))
 
-    base_945 = np.array(base.elements(), dtype=np.int64)
+    base_945 = base.elements()
     counts = np.bincount(base_945[:, 0] * 2 % 945, minlength=945)
     out["root_of_unity_zero_q945_s"] = best_of(lambda: root_of_unity_sum_is_zero(counts))
     thirds = np.zeros(945945, dtype=np.int64)

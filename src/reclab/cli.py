@@ -322,9 +322,7 @@ def main_roth(argv: Sequence[str] | None = None) -> int:
         return 2
     # project onto the quotient by the last coordinate axis; for d = 1
     # that is the full grid and the projection is the plain mean
-    axis = [0] * args.d
-    axis[-1] = 1
-    subgroup = SubgroupModel.from_generators(args.q, args.d, [axis])
+    subgroup = SubgroupModel(args.q, (0,) * (args.d - 1) + (1,))
     rng = np.random.default_rng(args.seed)
     shape = (args.q,) * args.d
 

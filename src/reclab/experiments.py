@@ -83,6 +83,13 @@ EXACT_MODULUS_CAP = 250_000
 #: most nanoseconds a trig main_inequality run may cost, N * battery terms at
 #: ``_trig_term_ns(modes)`` each: 60 s, the budget of a `roth check`
 TRIG_COST_CAP = 60 * 10**9
+#: most nanoseconds an equidistribution run may cost, its walked n at
+#: ``LADDER_TERM_NS`` each: the same 60 s
+EQUI_COST_CAP = 60 * 10**9
+#: the modelled cost of one n of ``_ladder_averages``, in nanoseconds: an upper
+#: envelope of its time per n at N = 10^6 on a 2-vCPU Xeon, over moduli from 3
+#: to about 10^300: 420-480 ns below 10^9, 540 ns at 10^18 and 780 ns at 10^300
+LADDER_TERM_NS = 800
 
 
 class ExperimentError(RuntimeError):
@@ -1036,6 +1043,22 @@ def _phase_masses(a_num: int, b_num: int, modulus: int) -> dict[int, Fraction]:
     return {int(values[i]): Fraction(int(counts[i]), modulus) for i in np.argsort(first)}
 
 
+def _case_phase(case: dict[str, Any]) -> tuple[int, int, int]:
+    """(a_num, b_num, modulus): m*alpha and m*beta over their common denominator."""
+    a, b = case["m"] * case["alpha"], case["m"] * case["beta"]
+    modulus = math.lcm(a.denominator, b.denominator)
+    return int(a * modulus), int(b * modulus), modulus
+
+
+def _case_marks(modulus: int, ladder: list[int]) -> list[int]:
+    """The horizons a case's ladder walk reports: the ladder, and for an exact
+    modulus the first whole period at or past its top; the walk ends at the last."""
+    if modulus > EXACT_MODULUS_CAP:
+        return ladder
+    whole = modulus * max(1, math.ceil(ladder[-1] / modulus))
+    return sorted(set(ladder) | {whole})
+
+
 def _ladder_averages(
     a_num: int, b_num: int, modulus: int, marks: list[int]
 ) -> list[tuple[int, float]]:
@@ -1064,11 +1087,20 @@ def exp_equidistribution(config: ExperimentConfig) -> ExperimentReport:
     a whole-period average that must hit the limit on the nose.  The
     periodic nonvanishing cases are the obstruction this flags; they
     are expected findings, not failures.  Convergent stand-ins are
-    graded empirically against the decay tolerance.
+    graded empirically against the decay tolerance.  The n every case
+    walks, summed, is priced at ``LADDER_TERM_NS`` each against
+    ``EQUI_COST_CAP`` before any case runs.
     """
     p = _parse_params(config)
     ladder = sorted(set(p["ladder"]))
     tolerance = p["tolerance"]
+    walked = sum(_case_marks(_case_phase(c)[2], ladder)[-1] for c in p["cases"] if c["m"])
+    if walked * LADDER_TERM_NS > EQUI_COST_CAP:
+        raise ExperimentError(
+            "config",
+            f"cost walked n * {LADDER_TERM_NS} ns = {walked} * {LADDER_TERM_NS} "
+            f"= {walked * LADDER_TERM_NS} ns exceeds the cap {EQUI_COST_CAP} ns",
+        )
 
     rows: list[list] = []
     case_metrics: list[dict] = []
@@ -1089,13 +1121,9 @@ def exp_equidistribution(config: ExperimentConfig) -> ExperimentReport:
             case_metrics.append(info)
             continue
 
-        a, b = m * alpha, m * beta
-        modulus = math.lcm(a.denominator, b.denominator)
-        a_num = int(a * modulus)
-        b_num = int(b * modulus)
+        a_num, b_num, modulus = _case_phase(case)
         exact = modulus <= EXACT_MODULUS_CAP
-
-        marks = list(ladder)
+        marks = _case_marks(modulus, ladder)
         limit_abs = None
         is_zero = None
         if exact:
@@ -1109,9 +1137,6 @@ def exp_equidistribution(config: ExperimentConfig) -> ExperimentReport:
                 for t, w in masses.items()
             )
             limit_abs = abs(limit)
-            whole = modulus * max(1, math.ceil(ladder[-1] / modulus))
-            if whole not in marks:
-                marks = sorted(set(marks) | {whole})
 
         averages = _ladder_averages(a_num, b_num, modulus, marks)
         rows.extend([label, m, n, v] for n, v in averages)

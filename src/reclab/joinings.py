@@ -7,7 +7,8 @@ w1 = (z4 - 2*z2)/2 and w2 = z5 sweep out n^2 * (alpha, l^2*beta), so the
 joining is the Haar measure on the subgroup of Z_M^(d+r) generated by
 (alpha, l^2*beta), M the common denominator of alpha, t0 and l^2*beta.
 That Haar measure is the only joining shape here, and
-``extract_affine_joining`` builds it from the two blocks directly.
+``extract_affine_joining`` builds it from the two blocks directly; its
+base is held as that one generator (``lattice.SubgroupModel``).
 
 The construction has a precondition on the linear blocks: alpha and t0
 must have coprime orders, so that the linear part closes on the product
@@ -32,6 +33,7 @@ test and a failure raises rather than returning a near-zero.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -45,7 +47,7 @@ from .harmonic import (
     centered_residue,
     top_k_characters,
 )
-from .lattice import SubgroupModel, solve_linear_mod
+from .lattice import SubgroupModel
 from .torus import ApproxHammingBall, Cylinder
 
 __all__ = [
@@ -62,12 +64,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AffineJoining:
-    """The Haar measure of a base subgroup of Z_q^(d+r).
+    """The Haar measure of a cyclic base subgroup of Z_q^(d+r).
 
     The first d coordinates are the w1 block (they shift the second
     argument of f by 2*w1), the last r are the w2 block (they feed g).
-    Equal subgroups give equal joinings, since the base is held in its
-    canonical Hermite form.
+    Joinings are equal when their base generators are.
     """
 
     base: SubgroupModel
@@ -100,8 +101,7 @@ def extract_affine_joining(
     for c in coords:
         if (c * modulus).denominator != 1:
             raise ValueError(f"coordinate {c}: its denominator does not divide {modulus}")
-    gen = [c * modulus % modulus for c in coords]
-    base = SubgroupModel.from_generators(modulus, len(gen), [gen])
+    base = SubgroupModel(modulus, tuple(int(c * modulus) for c in coords))
     return AffineJoining(base, len(alpha), len(weight_dir))
 
 
@@ -177,10 +177,28 @@ def _verify_star_zero(inside: np.ndarray, q: int, freq: Sequence[int], scale: in
 
 @functools.lru_cache(maxsize=4)
 def _base_elements(base: SubgroupModel) -> np.ndarray:
-    """The elements of a joining base as int64 rows, enumerated once and shared read-only."""
-    w = np.array(base.elements(), dtype=np.int64)
-    w.flags.writeable = False
-    return w
+    """The elements of a joining base, enumerated once and shared read-only."""
+    return base.elements()
+
+
+def _solve_congruence(b: Sequence[int], p: int, q: int) -> list[int]:
+    """One psi with psi . b = p (mod q), when gcd(q, *b) divides p.
+
+    Extended Euclid folds in one coordinate of b at a time, keeping
+    g = gcd(q, b_1, ..., b_i) = y . (b_1, ..., b_i) (mod q); at the end
+    psi = y * (p / g).
+    """
+    g, y = q, []
+    for x in b:
+        # Euclid on (g, x): s * g + t * x = gcd(g, x)
+        r0, r1, s0, s1, t0, t1 = g, x, 1, 0, 0, 1
+        while r1:
+            k = r0 // r1
+            r0, r1 = r1, r0 - k * r1
+            s0, s1 = s1, s0 - k * s1
+            t0, t1 = t1, t0 - k * t1
+        g, y = r0, [s0 * c % q for c in y] + [t0 % q]
+    return [c * (p // g) % q for c in y]
 
 
 def annihilate_over_joining(
@@ -191,13 +209,17 @@ def annihilate_over_joining(
 ) -> Cylinder:
     """Cylinder g subordinate to ball with avg of chi(scale*w1) g(w2) = 0.
 
-    The average runs over the joining's base subgroup.  Each character
-    either dies automatically (it is nontrivial on the kernel of the w2
-    projection, so fibers cancel) or is pushed through the w2 marginal:
-    extend it to a character of the full grid and pin the cylinder
-    against the extension.  Every zero is then certified exactly by
-    ``root_of_unity_sum_is_zero``, which folds the phase counts along
-    rotated p-gons; an uncertifiable sum raises.
+    The average runs over the joining's base <(a, b)>, a the w1 and b
+    the w2 block of its generator, and each character is decided by its
+    phase p = scale * chi . a on the generator.  The kernel of the w2
+    projection is generated by (M / gcd(M, *b)) * (a, 0), M the modulus:
+    a character nontrivial there (p * M / gcd(M, *b) != 0 mod M) dies
+    automatically, since fibers cancel.  Any other is pushed through the
+    w2 marginal: psi . b = p (mod M) is solvable exactly then, and the
+    cylinder is pinned against the character psi of the full grid.
+    Every zero is then certified exactly by ``root_of_unity_sum_is_zero``,
+    which folds the phase counts along rotated p-gons; an uncertifiable
+    sum raises.
     """
     d, r, q = joining.d, joining.r, joining.q
     if ball.dim != r:
@@ -209,31 +231,24 @@ def annihilate_over_joining(
         if all((scale * n) % q == 0 for n in chi.freq):
             raise ValueError(f"character {chi.freq} is trivial on the grid Z_{q}")
 
-    w = _base_elements(joining.base)
-    kernel = w[~w[:, d:].any(axis=1), :d].tolist()
-    basis_rows = [tuple(a % q for a in row) for row in joining.base.basis]
-
+    a, b = joining.base.generator[:d], joining.base.generator[d:]
+    kernel_step = q // math.gcd(q, *b)
     needed: dict[tuple[int, ...], Character] = {}
     for chi in chars:
-        if any(_phase(chi.freq, w1, q, scale) for w1 in kernel):
+        p = _phase(chi.freq, a, q, scale)
+        if p * kernel_step % q:
             continue
-        phases = [_phase(chi.freq, row[:d], q, scale) for row in basis_rows]
-        if not any(phases):
+        if not p:
             raise ValueError(
                 f"character {chi.freq} vanishes on the joining base; "
                 "no cylinder choice can annihilate a constant"
             )
-        solution = solve_linear_mod(
-            [list(row[d:]) for row in basis_rows], phases, q
-        )
-        if solution is None:
-            raise ArithmeticError(
-                "character extension system is inconsistent despite a trivial kernel"
-            )
-        ext = Character(tuple(centered_residue(a, q) for a in solution))
+        psi = _solve_congruence(b, p, q)
+        ext = Character(tuple(centered_residue(c, q) for c in psi))
         needed[ext.freq] = ext
 
     cyl = annihilating_cylinder(ball, list(needed.values()))
+    w = _base_elements(joining.base)
     inside = w[cyl.orbit_contains([Fraction(1, q)] * r, w[:, d:]), :d]
     for chi in chars:
         _verify_star_zero(inside, q, chi.freq, scale)

@@ -19,10 +19,12 @@ identity
 which holds on odd grids, where n -> -2n permutes the frequencies.
 
 Projecting one slot of the form onto the functions invariant under a
-subgroup K is a Fourier truncation to the annihilator of K, so the cost
-of projecting is controlled by the largest coefficient outside the
-annihilator.  The projection averages over cosets; the tests check it
-against the Fourier mask onto the annihilator.
+cyclic subgroup K = <g> (``lattice.SubgroupModel``) is a Fourier
+truncation to the annihilator of K, the frequencies n with n . g = 0
+mod q, so the cost of projecting is controlled by the largest
+coefficient outside the annihilator.  The projection averages over
+cosets; the tests check it against the Fourier mask onto the
+annihilator.
 """
 
 from __future__ import annotations
@@ -166,14 +168,13 @@ def _integer_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
 def _annihilator_mask(subgroup: SubgroupModel) -> np.ndarray:
     """Boolean grid, true at the frequencies whose characters are trivial on the subgroup.
 
-    A frequency n is in the annihilator when n . row = 0 mod q for every
-    basis row.  Both factors are at most q and the q^dim cells are held
-    in memory, so the dot products stay far inside int64.
+    A frequency n is in the annihilator of <g> when n . g = 0 mod q.
+    Both factors are below q and the q^dim cells are held in memory, so
+    the dot products stay far inside int64.
     """
     freqs = np.indices((subgroup.q,) * subgroup.dim)
-    basis = np.array(subgroup.basis, dtype=np.int64).reshape(-1, subgroup.dim)
-    dots = np.tensordot(basis, freqs, axes=(1, 0)) % subgroup.q
-    return ~dots.any(axis=0)
+    g = np.array(subgroup.generator, dtype=np.int64)
+    return np.tensordot(g, freqs, axes=(0, 0)) % subgroup.q == 0
 
 
 def quotient_project(f: GridFunction, subgroup: SubgroupModel) -> GridFunction:
@@ -181,7 +182,7 @@ def quotient_project(f: GridFunction, subgroup: SubgroupModel) -> GridFunction:
     if (subgroup.dim, subgroup.q) != (f.dim, f.q):
         raise ValueError("subgroup must live on the same grid as f")
     acc = np.zeros_like(f.values)
-    elems = subgroup.elements()
+    elems = subgroup.elements().tolist()
     outer = tuple(range(f.dim - 1))
     doubled = np.concatenate([f.values, f.values], axis=-1)
     prefix = None

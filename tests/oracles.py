@@ -1,5 +1,11 @@
 """Reference code and fixture builders that only the tests call.
 
+Subgroups: extended Euclid, the Hermite and Smith normal forms and the
+linear solver mod q, and ``HermiteSubgroup``, a subgroup of Z_q^m with
+any number of generators held in Hermite form: the reference of the
+cyclic ``lattice.SubgroupModel``, and the model of the stabilizers,
+full grids and joins that are not cyclic.
+
 Fixtures: the origin of a torus (``zero_point``), the window that is on
 at every n (``FULL_WINDOW``), the trivial and full subgroups, canonical
 coset representatives and coset members, subgroup membership and the
@@ -110,22 +116,255 @@ FULL_WINDOW = Cylinder(1, (), zero_point(1), Fraction(1, 2))
 FULL_DIRECTION = (Fraction(0),)
 
 
+# ---------------------------------------------------------------------------
+# subgroups of Z_q^m with any number of generators, in Hermite normal form:
+# the reference of the cyclic lattice.SubgroupModel and the model of the
+# non-cyclic subgroups the oracles need (stabilizers, full grids, joins)
+
+
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        t = old_r // r
+        old_r, r = r, old_r - t * r
+        old_x, x = x, old_x - t * x
+        old_y, y = y, old_y - t * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+def hermite_normal_form(rows: Iterable[Sequence[int]], width: int) -> list[list[int]]:
+    """Row-style Hermite normal form of the lattice spanned by the rows.
+
+    Returns an echelon basis with positive pivots and entries above
+    each pivot reduced into [0, pivot).  For a full-rank lattice the
+    result has one row per column with the pivot of row i in column i.
+    """
+    work = [list(map(int, r)) for r in rows if any(r)]
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for col in range(width):
+        carry = None
+        rest = []
+        for row in work:
+            if row[col] == 0:
+                rest.append(row)
+                continue
+            if carry is None:
+                carry = row
+                continue
+            g, s, t = ext_gcd(carry[col], row[col])
+            a, b = carry[col] // g, row[col] // g
+            combined = [s * u + t * v for u, v in zip(carry, row)]
+            eliminated = [a * v - b * u for u, v in zip(carry, row)]
+            carry = combined
+            rest.append(eliminated)
+        work = [r for r in rest if any(r)]
+        if carry is not None:
+            if carry[col] < 0:
+                carry = [-x for x in carry]
+            basis.append(carry)
+            pivots.append(col)
+    # ascending pivot order: reducing by row i only touches columns >= its
+    # pivot, so columns finished earlier stay reduced
+    for i in range(len(basis)):
+        p = pivots[i]
+        for j in range(i):
+            t = basis[j][p] // basis[i][p]
+            if t:
+                basis[j] = [a - t * b for a, b in zip(basis[j], basis[i])]
+    return basis
+
+
+def smith_normal_form(
+    matrix: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """(D, U, V) with U @ A @ V = D diagonal, U and V unimodular.
+
+    Diagonal entries are nonnegative and satisfy d_1 | d_2 | ... .
+    """
+    a = [list(map(int, row)) for row in matrix]
+    n = len(a)
+    m = len(a[0]) if n else 0
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(i, j, t):
+        a[i] = [x + t * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + t * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, t):
+        for row in a:
+            row[i] += t * row[j]
+        for row in v:
+            row[i] += t * row[j]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    k = 0
+    while k < min(n, m):
+        found = next(
+            ((i, j) for i in range(k, n) for j in range(k, m) if a[i][j]), None
+        )
+        if found is None:
+            break
+        if found[0] != k:
+            swap_rows(k, found[0])
+        if found[1] != k:
+            swap_cols(k, found[1])
+        while True:
+            # Euclidean clearing: each swap strictly shrinks the positive
+            # pivot, so the passes terminate
+            if a[k][k] < 0:
+                negate_row(k)
+            for i in range(k + 1, n):
+                while a[i][k]:
+                    add_row(i, k, -(a[i][k] // a[k][k]))
+                    if a[i][k]:
+                        swap_rows(k, i)
+            col_swapped = False
+            for j in range(k + 1, m):
+                while a[k][j]:
+                    add_col(j, k, -(a[k][j] // a[k][k]))
+                    if a[k][j]:
+                        swap_cols(k, j)
+                        col_swapped = True
+            if col_swapped or any(a[i][k] for i in range(k + 1, n)):
+                continue
+            stray = next(
+                (
+                    i
+                    for i in range(k + 1, n)
+                    for j in range(k + 1, m)
+                    if a[i][j] % a[k][k]
+                ),
+                None,
+            )
+            if stray is None:
+                break
+            # folding a stray row in lets the next round shrink the pivot
+            # to a divisor of both
+            add_row(k, stray, 1)
+        k += 1
+    return a, u, v
+
+
+def solve_linear_mod(
+    matrix: Sequence[Sequence[int]], rhs: Sequence[int], q: int
+) -> list[int] | None:
+    """One solution x of A x = b (mod q), or None when none exists."""
+    n = len(matrix)
+    if n == 0:
+        return []
+    m = len(matrix[0])
+    d, u, v = smith_normal_form(matrix)
+    ub = [sum(u[i][j] * rhs[j] for j in range(n)) % q for i in range(n)]
+    y = [0] * m
+    for i in range(n):
+        di = d[i][i] if i < m else 0
+        if di == 0:
+            if ub[i] % q:
+                return None
+            continue
+        g = math.gcd(di, q)
+        if ub[i] % g:
+            return None
+        inv = pow(di // g, -1, q // g) if q // g > 1 else 0
+        y[i] = (ub[i] // g) * inv % (q // g)
+    return [sum(v[i][j] * y[j] for j in range(m)) % q for i in range(m)]
+
+
+@dataclass(frozen=True)
+class HermiteSubgroup:
+    """A subgroup of Z_q^m held as a canonical Hermite basis.
+
+    Two models are equal exactly when they describe the same subgroup,
+    because the reduced Hermite form is unique.  ``order`` and
+    ``elements`` answer as ``lattice.SubgroupModel``'s do: the elements
+    sorted, as read-only rows.
+    """
+
+    q: int
+    dim: int
+    basis: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_generators(
+        cls, q: int, dim: int, generators: Iterable[Sequence[int]]
+    ) -> "HermiteSubgroup":
+        if q < 1:
+            raise ValueError("modulus must be positive")
+        rows = [[int(x) % q for x in g] for g in generators]
+        for row in rows:
+            if len(row) != dim:
+                raise ValueError(f"generator width {len(row)} does not match dim {dim}")
+        rows.extend([q * int(i == j) for j in range(dim)] for i in range(dim))
+        h = hermite_normal_form(rows, dim)
+        return cls(q=q, dim=dim, basis=tuple(tuple(r) for r in h))
+
+    def order(self) -> int:
+        det = math.prod(row[i] for i, row in enumerate(self.basis))
+        return self.q**self.dim // det
+
+    def elements(self) -> np.ndarray:
+        """Every mixed-radix combination of basis rows, one at a time in Python integers."""
+        radices = [self.q // row[i] for i, row in enumerate(self.basis)]
+        out = []
+        for combo in itertools.product(*(range(r) for r in radices)):
+            vec = [0] * self.dim
+            for t, row in zip(combo, self.basis):
+                if t:
+                    vec = [(a + t * b) % self.q for a, b in zip(vec, row)]
+            out.append(vec)
+        out.sort()
+        rows = np.array(out, dtype=np.int64 if self.q <= 2**63 else object)
+        rows = rows.reshape(len(out), self.dim)
+        rows.flags.writeable = False
+        return rows
+
+
+def hermite(model: SubgroupModel | HermiteSubgroup) -> HermiteSubgroup:
+    """The Hermite model of a subgroup: itself, or the closure of a cyclic model's generator."""
+    if isinstance(model, HermiteSubgroup):
+        return model
+    return HermiteSubgroup.from_generators(model.q, model.dim, [model.generator])
+
+
 def trivial_subgroup(q: int, dim: int) -> SubgroupModel:
-    return SubgroupModel.from_generators(q, dim, [])
+    return SubgroupModel(q, (0,) * dim)
 
 
-def full_subgroup(q: int, dim: int) -> SubgroupModel:
+def full_subgroup(q: int, dim: int) -> HermiteSubgroup:
     eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    return SubgroupModel.from_generators(q, dim, eye)
+    return HermiteSubgroup.from_generators(q, dim, eye)
 
 
-def coset_representative(model: SubgroupModel, vec: Sequence[int]) -> tuple[int, ...]:
+def coset_representative(
+    model: SubgroupModel | HermiteSubgroup, vec: Sequence[int]
+) -> tuple[int, ...]:
     """The unique member of vec + subgroup inside the pivot box.
 
-    Reduction against the triangular basis lands every coset at one
-    point with 0 <= x[i] < basis[i][i], so representatives can be
+    Reduction against the triangular Hermite basis lands every coset at
+    one point with 0 <= x[i] < basis[i][i], so representatives can be
     compared for coset equality.
     """
+    model = hermite(model)
     x = [int(a) % model.q for a in vec]
     if len(x) != model.dim:
         raise ValueError(f"vector width {len(x)} does not match dim {model.dim}")
@@ -136,35 +375,26 @@ def coset_representative(model: SubgroupModel, vec: Sequence[int]) -> tuple[int,
     return tuple(x)
 
 
-def coset_elements(model: SubgroupModel, rep: Sequence[int]) -> list[tuple[int, ...]]:
+def coset_elements(
+    model: SubgroupModel | HermiteSubgroup, rep: Sequence[int]
+) -> list[tuple[int, ...]]:
     """The coset rep + subgroup: elements() shifted by rep, in that order."""
-    return [tuple((a + b) % model.q for a, b in zip(rep, s)) for s in model.elements()]
+    return [tuple((a + b) % model.q for a, b in zip(rep, s)) for s in model.elements().tolist()]
 
 
-def subgroup_contains(model: SubgroupModel, vec: Sequence[int]) -> bool:
+def subgroup_contains(model: SubgroupModel | HermiteSubgroup, vec: Sequence[int]) -> bool:
     """Whether vec lies in the subgroup: its canonical coset representative is 0."""
     return not any(coset_representative(model, vec))
 
 
-def subgroup_elements_by_loop(model: SubgroupModel) -> list[tuple[int, ...]]:
-    """SubgroupModel.elements one mixed-radix digit vector at a time, in Python integers."""
-    radices = [model.q // row[i] for i, row in enumerate(model.basis)]
-    out = []
-    for combo in itertools.product(*(range(r) for r in radices)):
-        vec = [0] * model.dim
-        for t, row in zip(combo, model.basis):
-            if t:
-                vec = [(a + t * b) % model.q for a, b in zip(vec, row)]
-        out.append(tuple(vec))
-    out.sort()
-    return out
-
-
-def subgroup_join(a: SubgroupModel, b: SubgroupModel) -> SubgroupModel:
+def subgroup_join(
+    a: SubgroupModel | HermiteSubgroup, b: SubgroupModel | HermiteSubgroup
+) -> HermiteSubgroup:
     """Smallest subgroup containing both operands."""
     if (a.q, a.dim) != (b.q, b.dim):
         raise ValueError("subgroup models live in different ambient groups")
-    return SubgroupModel.from_generators(a.q, a.dim, list(a.basis) + list(b.basis))
+    a, b = hermite(a), hermite(b)
+    return HermiteSubgroup.from_generators(a.q, a.dim, list(a.basis) + list(b.basis))
 
 
 def scaled(point: TorusPoint, n: int) -> TorusPoint:
@@ -726,13 +956,15 @@ def roth_form_spectral(f0: GridFunction, f1: GridFunction, f2: GridFunction) -> 
     return complex(np.sum(h0 * h1_at_minus_2n * h2))
 
 
-def annihilator_contains(subgroup: SubgroupModel, freq: Sequence[int]) -> bool:
-    """Whether the character with this frequency is trivial on the subgroup."""
+def annihilator_contains(
+    subgroup: SubgroupModel | HermiteSubgroup, freq: Sequence[int]
+) -> bool:
+    """Whether the character with this frequency is trivial on the subgroup's Hermite basis."""
     if len(freq) != subgroup.dim:
         raise ValueError("frequency width must match the subgroup ambient")
     q = subgroup.q
     return all(
-        sum(n * k for n, k in zip(freq, row)) % q == 0 for row in subgroup.basis
+        sum(n * k for n, k in zip(freq, row)) % q == 0 for row in hermite(subgroup).basis
     )
 
 
@@ -751,7 +983,7 @@ def quotient_project_spectral(f: GridFunction, subgroup: SubgroupModel) -> GridF
 def quotient_project_roll_loop(f: GridFunction, subgroup: SubgroupModel) -> GridFunction:
     """roth.quotient_project with one whole-grid roll per subgroup element."""
     acc = np.zeros_like(f.values)
-    elems = subgroup.elements()
+    elems = subgroup.elements().tolist()
     for k in elems:
         acc += roll_to(f.values, k)
     return GridFunction(f.dim, f.q, acc / len(elems))
@@ -924,7 +1156,7 @@ class OrbitDecomposition:
     period: int
     linear: tuple[int, ...]
     quadratic: tuple[int, ...]
-    stabilizer: SubgroupModel
+    stabilizer: HermiteSubgroup
     cosets: tuple[tuple[int, ...], ...]
     weights: tuple[Fraction, ...]
 
@@ -959,7 +1191,7 @@ def quadratic_orbit_decomposition(
         s = tuple((a - b) % q for a, b in zip(y, x0))
         if all(counts.get(shifted(x, s)) == counts[x] for x in support):
             stab_gens.append(s)
-    stabilizer = SubgroupModel.from_generators(q, dim, stab_gens)
+    stabilizer = HermiteSubgroup.from_generators(q, dim, stab_gens)
     order = stabilizer.order()
 
     classes: dict[tuple[int, ...], int] = defaultdict(int)
@@ -1025,11 +1257,12 @@ class WeightedJoining:
 
     The blocks are those of ``joinings.AffineJoining``, whose Haar
     measure is the one-shift case.  Weights are positive rationals
-    summing to 1; shifts are stored as canonical coset representatives,
-    sorted, so equality is measure equality.
+    summing to 1; the base is stored in Hermite form and the shifts as
+    canonical coset representatives, sorted, so equality is measure
+    equality.
     """
 
-    base: SubgroupModel
+    base: SubgroupModel | HermiteSubgroup
     d: int
     r: int
     shifts: tuple[tuple[int, ...], ...]
@@ -1037,6 +1270,7 @@ class WeightedJoining:
 
     def __post_init__(self) -> None:
         AffineJoining(self.base, self.d, self.r)  # the block checks
+        object.__setattr__(self, "base", hermite(self.base))
         if len(self.shifts) != len(self.weights) or not self.shifts:
             raise ValueError("need equally many shifts and weights, at least one")
         canonical = tuple(coset_representative(self.base, s) for s in self.shifts)
@@ -1156,7 +1390,7 @@ def decomposition_joining(
     """
     c, u, q = lift_orbit(linear, quadratic, modulus)
     dec = quadratic_orbit_decomposition(c, u, q)
-    base = SubgroupModel.from_generators(
+    base = HermiteSubgroup.from_generators(
         q, d + r, [offset_projection(row, d, r, q) for row in dec.stabilizer.basis]
     )
     merged: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
@@ -1174,11 +1408,11 @@ def projected_closure(
     d: int,
     r: int,
     modulus: int | None = None,
-) -> SubgroupModel:
+) -> HermiteSubgroup:
     """The closure of the quadratic part in Z_q^(4d+r), then projected to the offsets."""
     _, u, q = lift_orbit(linear, quadratic, modulus)
-    closure = SubgroupModel.from_generators(q, 4 * d + r, [u])
-    return SubgroupModel.from_generators(
+    closure = HermiteSubgroup.from_generators(q, 4 * d + r, [u])
+    return HermiteSubgroup.from_generators(
         q, d + r, [offset_projection(row, d, r, q) for row in closure.basis]
     )
 
@@ -1199,7 +1433,7 @@ def orbit_average(dec: OrbitDecomposition, fn: Callable[[tuple[int, ...]], objec
     return total / dec.q
 
 
-def coset_average(base: SubgroupModel, reps, weights, fn: Callable[[tuple[int, ...]], object]):
+def coset_average(base: SubgroupModel | HermiteSubgroup, reps, weights, fn: Callable[[tuple[int, ...]], object]):
     """sum_j weights[j] * the average of fn over the coset reps[j] + base."""
     total = 0
     for rep, w in zip(reps, weights):

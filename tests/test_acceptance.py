@@ -158,7 +158,7 @@ def test_progression_form_spectral_identity():
 def test_quotient_projection_gap_bound():
     """|I - I_W| stays under kappa * |f0| * |f1| on the 5x5 grid."""
     t0 = time.perf_counter()
-    subgroup = SubgroupModel.from_generators(5, 2, [[0, 1]])
+    subgroup = SubgroupModel(5, (0, 1))
     rng = np.random.default_rng(404)
     worst_slack = math.inf
     for _ in range(200):

@@ -16,8 +16,10 @@ from reclab.certificates import load_certificate, verify_certificate
 from reclab.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    EQUI_COST_CAP,
     ExperimentError,
     INCONCLUSIVE,
+    LADDER_TERM_NS,
     PASS,
     TRIG_COST_CAP,
     TRIG_HORIZON_CAP,
@@ -673,6 +675,35 @@ def test_equidistribution_loose_tolerance_is_inconclusive(tmp_path):
         {"ladder": [50], "tolerance": "1/1000000", "cases": [case]},
     )
     assert report.status == INCONCLUSIVE
+
+
+def test_equidistribution_cost_model_refuses_the_next_size_up_without_running_it(
+    tmp_path, monkeypatch
+):
+    # a case of prime modulus 249989 walks 41 whole periods at ladder [10^7]; one
+    # case past the largest accepted count is refused at config, before any
+    # ladder is walked, and the trivial character (m = 0) walks nothing
+    monkeypatch.setattr(experiments, "_ladder_averages", lambda *args: pytest.fail("ran"))
+    per_case = 249989 * 41 * LADDER_TERM_NS
+    largest = EQUI_COST_CAP // per_case
+    assert largest == 7
+    case = {"alpha": "1/249989", "beta": "3/249989"}
+    trivial = {"alpha": "1/249989", "beta": "3/249989", "m": 0}
+    with pytest.raises(ExperimentError) as err:
+        run(tmp_path, "equidistribution",
+            {"ladder": [10**7], "cases": [trivial] + [case] * (largest + 1)})
+    assert err.value.stage == "config"
+    assert f"= {(largest + 1) * per_case} ns exceeds the cap {EQUI_COST_CAP} ns" in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_equidistribution_cost_model_accepts_the_shipped_config(tmp_path, monkeypatch):
+    # the example config runs even under a hundredth of the budget
+    monkeypatch.setattr(experiments, "EQUI_COST_CAP", EQUI_COST_CAP // 100)
+    with open(REPO / "scripts" / "configs" / "equidistribution.json", encoding="utf-8") as fh:
+        config = ExperimentConfig.from_json(json.load(fh))
+    config.out_dir = str(tmp_path)
+    assert run_experiment(config).status == PASS
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Joining models: extraction against the exact decomposition, the star kernel, certified zeros."""
 
 import cmath
+import itertools
 import json
 import math
 import random
@@ -27,13 +28,14 @@ from reclab.lattice import SubgroupModel
 from reclab.torus import ApproxHammingBall, Cylinder, TorusPoint
 
 from oracles import (
+    HermiteSubgroup,
     WeightedJoining,
     averaging_gap,
     coset_average,
     coset_elements,
     decomposition_joining,
     evaluate_table,
-    full_subgroup,
+    hermite,
     lift_orbit,
     offset_projection,
     orbit_point,
@@ -42,6 +44,7 @@ from oracles import (
     quadratic_direction,
     quadratic_orbit_decomposition,
     root_of_unity_sum_is_zero_by_division,
+    solve_linear_mod,
     star_kernel,
     star_transform_factor,
     subgroup_contains,
@@ -69,19 +72,19 @@ def ball_on(center_coords, k, eps):
 def test_cyclic_closure_coprime_blocks_give_full_product():
     # (1/5, 1/7) lifted to Z_35 is (7, 5): the pair generates the product of the factors,
     # the closure equality the grid joining requires of its linear blocks
-    G = SubgroupModel.from_generators(35, 2, [[7, 5]])
-    product = SubgroupModel.from_generators(35, 2, [[7, 0], [0, 5]])
-    assert G == product and G.order() == 35
+    G = SubgroupModel(35, (7, 5))
+    product = HermiteSubgroup.from_generators(35, 2, [[7, 0], [0, 5]])
+    assert hermite(G) == product and G.order() == 35
 
 
 @given(st.integers(2, 20), st.integers(0, 19), st.integers(0, 19))
 def test_cyclic_closure_projections_are_factor_closures(q, a, b):
     # each coordinate projection of <(a, b)> is exactly the closure of that entry
-    G = SubgroupModel.from_generators(q, 2, [[a, b]])
-    proj0 = SubgroupModel.from_generators(q, 1, [[row[0]] for row in G.basis])
-    proj1 = SubgroupModel.from_generators(q, 1, [[row[1]] for row in G.basis])
-    assert proj0 == SubgroupModel.from_generators(q, 1, [[a]])
-    assert proj1 == SubgroupModel.from_generators(q, 1, [[b]])
+    rows = SubgroupModel(q, (a, b)).elements()
+    proj0 = HermiteSubgroup.from_generators(q, 1, rows[:, :1].tolist())
+    proj1 = HermiteSubgroup.from_generators(q, 1, rows[:, 1:].tolist())
+    assert proj0 == hermite(SubgroupModel(q, (a,)))
+    assert proj1 == hermite(SubgroupModel(q, (b,)))
 
 
 # ---- orbit decompositions ----
@@ -109,7 +112,7 @@ def test_torsion_fixture_mod7_square_counts():
 def test_pure_rotation_is_single_coset():
     dec = quadratic_orbit_decomposition([1, 3], [0, 0], 12)
     assert dec.weights == (frac(1),)
-    assert dec.stabilizer == SubgroupModel.from_generators(12, 2, [[1, 3]])
+    assert dec.stabilizer == HermiteSubgroup.from_generators(12, 2, [[1, 3]])
     assert verify_measure_identity(dec)
 
 
@@ -169,7 +172,7 @@ def test_extraction_equal_frequencies_concentrate_on_diagonal():
     # the extracted group idealization is the full diagonal
     ex = extract_affine_joining([frac(1, 15)], [frac(1, 15)], 15)
     assert ex.q == 15
-    assert ex.base == SubgroupModel.from_generators(15, 2, [[1, 1]])
+    assert ex.base == SubgroupModel(15, (1, 1))
     assert (ex.d, ex.r) == (1, 1)
     assert verify_measure_identity(quadratic_orbit_decomposition(*lift_orbit(*diagonal_parts())))
 
@@ -177,8 +180,8 @@ def test_extraction_equal_frequencies_concentrate_on_diagonal():
 def test_extraction_coprime_frequencies_group_is_full_product():
     ex = extract_affine_joining([frac(1, 5)], [frac(1, 7)], 35)
     assert ex.q == 35
-    product = SubgroupModel.from_generators(35, 2, [[7, 0], [0, 5]])
-    assert ex.base == product
+    assert ex.base == SubgroupModel(35, (7, 5))
+    assert hermite(ex.base) == HermiteSubgroup.from_generators(35, 2, [[7, 0], [0, 5]])
     # offset marginals: w1 sweeps squares times alpha, w2 squares times beta
     dec = quadratic_orbit_decomposition(pair_embedding([7], [5], 1), quadratic_direction([7], [5]), 35)
     w_visits = {offset_projection(orbit_point(dec, n), 1, 1, 35) for n in range(35)}
@@ -240,7 +243,7 @@ def test_extraction_base_is_projected_closure(orbit):
     alpha, t0, weight_dir = orbit
     lin, quad, d, r, modulus = orbit_parts(alpha, t0, weight_dir)
     J = extract_affine_joining(alpha, weight_dir, modulus)
-    assert J.base == projected_closure(lin, quad, d, r)
+    assert hermite(J.base) == projected_closure(lin, quad, d, r)
     assert (J.q, J.d, J.r) == (modulus, d, r)
 
 
@@ -262,7 +265,7 @@ def test_extraction_base_contains_decomposition_joining(orbit):
 
 
 def test_affine_joining_validation():
-    base = SubgroupModel.from_generators(5, 2, [[1, 1]])
+    base = SubgroupModel(5, (1, 1))
     assert AffineJoining(base, 1, 1).q == 5
     with pytest.raises(ValueError, match="nonempty"):
         AffineJoining(base=base, d=2, r=0)
@@ -460,12 +463,13 @@ def test_equidistribution_decides_a_large_modulus_exactly(tmp_path):
 
 
 def order_two_model():
-    base = full_subgroup(6, 2)
+    # <(3, 2)> is the full product {0, 3} x {0, 2, 4} of Z_6 x Z_6
+    base = SubgroupModel(6, (3, 2))
     return AffineJoining(base, 1, 1)
 
 
 def test_annihilate_order_two_character_full_product():
-    # kernel of the w2 projection is all of Z_6 x {0}; the order-2 character
+    # kernel of the w2 projection is {0, 3} x {0}; the order-2 character
     # cancels fiber by fiber and any subordinate cylinder works
     J = order_two_model()
     ball = ball_on([0], 0, frac(1, 5))
@@ -474,14 +478,14 @@ def test_annihilate_order_two_character_full_product():
     total = sum(
         cmath.exp(2j * cmath.pi * 3 * w[0] / 6)
         * float(cyl.normalized_value(TorusPoint.of([frac(w[1], 6)])))
-        for w in J.base.elements()
+        for w in J.base.elements().tolist()
     )
     assert abs(total) < 1e-12
 
 
 def test_annihilate_via_character_extension():
     # kernel trivial: the character must be pushed through the w2 marginal
-    base = SubgroupModel.from_generators(6, 3, [[1, 1, 0], [0, 0, 1]])
+    base = SubgroupModel(6, (1, 1, 0))
     J = AffineJoining(base, 1, 2)
     ball = ball_on([0, frac(1, 6)], 1, frac(1, 5))
     cyl = annihilate_over_joining(ball, J, [Character((2,))])
@@ -489,7 +493,7 @@ def test_annihilate_via_character_extension():
     total = sum(
         cmath.exp(2j * cmath.pi * 2 * w[0] / 6)
         * float(cyl.normalized_value(TorusPoint.of([frac(w[1], 6), frac(w[2], 6)])))
-        for w in J.base.elements()
+        for w in J.base.elements().tolist()
     )
     assert abs(total) < 1e-12
 
@@ -503,7 +507,7 @@ def test_annihilate_zero_characters_returns_subordinate_cylinder():
 
 
 def test_annihilate_rejects_character_trivial_on_joining():
-    base = SubgroupModel.from_generators(6, 2, [[0, 1]])
+    base = SubgroupModel(6, (0, 1))
     J = AffineJoining(base, 1, 1)
     ball = ball_on([0], 0, frac(1, 5))
     with pytest.raises(ValueError, match="vanishes on the joining"):
@@ -519,7 +523,7 @@ def test_annihilate_rejects_grid_trivial_character():
 
 def test_annihilate_raises_when_not_certifiable():
     # sparse diagonal marginal: the windowed cylinder cannot cancel exactly
-    base = SubgroupModel.from_generators(6, 3, [[1, 1, 1]])
+    base = SubgroupModel(6, (1, 1, 1))
     J = AffineJoining(base, 1, 2)
     ball = ball_on([0, 0], 1, frac(1, 6))
     with pytest.raises(ArithmeticError, match="not certifiably zero"):
@@ -530,7 +534,7 @@ def test_annihilate_holds_on_every_coset():
     # the cylinder built for the Haar joining of the base also annihilates on
     # the shifted coset: the oracle's per-coset certificate holds on a
     # two-coset weighted joining, and so does the float sum on each coset
-    base = SubgroupModel.from_generators(6, 3, [[1, 1, 0], [0, 0, 2]])
+    base = SubgroupModel(6, (1, 1, 3))
     ball = ball_on([0, frac(1, 6)], 1, frac(1, 5))
     cyl = annihilate_over_joining(ball, AffineJoining(base, 1, 2), [Character((2,))])
     J = WeightedJoining(
@@ -553,8 +557,7 @@ def star_zero_cases(draw):
     """A Haar joining with d = 1, a cylinder on its w2 block, a frequency and a scale."""
     q = draw(st.sampled_from([3, 5, 6, 7, 9]))
     r = draw(st.integers(1, 2))
-    vectors = st.lists(st.integers(0, q - 1), min_size=1 + r, max_size=1 + r)
-    base = SubgroupModel.from_generators(q, 1 + r, draw(st.lists(vectors, min_size=1, max_size=2)))
+    base = SubgroupModel(q, tuple(draw(st.lists(st.integers(0, q - 1), min_size=1 + r, max_size=1 + r))))
     index_set = tuple(sorted(draw(st.sets(st.integers(1, r), min_size=1))))
     center = TorusPoint.of([frac(draw(st.integers(0, 2 * q - 1)), 2 * q) for _ in range(r)])
     eta = frac(draw(st.integers(1, q)), 2 * q + 1)
@@ -565,9 +568,9 @@ def star_zero_cases(draw):
 
 @given(star_zero_cases())
 # one certified, and the sparse diagonal of test_annihilate_raises_when_not_certifiable
-@example((AffineJoining(SubgroupModel.from_generators(6, 3, [[1, 1, 0], [0, 0, 1]]), 1, 2),
+@example((AffineJoining(SubgroupModel(6, (1, 1, 0)), 1, 2),
           (2,), Cylinder(2, (2,), TorusPoint.of([0, frac(1, 6)]), frac(1, 5)), 1))
-@example((AffineJoining(SubgroupModel.from_generators(6, 3, [[1, 1, 1]]), 1, 2),
+@example((AffineJoining(SubgroupModel(6, (1, 1, 1)), 1, 2),
           (2,), Cylinder(2, (1,), TorusPoint.of([0, 0]), frac(1, 6)), 1))
 @settings(max_examples=120, deadline=None)
 def test_star_zero_on_the_haar_joining_matches_the_per_coset_loop(case):
@@ -594,7 +597,7 @@ def annihilate_outcome(ball, J, chars, scale):
 
 @given(case=star_zero_cases(), k=st.integers(0, 1), chars=st.lists(st.integers(1, 8), max_size=3))
 @example(
-    case=(AffineJoining(SubgroupModel.from_generators(6, 3, [[1, 1, 1]]), 1, 2), (2,),
+    case=(AffineJoining(SubgroupModel(6, (1, 1, 1)), 1, 2), (2,),
           Cylinder(2, (1, 2), TorusPoint.of([0, 0]), frac(1, 6)), 1),
     k=1, chars=[2],
 )
@@ -618,6 +621,27 @@ def test_annihilate_certifies_what_the_per_character_route_does(case, k, chars):
         )
         want = annihilate_outcome(ball, J, chars, scale)
     assert got == want
+
+
+@given(st.integers(1, 30), st.lists(st.integers(0, 29), min_size=1, max_size=3), st.integers(0, 29))
+def test_extension_solves_the_congruence_exactly_when_the_kernel_allows(q, b, p):
+    # the base <(1, b)>: a w1 character of phase p on the generator is trivial on
+    # the kernel of the w2 projection iff psi . b = p (mod q) has a solution
+    b, p = [x % q for x in b], p % q
+    base = hermite(SubgroupModel(q, (1, *b)))
+    trivial_on_kernel = all(p * w[0] % q == 0 for w in base.elements().tolist() if not any(w[1:]))
+    assert trivial_on_kernel == (solve_linear_mod([b], [p], q) is not None)
+    assert trivial_on_kernel == (p * (q // math.gcd(q, *b)) % q == 0)
+    if q ** len(b) <= 1000:
+        solutions = [
+            psi for psi in itertools.product(range(q), repeat=len(b))
+            if sum(x * y for x, y in zip(psi, b)) % q == p
+        ]
+        assert trivial_on_kernel == bool(solutions)
+    if trivial_on_kernel:
+        psi = joinings._solve_congruence(b, p, q)
+        assert len(psi) == len(b) and all(0 <= x < q for x in psi)
+        assert sum(x * y for x, y in zip(psi, b)) % q == p
 
 
 def test_annihilate_enumerates_the_joining_base_once_per_call(monkeypatch, tmp_path):
@@ -648,10 +672,10 @@ def test_annihilate_enumerates_the_joining_base_once_per_call(monkeypatch, tmp_p
 
 
 def test_joining_base_elements_are_cached_read_only():
-    base = SubgroupModel.from_generators(5, 4, [[1, 1, 0, 0], [0, 0, 1, 2]])
+    base = SubgroupModel(5, (1, 1, 1, 2))
     w = joinings._base_elements(base)
     assert joinings._base_elements(base) is w
-    assert w.dtype == np.int64 and w.tolist() == [list(e) for e in base.elements()]
+    assert w.dtype == np.int64 and w.tolist() == base.elements().tolist()
     with pytest.raises(ValueError):
         w[0, 0] = 1
 
@@ -660,10 +684,13 @@ def test_joining_base_elements_are_cached_read_only():
 
 
 def uniformize_fixture():
-    q = 5
-    base = SubgroupModel.from_generators(q, 4, [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    # the kernel of the w2 projection is trivial, so every character extends;
+    # the pinned coordinate runs over the multiples of 1/5 (or of 1/3), whose
+    # fibers are 3-gons (or 5-gons) of w1 phases
+    q = 15
+    base = SubgroupModel(q, (1, 5, 3, 0))
     J = AffineJoining(base, 1, 3)
-    ball = ball_on([0, frac(1, 5), 0], 2, frac(3, 10))
+    ball = ball_on([0, 0, 0], 2, frac(1, 10))
     return q, J, ball
 
 
@@ -730,7 +757,7 @@ def test_uniformize_residual_bound_random_table():
 
 
 def test_uniformize_rejects_even_grid():
-    base = full_subgroup(6, 3)
+    base = SubgroupModel(6, (1, 1, 1))
     J = AffineJoining(base, 1, 2)
     ball = ball_on([0, 0], 1, frac(1, 5))
     with pytest.raises(ValueError, match="even"):

@@ -110,6 +110,69 @@ def test_every_tracer_reason_names_a_probe():
     assert cited and sorted(set(cited) - probed) == []
 
 
+def test_every_benchmark_probe_resolves():
+    # a probed name that no longer exists fails the traced benchmark runs;
+    # catch it here: the module is loaded and holds the function, or the
+    # class body defines the method
+    import reclab.cli  # noqa: F401  (loads every module a probe names)
+
+    spans = (ROOT / "bench" / "spans.py").read_text(encoding="utf-8")
+    probes = re.findall(r'Probe\(\s*"([\w.]+)",\s*"([\w.]+)"', spans)
+    assert ("reclab.lattice", "SubgroupModel.elements") in probes  # the pattern sees the probes
+    missing = []
+    for module, attr in probes:
+        owner, _, method = attr.rpartition(".")
+        mod = sys.modules.get(module)
+        if mod is None:
+            missing.append(f"{module} (not loaded)")
+        elif not owner:
+            if not callable(getattr(mod, attr, None)):
+                missing.append(f"{module}.{attr}")
+        elif method not in getattr(getattr(mod, owner, None), "__dict__", {}):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
+
+
+def _numpy_random_users(tree: ast.Module) -> set[str]:
+    """Top-level functions and methods whose code (not annotations) names np.random."""
+    annotations = set()
+    for node in ast.walk(tree):
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if ann is not None:
+                annotations.update(id(n) for n in ast.walk(ann))
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs.extend((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            defs.append((node.name, node))
+    return {
+        name
+        for name, fn in defs
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Attribute) and n.attr == "random" and id(n) not in annotations
+        and isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy")
+    }
+
+
+def test_numpy_random_call_sites_are_pinned():
+    # the streams of numpy.random Generator methods may change between numpy
+    # versions; no new caller may appear while these four remain
+    users, imports = set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        users |= _numpy_random_users(tree)
+        imports += [
+            path.name for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name.startswith("numpy.random") for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+            and (node.module.startswith("numpy.random") or any(a.name == "random" for a in node.names))
+        ]
+    assert imports == []
+    assert users == {"_random_trig_table", "_random_mask", "sample_band_disjointness", "main_roth"}
+
+
 def test_one_membership_kernel():
     # membership is decided by torus.orbit_deviations through each region's
     # orbit_contains; the scalar Fraction predicates live in tests/oracles.py
