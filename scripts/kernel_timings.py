@@ -38,7 +38,10 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
   was lifted to and the keys per gathered block;
 - the battery draw ``PCG64(11).integers(-2, 3, n)``, seeding included,
   at n = 135 (an ``x-only`` row at q = 135) and n = 135^2 (one random
-  observable).
+  observable);
+- the trig table draw ``_random_trig_table(6, 11)`` cold, with the
+  ziggurat tables decoded again each time, and the normal draw
+  ``PCG64(11).normal(100000)``, seeding included;
 - the exact zero test ``root_of_unity_sum_is_zero`` at q = 945 on the
   counts of the phases 2 * w1 over the order-945 joining base above (a
   star-zero sum of that grid run, under the full window), and at
@@ -61,7 +64,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from reclab import experiments, weyl
+from reclab import experiments, pcg64, weyl
 from reclab.bohr import BohrHammingBall, set_enumerate
 from reclab.certificates import (
     band_return_bitset,
@@ -208,6 +211,13 @@ def main() -> None:
 
     for name, count in (("135", 135), ("135sq", 135**2)):
         out[f"battery_draw_{name}_s"] = best_of(lambda: PCG64(11).integers(-2, 3, count))
+
+    def trig_table_draw():
+        pcg64._ziggurat.cache_clear()
+        experiments._random_trig_table(6, 11)
+
+    out["trig_table_draw_s"] = best_of(trig_table_draw)
+    out["normal_draw_1e5_s"] = best_of(lambda: PCG64(11).normal(100_000))
 
     base_945 = base.elements()
     counts = np.bincount(base_945[:, 0] * 2 % 945, minlength=945)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -78,8 +79,14 @@ PHASE_CAP = 2**22
 #: most random modes (conjugate pairs) of a trig main_inequality observable: its
 #: frequencies come from [-3, 3]^2, which holds (7^2 - 1) / 2 = 24 pairs
 TRIG_MODES_CAP = 24
+#: largest common phase denominator M of a grid main_inequality run: each
+#: star-zero check counts the phases of the joining base in an array of M entries
+#: and folds it, so time and memory grow with M whatever the base's order
+JOINING_MODULUS_CAP = 10**6
 #: largest phase modulus the equidistribution pipeline classifies exactly
 EXACT_MODULUS_CAP = 250_000
+#: largest phase modulus the ladder walk takes: its step 2 pi / modulus is a double
+LADDER_MODULUS_CAP = int(sys.float_info.max)
 #: most nanoseconds a trig main_inequality run may cost, N * battery terms at
 #: ``_trig_term_ns(modes)`` each: 60 s, the budget of a `roth check`
 TRIG_COST_CAP = 60 * 10**9
@@ -509,6 +516,11 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
         raise ExperimentError(
             "config", f"common phase denominator {modulus} is even; offsets cannot halve"
         )
+    if modulus > JOINING_MODULUS_CAP:
+        raise ExperimentError(
+            "config",
+            f"common phase denominator {modulus} exceeds the cap {JOINING_MODULUS_CAP}",
+        )
     model = GridWeylModel(q, (alpha.numerator,))
     period = p["n_max"] or math.lcm(model.period, *(w.denominator for w in weight_dir))
     if period > PERIOD_CAP:
@@ -607,15 +619,21 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
 
 
 def _random_trig_table(modes: int, seed: int) -> tuple[CoefficientTable, float]:
-    """A random real trig polynomial on the (x, y) torus and its norm square."""
-    rng = np.random.default_rng(seed)
+    """A random real trig polynomial on the (x, y) torus and its norm square.
+
+    Each frequency's two coordinates and then each coefficient's real and
+    imaginary parts come from one ``reclab.pcg64`` stream, in the order
+    ``default_rng(seed)`` drew them with scalar ``integers(-3, 4)`` and
+    ``normal()`` calls.
+    """
+    rng = PCG64(seed)
     entries: dict[Character, complex] = {Character((0, 0)): 1.0 + 0j}
     placed = 0
     while placed < modes:
-        freq = (int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+        freq = tuple(rng.integers(-3, 4, 2).tolist())
         if freq == (0, 0) or Character(freq) in entries:
             continue
-        c = complex(rng.normal(), rng.normal()) / 4.0
+        c = complex(*rng.normal(2).tolist()) / 4.0
         entries[Character(freq)] = c
         entries[Character((-freq[0], -freq[1]))] = c.conjugate()
         placed += 1
@@ -1089,12 +1107,26 @@ def exp_equidistribution(config: ExperimentConfig) -> ExperimentReport:
     are expected findings, not failures.  Convergent stand-ins are
     graded empirically against the decay tolerance.  The n every case
     walks, summed, is priced at ``LADDER_TERM_NS`` each against
-    ``EQUI_COST_CAP`` before any case runs.
+    ``EQUI_COST_CAP`` before any case runs, and a case whose phase
+    modulus passes ``LADDER_MODULUS_CAP`` is refused there too.
     """
     p = _parse_params(config)
     ladder = sorted(set(p["ladder"]))
     tolerance = p["tolerance"]
-    walked = sum(_case_marks(_case_phase(c)[2], ladder)[-1] for c in p["cases"] if c["m"])
+    labels = [f"case-{i}" if c["label"] is None else c["label"] for i, c in enumerate(p["cases"])]
+    phases = [_case_phase(c) for c in p["cases"]]
+    for label, (_, _, modulus) in zip(labels, phases):
+        if modulus > LADDER_MODULUS_CAP:
+            raise ExperimentError(
+                "config",
+                f"case {label!r}: phase modulus of {modulus.bit_length()} bits exceeds the "
+                f"cap {LADDER_MODULUS_CAP:.6e}, past which 2 pi / modulus is no double",
+            )
+    walked = sum(
+        _case_marks(modulus, ladder)[-1]
+        for case, (_, _, modulus) in zip(p["cases"], phases)
+        if case["m"]
+    )
     if walked * LADDER_TERM_NS > EQUI_COST_CAP:
         raise ExperimentError(
             "config",
@@ -1107,8 +1139,7 @@ def exp_equidistribution(config: ExperimentConfig) -> ExperimentReport:
     lines: list[str] = []
     status = PASS
 
-    for idx, case in enumerate(p["cases"]):
-        label = f"case-{idx}" if case["label"] is None else case["label"]
+    for label, case, (a_num, b_num, modulus) in zip(labels, p["cases"], phases):
         m, alpha, beta = case["m"], case["alpha"], case["beta"]
         info: dict[str, Any] = {
             "label": label, "m": m,
@@ -1121,7 +1152,6 @@ def exp_equidistribution(config: ExperimentConfig) -> ExperimentReport:
             case_metrics.append(info)
             continue
 
-        a_num, b_num, modulus = _case_phase(case)
         exact = modulus <= EXACT_MODULUS_CAP
         marks = _case_marks(modulus, ladder)
         limit_abs = None

@@ -121,6 +121,10 @@ def test_lab_bad_experiment_id(tmp_path, capsys):
             },
             "= 100000000 * 16 * 2212 = 3539200000000 ns exceeds the cap 60000000000 ns",
         ),
+        (
+            {"params": {"ladder": [100], "cases": [{"label": "huge", "beta": f"1/{10**400 + 1}"}]}},
+            "case 'huge': phase modulus of 1329 bits exceeds the cap 1.797693e+308",
+        ),
     ],
 )
 def test_lab_config_errors_are_exit_2(tmp_path, monkeypatch, capsys, extra, message):

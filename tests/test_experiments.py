@@ -19,6 +19,8 @@ from reclab.experiments import (
     EQUI_COST_CAP,
     ExperimentError,
     INCONCLUSIVE,
+    JOINING_MODULUS_CAP,
+    LADDER_MODULUS_CAP,
     LADDER_TERM_NS,
     PASS,
     TRIG_COST_CAP,
@@ -337,6 +339,19 @@ def test_grid_config_checks_guard_the_joining(tmp_path, monkeypatch, change, mes
     with pytest.raises(ExperimentError) as err:
         run(tmp_path, "main_inequality", dict(INDEPENDENT, **change))
     assert err.value.stage == "config" and message in str(err.value)
+
+
+def test_grid_modulus_cap_refuses_the_next_size_up_without_running_it(tmp_path, monkeypatch):
+    # at q = 135 and beta i/7 a prime t0 = 1/p gives M = 945 p: 1/1051 is the
+    # largest such t0 under the cap, and 1/1061 is refused before any work
+    assert 945 * 1051 <= JOINING_MODULUS_CAP < 945 * 1061
+    monkeypatch.setattr(experiments, "extract_affine_joining", joining_unreachable)
+    monkeypatch.setattr(experiments, "_battery_grids", joining_unreachable)
+    with pytest.raises(ExperimentError) as err:
+        run(tmp_path, "main_inequality", dict(INDEPENDENT, t0="1/1061"))
+    assert err.value.stage == "config"
+    assert "common phase denominator 1002645 exceeds the cap 1000000" in str(err.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trig_battery_uses_the_three_term_progression_form(tmp_path):
@@ -695,6 +710,30 @@ def test_equidistribution_cost_model_refuses_the_next_size_up_without_running_it
     assert err.value.stage == "config"
     assert f"= {(largest + 1) * per_case} ns exceeds the cap {EQUI_COST_CAP} ns" in str(err.value)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_equidistribution_refuses_a_modulus_past_the_doubles_before_any_case_runs(
+    tmp_path, monkeypatch
+):
+    # 2 pi / modulus needs the modulus as a double; the second case's does not
+    # fit one, and the first case is not walked either
+    monkeypatch.setattr(experiments, "_ladder_averages", lambda *args: pytest.fail("ran"))
+    huge = 10**400 + 1
+    assert huge > LADDER_MODULUS_CAP
+    cases = [{"alpha": "1/7"}, {"beta": f"1/{huge}"}]
+    with pytest.raises(ExperimentError) as err:
+        run(tmp_path, "equidistribution", {"ladder": [100], "cases": cases})
+    assert err.value.stage == "config"
+    assert "case 'case-1': phase modulus of 1329 bits exceeds the cap" in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_equidistribution_walks_a_modulus_just_inside_the_doubles(tmp_path):
+    report = run(tmp_path, "equidistribution",
+                 {"ladder": [100], "cases": [{"beta": f"1/{10**308}"}]})
+    (case,) = report.metrics["cases"]
+    assert 10**308 <= LADDER_MODULUS_CAP
+    assert case["modulus"] is None and case["final_abs"] == pytest.approx(1.0)
 
 
 def test_equidistribution_cost_model_accepts_the_shipped_config(tmp_path, monkeypatch):

@@ -4,9 +4,9 @@ Every public function, class and method defined in ``src/reclab`` must
 be named somewhere else in ``src/`` as a word of code (strings and
 comments do not count), or carry an entry in ``ALLOWED`` saying why it
 is reached from outside the package.  Oracles and fixture builders that
-only the tests call belong in ``tests/oracles.py``.  A grid
-``main_inequality`` run must not import ``numpy.random`` either: its
-battery comes from ``reclab.pcg64``.
+only the tests call belong in ``tests/oracles.py``.  A
+``main_inequality`` run must not import ``numpy.random`` either: the
+grid battery and the trig coefficients come from ``reclab.pcg64``.
 """
 
 import ast
@@ -158,7 +158,7 @@ def _numpy_random_users(tree: ast.Module) -> set[str]:
 
 def test_numpy_random_call_sites_are_pinned():
     # the streams of numpy.random Generator methods may change between numpy
-    # versions; no new caller may appear while these four remain
+    # versions; no new caller may appear while these three remain
     users, imports = set(), []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -170,7 +170,7 @@ def test_numpy_random_call_sites_are_pinned():
             and (node.module.startswith("numpy.random") or any(a.name == "random" for a in node.names))
         ]
     assert imports == []
-    assert users == {"_random_trig_table", "_random_mask", "sample_band_disjointness", "main_roth"}
+    assert users == {"_random_mask", "sample_band_disjointness", "main_roth"}
 
 
 def test_one_membership_kernel():
@@ -207,16 +207,13 @@ sys.exit(code)
 """
 
 
-def test_grid_main_inequality_never_imports_numpy_random(tmp_path):
-    # battery 3 draws the x-only row and one random grid from reclab.pcg64
+def _loaded_random(tmp_path, params: dict) -> str:
+    """`lab run` of a seed-11 main_inequality config in a fresh interpreter; its stderr."""
     config = {
         "experiment": "main_inequality",
         "out_dir": str(tmp_path / "out"),
         "seed": 11,
-        "params": {
-            "model": "grid", "q": 27, "alpha": "2/27", "r": 5, "k": 4,
-            "eps": "1/8", "t0": "1/7", "battery": 3,
-        },
+        "params": params,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -226,5 +223,24 @@ def test_grid_main_inequality_never_imports_numpy_random(tmp_path):
         [sys.executable, "-c", _LOADED_RANDOM, str(path)], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    assert "loaded: []" in result.stderr
+    return result.stderr
+
+
+def test_grid_main_inequality_never_imports_numpy_random(tmp_path):
+    # battery 3 draws the x-only row and one random grid from reclab.pcg64
+    stderr = _loaded_random(tmp_path, {
+        "model": "grid", "q": 27, "alpha": "2/27", "r": 5, "k": 4,
+        "eps": "1/8", "t0": "1/7", "battery": 3,
+    })
+    assert "loaded: []" in stderr
     assert "random-0" in (tmp_path / "out" / "battery.csv").read_text(encoding="utf-8")
+
+
+def test_trig_main_inequality_never_imports_numpy_random(tmp_path):
+    # each of the two observables draws its frequencies and normal coefficients
+    # from reclab.pcg64
+    stderr = _loaded_random(tmp_path, {
+        "model": "trig", "r": 5, "k": 4, "eps": "1/8", "N": 1000, "battery": 2,
+    })
+    assert "loaded: []" in stderr
+    assert "trig-1" in (tmp_path / "out" / "battery.csv").read_text(encoding="utf-8")
