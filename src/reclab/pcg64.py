@@ -1,6 +1,6 @@
-"""The integer stream of ``numpy.random.default_rng(seed)``, without ``numpy.random``.
+"""The integer and normal draws of ``numpy.random.default_rng(seed)``, without ``numpy.random``.
 
-Three layers, each written out from numpy's own definition:
+Four layers, each written out from numpy's own definition:
 
 - ``SeedSequence(seed)``: the seed's 32-bit words are hashed into a pool
   of 4 words, which ``generate_state(4, uint64)`` stretches to 4 words
@@ -134,7 +134,7 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray, list[float]]:
 
 
 class PCG64:
-    """The bit generator of ``np.random.default_rng(seed)`` and its integer draws."""
+    """The bit generator of ``np.random.default_rng(seed)`` and its integer and normal draws."""
 
     def __init__(self, seed: int):
         s0, s1, i0, i1 = _seed_state(seed)
