@@ -24,6 +24,10 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
   its ball, and on the r = 85 witness and ball of
   ``build_band_witness(2, 2/5)``, with its tracemalloc peak in MiB there
   (one traced run, after the timings);
+- the probe's uniforms alone: ``SplitMix64(11).random`` in the block
+  shapes of 100000 pairs at r = 2, a J draw of (8192,) and three of
+  (2, 8192) per block of 8192 pairs, 700,000 doubles in all, seeding
+  included (the t = 0 witness above skips the J draw);
 - ``verify_certificate`` at N = 1000000 on the k = 1 rotation
   certificate of ``cert build --k 1 --eta 1/8 --freq 3/64 5/81`` (every
   return of the ball, 219,325 shifts) and on the final three-stage
@@ -76,7 +80,7 @@ from reclab.certificates import (
 )
 from reclab.harmonic import GridFunction, annihilating_cylinder
 from reclab.joinings import extract_affine_joining, root_of_unity_sum_is_zero
-from reclab.pcg64 import PCG64
+from reclab.pcg64 import PCG64, SplitMix64
 from reclab.roth import roth_form, roth_form_exact
 from reclab.torus import ApproxHammingBall, TorusPoint
 
@@ -160,6 +164,15 @@ def main() -> None:
     out["sample_band_disjointness_1e5_s"] = best_of(
         lambda: sample_band_disjointness(witness, ball, samples=100_000, seed=11)
     )
+
+    def probe_uniforms():
+        rng = SplitMix64(11)
+        for rows in [8192] * 12 + [100_000 - 12 * 8192]:
+            rng.random(rows)
+            for _ in range(3):
+                rng.random((2, rows))
+
+    out["splitmix_random_7e5_s"] = best_of(probe_uniforms)
     witness, ball, _ = build_band_witness(2, Fraction(2, 5))
 
     def probe():

@@ -46,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .pcg64 import SplitMix64
 from .torus import (
     SCAN_BLOCK,
     ApproxHammingBall,
@@ -426,7 +427,7 @@ def _off_band(x: np.ndarray, a: float) -> np.ndarray:
     return (x >= a) & (1.0 - x >= a)
 
 
-def _choose_subsets(rng: np.random.Generator, r: int, need) -> np.ndarray:
+def _choose_subsets(rng: SplitMix64, r: int, need) -> np.ndarray:
     """(r, n) bool whose column j is a uniform need[j]-subset of the r coordinates.
 
     Selection sampling: coordinate i is chosen with probability (still
@@ -452,22 +453,24 @@ def _band_cuts(witness: BandWitness) -> np.ndarray:
 
 
 def _sample_band_points(
-    rng: np.random.Generator, witness: BandWitness, cuts: np.ndarray, n: int
+    rng: SplitMix64, witness: BandWitness, cuts: np.ndarray, n: int
 ) -> np.ndarray:
     """n points of E as the columns of an (r, n) array in [0, 1], uniform on E.
 
     Under the uniform measure on E the off-band count J is Binomial(r,
     1 - 2a) conditioned on J <= t, the off-band coordinates form a
     uniform J-subset, and each coordinate is uniform on its arc.  J is
-    the number of cuts (_band_cuts) at or below a uniform draw, the
-    subset comes from _choose_subsets, in-band coordinates are squeezed
-    strictly inside (-a, a) mod 1 and off-band ones lie on [a, 1 - a].
+    the number of cuts (_band_cuts) at or below a uniform draw (at t = 0
+    there are no cuts and nothing is drawn), the subset comes from
+    _choose_subsets, in-band coordinates are squeezed strictly inside
+    (-a, a) mod 1 and off-band ones lie on [a, 1 - a].
     Each value is picked by multiplying by 0.0 or 1.0 and adding 0.0,
     which is exact, and rounding can only move an off-band coordinate
     into the band, so every column lies in E exactly.
     """
     a_f = float(witness.a)
-    off = _choose_subsets(rng, witness.r, (rng.random(n) >= cuts[:, None]).sum(axis=0))
+    j = (rng.random(n) >= cuts[:, None]).sum(axis=0) if len(cuts) else np.zeros(n, dtype=np.intp)
+    off = _choose_subsets(rng, witness.r, j)
     v = rng.random((witness.r, n))
     inner = (v * 2.0 - 1.0) * (a_f * (1.0 - 1e-12))
     inner += inner < 0.0
@@ -479,7 +482,7 @@ def _sample_band_points(
     return v
 
 
-def _sample_ball_points(rng: np.random.Generator, ball: ApproxHammingBall, n: int) -> np.ndarray:
+def _sample_ball_points(rng: SplitMix64, ball: ApproxHammingBall, n: int) -> np.ndarray:
     """n points of U as the columns of an (r, n) array in [0, 1), for a ball at the halves.
 
     k coordinates, chosen by _choose_subsets, are uniform on [0, 1) and
@@ -513,10 +516,12 @@ def sample_band_disjointness(
     as a violation.  Pairs are drawn as (r, n) blocks of at most
     PROBE_BLOCK cells (one column at least), so memory does not grow
     with r or samples; the thresholds for J are computed once per call.
+    The uniforms come from ``SplitMix64(seed)``: a disjoint pair gives 0
+    whatever the stream, so the probe needs a seeded one, not numpy's.
     """
     if ball.dim != witness.r:
         raise ValueError("witness and ball dimensions differ")
-    rng = np.random.default_rng(seed)
+    rng = SplitMix64(seed)
     cuts = _band_cuts(witness)
     a_probe = float(witness.a) + 1e-9
     rows = max(1, PROBE_BLOCK // witness.r)

@@ -1,4 +1,4 @@
-"""The integer and normal draws of ``numpy.random.default_rng(seed)``, without ``numpy.random``.
+"""Seeded streams without ``numpy.random``: ``default_rng(seed)``'s draws, and SplitMix64.
 
 Four layers, each written out from numpy's own definition:
 
@@ -27,6 +27,11 @@ Four layers, each written out from numpy's own definition:
 
 The tests check every layer against numpy's ``Generator``, which this
 module must equal bit for bit: pinned report bytes are drawn here.
+
+``SplitMix64`` (Steele, Lea and Flood, OOPSLA 2014) is a second, much
+cheaper stream for draws no pinned byte depends on: output i is the
+SplitMix64 mix of key + (i + 1) * gamma, so a draw mixes a whole block
+of counters at once in ``uint64`` arrays.  It follows no numpy stream.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import math
 
 import numpy as np
 
-__all__ = ["PCG64"]
+__all__ = ["PCG64", "SplitMix64"]
 
 _MASK32 = (1 << 32) - 1
 _MASK52 = (1 << 52) - 1
@@ -57,6 +62,10 @@ _CHUNK = 1 << 14
 # the ziggurat's base strip edge r and 1/r (numpy/random/src/distributions/ziggurat_constants.h)
 _ZIG_R = 3.6541528853610088
 _ZIG_INV_R = 0.27366123732975828
+# SplitMix64's counter increment gamma (2^64 / golden ratio, made odd) and its mix multipliers
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
 def _hash32(value: int, const: int, mult: int) -> tuple[int, int]:
@@ -141,20 +150,24 @@ class PCG64:
         self._inc = (i0 << 64 | i1) << 1 & _MASK128 | 1
         self._state = ((self._inc + (s0 << 64 | s1)) * _MULT + self._inc) & _MASK128
         self._half: int | None = None
-        # lane i of a row adds G_(i+1) inc to A^(i+1) times the row's start
-        self._lane_inc = _halves([g * self._inc & _MASK128 for g in _LANE_SUMS])
+        # G_(i+1) inc for the first lanes of a row, built as far as a draw has needed
+        self._lane_inc = _halves([])
 
     def _outputs(self, n: int) -> np.ndarray:
-        """The next n >= 1 64-bit outputs."""
+        """The next n >= 1 64-bit outputs; a draw of n <= _LANES fills n lanes of one row."""
+        lanes = min(n, _LANES)
+        if len(self._lane_inc[0]) < lanes:
+            # lane i of a row adds G_(i+1) inc to A^(i+1) times the row's start
+            self._lane_inc = _halves([g * self._inc & _MASK128 for g in _LANE_SUMS[:lanes]])
         starts, s = [], self._state
         for _ in range(-(-n // _LANES)):
             starts.append(s)
             s = (_ROW_MULT * s + _ROW_SUM * self._inc) & _MASK128
         t_lo, t_hi = (half[:, None] for half in _halves(starts))
-        d_lo, d_hi = self._lane_inc
+        a_lo, a_hi, d_lo, d_hi = (h[:lanes] for h in (_LANE_LO, _LANE_HI, *self._lane_inc))
         # A t + d mod 2^128 in 64-bit halves; uint64 products wrap mod 2^64
-        lo = _LANE_LO * t_lo + d_lo
-        hi = _mul_hi(_LANE_LO, t_lo) + _LANE_HI * t_lo + _LANE_LO * t_hi + d_hi + (lo < d_lo)
+        lo = a_lo * t_lo + d_lo
+        hi = _mul_hi(a_lo, t_lo) + a_hi * t_lo + a_lo * t_hi + d_hi + (lo < d_lo)
         lo, hi = lo.ravel()[:n], hi.ravel()[:n]
         self._state = int(hi[-1]) << 64 | int(lo[-1])
         x, rot = hi ^ lo, hi >> np.uint64(58)
@@ -251,6 +264,43 @@ class PCG64:
                 drawn.append(x[at:])
                 need -= len(r) - at
         return np.concatenate(drawn) + 0.0
+
+
+def _splitmix(key: int, start: int, count: int) -> np.ndarray:
+    """Outputs start, ..., start + count - 1 of the SplitMix64 stream of ``key``, as uint64."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(key)
+    z ^= z >> np.uint64(30)
+    z *= _MIX_1
+    z ^= z >> np.uint64(27)
+    z *= _MIX_2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+class SplitMix64:
+    """A seeded stream of doubles in [0, 1), for draws that no pinned byte depends on.
+
+    Its key is the first 64-bit word of ``_seed_state(seed)``, which
+    hashes every 32-bit word of the seed, so seeds past 2^64 are not
+    truncated; a negative seed is refused.
+    """
+
+    def __init__(self, seed: int):
+        self._key = _seed_state(seed)[0]
+        self._drawn = 0
+
+    def random(self, shape: int | tuple[int, ...]) -> np.ndarray:
+        """The next doubles (z >> 11) * 2^-53 in this shape, as ``Generator.random`` forms them."""
+        count = int(np.prod(shape))
+        z = _splitmix(self._key, self._drawn, count)
+        self._drawn += count
+        z >>= np.uint64(11)
+        # below 2^53, so exact as int64, which converts faster than uint64
+        out = z.view(np.int64).astype(np.float64)
+        out *= 2.0**-53
+        return out.reshape(shape)
 
 
 # numpy 2.4.6's ziggurat tables, 256 little-endian entries each: ki_double as

@@ -37,12 +37,14 @@ Plancherel gap.  For roth: the progression form by its spectral
 identity, annihilator membership one frequency at a time, and the
 quotient projection as a Fourier mask onto the annihilator and as one
 whole-grid roll per subgroup element, the two oracles of the
-coset-average projection.  For the certificates: the verifier as one
-word scan of the whole bitset per shift, which ``verify_certificate``
-keeps only for shifts that no residue fold clears; the band return bitset
-decided one n at a time, the rejection-sampling band-disjointness probe
-that ``certificates.sample_band_disjointness`` replaced with direct
-draws from the band set, the band-measure probe, and the product bitset
+coset-average projection.  For pcg64: SplitMix64 stepped one Python
+int at a time, the oracle of ``pcg64.SplitMix64``.  For the
+certificates: the verifier as one word scan of the whole bitset per
+shift, which ``verify_certificate`` keeps only for shifts that no
+residue fold clears; the band return bitset decided one n at a time,
+the rejection-sampling band-disjointness probe that
+``certificates.sample_band_disjointness`` replaced with direct draws
+from the band set, the band-measure probe, and the product bitset
 rebuilt from a certificate's recorded factors.  For the joinings: the
 points and visit counts of a decomposed orbit, its orbit and coset
 averages and the recount of its measure identity, the exact visit
@@ -994,6 +996,26 @@ def grid_plancherel_gap(f: GridFunction) -> float:
     hat = f.dft()
     lhs = float(np.sum(np.abs(hat.values) ** 2))
     return abs(lhs - f.norm_sq())
+
+
+# ---------------------------------------------------------------------------
+# pcg64
+
+
+def splitmix64_outputs(key: int, count: int) -> list[int]:
+    """The first ``count`` outputs of SplitMix64 from state ``key``, one Python int at a time.
+
+    The generator of Steele, Lea and Flood (OOPSLA 2014) as its reference
+    C code steps it: add gamma to the state, then mix a copy.
+    """
+    mask = (1 << 64) - 1
+    state, out = key, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        out.append(z ^ z >> 31)
+    return out
 
 
 # ---------------------------------------------------------------------------

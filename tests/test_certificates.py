@@ -34,6 +34,7 @@ from reclab.certificates import (
     verify_certificate,
 )
 from reclab.experiments import write_atomic
+from reclab.pcg64 import SplitMix64
 from reclab.torus import ApproxHammingBall, TorusPoint, binomial_tail, fraction_str
 
 from oracles import (
@@ -372,7 +373,7 @@ def test_disjointness_probe_detects_overlap():
 
 
 def band_points(w, n, seed):
-    return certificates._sample_band_points(np.random.default_rng(seed), w, certificates._band_cuts(w), n)
+    return certificates._sample_band_points(SplitMix64(seed), w, certificates._band_cuts(w), n)
 
 
 @given(
@@ -386,7 +387,7 @@ def test_chosen_subsets_have_exactly_the_requested_sizes(r, data, seed):
         need = np.array(data.draw(st.lists(st.integers(0, r), min_size=n, max_size=n), label="need"))
     else:
         need = np.full(n, data.draw(st.integers(0, r), label="k"))
-    chosen = certificates._choose_subsets(np.random.default_rng(seed), r, need)
+    chosen = certificates._choose_subsets(SplitMix64(seed), r, need)
     assert chosen.shape == (r, n) and chosen.dtype == bool
     assert (chosen.sum(axis=0) == need).all()
 
@@ -395,7 +396,7 @@ def test_chosen_subsets_have_exactly_the_requested_sizes(r, data, seed):
 def test_chosen_subsets_pick_each_coordinate_at_rate_need_over_r(r, k):
     # every coordinate, first and last alike, within 5 binomial standard deviations
     n = 20_000
-    chosen = certificates._choose_subsets(np.random.default_rng(r), r, np.full(n, k))
+    chosen = certificates._choose_subsets(SplitMix64(r), r, np.full(n, k))
     p = k / r
     for f in chosen.mean(axis=1):
         assert abs(f - p) <= 5 * math.sqrt(p * (1 - p) / n)
@@ -410,7 +411,7 @@ def test_chosen_subsets_pick_each_coordinate_at_rate_need_over_r(r, k):
 )
 def test_ball_points_lie_in_the_ball(r, data, eps, n, seed):
     ball = ApproxHammingBall(center=half_center(r), k=data.draw(st.integers(0, r - 1), label="k"), eps=eps)
-    u = certificates._sample_ball_points(np.random.default_rng(seed), ball, n)
+    u = certificates._sample_ball_points(SplitMix64(seed), ball, n)
     assert u.shape == (r, n)
     assert ((u >= 0.0) & (u < 1.0)).all()
     assert all(ball_contains(ball, TorusPoint.of(certificates._exact_point(column))) for column in u.T)

@@ -1,12 +1,15 @@
-"""reclab's PCG64 stream, held bit for bit to numpy's ``default_rng``.
+"""reclab's seeded streams: PCG64 held bit for bit to numpy's ``default_rng``, and SplitMix64.
 
-Both draws are held to it: the bounded ``integers`` and the ziggurat
-``normal``, alone and interleaved.
+Both PCG64 draws are held to numpy: the bounded ``integers`` and the
+ziggurat ``normal``, alone and interleaved.
 
 numpy's ``Generator`` is the oracle here and nowhere in ``src/``.  The
 seed-11 values are literals, as numpy 2.4 draws them: NEP 19 lets a
 later numpy change its ``Generator`` streams, and such a change must not
 move what the pinned report bytes are held to.
+
+SplitMix64 follows no numpy stream; its oracle is the scalar generator
+in ``tests/oracles.py`` and its published first outputs at key 0.
 """
 
 import numpy as np
@@ -14,7 +17,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reclab.pcg64 import _CHUNK, _LANES, _ZIG_R, PCG64, _seed_state
+from oracles import splitmix64_outputs
+from reclab.pcg64 import _CHUNK, _LANES, _ZIG_R, PCG64, SplitMix64, _seed_state, _splitmix
 
 SEED_11_STATE = [
     3926704849073358691, 2926583794887213564, 215141457385765089, 15564452721439488421
@@ -156,9 +160,52 @@ def test_negative_seed_is_refused_as_numpy_refuses_it():
         np.random.default_rng(-1)
     with pytest.raises(ValueError, match="nonnegative"):
         PCG64(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        SplitMix64(-1)
 
 
 @pytest.mark.parametrize("low, high", [(0, 0), (3, 2), (0, 2**32 + 1)])
 def test_span_outside_one_to_two_to_the_32_is_refused(low, high):
     with pytest.raises(ValueError, match="outside"):
         PCG64(0).integers(low, high, 1)
+
+
+def test_splitmix_key_0_gives_the_published_first_outputs():
+    published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    assert _splitmix(0, 0, 2).tolist() == published
+    assert splitmix64_outputs(0, 2) == published
+    # a block starting further on is the same stream
+    assert _splitmix(0, 1, 1).tolist() == published[1:]
+
+
+_SHAPES = st.one_of(
+    st.integers(0, 300), st.tuples(st.integers(0, 9), st.integers(0, 60))
+)
+
+
+@given(seed=st.integers(0, 2**128), shapes=st.lists(_SHAPES, max_size=6))
+def test_splitmix_draws_are_the_oracle_stream_cut_into_their_shapes(seed, shapes):
+    rng = SplitMix64(seed)
+    assert rng._key == _seed_state(seed)[0]
+    drawn = [rng.random(shape) for shape in shapes]
+    expected = [(z >> 11) * 2.0**-53 for z in splitmix64_outputs(rng._key, sum(d.size for d in drawn))]
+    at = 0
+    for shape, values in zip(shapes, drawn):
+        assert values.shape == (shape if isinstance(shape, tuple) else (shape,))
+        assert values.dtype == np.float64
+        assert values.ravel().tolist() == expected[at:at + values.size]
+        at += values.size
+
+
+def test_splitmix_doubles_are_multiples_of_2_to_the_minus_53_in_the_unit_interval():
+    x = SplitMix64(11).random((7, 100_000))
+    scaled = x * 2.0**53
+    assert (scaled == np.floor(scaled)).all()
+    assert ((x >= 0.0) & (x < 1.0)).all()
+    assert abs(x.mean() - 0.5) < 0.005
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, 2**63, 2**64 - 1])
+def test_splitmix_seeds_past_2_to_the_64_get_their_own_keys(seed):
+    assert SplitMix64(seed)._key != SplitMix64(2**64 + seed)._key
+    assert not np.array_equal(SplitMix64(seed).random(4), SplitMix64(2**64 + seed).random(4))

@@ -5,8 +5,9 @@ be named somewhere else in ``src/`` as a word of code (strings and
 comments do not count), or carry an entry in ``ALLOWED`` saying why it
 is reached from outside the package.  Oracles and fixture builders that
 only the tests call belong in ``tests/oracles.py``.  A
-``main_inequality`` run must not import ``numpy.random`` either: the
-grid battery and the trig coefficients come from ``reclab.pcg64``.
+``main_inequality`` or ``theorem_stage`` run must not import
+``numpy.random`` either: the grid battery, the trig coefficients and the
+band probe's uniforms come from ``reclab.pcg64``.
 """
 
 import ast
@@ -158,7 +159,7 @@ def _numpy_random_users(tree: ast.Module) -> set[str]:
 
 def test_numpy_random_call_sites_are_pinned():
     # the streams of numpy.random Generator methods may change between numpy
-    # versions; no new caller may appear while these three remain
+    # versions; no new caller may appear while these two remain
     users, imports = set(), []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -170,7 +171,7 @@ def test_numpy_random_call_sites_are_pinned():
             and (node.module.startswith("numpy.random") or any(a.name == "random" for a in node.names))
         ]
     assert imports == []
-    assert users == {"_random_mask", "sample_band_disjointness", "main_roth"}
+    assert users == {"_random_mask", "main_roth"}
 
 
 def test_one_membership_kernel():
@@ -207,10 +208,10 @@ sys.exit(code)
 """
 
 
-def _loaded_random(tmp_path, params: dict) -> str:
-    """`lab run` of a seed-11 main_inequality config in a fresh interpreter; its stderr."""
+def _loaded_random(tmp_path, experiment: str, params: dict) -> str:
+    """`lab run` of a seed-11 config of ``experiment`` in a fresh interpreter; its stderr."""
     config = {
-        "experiment": "main_inequality",
+        "experiment": experiment,
         "out_dir": str(tmp_path / "out"),
         "seed": 11,
         "params": params,
@@ -228,7 +229,7 @@ def _loaded_random(tmp_path, params: dict) -> str:
 
 def test_grid_main_inequality_never_imports_numpy_random(tmp_path):
     # battery 3 draws the x-only row and one random grid from reclab.pcg64
-    stderr = _loaded_random(tmp_path, {
+    stderr = _loaded_random(tmp_path, "main_inequality", {
         "model": "grid", "q": 27, "alpha": "2/27", "r": 5, "k": 4,
         "eps": "1/8", "t0": "1/7", "battery": 3,
     })
@@ -239,8 +240,17 @@ def test_grid_main_inequality_never_imports_numpy_random(tmp_path):
 def test_trig_main_inequality_never_imports_numpy_random(tmp_path):
     # each of the two observables draws its frequencies and normal coefficients
     # from reclab.pcg64
-    stderr = _loaded_random(tmp_path, {
+    stderr = _loaded_random(tmp_path, "main_inequality", {
         "model": "trig", "r": 5, "k": 4, "eps": "1/8", "N": 1000, "battery": 2,
     })
     assert "loaded: []" in stderr
     assert "trig-1" in (tmp_path / "out" / "battery.csv").read_text(encoding="utf-8")
+
+
+def test_theorem_stage_never_imports_numpy_random(tmp_path):
+    # build_band_witness probes the witness with uniforms from reclab.pcg64.SplitMix64
+    stderr = _loaded_random(tmp_path, "theorem_stage", {"stages": 1, "N": 1000})
+    assert "loaded: []" in stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["metrics"]["witness"]["mc_samples"] == 100_000
+    assert report["metrics"]["witness"]["mc_violations"] == 0
