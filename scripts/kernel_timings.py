@@ -46,6 +46,12 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
 - the trig table draw ``_random_trig_table(6, 11)`` cold, with the
   ziggurat tables decoded again each time, and the normal draw
   ``PCG64(11).normal(100000)``, seeding included;
+- the spectrum step of a ``main_inequality`` grid run at q = 135 for its
+  first random observable (config seed 11): the DFT, the top-k selection
+  and ``uniformize_over_joining`` over the order-945 joining base;
+- the star-zero checks of that observable's selected modes at ``t0``
+  1/1051, phase modulus M = 945 * 1051 = 993,195 (the same order-945
+  base), with the base enumerated before the timing;
 - the exact zero test ``root_of_unity_sum_is_zero`` at q = 945 on the
   counts of the phases 2 * w1 over the order-945 joining base above (a
   star-zero sum of that grid run, under the full window), and at
@@ -78,8 +84,13 @@ from reclab.certificates import (
     sample_band_disjointness,
     verify_certificate,
 )
-from reclab.harmonic import GridFunction, annihilating_cylinder
-from reclab.joinings import extract_affine_joining, root_of_unity_sum_is_zero
+from reclab.harmonic import Character, GridFunction, annihilating_cylinder
+from reclab.joinings import (
+    annihilate_over_joining,
+    extract_affine_joining,
+    root_of_unity_sum_is_zero,
+    uniformize_over_joining,
+)
 from reclab.pcg64 import PCG64, SplitMix64
 from reclab.roth import roth_form, roth_form_exact
 from reclab.torus import ApproxHammingBall, TorusPoint
@@ -122,8 +133,8 @@ def main() -> None:
     out["roth_form_exact_q135_d1_s"] = best_of(lambda: roth_form_exact(sums, sums, sums))
 
     r = 5
-    beta = [Fraction(i, 7) for i in range(1, r + 1)]
-    base = extract_affine_joining([Fraction(2, 135)], beta, 945).base
+    grid_beta = [Fraction(i, 7) for i in range(1, r + 1)]
+    base = extract_affine_joining([Fraction(2, 135)], grid_beta, 945).base
     out["elements_order945_s"] = best_of(base.elements)
 
     rng = np.random.default_rng(7)
@@ -221,6 +232,21 @@ def main() -> None:
     lifted = [weyl._lifted_windows(grid, values).values for values in battery]
     out["triple_integrals_q135_battery_dtypes"] = [str(v.dtype) for v in lifted]
     out["triple_integrals_q135_battery_keys_per_block"] = list(map(weyl._keys_per_block, lifted))
+
+    norm_bound = float(np.sqrt(np.mean(battery[2] * battery[2])))
+    grid_ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * r), 4, Fraction(1, 8))
+    joining = extract_affine_joining([Fraction(2, 135)], grid_beta, 945)
+
+    def spectrum_step():
+        hat = GridFunction(2, 135, battery[2]).spectrum_table()
+        return uniformize_over_joining(hat, grid_ball, joining, norm_bound=norm_bound)[1]
+
+    out["grid_top_k_dense_s"] = best_of(spectrum_step)
+    psi = [Character(tuple(block)) for block in spectrum_step()["psi_blocks"]]
+    joining_1051 = extract_affine_joining([Fraction(2, 135)], grid_beta, 945 * 1051)
+    out["star_zero_t0_1051_s"] = best_of(
+        lambda: annihilate_over_joining(grid_ball, joining_1051, psi, scale=2)
+    )
 
     for name, count in (("135", 135), ("135sq", 135**2)):
         out[f"battery_draw_{name}_s"] = best_of(lambda: PCG64(11).integers(-2, 3, count))

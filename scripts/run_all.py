@@ -55,7 +55,7 @@ def main() -> int:
     width = max((len(name) for name, _, _ in rows), default=0)
     print()
     for name, status, secs in rows:
-        print(f"{name:<{width}}  {status}  ({secs:.1f}s)")
+        print(f"{name:<{width}}  {status}  ({secs * 1000:.0f} ms)")
     return 1 if failed else 0
 
 

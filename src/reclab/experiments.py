@@ -79,9 +79,9 @@ PHASE_CAP = 2**22
 #: most random modes (conjugate pairs) of a trig main_inequality observable: its
 #: frequencies come from [-3, 3]^2, which holds (7^2 - 1) / 2 = 24 pairs
 TRIG_MODES_CAP = 24
-#: largest common phase denominator M of a grid main_inequality run: each
-#: star-zero check counts the phases of the joining base in an array of M entries
-#: and folds it, so time and memory grow with M whatever the base's order
+#: largest common phase denominator M of a grid main_inequality run: the int64
+#: products mod M of ``SubgroupModel.elements`` and ``torus.orbit_residues`` hold
+#: only while M stays below about 3e9 (star-zero checks count mod the w1 order)
 JOINING_MODULUS_CAP = 10**6
 #: largest phase modulus the equidistribution pipeline classifies exactly
 EXACT_MODULUS_CAP = 250_000
@@ -545,10 +545,11 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     for label, values in _battery_grids(q, p["battery"], config.seed):
         # entries lie in [-2, 2] and q <= 2048, so the int64 sum is exact
         norm_sq = Fraction(int((values * values).sum()), q * q)
-        table = GridFunction(2, q, values.astype(np.complex128)).spectrum_table(tol=1e-12)
         norm_bound = math.sqrt(float(norm_sq)) if norm_sq else 1.0
         try:
-            g, window_report = uniformize_over_joining(table, ball, joining, norm_bound=norm_bound)
+            g, window_report = uniformize_over_joining(
+                GridFunction(2, q, values).spectrum_table(), ball, joining, norm_bound=norm_bound
+            )
         except (ValueError, ArithmeticError) as exc:
             raise ExperimentError("uniformize", f"{label}: {exc}")
         trace = weighted_average(model, values, g, weight_dir, period)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -103,36 +103,43 @@ def cylinder_coefficient_is_structural_zero(cyl: Cylinder, chi: Character) -> bo
 
 
 def top_k_characters(
-    table: CoefficientTable,
-    k: int,
-    norm_bound: float,
-    restrict: Callable[[Character], bool] | None = None,
+    hat: np.ndarray, k: int, norm_bound: float, split: int
 ) -> tuple[list[Character], float]:
-    """The k largest |coefficient| characters and the residual sup.
+    """The k largest |coefficient| modes of a grid spectrum, and the residual sup.
 
-    Ties break lexicographically on the frequency tuple, smallest first.
-    Every excluded character has |coeff| < norm_bound / sqrt(k); the
-    sharper bound norm_bound / sqrt(1 + k) is asserted as well.  Both
-    follow from Plancherel when norm_bound really dominates the L2 norm.
+    The modes of the coefficient array ``hat`` with np.abs(hat) > 1e-12 and
+    a centered frequency nonzero on the axes from ``split`` on are ranked
+    by Python's abs, largest first, then by frequency tuple, smallest first.
+    np.abs preselects those within a few ulps of the (k+1)-th largest, so
+    only they are ranked in Python and only the k chosen become Characters.
+    Every excluded mode has |coeff| < norm_bound / sqrt(k); the sharper
+    bound norm_bound / sqrt(1 + k) is asserted as well.  Both follow from
+    Plancherel when norm_bound really dominates the L2 norm.
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    entries = [
-        (chi, v) for chi, v in table if restrict is None or restrict(chi)
-    ]
-    entries.sort(key=lambda kv: (-abs(kv[1]), kv[0].freq))
-    chosen = [chi for chi, _ in entries[:k]]
-    residual = abs(entries[k][1]) if len(entries) > k else 0.0
-    fuzz = 1e-12
-    if residual >= norm_bound / math.sqrt(k) + fuzz:
+    q = hat.shape[0]
+    mag = np.abs(hat)
+    live = mag > 1e-12
+    live[(slice(None),) * split + (0,) * (hat.ndim - split)] = False
+    flat = np.flatnonzero(live)
+    size = mag.ravel()[flat]
+    if flat.size > k + 1:
+        # np.abs and Python's abs of one complex differ by a few ulps at most
+        cut = np.partition(size, flat.size - k - 1)[flat.size - k - 1]
+        flat = flat[size >= cut * (1 - 8 * np.finfo(float).eps)]
+    # the centered residue of each index, n - q on the upper half
+    index = np.unravel_index(flat, hat.shape)
+    freqs = zip(*(np.where(2 * i > q, i - q, i).tolist() for i in index))
+    entries = sorted(zip(hat.ravel()[flat].tolist(), freqs), key=lambda e: (-abs(e[0]), e[1]))
+    residual = abs(entries[k][0]) if len(entries) > k else 0.0
+    if residual >= norm_bound / math.sqrt(k) + 1e-12:
         raise ValueError(
             f"residual {residual} violates norm_bound/sqrt(k); is the norm bound valid?"
         )
-    if residual >= norm_bound / math.sqrt(1 + k) + fuzz:
-        raise ValueError(
-            f"residual {residual} violates the sharper norm_bound/sqrt(1+k) bound"
-        )
-    return chosen, residual
+    if residual >= norm_bound / math.sqrt(1 + k) + 1e-12:
+        raise ValueError(f"residual {residual} violates the sharper norm_bound/sqrt(1+k) bound")
+    return [Character(freq) for _, freq in entries[:k]], residual
 
 
 # ---- annihilating cylinders ----
@@ -210,16 +217,9 @@ class GridFunction:
             return GridFunction(self.dim, self.q, out / self.size())
         return GridFunction(self.dim, self.q, np.fft.fftn(self.values) / self.size())
 
-    def spectrum_table(self, tol: float = 0.0) -> CoefficientTable:
-        """Spectrum as a coefficient table with centered frequencies, in C order."""
-        hat = self.dft().values
-        support = np.nonzero(np.abs(hat) > tol)
-        # the centered residue of each index, n - q on the upper half
-        freqs = np.stack([np.where(2 * i > self.q, i - self.q, i) for i in support], axis=1)
-        out = CoefficientTable(self.dim)
-        for freq, v in zip(freqs.tolist(), hat[support].tolist()):
-            out[Character(tuple(freq))] = v
-        return out
+    def spectrum_table(self) -> np.ndarray:
+        """The spectrum as the coefficient array of ``dft``, for ``top_k_characters``."""
+        return self.dft().values
 
 
 @functools.lru_cache(maxsize=4)

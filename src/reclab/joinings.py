@@ -42,7 +42,6 @@ import numpy as np
 
 from .harmonic import (
     Character,
-    CoefficientTable,
     annihilating_cylinder,
     centered_residue,
     top_k_characters,
@@ -165,7 +164,8 @@ def _verify_star_zero(inside: np.ndarray, q: int, freq: Sequence[int], scale: in
 
     ``inside`` holds the w1 blocks (int64) of the base elements whose w2
     block lies in the cylinder, the only ones where g is nonzero, and
-    there g is one positive constant, which cannot change a zero.
+    there g is one positive constant, which cannot change a zero.  They
+    are reduced to the w1 order q, so every product is below q^2.
     """
     step = np.array([scale * n % q for n in freq], dtype=np.int64)
     if not root_of_unity_sum_is_zero(np.bincount(inside @ step % q, minlength=q)):
@@ -249,36 +249,35 @@ def annihilate_over_joining(
 
     cyl = annihilating_cylinder(ball, list(needed.values()))
     w = _base_elements(joining.base)
-    inside = w[cyl.orbit_contains([Fraction(1, q)] * r, w[:, d:]), :d]
+    # every w1 block is a multiple of unit = gcd(q, *a): its phases live in Z_(q/unit)
+    unit = math.gcd(q, *a)
+    inside = w[cyl.orbit_contains([Fraction(1, q)] * r, w[:, d:]), :d] // unit
     for chi in chars:
-        _verify_star_zero(inside, q, chi.freq, scale)
+        _verify_star_zero(inside, q // unit, chi.freq, scale)
     return cyl
 
 
 def uniformize_over_joining(
-    f_table: CoefficientTable,
+    hat: np.ndarray,
     ball: ApproxHammingBall,
     joining: AffineJoining,
     norm_bound: float = 1.0,
 ) -> tuple[Cylinder, dict]:
     """Cylinder g whose star convolution flattens f's largest mixed modes.
 
-    Picks the k = ball.k largest coefficients of f whose psi block is
-    nontrivial and annihilates the doubled frequencies 2*psi over the
-    joining, so each selected (chi, psi) coefficient of f *_joining g is
-    exactly zero and the rest are bounded by the top-k residual.  Needs an
-    odd grid so that doubling loses no character.
+    Picks the k = ball.k largest coefficients of ``hat``, f's spectrum on
+    the (x, y) grid, whose psi block is nontrivial and annihilates the
+    doubled frequencies 2*psi over the joining, so each selected (chi, psi)
+    coefficient of f *_joining g is exactly zero and the rest are bounded
+    by the top-k residual.  Needs an odd grid so doubling loses no character.
     """
     d, q = joining.d, joining.q
     if q % 2 == 0:
         raise ValueError(f"grid size {q} is even; doubled frequencies would collide")
-    if f_table.dim != 2 * d:
-        raise ValueError("coefficient table must live on the (x, y) product")
+    if hat.ndim != 2 * d:
+        raise ValueError("coefficient array must live on the (x, y) product")
 
-    def keep(chi: Character) -> bool:
-        return any(chi.freq[d:])
-
-    chosen, residual = top_k_characters(f_table, ball.k, norm_bound, restrict=keep)
+    chosen, residual = top_k_characters(hat, ball.k, norm_bound, split=d)
     doubled: dict[tuple[int, ...], Character] = {}
     for chi in chosen:
         psi = chi.freq[d:]

@@ -32,8 +32,10 @@ full window) and the observable range check.  For torus and harmonic: the cylind
 union is a Hamming ball, the value of a character and of a trig
 polynomial at a point, the sinc closed form of a cylinder coefficient,
 the uniformizing cylinder, the DFT by its definition and the inverse
-DFT, the spectrum table cell by cell, grid convolution and the
-Plancherel gap.  For roth: the progression form by its spectral
+DFT, the spectrum as one table entry per mode (whole-array and cell by
+cell) and the top-k selection over such a table, the two oracles of
+``harmonic.top_k_characters``, grid convolution and the Plancherel
+gap.  For roth: the progression form by its spectral
 identity, annihilator membership one frequency at a time, and the
 quotient projection as a Fourier mask onto the annihilator and as one
 whole-grid roll per subgroup element, the two oracles of the
@@ -88,7 +90,6 @@ from reclab.harmonic import (
     annihilating_cylinder,
     centered_residue,
     cylinder_coefficient_is_structural_zero,
-    top_k_characters,
 )
 from reclab.joinings import AffineJoining, root_of_unity_sum_is_zero
 from reclab.lattice import SubgroupModel
@@ -845,6 +846,56 @@ def cylinder_fourier(cyl: Cylinder, chi: Character) -> complex:
     return value
 
 
+def top_k_of_table(
+    table: CoefficientTable,
+    k: int,
+    norm_bound: float,
+    restrict: Callable[[Character], bool] | None = None,
+) -> tuple[list[Character], float]:
+    """The k largest |coefficient| characters of a table and the residual sup.
+
+    Sorts every entry, ties broken lexicographically on the frequency
+    tuple, smallest first, and raises the norm-bound errors of
+    ``harmonic.top_k_characters``, which ranks a coefficient array instead.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    entries = [
+        (chi, v) for chi, v in table if restrict is None or restrict(chi)
+    ]
+    entries.sort(key=lambda kv: (-abs(kv[1]), kv[0].freq))
+    chosen = [chi for chi, _ in entries[:k]]
+    residual = abs(entries[k][1]) if len(entries) > k else 0.0
+    fuzz = 1e-12
+    if residual >= norm_bound / math.sqrt(k) + fuzz:
+        raise ValueError(
+            f"residual {residual} violates norm_bound/sqrt(k); is the norm bound valid?"
+        )
+    if residual >= norm_bound / math.sqrt(1 + k) + fuzz:
+        raise ValueError(
+            f"residual {residual} violates the sharper norm_bound/sqrt(1+k) bound"
+        )
+    return chosen, residual
+
+
+def top_k_by_table(
+    hat: np.ndarray, k: int, norm_bound: float, split: int
+) -> tuple[list[Character], float]:
+    """``harmonic.top_k_characters`` through one table entry per mode above 1e-12."""
+    return top_k_of_table(
+        spectrum_table(hat, 1e-12), k, norm_bound, restrict=lambda chi: any(chi.freq[split:])
+    )
+
+
+def top_k_outcome(top_k: Callable, hat: np.ndarray, k: int, norm_bound: float, split: int):
+    """The frequencies and residual bits a top-k selection returns, or its error message."""
+    try:
+        chosen, residual = top_k(hat, k, norm_bound, split)
+    except ValueError as exc:
+        return str(exc)
+    return [chi.freq for chi in chosen], residual.hex()
+
+
 def uniformizing_cylinder(
     ball: ApproxHammingBall,
     table: CoefficientTable,
@@ -863,7 +914,7 @@ def uniformizing_cylinder(
             return False
         return restrict is None or restrict(chi)
 
-    chosen, residual = top_k_characters(table, ball.k, norm_bound, restrict=keep)
+    chosen, residual = top_k_of_table(table, ball.k, norm_bound, restrict=keep)
     cyl = annihilating_cylinder(ball, chosen)
     report = {
         "selected": [list(c.freq) for c in chosen],
@@ -890,8 +941,24 @@ def grid_dft_direct(f: GridFunction) -> GridFunction:
     return GridFunction(f.dim, f.q, np.reshape(hat, f.values.shape) / f.size())
 
 
+def spectrum_table(hat: np.ndarray, tol: float = 0.0) -> CoefficientTable:
+    """A coefficient array as a table with centered frequencies, in C order.
+
+    Keeps the entries whose np.abs exceeds ``tol``, the cut that
+    ``harmonic.top_k_characters`` makes at 1e-12.
+    """
+    q = hat.shape[0]
+    support = np.nonzero(np.abs(hat) > tol)
+    # the centered residue of each index, n - q on the upper half
+    freqs = np.stack([np.where(2 * i > q, i - q, i) for i in support], axis=1)
+    out = CoefficientTable(hat.ndim)
+    for freq, v in zip(freqs.tolist(), hat[support].tolist()):
+        out[Character(tuple(freq))] = v
+    return out
+
+
 def spectrum_table_per_cell(f: GridFunction, tol: float = 0.0) -> CoefficientTable:
-    """GridFunction.spectrum_table one cell at a time, in np.ndindex order."""
+    """``spectrum_table`` of f's DFT one cell at a time, in np.ndindex order."""
     hat = f.dft()
     out = CoefficientTable(f.dim)
     for idx in np.ndindex(*hat.values.shape):

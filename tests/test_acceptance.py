@@ -26,7 +26,6 @@ from reclab.certificates import (
 from reclab.experiments import ExperimentConfig, run_experiment
 from reclab.harmonic import (
     Character,
-    CoefficientTable,
     GridFunction,
     annihilating_cylinder,
     cylinder_coefficient_is_structural_zero,
@@ -45,6 +44,8 @@ from oracles import (
     quadratic_orbit_decomposition,
     random_grid,
     roth_form_spectral,
+    top_k_by_table,
+    top_k_outcome,
     verify_measure_identity,
 )
 
@@ -95,16 +96,18 @@ def test_top_k_residual_bound():
     rng = np.random.default_rng(202)
     worst = 0.0
     for trial in range(100):
-        table = CoefficientTable(2)
+        hat = np.zeros((11, 11), dtype=complex)
         for _ in range(30):
             chi = random_character(rng, 2)
-            table[chi] += complex(rng.standard_normal(), rng.standard_normal())
-        norm = math.sqrt(sum(abs(v) ** 2 for _, v in table))
-        scaled = CoefficientTable(2, {chi: v / norm for chi, v in table})
+            hat[chi.freq] += complex(rng.standard_normal(), rng.standard_normal())
+        scaled = hat / math.sqrt(np.sum(np.abs(hat) ** 2))
         for k in (1, 4, 9, 16):
-            _, residual = top_k_characters(scaled, k, 1.0)
+            _, residual = top_k_characters(scaled, k, 1.0, split=0)
             bound = 1.0 / math.sqrt(1 + k) + 1e-12
             assert residual < bound
+            assert top_k_outcome(top_k_characters, scaled, k, 1.0, 0) == top_k_outcome(
+                top_k_by_table, scaled, k, 1.0, 0
+            )
             worst = max(worst, residual * math.sqrt(1 + k))
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reclab import harmonic
@@ -26,7 +26,10 @@ from oracles import (
     grid_idft,
     grid_plancherel_gap,
     random_grid,
+    spectrum_table,
     spectrum_table_per_cell,
+    top_k_by_table,
+    top_k_outcome,
     uniformizing_cylinder,
     zero_point,
 )
@@ -106,28 +109,54 @@ def test_cylinder_fourier_grid_oracle_2d():
 
 
 def test_top_k_orders_and_ties():
-    table = CoefficientTable(
-        1,
-        {
-            Character((3,)): 0.5,
-            Character((-2,)): 0.5j,
-            Character((1,)): 0.1,
-        },
-    )
-    chosen, residual = top_k_characters(table, 2, norm_bound=1.0)
-    # equal moduli: lexicographic on the tuple, (-2,) before (3,)
+    hat = np.zeros(7, dtype=complex)
+    hat[3], hat[-2], hat[1] = 0.5, 0.5j, 0.1
+    chosen, residual = top_k_characters(hat, 2, norm_bound=1.0, split=0)
+    # equal moduli: lexicographic on the centered tuple, (-2,) before (3,)
     assert [c.freq for c in chosen] == [(-2,), (3,)]
     assert residual == pytest.approx(0.1)
+    assert top_k_outcome(top_k_characters, hat, 2, 1.0, 0) == top_k_outcome(
+        top_k_by_table, hat, 2, 1.0, 0
+    )
 
 
 def test_top_k_zero_table():
-    chosen, residual = top_k_characters(CoefficientTable(2), 4, norm_bound=1.0)
+    chosen, residual = top_k_characters(np.zeros((3, 3), dtype=complex), 4, 1.0, split=1)
     assert chosen == [] and residual == 0.0
 
 
 def test_top_k_rejects_bad_k():
     with pytest.raises(ValueError):
-        top_k_characters(CoefficientTable(1), 0, norm_bound=1.0)
+        top_k_characters(np.zeros(3, dtype=complex), 0, norm_bound=1.0, split=0)
+
+
+def test_top_k_keeps_only_modes_with_a_psi_block():
+    hat = np.zeros((5, 5), dtype=complex)
+    hat[2, 0], hat[0, 0], hat[4, 1], hat[0, 3] = 0.6, 0.5, 0.2, 0.1
+    chosen, residual = top_k_characters(hat, 1, norm_bound=1.0, split=1)
+    # (2, 0) and (0, 0) have a zero psi block; -1 and -2 are the centered 4 and 3
+    assert [c.freq for c in chosen] == [(-1, 1)]
+    assert residual == 0.1
+
+
+def test_top_k_cuts_at_the_spectrum_tolerance():
+    # np.abs > 1e-12 takes part, exactly as the table route's cut did
+    edge = 1e-12
+    hat = np.zeros((5, 5), dtype=complex)
+    hat[0, 1] = edge
+    hat[0, 2] = np.nextafter(edge, 1.0)
+    hat[1, 1] = 1j * edge
+    hat[2, 2] = -np.nextafter(edge, 1.0) * 1j
+    hat[3, 4] = np.nextafter(edge, 0.0)
+    assert np.abs(hat[0, 2]) > edge and not np.abs(hat[0, 1]) > edge
+    for k in (1, 2, 3):
+        assert top_k_outcome(top_k_characters, hat, k, 1.0, 1) == top_k_outcome(
+            top_k_by_table, hat, k, 1.0, 1
+        )
+    chosen, residual = top_k_characters(hat, 1, 1.0, split=1)
+    assert [c.freq for c in chosen] == [(0, 2)] and residual == np.nextafter(edge, 1.0)
+    chosen, residual = top_k_characters(hat, 2, 1.0, split=1)
+    assert [c.freq for c in chosen] == [(0, 2), (2, 2)] and residual == 0.0
 
 
 @given(st.integers(1, 4), st.randoms(use_true_random=False))
@@ -137,11 +166,41 @@ def test_top_k_residual_bound_random(kexp, rng):
     coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n_terms)]
     coeffs[0] += 1.0  # keep the norm away from zero
     norm = math.sqrt(sum(abs(c) ** 2 for c in coeffs))
-    table = CoefficientTable(1)
-    for i, c in enumerate(coeffs):
-        table[Character((i + 1,))] = c / norm
-    chosen, residual = top_k_characters(table, k, norm_bound=1.0)
+    hat = np.zeros(n_terms + 1, dtype=complex)
+    hat[1:] = np.array(coeffs) / norm
+    chosen, residual = top_k_characters(hat, k, norm_bound=1.0, split=0)
     assert residual < 1 / math.sqrt(1 + k) + 1e-12
+
+
+@st.composite
+def tied_integer_grids(draw):
+    """An integer grid on Z_q^2 with entries in {-1, 0, 1}, whose spectrum ties often."""
+    q = draw(st.sampled_from([3, 5, 9, 15, 27]))
+    cells = st.sampled_from([-1, 0, 1])
+    shape = draw(st.sampled_from(["cells", "product", "x-only"]))
+    if shape == "cells":
+        return np.array(draw(st.lists(cells, min_size=q * q, max_size=q * q))).reshape(q, q)
+    u = np.array(draw(st.lists(cells, min_size=q, max_size=q)))
+    if shape == "x-only":
+        return np.repeat(u[:, None], q, axis=1)
+    return np.outer(u, draw(st.lists(cells, min_size=q, max_size=q)))
+
+
+@given(
+    values=tied_integer_grids(),
+    k=st.integers(1, 4),
+    tightness=st.sampled_from([1.0, 0.5, 0.2, 0.05]),
+)
+# one nonzero cell: every mode has the same modulus
+@example(values=np.eye(1, 81, 40, dtype=np.int64).reshape(9, 9), k=4, tightness=1.0)
+@settings(max_examples=200, deadline=None)
+def test_top_k_kernel_matches_the_table_route_on_tied_integer_grids(values, k, tightness):
+    # the same frequencies in the same order, the same residual bits, the same error
+    q = values.shape[0]
+    hat = GridFunction(2, q, values.astype(np.complex128)).dft().values
+    norm_bound = tightness * (math.sqrt(np.mean(values * values)) or 1.0)
+    got = top_k_outcome(top_k_characters, hat, k, norm_bound, 1)
+    assert got == top_k_outcome(top_k_by_table, hat, k, norm_bound, 1)
 
 
 # ---- annihilating cylinders ----
@@ -265,8 +324,11 @@ def test_dft_with_the_cached_kernel_is_bit_identical(dim, q):
     harmonic._dft_kernel.cache_clear()
     for _ in range(2):  # a cold kernel, then the cached one
         assert np.array_equal(f.dft().values.view(np.uint64), want.view(np.uint64))
-        got = [(chi.freq, repr(v)) for chi, v in f.spectrum_table(1e-12)]
-        assert got == [(chi.freq, repr(v)) for chi, v in spectrum_table_per_cell(f, 1e-12)]
+        hat = f.spectrum_table()
+        assert np.array_equal(hat.view(np.uint64), want.view(np.uint64))
+        for k in (1, 4):
+            got = top_k_outcome(top_k_characters, hat, k, math.inf, dim - 1)
+            assert got == top_k_outcome(top_k_by_table, hat, k, math.inf, dim - 1)
     kernel = harmonic._dft_kernel(q)
     assert harmonic._dft_kernel(q) is kernel and not kernel.flags.writeable
     with pytest.raises(ValueError):
@@ -314,19 +376,27 @@ def test_spectrum_table_matches_known():
     # f(x) = e(x/5) on Z_5 has a single coefficient at frequency 1
     q = 5
     vals = np.exp(2j * np.pi * np.arange(q) / q)
-    f = GridFunction(1, q, vals)
-    table = f.spectrum_table(tol=1e-9)
+    hat = GridFunction(1, q, vals).spectrum_table()
+    table = spectrum_table(hat, tol=1e-9)
     assert len(table) == 1
     assert abs(table[Character((1,))] - 1) < 1e-12
+    chosen, residual = top_k_characters(hat, 1, norm_bound=1.0, split=0)
+    assert [c.freq for c in chosen] == [(1,)] and residual == 0.0
 
 
 @pytest.mark.parametrize("dim, q", [(1, 1), (1, 6), (1, 7), (2, 8), (3, 5), (2, 65)])
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 0.3])
 def test_spectrum_table_matches_the_cell_loop_entry_for_entry(dim, q, tol):
+    # the whole-array table oracle against the cell loop, and the kernel against both
     f = random_grid(dim, q, seed=dim + q)
     sparse = GridFunction(dim, q, np.where(np.abs(f.values) > 1.0, f.values, 0))
     for grid in (f, sparse, GridFunction(dim, q, np.zeros((q,) * dim))):
-        got = [(chi.freq, v) for chi, v in grid.spectrum_table(tol)]
+        hat = grid.spectrum_table()
+        got = [(chi.freq, v) for chi, v in spectrum_table(hat, tol)]
         want = [(chi.freq, v) for chi, v in spectrum_table_per_cell(grid, tol)]
         assert [(k, repr(v)) for k, v in got] == [(k, repr(v)) for k, v in want]
         assert all(type(v) is complex and all(type(n) is int for n in k) for k, v in got)
+        for split in range(dim):
+            for k in (1, 2, 4):
+                selected = top_k_outcome(top_k_characters, hat, k, math.inf, split)
+                assert selected == top_k_outcome(top_k_by_table, hat, k, math.inf, split)

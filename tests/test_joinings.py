@@ -605,6 +605,47 @@ def annihilate_outcome(ball, J, chars, scale):
 def test_annihilate_certifies_what_the_per_character_route_does(case, k, chars):
     # the cylinder and every certificate or error are those of the route that
     # enumerates the base once more for each character
+    assert_annihilate_matches_the_per_character_route(case, k, chars)
+
+
+@st.composite
+def t0_factor_cases(draw):
+    """``star_zero_cases`` over M = q * t, whose w1 block is a multiple of t.
+
+    So it is in a grid run: alpha's coordinate of the base is a multiple of
+    M / q, the factor that t0 and l^2 beta bring into the phase modulus.
+    """
+    q = draw(st.sampled_from([3, 5, 9, 15]))
+    m = q * draw(st.sampled_from([7, 11, 49]))
+    r = draw(st.integers(1, 2))
+    a = draw(st.integers(0, q - 1)) * (m // q)
+    base = SubgroupModel(m, (a, *draw(st.lists(st.integers(0, m - 1), min_size=r, max_size=r))))
+    index_set = tuple(sorted(draw(st.sets(st.integers(1, r), min_size=1))))
+    center = TorusPoint.of([frac(draw(st.integers(0, 2 * m - 1)), 2 * m) for _ in range(r)])
+    cyl = Cylinder(r, index_set, center, frac(draw(st.integers(1, m)), 2 * m + 1))
+    return AffineJoining(base, 1, r), (1,), cyl, draw(st.sampled_from([1, 2]))
+
+
+@given(case=t0_factor_cases(), k=st.integers(0, 1), chars=st.lists(st.integers(1, 8), max_size=3))
+# a sum certified zero, and a nonzero sum that raises
+@example(
+    case=(AffineJoining(SubgroupModel(33, (11, 24)), 1, 1), (1,),
+          Cylinder(1, (1,), TorusPoint.of([frac(13, 22)]), frac(12, 67)), 1),
+    k=0, chars=[2],
+)
+@example(
+    case=(AffineJoining(SubgroupModel(105, (91, 80, 94)), 1, 2), (1,),
+          Cylinder(2, (1, 2), TorusPoint.of([frac(61, 210), frac(97, 105)]), frac(62, 211)), 1),
+    k=1, chars=[8],
+)
+@settings(max_examples=80, deadline=None)
+def test_star_zero_on_the_w1_order_matches_the_full_modulus_fold(case, k, chars):
+    # the phases counted mod M / gcd(M, a) certify exactly what the M-entry
+    # fold of the per-character route certifies
+    assert_annihilate_matches_the_per_character_route(case, k, chars)
+
+
+def assert_annihilate_matches_the_per_character_route(case, k, chars):
     J, _, cyl, scale = case
     ball = ApproxHammingBall(cyl.center, min(k, J.r - 1), cyl.eta)
     chars = [Character((c % J.q,)) for c in chars]
@@ -712,7 +753,10 @@ def test_uniformize_kills_selected_modes_exactly():
     table[Character((1, 2))] = 0.4
     table[Character((0, 1))] = 0.3 - 0.2j
     table[Character((3, 0))] = 0.5
-    cyl, report = uniformize_over_joining(table, ball, J)
+    hat = np.zeros((q, q), dtype=complex)
+    for chi, v in table:
+        hat[chi.freq] = v
+    cyl, report = uniformize_over_joining(hat, ball, J)
     assert sorted(report["psi_blocks"]) == [[1], [2]]
     assert report["residual"] == 0.0
 
@@ -739,7 +783,6 @@ def test_uniformize_kills_selected_modes_exactly():
 def test_uniformize_residual_bound_random_table():
     q, J, ball = uniformize_fixture()
     rng = random.Random(5)
-    table = CoefficientTable(2)
     entries = []
     for n in range(q):
         for m in range(q):
@@ -747,12 +790,11 @@ def test_uniformize_residual_bound_random_table():
                 continue
             entries.append((n, m))
     rng.shuffle(entries)
-    total = 1.0
+    hat = np.zeros((q, q), dtype=complex)
     for n, m in entries[:8]:
-        c = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-        table[Character((n, m))] = c
-    norm = max(1.0, np.sqrt(sum(abs(v) ** 2 for _, v in table)))
-    cyl, report = uniformize_over_joining(table, ball, J, norm_bound=float(norm))
+        hat[n, m] = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+    norm = max(1.0, np.sqrt(np.sum(np.abs(hat) ** 2)))
+    cyl, report = uniformize_over_joining(hat, ball, J, norm_bound=float(norm))
     assert report["residual"] <= float(norm) / np.sqrt(ball.k) + 1e-12
 
 
@@ -761,4 +803,4 @@ def test_uniformize_rejects_even_grid():
     J = AffineJoining(base, 1, 2)
     ball = ball_on([0, 0], 1, frac(1, 5))
     with pytest.raises(ValueError, match="even"):
-        uniformize_over_joining(CoefficientTable(2), ball, J)
+        uniformize_over_joining(np.zeros((6, 6), dtype=complex), ball, J)
