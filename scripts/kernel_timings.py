@@ -5,6 +5,15 @@
 
 Prints one JSON line: the best of five wall-clock runs, in seconds, of
 
+- one block of ``torus.SCAN_BLOCK`` multipliers n = 1..16384 (best of
+  50 for each): ``orbit_deviations`` of n^2 beta_1 against the cylinder
+  of a default ``main_inequality`` trig run at config seed 11 (one
+  coordinate, Q = 408,855,776), ``orbit_residues`` of that n^2 beta_1
+  mod Q, and ``weyl._family_phase_powers`` of the first zero-drift family
+  of the config-seed-7 trig polynomial below with a nonzero phase
+  (L = 543,339,720);
+- ``WeylSystem.series_plan`` at N = 100000 of the 6-mode trig
+  polynomial of config seed 11;
 - ``roth_form`` on complex grids at (q, d) = (135, 1) and (45, 2);
 - ``roth_form_exact`` on an integer grid at (135, 1);
 - ``SubgroupModel.elements`` on the order-945 joining base of a
@@ -65,6 +74,7 @@ Inputs are drawn from fixed seeds, so runs on one machine compare.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import tempfile
@@ -93,14 +103,22 @@ from reclab.joinings import (
 )
 from reclab.pcg64 import PCG64, SplitMix64
 from reclab.roth import roth_form, roth_form_exact
-from reclab.torus import ApproxHammingBall, TorusPoint
+from reclab.torus import (
+    SCAN_BLOCK,
+    ApproxHammingBall,
+    TorusPoint,
+    orbit_deviations,
+    orbit_residues,
+)
 
 REPEATS = 5
+#: repeats of the one-block kernel timings, which take well under a millisecond
+BLOCK_REPEATS = 50
 
 
-def best_of(fn) -> float:
+def best_of(fn, repeats: int = REPEATS) -> float:
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -123,8 +141,35 @@ def trig_window_case(seed: int):
     return system, table, window, TorusPoint.of(experiments._TRIG_BETA[:5])
 
 
+def block_timings(out: dict[str, object]) -> None:
+    """The per-block residue and phase kernels and the 6-mode series plan."""
+    ns = np.arange(1, SCAN_BLOCK + 1, dtype=np.int64)
+    system, table, window, beta = trig_window_case(11)
+    (pin,) = window.index_set
+    coord = beta.coords[pin - 1]
+    out["orbit_deviations_e2_block_s"] = best_of(
+        lambda: orbit_deviations([coord], [window.center.coords[pin - 1]], window.eta, ns, 2),
+        BLOCK_REPEATS,
+    )
+    big_q = math.lcm(coord.denominator, window.eta.denominator)
+    num = coord.numerator * (big_q // coord.denominator)
+    out["orbit_residues_e2_block_s"] = best_of(
+        lambda: orbit_residues(ns, 2, num, big_q), BLOCK_REPEATS
+    )
+    out["series_plan_modes6_s"] = best_of(lambda: system.series_plan(table, 100_000))
+    system, table, _, _ = trig_window_case(7)
+    plan = system.series_plan(table, 100_000)
+    key = next(key for hit, _, key in plan.terms if not hit and any(key))
+    r1 = orbit_residues(ns, 1, 1, plan.modulus)
+    r2 = orbit_residues(ns, 2, 1, plan.modulus)
+    out["family_phase_powers_block_s"] = best_of(
+        lambda: weyl._family_phase_powers(*key, r1, r2, plan.modulus), BLOCK_REPEATS
+    )
+
+
 def main() -> None:
     out: dict[str, object] = {}
+    block_timings(out)
     for q, d in ((135, 1), (45, 2)):
         f = complex_grid(q, d, seed=q + d)
         out[f"roth_form_q{q}_d{d}_s"] = best_of(lambda: roth_form(f, f, f))

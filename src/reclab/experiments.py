@@ -90,6 +90,14 @@ LADDER_MODULUS_CAP = int(sys.float_info.max)
 #: most nanoseconds a trig main_inequality run may cost, N * battery terms at
 #: ``_trig_term_ns(modes)`` each: 60 s, the budget of a `roth check`
 TRIG_COST_CAP = 60 * 10**9
+#: most nanoseconds a grid main_inequality run may cost, its gathered cells at
+#: ``GRID_CELL_NS`` each (``_grid_keys``): the same 60 s
+GRID_COST_CAP = 60 * 10**9
+#: the modelled cost of one cell a grid main_inequality run gathers, in
+#: nanoseconds: an upper envelope of a whole run per gathered cell at q >= 513
+#: on a 2-vCPU Xeon, 0.72 ns at q 2047 (its battery of 3 in 18.6 s); the
+#: triple integrals alone take 0.46-0.59 ns a cell at q 513 and 1023
+GRID_CELL_NS = 1
 #: most nanoseconds an equidistribution run may cost, its walked n at
 #: ``LADDER_TERM_NS`` each: the same 60 s
 EQUI_COST_CAP = 60 * 10**9
@@ -492,6 +500,16 @@ def _bound_holds(gap: Fraction, k: int, norm_sq: Fraction) -> bool:
     return gap * gap * k <= 4 * norm_sq * norm_sq
 
 
+def _grid_keys(model: GridWeylModel, period: int) -> int:
+    """The distinct keys of ``weyl.triple_integrals`` over n = 1..period.
+
+    The keys are min(r, P - r) for r = n mod P, P the model's period:
+    1..min(period, P // 2), and 0 too once period reaches P.  Each key
+    gathers the pullbacks at n and 2n, 2 q^(2d) cells, once per observable.
+    """
+    return min(period, model.period // 2) + (period >= model.period)
+
+
 def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> ExperimentReport:
     q, alpha, t0, r, k, eps, ell = (p[key] for key in ("q", "alpha", "t0", "r", "k", "eps", "ell"))
     if q % 2 == 0:
@@ -525,6 +543,14 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     period = p["n_max"] or math.lcm(model.period, *(w.denominator for w in weight_dir))
     if period > PERIOD_CAP:
         raise ExperimentError("config", f"joint period {period} exceeds the cap {PERIOD_CAP}")
+    keys, cells = _grid_keys(model, period), 2 * q * q
+    cost = p["battery"] * keys * cells * GRID_CELL_NS
+    if cost > GRID_COST_CAP:
+        raise ExperimentError(
+            "config",
+            f"cost battery * keys * 2 q^2 * {GRID_CELL_NS} ns = {p['battery']} * {keys} * {cells} "
+            f"* {GRID_CELL_NS} = {cost} ns exceeds the cap {GRID_COST_CAP} ns",
+        )
 
     joining = extract_affine_joining([alpha], weight_dir, modulus)
     ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * r), k, eps)

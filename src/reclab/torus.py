@@ -197,21 +197,44 @@ def scan_blocks(start: int, stop: int) -> Iterator[np.ndarray]:
         yield np.arange(lo, min(lo + SCAN_BLOCK, stop), dtype=np.int64)
 
 
+def reduce_mod(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m, in place in the int64 array x, as x - (x // m) * m; returns x.
+
+    numpy divides an integer array by a scalar with a multiply and a
+    shift (division by an invariant integer), where ``x % m`` takes one
+    hardware division per element.  Needs every x >= -2^62 and
+    0 < m with (m - 1)^2 < 2^63, the int64 guard of ``orbit_residues``.
+    Then (x // m) * m lies in (x - m, x], so it cannot overflow, and the
+    difference is the residue in [0, m).
+    """
+    q = x // m
+    q *= m
+    x -= q
+    return x
+
+
 def orbit_residues(ns, e: int, num: int, modulus: int) -> np.ndarray:
     """ns^e * num mod modulus, elementwise and exactly, for e in {1, 2}.
 
     Residues are int64 when (modulus - 1)^2 < 2^63, so every product of
-    two residues fits; otherwise they are Python ints in an object array.
+    two residues fits, and are reduced by ``reduce_mod`` in a copy of ns,
+    whose int64 multipliers must then be at least -2^62; otherwise they
+    are Python ints in an object array.
     """
     if e not in (1, 2):
         raise ValueError(f"orbit exponent must be 1 or 2, got {e}")
-    if (modulus - 1) ** 2 < 2**63:
-        m = np.asarray(np.asarray(ns) % modulus, dtype=np.int64)
-    else:
+    num %= modulus
+    if (modulus - 1) ** 2 >= 2**63:
         m = np.asarray(ns, dtype=object) % modulus
+        if e == 2:
+            m = m * m % modulus
+        return m * num % modulus
+    m = reduce_mod(np.array(ns, dtype=np.int64), modulus)
     if e == 2:
-        m = m * m % modulus
-    return m * (num % modulus) % modulus
+        m *= m
+        reduce_mod(m, modulus)
+    m *= num
+    return reduce_mod(m, modulus)
 
 
 def orbit_deviations(
@@ -227,6 +250,9 @@ def orbit_deviations(
     column per coordinate).  With Q the common denominator of beta_i,
     center_i and eps, the test is min(t, Q - t) >= eps * Q on the residue
     t of (n^e * beta_i - center_i) * Q, exactly as tests/oracles.py counts.
+    With s the residue of n^e * beta_i * Q and c that of center_i * Q, the
+    difference u = s - c lies in (-Q, Q), and min(t, Q - t) is
+    min(|u|, Q - |u|), so no second reduction is needed.
     """
     eps, ns = as_fraction(eps), np.asarray(ns)
     if len(center) != len(beta) or ns.ndim not in (1, 2) or ns.shape[1:] not in ((), (len(beta),)):
@@ -235,7 +261,8 @@ def orbit_deviations(
     for b, y, col in zip(beta, center, [ns] * len(beta) if ns.ndim == 1 else ns.T):
         b, y = as_fraction(b), as_fraction(y)
         big_q = math.lcm(b.denominator, y.denominator, eps.denominator)
-        t = orbit_residues(col, e, b.numerator * (big_q // b.denominator), big_q)
-        t = (t - y.numerator * (big_q // y.denominator)) % big_q
-        count += np.minimum(t, big_q - t) >= eps.numerator * (big_q // eps.denominator)
+        u = orbit_residues(col, e, b.numerator * (big_q // b.denominator), big_q)
+        u -= y.numerator * (big_q // y.denominator) % big_q
+        u = np.abs(u, out=u)
+        count += np.minimum(u, big_q - u) >= eps.numerator * (big_q // eps.denominator)
     return count

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .harmonic import Character, CoefficientTable, GridFunction
 from .roth import product_dtype, roth_form, roth_form_exact, sum_dtype
-from .torus import SCAN_BLOCK, Cylinder, TorusPoint, orbit_residues, scan_blocks, wrap_unit
+from .torus import SCAN_BLOCK, Cylinder, TorusPoint, orbit_residues, reduce_mod, scan_blocks
 
 __all__ = [
     "AveragesTrace",
@@ -54,9 +54,14 @@ __all__ = [
 Observable = Union[CoefficientTable, np.ndarray]
 
 
-def _unit(phase: Fraction) -> complex:
-    """e(phase) for an exact rational phase."""
-    return cmath.exp(2j * cmath.pi * float(wrap_unit(phase)))
+def _unit(num: int, den: int) -> complex:
+    """e(num / den) for integers num and den > 0.
+
+    num is reduced mod den in integers first; Python's int division is
+    correctly rounded, so the phase is the double ``float(wrap_unit(
+    Fraction(num, den)))``.
+    """
+    return cmath.exp(2j * cmath.pi * (num % den / den))
 
 
 #: numpy computes ``c * P`` for a temporary complex128 vector P of 256 KiB
@@ -78,16 +83,21 @@ def _family_phase_powers(
     the phase is reduced mod L in integer arithmetic before the single
     float conversion: on int64 residues L < 2^53, and ph / L is the same
     double as the phase reduced mod den over den; Python-int residues are
-    divided by L / den first.  Each product is reduced before the sum, so
-    int64 residues cannot overflow.
+    divided by L / den first.  On int64 residues (L - 1)^2 < 2^63, and the
+    first product is reduced (``torus.reduce_mod``) before the second is
+    added, so the sum stays below L + (L - 1)^2, which fits too.
     """
     den = math.lcm(a.denominator, b.denominator)
     scale = modulus // den
     pa = a.numerator * (den // a.denominator) * scale % modulus
     pb = b.numerator * (den // b.denominator) * scale % modulus
-    ph = (r1 * pa % modulus + r2 * pb % modulus) % modulus
-    if ph.dtype == object:
-        ph, modulus = ph // scale, den
+    if r1.dtype == object:
+        ph = (r1 * pa % modulus + r2 * pb % modulus) % modulus // scale
+        modulus = den
+    else:
+        ph = reduce_mod(r1 * pa, modulus)
+        ph += r2 * pb
+        reduce_mod(ph, modulus)
     return np.exp(2j * np.pi * (ph.astype(np.float64) / modulus))
 
 
@@ -169,7 +179,7 @@ class WeylSystem:
         by_mu: dict[tuple[int, ...], list] = {}
         for entry in entries:
             by_mu.setdefault(entry[1], []).append(entry)
-        alpha = self.alpha.coords
+        weights, den = _phase_weights(self.alpha.coords)
         terms = []
         for nu0, mu0, c0 in entries:
             for nu1, mu1, c1 in entries:
@@ -186,12 +196,13 @@ class WeylSystem:
                         hit = _drift_hit(base, drift)
                         if not 1 <= hit <= n_max:
                             continue
-                    lin, quad = _series_phases(nu1, nu2, mu1, mu2, alpha)
+                    lin, quad = _series_phases(nu1, nu2, mu1, mu2, weights)
                     coef = c0 * c1 * c2
                     if hit:
-                        terms.append((hit, coef * _unit(hit * lin + hit * hit * quad), None))
+                        terms.append((hit, coef * _unit(hit * lin + hit * hit * quad, den), None))
                     else:
-                        terms.append((0, coef, (wrap_unit(lin), wrap_unit(quad))))
+                        key = (Fraction(lin % den, den), Fraction(quad % den, den))
+                        terms.append((0, coef, key))
         dens = [x.denominator for hit, _, key in terms if not hit for x in key]
         return _SeriesPlan(n_max, tuple(terms), math.lcm(*dens) if dens else 0)
 
@@ -216,8 +227,9 @@ class _SeriesPlan:
         Entry i has the bits of entry ns[i] - 1 of the series over
         1..n_max: the terms are added in loop order, and the operand
         order of each family's product depends on n_max alone.  n mod L
-        and n^2 mod L are computed once, and the phase vector once per
-        distinct (a, b).
+        and n^2 mod L are computed once, the phase vector once per
+        distinct (a, b), and the positions of the drift hits in ns by one
+        binary search (-1 where ns lacks the hit).
         """
         out = np.zeros(len(ns), dtype=complex)
         if not len(ns):
@@ -225,13 +237,17 @@ class _SeriesPlan:
         if self.modulus:
             r1 = orbit_residues(ns, 1, 1, self.modulus)
             r2 = orbit_residues(ns, 2, 1, self.modulus)
+        hits = np.array([hit for hit, _, _ in self.terms if hit], dtype=np.int64)
+        pos = np.searchsorted(ns, hits)
+        found = ns[np.minimum(pos, len(ns) - 1)] == hits
+        slots = iter(np.where(found, pos, -1).tolist())
         elided = self.n_max >= ELIDED_PRODUCT_TERMS
         phases: dict[tuple[Fraction, Fraction], np.ndarray] = {}
         for hit, coef, key in self.terms:
             if hit:
-                pos = int(np.searchsorted(ns, hit))
-                if pos < len(ns) and ns[pos] == hit:
-                    out[pos] += coef
+                slot = next(slots)
+                if slot >= 0:
+                    out[slot] += coef
                 continue
             if key not in phases:
                 phases[key] = _family_phase_powers(*key, r1, r2, self.modulus)
@@ -240,19 +256,24 @@ class _SeriesPlan:
         return out
 
 
-def _series_phases(nu1, nu2, mu1, mu2, alpha) -> tuple[Fraction, Fraction]:
-    """The exact phase a n + b n^2 of one matching triple, as (a, b)."""
+def _phase_weights(alpha: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(w, D) with D = 2 lcm(alpha denominators) and alpha_i = 2 w_i / D."""
+    half = math.lcm(*(a.denominator for a in alpha))
+    return tuple(a.numerator * (half // a.denominator) for a in alpha), 2 * half
+
+
+def _series_phases(nu1, nu2, mu1, mu2, weights) -> tuple[int, int]:
+    """The phase a n + b n^2 of one matching triple, as the numerators (a D, b D).
+
+    ``weights`` and D come from ``_phase_weights``.  Over D the phase
+    a = sum (nu_1 + 2 nu_2 - mu_1 / 2 - mu_2) alpha and b = sum
+    (mu_1 / 2 + 2 mu_2) alpha have integer numerators, since alpha_i D / 2
+    = w_i is an integer.
+    """
     lin = sum(
-        ((b + 2 * c) * a for b, c, a in zip(nu1, nu2, alpha)),
-        Fraction(0),
-    ) - sum(
-        ((Fraction(b, 2) + c) * a for b, c, a in zip(mu1, mu2, alpha)),
-        Fraction(0),
+        (2 * (b + 2 * c) - m - 2 * n) * w for b, c, m, n, w in zip(nu1, nu2, mu1, mu2, weights)
     )
-    quad = sum(
-        ((Fraction(b, 2) + 2 * c) * a for b, c, a in zip(mu1, mu2, alpha)),
-        Fraction(0),
-    )
+    quad = sum((m + 4 * n) * w for m, n, w in zip(mu1, mu2, weights))
     return lin, quad
 
 

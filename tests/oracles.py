@@ -25,7 +25,9 @@ the window gather replaced; the trig pullback f o S^n and the pointwise
 triple integral by orthogonality, which
 ``WeylSystem.correlation_series`` is checked against; the O(support^3)
 triple loop that the series replaced with a y-frequency index, with the
-per-family phase vector that shared orbit residues replaced; the trig
+per-family phase vector that shared orbit residues replaced and the
+``Fraction`` phases of a triple that the plan forms as integer
+numerators (``series_phases``, ``unit``); the trig
 path of ``weyl.weighted_average`` one Python complex term at a time; the
 grid model of a rational system, the unweighted average (under the
 full window) and the observable range check.  For torus and harmonic: the cylinders whose
@@ -521,7 +523,7 @@ def pullback(system: WeylSystem, table: CoefficientTable, n: int) -> Coefficient
             Fraction(0),
         )
         shifted = Character(tuple(a + n * b for a, b in zip(nu, mu)) + mu)
-        out[shifted] = out[shifted] + coef * weyl._unit(phase)
+        out[shifted] = out[shifted] + coef * unit(phase)
     return out
 
 
@@ -610,21 +612,44 @@ def quadratic_phase_powers(a: Fraction, b: Fraction, ns: np.ndarray) -> np.ndarr
     return np.exp(2j * np.pi * (ph.astype(np.float64) / den))
 
 
-def correlation_series_triple_loop(
-    system: WeylSystem, table: CoefficientTable, n_max: int
-) -> np.ndarray:
-    """``WeylSystem.correlation_series`` over every triple of table entries.
+def unit(phase: Fraction) -> complex:
+    """e(phase) for an exact rational phase, through its Fraction reduced mod 1."""
+    return cmath.exp(2j * cmath.pi * float(wrap_unit(phase)))
 
-    The phases of a triple are computed before it is known to contribute;
-    the triples that do are added in the same order as the indexed loop.
-    Each family is ``coef * quadratic_phase_powers(...)`` over all of
-    1..n_max, with two residue scans mod its own denominator.
+
+def series_phases(nu1, nu2, mu1, mu2, alpha) -> tuple[Fraction, Fraction]:
+    """The exact phase a n + b n^2 of one matching triple, as (a, b), in Fractions.
+
+    The oracle of ``weyl._series_phases``, which forms the same phase as
+    integer numerators over 2 lcm(alpha denominators).
+    """
+    lin = sum(
+        ((b + 2 * c) * a for b, c, a in zip(nu1, nu2, alpha)),
+        Fraction(0),
+    ) - sum(
+        ((Fraction(b, 2) + c) * a for b, c, a in zip(mu1, mu2, alpha)),
+        Fraction(0),
+    )
+    quad = sum(
+        ((Fraction(b, 2) + 2 * c) * a for b, c, a in zip(mu1, mu2, alpha)),
+        Fraction(0),
+    )
+    return lin, quad
+
+
+def series_terms_triple_loop(system: WeylSystem, table: CoefficientTable, n_max: int) -> list:
+    """The terms of ``WeylSystem.series_plan`` over every triple of table entries.
+
+    The phases of a triple are computed in Fractions (``series_phases``)
+    before it is known to contribute; the triples that do are listed in
+    the same order as the indexed loop, as (hit, coef * unit(hit a +
+    hit^2 b), None) for a drift triple and (0, coef, (a, b) mod 1) for a
+    family.
     """
     d = system.dim
     entries = [(chi.freq[:d], chi.freq[d:], coef) for chi, coef in table]
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    out = np.zeros(n_max, dtype=complex)
     alpha = system.alpha.coords
+    terms = []
     for nu0, mu0, c0 in entries:
         for nu1, mu1, c1 in entries:
             for nu2, mu2, c2 in entries:
@@ -633,21 +658,11 @@ def correlation_series_triple_loop(
                 base = tuple(a + b + c for a, b, c in zip(nu0, nu1, nu2))
                 drift = tuple(b + 2 * c for b, c in zip(mu1, mu2))
                 coef = c0 * c1 * c2
-                lin = sum(
-                    ((b + 2 * c) * a for b, c, a in zip(nu1, nu2, alpha)),
-                    Fraction(0),
-                ) - sum(
-                    ((Fraction(b, 2) + c) * a for b, c, a in zip(mu1, mu2, alpha)),
-                    Fraction(0),
-                )
-                quad = sum(
-                    ((Fraction(b, 2) + 2 * c) * a for b, c, a in zip(mu1, mu2, alpha)),
-                    Fraction(0),
-                )
+                lin, quad = series_phases(nu1, nu2, mu1, mu2, alpha)
                 if not any(drift):
                     if any(base):
                         continue
-                    out += coef * quadratic_phase_powers(lin, quad, ns)
+                    terms.append((0, coef, (wrap_unit(lin), wrap_unit(quad))))
                     continue
                 hit = None
                 for bs, dr in zip(base, drift):
@@ -666,7 +681,26 @@ def correlation_series_triple_loop(
                         hit = 0
                         break
                 if hit and 1 <= hit <= n_max:
-                    out[hit - 1] += coef * weyl._unit(hit * lin + hit * hit * quad)
+                    terms.append((hit, coef * unit(hit * lin + hit * hit * quad), None))
+    return terms
+
+
+def correlation_series_triple_loop(
+    system: WeylSystem, table: CoefficientTable, n_max: int
+) -> np.ndarray:
+    """``WeylSystem.correlation_series`` over every triple of table entries.
+
+    The terms of ``series_terms_triple_loop``, added in order.  Each
+    family is ``coef * quadratic_phase_powers(...)`` over all of
+    1..n_max, with two residue scans mod its own denominator.
+    """
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    out = np.zeros(n_max, dtype=complex)
+    for hit, term, key in series_terms_triple_loop(system, table, n_max):
+        if hit:
+            out[hit - 1] += term
+        else:
+            out += term * quadratic_phase_powers(*key, ns)
     return out
 
 

@@ -125,6 +125,13 @@ def test_lab_bad_experiment_id(tmp_path, capsys):
             {"params": {"ladder": [100], "cases": [{"label": "huge", "beta": f"1/{10**400 + 1}"}]}},
             "case 'huge': phase modulus of 1329 bits exceeds the cap 1.797693e+308",
         ),
+        (
+            {
+                "experiment": "main_inequality",
+                "params": {"model": "grid", "q": 2047, "alpha": "2/2047", "battery": 64},
+            },
+            "= 64 * 1024 * 8380418 * 1 = 549219074048 ns exceeds the cap 60000000000 ns",
+        ),
     ],
 )
 def test_lab_config_errors_are_exit_2(tmp_path, monkeypatch, capsys, extra, message):

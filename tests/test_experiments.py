@@ -18,6 +18,8 @@ from reclab.experiments import (
     ExperimentConfig,
     EQUI_COST_CAP,
     ExperimentError,
+    GRID_CELL_NS,
+    GRID_COST_CAP,
     INCONCLUSIVE,
     JOINING_MODULUS_CAP,
     LADDER_MODULUS_CAP,
@@ -241,6 +243,22 @@ def test_trig_cost_model_accepts_every_shipped_trig_config():
             assert p["N"] * p["battery"] * experiments._trig_term_ns(p["modes"]) < TRIG_COST_CAP / 100
 
 
+def test_grid_cost_model_accepts_every_shipped_grid_config():
+    # the example grid configs (q = 135, battery 6) stay far inside the budget
+    # at any period: no period has more keys than a full one
+    grids = 0
+    for path in sorted((REPO / "scripts" / "configs").glob("*.json")):
+        with open(path, encoding="utf-8") as fh:
+            config = ExperimentConfig.from_json(json.load(fh))
+        p = _parse_params(config)
+        if config.experiment == "main_inequality" and p["model"] == "grid":
+            q, model = p["q"], experiments.GridWeylModel(p["q"], (p["alpha"].numerator,))
+            keys = experiments._grid_keys(model, model.period)
+            assert p["battery"] * keys * 2 * q * q * GRID_CELL_NS < GRID_COST_CAP / 1000
+            grids += 1
+    assert grids == 2
+
+
 # ---------------------------------------------------------------------------
 # mask builders
 
@@ -352,6 +370,37 @@ def test_grid_modulus_cap_refuses_the_next_size_up_without_running_it(tmp_path, 
     assert err.value.stage == "config"
     assert "common phase denominator 1002645 exceeds the cap 1000000" in str(err.value)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_cost_model_refuses_the_next_size_up_without_running_it(tmp_path, monkeypatch):
+    # at q = 2047 a full joint period gathers 1024 keys of 2 * 2047^2 cells for
+    # each observable: a battery of 6 is priced under the cap, and 7 is refused
+    # at config, before the joining or any observable is built
+    q = 2047
+    keys = experiments._grid_keys(experiments.GridWeylModel(q, (2,)), q * 7)
+    assert keys == q // 2 + 1
+    per_observable = keys * 2 * q * q * GRID_CELL_NS
+    largest = GRID_COST_CAP // per_observable
+    assert largest == 6
+    monkeypatch.setattr(experiments, "extract_affine_joining", joining_unreachable)
+    monkeypatch.setattr(experiments, "_battery_grids", joining_unreachable)
+    params = dict(INDEPENDENT, q=q, alpha=f"2/{q}", battery=largest + 1)
+    with pytest.raises(ExperimentError) as err:
+        run(tmp_path, "main_inequality", params)
+    assert err.value.stage == "config"
+    cost = (largest + 1) * per_observable
+    assert f"= {cost} ns exceeds the cap {GRID_COST_CAP} ns" in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("period, keys", [(1, 1), (67, 67), (68, 67), (134, 67), (135, 68),
+                                          (945, 68)])
+def test_grid_cost_model_counts_the_keys_the_triple_integrals_gather(period, keys):
+    # the distinct min(r, P - r) of r = n mod P over n = 1..period, P = 135
+    model = experiments.GridWeylModel(135, (2,))
+    rs = np.arange(1, period + 1) % model.period
+    assert len(np.unique(np.minimum(rs, model.period - rs))) == keys
+    assert experiments._grid_keys(model, period) == keys
 
 
 def test_trig_battery_uses_the_three_term_progression_form(tmp_path):

@@ -5,7 +5,7 @@ from math import comb, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reclab.bohr import named_convergent
@@ -17,6 +17,7 @@ from reclab.torus import (
     as_fraction,
     orbit_deviations,
     orbit_residues,
+    reduce_mod,
 )
 
 from oracles import (
@@ -204,6 +205,59 @@ radii = st.fractions(min_value=Fraction(1, 720), max_value=Fraction(1, 2), max_d
 INT64_EDGE = 3_037_000_500
 
 
+# reduce_mod's domain: int64 values from -2^62 up, moduli up to the int64 edge
+REDUCIBLE = st.integers(-(2**62), 2**63 - 1)
+NEAR_LOW = st.integers(-(2**62), -(2**62) + 10**4)
+NEAR_HIGH = st.integers(2**63 - 1 - 10**4, 2**63 - 1)
+
+
+@given(
+    st.lists(st.one_of(REDUCIBLE, NEAR_LOW, NEAR_HIGH, st.integers(-50, 50)), max_size=40),
+    st.one_of(st.integers(1, INT64_EDGE), st.integers(INT64_EDGE - 10**4, INT64_EDGE)),
+)
+@example(xs=[-(2**62), -(2**62) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1], m=1)
+@example(xs=[-(2**62), -(2**62) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1], m=INT64_EDGE - 1)
+@example(xs=[-(2**62), -(2**62) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1], m=INT64_EDGE)
+def test_reduce_mod_is_the_remainder_in_place(xs, m):
+    x = np.array(xs, dtype=np.int64)
+    want = np.remainder(x, m)
+    got = reduce_mod(x, m)
+    assert got is x and got.dtype == np.int64
+    assert got.tolist() == want.tolist() == [v % m for v in xs]
+
+
+def python_residues(ns, e, num, modulus):
+    """n^e * num mod modulus for each n, in Python ints."""
+    return [n**e * num % modulus for n in ns]
+
+
+@given(
+    st.lists(st.one_of(st.integers(-(2**62), 2**63 - 1), st.integers(-5, 5)), max_size=20),
+    st.sampled_from([1, 2]),
+    st.one_of(st.just(1), st.integers(-(2**70), 2**70)),
+    st.integers(-4, 2),
+)
+@example(ns=[-(2**62), 2**63 - 1, INT64_EDGE - 1, INT64_EDGE], e=2, num=-1, step=0)
+def test_orbit_residues_agree_on_both_sides_of_the_int64_edge(ns, e, num, step):
+    # moduli just below the edge take the int64 branch and those above it
+    # the object branch; both give the Python-int residues
+    modulus = INT64_EDGE + step
+    got = orbit_residues(np.array(ns, dtype=np.int64), e, num, modulus)
+    assert got.dtype == (np.int64 if step <= 0 else object)
+    assert got.tolist() == python_residues(ns, e, num, modulus)
+
+
+@pytest.mark.parametrize("modulus", [1, 7, INT64_EDGE, INT64_EDGE + 1, 2**61 - 1])
+@pytest.mark.parametrize("e, num", [(1, 1), (2, 1), (2, 10**6 + 3)])
+def test_orbit_residues_leave_the_multipliers_unmodified(modulus, e, num):
+    ns = np.array([-(2**62), -9, 0, 5, 10**12 + 39, 2**63 - 1], dtype=np.int64)
+    before = ns.copy()
+    got = orbit_residues(ns, e, num, modulus)
+    assert np.array_equal(ns, before)
+    assert not np.shares_memory(got, ns)
+    assert got.tolist() == python_residues(before.tolist(), e, num, modulus)
+
+
 @given(
     st.lists(frequencies, min_size=1, max_size=4),
     st.data(),
@@ -242,6 +296,20 @@ def test_band_orbit_contains_matches_oracle(beta, data, a, ns, e):
     w = BandWitness(r=len(beta), a=a, t=data.draw(st.integers(0, len(beta))))
     got = w.orbit_contains(beta, np.array(ns, dtype=np.int64), e)
     assert got.tolist() == [band_contains(w, x) for x in orbit_points(beta, ns, e)]
+
+
+@given(
+    st.lists(frequencies, min_size=1, max_size=3),
+    st.data(),
+    radii,
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+    st.sampled_from([1, 2]),
+)
+def test_orbit_deviations_wrap_centers_off_the_unit_interval(beta, data, eps, ns, e):
+    # centers in [-3, 3] are reduced mod 1 like the torus point the oracle makes
+    center = data.draw(st.lists(rationals, min_size=len(beta), max_size=len(beta)))
+    got = orbit_deviations(beta, center, eps, np.array(ns, dtype=np.int64), e)
+    assert got.tolist() == oracle_deviations(beta, center, eps, ns, e)
 
 
 def test_orbit_deviations_count_the_boundary():

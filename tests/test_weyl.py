@@ -44,9 +44,12 @@ from oracles import (
     random_grid,
     roth_form_exact_roll_loop,
     scaled,
+    series_phases,
+    series_terms_triple_loop,
     trig_triple_integral,
     triple_integral,
     triple_integrals_per_n,
+    unit,
     weighted_average_per_term,
     zero_point,
 )
@@ -556,6 +559,65 @@ class CallCounter:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
+
+
+@st.composite
+def phase_cases(draw):
+    """alpha in T^d with denominators up to 10^9, and four frequency vectors in [-6, 6]^d."""
+    d = draw(st.integers(1, 3))
+    dens = draw(st.lists(st.integers(1, 10**9), min_size=d, max_size=d))
+    alpha = tuple(Fraction(draw(st.integers(0, den - 1)), den) for den in dens)
+    freqs = tuple(draw(st.tuples(*[st.integers(-6, 6)] * d)) for _ in range(4))
+    return alpha, freqs
+
+
+# the largest numerators: near-unit alphas over large coprime denominators
+LARGE_ALPHA = (Fraction(10**9 - 1, 10**9), Fraction(999999936, 999999937), Fraction(96, 97))
+
+
+@given(case=phase_cases(), hit=st.integers(1, 10**8))
+@example(case=(LARGE_ALPHA, ((6, 6, 6),) * 4), hit=10**8)
+@example(case=(LARGE_ALPHA, ((-6, 6, -6), (6, -6, 6), (-6, -6, -6), (6, 6, 6))), hit=99_999_989)
+@settings(max_examples=200, deadline=None)
+def test_series_phases_in_integers_match_the_fraction_oracle(case, hit):
+    alpha, freqs = case
+    weights, den = weyl._phase_weights(alpha)
+    assert den == 2 * math.lcm(*(a.denominator for a in alpha))
+    lin, quad = weyl._series_phases(*freqs, weights)
+    want_lin, want_quad = series_phases(*freqs, alpha)
+    assert (Fraction(lin, den), Fraction(quad, den)) == (want_lin, want_quad)
+    # a drift term's phase at its hit, and the complex unit it turns into
+    want = hit * want_lin + hit * hit * want_quad
+    assert Fraction(hit * lin + hit * hit * quad, den) == want
+    assert repr(weyl._unit(hit * lin + hit * hit * quad, den)) == repr(unit(want))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11, 26])
+def test_series_plan_terms_keep_the_bits_of_the_fraction_route(seed):
+    # the drift terms' complex values by repr (so bit for bit), the families'
+    # keys and coefficients, and the loop order, against Fraction phases
+    system, table = trig_run_table(seed)
+    for n_max in (1000, 100_000):
+        plan = system.series_plan(table, n_max)
+        want = series_terms_triple_loop(system, table, n_max)
+        assert [hit for hit, _, _ in plan.terms] == [hit for hit, _, _ in want]
+        assert any(hit for hit, _, _ in want)
+        assert repr(plan.terms) == repr(tuple(want))
+
+
+@pytest.mark.parametrize("den", [97, OVERFLOW_BAND_DEN, 3_037_000_500])
+def test_family_phase_powers_agree_on_int64_and_python_int_residues(den):
+    # at the int64 edge the reduced first product plus the second stays
+    # below L + (L - 1)^2 < 2^63; the Python-int route reduces every sum
+    assert (den - 1) ** 2 + den < 2**63
+    top = den - 1
+    r = np.array([0, 1, 2, top - 1, top], dtype=np.int64)
+    a, b = Fraction(top, den), Fraction(den // 3, den)
+    got = weyl._family_phase_powers(a, b, r, r[::-1].copy(), den)
+    want = weyl._family_phase_powers(a, b, r.astype(object), r[::-1].astype(object), den)
+    assert_same_bits(got, want)
+    ph = [(int(x) * top + int(y) * (den // 3)) % den for x, y in zip(r, r[::-1])]
+    assert_same_bits(got, np.exp(2j * np.pi * (np.array(ph, dtype=np.float64) / den)))
 
 
 def test_weighted_average_on_a_system_runs_one_series(monkeypatch):
