@@ -3,7 +3,11 @@
 
     PYTHONPATH=src python3 scripts/kernel_timings.py
 
-Prints one JSON line: the best of five wall-clock runs, in seconds, of
+Prints one JSON line: the best wall-clock run, in seconds, of each line
+below.  ``best_of`` repeats a line at least five times, then until about
+1 s has elapsed or 20 runs are done, so that lines of a few milliseconds
+get enough runs to compare two trees; the one-block kernels take at
+least fifty.  The lines are
 
 - one block of ``torus.SCAN_BLOCK`` multipliers n = 1..16384 (best of
   50 for each): ``orbit_deviations`` of n^2 beta_1 against the cylinder
@@ -14,6 +18,8 @@ Prints one JSON line: the best of five wall-clock runs, in seconds, of
   (L = 543,339,720);
 - ``WeylSystem.series_plan`` at N = 100000 of the 6-mode trig
   polynomial of config seed 11;
+- ``GridFunction.dft`` on complex grids at (q, d) = (63, 2) and
+  (4095, 1);
 - ``roth_form`` on complex grids at (q, d) = (135, 1) and (45, 2);
 - ``roth_form_exact`` on an integer grid at (135, 1);
 - ``SubgroupModel.elements`` on the order-945 joining base of a
@@ -111,14 +117,21 @@ from reclab.torus import (
     orbit_residues,
 )
 
-REPEATS = 5
-#: repeats of the one-block kernel timings, which take well under a millisecond
+#: fewest runs of a line; past them a line runs until BUDGET_S or MOST runs
+LEAST = 5
+MOST = 20
+BUDGET_S = 1.0
+#: fewest runs of the one-block kernel timings, which take well under a millisecond
 BLOCK_REPEATS = 50
 
 
-def best_of(fn, repeats: int = REPEATS) -> float:
-    times = []
-    for _ in range(repeats):
+def best_of(fn, least: int = LEAST) -> float:
+    """The fastest of at least ``least`` runs, then of runs until BUDGET_S or MOST runs."""
+    times: list[float] = []
+    began = time.perf_counter()
+    while len(times) < least or (
+        len(times) < MOST and time.perf_counter() - began < BUDGET_S
+    ):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -170,6 +183,9 @@ def block_timings(out: dict[str, object]) -> None:
 def main() -> None:
     out: dict[str, object] = {}
     block_timings(out)
+    for q, d in ((63, 2), (4095, 1)):
+        f = complex_grid(q, d, seed=q + d)
+        out[f"dft_q{q}_d{d}_s"] = best_of(f.dft)
     for q, d in ((135, 1), (45, 2)):
         f = complex_grid(q, d, seed=q + d)
         out[f"roth_form_q{q}_d{d}_s"] = best_of(lambda: roth_form(f, f, f))
@@ -310,7 +326,7 @@ def main() -> None:
     thirds[::3] = 1
     out["root_of_unity_zero_q945945_s"] = best_of(lambda: root_of_unity_sum_is_zero(thirds))
 
-    out["repeats"] = REPEATS
+    out["runs"] = {"least": LEAST, "most": MOST, "budget_s": BUDGET_S, "block": BLOCK_REPEATS}
     out["python"] = platform.python_version()
     out["numpy"] = np.__version__
     print(json.dumps(out, sort_keys=True))

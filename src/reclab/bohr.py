@@ -10,7 +10,7 @@ exact statement about the rational model rather than a float
 approximation.
 
 Irrational frequencies are represented by continued-fraction
-convergents p/q with q up to 2**62.
+convergents p/q with q up to CONVERGENT_DENOMINATOR_CAP unless a cap is given.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ __all__ = [
     "sqrt_set_enumerate",
 ]
 
-CONVERGENT_DENOMINATOR_CAP = 2**62
+#: the cap of a bare ``sqrt2`` on the command line and of ``{"convergent": "sqrt2"}``
+CONVERGENT_DENOMINATOR_CAP = 10**9
 
 
 @dataclass(frozen=True)

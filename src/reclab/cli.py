@@ -46,6 +46,7 @@ from .experiments import (
     REFUTED,
     TRIG_HORIZON_CAP,
     TRIG_MODES_CAP,
+    check_trig_cost,
     csv_table,
     list_experiments,
     parse_entry,
@@ -74,7 +75,7 @@ WEYL_TABLE_CAP = 1 + 2 * TRIG_MODES_CAP
 
 
 def _rational(text: str) -> Fraction:
-    """A fraction string, or a named convergent such as sqrt2."""
+    """A fraction string, or a named convergent such as sqrt2 (q <= CONVERGENT_DENOMINATOR_CAP)."""
     if text in _NAMED:
         return named_convergent(text)
     try:
@@ -261,12 +262,13 @@ def main_weyl(argv: Sequence[str] | None = None) -> int:
         parse_entry("main_inequality (trig)", "ell", args.ell, "--ell")
         ball = ApproxHammingBall(TorusPoint.of([Fraction(0)] * args.r), args.k, args.eta)
         table = _load_table(args.f, 2 * args.d)
+        g = annihilating_cylinder(ball, [])
+        model = WeylSystem(TorusPoint.of(args.alpha))
+        direction = [args.ell**2 * b for b in args.freq_beta]
+        check_trig_cost(model, g, direction, args.N, 1, len(table) // 2)  # pairs and a constant
     except (ExperimentError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    g = annihilating_cylinder(ball, [])
-    model = WeylSystem(TorusPoint.of(args.alpha))
-    direction = [args.ell**2 * b for b in args.freq_beta]
     trace = weighted_average(model, table, g, direction, args.N)
     return _emit(trace.to_csv(), args.out)
 

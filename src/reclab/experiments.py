@@ -36,7 +36,13 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .bohr import BohrHammingBall, named_convergent, set_to_json, sqrt_set_enumerate
+from .bohr import (
+    CONVERGENT_DENOMINATOR_CAP,
+    BohrHammingBall,
+    named_convergent,
+    set_to_json,
+    sqrt_set_enumerate,
+)
 from .certificates import (
     CertificateRejected,
     SearchExhausted,
@@ -52,12 +58,19 @@ from .joinings import (
     uniformize_over_joining,
 )
 from .pcg64 import PCG64
-from .roth import roth_form_exact
-from .torus import ApproxHammingBall, TorusPoint, as_fraction, fraction_str, orbit_residues
+from .torus import (
+    ApproxHammingBall,
+    Cylinder,
+    TorusPoint,
+    as_fraction,
+    fraction_str,
+    orbit_residues,
+)
 from .weyl import (
     GridWeylModel,
     RotationModel,
     WeylSystem,
+    marginal_form_exact,
     max_triple_intersection,
     triple_integrals,
     weighted_average,
@@ -87,8 +100,8 @@ JOINING_MODULUS_CAP = 10**6
 EXACT_MODULUS_CAP = 250_000
 #: largest phase modulus the ladder walk takes: its step 2 pi / modulus is a double
 LADDER_MODULUS_CAP = int(sys.float_info.max)
-#: most nanoseconds a trig main_inequality run may cost, N * battery terms at
-#: ``_trig_term_ns(modes)`` each: 60 s, the budget of a `roth check`
+#: most nanoseconds a trig main_inequality run or a `weyl avg` may cost, N * battery
+#: terms at ``_trig_term_ns`` each (``check_trig_cost``): 60 s, the budget of a `roth check`
 TRIG_COST_CAP = 60 * 10**9
 #: most nanoseconds a grid main_inequality run may cost, its gathered cells at
 #: ``GRID_CELL_NS`` each (``_grid_keys``): the same 60 s
@@ -323,7 +336,7 @@ _SCHEMA: dict[str, tuple[Param, ...]] = {
     ),
     "convergent": (
         Param("convergent", "string", of=("sqrt2", "sqrt3", "golden")),
-        Param("q_cap", "int", 10**9, "[2, inf)"),
+        Param("q_cap", "int", CONVERGENT_DENOMINATOR_CAP, "[2, inf)"),
     ),
 }
 
@@ -580,9 +593,7 @@ def _main_inequality_grid(config: ExperimentConfig, p: dict[str, Any]) -> Experi
             raise ExperimentError("uniformize", f"{label}: {exc}")
         trace = weighted_average(model, values, g, weight_dir, period)
         average = trace.value
-        # the form of the rotation marginal sums / q; the form is cubic, hence q^3
-        sums = values.sum(axis=1)
-        closed = roth_form_exact(sums, sums, sums) / q**3
+        closed = marginal_form_exact(values, 1)
         # the window is 0 or 1/measure, so its mass is the hit rate times 1/measure; at a
         # full joint period this is generally not 1, since squares oversample quadratic
         # residues, and the comparison has to carry the factor rather than wish it away
@@ -677,27 +688,43 @@ _TRIG_BETA = _parse_value(
 )
 
 
-def _trig_term_ns(modes: int) -> int:
+def _trig_term_ns(modes: int, wide: bool) -> int:
     """The modelled cost of one term n of one trig observable, in nanoseconds.
 
-    An upper envelope of the worst of eight polynomials per mode count at
-    N = 10^6 on a 2-vCPU Xeon: 71 ns at 1 mode, 766 ns at 12 and 1.9 us
-    at 24.  The square term is the distinct phases (a, b) of the series
-    plan, which grow about as modes^2.
+    An upper envelope of the worst of eight polynomials per mode count at N = 10^6 on a 2-vCPU
+    Xeon: 71 ns at 1 mode, 766 ns at 12 and 1.9 us at 24 on int64 residues, 531 ns, 2.7 us and
+    7.4 us on Python-int ones (``wide``).  The modes^2 term is the series plan's phases (a, b).
     """
-    return 100 + 40 * modes + 2 * modes**2
+    return 400 + 250 * modes + 10 * modes**2 if wide else 100 + 40 * modes + 2 * modes**2
+
+
+def check_trig_cost(
+    model: WeylSystem, g: Cylinder, direction: list[Fraction], n_max: int, battery: int, modes: int
+) -> None:
+    """Refuse a trig average past ``TRIG_COST_CAP`` before any work, as a config error.
+
+    A term is priced on the ``torus.orbit_residues`` branch of the moduli: D = 2 lcm(den alpha),
+    which every family modulus divides, and lcm(den direction_i, den center_i, den eta) on
+    each coordinate i that the window g pins.
+    """
+    center, eta = g.center.coords, g.eta.denominator
+    moduli = [2 * math.lcm(*(a.denominator for a in model.alpha.coords))] + [
+        math.lcm(direction[i - 1].denominator, center[i - 1].denominator, eta) for i in g.index_set
+    ]
+    wide = any((m - 1) ** 2 >= 2**63 for m in moduli)
+    term = _trig_term_ns(modes, wide)
+    if n_max * battery * term > TRIG_COST_CAP:
+        residues = "Python-int" if wide else "int64"
+        raise ExperimentError(
+            "config",
+            f"cost N * battery * term({modes} modes, {residues} residues) = {n_max} * {battery} "
+            f"* {term} = {n_max * battery * term} ns exceeds the cap {TRIG_COST_CAP} ns",
+        )
 
 
 def _main_inequality_trig(config: ExperimentConfig, p: dict[str, Any]) -> ExperimentReport:
     r, k, n_max, battery = p["r"], p["k"], p["N"], p["battery"]
     _need_k_below_r(k, r)
-    term = _trig_term_ns(p["modes"])
-    if n_max * battery * term > TRIG_COST_CAP:
-        raise ExperimentError(
-            "config",
-            f"cost N * battery * (100 + 40 modes + 2 modes^2) ns = {n_max} * {battery} "
-            f"* {term} = {n_max * battery * term} ns exceeds the cap {TRIG_COST_CAP} ns",
-        )
     if p["beta"] is None and r > len(_TRIG_BETA):
         raise ExperimentError("config", f"provide beta explicitly for r > {len(_TRIG_BETA)}")
     beta = _TRIG_BETA[:r] if p["beta"] is None else p["beta"]
@@ -712,6 +739,7 @@ def _main_inequality_trig(config: ExperimentConfig, p: dict[str, Any]) -> Experi
     g = annihilating_cylinder(ball, [])
     model = WeylSystem(TorusPoint.of([p["alpha"]]))
     direction = [p["ell"] ** 2 * b for b in beta]
+    check_trig_cost(model, g, direction, n_max, battery, p["modes"])
     bound_scale = 2.0 / math.sqrt(k)
 
     rows: list[list] = []

@@ -24,7 +24,6 @@ Plancherel gap are computed by the tests' oracles.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -180,8 +179,6 @@ def annihilating_cylinder(
 
 # ---- grid functions ----
 
-_DIRECT_DFT_LIMIT = 4096
-
 
 @dataclass
 class GridFunction:
@@ -207,28 +204,12 @@ class GridFunction:
         return float(np.mean(np.abs(self.values) ** 2))
 
     def dft(self) -> "GridFunction":
-        """Coefficient array fhat(n) = q^(-d) sum f(x) e(-n.x/q)."""
-        if self.size() <= _DIRECT_DFT_LIMIT:
-            out = self.values
-            kernel = _dft_kernel(self.q)
-            for axis in range(self.dim):
-                out = np.tensordot(out, kernel, axes=([0], [1]))
-            # tensordot cycles axes; after dim applications order is restored
-            return GridFunction(self.dim, self.q, out / self.size())
+        """Coefficient array fhat(n) = q^(-d) sum f(x) e(-n.x/q), by the FFT at every size."""
         return GridFunction(self.dim, self.q, np.fft.fftn(self.values) / self.size())
 
     def spectrum_table(self) -> np.ndarray:
         """The spectrum as the coefficient array of ``dft``, for ``top_k_characters``."""
         return self.dft().values
-
-
-@functools.lru_cache(maxsize=4)
-def _dft_kernel(q: int) -> np.ndarray:
-    """The matrix e(-j k / q), built once per q and shared read-only."""
-    j = np.arange(q)
-    kernel = np.exp(-2j * np.pi * np.outer(j, j) / q)
-    kernel.flags.writeable = False
-    return kernel
 
 
 def centered_residue(n: int, q: int) -> int:

@@ -45,6 +45,7 @@ __all__ = [
     "RotationModel",
     "WeylSystem",
     "kronecker_projection",
+    "marginal_form_exact",
     "max_triple_intersection",
     "trig_progression_form",
     "triple_integrals",
@@ -115,16 +116,16 @@ def _is_exact_dtype(arr: np.ndarray) -> bool:
     return arr.dtype == object or arr.dtype == bool or np.issubdtype(arr.dtype, np.integer)
 
 
-def _exact_block_mean(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    block = 1
-    for ax in axes:
-        block *= arr.shape[ax]
-    summed = arr.astype(object).sum(axis=axes)
-    scale = np.frompyfunc(lambda v: Fraction(v, block), 1, 1)
-    out = scale(summed)
-    if out.ndim == 0:
-        out = out.reshape(())
-    return out
+def marginal_form_exact(values: np.ndarray, d: int) -> Fraction:
+    """The progression form of the marginal of an exact grid on its first d axes.
+
+    That is the form of its sums over blocks of B cells, over B^3; the sums are
+    int64 while B * max|values| < 2^63, else (and for object grids) Python ints.
+    """
+    block = math.prod(values.shape[d:])
+    wide = values.dtype == object or block * max(int(values.max()), -int(values.min()), 1) >= 2**63
+    sums = values.sum(axis=tuple(range(d, values.ndim)), dtype=object if wide else np.int64)
+    return roth_form_exact(sums, sums, sums) / block**3
 
 
 # ---- the continuous system, trig polynomial backend ----
@@ -464,29 +465,19 @@ Model = Union[WeylSystem, RotationModel, GridWeylModel]
 # ---- observables ----
 
 
-def kronecker_projection(f: Observable, d: int) -> Observable:
-    """Average out the second coordinate block: f'(x) = integral of f(x, .).
+def kronecker_projection(table: CoefficientTable, d: int) -> CoefficientTable:
+    """Average out the second coordinate block: keep the terms of y-frequency zero.
 
-    Trig polynomials drop every term whose y-frequency is nonzero; grid
-    arrays average over the axes from the split point d on.  Exact object
-    grids stay exact.
+    Exact grids have ``marginal_form_exact`` instead.
     """
-    arr = None if isinstance(f, CoefficientTable) else np.asarray(f)
-    total = f.dim if arr is None else arr.ndim
-    if not 1 <= d < total:
-        raise ValueError(f"split point {d} outside 1..{total - 1}")
-    if arr is None:
-        out = CoefficientTable(d)
-        for chi, coef in f:
-            if any(chi.freq[d:]):
-                continue
+    if not 1 <= d < table.dim:
+        raise ValueError(f"split point {d} outside 1..{table.dim - 1}")
+    out = CoefficientTable(d)
+    for chi, coef in table:
+        if not any(chi.freq[d:]):
             kept = Character(chi.freq[:d])
             out[kept] = out[kept] + coef
-        return out
-    axes = tuple(range(d, arr.ndim))
-    if arr.dtype == object:
-        return _exact_block_mean(arr, axes)
-    return arr.mean(axis=axes)
+    return out
 
 
 def trig_progression_form(table: CoefficientTable) -> complex:
@@ -770,14 +761,10 @@ def _closed_form(model: Model, f: Observable):
     if not model.is_generating:
         return None
     values = _as_values(f)
-    if isinstance(model, RotationModel):
-        proj = values
-    else:
-        proj = kronecker_projection(values, model.d)
-    proj = np.asarray(proj)
-    if _is_exact_dtype(proj):
-        return roth_form_exact(proj, proj, proj)
-    grid = GridFunction(proj.ndim, proj.shape[0], np.asarray(proj, dtype=complex))
+    if values.ndim == model.d or values.dtype == object:
+        return marginal_form_exact(values, model.d)
+    # an integer skew-product grid keeps the float marginal its trace CSV has always carried
+    grid = GridFunction(model.d, model.q, values.mean(axis=tuple(range(model.d, values.ndim))))
     value = roth_form(grid, grid, grid)
     return value.real if abs(value.imag) <= 1e-9 else value
 

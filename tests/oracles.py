@@ -7,11 +7,13 @@ cyclic ``lattice.SubgroupModel``, and the model of the stabilizers,
 full grids and joins that are not cyclic.
 
 Fixtures: the origin of a torus (``zero_point``), the window that is on
-at every n (``FULL_WINDOW``), the trivial and full subgroups, canonical
-coset representatives and coset members, subgroup membership and the
-join of two subgroups, n times a torus point, a random complex grid
-function, a certificate built from a list of members and the list of a
-certificate's members, and the inverse of ``bohr.set_to_json``.
+at every n (``FULL_WINDOW``), a stand-in for ``weighted_average`` that
+stops an accepted run there (``reach_the_average``), the trivial and
+full subgroups, canonical coset representatives and coset members,
+subgroup membership and the join of two subgroups, n times a torus
+point, a random complex grid function, a certificate built from a list
+of members and the list of a certificate's members, and the inverse of
+``bohr.set_to_json``.
 
 Membership in Fractions, one point at a time: the coordinate norm, the
 deviation count, point addition and subtraction, and the ball, band and
@@ -30,7 +32,9 @@ per-family phase vector that shared orbit residues replaced and the
 numerators (``series_phases``, ``unit``); the trig
 path of ``weyl.weighted_average`` one Python complex term at a time; the
 grid model of a rational system, the unweighted average (under the
-full window) and the observable range check.  For torus and harmonic: the cylinders whose
+full window), the observable range check, and the exact form of a grid's
+marginal through the ``Fraction`` means of its blocks, the oracle of
+``weyl.marginal_form_exact``.  For torus and harmonic: the cylinders whose
 union is a Hamming ball, the value of a character and of a trig
 polynomial at a point, the sinc closed form of a cylinder coefficient,
 the uniformizing cylinder, the DFT by its definition and the inverse
@@ -95,6 +99,7 @@ from reclab.harmonic import (
 )
 from reclab.joinings import AffineJoining, root_of_unity_sum_is_zero
 from reclab.lattice import SubgroupModel
+from reclab.roth import roth_form_exact
 from reclab.torus import (
     ApproxHammingBall,
     Cylinder,
@@ -119,6 +124,15 @@ def zero_point(dim: int) -> TorusPoint:
 #: a window that pins no coordinate: measure 1, so weight 1 at every n along FULL_DIRECTION
 FULL_WINDOW = Cylinder(1, (), zero_point(1), Fraction(1, 2))
 FULL_DIRECTION = (Fraction(0),)
+
+
+class Averaged(Exception):
+    """Raised by ``reach_the_average``: the run was accepted and got as far as its average."""
+
+
+def reach_the_average(*args):
+    """A stand-in for ``weighted_average`` that ends a priced run without averaging."""
+    raise Averaged
 
 
 # ---------------------------------------------------------------------------
@@ -1040,6 +1054,17 @@ def roth_form_exact_roll_loop(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) ->
     for s in np.ndindex(*a0.shape):
         total += int((i0 * roll_to(i1, s) * roll_to(i2, [2 * a for a in s])).sum())
     return Fraction(total, d0 * d1 * d2 * a0.size**2)
+
+
+def marginal_form_by_fraction_means(values: np.ndarray, d: int) -> Fraction:
+    """weyl.marginal_form_exact through the marginal itself: the Fraction mean
+    of each block of the axes from d on, in Python integers, then the exact
+    progression form of those means."""
+    axes = tuple(range(d, values.ndim))
+    block = math.prod(values.shape[d:])
+    summed = values.astype(object).sum(axis=axes)
+    means = np.frompyfunc(lambda v: Fraction(v, block), 1, 1)(summed)
+    return roth_form_exact(means, means, means)
 
 
 def roth_form_spectral(f0: GridFunction, f1: GridFunction, f2: GridFunction) -> complex:

@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from reclab.bohr import BohrHammingBall, sqrt_set_enumerate
+from reclab import cli, experiments
+from reclab.bohr import (
+    CONVERGENT_DENOMINATOR_CAP,
+    BohrHammingBall,
+    named_convergent,
+    sqrt_set_enumerate,
+)
 from reclab.certificates import certificate_text
 from reclab.cli import (
     ROTH_COST_CAP,
@@ -21,10 +27,10 @@ from reclab.cli import (
     main_roth,
     main_weyl,
 )
-from reclab.experiments import PHASE_CAP, TRIG_HORIZON_CAP, TRIG_MODES_CAP
+from reclab.experiments import PHASE_CAP, TRIG_COST_CAP, TRIG_HORIZON_CAP, TRIG_MODES_CAP
 from reclab.torus import ApproxHammingBall, TorusPoint
 
-from oracles import certificate_from_members
+from oracles import Averaged, certificate_from_members, reach_the_average
 
 
 def evens_path(tmp_path, name="evens.json", horizon=600):
@@ -349,6 +355,36 @@ def test_weyl_avg_horizon_above_the_period_cap_is_exit_2(
         main_weyl(args)
     assert err.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_weyl_avg_is_priced_like_a_trig_run_and_refuses_the_next_n_up(
+    tmp_path, monkeypatch, capsys
+):
+    # 48 entries are priced as ceil(47 / 2) = 24 modes, like a full table of
+    # 49; 1/7 and 1/5 keep every modulus in int64
+    monkeypatch.setattr("reclab.cli.weighted_average", reach_the_average)
+    entries = [{"freq": [i, 1], "coef": [0.01, 0]} for i in range(WEYL_TABLE_CAP - 1)]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"entries": entries}))
+    term = experiments._trig_term_ns(TRIG_MODES_CAP, False)
+    largest = TRIG_COST_CAP // term
+    assert largest < TRIG_HORIZON_CAP
+    args = ["avg", "--d", "1", "--alpha", "1/7", "--freq-beta", "1/5",
+            "--r", "1", "--k", "0", "--eta", "1/8", "--f", str(path)]
+    with pytest.raises(Averaged):
+        main_weyl(args + ["--N", str(largest)])
+    assert main_weyl(args + ["--N", str(largest + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"term({TRIG_MODES_CAP} modes, int64 residues)" in err
+    assert f"= {(largest + 1) * term} ns exceeds the cap {TRIG_COST_CAP} ns" in err
+
+
+def test_bare_convergent_names_are_the_config_convergents():
+    for name in ("sqrt2", "sqrt3", "golden"):
+        config = experiments._parse_value({"convergent": name}, experiments._VALUE, "alpha")
+        assert cli._rational(name) == config == named_convergent(name, CONVERGENT_DENOMINATOR_CAP)
+    # the cap the example configs have always been run at
+    assert CONVERGENT_DENOMINATOR_CAP == 10**9
 
 
 def test_weyl_avg_non_hermitian_table_writes_complex_cells(tmp_path, capsys):

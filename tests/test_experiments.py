@@ -1,6 +1,7 @@
 """End-to-end tests of the experiment pipelines and their reports."""
 
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -40,6 +41,8 @@ from reclab.experiments import (
 )
 from reclab.torus import fraction_str
 from reclab.weyl import kronecker_projection, trig_progression_form
+
+from oracles import Averaged, reach_the_average
 
 REPO = Path(__file__).parents[1]
 
@@ -217,30 +220,92 @@ def test_trig_modes_cap_is_every_conjugate_pair_of_the_frequency_box(tmp_path):
     assert err.value.stage == "config" and f"[1, {TRIG_MODES_CAP}]" in str(err.value)
 
 
+def _bench_workload(name: str) -> dict:
+    """The config document of benchmark workload ``name`` at its default seed."""
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.config(name, workloads.DEFAULT_SEED, "")
+
+
+#: a trig run whose window and series moduli are past the int64 guard
+WIDE_TRIG = {
+    "alpha": {"convergent": "sqrt2", "q_cap": 2**62},
+    "beta": [{"convergent": name, "q_cap": 2**62} for name in ("sqrt3", "golden")]
+    + ["1/7", "2/11", "3/13"],
+}
+
+
 def test_trig_cost_model_refuses_the_next_size_up_without_running_it(tmp_path, monkeypatch):
-    # one n past the largest accepted N is refused at config, before any
-    # polynomial is averaged
-    monkeypatch.setattr(experiments, "weighted_average", lambda *args: pytest.fail("ran"))
-    for modes, battery in ((1, 16), (6, 2), (TRIG_MODES_CAP, 1)):
-        per_n = battery * experiments._trig_term_ns(modes)
-        largest = TRIG_COST_CAP // per_n
-        assert largest < TRIG_HORIZON_CAP
-        with pytest.raises(ExperimentError) as err:
-            run(tmp_path, "main_inequality",
-                {"model": "trig", "N": largest + 1, "battery": battery, "modes": modes})
-        assert err.value.stage == "config"
-        assert f"= {(largest + 1) * per_n} ns exceeds the cap {TRIG_COST_CAP} ns" in str(err.value)
+    # on either residue branch the largest accepted N reaches the average; one
+    # n more is refused at config, before any polynomial is averaged
+    monkeypatch.setattr(experiments, "weighted_average", reach_the_average)
+    for wide, residues in ((False, "int64"), (True, "Python-int")):
+        for modes, battery in ((1, 16), (6, 2), (TRIG_MODES_CAP, 1)):
+            per_n = battery * experiments._trig_term_ns(modes, wide)
+            largest = TRIG_COST_CAP // per_n
+            assert largest < TRIG_HORIZON_CAP
+            base = dict(WIDE_TRIG if wide else {}, model="trig", battery=battery, modes=modes)
+            with pytest.raises(Averaged):
+                run(tmp_path, "main_inequality", dict(base, N=largest))
+            with pytest.raises(ExperimentError) as err:
+                run(tmp_path, "main_inequality", dict(base, N=largest + 1))
+            assert err.value.stage == "config"
+            assert f"term({modes} modes, {residues} residues)" in str(err.value)
+            cost = f"= {(largest + 1) * per_n} ns exceeds the cap {TRIG_COST_CAP} ns"
+            assert cost in str(err.value)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_trig_cost_model_accepts_every_shipped_trig_config():
-    # the example trig config, and a benchmark-sized run of it, stay far inside the budget
+@pytest.mark.parametrize(
+    "alpha, beta_cap, wide",
+    [
+        ({"convergent": "sqrt2"}, 10**9, False),
+        ({"convergent": "sqrt2", "q_cap": 2**62}, 10**9, True),
+        ({"convergent": "sqrt2"}, 2**62, True),
+        # the denominator is inside the guard, the series modulus D = 2 * 2000000001 is not
+        ("1/2000000001", 10**9, True),
+    ],
+    ids=["int64", "series", "window", "series-doubled"],
+)
+def test_trig_run_is_priced_by_the_residue_branch_of_its_moduli(
+    tmp_path, monkeypatch, alpha, beta_cap, wide
+):
+    # one modulus past the int64 guard, the series' or the pinned window
+    # coordinate's, prices the run as Python-int residues
+    monkeypatch.setattr(experiments, "weighted_average", reach_the_average)
+    n = TRIG_COST_CAP // experiments._trig_term_ns(TRIG_MODES_CAP, wide)
+    params = {
+        "model": "trig", "N": n + 1, "battery": 1, "modes": TRIG_MODES_CAP, "alpha": alpha,
+        "beta": [{"convergent": "sqrt3", "q_cap": beta_cap}, "1/7", "2/11", "3/13", "1/5"],
+    }
+    with pytest.raises(ExperimentError, match=f"= {n + 1} \\* 1 \\*"):
+        run(tmp_path, "main_inequality", params)
+    with pytest.raises(Averaged):
+        run(tmp_path, "main_inequality", dict(params, N=n))
+
+
+def test_trig_cost_model_accepts_every_shipped_trig_config(tmp_path, monkeypatch):
+    # the example trig config and the trig_window benchmark workload stay far
+    # inside the budget: they reach the average priced under 1/100 of the cap
+    monkeypatch.setattr(experiments, "weighted_average", reach_the_average)
+    docs = []
     for path in sorted((REPO / "scripts" / "configs").glob("*.json")):
         with open(path, encoding="utf-8") as fh:
-            config = ExperimentConfig.from_json(json.load(fh))
+            docs.append(json.load(fh))
+    docs.append(_bench_workload("trig_window"))
+    priced = 0
+    for doc in docs:
+        config = ExperimentConfig.from_json(dict(doc, out_dir=str(tmp_path)))
         p = _parse_params(config)
-        if config.experiment == "main_inequality" and p["model"] == "trig":
-            assert p["N"] * p["battery"] * experiments._trig_term_ns(p["modes"]) < TRIG_COST_CAP / 100
+        if config.experiment != "main_inequality" or p["model"] != "trig":
+            continue
+        with pytest.raises(Averaged):
+            run_experiment(config)
+        with pytest.raises(Averaged):
+            run(tmp_path, "main_inequality", dict(config.params, N=p["N"] * 100), seed=config.seed)
+        priced += 1
+    assert priced == 2
 
 
 def test_grid_cost_model_accepts_every_shipped_grid_config():

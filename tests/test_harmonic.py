@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reclab import harmonic
 from reclab.harmonic import (
     Character,
     CoefficientTable,
@@ -305,7 +304,7 @@ def test_dft_roundtrip_direct():
 
 
 def test_dft_direct_vs_fft_agree():
-    # both sides of the size at which dft switches from its direct kernel to the FFT
+    # the FFT against the definition, on grids of fewer and of more than 4096 cells
     for dim, q in [(1, 64), (2, 11), (1, 101), (3, 5), (2, 65)]:
         f = random_grid(dim, q, seed=dim * q)
         a = grid_dft_direct(f)
@@ -314,25 +313,15 @@ def test_dft_direct_vs_fft_agree():
 
 
 @pytest.mark.parametrize("dim, q", [(1, 1), (1, 7), (2, 8), (3, 5), (1, 135)])
-def test_dft_with_the_cached_kernel_is_bit_identical(dim, q):
+def test_dft_is_the_normalized_fft_bit_for_bit(dim, q):
     f = random_grid(dim, q, seed=dim + q)
-    # the transform by a kernel built for this call alone
-    out = f.values
-    for _ in range(dim):
-        out = np.tensordot(out, harmonic._dft_kernel.__wrapped__(q), axes=([0], [1]))
-    want = out / f.size()
-    harmonic._dft_kernel.cache_clear()
-    for _ in range(2):  # a cold kernel, then the cached one
-        assert np.array_equal(f.dft().values.view(np.uint64), want.view(np.uint64))
-        hat = f.spectrum_table()
-        assert np.array_equal(hat.view(np.uint64), want.view(np.uint64))
-        for k in (1, 4):
-            got = top_k_outcome(top_k_characters, hat, k, math.inf, dim - 1)
-            assert got == top_k_outcome(top_k_by_table, hat, k, math.inf, dim - 1)
-    kernel = harmonic._dft_kernel(q)
-    assert harmonic._dft_kernel(q) is kernel and not kernel.flags.writeable
-    with pytest.raises(ValueError):
-        kernel[0, 0] = 0
+    want = np.fft.fftn(f.values) / f.size()
+    assert np.array_equal(f.dft().values.view(np.uint64), want.view(np.uint64))
+    hat = f.spectrum_table()
+    assert np.array_equal(hat.view(np.uint64), want.view(np.uint64))
+    for k in (1, 4):
+        got = top_k_outcome(top_k_characters, hat, k, math.inf, dim - 1)
+        assert got == top_k_outcome(top_k_by_table, hat, k, math.inf, dim - 1)
 
 
 def test_plancherel_exact_to_float_eps():

@@ -22,6 +22,7 @@ from reclab.weyl import (
     RotationModel,
     WeylSystem,
     kronecker_projection,
+    marginal_form_exact,
     max_triple_intersection,
     trig_progression_form,
     triple_integrals,
@@ -39,9 +40,9 @@ from oracles import (
     float_checkpoint_averages_per_term,
     grid_model_from_system,
     l3_average,
+    marginal_form_by_fraction_means,
     pullback,
     pullback_by_index_grids,
-    random_grid,
     roth_form_exact_roll_loop,
     scaled,
     series_phases,
@@ -1053,27 +1054,52 @@ def test_projection_keeps_first_coordinate_terms():
     assert len(projected) == 2
 
 
-def test_projection_grid_mean_oracle():
-    grid = random_grid(2, 5, seed=3)
-    projected = kronecker_projection(grid.values, 1)
-    assert projected.shape == (5,)
-    assert np.max(np.abs(projected - grid.values.mean(axis=1))) < 1e-15
-
-
-def test_projection_exact_grid_stays_exact():
-    values = np.array([[Fraction(i + j, 7) for j in range(3)] for i in range(3)], dtype=object)
-    projected = kronecker_projection(values, 1)
-    assert list(projected) == [Fraction(i + 1, 7) for i in range(3)]
-    assert all(isinstance(v, Fraction) for v in projected)
-
-
 def test_projection_rejects_a_split_point_outside_the_axes():
-    for d in (0, 3):
+    for d in (0, 2):
         with pytest.raises(ValueError, match="split point"):
-            kronecker_projection(np.zeros((2, 2, 2)), d)
-    with pytest.raises(ValueError, match="split point"):
-        kronecker_projection(CoefficientTable(2), 2)
-    assert kronecker_projection(np.ones((2, 2, 2)), d=1).shape == (2,)
+            kronecker_projection(CoefficientTable(2), d)
+    assert kronecker_projection(CoefficientTable(3), d=1).dim == 1
+
+
+def _exact_grid_of_kind(rng: np.random.Generator, shape: tuple[int, ...], kind: str) -> np.ndarray:
+    if kind == "bool":
+        return rng.integers(0, 2, shape).astype(bool)
+    if kind == "int8":
+        return rng.integers(-128, 128, shape).astype(np.int8)
+    if kind == "int64":
+        # block * max|f| passes 2^63, so the sums are Python integers
+        return rng.integers(-(2**62), 2**62, shape)
+    nums = rng.integers(-(2**40), 2**40, math.prod(shape)).tolist()
+    dens = rng.integers(1, 6, len(nums)).tolist()
+    # Python ints past int64 beside Fractions
+    cells = [num << 30 if den == 1 else Fraction(num, den) for num, den in zip(nums, dens)]
+    out = np.empty(len(cells), dtype=object)
+    out[:] = cells
+    return out.reshape(shape)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    q=st.sampled_from([3, 5, 7, 9, 11, 13, 15]),
+    kind=st.sampled_from(["bool", "int8", "int64", "object"]),
+)
+@settings(max_examples=40)
+def test_marginal_form_exact_equals_the_fraction_mean_route(seed, d, q, kind):
+    values = _exact_grid_of_kind(np.random.default_rng(seed), (q,) * (2 * d), kind)
+    assert marginal_form_exact(values, d) == marginal_form_by_fraction_means(values, d)
+
+
+def test_grid_closed_forms_are_the_exact_marginal_form():
+    # object grids and rotations take the exact form; an integer skew grid keeps its float
+    f = np.arange(9, dtype=np.int64).reshape(3, 3) % 4 - 1
+    model = GridWeylModel(3, (1,))
+    exact = marginal_form_exact(f, 1)
+    assert weyl._closed_form(model, f.astype(object)) == exact
+    assert weyl._closed_form(model, f) == pytest.approx(float(exact), abs=1e-15)
+    assert isinstance(weyl._closed_form(model, f), float)
+    rotation = RotationModel(9, (2,))
+    assert weyl._closed_form(rotation, f.ravel()) == marginal_form_exact(f.ravel(), 1)
 
 
 # ---- unweighted averages ----
